@@ -5,14 +5,17 @@ interior rows carry the 9-point stencil at scale h^-2, boundary Robin rows
 the 6-point/4-point stencils at scale h^-1, and interface rows the 13-point
 stencil at scale h^-1, each with its matching data weights on the right.
 Rows keep these natural scales (no equilibration).  Assembly is deterministic
-(fixed chunking, fixed orders); per-point stencil generation can fan out over
-a process pool, with results identical to the serial path.
+(fixed chunking, fixed orders): interior nodes go in chunks of ``CHUNK`` and
+interface nodes in chunks of ``IFACE_CHUNK``, each chunk sharing one
+transmission build.  The chunks can fan out over a process pool, with results
+identical to the serial path.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import multiprocessing
@@ -20,17 +23,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AssemblyError
+from .errors import AssemblyError, GeometryError, MlsError, StencilError
 from .fieldjets import corner_jets, edge_jets, irregular_jets, regular_jets
 from .geometry import (
     IRREGULAR_OFFSETS,
-    LABEL_BOUNDARY,
     LABEL_IRREGULAR,
     LABEL_REGULAR_MINUS,
     LABEL_REGULAR_PLUS,
     classify_grid,
 )
-from .indexsets import lambda_full
+from .jets import Jet2
 from .problems import ProblemSpec
 from .stencil_boundary import (
     CORNER_FRAMES,
@@ -50,9 +52,8 @@ from .stencil_irregular import (
 from .stencil_regular import OFFSETS9, build_regular_batch, regular_rhs_weights
 from .transmission import build_transmission, curve_jet_from_chart
 
-CHUNK = 2048
-
-F5 = lambda_full(5)
+CHUNK = 2048           # interior nodes per regular-row batch
+IFACE_CHUNK = 64       # interface nodes per transmission batch
 
 
 @dataclass
@@ -120,8 +121,22 @@ def _regular_chunk(args):
     return stencil.coeffs, monotone, rhs
 
 
+def _named(exc, point):
+    """The same error type, with the interface node and row family named."""
+    return type(exc)(f"interface node ({point[0]:.6g}, {point[1]:.6g}): {exc}")
+
+
+@contextmanager
+def _at_node(point):
+    try:
+        yield
+    except (GeometryError, MlsError, StencilError) as exc:
+        raise _named(exc, point) from exc
+
+
 def _irregular_one(point):
-    """Row data for one interface node."""
+    """Per-node front half of an interface row: base point, chart, curve jet
+    and one-sided field jets."""
     problem, h = _CTX["problem"], _CTX["h"]
     iface = problem.interface
     bp = iface.locate_base(point, h)
@@ -130,19 +145,45 @@ def _irregular_one(point):
     jp, jm, fpd, fmd = irregular_jets(
         problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
         problem.psi, point, bp.base, h)
-    model = build_transmission(curve, jp, jm)
-    ko = np.array([o[0] for o in IRREGULAR_OFFSETS], dtype=float)
-    lo = np.array([o[1] for o in IRREGULAR_OFFSETS], dtype=float)
-    psi_vals = np.asarray(problem.psi(point[0] + h * ko, point[1] + h * lo))
-    system = assemble_irregular_system(model, psi_vals <= 0.0)
-    stencil = solve_irregular_stencil(system, h=h)
-    weights = irregular_rhs_weights(stencil, system, h)
-    rhs = irregular_rhs_value(weights, fpd, fmd, curve)
-    return stencil.values(h) / h, rhs
+    return curve, jp, jm, fpd, fmd
+
+
+_KO = np.array([o[0] for o in IRREGULAR_OFFSETS], dtype=float)
+_LO = np.array([o[1] for o in IRREGULAR_OFFSETS], dtype=float)
 
 
 def _irregular_chunk(points):
-    return [_irregular_one(p) for p in points]
+    """Row data for one chunk of interface nodes.
+
+    The per-node front half feeds one transmission build for the whole
+    chunk; the 13-point stencil and its rhs are then solved node by node.
+    """
+    problem, h = _CTX["problem"], _CTX["h"]
+    front = []
+    for point in points:
+        with _at_node(point):
+            front.append(_irregular_one(point))
+    curves, jp, jm, fpd, fmd = zip(*front)
+    order = jp[0].order
+    try:
+        models = build_transmission(list(curves),
+                                    Jet2(np.stack([j.c for j in jp]), order),
+                                    Jet2(np.stack([j.c for j in jm]), order))
+    except StencilError as exc:
+        if exc.index is None:
+            raise
+        raise _named(exc, points[exc.index]) from exc
+    out = []
+    for point, model, fp, fm in zip(points, models, fpd, fmd):
+        with _at_node(point):
+            psi_vals = np.asarray(problem.psi(point[0] + h * _KO,
+                                              point[1] + h * _LO))
+            system = assemble_irregular_system(model, psi_vals <= 0.0)
+            stencil = solve_irregular_stencil(system, h=h)
+            weights = irregular_rhs_weights(stencil, system, h)
+            rhs = irregular_rhs_value(weights, fp, fm, model.curve)
+        out.append((stencil.values(h) / h, rhs))
+    return out
 
 
 def _grid(problem: ProblemSpec, J: int):
@@ -167,21 +208,21 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
     cls = classify_grid(xs, ys, problem.psi)
     labels = cls.labels
 
-    rows, cols, vals = [], [], []
+    parts = []          # per row batch: (rows (n,), cols (n, k), vals (n, k))
     rhs = np.zeros(nn)
     audit = AssemblyAudit()
     timings = {}
 
-    def idx(i, j):
-        return i * (n2 + 1) + j
-
-    def put_row(i, j, offsets, coeff_values, value):
-        base = idx(i, j)
-        for (di, dj), c in zip(offsets, coeff_values):
-            rows.append(base)
-            cols.append(idx(i + di, j + dj))
-            vals.append(c)
-        rhs[base] = value
+    def put_rows(ii, jj, offsets, coeffs, values):
+        """Rows of the nodes (ii, jj): coefficients (n, k) or a scalar on the
+        k offsets, right-hand sides (n,) or a scalar."""
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        offs = np.asarray(offsets, dtype=np.int64)
+        base = ii * (n2 + 1) + jj
+        cols = (ii[:, None] + offs[:, 0]) * (n2 + 1) + jj[:, None] + offs[:, 1]
+        parts.append((base, cols, np.broadcast_to(coeffs, cols.shape)))
+        rhs[base] = values
 
     _set_context(problem, h)
 
@@ -193,10 +234,10 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         bcx, bcy = problem.boundary[sx], problem.boundary[sy]
         x, y = xs[i], ys[j]
         if bcx.kind == "dirichlet":
-            put_row(i, j, ((0, 0),), (1.0,), float(bcx.data(x, y)))
+            put_rows([i], [j], ((0, 0),), 1.0, float(bcx.data(x, y)))
             audit.dirichlet_count += 1
         elif bcy.kind == "dirichlet":
-            put_row(i, j, ((0, 0),), (1.0,), float(bcy.data(x, y)))
+            put_rows([i], [j], ((0, 0),), 1.0, float(bcy.data(x, y)))
             audit.dirichlet_count += 1
         else:
             frame = CORNER_FRAMES[(sx, sy)]
@@ -207,7 +248,7 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             value = (st.f_weights(h) @ f_der + st.g1_weights(h) @ g1_der
                      + st.g3_weights(h) @ g3_der) / h
             offs = [frame.offset(k, ell) for (k, ell) in CORNER_OFFSETS]
-            put_row(i, j, offs, st.values(h) / h, float(value))
+            put_rows([i], [j], offs, st.values(h) / h, float(value))
             audit.corner_rows.append(((i, j), st.coeffs, st.monotone))
 
     for side in (1, 2, 3, 4):
@@ -215,30 +256,28 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         if side in (1, 2):
             i0 = 0 if side == 1 else n1
             anchors = np.column_stack([np.full(n2 - 1, xs[i0]), ys[1:-1]])
-            node_ids = [(i0, j) for j in range(1, n2)]
+            ii, jj = np.full(n2 - 1, i0), np.arange(1, n2)
         else:
             j0 = 0 if side == 3 else n2
             anchors = np.column_stack([xs[1:-1], np.full(n1 - 1, ys[j0])])
-            node_ids = [(i, j0) for i in range(1, n1)]
+            ii, jj = np.arange(1, n1), np.full(n1 - 1, j0)
         if bc.kind == "dirichlet":
             data = np.asarray(bc.data(anchors[:, 0], anchors[:, 1]), dtype=float)
-            for (i, j), g in zip(node_ids, data):
-                put_row(i, j, ((0, 0),), (1.0,), float(g))
-            audit.dirichlet_count += len(node_ids)
+            put_rows(ii, jj, ((0, 0),), 1.0, data)
+            audit.dirichlet_count += len(ii)
         else:
             frame = SIDE_FRAMES[side]
             jet, a_der, f_der, g_der = edge_jets(
                 problem.a_plus, problem.f_plus, bc.alpha, bc.data,
                 anchors, frame, h)
             st = solve_edge_stencil(jet, a_der)
-            ch = st.values(h)
             fw = st.f_weights(h)
             gw = st.g1_weights(h)
             values = (np.einsum("bk,bk->b", fw, f_der)
                       + np.einsum("bk,bk->b", gw, g_der)) / h
             offs = [frame.offset(k, ell) for (k, ell) in EDGE_OFFSETS]
-            for b, (i, j) in enumerate(node_ids):
-                put_row(i, j, offs, ch[b] / h, float(values[b]))
+            put_rows(ii, jj, offs, st.values(h) / h, values)
+            node_ids = list(zip(ii.tolist(), jj.tolist()))
             audit.edge_rows.append((side, node_ids, st.coeffs, st.monotone))
     timings["boundary"] = time.perf_counter() - tb
 
@@ -248,39 +287,25 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
     if threads > 1:
         ctx = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(max_workers=threads, mp_context=ctx)
+    run = map if pool is None else pool.map
     try:
-        reg_results = {}
-        for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
-            ii, jj = np.nonzero(labels == label)
-            if len(ii) == 0:
-                reg_results[side] = (ii, jj, None, None, None)
-                continue
-            pts = np.column_stack([xs[ii], ys[jj]])
-            chunks = [(pts[k: k + CHUNK], side) for k in range(0, len(pts), CHUNK)]
-            if pool is not None:
-                out = list(pool.map(_regular_chunk, chunks))
-            else:
-                out = [_regular_chunk(c) for c in chunks]
-            coeffs = np.concatenate([o[0] for o in out])
-            monotone = np.concatenate([o[1] for o in out])
-            rvals = np.concatenate([o[2] for o in out])
-            reg_results[side] = (ii, jj, coeffs, monotone, rvals)
-
         all_ij = []
         all_coeffs = []
         all_mono = []
         hp = h ** np.arange(8)
-        for side in ("+", "-"):
-            ii, jj, coeffs, monotone, rvals = reg_results[side]
-            if coeffs is None:
+        for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
+            ii, jj = np.nonzero(labels == label)
+            if len(ii) == 0:
                 continue
-            ch = coeffs @ hp
-            for b in range(len(ii)):
-                put_row(int(ii[b]), int(jj[b]), OFFSETS9, ch[b] / h**2,
-                        float(rvals[b]))
+            pts = np.column_stack([xs[ii], ys[jj]])
+            chunks = [(pts[k: k + CHUNK], side) for k in range(0, len(pts), CHUNK)]
+            out = list(run(_regular_chunk, chunks))
+            coeffs = np.concatenate([o[0] for o in out])
+            put_rows(ii, jj, OFFSETS9, (coeffs @ hp) / h**2,
+                     np.concatenate([o[2] for o in out]))
             all_ij.append(np.column_stack([ii, jj]))
             all_coeffs.append(coeffs)
-            all_mono.append(monotone)
+            all_mono.append(np.concatenate([o[1] for o in out]))
         if all_ij:
             audit.regular_ij = np.concatenate(all_ij)
             audit.regular_coeffs = np.concatenate(all_coeffs)
@@ -297,24 +322,23 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
                 f"13-point footprint of interface node ({xs[a]:.6g}, "
                 f"{ys[b]:.6g}) leaves the grid; the interface runs too close "
                 "to the boundary for this mesh")
-        ir_points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
-        if ir_points:
-            if pool is not None:
-                chunks = [ir_points[k: k + 64] for k in range(0, len(ir_points), 64)]
-                parts = list(pool.map(_irregular_chunk, chunks))
-                results = [r for part in parts for r in part]
-            else:
-                results = _irregular_chunk(ir_points)
-            for (a, b), (crow, rval) in zip(zip(ii, jj), results):
-                put_row(int(a), int(b), IRREGULAR_OFFSETS, crow, float(rval))
-                audit.irregular_ij.append((int(a), int(b)))
+        if len(ii):
+            ir_points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
+            chunks = [ir_points[k: k + IFACE_CHUNK]
+                      for k in range(0, len(ir_points), IFACE_CHUNK)]
+            results = [r for part in run(_irregular_chunk, chunks) for r in part]
+            put_rows(ii, jj, IRREGULAR_OFFSETS, np.stack([r[0] for r in results]),
+                     [r[1] for r in results])
+            audit.irregular_ij.extend(zip(ii.tolist(), jj.tolist()))
         timings["irregular"] = time.perf_counter() - ti
     finally:
         if pool is not None:
             pool.shutdown()
 
-    matrix = sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)))
+    rows = np.concatenate([np.repeat(base, c.shape[1]) for base, c, _ in parts])
+    cols = np.concatenate([c.ravel() for _, c, _ in parts])
+    vals = np.concatenate([v.ravel() for _, _, v in parts])
+    matrix = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)))
     timings["total"] = time.perf_counter() - t0
     return GlobalSystem(matrix=matrix, rhs=rhs, labels=labels, xs=xs, ys=ys,
                         h=h, audit=audit, timings=timings)

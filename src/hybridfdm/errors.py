@@ -2,7 +2,13 @@
 
 
 class HybridFdmError(Exception):
-    """Base class for all solver errors."""
+    """Base class for all solver errors.
+
+    A routine that works on a batch sets ``index`` to the entry that failed,
+    so the caller can name the grid node.
+    """
+
+    index: int | None = None
 
 
 class ReductionError(HybridFdmError):

@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr, solve_triangular
 
 from .errors import StencilError
 from .jets import Poly2
@@ -242,19 +241,6 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
     return RecursionResult(disp, coeffs, monotone, worst)
 
 
-def qr_basic_solution(A: np.ndarray, b: np.ndarray, rcond: float = 1e-11) -> np.ndarray:
-    """Basic least-norm-style solution: non-pivot columns are set to zero."""
-    q, r, piv = scipy_qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        raise StencilError("zero stencil system")
-    rank = int(np.sum(diag > rcond * diag[0]))
-    x = np.zeros(A.shape[1])
-    y = solve_triangular(r[:rank, :rank], (q.T @ b)[:rank])
-    x[piv[:rank]] = y
-    return x
-
-
 def _damped_solution(A: np.ndarray, b: np.ndarray,
                      penalty: np.ndarray | None) -> np.ndarray:
     """Solution of A x = b minimizing |penalty @ x| over the solution set.
@@ -290,10 +276,10 @@ def run_basic_recursion(expansions: np.ndarray, lead, T: int,
 
     When ``h`` is given, the expansion is truncated as soon as a degree stops
     contracting (|C_d| h^d beyond ``growth_cap`` times the leading term):
-    with the interface curvature under-resolved (kappa h > 1) the corrections
-    grow like kappa^d and the h-polynomial diverges, so keeping the degrees
-    that still contract preserves a bounded, lower-order row instead of an
-    exploding one.  Fully resolved geometry never trips the cap.
+    with the interface curvature under-resolved (kappa h > 0.75) the
+    corrections grow like kappa^d and the h-polynomial diverges, so keeping
+    the degrees that still contract preserves a bounded, lower-order row
+    instead of an exploding one.  Fully resolved geometry never trips the cap.
     """
     R, O, _ = expansions.shape
     coeffs = np.zeros((O, T + 1))

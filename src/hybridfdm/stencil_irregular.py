@@ -5,8 +5,9 @@ offsets on the minus side are first transported to plus-side band derivatives
 through the transmission table, so each constraint row pairs the plus
 polynomial G+_{m,n} against the T-weighted combination of minus polynomials.
 Degrees are solved recursively with the center coefficient normalized to one
-at degree zero, remaining free parameters pinned to zero (basic solutions),
-and the top degree left empty.
+at degree zero, the remaining freedom spent on minimum-norm solutions (or on
+damping the minus-side transported weights where the curve is
+under-resolved), and the top degree left empty.
 
 The source and jump weights on the right-hand side follow the same split:
 direct H-polynomial sums per side plus transmission-transported terms

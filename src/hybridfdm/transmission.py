@@ -33,6 +33,7 @@ from .indexsets import lambda_band, lambda_full
 from .jets import (
     Jet2,
     Poly2,
+    monomial_series_table,
     poly2_compose_series,
     series_deriv,
     series_mul,
@@ -73,14 +74,6 @@ class CurveJet:
     g: np.ndarray               # (6,)
     gg: np.ndarray              # (5,)
     tie: bool = False
-
-    @property
-    def r_taylor(self) -> np.ndarray:
-        return self.r / np.array([factorial(p) for p in range(6)])
-
-    @property
-    def s_taylor(self) -> np.ndarray:
-        return self.s / np.array([factorial(p) for p in range(6)])
 
 
 @lru_cache(maxsize=32)
@@ -173,9 +166,18 @@ def _flux_series(polys: dict, a_poly: Poly2, r_t, s_t, nterms: int, mono) -> dic
     return out
 
 
-def build_transmission(curve: CurveJet, a_plus_jet: Jet2,
-                       a_minus_jet: Jet2) -> InterfaceLocalModel:
-    """Solve the matching conditions recursively in the order p = 1..5."""
+def build_transmission(curves, a_plus_jet: Jet2,
+                       a_minus_jet: Jet2) -> list[InterfaceLocalModel]:
+    """Solve the matching conditions recursively in the order p = 1..5.
+
+    Works on a chunk of B base points at once: ``curves`` holds one CurveJet
+    per point and the coefficient jets are stacked on a leading axis of
+    length B.  Every step (reduction table, G/H polynomials, series
+    compositions, the 2x2 solves) runs once for the whole chunk and treats
+    each point exactly as a chunk of one would.  Returns one model per point.
+    A failed determinant check raises ``StencilError`` with ``index`` set to
+    the offending point.
+    """
     stacked = Jet2(np.stack([a_plus_jet.c, a_minus_jet.c]), a_plus_jet.order)
     g_all, h_all = build_gh_polynomials(build_reduction_table(stacked, M_IRR))
     g_p = {mn: Poly2(poly.c[0]) for mn, poly in g_all.items()}
@@ -183,11 +185,12 @@ def build_transmission(curve: CurveJet, a_plus_jet: Jet2,
     h_p = {mn: Poly2(poly.c[0]) for mn, poly in h_all.items()}
     h_m = {mn: Poly2(poly.c[1]) for mn, poly in h_all.items()}
 
-    r_t, s_t = curve.r_taylor.copy(), curve.s_taylor.copy()
-    r_t[0] = 0.0
-    s_t[0] = 0.0
-    from .jets import monomial_series_table
-
+    fact = np.array([factorial(p) for p in range(6)], dtype=float)
+    r = np.stack([curve.r for curve in curves])
+    s = np.stack([curve.s for curve in curves])
+    r_t, s_t = r / fact, s / fact
+    r_t[:, 0] = 0.0
+    s_t[:, 0] = 0.0
     mono = monomial_series_table(r_t, s_t, M_IRR + 1, 6)
 
     gu_p = _composition_series(g_p, r_t, s_t, 6, mono)
@@ -200,47 +203,58 @@ def build_transmission(curve: CurveJet, a_plus_jet: Jet2,
     fh_p = _flux_series(h_p, a_plus_jet.as_poly(), r_t, s_t, 5, mono5)
     fh_m = _flux_series(h_m, a_minus_jet.as_poly(), r_t, s_t, 5, mono5)
 
-    rows = np.zeros((N_UP, N_SYMBOLS))
-    seed = np.zeros(N_SYMBOLS)
-    seed[COL_UP[(0, 0)]] = 1.0
-    seed[COL_G[0]] = -1.0
-    rows[COL_UP[(0, 0)]] = seed
+    B = len(curves)
+    rows = np.zeros((B, N_UP, N_SYMBOLS))
+    rows[:, COL_UP[(0, 0)], COL_UP[(0, 0)]] = 1.0
+    rows[:, COL_UP[(0, 0)], COL_G[0]] = -1.0
 
-    speed2 = curve.r[1] ** 2 + curve.s[1] ** 2
+    speed2 = r[:, 1] ** 2 + s[:, 1] ** 2
     am0 = a_minus_jet.value
 
     for p in range(1, M_IRR + 1):
-        mat = np.array(
-            [[fg_m[(0, p)][p - 1], fg_m[(1, p - 1)][p - 1]],
-             [gu_m[(0, p)][p], gu_m[(1, p - 1)][p]]]
-        )
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        mat = np.empty((B, 2, 2))
+        mat[:, 0, 0] = fg_m[(0, p)][:, p - 1]
+        mat[:, 0, 1] = fg_m[(1, p - 1)][:, p - 1]
+        mat[:, 1, 0] = gu_m[(0, p)][:, p]
+        mat[:, 1, 1] = gu_m[(1, p - 1)][:, p]
+        det = mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0]
         expected = am0 * p * speed2**p / factorial(p) ** 2
-        if not np.isclose(abs(det), expected, rtol=1e-8, atol=1e-300):
-            raise StencilError(
+        ok = np.isclose(np.abs(det), expected, rtol=1e-8, atol=1e-300)
+        if not ok.all():
+            b = int(np.flatnonzero(~ok)[0])
+            err = StencilError(
                 f"transmission determinant at order {p} deviates from the "
-                f"structural value ({det:.6e} vs +-{expected:.6e})")
+                f"structural value ({det[b]:.6e} vs +-{expected[b]:.6e})")
+            err.index = b
+            raise err
 
-        rhs_flux = np.zeros(N_SYMBOLS)
-        rhs_jump = np.zeros(N_SYMBOLS)
+        rhs = np.zeros((B, 2, N_SYMBOLS))
+        rhs_flux, rhs_jump = rhs[:, 0], rhs[:, 1]
         for mn in BAND5:
-            rhs_flux[COL_UP[mn]] += fg_p[mn][p - 1]
-            rhs_jump[COL_UP[mn]] += gu_p[mn][p]
+            rhs_flux[:, COL_UP[mn]] += fg_p[mn][:, p - 1]
+            rhs_jump[:, COL_UP[mn]] += gu_p[mn][:, p]
         for mn in F3:
-            rhs_flux[COL_FP[mn]] += fh_p[mn][p - 1]
-            rhs_flux[COL_FM[mn]] -= fh_m[mn][p - 1]
-            rhs_jump[COL_FP[mn]] += hu_p[mn][p]
-            rhs_jump[COL_FM[mn]] -= hu_m[mn][p]
-        rhs_flux[COL_GG[p - 1]] -= 1.0
-        rhs_jump[COL_G[p]] -= 1.0
+            rhs_flux[:, COL_FP[mn]] += fh_p[mn][:, p - 1]
+            rhs_flux[:, COL_FM[mn]] -= fh_m[mn][:, p - 1]
+            rhs_jump[:, COL_FP[mn]] += hu_p[mn][:, p]
+            rhs_jump[:, COL_FM[mn]] -= hu_m[mn][:, p]
+        rhs_flux[:, COL_GG[p - 1]] -= 1.0
+        rhs_jump[:, COL_G[p]] -= 1.0
         for mn in BAND5:
             if sum(mn) <= p - 1:
-                rhs_flux -= fg_m[mn][p - 1] * rows[COL_UP[mn]]
-                rhs_jump -= gu_m[mn][p] * rows[COL_UP[mn]]
+                known = rows[:, COL_UP[mn]]
+                rhs_flux -= fg_m[mn][:, p - 1, None] * known
+                rhs_jump -= gu_m[mn][:, p, None] * known
 
-        sol = np.linalg.solve(mat, np.vstack([rhs_flux, rhs_jump]))
-        rows[COL_UP[(0, p)]] = sol[0]
-        rows[COL_UP[(1, p - 1)]] = sol[1]
+        sol = np.linalg.solve(mat, rhs)
+        rows[:, COL_UP[(0, p)]] = sol[:, 0]
+        rows[:, COL_UP[(1, p - 1)]] = sol[:, 1]
 
-    return InterfaceLocalModel(curve=curve, table=TransmissionTable(rows),
-                               g_plus=g_p, g_minus=g_m, h_plus=h_p, h_minus=h_m)
+    return [
+        InterfaceLocalModel(
+            curve=curve, table=TransmissionTable(rows[b]),
+            g_plus={mn: Poly2(poly.c[b]) for mn, poly in g_p.items()},
+            g_minus={mn: Poly2(poly.c[b]) for mn, poly in g_m.items()},
+            h_plus={mn: Poly2(poly.c[b]) for mn, poly in h_p.items()},
+            h_minus={mn: Poly2(poly.c[b]) for mn, poly in h_m.items()})
+        for b, curve in enumerate(curves)]

@@ -1,10 +1,21 @@
 """Global assembly and solve."""
 
+import re
+
 import numpy as np
 import pytest
 
-from hybridfdm.assembly import assemble, audit_m_matrix, solve
-from hybridfdm.geometry import LABEL_IRREGULAR
+from hybridfdm.assembly import (
+    IFACE_CHUNK,
+    _grid,
+    _irregular_chunk,
+    _set_context,
+    assemble,
+    audit_m_matrix,
+    solve,
+)
+from hybridfdm.errors import MlsError, StencilError
+from hybridfdm.geometry import LABEL_IRREGULAR, classify_grid
 from hybridfdm.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -171,6 +182,62 @@ class TestInterfaceAssembly:
         assert np.array_equal(s1.matrix.data, s2.matrix.data)
         assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
         assert np.array_equal(s1.rhs, s2.rhs)
+
+    def test_pool_matches_serial_bit_for_bit(self):
+        """--threads 2 gives the serial rows exactly, over several chunks."""
+        case = manufacture(seed=9, degree=3, interface_kind="circle")
+        s1 = assemble(case.problem, 5, threads=1)
+        s2 = assemble(case.problem, 5, threads=2)
+        assert len(s1.audit.irregular_ij) > IFACE_CHUNK
+        assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
+        assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
+        assert np.array_equal(s1.matrix.data, s2.matrix.data)
+        assert np.array_equal(s1.rhs, s2.rhs)
+
+    @pytest.mark.parametrize("stage", ["fits", "transmission", "recursion"])
+    def test_failing_node_is_named(self, stage, monkeypatch):
+        """One node of a five-node chunk fails: the typed error names it."""
+        import hybridfdm.assembly as assembly
+
+        case = manufacture(seed=9, degree=3, interface_kind="circle")
+        xs, ys, h = _grid(case.problem, 4)
+        labels = classify_grid(xs, ys, case.problem.psi).labels
+        ii, jj = np.nonzero(labels == LABEL_IRREGULAR)
+        points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii[:5], jj[:5])]
+        _set_context(case.problem, h)
+        assert len(_irregular_chunk(points)) == 5
+
+        def on_third_node(fn, spoil):
+            calls = []
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls.append(None)
+                return spoil(out) if len(calls) == 3 else out
+            return wrapped
+
+        def raise_mls(out):
+            raise MlsError("rank-deficient moving least squares system")
+
+        def nan_speed(curve):
+            curve.s[1] = np.nan          # trips the batched determinant check
+            return curve
+
+        def raise_residual(out):
+            raise StencilError("stencil recursion residual 1e-08 exceeds 1e-09")
+
+        target, spoil, kind = {
+            "fits": ("irregular_jets", raise_mls, MlsError),
+            "transmission": ("curve_jet_from_chart", nan_speed, StencilError),
+            "recursion": ("solve_irregular_stencil", raise_residual,
+                          StencilError),
+        }[stage]
+        monkeypatch.setattr(assembly, target,
+                            on_third_node(getattr(assembly, target), spoil))
+        x, y = points[2]
+        with pytest.raises(kind, match=re.escape(
+                f"interface node ({x:.6g}, {y:.6g}): ")):
+            _irregular_chunk(points)
 
 
 class TestAudit:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybridfdm.errors import GeometryError
+from hybridfdm.errors import GeometryError, StencilError
 from hybridfdm.fieldjets import irregular_jets
 from hybridfdm.geometry import (
     IRREGULAR_OFFSETS,
@@ -173,6 +173,11 @@ def exact_circle_curvejet(theta0, radius=1.0, u_plus=None, u_minus=None,
     return CurveJet(base=base, v0=0.0, w0=0.0, r=r, s=s, g=g, gg=gg)
 
 
+def one_node(jet):
+    """A single jet as a chunk of one, the way build_transmission takes it."""
+    return Jet2(jet.c[None], jet.order)
+
+
 class TestTransmission:
     def test_vertical_line_closed_form(self):
         """On x = 0 with plus side x > 0: T_{1,0,1,0} = a+/a-, T_{0,1,0,1} = 1."""
@@ -180,8 +185,8 @@ class TestTransmission:
                          r=np.zeros(6), s=np.array([0.0, 1, 0, 0, 0, 0]),
                          g=np.zeros(6), gg=np.zeros(5))
         ap, am = 3.0, 7.0
-        model = build_transmission(curve, Jet2.constant(ap, 4),
-                                   Jet2.constant(am, 4))
+        (model,) = build_transmission([curve], one_node(Jet2.constant(ap, 4)),
+                                      one_node(Jet2.constant(am, 4)))
         assert model.table.u_plus(1, 0, 1, 0) == pytest.approx(ap / am)
         assert model.table.u_plus(0, 1, 0, 1) == pytest.approx(1.0)
         assert model.table.u_plus(0, 1, 1, 0) == pytest.approx(0.0, abs=1e-14)
@@ -191,8 +196,8 @@ class TestTransmission:
         rng = np.random.default_rng(0)
         a = random_poly(rng, 3, scale=0.1)
         a.c[0, 0] = 2.0
-        jet = poly_jet(a, 4, curve.base)
-        model = build_transmission(curve, jet, jet)
+        jet = one_node(poly_jet(a, 4, curve.base))
+        (model,) = build_transmission([curve], jet, jet)
         assert model.table.u_plus(0, 0, 0, 0) == 1.0
         for mn in BAND5:
             if mn != (0, 0):
@@ -211,8 +216,8 @@ class TestTransmission:
         f_p, f_m = pde_source(a_p, u_p), pde_source(a_m, u_m)
         curve = exact_circle_curvejet(theta0, 1.0, u_p, u_m, a_p, a_m)
         base = curve.base
-        model = build_transmission(curve, poly_jet(a_p, 4, base),
-                                   poly_jet(a_m, 4, base))
+        (model,) = build_transmission([curve], one_node(poly_jet(a_p, 4, base)),
+                                      one_node(poly_jet(a_m, 4, base)))
         symbols = np.zeros(model.table.matrix.shape[1])
         from hybridfdm.transmission import COL_FM, COL_FP, COL_G, COL_GG, COL_UP
 
@@ -239,12 +244,49 @@ class TestTransmission:
         curve = exact_circle_curvejet(1.1, 1.0, u, u, a, a)
         assert np.allclose(curve.g, 0.0, atol=1e-13)
         assert np.allclose(curve.gg, 0.0, atol=1e-13)
-        jet = poly_jet(a, 4, curve.base)
-        model = build_transmission(curve, jet, jet)
+        jet = one_node(poly_jet(a, 4, curve.base))
+        (model,) = build_transmission([curve], jet, jet)
         ub = model.table.u_block()
         assert np.allclose(ub, np.eye(len(BAND5)), atol=1e-9)
         fsum = model.table.f_block("+") + model.table.f_block("-")
         assert np.allclose(fsum, 0.0, atol=1e-9)
+
+    def test_chunk_matches_single_nodes_bit_for_bit(self):
+        """A chunk of B nodes gives exactly the models of B chunks of one."""
+        rng = np.random.default_rng(11)
+        curves, jps, jms = [], [], []
+        for theta in (0.2, 1.3, 2.9, 4.4, 5.8):
+            a_p = random_poly(rng, 3, scale=0.15)
+            a_p.c[0, 0] = 1.8
+            a_m = random_poly(rng, 3, scale=0.15)
+            a_m.c[0, 0] = 0.7
+            u_p, u_m = random_poly(rng, 5), random_poly(rng, 5)
+            curve = exact_circle_curvejet(theta, 1.0, u_p, u_m, a_p, a_m)
+            curves.append(curve)
+            jps.append(poly_jet(a_p, 4, curve.base))
+            jms.append(poly_jet(a_m, 4, curve.base))
+        chunk = build_transmission(curves,
+                                   Jet2(np.stack([j.c for j in jps]), 4),
+                                   Jet2(np.stack([j.c for j in jms]), 4))
+        assert len(chunk) == len(curves)
+        for curve, jp, jm, got in zip(curves, jps, jms, chunk):
+            (want,) = build_transmission([curve], one_node(jp), one_node(jm))
+            assert got.curve is curve
+            assert np.array_equal(got.table.matrix, want.table.matrix)
+            for name in ("g_plus", "g_minus", "h_plus", "h_minus"):
+                polys, ref = getattr(got, name), getattr(want, name)
+                assert polys.keys() == ref.keys()
+                for mn in ref:
+                    assert np.array_equal(polys[mn].c, ref[mn].c)
+
+    def test_determinant_failure_names_the_chunk_entry(self):
+        """One broken node in a chunk of three: the error points at it."""
+        curves = [exact_circle_curvejet(t) for t in (0.3, 1.2, 2.1)]
+        curves[1].s[1] = np.nan
+        jet = Jet2(np.stack([Jet2.constant(2.0, 4).c] * 3), 4)
+        with pytest.raises(StencilError, match="determinant") as info:
+            build_transmission(curves, jet, jet)
+        assert info.value.index == 1
 
 
 def make_circle_problem(rng):
@@ -277,7 +319,7 @@ def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
     jp, jm, fpd, fmd = irregular_jets(
         a_p.as_callable(), a_m.as_callable(), f_p.as_callable(),
         f_m.as_callable(), iface.psi, point, bp.base, h)
-    model = build_transmission(curve, jp, jm)
+    (model,) = build_transmission([curve], one_node(jp), one_node(jm))
     psi_vals = iface.psi(point[0] + h * np.array([o[0] for o in IRREGULAR_OFFSETS]),
                          point[1] + h * np.array([o[1] for o in IRREGULAR_OFFSETS]))
     minus_mask = np.asarray(psi_vals) <= 0.0
@@ -354,7 +396,7 @@ class TestIrregularStencil:
         values = []
         for chart in charts:
             curve = curve_jet_from_chart(chart, bp.base, bp.v0, bp.w0, h)
-            model = build_transmission(curve, jp, jm)
+            (model,) = build_transmission([curve], one_node(jp), one_node(jm))
             stencil = solve_irregular_stencil(
                 assemble_irregular_system(model, minus_mask))
             values.append(stencil.values(h))
