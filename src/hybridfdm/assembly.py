@@ -1,14 +1,14 @@
 """Assemble and solve the global sparse system.
 
-Every grid node owns exactly one row: Dirichlet rows are identities, regular
-interior rows carry the 9-point stencil at scale h^-2, boundary Robin rows
-the 6-point/4-point stencils at scale h^-1, and interface rows the 13-point
-stencil at scale h^-1, each with its matching data weights on the right.
-Rows keep these natural scales (no equilibration).  Assembly is deterministic
-(fixed chunking, fixed orders): interior nodes go in chunks of ``CHUNK`` and
-interface nodes in chunks of ``IFACE_CHUNK``, each chunk sharing one
-transmission build.  The chunks can fan out over a process pool, with results
-identical to the serial path.
+Every grid node owns exactly one row, and rows come in blocks of one stencil
+family (``RowBlock``): Dirichlet identities, 4-point Robin corner and 6-point
+Robin edge rows at scale h^-1, 9-point regular rows at scale h^-2 and
+13-point interface rows at scale h^-1, each with its right-hand side (no
+equilibration).  The sparse matrix, the rhs and the M-matrix audit all read
+the same blocks.  Assembly is deterministic (fixed chunking, fixed orders):
+interior nodes go in chunks of ``CHUNK`` and interface nodes in chunks of
+``IFACE_CHUNK``, each chunk sharing one transmission build.  The chunks can
+fan out over a process pool, with results identical to the serial path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import multiprocessing
 import numpy as np
@@ -36,13 +37,13 @@ from .jets import Jet2
 from .problems import ProblemSpec
 from .stencil_boundary import (
     CORNER_FRAMES,
-    CORNER_OFFSETS,
-    EDGE_OFFSETS,
     SIDE_FRAMES,
     build_corner_reduction,
+    map_by_reflection,
     solve_corner_stencil,
     solve_edge_stencil,
 )
+from .stencil_core import check_sign_sum
 from .stencil_irregular import (
     assemble_irregular_system,
     irregular_rhs_value,
@@ -57,16 +58,28 @@ IFACE_CHUNK = 64       # interface nodes per transmission batch
 
 
 @dataclass
-class AssemblyAudit:
-    """Raw stencil coefficients kept for the sign/sum audit."""
+class RowBlock:
+    """Rows of one stencil family, one per grid node (ii[r], jj[r]).
 
-    regular_ij: np.ndarray = None        # (Nr, 2)
-    regular_coeffs: np.ndarray = None    # (Nr, 9, 8)
-    regular_monotone: np.ndarray = None
-    edge_rows: list = field(default_factory=list)    # (side, j/i, coeffs, monotone)
-    corner_rows: list = field(default_factory=list)  # (corner, coeffs, monotone)
-    irregular_ij: list = field(default_factory=list)
-    dirichlet_count: int = 0
+    ``coeffs`` holds the h-polynomial stencil coefficients of the families
+    that claim the M-matrix property (corner, edges, regular rows), and is
+    None for Dirichlet and interface rows.
+    """
+
+    family: str          # dirichlet, corner, edge1..edge4, regular+/-, interface
+    ii: np.ndarray
+    jj: np.ndarray
+    offsets: tuple       # k grid offsets shared by all rows
+    values: np.ndarray   # (n, k) matrix entries, row scale applied
+    rhs: np.ndarray      # (n,)
+    coeffs: np.ndarray | None = None    # (n, k, D+1)
+
+    def columns(self, ny: int):
+        """Flat row (n,) and column (n, k) indices, ``ny`` nodes along y."""
+        offs = np.asarray(self.offsets, dtype=np.int64)
+        rows = self.ii * ny + self.jj
+        cols = (self.ii[:, None] + offs[:, 0]) * ny + self.jj[:, None] + offs[:, 1]
+        return rows, cols
 
 
 @dataclass
@@ -77,15 +90,12 @@ class GlobalSystem:
     xs: np.ndarray
     ys: np.ndarray
     h: float
-    audit: AssemblyAudit
+    blocks: list                  # RowBlock, together covering every node once
     timings: dict
 
     @property
     def shape(self):
         return (len(self.xs), len(self.ys))
-
-    def index(self, i, j):
-        return i * len(self.ys) + j
 
 
 @dataclass
@@ -109,16 +119,16 @@ def _set_context(problem: ProblemSpec, h: float):
 
 
 def _regular_chunk(args):
-    """Stencil coefficients and rhs weights for one chunk of interior nodes."""
+    """Stencil coefficients and rhs for one chunk of interior nodes."""
     pts, side = args
     problem, h = _CTX["problem"], _CTX["h"]
     a_field = problem.a_plus if side == "+" else problem.a_minus
     f_field = problem.f_plus if side == "+" else problem.f_minus
     jet, f_der = regular_jets(a_field, f_field, pts, h)
-    stencil, monotone, h_polys = build_regular_batch(jet)
+    stencil, h_polys = build_regular_batch(jet)
     weights = regular_rhs_weights(stencil, h_polys, h)
     rhs = np.einsum("bk,bk->b", weights, f_der) / h**2
-    return stencil.coeffs, monotone, rhs
+    return stencil.coeffs, rhs
 
 
 def _named(exc, point):
@@ -148,17 +158,15 @@ def _irregular_one(point):
     return curve, jp, jm, fpd, fmd
 
 
-_KO = np.array([o[0] for o in IRREGULAR_OFFSETS], dtype=float)
-_LO = np.array([o[1] for o in IRREGULAR_OFFSETS], dtype=float)
-
-
-def _irregular_chunk(points):
+def _irregular_chunk(args):
     """Row data for one chunk of interface nodes.
 
+    ``args`` holds the nodes and their (n, 13) minus-side footprint masks.
     The per-node front half feeds one transmission build for the whole
     chunk; the 13-point stencil and its rhs are then solved node by node.
     """
-    problem, h = _CTX["problem"], _CTX["h"]
+    points, minus = args
+    h = _CTX["h"]
     front = []
     for point in points:
         with _at_node(point):
@@ -174,11 +182,9 @@ def _irregular_chunk(points):
             raise
         raise _named(exc, points[exc.index]) from exc
     out = []
-    for point, model, fp, fm in zip(points, models, fpd, fmd):
+    for point, mask, model, fp, fm in zip(points, minus, models, fpd, fmd):
         with _at_node(point):
-            psi_vals = np.asarray(problem.psi(point[0] + h * _KO,
-                                              point[1] + h * _LO))
-            system = assemble_irregular_system(model, psi_vals <= 0.0)
+            system = assemble_irregular_system(model, mask)
             stencil = solve_irregular_stencil(system, h=h)
             weights = irregular_rhs_weights(stencil, system, h)
             rhs = irregular_rhs_value(weights, fp, fm, model.curve)
@@ -200,56 +206,50 @@ def _grid(problem: ProblemSpec, J: int):
     return xs, ys, h
 
 
+def _dirichlet_block(ii, jj, data) -> RowBlock:
+    return RowBlock("dirichlet", ii, jj, ((0, 0),), np.ones((len(ii), 1)),
+                    np.broadcast_to(np.asarray(data, dtype=float), ii.shape))
+
+
+def _boundary_block(family, ii, jj, stencil, frame, h, rhs) -> RowBlock:
+    """Rows of a canonical-frame Robin stencil, mapped onto its side or
+    corner; an unbatched (corner) stencil gives a block of one row."""
+    n, k = len(ii), len(stencil.offsets)
+    return RowBlock(family, ii, jj, map_by_reflection(stencil, frame),
+                    np.reshape(stencil.values(h) / h, (n, k)),
+                    np.reshape(rhs, n),
+                    np.reshape(stencil.coeffs, (n, k, -1)))
+
+
 def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
     t0 = time.perf_counter()
     xs, ys, h = _grid(problem, J)
     n1, n2 = len(xs) - 1, len(ys) - 1
-    nn = (n1 + 1) * (n2 + 1)
     cls = classify_grid(xs, ys, problem.psi)
-    labels = cls.labels
-
-    parts = []          # per row batch: (rows (n,), cols (n, k), vals (n, k))
-    rhs = np.zeros(nn)
-    audit = AssemblyAudit()
     timings = {}
-
-    def put_rows(ii, jj, offsets, coeffs, values):
-        """Rows of the nodes (ii, jj): coefficients (n, k) or a scalar on the
-        k offsets, right-hand sides (n,) or a scalar."""
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        offs = np.asarray(offsets, dtype=np.int64)
-        base = ii * (n2 + 1) + jj
-        cols = (ii[:, None] + offs[:, 0]) * (n2 + 1) + jj[:, None] + offs[:, 1]
-        parts.append((base, cols, np.broadcast_to(coeffs, cols.shape)))
-        rhs[base] = values
-
     _set_context(problem, h)
 
     # ---- boundary rows -----------------------------------------------------
     tb = time.perf_counter()
+    blocks = []
     corner_nodes = {(0, 0): (1, 3), (n1, 0): (2, 3), (0, n2): (1, 4),
                     (n1, n2): (2, 4)}
     for (i, j), (sx, sy) in corner_nodes.items():
         bcx, bcy = problem.boundary[sx], problem.boundary[sy]
         x, y = xs[i], ys[j]
-        if bcx.kind == "dirichlet":
-            put_rows([i], [j], ((0, 0),), 1.0, float(bcx.data(x, y)))
-            audit.dirichlet_count += 1
-        elif bcy.kind == "dirichlet":
-            put_rows([i], [j], ((0, 0),), 1.0, float(bcy.data(x, y)))
-            audit.dirichlet_count += 1
-        else:
-            frame = CORNER_FRAMES[(sx, sy)]
-            jet, a_der, f_der, g1_der, b_der, g3_der = corner_jets(
-                problem.a_plus, problem.f_plus, bcx.alpha, bcx.data,
-                bcy.alpha, bcy.data, (x, y), frame, h)
-            st = solve_corner_stencil(build_corner_reduction(jet, a_der, b_der))
-            value = (st.f_weights(h) @ f_der + st.g1_weights(h) @ g1_der
-                     + st.g3_weights(h) @ g3_der) / h
-            offs = [frame.offset(k, ell) for (k, ell) in CORNER_OFFSETS]
-            put_rows([i], [j], offs, st.values(h) / h, float(value))
-            audit.corner_rows.append(((i, j), st.coeffs, st.monotone))
+        ii, jj = np.array([i]), np.array([j])
+        if bcx.kind == "dirichlet" or bcy.kind == "dirichlet":
+            bc = bcx if bcx.kind == "dirichlet" else bcy
+            blocks.append(_dirichlet_block(ii, jj, bc.data(x, y)))
+            continue
+        frame = CORNER_FRAMES[(sx, sy)]
+        jet, a_der, f_der, g1_der, b_der, g3_der = corner_jets(
+            problem.a_plus, problem.f_plus, bcx.alpha, bcx.data,
+            bcy.alpha, bcy.data, (x, y), frame, h)
+        st = solve_corner_stencil(build_corner_reduction(jet, a_der, b_der))
+        value = (st.f_weights(h) @ f_der + st.g1_weights(h) @ g1_der
+                 + st.g3_weights(h) @ g3_der) / h
+        blocks.append(_boundary_block("corner", ii, jj, st, frame, h, value))
 
     for side in (1, 2, 3, 4):
         bc = problem.boundary[side]
@@ -262,23 +262,18 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             anchors = np.column_stack([xs[1:-1], np.full(n1 - 1, ys[j0])])
             ii, jj = np.arange(1, n1), np.full(n1 - 1, j0)
         if bc.kind == "dirichlet":
-            data = np.asarray(bc.data(anchors[:, 0], anchors[:, 1]), dtype=float)
-            put_rows(ii, jj, ((0, 0),), 1.0, data)
-            audit.dirichlet_count += len(ii)
-        else:
-            frame = SIDE_FRAMES[side]
-            jet, a_der, f_der, g_der = edge_jets(
-                problem.a_plus, problem.f_plus, bc.alpha, bc.data,
-                anchors, frame, h)
-            st = solve_edge_stencil(jet, a_der)
-            fw = st.f_weights(h)
-            gw = st.g1_weights(h)
-            values = (np.einsum("bk,bk->b", fw, f_der)
-                      + np.einsum("bk,bk->b", gw, g_der)) / h
-            offs = [frame.offset(k, ell) for (k, ell) in EDGE_OFFSETS]
-            put_rows(ii, jj, offs, st.values(h) / h, values)
-            node_ids = list(zip(ii.tolist(), jj.tolist()))
-            audit.edge_rows.append((side, node_ids, st.coeffs, st.monotone))
+            blocks.append(_dirichlet_block(
+                ii, jj, bc.data(anchors[:, 0], anchors[:, 1])))
+            continue
+        frame = SIDE_FRAMES[side]
+        jet, a_der, f_der, g_der = edge_jets(
+            problem.a_plus, problem.f_plus, bc.alpha, bc.data,
+            anchors, frame, h)
+        st = solve_edge_stencil(jet, a_der)
+        values = (np.einsum("bk,bk->b", st.f_weights(h), f_der)
+                  + np.einsum("bk,bk->b", st.g1_weights(h), g_der)) / h
+        blocks.append(_boundary_block(f"edge{side}", ii, jj, st, frame, h,
+                                      values))
     timings["boundary"] = time.perf_counter() - tb
 
     # ---- regular interior rows --------------------------------------------
@@ -289,32 +284,22 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         pool = ProcessPoolExecutor(max_workers=threads, mp_context=ctx)
     run = map if pool is None else pool.map
     try:
-        all_ij = []
-        all_coeffs = []
-        all_mono = []
         hp = h ** np.arange(8)
         for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
-            ii, jj = np.nonzero(labels == label)
+            ii, jj = np.nonzero(cls.labels == label)
             if len(ii) == 0:
                 continue
             pts = np.column_stack([xs[ii], ys[jj]])
             chunks = [(pts[k: k + CHUNK], side) for k in range(0, len(pts), CHUNK)]
-            out = list(run(_regular_chunk, chunks))
-            coeffs = np.concatenate([o[0] for o in out])
-            put_rows(ii, jj, OFFSETS9, (coeffs @ hp) / h**2,
-                     np.concatenate([o[2] for o in out]))
-            all_ij.append(np.column_stack([ii, jj]))
-            all_coeffs.append(coeffs)
-            all_mono.append(np.concatenate([o[1] for o in out]))
-        if all_ij:
-            audit.regular_ij = np.concatenate(all_ij)
-            audit.regular_coeffs = np.concatenate(all_coeffs)
-            audit.regular_monotone = np.concatenate(all_mono)
+            coeffs, rhs = (np.concatenate(part)
+                           for part in zip(*run(_regular_chunk, chunks)))
+            blocks.append(RowBlock(f"regular{side}", ii, jj, OFFSETS9,
+                                   (coeffs @ hp) / h**2, rhs, coeffs))
         timings["regular"] = time.perf_counter() - tr
 
         # ---- interface rows -------------------------------------------------
         ti = time.perf_counter()
-        ii, jj = np.nonzero(labels == LABEL_IRREGULAR)
+        ii, jj = np.nonzero(cls.labels == LABEL_IRREGULAR)
         bad = (ii < 2) | (ii > n1 - 2) | (jj < 2) | (jj > n2 - 2)
         if bad.any():
             a, b = ii[bad][0], jj[bad][0]
@@ -323,25 +308,35 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
                 f"{ys[b]:.6g}) leaves the grid; the interface runs too close "
                 "to the boundary for this mesh")
         if len(ii):
-            ir_points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
-            chunks = [ir_points[k: k + IFACE_CHUNK]
-                      for k in range(0, len(ir_points), IFACE_CHUNK)]
-            results = [r for part in run(_irregular_chunk, chunks) for r in part]
-            put_rows(ii, jj, IRREGULAR_OFFSETS, np.stack([r[0] for r in results]),
-                     [r[1] for r in results])
-            audit.irregular_ij.extend(zip(ii.tolist(), jj.tolist()))
+            offs = np.asarray(IRREGULAR_OFFSETS)
+            minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
+            points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
+            chunks = [(points[k: k + IFACE_CHUNK], minus[k: k + IFACE_CHUNK])
+                      for k in range(0, len(points), IFACE_CHUNK)]
+            values, rhs = zip(*(r for part in run(_irregular_chunk, chunks)
+                                for r in part))
+            blocks.append(RowBlock("interface", ii, jj, IRREGULAR_OFFSETS,
+                                   np.stack(values), np.array(rhs)))
         timings["irregular"] = time.perf_counter() - ti
     finally:
         if pool is not None:
             pool.shutdown()
 
-    rows = np.concatenate([np.repeat(base, c.shape[1]) for base, c, _ in parts])
-    cols = np.concatenate([c.ravel() for _, c, _ in parts])
-    vals = np.concatenate([v.ravel() for _, _, v in parts])
-    matrix = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)))
+    nn = (n1 + 1) * (n2 + 1)
+    rhs = np.zeros(nn)
+    rows, cols, vals = [], [], []
+    for block in blocks:
+        r, c = block.columns(n2 + 1)
+        rhs[r] = block.rhs
+        rows.append(np.repeat(r, c.shape[1]))
+        cols.append(c.ravel())
+        vals.append(block.values.ravel())
+    matrix = sp.csr_matrix(sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nn, nn)))
     timings["total"] = time.perf_counter() - t0
-    return GlobalSystem(matrix=matrix, rhs=rhs, labels=labels, xs=xs, ys=ys,
-                        h=h, audit=audit, timings=timings)
+    return GlobalSystem(matrix=matrix, rhs=rhs, labels=cls.labels, xs=xs, ys=ys,
+                        h=h, blocks=blocks, timings=timings)
 
 
 def solve(system: GlobalSystem) -> SolveResult:
@@ -360,85 +355,65 @@ def solve(system: GlobalSystem) -> SolveResult:
                        wall_solve=wall)
 
 
+class Violation(NamedTuple):
+    """One audited row that breaks the M-matrix conditions."""
+
+    family: str
+    node: tuple                   # grid indices (i, j)
+    what: str                     # the failing entry and its value
+
+
 @dataclass
 class MMatrixAudit:
-    """Outcome of the per-degree sign/sum audit over all assembled rows."""
+    """Outcome of the M-matrix audit over the assembled row blocks."""
 
-    regular_ok: bool
-    edge_ok: bool
-    corner_ok: bool
-    matrix_signs_ok: bool
-    violations: list
-    n_regular: int
-    n_irregular: int
+    rows: dict                    # family -> row count
+    failed: dict                  # family -> failing rows, claiming families only
+    matrix_signs_ok: bool         # sign pattern of the non-interface matrix rows
+    violations: list              # Violation: the first failing entry per row
 
     @property
     def passed(self):
-        return self.regular_ok and self.edge_ok and self.corner_ok
+        return not any(self.failed.values())
 
 
 def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
-    """Per-degree sign/sum conditions for regular, edge and corner rows,
-    plus a direct sign check of the assembled non-interface matrix rows."""
-    violations = []
-    regular_ok = True
-    a = system.audit
-    if a.regular_coeffs is not None:
-        c = a.regular_coeffs
-        center = OFFSETS9.index((0, 0))
-        off = [k for k in range(9) if k != center]
-        bad = (c[:, center, 0] <= tol) | (c[:, center, 1:] < -tol).any(axis=1) \
-            | (c[:, off, :] > tol).any(axis=(1, 2)) \
-            | (c.sum(axis=1) < -tol).any(axis=1)
-        regular_ok = not bad.any()
-        for b in np.nonzero(bad)[0][:20]:
-            violations.append(("regular", tuple(a.regular_ij[b])))
+    """Per-degree sign/sum conditions of every block that claims the M-matrix
+    property, plus a direct sign check of the assembled non-interface rows:
+    a positive diagonal and no off-diagonal entry above tol * max(1, diag)."""
+    mat, ny = system.matrix, len(system.ys)
+    row_of = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    scale = np.maximum(1.0, mat.diagonal())[row_of]
+    wrong = np.where(mat.indices == row_of, mat.data <= 0.0,
+                     mat.data > tol * scale)
+    bad_rows, first = np.unique(row_of[wrong], return_index=True)
+    first = np.nonzero(wrong)[0][first]     # first wrong CSR entry of each row
 
-    edge_ok = True
-    for side, node_ids, coeffs, monotone in a.edge_rows:
-        center = EDGE_OFFSETS.index((0, 0))
-        off = [k for k in range(6) if k != center]
-        bad = (coeffs[:, center, 0] <= tol) \
-            | (coeffs[:, center, 1:] < -tol).any(axis=1) \
-            | (coeffs[:, off, :] > tol).any(axis=(1, 2)) \
-            | (coeffs.sum(axis=1) < -tol).any(axis=1)
-        if bad.any():
-            edge_ok = False
-            for b in np.nonzero(bad)[0][:10]:
-                violations.append((f"edge{side}", node_ids[b]))
-
-    corner_ok = True
-    for node, coeffs, monotone in a.corner_rows:
-        center = 0
-        bad = (coeffs[center, 0] <= tol or (coeffs[center, 1:] < -tol).any()
-               or (coeffs[1:, :] > tol).any()
-               or (coeffs.sum(axis=0) < -tol).any())
-        if bad:
-            corner_ok = False
-            violations.append(("corner", node))
-
-    # direct audit of the assembled matrix on non-interface rows
-    mat = system.matrix.tocsr()
-    n2p = len(system.ys)
-    irregular = {i * n2p + j for (i, j) in a.irregular_ij}
+    rows, failed, violations = {}, {}, []
     signs_ok = True
-    diag = mat.diagonal()
-    for r in range(mat.shape[0]):
-        if r in irregular:
+    for block in system.blocks:
+        rows[block.family] = rows.get(block.family, 0) + len(block.ii)
+        if block.family == "interface":
             continue
-        if diag[r] <= 0:
+        for k in first[np.isin(bad_rows, block.columns(ny)[0])]:
             signs_ok = False
-            violations.append(("diag", r))
+            col = divmod(int(mat.indices[k]), ny)
+            violations.append(Violation(
+                block.family, divmod(int(row_of[k]), ny),
+                f"matrix entry in the column of node {col} is {mat.data[k]:.6g}"))
+        if block.coeffs is None:
             continue
-        lo, hi_ = mat.indptr[r], mat.indptr[r + 1]
-        for c, v in zip(mat.indices[lo:hi_], mat.data[lo:hi_]):
-            if c != r and v > tol * max(1.0, diag[r]):
-                signs_ok = False
-                violations.append(("offdiag", r))
-                break
-
-    n_reg = 0 if a.regular_coeffs is None else len(a.regular_coeffs)
-    return MMatrixAudit(regular_ok=regular_ok, edge_ok=edge_ok,
-                        corner_ok=corner_ok, matrix_signs_ok=signs_ok,
-                        violations=violations, n_regular=n_reg,
-                        n_irregular=len(a.irregular_ij))
+        report = check_sign_sum(block.coeffs, block.offsets.index((0, 0)), tol)
+        failed[block.family] = (failed.get(block.family, 0)
+                                + int((~report.passed).sum()))
+        found = {}
+        for b, o, p, v in report.sign_violations:
+            found.setdefault(b, f"degree-{p} coefficient at offset "
+                                f"{block.offsets[o]} is {v:.6g}")
+        for b, p, v in report.sum_violations:
+            found.setdefault(b, f"degree-{p} coefficient sum is {v:.6g}")
+        violations += [Violation(block.family,
+                                 (int(block.ii[b]), int(block.jj[b])), found[b])
+                       for b in sorted(found)]
+    return MMatrixAudit(rows=rows, failed=failed, matrix_signs_ok=signs_ok,
+                        violations=violations)

@@ -193,15 +193,15 @@ def main(argv=None) -> int:
             system = assemble(problem, args.J, threads=args.threads)
             audit = audit_m_matrix(system)
             print(f"M-matrix audit of {problem.name!r} at J={args.J}:")
-            print(f"  regular rows: {audit.n_regular} "
-                  f"{'pass' if audit.regular_ok else 'FAIL'}")
-            print(f"  edge rows:    {'pass' if audit.edge_ok else 'FAIL'}")
-            print(f"  corner rows:  {'pass' if audit.corner_ok else 'FAIL'}")
+            for family, rows in audit.rows.items():
+                bad = audit.failed.get(family)
+                verdict = ("no M-matrix claim" if bad is None else
+                           "pass" if bad == 0 else f"FAIL ({bad} of {rows})")
+                print(f"  {family:<10} {rows:>7} rows  {verdict}")
             print(f"  matrix signs (non-interface rows): "
                   f"{'pass' if audit.matrix_signs_ok else 'FAIL'}")
-            print(f"  interface rows (no M-matrix claim): {audit.n_irregular}")
             for v in audit.violations[:10]:
-                print(f"  violation: {v}")
+                print(f"  violation: {v.family} row at node {v.node}: {v.what}")
             return 0 if audit.passed and audit.matrix_signs_ok else 2
 
         if args.j_range is not None:

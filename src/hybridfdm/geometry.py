@@ -33,19 +33,6 @@ class GridClassification:
     labels: np.ndarray          # (N1+1, N2+1) int8
     psi: np.ndarray             # psi at the grid nodes
 
-    def minus_footprint(self, i: int, j: int) -> np.ndarray:
-        """Minus-side membership of the 13 offsets at an irregular node."""
-        n1, n2 = self.psi.shape
-        mask = np.empty(len(IRREGULAR_OFFSETS), dtype=bool)
-        for c, (k, ell) in enumerate(IRREGULAR_OFFSETS):
-            ii, jj = i + k, j + ell
-            if not (0 <= ii < n1 and 0 <= jj < n2):
-                raise GeometryError(
-                    f"13-point footprint of node ({i}, {j}) leaves the grid; "
-                    "the interface runs too close to the boundary")
-            mask[c] = self.psi[ii, jj] <= 0.0
-        return mask
-
 
 def classify_grid(xs: np.ndarray, ys: np.ndarray, psi_fn) -> GridClassification:
     """Label every node of the tensor grid xs x ys.
@@ -101,7 +88,6 @@ class BasePoint:
     v0: float                  # x* = x_i - v0 h
     w0: float
     aux: object                # chart seed (theta* or preferred axis)
-    tie: bool = False
 
 
 def _bisect(f, lo, hi, iters: int = 60):
@@ -139,23 +125,21 @@ def _select_base(cands: np.ndarray, point, h: float) -> BasePoint:
         # since base points far outside it degenerate the recursive solves
         d2 = (cands[:, 0] - point[0]) ** 2 + (cands[:, 1] - point[1]) ** 2
         k = int(np.lexsort((d2, np.round(box / 1e-9)))[0])
-    tie = bool(np.sum(d2 <= d2[k] * (1 + 1e-10)) > 1)
     if np.sqrt(d2[k]) > np.sqrt(2.0) * h * (1 + 1.0 / 8.0):
         raise GeometryError(
             f"closest interface sample to {point} lies beyond sqrt(2) h")
     return BasePoint(base=(float(cands[k, 0]), float(cands[k, 1])),
                      v0=float(v[k]), w0=float(w[k]),
-                     aux=k, tie=tie)
+                     aux=k)
 
 
 class LevelSetInterface:
     """Interface given by psi(x, y) = 0; jump data as point functions."""
 
-    def __init__(self, psi, grad_hint=None, jump_g=None, jump_ggamma=None):
+    def __init__(self, psi, jump_g=None, jump_ggamma=None):
         self.psi = psi
         self.jump_g = jump_g
         self.jump_ggamma = jump_ggamma
-        self._grad_hint = grad_hint
 
     def locate_base(self, point, h: float) -> BasePoint:
         """Curve points from 1D root solves along coordinate lines at h/16."""

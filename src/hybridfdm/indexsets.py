@@ -43,14 +43,3 @@ def lambda_complement(order: int) -> tuple[tuple[int, int], ...]:
 def lambda_sets(order: int):
     """Return (Lambda, Lambda^1, Lambda^2) for the given order."""
     return lambda_full(order), lambda_band(order), lambda_complement(order)
-
-
-@lru_cache(maxsize=None)
-def band_index(order: int) -> dict[tuple[int, int], int]:
-    """Position of each first-band index in the canonical ordering."""
-    return {mn: i for i, mn in enumerate(lambda_band(order))}
-
-
-@lru_cache(maxsize=None)
-def full_index(order: int) -> dict[tuple[int, int], int]:
-    return {mn: i for i, mn in enumerate(lambda_full(order))}

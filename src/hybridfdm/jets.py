@@ -296,11 +296,6 @@ class Poly2:
     def transposed(self) -> "Poly2":
         return Poly2(np.swapaxes(self.c, -1, -2))
 
-    def homogeneous_part(self, t: int) -> "Poly2":
-        k = self.size
-        mm, nn = np.indices((k, k))
-        return Poly2(np.where(mm + nn == t, self.c, 0.0))
-
     def as_callable(self):
         return lambda x, y: self.eval(x, y)
 

@@ -127,19 +127,16 @@ def mls_estimate(problem: MlsProblem, values, requests) -> dict:
 
 @dataclass
 class SamplingRecipe:
-    """Lattice and basis degrees prescribed for one stencil context."""
+    """Sample lattice and mesh width prescribed for one stencil context."""
 
     context: str
     samples: np.ndarray        # anchor-relative offsets, (K,) or (K, 2)
     target: np.ndarray
     center: np.ndarray
-    degree_primary: int        # basis degree for a (2D) or r,s,g (1D)
-    degree_secondary: int      # basis degree for f (2D) or g_Gamma (1D)
+    h: float
 
     def problem(self, degree: int) -> MlsProblem:
-        return MlsProblem(self.samples, self.target, self.center, degree, self._h)
-
-    _h: float = 0.0
+        return MlsProblem(self.samples, self.target, self.center, degree, self.h)
 
 
 def _lattice(step: float, nx_lo, nx_hi, ny_lo, ny_hi) -> np.ndarray:
@@ -157,18 +154,15 @@ def sampling_recipe(context: str, h: float, target_offset=None) -> SamplingRecip
     """
     zero2 = np.zeros(2)
     if context == "regular-interior":
-        rec = SamplingRecipe(context, _lattice(h / 4, -4, 4, -4, 4), zero2, zero2, 6, 5)
-    elif context == "irregular-interface":
+        return SamplingRecipe(context, _lattice(h / 4, -4, 4, -4, 4), zero2, zero2, h)
+    if context == "irregular-interface":
         tgt = zero2 if target_offset is None else np.asarray(target_offset, float)
-        rec = SamplingRecipe(context, _lattice(h / 32, -32, 32, -32, 32), tgt, zero2, 4, 3)
-    elif context in ("curve-1d-graph", "curve-1d-angle"):
+        return SamplingRecipe(context, _lattice(h / 32, -32, 32, -32, 32), tgt, zero2, h)
+    if context in ("curve-1d-graph", "curve-1d-angle"):
         ts = np.arange(-5, 6) * (h / 16)
-        rec = SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), 6, 5)
-    elif context == "edge-boundary":
-        rec = SamplingRecipe(context, _lattice(h / 8, 0, 8, -8, 8), zero2, zero2, 5, 4)
-    elif context == "corner-boundary":
-        rec = SamplingRecipe(context, _lattice(h / 16, 0, 16, 0, 16), zero2, zero2, 5, 4)
-    else:
-        raise ValueError(f"unknown sampling context {context!r}")
-    rec._h = h
-    return rec
+        return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h)
+    if context == "edge-boundary":
+        return SamplingRecipe(context, _lattice(h / 8, 0, 8, -8, 8), zero2, zero2, h)
+    if context == "corner-boundary":
+        return SamplingRecipe(context, _lattice(h / 16, 0, 16, 0, 16), zero2, zero2, h)
+    raise ValueError(f"unknown sampling context {context!r}")

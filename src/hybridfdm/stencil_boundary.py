@@ -1,4 +1,4 @@
-"""Sixth-order boundary stencils: 6-point edges, 4-point corners, Dirichlet rows.
+"""Sixth-order boundary stencils: 6-point Robin edges and 4-point Robin corners.
 
 Everything is built in a canonical inward frame modeled on the left side
 (x = l1) and the lower-left corner: the normal derivative points out of the
@@ -50,7 +50,6 @@ from .reduction import (
 )
 from .stencil_core import (
     build_degree_solvers,
-    check_sign_sum,
     expand_poly_in_h,
     frac_leading_g,
     run_constant_recursion,
@@ -96,11 +95,6 @@ def _edge_solvers():
 
     return build_degree_solvers(a0, lead, T=6, ties_for_degree=ties,
                                 pin_col=c11, fixed_values={0: -1.0})
-
-
-def _lambda_nn(n: int) -> float:
-    """Leading reduction weight of u^(0,n) in u^(n,0): 0 for odd n."""
-    return 0.0 if n % 2 else float((-1) ** (n // 2))
 
 
 @lru_cache(maxsize=1)
@@ -169,7 +163,6 @@ class EdgeStencil:
     g_polys: dict
     h_polys: dict
     offsets: tuple = EDGE_OFFSETS
-    scale: int = 1
 
     def values(self, h: float) -> np.ndarray:
         return stencil_values(self.coeffs, h)
@@ -268,7 +261,6 @@ class CornerStencil:
     monotone: bool
     reduction: CornerReduction
     offsets: tuple = CORNER_OFFSETS
-    scale: int = 1
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -321,16 +313,6 @@ def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
                                  combine=_CORNER_COMBINE, center=0)
     return CornerStencil(chat=res.raw[:4], ctilde=res.raw[4:],
                          monotone=bool(res.monotone), reduction=reduction)
-
-
-def check_m_matrix_boundary(stencil, tol: float = 1e-12):
-    center = stencil.offsets.index((0, 0))
-    return check_sign_sum(stencil.coeffs, center, tol)
-
-
-def dirichlet_row(g_value: float):
-    """Identity row u_ij = g(anchor): offsets, coefficients, rhs."""
-    return ((0, 0),), np.ones((1, 1)), float(g_value)
 
 
 # ----------------------------------------------------------------------------

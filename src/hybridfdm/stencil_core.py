@@ -103,7 +103,6 @@ class DegreeSolver:
 
     Sb: np.ndarray           # (n_cols, n_rows_d)
     St: np.ndarray           # (n_cols,)
-    n_rows: int
     fixed: float | None      # pin value; None means maximize the free parameter
 
 
@@ -132,7 +131,7 @@ def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
         L = _solution_operator(stacked)
         solvers.append(
             DegreeSolver(Sb=L[:, : len(rows_d)], St=L[:, -1],
-                         n_rows=len(rows_d), fixed=fixed_values.get(d))
+                         fixed=fixed_values.get(d))
         )
     return solvers
 
@@ -322,36 +321,35 @@ def run_basic_recursion(expansions: np.ndarray, lead, T: int,
 
 @dataclass
 class MMatrixReport:
-    """Outcome of the per-degree sign and sum audit of stencil coefficients."""
+    """Outcome of the per-degree sign and sum audit of stencil coefficients;
+    each violation starts with the batch index of its stencil."""
 
-    passed: bool
-    sign_violations: list      # (offset index, degree, value)
-    sum_violations: list       # (degree, value)
-    degree_sums: np.ndarray
+    passed: np.ndarray         # (...,) per stencil; a bool when unbatched
+    sign_violations: list      # (..., offset index, degree, value)
+    sum_violations: list       # (..., degree, value)
 
 
 def check_sign_sum(coeffs: np.ndarray, center: int, tol: float = 1e-12) -> MMatrixReport:
-    """Audit c[o, p]: center >= 0 (> 0 at p=0), off-center <= 0, sums >= 0."""
+    """Audit c[..., o, p]: center >= 0 (> 0 at p=0), off-center <= 0, sums >= 0.
+
+    Leading axes are batch axes.
+    """
     coeffs = np.asarray(coeffs)
-    n_off, nterms = coeffs.shape
-    sign_viol = []
-    for o in range(n_off):
-        for p in range(nterms):
-            v = coeffs[o, p]
-            if o == center:
-                bad = v < -tol if p > 0 else v <= tol
-            else:
-                bad = v > tol
-            if bad:
-                sign_viol.append((o, p, float(v)))
-    sums = coeffs.sum(axis=0)
-    sum_viol = [(p, float(s)) for p, s in enumerate(sums) if s < -tol]
-    return MMatrixReport(
-        passed=not sign_viol and not sum_viol,
-        sign_violations=sign_viol,
-        sum_violations=sum_viol,
-        degree_sums=sums,
-    )
+    # off-center entries must not exceed tol; the center is tested negated
+    signed = np.where(np.arange(coeffs.shape[-2])[:, None] == center,
+                      -coeffs, coeffs)
+    sign_bad = signed > tol
+    sign_bad[..., center, 0] = signed[..., center, 0] >= -tol
+    sums = coeffs.sum(axis=-2)
+    sum_bad = sums < -tol
+    passed = ~(sign_bad.any(axis=(-2, -1)) | sum_bad.any(axis=-1))
+
+    def entries(bad, values):
+        return [tuple(int(k) for k in idx) + (float(values[tuple(idx)]),)
+                for idx in np.argwhere(bad)]
+
+    return MMatrixReport(passed if passed.ndim else bool(passed),
+                         entries(sign_bad, coeffs), entries(sum_bad, sums))
 
 
 def stencil_values(coeffs: np.ndarray, h: float) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IRREGULAR_OFFSETS
-from .stencil_core import expand_poly_in_h, run_basic_recursion, stencil_values
+from .stencil_core import expand_poly_in_h, run_basic_recursion
 from .stencil_regular import StencilPoly
-from .transmission import BAND5, COL_UP, F3, InterfaceLocalModel
+from .transmission import BAND5, F3, InterfaceLocalModel
 
 CENTER13 = IRREGULAR_OFFSETS.index((0, 0))
 
@@ -100,12 +100,12 @@ def solve_irregular_stencil(system: IrregularSystem,
         coeffs, _ = run_basic_recursion(
             system.expansions, system.lead, 5, normalize_col=CENTER13,
             penalty=penalty, max_degree=0)
-        return StencilPoly(IRREGULAR_OFFSETS, coeffs, scale=1)
+        return StencilPoly(IRREGULAR_OFFSETS, coeffs)
 
     coeffs, _ = run_basic_recursion(system.expansions, system.lead, 5,
                                     normalize_col=CENTER13, zero_degrees=(5,),
                                     h=h)
-    return StencilPoly(IRREGULAR_OFFSETS, coeffs, scale=1)
+    return StencilPoly(IRREGULAR_OFFSETS, coeffs)
 
 
 @dataclass

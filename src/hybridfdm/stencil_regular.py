@@ -28,12 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from .indexsets import lambda_band, lambda_full
-from .jets import Jet2, Poly2
+from .jets import Jet2
 from .reduction import build_gh_polynomials, build_reduction_table
 from .stencil_core import (
-    MMatrixReport,
     build_degree_solvers,
-    check_sign_sum,
     expand_poly_in_h,
     frac_leading_g,
     run_constant_recursion,
@@ -53,8 +51,7 @@ class StencilPoly:
 
     offsets: tuple
     coeffs: np.ndarray           # (n_off, D+1), batched variants use (..., n_off, D+1)
-    scale: int                   # scheme is h^(-scale) * sum C_o u_o = rhs
-    monotone: bool = True
+    monotone: np.ndarray | None = None   # (...,) sign/sum selection succeeded
 
     def values(self, h: float) -> np.ndarray:
         return stencil_values(self.coeffs, h)
@@ -125,14 +122,6 @@ def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
     return RegularSystem(expansions=exp, h_polys=h_polys, lead=tuple(lead))
 
 
-def solve_regular_stencil(system: RegularSystem) -> StencilPoly:
-    solvers, lead = _regular_solvers()
-    res = run_constant_recursion(system.expansions, lead, 7, solvers,
-                                 center=CENTER9)
-    return StencilPoly(OFFSETS9, res.coeffs, scale=2,
-                       monotone=bool(np.all(res.monotone)))
-
-
 def regular_rhs_weights(stencil: StencilPoly, h_polys: dict, h: float) -> np.ndarray:
     """Weights of f^(m,n) over Lambda_5: sum_o C_o(h) H_{7,m,n}(kh, lh).
 
@@ -148,21 +137,15 @@ def regular_rhs_weights(stencil: StencilPoly, h_polys: dict, h: float) -> np.nda
     return np.stack(cols, axis=-1)
 
 
-def check_m_matrix(stencil: StencilPoly, tol: float = 1e-12) -> MMatrixReport:
-    """Per-degree sufficient sign/sum conditions for the M-matrix property."""
-    center = stencil.offsets.index((0, 0))
-    return check_sign_sum(stencil.coeffs, center, tol)
-
-
 def build_regular_batch(a_jet: Jet2):
-    """Batched pipeline: jets with leading axes -> (stencil, rhs-weight maker).
+    """Stencil at every point of a jet with leading batch axes.
 
-    Returns the StencilPoly (batched coefficients), the per-point monotone
-    flags, and the H polynomials for the source weights.
+    Returns the StencilPoly (batched coefficients and monotone flags) and the
+    H polynomials for the source weights.
     """
     system = assemble_regular_system(a_jet)
     solvers, lead = _regular_solvers()
     res = run_constant_recursion(system.expansions, lead, 7, solvers,
                                  center=CENTER9)
-    stencil = StencilPoly(OFFSETS9, res.coeffs, scale=2)
-    return stencil, res.monotone, system.h_polys
+    return (StencilPoly(OFFSETS9, res.coeffs, monotone=res.monotone),
+            system.h_polys)

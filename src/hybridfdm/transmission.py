@@ -73,7 +73,6 @@ class CurveJet:
     s: np.ndarray               # (6,)
     g: np.ndarray               # (6,)
     gg: np.ndarray              # (5,)
-    tie: bool = False
 
 
 @lru_cache(maxsize=32)

@@ -14,8 +14,13 @@ from hybridfdm.assembly import (
     audit_m_matrix,
     solve,
 )
-from hybridfdm.errors import MlsError, StencilError
-from hybridfdm.geometry import LABEL_IRREGULAR, classify_grid
+from hybridfdm.errors import AssemblyError, MlsError, StencilError
+from hybridfdm.geometry import (
+    IRREGULAR_OFFSETS,
+    LABEL_IRREGULAR,
+    LevelSetInterface,
+    classify_grid,
+)
 from hybridfdm.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -65,6 +70,28 @@ def solve_problem(problem, J, threads=1):
     system = assemble(problem, J, threads=threads)
     result = solve(system)
     return system, result
+
+
+def interface_rows(system):
+    return sum(len(b.ii) for b in system.blocks if b.family == "interface")
+
+
+def zero(x, y):
+    return 0.0 * x
+
+
+def one(x, y):
+    return 1.0 + 0 * x
+
+
+def robin_problem(alpha, robin_sides=(1, 3), name="robin"):
+    """Zero data, a = 1, constant alpha on the Robin sides, Dirichlet elsewhere."""
+    boundary = {side: BoundaryCondition("robin", zero, lambda x, y: alpha + 0 * x)
+                if side in robin_sides else BoundaryCondition("dirichlet", zero)
+                for side in (1, 2, 3, 4)}
+    return ProblemSpec(name=name, domain=(-1, 1, -1, 1), interface=None,
+                       a_plus=one, a_minus=one, f_plus=zero, f_minus=zero,
+                       boundary=boundary)
 
 
 class TestNoInterface:
@@ -160,7 +187,7 @@ class TestInterfaceAssembly:
                          for a in (-1, 0, 1) for b in (-1, 0, 1)]
                 count += any(signs) and not all(signs)
         assert n == count > 0
-        assert len(system.audit.irregular_ij) == n
+        assert interface_rows(system) == n
 
     def test_piecewise_polynomial_high_order_convergence(self):
         """Degree-4 compliant data on a circle: errors drop at order >= 4.5."""
@@ -188,7 +215,7 @@ class TestInterfaceAssembly:
         case = manufacture(seed=9, degree=3, interface_kind="circle")
         s1 = assemble(case.problem, 5, threads=1)
         s2 = assemble(case.problem, 5, threads=2)
-        assert len(s1.audit.irregular_ij) > IFACE_CHUNK
+        assert interface_rows(s1) > IFACE_CHUNK
         assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
         assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
         assert np.array_equal(s1.matrix.data, s2.matrix.data)
@@ -201,11 +228,14 @@ class TestInterfaceAssembly:
 
         case = manufacture(seed=9, degree=3, interface_kind="circle")
         xs, ys, h = _grid(case.problem, 4)
-        labels = classify_grid(xs, ys, case.problem.psi).labels
-        ii, jj = np.nonzero(labels == LABEL_IRREGULAR)
-        points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii[:5], jj[:5])]
+        cls = classify_grid(xs, ys, case.problem.psi)
+        ii, jj = np.nonzero(cls.labels == LABEL_IRREGULAR)
+        ii, jj = ii[:5], jj[:5]
+        points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
+        offs = np.asarray(IRREGULAR_OFFSETS)
+        minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
         _set_context(case.problem, h)
-        assert len(_irregular_chunk(points)) == 5
+        assert len(_irregular_chunk((points, minus))) == 5
 
         def on_third_node(fn, spoil):
             calls = []
@@ -237,7 +267,49 @@ class TestInterfaceAssembly:
         x, y = points[2]
         with pytest.raises(kind, match=re.escape(
                 f"interface node ({x:.6g}, {y:.6g}): ")):
-            _irregular_chunk(points)
+            _irregular_chunk((points, minus))
+
+    def test_interface_near_boundary_names_the_node(self):
+        """A 13-point footprint that leaves the grid is an AssemblyError."""
+        iface = LevelSetInterface(lambda x, y: x + 0.8, jump_g=zero,
+                                  jump_ggamma=zero)
+        p = ProblemSpec(name="near-wall", domain=(-1, 1, -1, 1),
+                        interface=iface, a_plus=one, a_minus=one,
+                        f_plus=zero, f_minus=zero,
+                        boundary={s: BoundaryCondition("dirichlet", zero)
+                                  for s in (1, 2, 3, 4)})
+        # h = 1/4: x = -1 is minus, x = -0.75 plus, so column i = 1 is irregular
+        with pytest.raises(AssemblyError, match=re.escape(
+                "13-point footprint of interface node (-0.75, -0.75) leaves "
+                "the grid")):
+            assemble(p, 3)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("kind", ["interface", "robin"])
+    def test_blocks_partition_the_grid(self, kind):
+        """Every node sits in one block, whose values and rhs are its row."""
+        if kind == "interface":
+            problem = manufacture(seed=9, degree=3,
+                                  interface_kind="circle").problem
+            expect = {"dirichlet", "regular+", "regular-", "interface"}
+        else:
+            problem = robin_problem(2.0)
+            expect = {"dirichlet", "corner", "edge1", "edge3", "regular+"}
+        system = assemble(problem, 4)
+        assert {b.family for b in system.blocks} == expect
+        n = system.matrix.shape[0]
+        owners = np.zeros(n, dtype=int)
+        rebuilt = np.zeros((n, n))
+        for block in system.blocks:
+            rows, cols = block.columns(len(system.ys))
+            np.add.at(owners, rows, 1)
+            rebuilt[rows[:, None], cols] = block.values
+            assert np.array_equal(system.rhs[rows], block.rhs)
+            assert (block.coeffs is None) == (
+                block.family in ("dirichlet", "interface"))
+        assert (owners == 1).all()
+        assert np.array_equal(system.matrix.toarray(), rebuilt)
 
 
 class TestAudit:
@@ -247,22 +319,19 @@ class TestAudit:
         audit = audit_m_matrix(system)
         assert audit.passed
         assert audit.matrix_signs_ok
-        assert audit.n_irregular > 0
+        assert audit.rows["interface"] > 0
 
     def test_adversarial_negative_alpha_flagged(self):
-        zero = lambda x, y: 0.0 * x
-        one = lambda x, y: 1.0 + 0 * x
-        neg = lambda x, y: -1.0 + 0 * x
-        boundary = {
-            1: BoundaryCondition("robin", zero, neg),
-            2: BoundaryCondition("dirichlet", zero),
-            3: BoundaryCondition("dirichlet", zero),
-            4: BoundaryCondition("dirichlet", zero),
-        }
-        p = ProblemSpec(name="bad-alpha", domain=(-1, 1, -1, 1), interface=None,
-                        a_plus=one, a_minus=one, f_plus=zero, f_minus=zero,
-                        boundary=boundary)
-        system = assemble(p, 3)
+        system = assemble(robin_problem(-1.0, (1,), "bad-alpha"), 3)
         audit = audit_m_matrix(system)
         assert not audit.passed
         assert any(v[0] == "edge1" for v in audit.violations)
+
+        # Robin sides 1 and 3 meet at the corner node (0, 0)
+        system = assemble(robin_problem(-1.0, (1, 3), "bad-alpha-corner"), 3)
+        audit = audit_m_matrix(system)
+        assert audit.failed["corner"] == 1
+        assert audit.failed["edge1"] == audit.failed["edge3"] == 7
+        corner = [v for v in audit.violations if v.family == "corner"]
+        assert [v.node for v in corner] == [(0, 0)]
+        assert corner[0].what.startswith("degree-1 coefficient sum is -")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybridfdm.errors import GeometryError, StencilError
+from hybridfdm.errors import StencilError
 from hybridfdm.fieldjets import irregular_jets
 from hybridfdm.geometry import (
     IRREGULAR_OFFSETS,
@@ -67,12 +67,6 @@ class TestClassification:
         xs = np.linspace(-1, 1, 9)
         cls = classify_grid(xs, xs, lambda x, y: -np.abs(np.asarray(x)) * 0.0)
         assert (cls.labels[1:-1, 1:-1] == LABEL_REGULAR_MINUS).all()
-
-    def test_footprint_out_of_grid_raises(self):
-        xs = np.linspace(-1, 1, 9)
-        cls = classify_grid(xs, xs, circle_psi)
-        with pytest.raises(GeometryError):
-            cls.minus_footprint(1, 4)
 
 
 class TestProjection:

@@ -13,15 +13,13 @@ from hybridfdm.stencil_boundary import (
     SIDE_FRAMES,
     build_corner_reduction,
     build_edge_basis,
-    check_m_matrix_boundary,
-    dirichlet_row,
     map_by_reflection,
     solve_corner_stencil,
     solve_edge_stencil,
     _corner_solvers,
     _edge_solvers,
 )
-from hybridfdm.stencil_core import expand_poly_in_h
+from hybridfdm.stencil_core import check_sign_sum, expand_poly_in_h
 
 from test_jets_reduction import poly_jet, random_poly
 
@@ -89,7 +87,7 @@ class TestEdgeStructure:
             a.c[0, 0] = 1.5
             st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), alpha)
             assert st.coeffs[:, 1].sum() == pytest.approx(6 * alpha0, abs=1e-11)
-            assert check_m_matrix_boundary(st, tol=1e-10).passed
+            assert check_sign_sum(st.coeffs, st.offsets.index((0, 0)), tol=1e-10).passed
             assert st.monotone
 
     def test_pure_neumann_sums_vanish(self):
@@ -223,7 +221,7 @@ class TestCornerStructure:
     def test_constant_neumann_corner_passes_audit(self):
         jet = Jet2.constant(2.0, 5)
         st = solve_corner_stencil(build_corner_reduction(jet, ZERO_ALPHA, ZERO_ALPHA))
-        assert check_m_matrix_boundary(st, tol=1e-11).passed
+        assert check_sign_sum(st.coeffs, st.offsets.index((0, 0)), tol=1e-11).passed
         assert np.allclose(st.coeffs, st.chat + st.ctilde)
         assert st.coeffs[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -347,10 +345,3 @@ class TestReflection:
         st2 = solve_edge_stencil(jet2, al2[0])
         assert np.allclose(st1.coeffs, st2.coeffs, atol=1e-12)
 
-
-def test_dirichlet_row():
-    offsets, coeffs, rhs = dirichlet_row(3.5)
-    assert offsets == ((0, 0),)
-    assert coeffs[0, 0] == 1.0
-    assert rhs == 3.5
-    assert coeffs.sum() == 1.0

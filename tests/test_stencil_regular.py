@@ -6,13 +6,13 @@ import pytest
 from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2
 from hybridfdm.mls import mls_estimate, sampling_recipe
+from hybridfdm.stencil_core import check_sign_sum
 from hybridfdm.stencil_regular import (
     CENTER9,
     OFFSETS9,
     assemble_regular_system,
-    check_m_matrix,
+    build_regular_batch,
     regular_rhs_weights,
-    solve_regular_stencil,
 )
 
 from linear_coeff_reference import coefficients as reference_coefficients
@@ -54,7 +54,7 @@ class TestSystemStructure:
 
 class TestConstantCoefficient:
     def test_exact_laplacian_stencil(self):
-        stencil = solve_regular_stencil(assemble_regular_system(Jet2.constant(3.0, 6)))
+        stencil, _ = build_regular_batch(Jet2.constant(3.0, 6))
         expect0 = {(0, 0): 20.0}
         for off in OFFSETS9:
             want = 20.0 if off == (0, 0) else (-4.0 if 0 in off else -1.0)
@@ -64,13 +64,13 @@ class TestConstantCoefficient:
         assert stencil.monotone
 
     def test_mmatrix_report_passes(self):
-        stencil = solve_regular_stencil(assemble_regular_system(Jet2.constant(1.0, 6)))
-        assert check_m_matrix(stencil).passed
+        stencil, _ = build_regular_batch(Jet2.constant(1.0, 6))
+        assert check_sign_sum(stencil.coeffs, CENTER9).passed
 
     def test_injected_violation_detected(self):
-        stencil = solve_regular_stencil(assemble_regular_system(Jet2.constant(1.0, 6)))
+        stencil, _ = build_regular_batch(Jet2.constant(1.0, 6))
         stencil.coeffs[CENTER9, 0] = -1.0
-        report = check_m_matrix(stencil)
+        report = check_sign_sum(stencil.coeffs, CENTER9)
         assert not report.passed
         assert (CENTER9, 0, -1.0) in report.sign_violations
 
@@ -80,7 +80,7 @@ class TestLinearCoefficientClosedForms:
     def test_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         r1, r2 = rng.uniform(-1, 1, size=2)
-        stencil = solve_regular_stencil(assemble_regular_system(linear_a_jet(r1, r2)))
+        stencil, _ = build_regular_batch(linear_a_jet(r1, r2))
         ref = reference_coefficients(r1, r2)
         for i, off in enumerate(OFFSETS9):
             got, want = stencil.coeffs[i], ref[off]
@@ -89,14 +89,14 @@ class TestLinearCoefficientClosedForms:
     def test_degree_sums_vanish(self):
         rng = np.random.default_rng(17)
         r1, r2 = rng.uniform(-1, 1, size=2)
-        stencil = solve_regular_stencil(assemble_regular_system(linear_a_jet(r1, r2)))
+        stencil, _ = build_regular_batch(linear_a_jet(r1, r2))
         assert np.allclose(stencil.coeffs.sum(axis=0), 0.0, atol=1e-11)
-        assert check_m_matrix(stencil, tol=1e-11).passed
+        assert check_sign_sum(stencil.coeffs, CENTER9, tol=1e-11).passed
 
     def test_bit_reproducible(self):
         jet = linear_a_jet(0.37, -0.81)
-        c1 = solve_regular_stencil(assemble_regular_system(jet)).coeffs
-        c2 = solve_regular_stencil(assemble_regular_system(jet)).coeffs
+        c1 = build_regular_batch(jet)[0].coeffs
+        c2 = build_regular_batch(jet)[0].coeffs
         assert np.array_equal(c1, c2)
 
 
@@ -127,9 +127,8 @@ def scheme_residual(x0, y0, h):
     a_der = mls_estimate(rec.problem(6), a_fn(pts[:, 0], pts[:, 1]), lambda_full(6))
     f_der = mls_estimate(rec.problem(5), f_fn(pts[:, 0], pts[:, 1]), lambda_full(5))
     jet = Jet2.from_derivatives(a_der, 6, (x0, y0))
-    system = assemble_regular_system(jet)
-    stencil = solve_regular_stencil(system)
-    weights = regular_rhs_weights(stencil, system.h_polys, h)
+    stencil, h_polys = build_regular_batch(jet)
+    weights = regular_rhs_weights(stencil, h_polys, h)
     lhs = sum(
         stencil.values(h)[i] * u_fn(x0 + k * h, y0 + l * h)
         for i, (k, l) in enumerate(OFFSETS9)
@@ -154,16 +153,15 @@ class TestConsistency:
                 a_der = mls_estimate(rec.problem(6), a_fn(pts[:, 0], pts[:, 1]),
                                      lambda_full(6))
                 jet = Jet2.from_derivatives(a_der, 6, (x0, y0))
-                stencil = solve_regular_stencil(assemble_regular_system(jet))
-                assert check_m_matrix(stencil, tol=1e-10).passed
+                stencil, _ = build_regular_batch(jet)
+                assert check_sign_sum(stencil.coeffs, CENTER9, tol=1e-10).passed
                 assert stencil.monotone
 
 
 class TestRhsWeights:
     def test_zero_source_zero_rhs(self):
-        system = assemble_regular_system(Jet2.constant(1.0, 6))
-        stencil = solve_regular_stencil(system)
-        w = regular_rhs_weights(stencil, system.h_polys, 0.1)
+        stencil, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
+        w = regular_rhs_weights(stencil, h_polys, 0.1)
         rhs = sum(w[i] * 0.0 for i in range(len(w)))
         assert rhs == 0.0
 
@@ -173,8 +171,7 @@ class TestRhsWeights:
         Oracle: u = -(x^2+y^2)/2 gives f = -lap(u) = 2 and the (20,-4,-1)
         pattern sums to 12 h^2 = 6 f h^2, so the weight is +6 h^2.
         """
-        system = assemble_regular_system(Jet2.constant(1.0, 6))
-        stencil = solve_regular_stencil(system)
+        stencil, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
         for h in (0.1, 0.05):
-            w00 = regular_rhs_weights(stencil, system.h_polys, h)[0]
+            w00 = regular_rhs_weights(stencil, h_polys, h)[0]
             assert w00 == pytest.approx(6.0 * h**2, rel=0.02)
