@@ -142,25 +142,6 @@ class Jet2:
         return self.c[..., 0, 0]
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "Jet2") -> "Jet2":
-        order = min(self.order, other.order)
-        k = order + 1
-        return Jet2._trusted(self.c[..., :k, :k] + other.c[..., :k, :k], order,
-                             self.base)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        order = min(self.order, other.order)
-        k = order + 1
-        return Jet2._trusted(self.c[..., :k, :k] - other.c[..., :k, :k], order,
-                             self.base)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2._trusted(-self.c, self.order, self.base)
-
-    def scaled(self, s) -> "Jet2":
-        c = self.c * np.asarray(s)[..., None, None] if np.ndim(s) else self.c * s
-        return Jet2._trusted(c, self.order, self.base)
-
     def __mul__(self, other: "Jet2") -> "Jet2":
         order = min(self.order, other.order)
         return Jet2._trusted(_conv2(self.c, other.c, order + 1), order, self.base)
@@ -195,12 +176,6 @@ class Jet2:
         k = self.order
         n = np.arange(1, k + 1)
         return Jet2._trusted(self.c[..., :k, 1:] * n[None, :], k - 1, self.base)
-
-    def truncated(self, order: int) -> "Jet2":
-        if order >= self.order:
-            return self
-        k = order + 1
-        return Jet2._trusted(self.c[..., :k, :k], order, self.base)
 
     def transposed(self) -> "Jet2":
         """Jet of (x, y) -> f(y, x)."""

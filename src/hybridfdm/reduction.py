@@ -12,9 +12,14 @@ obtained by recursively substituting the Leibniz-differentiated identity
     u^(m+2,n) = -(f/a)^(m,n) - u^(m,n+2)
                 - sum binom * [ (a_x/a)^(..) u^(i+1,j) + (a_y/a)^(..) u^(i,j+1) ]
 
-and are stored as jets so the recursion can differentiate them exactly.  From
-the table come the polynomial families G (weights of the band derivatives) and
-H (weights of the source derivatives) that every stencil builder consumes.
+Only the three weight jets ``a_x/a``, ``a_y/a`` and ``1/a`` are ever
+differentiated; the coefficients themselves are only added, scaled and
+multiplied by derivatives of those weights.  So each coefficient is carried as
+its value at the base point alone (one float per batch entry): the constant
+term of a truncated jet product is the product of the constant terms, which
+makes the value-only recursion exact, not an approximation.  From the table
+come the polynomial families G (weights of the band derivatives) and H
+(weights of the source derivatives) that every stencil builder consumes.
 """
 
 from __future__ import annotations
@@ -33,9 +38,13 @@ from .jets import Jet2, Poly2
 class ReductionTable:
     """Reduction coefficients a_u, a_f for all (p, q) in Lambda_order.
 
-    ``u[(p, q)][(m, n)]`` is the jet of the coefficient multiplying
-    ``u^(m,n)``; ``f[(p, q)][(i, j)]`` the jet multiplying ``f^(i,j)``.
-    For transposed tables the band is n in {0, 1} instead of m in {0, 1}.
+    ``u[(p, q)][(m, n)]`` is the base-point value of the coefficient of
+    ``u^(m,n)`` and ``f[(p, q)][(i, j)]`` that of ``f^(i,j)``: an array of
+    the coefficient jet's batch shape (a numpy scalar for an unbatched jet).
+    Values suffice, and are exact, because the recursion differentiates only
+    the weight jets a_x/a, a_y/a and 1/a, never an entry (see the module
+    docstring).  For transposed tables the band is n in {0, 1} instead of
+    m in {0, 1}.
     """
 
     order: int
@@ -45,23 +54,20 @@ class ReductionTable:
     transposed: bool = False
 
     def u_value(self, p, q, m, n):
-        jet = self.u.get((p, q), {}).get((m, n))
-        if jet is None:
-            return np.zeros(self.a_jet.c.shape[:-2])
-        return jet.value
+        return self.u.get((p, q), {}).get((m, n), self._zero())
 
     def f_value(self, p, q, i, j):
-        jet = self.f.get((p, q), {}).get((i, j))
-        if jet is None:
-            return np.zeros(self.a_jet.c.shape[:-2])
-        return jet.value
+        return self.f.get((p, q), {}).get((i, j), self._zero())
+
+    def _zero(self):
+        return np.zeros(self.a_jet.c.shape[:-2])
 
 
-def _accumulate(store: dict, key, jet: Jet2):
+def _accumulate(store: dict, key, value: np.ndarray):
     if key in store:
-        store[key] = store[key] + jet
+        store[key] = store[key] + value
     else:
-        store[key] = jet
+        store[key] = value
 
 
 class _DerivCache:
@@ -94,6 +100,7 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
         raise ReductionError("coefficient must be positive at the base point")
 
     table = ReductionTable(order=order, a_jet=a_jet)
+    one = np.ones(a_jet.c.shape[:-2])
     inv_a = a_jet.reciprocal()
     r1 = _DerivCache(a_jet.dx() * inv_a)
     r2 = _DerivCache(a_jet.dy() * inv_a)
@@ -101,8 +108,7 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
 
     for p, q in lambda_full(order):
         if p <= 1:
-            table.u[(p, q)] = {(p, q): Jet2.constant(
-                np.ones(a_jet.c.shape[:-2]), order)}
+            table.u[(p, q)] = {(p, q): one.copy()}
             table.f[(p, q)] = {}
 
     for p in range(2, order + 1):
@@ -115,29 +121,25 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
             for i in range(mr + 1):
                 for j in range(nr + 1):
                     w = -comb(mr, i) * comb(nr, j)
-                    _accumulate(fcoef, (i, j), q_inv.get(mr - i, nr - j).scaled(w))
+                    _accumulate(fcoef, (i, j), q_inv.get(mr - i, nr - j).value * w)
 
-            def substitute(target, weight_jet=None, scale=1.0):
+            def substitute(target, weight, scale):
                 """Add scale * weight * u^target, reducing target if needed."""
-                tm, tn = target
-                if tm <= 1:
-                    jet = (Jet2.constant(np.full(a_jet.c.shape[:-2], scale), order)
-                           if weight_jet is None else weight_jet.scaled(scale))
-                    _accumulate(ucoef, target, jet)
+                if target[0] <= 1:
+                    _accumulate(ucoef, target, weight * scale)
                     return
                 for key, sub in table.u[target].items():
-                    j = sub if weight_jet is None else weight_jet * sub
-                    _accumulate(ucoef, key, j.scaled(scale))
+                    _accumulate(ucoef, key, weight * sub * scale)
                 for key, sub in table.f[target].items():
-                    j = sub if weight_jet is None else weight_jet * sub
-                    _accumulate(fcoef, key, j.scaled(scale))
+                    _accumulate(fcoef, key, weight * sub * scale)
 
-            substitute((mr, nr + 2), None, -1.0)
+            # x * 1.0 == x exactly, so a unit weight changes no bit
+            substitute((mr, nr + 2), one, -1.0)
             for i in range(mr + 1):
                 for j in range(nr + 1):
                     w = comb(mr, i) * comb(nr, j)
-                    substitute((i + 1, j), r1.get(mr - i, nr - j), -w)
-                    substitute((i, j + 1), r2.get(mr - i, nr - j), -w)
+                    substitute((i + 1, j), r1.get(mr - i, nr - j).value, -w)
+                    substitute((i, j + 1), r2.get(mr - i, nr - j).value, -w)
 
             table.u[(p, q)] = ucoef
             table.f[(p, q)] = fcoef
@@ -150,9 +152,9 @@ def transpose_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
     t = build_reduction_table(a_jet.transposed(), order)
     out = ReductionTable(order=order, a_jet=a_jet, transposed=True)
     for (p, q), coeffs in t.u.items():
-        out.u[(q, p)] = {(n, m): jet.transposed() for (m, n), jet in coeffs.items()}
+        out.u[(q, p)] = {(n, m): v for (m, n), v in coeffs.items()}
     for (p, q), coeffs in t.f.items():
-        out.f[(q, p)] = {(j, i): jet.transposed() for (i, j), jet in coeffs.items()}
+        out.f[(q, p)] = {(j, i): v for (i, j), v in coeffs.items()}
     return out
 
 

@@ -1,5 +1,6 @@
 """Global assembly and solve."""
 
+import logging
 import re
 
 import numpy as np
@@ -269,8 +270,14 @@ class TestInterfaceAssembly:
                 f"interface node ({x:.6g}, {y:.6g}): ")):
             _irregular_chunk((points, minus))
 
-    def test_interface_near_boundary_names_the_node(self):
-        """A 13-point footprint that leaves the grid is an AssemblyError."""
+    def test_interface_near_boundary_names_the_node(self, monkeypatch):
+        """A 13-point footprint that leaves the grid is an AssemblyError,
+        raised before any interior row is built."""
+        import hybridfdm.assembly as assembly
+
+        def no_rows(args):
+            raise AssertionError("regular rows built before the footprint check")
+        monkeypatch.setattr(assembly, "_regular_chunk", no_rows)
         iface = LevelSetInterface(lambda x, y: x + 0.8, jump_g=zero,
                                   jump_ggamma=zero)
         p = ProblemSpec(name="near-wall", domain=(-1, 1, -1, 1),
@@ -310,6 +317,26 @@ class TestRowBlocks:
                 block.family in ("dirichlet", "interface"))
         assert (owners == 1).all()
         assert np.array_equal(system.matrix.toarray(), rebuilt)
+
+
+class TestAssemblyLog:
+    def test_one_info_record_with_timings_and_family_rows(self, caplog):
+        caplog.set_level(logging.INFO, logger="hybridfdm.assembly")
+        system = assemble(robin_problem(2.0), 3)
+        records = [r for r in caplog.records if r.name == "hybridfdm.assembly"]
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.INFO
+        assert set(record.timings) == {"boundary", "regular", "irregular",
+                                       "total"}
+        assert record.timings == system.timings
+        assert record.rows == system.family_rows == {
+            "corner": 1, "dirichlet": 17, "edge1": 7, "edge3": 7,
+            "regular+": 49}
+        message = record.getMessage()
+        assert message.startswith("assembled 81 rows at J=3 in ")
+        assert message.endswith("rows per family: corner 1, dirichlet 17, "
+                                "edge1 7, edge3 7, regular+ 49")
 
 
 class TestAudit:

@@ -218,6 +218,49 @@ class TestReductionTable:
             build_reduction_table(Jet2.constant(1.0, 4), 7)
 
 
+def random_a_jets(seed, count, order=6):
+    """Jets of ``count`` random positive polynomial coefficients, each at its
+    own base point, stacked on a leading batch axis."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(count):
+        a = random_poly(rng, 3, scale=0.2)
+        a.c[0, 0] = rng.uniform(1.5, 2.5)
+        base = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        tables.append(poly_jet(a, order, base).c)
+    return Jet2(np.stack(tables), order)
+
+
+REDUCTIONS = [(build_reduction_table, 6), (build_reduction_table, 7),
+              (transpose_reduction_table, 6)]
+
+
+class TestValueOnlyTable:
+    """The table stores coefficient values, not jets."""
+
+    @pytest.mark.parametrize("build,order", REDUCTIONS)
+    def test_entries_are_arrays_of_the_batch_shape(self, build, order):
+        table = build(random_a_jets(20, 5), order)
+        for store in (table.u, table.f):
+            for coeffs in store.values():
+                for value in coeffs.values():
+                    assert isinstance(value, np.ndarray)
+                    assert value.shape == (5,)
+
+    @pytest.mark.parametrize("build,order", REDUCTIONS)
+    def test_batch_matches_single_points_bit_for_bit(self, build, order):
+        batch = random_a_jets(21, 5)
+        table = build(batch, order)
+        for k in range(5):
+            single = build(Jet2(batch.c[k], batch.order), order)
+            for got, want in ((table.u, single.u), (table.f, single.f)):
+                assert got.keys() == want.keys()
+                for pq, coeffs in want.items():
+                    assert coeffs.keys() == got[pq].keys()
+                    for key, value in coeffs.items():
+                        assert np.array_equal(got[pq][key][k], value)
+
+
 # The paper's 15x9 constant matrix: rows are the canonical first band of
 # order 7, columns the nine offsets in lexicographic order.
 A0_REGULAR = np.array(
