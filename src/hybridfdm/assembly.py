@@ -7,8 +7,10 @@ Robin edge rows at scale h^-1, 9-point regular rows at scale h^-2 and
 equilibration).  The sparse matrix, the rhs and the M-matrix audit all read
 the same blocks.  Assembly is deterministic (fixed chunking, fixed orders):
 interior nodes go in chunks of ``CHUNK`` and interface nodes in chunks of
-``IFACE_CHUNK``, each chunk sharing one transmission build.  The chunks can
-fan out over a process pool, with results identical to the serial path.
+``IFACE_CHUNK``, each chunk sharing one base-point and chart search and one
+transmission build.  Every row is the same whatever the chunk size, and the
+chunks can fan out over a process pool, with results identical to the
+serial path.
 Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
 phase timings and the row count of every family.
 """
@@ -27,7 +29,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AssemblyError, GeometryError, MlsError, StencilError
+from .errors import (
+    AssemblyError,
+    GeometryError,
+    HybridFdmError,
+    MlsError,
+    StencilError,
+)
 from .fieldjets import corner_jets, edge_jets, irregular_jets, regular_jets
 from .geometry import (
     IRREGULAR_OFFSETS,
@@ -157,13 +165,21 @@ def _at_node(point):
         raise _named(exc, point) from exc
 
 
-def _irregular_one(point):
-    """Per-node front half of an interface row: base point, chart, curve jet
-    and one-sided field jets."""
+@contextmanager
+def _in_batch(points):
+    """Name the node of a batched step's failure, found by its ``index``."""
+    try:
+        yield
+    except HybridFdmError as exc:
+        if exc.index is None:
+            raise
+        raise _named(exc, points[exc.index]) from exc
+
+
+def _irregular_one(point, bp, chart):
+    """Per-node front half of an interface row from its base point and
+    chart: the curve jet and the one-sided field jets."""
     problem, h = _CTX["problem"], _CTX["h"]
-    iface = problem.interface
-    bp = iface.locate_base(point, h)
-    chart = iface.chart(bp, h)
     curve = curve_jet_from_chart(chart, bp.base, bp.v0, bp.w0, h)
     jp, jm, fpd, fmd = irregular_jets(
         problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
@@ -175,25 +191,26 @@ def _irregular_chunk(args):
     """Row data for one chunk of interface nodes.
 
     ``args`` holds the nodes and their (n, 13) minus-side footprint masks.
-    The per-node front half feeds one transmission build for the whole
-    chunk; the 13-point stencil and its rhs are then solved node by node.
+    Base points and charts are located for the whole chunk at once, the
+    curve and field jets node by node, and the transmission is built once
+    for the chunk; the 13-point stencil and its rhs are then solved node by
+    node.
     """
     points, minus = args
-    h = _CTX["h"]
+    problem, h = _CTX["problem"], _CTX["h"]
+    with _in_batch(points):
+        bases = problem.interface.locate_base(points, h)
+        charts = problem.interface.chart(bases, h)
     front = []
-    for point in points:
+    for point, bp, chart in zip(points, bases, charts):
         with _at_node(point):
-            front.append(_irregular_one(point))
+            front.append(_irregular_one(point, bp, chart))
     curves, jp, jm, fpd, fmd = zip(*front)
     order = jp[0].order
-    try:
+    with _in_batch(points):
         models = build_transmission(list(curves),
                                     Jet2(np.stack([j.c for j in jp]), order),
                                     Jet2(np.stack([j.c for j in jm]), order))
-    except StencilError as exc:
-        if exc.index is None:
-            raise
-        raise _named(exc, points[exc.index]) from exc
     out = []
     for point, mask, model, fp, fm in zip(points, minus, models, fpd, fmd):
         with _at_node(point):

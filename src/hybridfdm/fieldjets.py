@@ -13,8 +13,18 @@ import numpy as np
 
 from .indexsets import lambda_full
 from .jets import Jet2
-from .mls import MlsProblem, mls_operator, sampling_recipe
+from .mls import MlsProblem, distinct_values, mls_operator, sampling_recipe
 from .stencil_boundary import BoundaryFrame
+
+
+def _distinct_points(x: np.ndarray, y: np.ndarray):
+    """First occurrence of every distinct (x, y) pair, with coordinates
+    compared bit for bit, and the index of each pair among them."""
+    _, ix = distinct_values(x)
+    _, iy = distinct_values(y)
+    _, first, inverse = np.unique(ix * (iy.max() + 1) + iy, return_index=True,
+                                  return_inverse=True)
+    return first, inverse
 
 
 def regular_jets(a_field, f_field, anchors: np.ndarray, h: float):
@@ -26,9 +36,13 @@ def regular_jets(a_field, f_field, anchors: np.ndarray, h: float):
     rec = sampling_recipe("regular-interior", h)
     op_a = mls_operator(rec.problem(6), lambda_full(6))
     op_f = mls_operator(rec.problem(5), lambda_full(5))
+    # neighboring lattices share most points: evaluate each distinct one once
     pts = anchors[:, None, :] + rec.samples[None, :, :]
-    va = np.asarray(a_field(pts[..., 0], pts[..., 1]), dtype=float)
-    vf = np.asarray(f_field(pts[..., 0], pts[..., 1]), dtype=float)
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    first, inverse = _distinct_points(x, y)
+    x, y = x[first], y[first]
+    va = np.asarray(a_field(x, y), dtype=float)[inverse].reshape(pts.shape[:2])
+    vf = np.asarray(f_field(x, y), dtype=float)[inverse].reshape(pts.shape[:2])
     a_der = va @ op_a.T
     f_der = vf @ op_f.T
     jet = Jet2.from_derivatives(

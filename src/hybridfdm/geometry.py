@@ -9,6 +9,18 @@ of the curve inside the open 3x3 box, together with a local parametrization
 (the problem's own angle chart, or a graph over the dominant coordinate for
 level-set curves) oriented so the left normal (s', -r') points into the plus
 region.
+
+Base points and charts are built for a batch of nodes at once (one chunk of
+interface rows): ``locate_base(points, h)`` returns one ``BasePoint`` per
+node and ``chart(bases, h)`` one ``LocalChart`` per base point.  For a level
+set, every node still scans its own lines for root brackets, but the
+brackets of the whole batch go through one bisection per line direction, so
+each bisection step calls psi once for the batch.  Bisection is elementwise,
+so a node's result does not depend on the batch it came in.  The pointwise
+probes (the gradient that picks the chart kind, the orientation test) stay
+calls on scalars: scalar and array evaluations of psi can differ in the last
+bit, which could flip a chart kind in a tie.  A ``GeometryError`` raised for
+one node of a batch carries the node's position in ``index``.
 """
 
 from __future__ import annotations
@@ -26,6 +38,8 @@ LABEL_REGULAR_PLUS = 0
 LABEL_REGULAR_MINUS = 1
 LABEL_IRREGULAR = 2
 LABEL_BOUNDARY = 3
+
+_GRAPH_ALONG = {"graph-x": "y", "graph-y": "x"}   # chart kind -> root line
 
 
 @dataclass
@@ -103,6 +117,26 @@ def _bisect(f, lo, hi, iters: int = 60):
     return 0.5 * (lo + hi)
 
 
+def _line_brackets(fixed, scan, vals):
+    """(fixed, lo, hi) of every sign change of ``vals``, whose rows are the
+    lines through ``fixed`` sampled at ``scan``."""
+    li, si = np.nonzero(vals[:, :-1] * vals[:, 1:] <= 0.0)
+    return fixed[li], scan[si], scan[si + 1]
+
+
+def _per_node(items, fn) -> list:
+    """``fn`` of every item; a GeometryError records the failing position in
+    its ``index``, so the caller can name the node."""
+    out = []
+    for k, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except GeometryError as exc:
+            exc.index = k
+            raise
+    return out
+
+
 def _select_base(cands: np.ndarray, point, h: float) -> BasePoint:
     """Closest candidate inside the open unit box around the grid node.
 
@@ -141,70 +175,100 @@ class LevelSetInterface:
         self.jump_g = jump_g
         self.jump_ggamma = jump_ggamma
 
-    def locate_base(self, point, h: float) -> BasePoint:
-        """Curve points from 1D root solves along coordinate lines at h/16."""
+    def locate_base(self, points, h: float) -> list:
+        """One base point per node of ``points``.
+
+        The candidates are curve points from 1D root solves along the
+        coordinate lines at h/16 through each node's box.  Every node scans
+        its own lines; the brackets of all nodes are then refined together,
+        one bisection per line direction.
+        """
         step = h / 16.0
         offs = np.arange(-16, 17) * step
         scan = np.arange(-24, 25) * step
-        pts = []
-        # lines of constant x, scanning y
-        fx = point[0] + offs
-        sy = point[1] + scan
-        vals = np.asarray(self.psi(fx[:, None], sy[None, :]), dtype=float)
-        pts.append(self._roots_on_lines(fx, sy, vals, axis=0))
-        # lines of constant y, scanning x
-        fy = point[1] + offs
-        sx = point[0] + scan
-        vals = np.asarray(self.psi(sx[None, :], fy[:, None]), dtype=float)
-        pts.append(self._roots_on_lines(fy, sx, vals, axis=1))
-        cands = np.vstack([p for p in pts if len(p)]) if any(len(p) for p in pts) \
-            else np.empty((0, 2))
-        return _select_base(cands, point, h)
+        brackets = ([], [])
+        for point in points:
+            # lines of constant x scanning y, and of constant y scanning x
+            fx, sy = point[0] + offs, point[1] + scan
+            vals = np.asarray(self.psi(fx[:, None], sy[None, :]), dtype=float)
+            brackets[0].append(_line_brackets(fx, sy, vals))
+            fy, sx = point[1] + offs, point[0] + scan
+            vals = np.asarray(self.psi(sx[None, :], fy[:, None]), dtype=float)
+            brackets[1].append(_line_brackets(fy, sx, vals))
+        per_node = []
+        for along, parts in zip("yx", brackets):
+            fixed, lo, hi = (np.concatenate(col) for col in zip(*parts))
+            roots = self._solve(lo, hi, fixed, along)
+            found = np.column_stack(
+                [fixed, roots] if along == "y" else [roots, fixed])
+            ends = np.cumsum([len(part[0]) for part in parts])[:-1]
+            per_node.append(np.split(found, ends))
+        return _per_node(
+            zip(points, *per_node),
+            lambda item: _select_base(np.vstack(item[1:]), item[0], h))
 
-    def _roots_on_lines(self, fixed, scan, vals, axis) -> np.ndarray:
-        sign_change = vals[:, :-1] * vals[:, 1:] <= 0.0
-        li, si = np.nonzero(sign_change)
-        if len(li) == 0:
-            return np.empty((0, 2))
-        lo, hi = scan[si], scan[si + 1]
-        fix = fixed[li]
-        if axis == 0:
-            f = lambda y: self.psi(fix, y)
-        else:
-            f = lambda x: self.psi(x, fix)
-        roots = _bisect(f, lo, hi)
-        return np.column_stack([fix, roots] if axis == 0 else [roots, fix])
+    def _solve(self, lo, hi, fixed, along):
+        """Roots of psi on lines x = fixed (``along="y"``) or y = fixed,
+        bracketed by [lo, hi]: one bisection for all lines."""
+        if len(fixed) == 0:
+            return np.empty(0)
+        if along == "y":
+            return _bisect(lambda y: self.psi(fixed, y), lo, hi)
+        return _bisect(lambda x: self.psi(x, fixed), lo, hi)
 
-    def chart(self, bp: BasePoint, h: float, kind: str | None = None) -> LocalChart:
-        x0, y0 = bp.base
-        eps = h / 64.0
-        gx = (self.psi(x0 + eps, y0) - self.psi(x0 - eps, y0)) / (2 * eps)
-        gy = (self.psi(x0, y0 + eps) - self.psi(x0, y0 - eps)) / (2 * eps)
-        if kind is None:
-            kind = "graph-x" if abs(gy) >= abs(gx) else "graph-y"
+    def chart(self, bases, h: float, kind: str | None = None) -> list:
+        """One graph chart per base point of ``bases``.
+
+        Without ``kind`` each chart is a graph over the coordinate along
+        which psi varies least at its base point.  The eleven curve points
+        of every chart are bracketed line by line and then bisected
+        together, one bisection per graph direction.
+        """
         ts = np.arange(-5, 6) * (h / 16.0)
-        if kind == "graph-x":
-            xs = x0 + ts
-            ys = self._trace(xs, y0, h, along="y")
-        elif kind == "graph-y":
-            ys = y0 + ts
-            xs = self._trace(ys, x0, h, along="x")
-        else:
-            raise ValueError(f"level-set interface cannot build chart {kind!r}")
-        xs, ys = self._orient(xs, ys, kind == "graph-x")
-        g_vals = np.asarray(self.jump_g(xs, ys), dtype=float) * np.ones(len(ts))
-        gg_vals = np.asarray(self.jump_ggamma(xs, ys), dtype=float) * np.ones(len(ts))
-        return LocalChart(kind=kind, ts=ts, xs=xs, ys=ys,
-                          g_vals=g_vals, gg_vals=gg_vals,
-                          exact_x_line=(kind == "graph-x"),
-                          exact_y_line=(kind == "graph-y"))
+        eps = h / 64.0
 
-    def _trace(self, abscissae, start, h, along):
-        """Solve psi = 0 along each line, taking the root nearest the last.
+        def bracket(bp):
+            """Chart kind, abscissae and root brackets of one chart."""
+            x0, y0 = bp.base
+            kd = kind
+            if kd is None:
+                gx = (self.psi(x0 + eps, y0) - self.psi(x0 - eps, y0)) / (2 * eps)
+                gy = (self.psi(x0, y0 + eps) - self.psi(x0, y0 - eps)) / (2 * eps)
+                kd = "graph-x" if abs(gy) >= abs(gx) else "graph-y"
+            if kd not in _GRAPH_ALONG:
+                raise ValueError(
+                    f"level-set interface cannot build chart {kd!r}")
+            absc, start = (x0 + ts, y0) if kd == "graph-x" else (y0 + ts, x0)
+            return (kd, absc) + self._brackets(absc, start, h, _GRAPH_ALONG[kd])
 
-        Brackets are picked from one vectorized window scan (walking outwards
-        from the center to follow the branch through multiple crossings) and
-        refined with a single vectorized bisection.
+        lines = _per_node(bases, bracket)
+        roots = [None] * len(lines)
+        for kd, along in _GRAPH_ALONG.items():
+            sel = [k for k, line in enumerate(lines) if line[0] == kd]
+            if sel:
+                fixed, lo, hi = (np.concatenate([lines[k][i] for k in sel])
+                                 for i in (1, 2, 3))
+                solved = self._solve(lo, hi, fixed, along)
+                for k, r in zip(sel, solved.reshape(len(sel), len(ts))):
+                    roots[k] = r
+
+        charts = []
+        ones = np.ones(len(ts))
+        for (kd, absc, _, _), r in zip(lines, roots):
+            xs, ys = self._orient(*((absc, r) if kd == "graph-x" else (r, absc)))
+            charts.append(LocalChart(
+                kind=kd, ts=ts, xs=xs, ys=ys,
+                g_vals=np.asarray(self.jump_g(xs, ys), dtype=float) * ones,
+                gg_vals=np.asarray(self.jump_ggamma(xs, ys), dtype=float) * ones,
+                exact_x_line=(kd == "graph-x"), exact_y_line=(kd == "graph-y")))
+        return charts
+
+    def _brackets(self, abscissae, start, h, along):
+        """Root brackets of psi along each line, taking the root nearest the
+        last.
+
+        Brackets are picked from one vectorized window scan, walking outwards
+        from the center to follow the branch through multiple crossings.
         """
         n = len(abscissae)
         window = start + np.arange(-24, 25) * (h / 32.0)
@@ -232,13 +296,9 @@ class LevelSetInterface:
             for j in (idx - 1, idx + 1):
                 if 0 <= j < n and j not in seq[: seq.index(idx) + 1]:
                     near[j] = root_guess
-        if along == "y":
-            f = lambda y: self.psi(abscissae, y)
-        else:
-            f = lambda x: self.psi(x, abscissae)
-        return _bisect(f, lo, hi)
+        return lo, hi
 
-    def _orient(self, xs, ys, graph_x: bool):
+    def _orient(self, xs, ys):
         c = len(xs) // 2
         tx, ty = xs[c + 1] - xs[c - 1], ys[c + 1] - ys[c - 1]
         nx, ny = ty, -tx
@@ -280,20 +340,29 @@ class ParametricInterface:
             self._sweep_cache[key] = (thetas, xs, ys)
         return self._sweep_cache[key]
 
-    def locate_base(self, point, h: float) -> BasePoint:
+    def locate_base(self, points, h: float) -> list:
+        """One base point per node of ``points``, from the cached sweep."""
+        thetas, xs, ys = self._sweep(h)
         # candidates from the slightly closed box: corner-clipping curves can
         # keep every curve point at box distance >= h from the node
-        thetas, xs, ys = self._sweep(h)
         reach = h * (1.0 + 1.0 / 8.0)
-        near = (np.abs(xs - point[0]) <= reach) & (np.abs(ys - point[1]) <= reach)
-        cands = np.column_stack([xs[near], ys[near]])
-        bp = _select_base(cands, point, h)
-        bp.aux = float(thetas[np.nonzero(near)[0][bp.aux]])
-        return bp
 
-    def chart(self, bp: BasePoint, h: float, kind: str = "angle") -> LocalChart:
+        def one(point):
+            near = ((np.abs(xs - point[0]) <= reach)
+                    & (np.abs(ys - point[1]) <= reach))
+            cands = np.column_stack([xs[near], ys[near]])
+            bp = _select_base(cands, point, h)
+            bp.aux = float(thetas[np.nonzero(near)[0][bp.aux]])
+            return bp
+        return _per_node(points, one)
+
+    def chart(self, bases, h: float, kind: str = "angle") -> list:
+        """One angle chart per base point of ``bases``."""
         if kind != "angle":
             raise ValueError("parametric interfaces build angle charts")
+        return _per_node(bases, lambda bp: self._angle_chart(bp, h))
+
+    def _angle_chart(self, bp: BasePoint, h: float) -> LocalChart:
         theta0 = bp.aux
         ts = np.arange(-5, 6) * (h / 16.0)
         for flip in (1.0, -1.0):

@@ -14,6 +14,18 @@ inverse.  Everything reduces to a single (n_requests x K) matrix that can be
 applied to many value vectors at once; for translation-invariant sample
 lattices that matrix is built once per mesh size.
 
+Only the QR factorization and the triangular solve are left to LAPACK.  The
+Vandermonde E is gathered from power tables of the distinct coordinate values
+per axis (a lattice of K samples has about sqrt(K) of them), and the pattern
+of the derivative matrix D is cached per (degree, requests), its entries
+multiplied from scalar power tables: numpy's array power may round the last
+bit differently from the scalar one.  The order of the remaining algebra --
+QR of sqrt(w) E, the solve R^-1 Q^T sqrt(w), then D times that -- is fixed on
+purpose.  The 13-point interface stencils amplify a rounding-level change of
+an MLS operator by about 1e7, so an algebraically equal reordering (one QR
+for several fields, or stacked zero-weight fits) moves interface rows by up
+to 4e-9 relative.
+
 Sampling recipes package the concrete lattices used by each stencil family:
 a 9x9 lattice of spacing h/4 at interior points (degrees 6/5 for a/f), a
 65x65 one-sided lattice of spacing h/32 at interface points (4/3), eleven
@@ -25,6 +37,7 @@ a one-sided 17x17 lattice of spacing h/16 at corners (5/4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -56,6 +69,46 @@ def _basis_exponents(degree: int, dim: int):
     return [tuple(mn) for mn in lambda_full(degree)]
 
 
+def distinct_values(column: np.ndarray):
+    """Distinct values of a float column, compared bit for bit, and the
+    index of each entry among them."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inverse
+
+
+@lru_cache(maxsize=64)
+def _derivative_terms(degree: int, dim: int, requests: tuple):
+    """Nonzero entries of the derivative matrix D of a fit.
+
+    Entry (i, j) is the omega_i derivative at the target of the basis
+    monomial u^alpha_j, the product over the axes of
+    a! / (a - o)! * tgt^(a - o) / scale^o.  Returns the entries' rows and
+    columns and, per entry and axis, the factorial ratio, the target power
+    a - o and the scale power o.
+    """
+    rows, cols, ratio, tpow, spow = [], [], [], [], []
+    for i, om in enumerate(requests):
+        if sum(om) > degree:
+            raise MlsError(
+                f"derivative order {om} exceeds basis degree {degree}")
+        for j, alpha in enumerate(_basis_exponents(degree, dim)):
+            if any(a < o for a, o in zip(alpha, om)):
+                continue
+            rows.append(i)
+            cols.append(j)
+            ratio.append([factorial(a) / factorial(a - o)
+                          for a, o in zip(alpha, om)])
+            tpow.append([a - o for a, o in zip(alpha, om)])
+            spow.append(list(om))
+    terms = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+             np.array(ratio, dtype=float).reshape(-1, dim),
+             np.array(tpow, dtype=np.intp).reshape(-1, dim),
+             np.array(spow, dtype=np.intp).reshape(-1, dim))
+    for array in terms:             # shared by every caller of the cache
+        array.flags.writeable = False
+    return terms
+
+
 def mls_operator(problem: MlsProblem, requests) -> np.ndarray:
     """Matrix A with derivs = A @ values; one row per requested multi-index."""
     dim = problem.dim
@@ -77,13 +130,13 @@ def mls_operator(problem: MlsProblem, requests) -> np.ndarray:
         scale = problem.h
     u = rel / scale
 
-    pows = [np.power.outer(u[:, d], np.arange(problem.degree + 1))
-            for d in range(dim)]
-    if dim == 1:
-        E = pows[0][:, [a[0] for a in exps]]
-    else:
-        E = (pows[0][:, [a[0] for a in exps]]
-             * pows[1][:, [a[1] for a in exps]])
+    # Vandermonde E from per-axis power tables of the distinct coordinates
+    powers = np.arange(problem.degree + 1)
+    E = None
+    for d in range(dim):
+        values, inverse = distinct_values(u[:, d])
+        table = np.power.outer(values, powers)[:, [a[d] for a in exps]]
+        E = table[inverse] if E is None else E * table[inverse]
 
     r2 = np.sum((z - target) ** 2, axis=1)
     sqrt_w = np.exp(-0.5 * r2 / problem.h**2) / np.sqrt(2.0)
@@ -97,19 +150,20 @@ def mls_operator(problem: MlsProblem, requests) -> np.ndarray:
 
     coef_of_values = solve_triangular(r, q.T * sqrt_w[None, :])  # (J, K)
 
+    # D from scalar power tables: scalar ** is the C pow, array ** may not be
+    rows, cols, ratio, tpow, spow = _derivative_terms(
+        problem.degree, dim,
+        tuple((om,) if np.isscalar(om) else tuple(om) for om in requests))
     tgt = (target - center) / scale
+    tgt_pow = np.array([[tgt[d] ** e for e in range(problem.degree + 1)]
+                        for d in range(dim)])
+    scale_pow = np.array([scale**o for o in range(problem.degree + 1)])
+    val = None
+    for d in range(dim):
+        factor = ratio[:, d] * tgt_pow[d, tpow[:, d]] / scale_pow[spow[:, d]]
+        val = factor if val is None else val * factor
     D = np.zeros((len(requests), J))
-    for i, omega in enumerate(requests):
-        om = (omega,) if np.isscalar(omega) else tuple(omega)
-        if sum(om) > problem.degree:
-            raise MlsError(f"derivative order {om} exceeds basis degree {problem.degree}")
-        for j, alpha in enumerate(exps):
-            if any(a < o for a, o in zip(alpha, om)):
-                continue
-            val = 1.0
-            for d, (a, o) in enumerate(zip(alpha, om)):
-                val *= factorial(a) / factorial(a - o) * tgt[d] ** (a - o) / scale**o
-            D[i, j] = val
+    D[rows, cols] = val
     return D @ coef_of_values
 
 

@@ -174,28 +174,27 @@ def build_gh_polynomials(table: ReductionTable, order: int | None = None):
     batch = table.a_jet.c.shape[:-2]
     size = order + 1
     fact = [factorial(k) for k in range(size)]
+    full = lambda_full(order)
+    p_idx, q_idx = (np.array(ix) for ix in zip(*full))
+    divisor = np.array([fact[p] * fact[q] for p, q in full], dtype=float)
+
+    def polys(keys, value):
+        """One Poly2 per key, with value(p, q, *key) / (p! q!) at (p, q).
+
+        The polynomials are views of one zeroed block, which is cheaper to
+        allocate and fault in than one block per polynomial."""
+        c = np.zeros((len(keys),) + batch + (size, size))
+        for k, key in enumerate(keys):
+            c[k][..., p_idx, q_idx] = np.stack(
+                [value(p, q, *key) for p, q in full], axis=-1) / divisor
+        return {key: Poly2(c[k]) for k, key in enumerate(keys)}
 
     if table.transposed:
         band = tuple((n, m) for (m, n) in lambda_band(order))
     else:
         band = lambda_band(order)
-
-    g = {}
-    for mn in band:
-        c = np.zeros(batch + (size, size))
-        for (p, q) in lambda_full(order):
-            v = table.u_value(p, q, *mn)
-            c[..., p, q] = v / (fact[p] * fact[q])
-        g[mn] = Poly2(c)
-
-    h = {}
-    for ij in lambda_full(order - 2):
-        c = np.zeros(batch + (size, size))
-        for (p, q) in lambda_full(order):
-            v = table.f_value(p, q, *ij)
-            c[..., p, q] = v / (fact[p] * fact[q])
-        h[ij] = Poly2(c)
-    return g, h
+    return (polys(band, table.u_value),
+            polys(lambda_full(order - 2), table.f_value))
 
 
 def leading_g_poly(m: int, n: int, size: int) -> Poly2:

@@ -15,7 +15,12 @@ from hybridfdm.assembly import (
     audit_m_matrix,
     solve,
 )
-from hybridfdm.errors import AssemblyError, MlsError, StencilError
+from hybridfdm.errors import (
+    AssemblyError,
+    GeometryError,
+    MlsError,
+    StencilError,
+)
 from hybridfdm.geometry import (
     IRREGULAR_OFFSETS,
     LABEL_IRREGULAR,
@@ -222,10 +227,28 @@ class TestInterfaceAssembly:
         assert np.array_equal(s1.matrix.data, s2.matrix.data)
         assert np.array_equal(s1.rhs, s2.rhs)
 
-    @pytest.mark.parametrize("stage", ["fits", "transmission", "recursion"])
+    def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        """Interface rows are bit-identical for chunks of 1, 7 and 64 nodes."""
+        import hybridfdm.assembly as assembly
+
+        case = manufacture(seed=9, degree=3, interface_kind="circle")
+        systems = []
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(assembly, "IFACE_CHUNK", chunk)
+            systems.append(assemble(case.problem, 4))
+        assert interface_rows(systems[0]) > 7
+        for other in systems[1:]:
+            assert np.array_equal(systems[0].matrix.indptr, other.matrix.indptr)
+            assert np.array_equal(systems[0].matrix.indices, other.matrix.indices)
+            assert np.array_equal(systems[0].matrix.data, other.matrix.data)
+            assert np.array_equal(systems[0].rhs, other.rhs)
+
+    @pytest.mark.parametrize("stage", ["geometry", "fits", "transmission",
+                                       "recursion"])
     def test_failing_node_is_named(self, stage, monkeypatch):
         """One node of a five-node chunk fails: the typed error names it."""
         import hybridfdm.assembly as assembly
+        import hybridfdm.geometry as geometry
 
         case = manufacture(seed=9, degree=3, interface_kind="circle")
         xs, ys, h = _grid(case.problem, 4)
@@ -247,6 +270,9 @@ class TestInterfaceAssembly:
                 return spoil(out) if len(calls) == 3 else out
             return wrapped
 
+        def raise_geometry(out):
+            raise GeometryError("closest interface sample lies beyond sqrt(2) h")
+
         def raise_mls(out):
             raise MlsError("rank-deficient moving least squares system")
 
@@ -257,14 +283,19 @@ class TestInterfaceAssembly:
         def raise_residual(out):
             raise StencilError("stencil recursion residual 1e-08 exceeds 1e-09")
 
-        target, spoil, kind = {
-            "fits": ("irregular_jets", raise_mls, MlsError),
-            "transmission": ("curve_jet_from_chart", nan_speed, StencilError),
-            "recursion": ("solve_irregular_stencil", raise_residual,
+        # base points are located for the whole chunk in one call, which
+        # selects each node's base point in turn
+        module, target, spoil, kind = {
+            "geometry": (geometry, "_select_base", raise_geometry,
+                         GeometryError),
+            "fits": (assembly, "irregular_jets", raise_mls, MlsError),
+            "transmission": (assembly, "curve_jet_from_chart", nan_speed,
+                             StencilError),
+            "recursion": (assembly, "solve_irregular_stencil", raise_residual,
                           StencilError),
         }[stage]
-        monkeypatch.setattr(assembly, target,
-                            on_third_node(getattr(assembly, target), spoil))
+        monkeypatch.setattr(module, target,
+                            on_third_node(getattr(module, target), spoil))
         x, y = points[2]
         with pytest.raises(kind, match=re.escape(
                 f"interface node ({x:.6g}, {y:.6g}): ")):

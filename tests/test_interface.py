@@ -74,8 +74,8 @@ class TestProjection:
         h = 0.125
         iface = LevelSetInterface(circle_psi, jump_g=lambda x, y: 0.0 * x,
                                   jump_ggamma=lambda x, y: 0.0 * x)
-        bp = iface.locate_base((12 * h / 16 + 1.0 - 12 * h / 16 + 0.3 * h, 0.0), h)
-        bp = iface.locate_base((1.0 + 0.3 * h, 0.0), h)
+        (bp,) = iface.locate_base([(12 * h / 16 + 1.0 - 12 * h / 16 + 0.3 * h, 0.0)], h)
+        (bp,) = iface.locate_base([(1.0 + 0.3 * h, 0.0)], h)
         assert bp.base[0] == pytest.approx(1.0, abs=h / 16)
         assert bp.base[1] == pytest.approx(0.0, abs=h / 16)
         assert bp.v0 == pytest.approx(0.3, abs=0.08)
@@ -85,7 +85,7 @@ class TestProjection:
         h = 0.125
         iface = LevelSetInterface(circle_psi, jump_g=lambda x, y: 0.0 * x,
                                   jump_ggamma=lambda x, y: 0.0 * x)
-        bp = iface.locate_base((1.0, 0.0), h)
+        (bp,) = iface.locate_base([(1.0, 0.0)], h)
         assert bp.v0 == pytest.approx(0.0, abs=1e-9)
         assert bp.w0 == pytest.approx(0.0, abs=1e-9)
 
@@ -96,7 +96,7 @@ class TestProjection:
             psi=lambda x, y: np.asarray(x) ** 2 + 4.0 * np.asarray(y) ** 2 - 1.0,
             jump_g=lambda t: 0.0 * t, jump_ggamma=lambda t: 0.0 * t)
         pt = (0.875, 0.25)
-        bp = iface.locate_base(pt, h)
+        (bp,) = iface.locate_base([pt], h)
         dense = np.linspace(0, 2 * np.pi, 400001)
         dd = (np.cos(dense) - pt[0]) ** 2 + (0.5 * np.sin(dense) - pt[1]) ** 2
         best = dense[np.argmin(dd)]
@@ -109,8 +109,8 @@ class TestCharts:
         h = 0.125
         iface = LevelSetInterface(circle_psi, jump_g=lambda x, y: 0.0 * x,
                                   jump_ggamma=lambda x, y: 0.0 * x)
-        bp = iface.locate_base((0.6, 0.82), h)
-        chart = iface.chart(bp, h)
+        (bp,) = iface.locate_base([(0.6, 0.82)], h)
+        (chart,) = iface.chart([bp], h)
         assert np.max(np.abs(circle_psi(chart.xs, chart.ys))) <= 1e-12
         # orientation: left normal points to psi > 0
         c = 5
@@ -123,13 +123,67 @@ class TestCharts:
         iface = ParametricInterface(
             r=np.cos, s=np.sin, psi=circle_psi,
             jump_g=lambda t: np.cos(t), jump_ggamma=lambda t: 0.0 * t)
-        bp = iface.locate_base((0.95, 0.2), h)
-        chart = iface.chart(bp, h)
+        (bp,) = iface.locate_base([(0.95, 0.2)], h)
+        (chart,) = iface.chart([bp], h)
         c = 5
         tx, ty = chart.xs[c + 1] - chart.xs[c - 1], chart.ys[c + 1] - chart.ys[c - 1]
         nx, ny = ty, -tx
         # outward normal of the unit circle ~ radial direction
         assert nx * chart.xs[c] + ny * chart.ys[c] > 0
+
+
+def assert_same_geometry(batch, single):
+    """Base points or charts equal field by field, bit for bit."""
+    assert len(batch) == len(single)
+    for got, want in zip(batch, single):
+        assert vars(got).keys() == vars(want).keys()
+        for key, value in vars(want).items():
+            assert np.array_equal(getattr(got, key), value), key
+
+
+class TestBatchedGeometry:
+    """A chunk of nodes gives the same base points and charts as the nodes
+    one at a time."""
+
+    def nodes(self, problem, J):
+        from hybridfdm.assembly import _grid
+
+        xs, ys, h = _grid(problem, J)
+        cls = classify_grid(xs, ys, problem.psi)
+        ii, jj = np.nonzero(cls.labels == LABEL_IRREGULAR)
+        return [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)], h
+
+    def check(self, iface, points, h):
+        bases = iface.locate_base(points, h)
+        assert_same_geometry(
+            bases, [iface.locate_base([p], h)[0] for p in points])
+        charts = iface.chart(bases, h)
+        assert_same_geometry(charts, [iface.chart([bp], h)[0] for bp in bases])
+        return charts
+
+    def test_ex31_level_set(self):
+        from hybridfdm.problems import builtin
+
+        problem = builtin("ex31")
+        points, h = self.nodes(problem, 5)
+        charts = self.check(problem.interface, points, h)
+        # both graph directions go through the batched bisection
+        assert {c.kind for c in charts} == {"graph-x", "graph-y"}
+
+    def test_parametric_ellipse(self):
+        iface = ParametricInterface(
+            r=lambda t: 1.2 * np.cos(t), s=lambda t: 0.7 * np.sin(t),
+            psi=lambda x, y: (np.asarray(x) / 1.2) ** 2
+            + (np.asarray(y) / 0.7) ** 2 - 1.0,
+            jump_g=np.cos, jump_ggamma=np.sin)
+        xs = np.linspace(-2.0, 2.0, 33)
+        h = xs[1] - xs[0]
+        cls = classify_grid(xs, xs, iface.psi)
+        ii, jj = np.nonzero(cls.labels == LABEL_IRREGULAR)
+        points = [(float(xs[a]), float(xs[b])) for a, b in zip(ii, jj)]
+        charts = self.check(iface, points, h)
+        assert len(charts) > 20
+        assert {c.kind for c in charts} == {"angle"}
 
 
 def exact_circle_curvejet(theta0, radius=1.0, u_plus=None, u_minus=None,
@@ -306,9 +360,9 @@ def make_circle_problem(rng):
 
 
 def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
-    bp = iface.locate_base(point, h)
-    chart = iface.chart(bp, h) if chart_kind is None else \
-        iface.chart(bp, h, chart_kind)
+    (bp,) = iface.locate_base([point], h)
+    (chart,) = iface.chart([bp], h) if chart_kind is None else \
+        iface.chart([bp], h, chart_kind)
     curve = curve_jet_from_chart(chart, bp.base, bp.v0, bp.w0, h)
     jp, jm, fpd, fmd = irregular_jets(
         a_p.as_callable(), a_m.as_callable(), f_p.as_callable(),
@@ -366,17 +420,17 @@ class TestIrregularStencil:
         """Same base point, graph chart vs angle chart: same stencil."""
         h = 0.0625
         point = (0.64, 0.78)
-        bp = self.iface.locate_base(point, h)
+        (bp,) = self.iface.locate_base([point], h)
         para = ParametricInterface(r=np.cos, s=np.sin, psi=circle_psi,
                                    jump_g=lambda t: self.g_pt(np.cos(t), np.sin(t)),
                                    jump_ggamma=lambda t: self.gg_pt(np.cos(t),
                                                                     np.sin(t)))
-        charts = [self.iface.chart(bp, h)]
+        charts = self.iface.chart([bp], h)
         from hybridfdm.geometry import BasePoint
 
         bp2 = BasePoint(base=bp.base, v0=bp.v0, w0=bp.w0,
                         aux=float(np.arctan2(bp.base[1], bp.base[0])))
-        charts.append(para.chart(bp2, h))
+        charts += para.chart([bp2], h)
         assert charts[0].kind != charts[1].kind
 
         jp, jm, fpd, fmd = irregular_jets(

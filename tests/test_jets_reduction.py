@@ -261,6 +261,41 @@ class TestValueOnlyTable:
                         assert np.array_equal(got[pq][key][k], value)
 
 
+def reference_gh_polynomials(table, order):
+    """G/H polynomials filled one (p, q) entry at a time."""
+    from math import factorial
+
+    batch = table.a_jet.c.shape[:-2]
+    band = lambda_band(order)
+    if table.transposed:
+        band = tuple((n, m) for (m, n) in band)
+    out = []
+    for keys, value in ((band, table.u_value),
+                        (lambda_full(order - 2), table.f_value)):
+        polys = {}
+        for key in keys:
+            c = np.zeros(batch + (order + 1, order + 1))
+            for (p, q) in lambda_full(order):
+                c[..., p, q] = value(p, q, *key) / (factorial(p) * factorial(q))
+            polys[key] = c
+        out.append(polys)
+    return out
+
+
+class TestGHPolynomialsBatch:
+    @pytest.mark.parametrize("build,order", REDUCTIONS)
+    @pytest.mark.parametrize("gh_order", [5, None])
+    def test_matches_entrywise_reference_bit_for_bit(self, build, order,
+                                                     gh_order):
+        table = build(random_a_jets(22, 5), order)
+        gh_order = order if gh_order is None else gh_order
+        for got, want in zip(build_gh_polynomials(table, gh_order),
+                             reference_gh_polynomials(table, gh_order)):
+            assert got.keys() == want.keys()
+            for key, c in want.items():
+                assert np.array_equal(got[key].c, c)
+
+
 # The paper's 15x9 constant matrix: rows are the canonical first band of
 # order 7, columns the nine offsets in lexicographic order.
 A0_REGULAR = np.array(

@@ -1,11 +1,22 @@
 """Moving least squares derivative estimation."""
 
+from math import factorial
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from hybridfdm.errors import MlsError
 from hybridfdm.indexsets import lambda_full
-from hybridfdm.mls import MlsProblem, mls_estimate, mls_operator, sampling_recipe
+from hybridfdm.jets import Jet2
+from hybridfdm.mls import (
+    COND_LIMIT,
+    MlsProblem,
+    _basis_exponents,
+    mls_estimate,
+    mls_operator,
+    sampling_recipe,
+)
 
 
 def test_constant_function():
@@ -114,13 +125,132 @@ def test_recipe_shapes():
 def test_errors():
     h = 0.1
     rec = sampling_recipe("curve-1d-graph", h)
-    with pytest.raises(MlsError):
+    with pytest.raises(MlsError, match=r"^derivative order \(7,\) exceeds "
+                       r"basis degree 6$"):
         mls_operator(rec.problem(6), [7])  # order beyond basis degree
     few = MlsProblem(rec.samples[:4], rec.target, rec.center, 6, h)
-    with pytest.raises(MlsError):
+    with pytest.raises(MlsError, match=r"^4 samples cannot determine a "
+                       r"degree-6 fit \(7 coefficients\)$"):
         mls_operator(few, [1])  # too few samples
     collinear = MlsProblem(
         np.zeros((30, 2)), np.zeros(2), np.zeros(2), 2, h
     )
-    with pytest.raises(MlsError):
+    with pytest.raises(MlsError, match=r"^rank-deficient moving least squares "
+                       r"system \(condition "):
         mls_operator(collinear, [(1, 0)])
+
+
+def reference_operator(problem, requests):
+    """The straightforward fit: the Vandermonde from per-sample powers and D
+    filled entry by entry."""
+    dim = problem.dim
+    z = np.atleast_2d(problem.samples.astype(float))
+    if dim == 1:
+        z = problem.samples.astype(float)[:, None]
+    target = np.atleast_1d(np.asarray(problem.target, dtype=float))
+    center = np.atleast_1d(np.asarray(problem.center, dtype=float))
+    exps = _basis_exponents(problem.degree, dim)
+    rel = z - center
+    scale = np.max(np.linalg.norm(rel, axis=1))
+    if scale == 0.0:
+        scale = problem.h
+    u = rel / scale
+    pows = [np.power.outer(u[:, d], np.arange(problem.degree + 1))
+            for d in range(dim)]
+    if dim == 1:
+        E = pows[0][:, [a[0] for a in exps]]
+    else:
+        E = (pows[0][:, [a[0] for a in exps]]
+             * pows[1][:, [a[1] for a in exps]])
+    r2 = np.sum((z - target) ** 2, axis=1)
+    sqrt_w = np.exp(-0.5 * r2 / problem.h**2) / np.sqrt(2.0)
+    q, r = np.linalg.qr(sqrt_w[:, None] * E)
+    diag = np.abs(np.diag(r))
+    assert diag.max() / diag.min() <= COND_LIMIT
+    coef_of_values = solve_triangular(r, q.T * sqrt_w[None, :])
+    tgt = (target - center) / scale
+    D = np.zeros((len(requests), len(exps)))
+    for i, omega in enumerate(requests):
+        om = (omega,) if np.isscalar(omega) else tuple(omega)
+        for j, alpha in enumerate(exps):
+            if any(a < o for a, o in zip(alpha, om)):
+                continue
+            val = 1.0
+            for d, (a, o) in enumerate(zip(alpha, om)):
+                val *= factorial(a) / factorial(a - o) * tgt[d] ** (a - o) / scale**o
+            D[i, j] = val
+    return D @ coef_of_values
+
+
+def operator_cases():
+    h = 0.078125
+    rng = np.random.default_rng(5)
+    target = np.array([0.31, -0.22]) * h
+    iface = sampling_recipe("irregular-interface", h, target_offset=target)
+    x, y = iface.samples[:, 0], iface.samples[:, 1]
+    curved = x**2 / h + 2 * y**3 / h**2 - 0.1 * x > 0.001 * h
+    for degree in (3, 4, 5, 6):
+        full = lambda_full(degree)
+        for mask in (curved, ~curved, x + 0.3 * y > 0.01 * h):
+            yield (f"one-sided-{degree}", MlsProblem(
+                iface.samples[mask], iface.target, iface.center, degree, h),
+                lambda_full(min(degree, 4)))
+        for context in ("regular-interior", "edge-boundary",
+                        "corner-boundary"):
+            yield (f"{context}-{degree}",
+                   sampling_recipe(context, h).problem(degree), full)
+        yield (f"scattered-{degree}", MlsProblem(
+            rng.uniform(-h, h, (60, 2)), target, np.zeros(2), degree, h), full)
+        yield (f"curve-{degree}",
+               sampling_recipe("curve-1d-graph", h).problem(degree),
+               list(range(degree + 1)))
+        ts = np.arange(-8, 9) * (h / 8)
+        yield (f"abscissae-{degree}", MlsProblem(
+            ts, np.array([0.2 * h]), np.zeros(1), degree, h), [0, 1, degree])
+
+
+@pytest.mark.parametrize("name, problem, requests",
+                         list(operator_cases()),
+                         ids=[c[0] for c in operator_cases()])
+def test_operator_matches_reference_bit_for_bit(name, problem, requests):
+    got = mls_operator(problem, requests)
+    want = reference_operator(problem, requests)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_regular_jets_evaluate_each_distinct_point_once():
+    """Overlapping interior lattices share their field values; points that
+    differ in the last bit stay distinct.  The jets equal those of a direct
+    evaluation on every lattice, bit for bit."""
+    from hybridfdm.fieldjets import regular_jets
+
+    h = 0.0625
+    gx, gy = np.meshgrid(np.arange(-3, 4) * h, np.arange(-2, 3) * h,
+                         indexing="ij")
+    anchors = np.column_stack([gx.ravel(), gy.ravel()])
+    anchors = np.vstack([anchors, [np.nextafter(anchors[-1, 0], 1.0),
+                                   anchors[-1, 1]]])
+    seen = []
+
+    def a_field(x, y):
+        seen.append(np.size(x))
+        return 2.0 + np.sin(x + 2.0 * y) * np.cos(3.0 * x)
+
+    def f_field(x, y):
+        return np.exp(x) * y**3 - x * y
+
+    jet, f_der = regular_jets(a_field, f_field, anchors, h)
+
+    rec = sampling_recipe("regular-interior", h)
+    pts = anchors[:, None, :] + rec.samples[None, :, :]
+    assert seen == [len(np.unique(pts.reshape(-1, 2), axis=0))]
+    assert seen[0] < 0.4 * pts[..., 0].size
+    a_der = a_field(pts[..., 0], pts[..., 1]) @ mls_operator(
+        rec.problem(6), lambda_full(6)).T
+    want = f_field(pts[..., 0], pts[..., 1]) @ mls_operator(
+        rec.problem(5), lambda_full(5)).T
+    assert np.array_equal(f_der, want)
+    want = Jet2.from_derivatives(
+        {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)
+    assert np.array_equal(jet.c, want.c)
