@@ -5,6 +5,15 @@ Supports numbers, named variables, the constants pi and e, the operators
 fixed set of functions over numpy, so compiled expressions evaluate pointwise
 on arrays.  No attribute access, no names beyond the whitelist: just enough
 to describe coefficients, sources and boundary data.
+
+A compiled expression computes each repeated subexpression once.  The
+renderer keys every compound subtree by its rendered Python text (not by
+the values of its literals, since 0.0 == -0.0 in Python), binds a subtree
+that occurs more than once to a temporary at its first use, and reads the
+temporary afterwards.  This leaves every bit unchanged: equal text is the
+same ufunc calls on the same operand bits, so each output element is
+computed exactly as in the one-line rendering, only fewer elements are
+computed.
 """
 
 from __future__ import annotations
@@ -117,7 +126,7 @@ class _Parser:
                 self.expect(")")
                 if val not in _FUNCTIONS:
                     raise ConfigError(f"unknown function {val!r}")
-                return ("call", val, args)
+                return ("call", val, tuple(args))
             if val in _CONSTANTS:
                 return ("num", _CONSTANTS[val])
             if val not in self.variables:
@@ -127,34 +136,82 @@ class _Parser:
         raise ConfigError(f"unexpected token {val!r}")
 
 
-def _to_python(node) -> str:
-    """Render the parsed tree as a Python expression over numpy functions."""
+_SYMBOLS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+
+
+def _children(node):
+    return node[2] if node[0] == "call" else node[1:]
+
+
+def _format(node, args) -> str:
+    """Python text of one compound node over the given operand texts."""
     op = node[0]
-    if op == "num":
-        return repr(node[1])
-    if op == "var":
-        return node[1]
     if op == "neg":
-        return f"(-{_to_python(node[1])})"
+        return f"(-{args[0]})"
     if op == "call":
-        args = ", ".join(_to_python(a) for a in node[2])
-        return f"_f_{node[1]}({args})"
-    a, b = _to_python(node[1]), _to_python(node[2])
-    sym = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}[op]
-    return f"({a} {sym} {b})"
+        return f"_f_{node[1]}({', '.join(args)})"
+    return f"({args[0]} {_SYMBOLS[op]} {args[1]})"
+
+
+def _render(ast):
+    """(statements, result) of the parsed tree as Python over numpy functions.
+
+    Every compound subtree is keyed by its plain rendered text, so the tree
+    folds into a graph in which identical subtrees are one node; a node that
+    this graph references more than once is bound to a temporary just
+    before its first use.
+    """
+    kids = {}                    # compound text -> (node, child texts)
+    uses = {}                    # compound text -> references in the graph
+
+    def fold(node) -> str:
+        if node[0] == "num":
+            return repr(node[1])
+        if node[0] == "var":
+            return node[1]
+        args = [fold(child) for child in _children(node)]
+        text = _format(node, args)
+        if text not in kids:
+            kids[text] = (node, args)
+            for arg in args:
+                if arg in uses:
+                    uses[arg] += 1
+            uses[text] = 0
+        return text
+
+    root = fold(ast)
+    statements, temps = [], {}
+
+    def emit(text) -> str:
+        if text not in kids:
+            return text
+        if text in temps:
+            return temps[text]
+        node, args = kids[text]
+        code = _format(node, [emit(arg) for arg in args])
+        if uses[text] < 2:
+            return code
+        temps[text] = f"_t{len(temps)}"
+        statements.append(f"{temps[text]} = {code}")
+        return temps[text]
+
+    return statements, emit(root)
 
 
 def compile_expression(src: str, variables: tuple):
     """Compile a source string into fn(*arrays) over the named variables.
 
-    The parsed tree is rendered back to a plain Python lambda over numpy
-    ufuncs, so evaluation runs at native numpy speed.
+    The parsed tree is rendered back to a plain Python function over numpy
+    ufuncs, so evaluation runs at native numpy speed; repeated subtrees are
+    computed once (see the module docstring).
     """
     ast = _Parser(_tokenize(src), set(variables)).parse()
-    body = _to_python(ast)
+    statements, result = _render(ast)
     namespace = {f"_f_{name}": fn for name, fn in _FUNCTIONS.items()}
-    arglist = ", ".join(variables) if variables else ""
-    raw = eval(f"lambda {arglist}: {body}", namespace)  # noqa: S307 (own AST)
+    body = "".join(f"    {line}\n" for line in statements)
+    source = f"def _raw({', '.join(variables)}):\n{body}    return {result}\n"
+    exec(source, namespace)  # noqa: S102 (rendered from our own AST)
+    raw = namespace["_raw"]
 
     def fn(*args):
         if len(args) != len(variables):

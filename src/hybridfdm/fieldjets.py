@@ -11,10 +11,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MlsError
 from .indexsets import lambda_full
 from .jets import Jet2
 from .mls import MlsProblem, distinct_values, mls_operator, sampling_recipe
 from .stencil_boundary import BoundaryFrame
+
+
+def _sample(field, x, y) -> np.ndarray:
+    """Values of ``field`` at (x, y), broadcast to the shape of x and y.
+
+    A field callable may return a scalar or any shape that broadcasts
+    against its arguments (a one-variable expression on a tensor lattice
+    keeps its own axis).  The result is C-contiguous, copied only when the
+    callable returned a smaller shape, so the matrix products that read it
+    take the same BLAS path whatever the callable returned.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.ascontiguousarray(
+        np.broadcast_to(np.asarray(field(x, y), dtype=float), shape))
 
 
 def _distinct_points(x: np.ndarray, y: np.ndarray):
@@ -41,8 +56,8 @@ def regular_jets(a_field, f_field, anchors: np.ndarray, h: float):
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     first, inverse = _distinct_points(x, y)
     x, y = x[first], y[first]
-    va = np.asarray(a_field(x, y), dtype=float)[inverse].reshape(pts.shape[:2])
-    vf = np.asarray(f_field(x, y), dtype=float)[inverse].reshape(pts.shape[:2])
+    va = _sample(a_field, x, y)[inverse].reshape(pts.shape[:2])
+    vf = _sample(f_field, x, y)[inverse].reshape(pts.shape[:2])
     a_der = va @ op_a.T
     f_der = vf @ op_f.T
     jet = Jet2.from_derivatives(
@@ -56,7 +71,9 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
 
     Returns (a-jet order 5, alpha derivatives (B, 6), f derivatives (B, 15),
     g1 derivatives (B, 6)).  ``alpha_field`` and ``g_field`` take physical
-    (x, y) points on the side.
+    (x, y) points on the side.  Every lattice is evaluated through
+    ``_sample``: the side lines pass the fixed coordinate as a (B, 1) column,
+    and whatever shape the callables return is broadcast to (B, 17).
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     rec = sampling_recipe("edge-boundary", h)
@@ -64,10 +81,8 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
     op_f = mls_operator(rec.problem(4), lambda_full(4))
     xh, yh = rec.samples[:, 0], rec.samples[:, 1]
     px, py = frame.point((anchors[:, 0:1], anchors[:, 1:2]), xh[None, :], yh[None, :])
-    va = np.asarray(a_field(px, py), dtype=float)
-    vf = np.asarray(f_field(px, py), dtype=float)
-    a_der = va @ op_a.T
-    f_der = vf @ op_f.T
+    a_der = _sample(a_field, px, py) @ op_a.T
+    f_der = _sample(f_field, px, py) @ op_f.T
     jet = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(5))}, 5)
 
@@ -75,11 +90,8 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
     op1 = mls_operator(MlsProblem(ts, np.zeros(1), np.zeros(1), 5, h),
                        list(range(6)))
     lx, ly = frame.line((anchors[:, 0:1], anchors[:, 1:2]), ts[None, :])
-    lx, ly = np.broadcast_arrays(lx + 0.0 * ly, ly + 0.0 * lx)
-    alpha_der = (np.asarray(alpha_field(lx, ly), dtype=float)
-                 * np.ones_like(lx)) @ op1.T
-    g_der = (np.asarray(g_field(lx, ly), dtype=float)
-             * np.ones_like(lx)) @ op1.T
+    alpha_der = _sample(alpha_field, lx, ly) @ op1.T
+    g_der = _sample(g_field, lx, ly) @ op1.T
     return jet, alpha_der, f_der, g_der
 
 
@@ -93,11 +105,13 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
     point.  On coarse grids one side can clip the standard lattice (half
     width h) in a thin sliver; the lattice extent is then widened to 2h,
     which stays within the enlarged-box contract of the field callables.
+    Each field is evaluated once per lattice through ``_sample``, as a
+    tensor product of the lattice's two axes: psi, a+, a-, f+ and f- each see
+    the (n, 1) column of x values and the (1, n) row of y values, and a
+    one-sided field's values on the other side are dropped by the mask.
     Returns (a+ jet, a- jet, f+ derivatives, f- derivatives) with the jets of
     order 4 and the source derivatives over Lambda_3.
     """
-    from .errors import MlsError
-
     anchor = np.asarray(anchor, dtype=float)
     target = np.asarray(base, dtype=float) - anchor
 
@@ -107,8 +121,9 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
         offs = np.arange(-halfwidth, halfwidth + 1) * step
         gx, gy = np.meshgrid(offs, offs, indexing="ij")
         samples = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = anchor[None, :] + samples
-        side = np.asarray(psi(pts[:, 0], pts[:, 1]), dtype=float)
+        ax = (anchor[0] + offs)[:, None]
+        ay = (anchor[1] + offs)[None, :]
+        side = _sample(psi, ax, ay).ravel()
         masks = {"+": side > 0.0, "-": side <= 0.0}
         if min(masks["+"].sum(), masks["-"].sum()) < 30 and halfwidth < 64:
             continue
@@ -116,8 +131,7 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
         def fit(field, mask, degree, reqs):
             prob = MlsProblem(samples[mask], target, np.zeros(2), degree, h)
             op = mls_operator(prob, reqs)
-            vals = np.asarray(field(pts[mask, 0], pts[mask, 1]), dtype=float)
-            return op @ vals
+            return op @ _sample(field, ax, ay).ravel()[mask]
 
         try:
             ap = fit(a_plus, masks["+"], 4, lambda_full(4))
@@ -139,25 +153,28 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
 
 def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
                 anchor, frame: BoundaryFrame, h: float):
-    """Canonical-frame jets for a Robin-Robin corner (single anchor)."""
+    """Canonical-frame jets for a Robin-Robin corner (single anchor).
+
+    Every lattice is evaluated through ``_sample``, so a callable may return
+    a scalar (constant Robin data) on the 17-point side lines.
+    """
     anchor = np.asarray(anchor, dtype=float)
     rec = sampling_recipe("corner-boundary", h)
     op_a = mls_operator(rec.problem(5), lambda_full(5))
     op_f = mls_operator(rec.problem(4), lambda_full(4))
     px, py = frame.point(anchor, rec.samples[:, 0], rec.samples[:, 1])
-    a_der = np.asarray(a_field(px, py), dtype=float) @ op_a.T
-    f_der = np.asarray(f_field(px, py), dtype=float) @ op_f.T
+    a_der = _sample(a_field, px, py) @ op_a.T
+    f_der = _sample(f_field, px, py) @ op_f.T
     jet = Jet2.from_derivatives(
         {mn: a_der[i] for i, mn in enumerate(lambda_full(5))}, 5)
 
     ts = np.arange(0, 17) * (h / 16)
     op1 = mls_operator(MlsProblem(ts, np.zeros(1), np.zeros(1), 5, h),
                        list(range(6)))
-    ones = np.ones_like(ts)
     ax, ay = frame.line(anchor, ts)
-    alpha_der = op1 @ (np.asarray(alpha_field(ax, ay), dtype=float) * ones)
-    g1_der = op1 @ (np.asarray(g1_field(ax, ay), dtype=float) * ones)
+    alpha_der = op1 @ _sample(alpha_field, ax, ay)
+    g1_der = op1 @ _sample(g1_field, ax, ay)
     bx, by = frame.line2(anchor, ts)
-    beta_der = op1 @ (np.asarray(beta_field(bx, by), dtype=float) * ones)
-    g3_der = op1 @ (np.asarray(g3_field(bx, by), dtype=float) * ones)
+    beta_der = op1 @ _sample(beta_field, bx, by)
+    g3_der = op1 @ _sample(g3_field, bx, by)
     return jet, alpha_der, f_der, g1_der, beta_der, g3_der

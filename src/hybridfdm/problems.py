@@ -2,11 +2,20 @@
 
 A ProblemSpec bundles the rectangle, the interface (level-set or parametric,
 or none), the one-sided coefficient and source fields, the jump data, and the
-four boundary conditions.  All field callables must accept numpy arrays and
-be evaluable on the domain box enlarged by a couple of mesh widths (the
-one-sided derivative lattices reach outside by up to h); the built-ins use
-their global analytic formulas, so this holds trivially.  Sides follow the
-closed-minus convention: psi <= 0 belongs to the minus region.
+four boundary conditions.  Sides follow the closed-minus convention: psi <= 0
+belongs to the minus region.
+
+The field callables (psi, a+-, f+-, boundary data and Robin coefficients)
+receive numpy arrays that broadcast against each other but need not share a
+shape: the interface lattices pass an (n, 1) column of x values and a (1, n)
+row of y values, the side lines a fixed coordinate as a column.  A callable
+may return a scalar or any shape that broadcasts against its arguments;
+``fieldjets`` broadcasts whatever it returns.  Each field must be evaluable
+on the whole domain box enlarged by a couple of mesh widths, on both sides
+of the interface: a one-sided field is evaluated on a node's full lattice,
+the other side included, and its values there are dropped (the derivative
+lattices reach outside the box by up to h).  The built-ins use their global
+analytic formulas, so this holds trivially.
 
 The built-in problems are stored as configuration text and parsed by the same
 loader used for user files, so a written-out config round-trips bit-exactly.
@@ -51,7 +60,8 @@ class ProblemSpec:
     @property
     def psi(self):
         if self.interface is None:
-            return lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+            return lambda x, y: np.ones(np.broadcast_shapes(np.shape(x),
+                                                            np.shape(y)))
         return self.interface.psi
 
     @property

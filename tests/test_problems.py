@@ -157,6 +157,13 @@ class TestManufacture:
         assert p.interface is None
         assert p.exact_u(x, y) == pytest.approx(case.u_plus.eval(x, y))
 
+    def test_default_psi_takes_the_broadcast_shape(self):
+        psi = manufacture(seed=4, interface_kind="none").problem.psi
+        out = psi(np.zeros((3, 1)), np.zeros((1, 4)))
+        assert out.shape == (3, 4) and np.all(out == 1.0)
+        assert psi(np.zeros(5), 0.0).shape == (5,)
+        assert psi(0.0, np.zeros(2)).shape == (2,)
+
     def test_jump_matches_direct_evaluation(self):
         case = manufacture(seed=5, degree=5, interface_kind="circle")
         thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
