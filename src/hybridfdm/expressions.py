@@ -139,10 +139,6 @@ class _Parser:
 _SYMBOLS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
 
 
-def _children(node):
-    return node[2] if node[0] == "call" else node[1:]
-
-
 def _format(node, args) -> str:
     """Python text of one compound node over the given operand texts."""
     op = node[0]
@@ -169,7 +165,8 @@ def _render(ast):
             return repr(node[1])
         if node[0] == "var":
             return node[1]
-        args = [fold(child) for child in _children(node)]
+        children = node[2] if node[0] == "call" else node[1:]
+        args = [fold(child) for child in children]
         text = _format(node, args)
         if text not in kids:
             kids[text] = (node, args)
