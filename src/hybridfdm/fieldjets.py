@@ -99,37 +99,36 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
                    h: float):
     """One-sided jets at an interface base point.
 
-    Samples a lattice of spacing h/32 around the grid node, splits it by the
-    sign of psi (points on the curve go minus), and fits each side separately
-    with the basis centered on the node and derivatives taken at the base
-    point.  On coarse grids one side can clip the standard lattice (half
-    width h) in a thin sliver; the lattice extent is then widened to 2h,
-    which stays within the enlarged-box contract of the field callables.
-    Each field is evaluated once per lattice through ``_sample``, as a
-    tensor product of the lattice's two axes: psi, a+, a-, f+ and f- each see
-    the (n, 1) column of x values and the (1, n) row of y values, and a
-    one-sided field's values on the other side are dropped by the mask.
-    Returns (a+ jet, a- jet, f+ derivatives, f- derivatives) with the jets of
-    order 4 and the source derivatives over Lambda_3.
+    Samples the ``"irregular-interface"`` lattice around the grid node (17x17
+    at spacing h/8, half-width h), splits it by the sign of psi (points on
+    the curve go minus), and fits each side separately with the basis
+    centered on the node and derivatives taken at the base point.  On coarse
+    grids one side can clip the standard lattice in a thin sliver: with fewer
+    than 30 samples on a side, or a rank-deficient fit, the recipe's widened
+    lattice (33x33, half-width 2h) is tried, which stays within the
+    enlarged-box contract of the field callables.  Each field is evaluated
+    once per lattice through ``_sample``, as a tensor product of the
+    recipe's two axes: psi, a+, a-, f+ and f- each see the (n, 1) column of
+    x values and the (1, n) row of y values, and a one-sided field's values
+    on the other side are dropped by the mask.  Returns (a+ jet, a- jet, f+
+    derivatives, f- derivatives) with the jets of order 4 and the source
+    derivatives over Lambda_3.
     """
     anchor = np.asarray(anchor, dtype=float)
     target = np.asarray(base, dtype=float) - anchor
 
     last_exc = None
-    for halfwidth in (32, 64):
-        step = h / 32.0
-        offs = np.arange(-halfwidth, halfwidth + 1) * step
-        gx, gy = np.meshgrid(offs, offs, indexing="ij")
-        samples = np.column_stack([gx.ravel(), gy.ravel()])
-        ax = (anchor[0] + offs)[:, None]
-        ay = (anchor[1] + offs)[None, :]
+    for widened in (False, True):
+        rec = sampling_recipe("irregular-interface", h, target, widened)
+        ax = (anchor[0] + rec.axes[0])[:, None]
+        ay = (anchor[1] + rec.axes[1])[None, :]
         side = _sample(psi, ax, ay).ravel()
         masks = {"+": side > 0.0, "-": side <= 0.0}
-        if min(masks["+"].sum(), masks["-"].sum()) < 30 and halfwidth < 64:
+        if min(masks["+"].sum(), masks["-"].sum()) < 30 and not widened:
             continue
 
         def fit(field, mask, degree, reqs):
-            prob = MlsProblem(samples[mask], target, np.zeros(2), degree, h)
+            prob = MlsProblem(rec.samples[mask], target, rec.center, degree, h)
             op = mls_operator(prob, reqs)
             return op @ _sample(field, ax, ay).ravel()[mask]
 

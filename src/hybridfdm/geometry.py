@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
+from .mls import sampling_recipe
 
 IRREGULAR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
                      (1, -1), (1, 0), (1, 1), (-2, 0), (2, 0), (0, -2), (0, 2))
@@ -224,7 +225,7 @@ class LevelSetInterface:
         of every chart are bracketed line by line and then bisected
         together, one bisection per graph direction.
         """
-        ts = np.arange(-5, 6) * (h / 16.0)
+        ts = sampling_recipe("curve", h).samples
         eps = h / 64.0
 
         def bracket(bp):
@@ -364,7 +365,7 @@ class ParametricInterface:
 
     def _angle_chart(self, bp: BasePoint, h: float) -> LocalChart:
         theta0 = bp.aux
-        ts = np.arange(-5, 6) * (h / 16.0)
+        ts = sampling_recipe("curve", h).samples
         for flip in (1.0, -1.0):
             th = theta0 + flip * ts
             xs = np.asarray(self.r(th), dtype=float)

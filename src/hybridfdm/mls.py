@@ -26,12 +26,27 @@ an MLS operator by about 1e7, so an algebraically equal reordering (one QR
 for several fields, or stacked zero-weight fits) moves interface rows by up
 to 4e-9 relative.
 
-Sampling recipes package the concrete lattices used by each stencil family:
-a 9x9 lattice of spacing h/4 at interior points (degrees 6/5 for a/f), a
-65x65 one-sided lattice of spacing h/32 at interface points (4/3), eleven
-abscissae of spacing h/16 along the curve parameter (6 for the curve and the
-jump, 5 for the flux jump), a 9x17 lattice of spacing h/8 at edges (5/4) and
-a one-sided 17x17 lattice of spacing h/16 at corners (5/4).
+Sampling recipes (``sampling_recipe``) name the anchor-relative lattices the
+stencil families fit on:
+
+    context              lattice                   spacing  samples  degrees
+    regular-interior     9x9 centred               h/4      81       6 a, 5 f
+    irregular-interface  17x17 centred, split      h/8      289      4 a, 3 f
+      widened            33x33 centred, split      h/8      1089     4 a, 3 f
+    curve                11 abscissae centred      h/16     11       6 curve and
+                                                                     jump, 5 flux
+    edge-boundary        9x17, inward in x         h/8      153      5 a, 4 f
+    corner-boundary      17x17, inward in x and y  h/16     289      5 a, 4 f
+
+The interface lattice is split by the sign of psi and each side is fitted
+separately, about 145 samples a side for the 15 coefficients of a degree-4
+fit.  Its half-width h matches the weight width; past unisolvency the fit's
+accuracy is set by the degree and the weight width, not by the sample count,
+and the derivative errors stay within 3x of those of a 65x65 lattice at h/32
+(15 times the samples; ROADMAP.md has the measurement).
+The widened lattice (half-width 2h) is the fallback for a side that clips
+the standard one in a thin sliver.  The 1-D Robin data lines of the edge
+and corner jets are still built in ``fieldjets``.
 """
 
 from __future__ import annotations
@@ -167,56 +182,58 @@ def mls_operator(problem: MlsProblem, requests) -> np.ndarray:
     return D @ coef_of_values
 
 
-def mls_estimate(problem: MlsProblem, values, requests) -> dict:
-    """Estimated derivatives {omega: value}; values aligned with samples."""
-    op = mls_operator(problem, requests)
-    out = op @ np.asarray(values, dtype=float)
-    keys = [(w,) if np.isscalar(w) else tuple(w) for w in requests]
-    return dict(zip(keys, out))
-
-
 # ----------------------------------------------------------------------------
 # sampling recipes (anchor-relative lattices)
 # ----------------------------------------------------------------------------
 
 @dataclass
 class SamplingRecipe:
-    """Sample lattice and mesh width prescribed for one stencil context."""
+    """Sample lattice and mesh width prescribed for one stencil context.
+
+    ``samples`` is the tensor product of ``axes`` in C order: a 2-D lattice
+    lists every x offset with every y offset, the y offset varying fastest.
+    """
 
     context: str
     samples: np.ndarray        # anchor-relative offsets, (K,) or (K, 2)
     target: np.ndarray
     center: np.ndarray
     h: float
+    axes: tuple                # per-axis offsets whose product is ``samples``
 
     def problem(self, degree: int) -> MlsProblem:
         return MlsProblem(self.samples, self.target, self.center, degree, self.h)
 
 
-def _lattice(step: float, nx_lo, nx_hi, ny_lo, ny_hi) -> np.ndarray:
+def _lattice(context, step, nx_lo, nx_hi, ny_lo, ny_hi, h,
+             target=None) -> SamplingRecipe:
     xs = np.arange(nx_lo, nx_hi + 1) * step
     ys = np.arange(ny_lo, ny_hi + 1) * step
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    target = np.zeros(2) if target is None else np.asarray(target, float)
+    return SamplingRecipe(context, np.column_stack([gx.ravel(), gy.ravel()]),
+                          target, np.zeros(2), h, (xs, ys))
 
 
-def sampling_recipe(context: str, h: float, target_offset=None) -> SamplingRecipe:
+def sampling_recipe(context: str, h: float, target_offset=None,
+                    widened: bool = False) -> SamplingRecipe:
     """Anchor-relative sample lattice for a stencil context.
 
     ``target_offset`` (2-vector) shifts the evaluation point off the anchor;
     only the interface context uses it (grid node anchor, on-curve target).
+    ``widened`` selects the interface fallback lattice, twice as wide at the
+    same spacing.
     """
-    zero2 = np.zeros(2)
     if context == "regular-interior":
-        return SamplingRecipe(context, _lattice(h / 4, -4, 4, -4, 4), zero2, zero2, h)
+        return _lattice(context, h / 4, -4, 4, -4, 4, h)
     if context == "irregular-interface":
-        tgt = zero2 if target_offset is None else np.asarray(target_offset, float)
-        return SamplingRecipe(context, _lattice(h / 32, -32, 32, -32, 32), tgt, zero2, h)
-    if context in ("curve-1d-graph", "curve-1d-angle"):
+        n = 16 if widened else 8
+        return _lattice(context, h / 8, -n, n, -n, n, h, target_offset)
+    if context == "curve":
         ts = np.arange(-5, 6) * (h / 16)
-        return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h)
+        return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h, (ts,))
     if context == "edge-boundary":
-        return SamplingRecipe(context, _lattice(h / 8, 0, 8, -8, 8), zero2, zero2, h)
+        return _lattice(context, h / 8, 0, 8, -8, 8, h)
     if context == "corner-boundary":
-        return SamplingRecipe(context, _lattice(h / 16, 0, 16, 0, 16), zero2, zero2, h)
+        return _lattice(context, h / 16, 0, 16, 0, 16, h)
     raise ValueError(f"unknown sampling context {context!r}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -75,25 +75,38 @@ def _solution_operator(rows: list[list[Fraction]]) -> np.ndarray:
 
     Returns L (n_cols x n_rows) with x = L @ rhs; rows beyond the rank act as
     consistency conditions and are verified at runtime through residuals.
+
+    Gauss-Jordan elimination of [A | I] on integer rows: each row is scaled
+    by the common denominator of its entries, a pivot step cross-multiplies
+    (row_i <- pivot * row_i - f * row_p) and divides the result by its gcd.
+    With the pivots taken in the rational order (first nonzero in the
+    column), every integer row stays a nonzero multiple of the row a rational
+    elimination would hold, so entry (i, j) of L is exactly num / pivot.
+    Python's int true division rounds that correctly, as ``float(Fraction)``
+    does; a zero numerator maps to 0.0, where 0 / -k would give -0.0.
     """
     n_rows, n_cols = len(rows), len(rows[0])
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n_rows)]
-           for i, r in enumerate(rows)]
-    prow = 0
+    aug = []
+    for i, r in enumerate(rows):
+        den = lcm(*(v.denominator for v in r))
+        aug.append([v.numerator * (den // v.denominator) for v in r]
+                   + [den if j == i else 0 for j in range(n_rows)])
     for c in range(n_cols):
-        pr = next((i for i in range(prow, n_rows) if aug[i][c] != 0), None)
+        pr = next((i for i in range(c, n_rows) if aug[i][c] != 0), None)
         if pr is None:
             raise StencilError("constant stencil system is rank deficient")
-        aug[prow], aug[pr] = aug[pr], aug[prow]
-        piv = aug[prow][c]
-        aug[prow] = [v / piv for v in aug[prow]]
+        aug[c], aug[pr] = aug[pr], aug[c]
+        prow = aug[c]
+        piv = prow[c]
         for i in range(n_rows):
-            if i != prow and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [vi - f * vp for vi, vp in zip(aug[i], aug[prow])]
-        prow += 1
+            f = aug[i][c]
+            if i != c and f != 0:
+                row = [piv * vi - f * vp for vi, vp in zip(aug[i], prow)]
+                g = gcd(*row)
+                aug[i] = [v // g for v in row]
     return np.array(
-        [[float(aug[i][n_cols + j]) for j in range(n_rows)] for i in range(n_cols)]
+        [[aug[i][n_cols + j] / aug[i][i] if aug[i][n_cols + j] else 0.0
+          for j in range(n_rows)] for i in range(n_cols)]
     )
 
 

@@ -35,10 +35,6 @@ class IrregularSystem:
     minus_mask: np.ndarray       # (13,) True where the offset sits in minus
     model: InterfaceLocalModel
 
-    def a_matrix(self, d: int) -> np.ndarray:
-        rows = [r for r, t in enumerate(self.lead) if t + d <= 5]
-        return np.stack([self.expansions[r, :, self.lead[r]] for r in rows])
-
 
 def assemble_irregular_system(model: InterfaceLocalModel,
                               minus_mask: np.ndarray) -> IrregularSystem:

@@ -99,18 +99,6 @@ class RegularSystem:
     h_polys: dict                # (m, n) in Lambda_5 -> Poly2 (source weights)
     lead: tuple
 
-    def a_matrix(self, d: int) -> np.ndarray:
-        rows = [r for r, t in enumerate(self.lead) if t + d <= 7]
-        return np.stack([self.expansions[..., r, :, self.lead[r]] for r in rows],
-                        axis=-2)
-
-    def b_matrix(self, d: int, s: int) -> np.ndarray:
-        """B_{d,s}: jet-dependent couplings of degree s into degree d."""
-        rows = [r for r, t in enumerate(self.lead) if t + d <= 7]
-        return np.stack(
-            [self.expansions[..., r, :, self.lead[r] + d - s] for r in rows], axis=-2
-        )
-
 
 def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
     """Expansions and source polynomials at the stencil center (base = node)."""

@@ -39,7 +39,7 @@ from .jets import (
     series_mul,
     series_sqrt,
 )
-from .mls import MlsProblem, mls_operator
+from .mls import mls_operator, sampling_recipe
 from .reduction import build_gh_polynomials, build_reduction_table
 
 M_IRR = 5                      # expansion order of the interface stencils
@@ -77,11 +77,9 @@ class CurveJet:
 
 @lru_cache(maxsize=32)
 def _curve_operators(h: float):
-    ts = np.arange(-5, 6) * (h / 16.0)
-    op6 = mls_operator(MlsProblem(ts, np.zeros(1), np.zeros(1), 6, h),
-                       list(range(6)))
-    op5 = mls_operator(MlsProblem(ts, np.zeros(1), np.zeros(1), 5, h),
-                       list(range(5)))
+    rec = sampling_recipe("curve", h)
+    op6 = mls_operator(rec.problem(6), list(range(6)))
+    op5 = mls_operator(rec.problem(5), list(range(5)))
     return op6, op5
 
 

@@ -10,28 +10,35 @@ from hybridfdm.fieldjets import _sample, corner_jets, edge_jets, irregular_jets
 from hybridfdm.geometry import LABEL_IRREGULAR, classify_grid
 from hybridfdm.indexsets import lambda_full
 from hybridfdm.jets import Jet2
-from hybridfdm.mls import MlsProblem, mls_operator
+from hybridfdm.mls import MlsProblem, mls_operator, sampling_recipe
 from hybridfdm.problems import builtin, manufacture
 from hybridfdm.stencil_boundary import CORNER_FRAMES, SIDE_FRAMES
 
 
+def lattice_axes(h):
+    """Per-axis offsets of the standard and the widened interface lattice."""
+    return [sampling_recipe("irregular-interface", h, widened=w).axes[0]
+            for w in (False, True)]
+
+
 def reference_irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor,
-                             base, h):
+                             base, h, lattices):
     """The point-list body of irregular_jets before tensor sampling: every
-    field is evaluated on the flat list of its own side's lattice points."""
+    field is evaluated on the flat list of its own side's lattice points.
+    ``lattices`` holds the axis offsets of the standard lattice and its
+    widened fallback."""
     anchor = np.asarray(anchor, dtype=float)
     target = np.asarray(base, dtype=float) - anchor
 
     last_exc = None
-    for halfwidth in (32, 64):
-        step = h / 32.0
-        offs = np.arange(-halfwidth, halfwidth + 1) * step
+    for offs in lattices:
         gx, gy = np.meshgrid(offs, offs, indexing="ij")
         samples = np.column_stack([gx.ravel(), gy.ravel()])
         pts = anchor[None, :] + samples
         side = np.asarray(psi(pts[:, 0], pts[:, 1]), dtype=float)
         masks = {"+": side > 0.0, "-": side <= 0.0}
-        if min(masks["+"].sum(), masks["-"].sum()) < 30 and halfwidth < 64:
+        last = offs is lattices[-1]
+        if min(masks["+"].sum(), masks["-"].sum()) < 30 and not last:
             continue
 
         def fit(field, mask, degree, reqs):
@@ -96,7 +103,8 @@ def assert_same_jets(problem, cases, h):
                   problem.f_minus)
         counted = CountingPsi(problem.psi)
         got = irregular_jets(*fields, counted, point, base, h)
-        want = reference_irregular_jets(*fields, problem.psi, point, base, h)
+        want = reference_irregular_jets(*fields, problem.psi, point, base, h,
+                                        lattice_axes(h))
         assert bits(got[0].c) == bits(want[0].c), point
         assert bits(got[1].c) == bits(want[1].c), point
         assert got[0].base == want[0].base == tuple(base)
@@ -109,7 +117,7 @@ def assert_same_jets(problem, cases, h):
 def test_irregular_jets_match_point_list_body_on_ex31(ex31_j5):
     problem, cases, h = ex31_j5
     assert len(cases) > 100
-    assert assert_same_jets(problem, cases, h) == 4
+    assert assert_same_jets(problem, cases, h) == 52
 
 
 def test_irregular_jets_match_point_list_body_on_circle():
@@ -128,10 +136,10 @@ def test_psi_is_called_once_per_lattice_attempt(ex31_j5):
                        problem.f_minus, counted, point, base, h)
         calls.append(counted.shapes)
     assert sorted({len(c) for c in calls}) == [1, 2]
-    assert sum(len(c) == 2 for c in calls) == 4
+    assert sum(len(c) == 2 for c in calls) == 52
     for shapes in calls:
-        assert shapes[0] == ((65, 1), (1, 65))
-        assert shapes[1:] in ([], [((129, 1), (1, 129))])
+        assert shapes[0] == ((17, 1), (1, 17))
+        assert shapes[1:] in ([], [((33, 1), (1, 33))])
 
 
 class TestSample:

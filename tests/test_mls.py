@@ -13,7 +13,6 @@ from hybridfdm.mls import (
     COND_LIMIT,
     MlsProblem,
     _basis_exponents,
-    mls_estimate,
     mls_operator,
     sampling_recipe,
 )
@@ -23,7 +22,8 @@ def test_constant_function():
     h = 0.1
     rec = sampling_recipe("regular-interior", h)
     vals = np.ones(len(rec.samples))
-    est = mls_estimate(rec.problem(6), vals, lambda_full(6))
+    est = dict(zip(lambda_full(6),
+                   mls_operator(rec.problem(6), lambda_full(6)) @ vals))
     assert est[(0, 0)] == pytest.approx(1.0)
     for (m, n) in lambda_full(6):
         if (m, n) != (0, 0):
@@ -39,8 +39,8 @@ def test_polynomial_reproduction_2d():
     coefs = {mn: rng.uniform(-1, 1) for mn in lambda_full(6)}
     x, y = rec.samples[:, 0], rec.samples[:, 1]
     vals = sum(c * x**m * y**n for (m, n), c in coefs.items())
-    est = mls_estimate(rec.problem(6), vals, lambda_full(6))
-    from math import factorial
+    est = dict(zip(lambda_full(6),
+                   mls_operator(rec.problem(6), lambda_full(6)) @ vals))
 
     for (m, n), got in est.items():
         expect = coefs[(m, n)] * factorial(m) * factorial(n)
@@ -51,31 +51,30 @@ def test_polynomial_reproduction_2d():
 def test_x2y_derivative_on_lattice():
     rec = sampling_recipe("regular-interior", 0.2)
     vals = rec.samples[:, 0] ** 2 * rec.samples[:, 1]
-    est = mls_estimate(rec.problem(6), vals, [(2, 1)])
-    assert est[(2, 1)] == pytest.approx(2.0, rel=1e-9)
+    (est,) = mls_operator(rec.problem(6), [(2, 1)]) @ vals
+    assert est == pytest.approx(2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("context", ["curve-1d-graph", "curve-1d-angle"])
-def test_1d_sin_derivative_convergence(context):
+def test_1d_sin_derivative_convergence():
     # slope is measured on coarse h where h_tilde^6 is above roundoff;
     # on the desk-scale range 2^-3..2^-6 the estimate is exact to 1e-10.
     errs = []
     hs = [2.0**k for k in (1, 0, -1)]
     for h in hs:
-        rec = sampling_recipe(context, h)
-        est = mls_estimate(rec.problem(6), np.sin(rec.samples), [1])
-        errs.append(abs(est[(1,)] - 1.0) + 1e-18)
+        rec = sampling_recipe("curve", h)
+        (est,) = mls_operator(rec.problem(6), [1]) @ np.sin(rec.samples)
+        errs.append(abs(est - 1.0) + 1e-18)
     slope = np.polyfit(np.log2(hs), np.log2(errs), 1)[0]
     assert slope >= 5.5
     for h in [2.0**-k for k in range(3, 7)]:
-        rec = sampling_recipe(context, h)
-        est = mls_estimate(rec.problem(6), np.sin(rec.samples), [1])
-        assert abs(est[(1,)] - 1.0) <= 1e-10
+        rec = sampling_recipe("curve", h)
+        (est,) = mls_operator(rec.problem(6), [1]) @ np.sin(rec.samples)
+        assert abs(est - 1.0) <= 1e-10
 
 
 def test_weight_scale_invariance():
     """A positive scalar multiplying D cancels from the estimator."""
-    rec = sampling_recipe("curve-1d-graph", 0.1)
+    rec = sampling_recipe("curve", 0.1)
     op = mls_operator(rec.problem(6), [0, 1, 2])
     # row sums reproduce constants / kill them, regardless of the factor 2
     assert op[0].sum() == pytest.approx(1.0)
@@ -87,11 +86,11 @@ def test_sample_permutation_invariance():
     rec = sampling_recipe("regular-interior", h)
     rng = np.random.default_rng(1)
     vals = np.cos(rec.samples[:, 0] + 0.3 * rec.samples[:, 1])
-    est = mls_estimate(rec.problem(6), vals, [(2, 0)])
+    (est,) = mls_operator(rec.problem(6), [(2, 0)]) @ vals
     perm = rng.permutation(len(vals))
     prob2 = MlsProblem(rec.samples[perm], rec.target, rec.center, 6, h)
-    est2 = mls_estimate(prob2, vals[perm], [(2, 0)])
-    assert est2[(2, 0)] == pytest.approx(est[(2, 0)], rel=1e-12)
+    (est2,) = mls_operator(prob2, [(2, 0)]) @ vals[perm]
+    assert est2 == pytest.approx(est, rel=1e-12)
 
 
 def test_offset_target_interface_style():
@@ -103,7 +102,7 @@ def test_offset_target_interface_style():
     prob = MlsProblem(rec.samples[keep], rec.target, rec.center, 4, h)
     x, y = rec.samples[keep, 0], rec.samples[keep, 1]
     vals = 1.0 + x + x * y + y**3
-    est = mls_estimate(prob, vals, lambda_full(4))
+    est = dict(zip(lambda_full(4), mls_operator(prob, lambda_full(4)) @ vals))
     tx, ty = target
     assert est[(0, 0)] == pytest.approx(1 + tx + tx * ty + ty**3, rel=1e-8)
     assert est[(0, 1)] == pytest.approx(tx + 3 * ty**2, rel=1e-7, abs=1e-9)
@@ -113,18 +112,41 @@ def test_offset_target_interface_style():
 def test_recipe_shapes():
     h = 0.25
     assert len(sampling_recipe("regular-interior", h).samples) == 81
-    assert len(sampling_recipe("curve-1d-graph", h).samples) == 11
+    assert len(sampling_recipe("curve", h).samples) == 11
     assert len(sampling_recipe("corner-boundary", h).samples) == 17 * 17
     assert len(sampling_recipe("edge-boundary", h).samples) == 9 * 17
-    assert len(sampling_recipe("irregular-interface", h).samples) == 65 * 65
-    assert np.max(sampling_recipe("curve-1d-graph", h).samples) == pytest.approx(
+    assert len(sampling_recipe("irregular-interface", h).samples) == 17 * 17
+    assert len(sampling_recipe("irregular-interface", h,
+                               widened=True).samples) == 33 * 33
+    assert np.max(sampling_recipe("curve", h).samples) == pytest.approx(
         5 * h / 16
     )
 
 
+@pytest.mark.parametrize("context", ["regular-interior", "irregular-interface",
+                                     "edge-boundary", "corner-boundary"])
+def test_samples_are_the_product_of_the_axes(context):
+    rec = sampling_recipe(context, 0.3)
+    xs, ys = rec.axes
+    want = np.array([(x, y) for x in xs for y in ys])
+    assert np.array_equal(rec.samples.view(np.int64), want.view(np.int64))
+
+
+def test_interface_lattices():
+    """Half-width h at spacing h/8, and 2h for the widened fallback; the
+    target offset is carried, the basis stays centred on the anchor."""
+    h = 0.15
+    for widened, n in ((False, 8), (True, 16)):
+        rec = sampling_recipe("irregular-interface", h, (0.01, -0.02), widened)
+        for axis in rec.axes:
+            assert np.array_equal(axis, np.arange(-n, n + 1) * (h / 8))
+        assert np.array_equal(rec.target, [0.01, -0.02])
+        assert np.array_equal(rec.center, [0.0, 0.0])
+
+
 def test_errors():
     h = 0.1
-    rec = sampling_recipe("curve-1d-graph", h)
+    rec = sampling_recipe("curve", h)
     with pytest.raises(MlsError, match=r"^derivative order \(7,\) exceeds "
                        r"basis degree 6$"):
         mls_operator(rec.problem(6), [7])  # order beyond basis degree
@@ -186,15 +208,16 @@ def operator_cases():
     h = 0.078125
     rng = np.random.default_rng(5)
     target = np.array([0.31, -0.22]) * h
-    iface = sampling_recipe("irregular-interface", h, target_offset=target)
-    x, y = iface.samples[:, 0], iface.samples[:, 1]
-    curved = x**2 / h + 2 * y**3 / h**2 - 0.1 * x > 0.001 * h
     for degree in (3, 4, 5, 6):
         full = lambda_full(degree)
-        for mask in (curved, ~curved, x + 0.3 * y > 0.01 * h):
-            yield (f"one-sided-{degree}", MlsProblem(
-                iface.samples[mask], iface.target, iface.center, degree, h),
-                lambda_full(min(degree, 4)))
+        for widened, tag in ((False, ""), (True, "wide-")):
+            iface = sampling_recipe("irregular-interface", h, target, widened)
+            x, y = iface.samples[:, 0], iface.samples[:, 1]
+            curved = x**2 / h + 2 * y**3 / h**2 - 0.1 * x > 0.001 * h
+            for mask in (curved, ~curved, x + 0.3 * y > 0.01 * h):
+                yield (f"one-sided-{tag}{degree}", MlsProblem(
+                    iface.samples[mask], iface.target, iface.center, degree,
+                    h), lambda_full(min(degree, 4)))
         for context in ("regular-interior", "edge-boundary",
                         "corner-boundary"):
             yield (f"{context}-{degree}",
@@ -202,7 +225,7 @@ def operator_cases():
         yield (f"scattered-{degree}", MlsProblem(
             rng.uniform(-h, h, (60, 2)), target, np.zeros(2), degree, h), full)
         yield (f"curve-{degree}",
-               sampling_recipe("curve-1d-graph", h).problem(degree),
+               sampling_recipe("curve", h).problem(degree),
                list(range(degree + 1)))
         ts = np.arange(-8, 9) * (h / 8)
         yield (f"abscissae-{degree}", MlsProblem(

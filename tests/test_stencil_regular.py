@@ -5,7 +5,7 @@ import pytest
 
 from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2
-from hybridfdm.mls import mls_estimate, sampling_recipe
+from hybridfdm.mls import mls_operator, sampling_recipe
 from hybridfdm.stencil_core import check_sign_sum
 from hybridfdm.stencil_regular import (
     CENTER9,
@@ -19,6 +19,15 @@ from linear_coeff_reference import coefficients as reference_coefficients
 from test_jets_reduction import A0_REGULAR
 
 
+def system_rows(system, T, d, s):
+    """The degree-s couplings into the degree-d system of a stencil with
+    target order T: expansions[..., r, :, lead[r] + d - s] over the rows with
+    lead[r] + d <= T.  s = d gives the constant leading matrix A_d."""
+    rows = [r for r, t in enumerate(system.lead) if t + d <= T]
+    return np.stack([system.expansions[..., r, :, system.lead[r] + d - s]
+                     for r in rows], axis=-2)
+
+
 def linear_a_jet(r1, r2):
     return Jet2.from_derivatives({(0, 0): 1.0, (1, 0): r1, (0, 1): r2}, 6)
 
@@ -26,17 +35,17 @@ def linear_a_jet(r1, r2):
 class TestSystemStructure:
     def test_a0_matches_paper(self):
         system = assemble_regular_system(Jet2.constant(1.0, 6))
-        assert np.allclose(system.a_matrix(0), A0_REGULAR, atol=1e-14)
+        assert np.allclose(system_rows(system, 7, 0, 0), A0_REGULAR, atol=1e-14)
 
     def test_a0_row_for_mixed_derivative(self):
         system = assemble_regular_system(Jet2.constant(1.0, 6))
         row = lambda_band(7).index((1, 1))
-        assert np.allclose(system.a_matrix(0)[row],
+        assert np.allclose(system_rows(system, 7, 0, 0)[row],
                            [1, 0, -1, 0, 0, 0, -1, 0, 1])
 
     def test_a7_is_all_ones(self):
         system = assemble_regular_system(Jet2.constant(1.0, 6))
-        a7 = system.a_matrix(7)
+        a7 = system_rows(system, 7, 7, 7)
         assert a7.shape == (1, 9)
         assert np.allclose(a7, 1.0)
 
@@ -44,12 +53,12 @@ class TestSystemStructure:
         system = assemble_regular_system(Jet2.constant(2.0, 6))
         for d in range(1, 7):
             for s in range(d):
-                assert np.allclose(system.b_matrix(d, s), 0.0, atol=1e-15)
+                assert np.allclose(system_rows(system, 7, d, s), 0.0, atol=1e-15)
 
     def test_submatrix_row_counts(self):
         system = assemble_regular_system(Jet2.constant(1.0, 6))
         for d, rows in zip(range(8), (15, 13, 11, 9, 7, 5, 3, 1)):
-            assert system.a_matrix(d).shape[0] == rows
+            assert system_rows(system, 7, d, d).shape[0] == rows
 
 
 class TestConstantCoefficient:
@@ -124,16 +133,16 @@ def scheme_residual(x0, y0, h):
     """Practical-path residual: jets and source derivatives from MLS."""
     rec = sampling_recipe("regular-interior", h)
     pts = rec.samples + np.array([x0, y0])
-    a_der = mls_estimate(rec.problem(6), a_fn(pts[:, 0], pts[:, 1]), lambda_full(6))
-    f_der = mls_estimate(rec.problem(5), f_fn(pts[:, 0], pts[:, 1]), lambda_full(5))
-    jet = Jet2.from_derivatives(a_der, 6, (x0, y0))
+    a_der = mls_operator(rec.problem(6), lambda_full(6)) @ a_fn(pts[:, 0], pts[:, 1])
+    f_der = mls_operator(rec.problem(5), lambda_full(5)) @ f_fn(pts[:, 0], pts[:, 1])
+    jet = Jet2.from_derivatives(dict(zip(lambda_full(6), a_der)), 6, (x0, y0))
     stencil, h_polys = build_regular_batch(jet)
     weights = regular_rhs_weights(stencil, h_polys, h)
     lhs = sum(
         stencil.values(h)[i] * u_fn(x0 + k * h, y0 + l * h)
         for i, (k, l) in enumerate(OFFSETS9)
     )
-    rhs = sum(weights[i] * f_der[mn] for i, mn in enumerate(lambda_full(5)))
+    rhs = sum(weights[i] * f_der[i] for i in range(len(f_der)))
     return (lhs - rhs) / h**2
 
 
@@ -150,9 +159,10 @@ class TestConsistency:
             for y0 in (-0.7, 0.4):
                 rec = sampling_recipe("regular-interior", h)
                 pts = rec.samples + np.array([x0, y0])
-                a_der = mls_estimate(rec.problem(6), a_fn(pts[:, 0], pts[:, 1]),
-                                     lambda_full(6))
-                jet = Jet2.from_derivatives(a_der, 6, (x0, y0))
+                a_der = (mls_operator(rec.problem(6), lambda_full(6))
+                         @ a_fn(pts[:, 0], pts[:, 1]))
+                jet = Jet2.from_derivatives(dict(zip(lambda_full(6), a_der)),
+                                            6, (x0, y0))
                 stencil, _ = build_regular_batch(jet)
                 assert check_sign_sum(stencil.coeffs, CENTER9, tol=1e-10).passed
                 assert stencil.monotone
