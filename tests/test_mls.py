@@ -55,21 +55,25 @@ def test_x2y_derivative_on_lattice():
     assert est == pytest.approx(2.0, rel=1e-9)
 
 
-def test_1d_sin_derivative_convergence():
+@pytest.mark.parametrize("flip", [1.0, -1.0],
+                         ids=["curve-1d-graph", "curve-1d-angle"])
+def test_1d_sin_derivative_convergence(flip):
+    # Graph and angle charts share the "curve" abscissae; an angle chart may
+    # run them backwards (theta0 - t), so sin is sampled along flip * t.
     # slope is measured on coarse h where h_tilde^6 is above roundoff;
     # on the desk-scale range 2^-3..2^-6 the estimate is exact to 1e-10.
     errs = []
     hs = [2.0**k for k in (1, 0, -1)]
     for h in hs:
         rec = sampling_recipe("curve", h)
-        (est,) = mls_operator(rec.problem(6), [1]) @ np.sin(rec.samples)
-        errs.append(abs(est - 1.0) + 1e-18)
+        (est,) = mls_operator(rec.problem(6), [1]) @ np.sin(flip * rec.samples)
+        errs.append(abs(est - flip) + 1e-18)
     slope = np.polyfit(np.log2(hs), np.log2(errs), 1)[0]
     assert slope >= 5.5
     for h in [2.0**-k for k in range(3, 7)]:
         rec = sampling_recipe("curve", h)
-        (est,) = mls_operator(rec.problem(6), [1]) @ np.sin(rec.samples)
-        assert abs(est - 1.0) <= 1e-10
+        (est,) = mls_operator(rec.problem(6), [1]) @ np.sin(flip * rec.samples)
+        assert abs(est - flip) <= 1e-10
 
 
 def test_weight_scale_invariance():
