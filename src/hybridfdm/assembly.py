@@ -8,9 +8,12 @@ equilibration).  The sparse matrix, the rhs and the M-matrix audit all read
 the same blocks.  Assembly is deterministic (fixed chunking, fixed orders):
 interior nodes go in chunks of ``CHUNK`` and interface nodes in chunks of
 ``IFACE_CHUNK``, each chunk sharing one base-point and chart search and one
-transmission build.  Every row is the same whatever the chunk size, and the
-chunks can fan out over a process pool, with results identical to the
-serial path.
+transmission build.  Every interface row is the same whatever the chunk
+size; a regular row moves at rounding level (a few 1e-15 row-relative) with
+its chunk's boundaries, because the batched MLS products of
+``regular_jets`` round differently for another batch size.  The chunks
+are fixed, so they can fan out over a process pool with results identical
+to the serial path.
 Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
 phase timings and the row count of every family.
 """
@@ -252,6 +255,15 @@ def _boundary_block(family, ii, jj, stencil, frame, h, rhs) -> RowBlock:
 
 
 def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
+    """The global system of ``problem`` at level ``J``.
+
+    With ``threads`` > 1 the regular and interface chunks fan out over a
+    fork pool of at most ``threads`` workers, and no more than the largest
+    chunk count of one family; the rows are the same as with one process.
+    """
+    if threads < 1:
+        raise AssemblyError(
+            f"threads must be a positive worker count, got {threads}")
     t0 = time.perf_counter()
     xs, ys, h = _grid(problem, J)
     n1, n2 = len(xs) - 1, len(ys) - 1
@@ -317,19 +329,32 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
 
     # ---- regular interior rows --------------------------------------------
     tr = time.perf_counter()
+    regular = []
+    for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
+        ii, jj = np.nonzero(cls.labels == label)
+        if len(ii) == 0:
+            continue
+        pts = np.column_stack([xs[ii], ys[jj]])
+        regular.append((side, ii, jj, [(pts[k: k + CHUNK], side)
+                                       for k in range(0, len(pts), CHUNK)]))
+    ii, jj = iface_nodes
+    offs = np.asarray(IRREGULAR_OFFSETS)
+    minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
+    points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
+    iface_chunks = [(points[k: k + IFACE_CHUNK], minus[k: k + IFACE_CHUNK])
+                    for k in range(0, len(points), IFACE_CHUNK)]
     pool = None
     if threads > 1:
+        # a fork pool starts all its workers at the first submit: start no
+        # more than the largest map can keep busy
+        workers = min(threads, max([len(iface_chunks)]
+                                   + [len(chunks) for *_, chunks in regular]))
         ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(max_workers=threads, mp_context=ctx)
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
     run = map if pool is None else pool.map
     try:
         hp = h ** np.arange(8)
-        for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
-            ii, jj = np.nonzero(cls.labels == label)
-            if len(ii) == 0:
-                continue
-            pts = np.column_stack([xs[ii], ys[jj]])
-            chunks = [(pts[k: k + CHUNK], side) for k in range(0, len(pts), CHUNK)]
+        for side, ii, jj, chunks in regular:
             coeffs, rhs = (np.concatenate(part)
                            for part in zip(*run(_regular_chunk, chunks)))
             blocks.append(RowBlock(f"regular{side}", ii, jj, OFFSETS9,
@@ -338,17 +363,13 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
 
         # ---- interface rows -------------------------------------------------
         ti = time.perf_counter()
-        ii, jj = iface_nodes
-        if len(ii):
-            offs = np.asarray(IRREGULAR_OFFSETS)
-            minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
-            points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
-            chunks = [(points[k: k + IFACE_CHUNK], minus[k: k + IFACE_CHUNK])
-                      for k in range(0, len(points), IFACE_CHUNK)]
-            values, rhs = zip(*(r for part in run(_irregular_chunk, chunks)
+        if iface_chunks:
+            values, rhs = zip(*(r for part in run(_irregular_chunk,
+                                                  iface_chunks)
                                 for r in part))
-            blocks.append(RowBlock("interface", ii, jj, IRREGULAR_OFFSETS,
-                                   np.stack(values), np.array(rhs)))
+            blocks.append(RowBlock("interface", *iface_nodes,
+                                   IRREGULAR_OFFSETS, np.stack(values),
+                                   np.array(rhs)))
         timings["irregular"] = time.perf_counter() - ti
     finally:
         if pool is not None:

@@ -106,13 +106,14 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
     grids one side can clip the standard lattice in a thin sliver: with fewer
     than 30 samples on a side, or a rank-deficient fit, the recipe's widened
     lattice (33x33, half-width 2h) is tried, which stays within the
-    enlarged-box contract of the field callables.  Each field is evaluated
-    once per lattice through ``_sample``, as a tensor product of the
-    recipe's two axes: psi, a+, a-, f+ and f- each see the (n, 1) column of
-    x values and the (1, n) row of y values, and a one-sided field's values
-    on the other side are dropped by the mask.  Returns (a+ jet, a- jet, f+
-    derivatives, f- derivatives) with the jets of order 4 and the source
-    derivatives over Lambda_3.
+    enlarged-box contract of the field callables.  The side with fewer
+    samples is fitted first, so a failing sliver costs no fit of the other
+    side.  Each field is evaluated once per lattice through ``_sample``, as
+    a tensor product of the recipe's two axes: psi, a+, a-, f+ and f- each
+    see the (n, 1) column of x values and the (1, n) row of y values, and a
+    one-sided field's values on the other side are dropped by the mask.
+    Returns (a+ jet, a- jet, f+ derivatives, f- derivatives) with the jets
+    of order 4 and the source derivatives over Lambda_3.
     """
     anchor = np.asarray(anchor, dtype=float)
     target = np.asarray(base, dtype=float) - anchor
@@ -132,19 +133,20 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
             op = mls_operator(prob, reqs)
             return op @ _sample(field, ax, ay).ravel()[mask]
 
+        sides = {"+": (a_plus, f_plus), "-": (a_minus, f_minus)}
+        order = sorted(sides, key=lambda sd: masks[sd].sum())
         try:
-            ap = fit(a_plus, masks["+"], 4, lambda_full(4))
-            am = fit(a_minus, masks["-"], 4, lambda_full(4))
-            fp = fit(f_plus, masks["+"], 3, lambda_full(3))
-            fm = fit(f_minus, masks["-"], 3, lambda_full(3))
+            a_fit = {sd: fit(sides[sd][0], masks[sd], 4, lambda_full(4))
+                     for sd in order}
+            f_fit = {sd: fit(sides[sd][1], masks[sd], 3, lambda_full(3))
+                     for sd in order}
         except MlsError as exc:
             last_exc = exc
             continue
-        jet_p = Jet2.from_derivatives(
-            {mn: ap[i] for i, mn in enumerate(lambda_full(4))}, 4, tuple(base))
-        jet_m = Jet2.from_derivatives(
-            {mn: am[i] for i, mn in enumerate(lambda_full(4))}, 4, tuple(base))
-        return jet_p, jet_m, fp, fm
+        jet_p, jet_m = (Jet2.from_derivatives(
+            dict(zip(lambda_full(4), a_fit[sd])), 4, tuple(base))
+            for sd in "+-")
+        return jet_p, jet_m, f_fit["+"], f_fit["-"]
     raise MlsError(
         f"one-sided sample set near {tuple(np.round(anchor, 6))} stays "
         f"degenerate after widening: {last_exc}")

@@ -158,14 +158,16 @@ def transpose_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
     return out
 
 
-def build_gh_polynomials(table: ReductionTable, order: int | None = None):
-    """G/H coefficient polynomials of the Taylor identity
+def gh_blocks(table: ReductionTable, order: int | None = None):
+    """The G and H families of ``build_gh_polynomials`` as two coefficient
+    blocks, (n_band, ..., order+1, order+1) and (n_f, ..., order+1, order+1).
 
-    u(x* + x, y* + y) = sum_band u^(m,n) G[m,n](x,y)
-                        + sum_{Lambda_{order-2}} f^(m,n) H[m,n](x,y) + O(h^{order+1})
-
-    For a transposed table the keys of G run over the n-band and the roles of
-    x and y in the construction are exchanged.
+    Block entry [k, ..., p, q] is value(p, q, *key_k) / (p! q!), with the
+    keys in the order of the dicts ``build_gh_polynomials`` returns: the
+    band (for a transposed table its (n, m) form) and Lambda_{order-2}.
+    Each block is allocated zeroed at once, which is cheaper to fault in than
+    one block per polynomial, and only the entries with p + q <= order are
+    filled.
     """
     if order is None:
         order = table.order
@@ -178,23 +180,38 @@ def build_gh_polynomials(table: ReductionTable, order: int | None = None):
     p_idx, q_idx = (np.array(ix) for ix in zip(*full))
     divisor = np.array([fact[p] * fact[q] for p, q in full], dtype=float)
 
-    def polys(keys, value):
-        """One Poly2 per key, with value(p, q, *key) / (p! q!) at (p, q).
-
-        The polynomials are views of one zeroed block, which is cheaper to
-        allocate and fault in than one block per polynomial."""
+    def block(keys, value):
         c = np.zeros((len(keys),) + batch + (size, size))
         for k, key in enumerate(keys):
             c[k][..., p_idx, q_idx] = np.stack(
                 [value(p, q, *key) for p, q in full], axis=-1) / divisor
-        return {key: Poly2(c[k]) for k, key in enumerate(keys)}
+        return c
 
+    return (block(_band_keys(table, order), table.u_value),
+            block(lambda_full(order - 2), table.f_value))
+
+
+def _band_keys(table: ReductionTable, order: int):
     if table.transposed:
-        band = tuple((n, m) for (m, n) in lambda_band(order))
-    else:
-        band = lambda_band(order)
-    return (polys(band, table.u_value),
-            polys(lambda_full(order - 2), table.f_value))
+        return tuple((n, m) for (m, n) in lambda_band(order))
+    return lambda_band(order)
+
+
+def build_gh_polynomials(table: ReductionTable, order: int | None = None):
+    """G/H coefficient polynomials of the Taylor identity
+
+    u(x* + x, y* + y) = sum_band u^(m,n) G[m,n](x,y)
+                        + sum_{Lambda_{order-2}} f^(m,n) H[m,n](x,y) + O(h^{order+1})
+
+    For a transposed table the keys of G run over the n-band and the roles of
+    x and y in the construction are exchanged.  The polynomials of each
+    family are views of one block of ``gh_blocks``.
+    """
+    if order is None:
+        order = table.order
+    g, h = gh_blocks(table, order)
+    return ({key: Poly2(c) for key, c in zip(_band_keys(table, order), g)},
+            {key: Poly2(c) for key, c in zip(lambda_full(order - 2), h)})
 
 
 def leading_g_poly(m: int, n: int, size: int) -> Poly2:

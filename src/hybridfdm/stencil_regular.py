@@ -17,6 +17,14 @@ Laplacian stencil when the coefficient is constant.
 
 c_{1,1,0} = -1 is hard-coded; any negative value works and only rescales the
 row.
+
+The offsets never change, so the h-expansions of the 15 G polynomials and
+the values of the 21 H polynomials at the offsets both go through one cached
+constant operator (``stencil_core.offset_operator`` of OFFSETS9, shape
+(64, 9, 8)): a chunk's G tables, flattened to 64 entries each, times the
+operator give all expansions in one matrix product, and the H tables times
+the operator contracted against h^t give all H values at the nine offsets,
+which the rhs weights then contract with the stencil values.
 """
 
 from __future__ import annotations
@@ -27,13 +35,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indexsets import lambda_band, lambda_full
+from .indexsets import lambda_band
 from .jets import Jet2
-from .reduction import build_gh_polynomials, build_reduction_table
+from .reduction import build_reduction_table, gh_blocks
 from .stencil_core import (
     build_degree_solvers,
-    expand_poly_in_h,
     frac_leading_g,
+    offset_operator,
     run_constant_recursion,
     stencil_values,
 )
@@ -42,7 +50,6 @@ OFFSETS9 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1))
 CENTER9 = OFFSETS9.index((0, 0))
 _COL = {off: i for i, off in enumerate(OFFSETS9)}
-F_INDICES = lambda_full(5)          # f^(m,n) weights on the right-hand side
 
 
 @dataclass
@@ -96,40 +103,47 @@ class RegularSystem:
     """Recursive linear systems of the 9-point stencil at one or many points."""
 
     expansions: np.ndarray       # (..., 15, 9, 8) h-expansions of G_{7,m,n}
-    h_polys: dict                # (m, n) in Lambda_5 -> Poly2 (source weights)
+    h_polys: np.ndarray          # (21, ..., 8, 8) H_{7,m,n}, Lambda_5 order
     lead: tuple
 
 
 def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
-    """Expansions and source polynomials at the stencil center (base = node)."""
-    table = build_reduction_table(a_jet, 7)
-    g, h_polys = build_gh_polynomials(table)
-    band = lambda_band(7)
-    exp = np.stack([expand_poly_in_h(g[mn], OFFSETS9, 8) for mn in band], axis=-3)
+    """Expansions and source polynomials at the stencil center (base = node).
+
+    All 15 G tables are expanded by one matrix product; the result keeps
+    the product's (15, ..., 9, 8) memory order behind a (..., 15, 9, 8)
+    view, which the recursion reads faster than a contiguous copy.
+    """
+    g, h_polys = gh_blocks(build_reduction_table(a_jet, 7))
+    exp = (g.reshape(len(g), -1, 64)
+           @ offset_operator(OFFSETS9, 8, 8).reshape(64, -1)).reshape(
+        g.shape[:-2] + (9, 8))
     _, lead = _regular_solvers()
-    return RegularSystem(expansions=exp, h_polys=h_polys, lead=tuple(lead))
+    return RegularSystem(expansions=np.moveaxis(exp, 0, -3),
+                         h_polys=h_polys, lead=tuple(lead))
 
 
-def regular_rhs_weights(stencil: StencilPoly, h_polys: dict, h: float) -> np.ndarray:
+def regular_rhs_weights(stencil: StencilPoly, h_polys: np.ndarray,
+                        h: float) -> np.ndarray:
     """Weights of f^(m,n) over Lambda_5: sum_o C_o(h) H_{7,m,n}(kh, lh).
 
-    The h^-2 row scale of the scheme is applied by the assembler, not here.
+    ``h_polys`` is the (21, ..., 8, 8) block of H tables; all of them are
+    evaluated at the nine offsets by one product with the offset operator
+    contracted against h^t.  The h^-2 row scale of the scheme is applied by
+    the assembler, not here.
     """
     ch = stencil.values(h)
-    kh = h * np.array([o[0] for o in OFFSETS9], dtype=float)
-    lh = h * np.array([o[1] for o in OFFSETS9], dtype=float)
-    cols = []
-    for mn in F_INDICES:
-        hv = h_polys[mn].eval(kh, lh)          # (..., 9)
-        cols.append(np.sum(ch * hv, axis=-1))
-    return np.stack(cols, axis=-1)
+    at_offsets = offset_operator(OFFSETS9, 8, 8) @ (h ** np.arange(8))
+    hv = (h_polys.reshape(len(h_polys), -1, 64) @ at_offsets).reshape(
+        h_polys.shape[:-2] + (9,))
+    return np.moveaxis(np.sum(ch * hv, axis=-1), 0, -1)
 
 
 def build_regular_batch(a_jet: Jet2):
     """Stencil at every point of a jet with leading batch axes.
 
     Returns the StencilPoly (batched coefficients and monotone flags) and the
-    H polynomials for the source weights.
+    (21, ..., 8, 8) block of H tables for the source weights.
     """
     system = assemble_regular_system(a_jet)
     solvers, lead = _regular_solvers()

@@ -227,6 +227,40 @@ class TestInterfaceAssembly:
         assert np.array_equal(s1.matrix.data, s2.matrix.data)
         assert np.array_equal(s1.rhs, s2.rhs)
 
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        """A fork pool starts every worker at once, so its size is capped
+        by the largest chunk count of one map."""
+        import hybridfdm.assembly as assembly
+
+        sizes = []
+
+        class RecordingExecutor:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(assembly, "ProcessPoolExecutor", RecordingExecutor)
+        case = manufacture(seed=9, degree=3, interface_kind="circle")
+        serial = assemble(case.problem, 5)
+        chunks = -(-interface_rows(serial) // IFACE_CHUNK)
+        assert 1 < chunks < 16          # one regular chunk per side at J=5
+        for threads, started in ((16, [chunks]), (2, [2]), (1, [])):
+            sizes.clear()
+            system = assemble(case.problem, 5, threads=threads)
+            assert sizes == started
+            assert np.array_equal(system.matrix.data, serial.matrix.data)
+            assert np.array_equal(system.rhs, serial.rhs)
+        sizes.clear()
+        assemble(case.problem, 3, threads=4)
+        assert sizes == [1]
+
     def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
         """Interface rows are bit-identical for chunks of 1, 7 and 64 nodes."""
         import hybridfdm.assembly as assembly

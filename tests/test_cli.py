@@ -98,6 +98,17 @@ class TestSolveCommand:
             main([])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_an_error(self, laplace_cfg, threads,
+                                             tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        rc = main(["--problem", laplace_cfg, "--J", "2", "--threads", threads,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"got {threads}" in err
+        assert not out.exists()
+
 
 class TestConvergenceCommand:
     def test_exact_mode_rows_and_csv(self, tmp_path):

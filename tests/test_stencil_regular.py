@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from hybridfdm.indexsets import lambda_band, lambda_full
-from hybridfdm.jets import Jet2
+from hybridfdm.jets import Jet2, Poly2
 from hybridfdm.mls import mls_operator, sampling_recipe
-from hybridfdm.stencil_core import check_sign_sum
+from hybridfdm.reduction import build_gh_polynomials, build_reduction_table
+from hybridfdm.stencil_core import (
+    check_sign_sum,
+    expand_poly_in_h,
+    offset_operator,
+)
 from hybridfdm.stencil_regular import (
     CENTER9,
     OFFSETS9,
@@ -185,3 +190,62 @@ class TestRhsWeights:
         for h in (0.1, 0.05):
             w00 = regular_rhs_weights(stencil, h_polys, h)[0]
             assert w00 == pytest.approx(6.0 * h**2, rel=0.02)
+
+
+def random_a_jet(rng, batch):
+    """An order-6 coefficient jet near 2 with the given batch shape."""
+    c = 0.3 * rng.standard_normal(batch + (7, 7))
+    c[..., 0, 0] = 2.0
+    return Jet2(c, 6)
+
+
+def rhs_weights_reference(stencil, h_polys, h):
+    """The per-polynomial Poly2.eval loop the offset operator replaced."""
+    ch = stencil.values(h)
+    kh = h * np.array([o[0] for o in OFFSETS9], dtype=float)
+    lh = h * np.array([o[1] for o in OFFSETS9], dtype=float)
+    return np.stack([np.sum(ch * Poly2(c).eval(kh, lh), axis=-1)
+                     for c in h_polys], axis=-1)
+
+
+class TestOffsetOperator:
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (3, 4)])
+    def test_matches_expand_poly_in_h(self, batch):
+        rng = np.random.default_rng(len(batch) + sum(batch))
+        c = rng.standard_normal(batch + (8, 8))
+        op = offset_operator(OFFSETS9, 8, 8)
+        assert op.shape == (64, 9, 8)
+        got = (c.reshape(batch + (64,)) @ op.reshape(64, -1)).reshape(
+            batch + (9, 8))
+        want = expand_poly_in_h(Poly2(c), OFFSETS9, 8)
+        scale = np.abs(c).max(axis=(-2, -1))[..., None, None]
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    def test_is_cached_and_read_only(self):
+        op = offset_operator(OFFSETS9, 8, 8)
+        assert offset_operator(OFFSETS9, 8, 8) is op
+        with pytest.raises(ValueError):
+            op[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("batch", [(), (1,), (6,)])
+    def test_system_expansions_match_per_polynomial_path(self, batch):
+        jet = random_a_jet(np.random.default_rng(3), batch)
+        system = assemble_regular_system(jet)
+        g, _ = build_gh_polynomials(build_reduction_table(jet, 7))
+        want = np.stack([expand_poly_in_h(g[mn], OFFSETS9, 8)
+                         for mn in lambda_band(7)], axis=-3)
+        assert system.expansions.shape == batch + (15, 9, 8)
+        scale = np.stack([np.abs(g[mn].c).max(axis=(-2, -1))
+                          for mn in lambda_band(7)], axis=-1)[..., None, None]
+        assert np.all(np.abs(system.expansions - want) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (6,)])
+    @pytest.mark.parametrize("h", [0.3, 1.0 / 64])
+    def test_rhs_weights_match_per_polynomial_eval(self, batch, h):
+        jet = random_a_jet(np.random.default_rng(4), batch)
+        stencil, h_polys = build_regular_batch(jet)
+        got = regular_rhs_weights(stencil, h_polys, h)
+        want = rhs_weights_reference(stencil, h_polys, h)
+        assert got.shape == batch + (len(lambda_full(5)),)
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
