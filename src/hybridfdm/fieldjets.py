@@ -86,10 +86,10 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
     jet = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(5))}, 5)
 
-    ts = np.arange(-8, 9) * (h / 8)
-    op1 = mls_operator(MlsProblem(ts, np.zeros(1), np.zeros(1), 5, h),
-                       list(range(6)))
-    lx, ly = frame.line((anchors[:, 0:1], anchors[:, 1:2]), ts[None, :])
+    line = sampling_recipe("edge-line", h)
+    op1 = mls_operator(line.problem(5), list(range(6)))
+    lx, ly = frame.line((anchors[:, 0:1], anchors[:, 1:2]),
+                        line.samples[None, :])
     alpha_der = _sample(alpha_field, lx, ly) @ op1.T
     g_der = _sample(g_field, lx, ly) @ op1.T
     return jet, alpha_der, f_der, g_der
@@ -169,9 +169,9 @@ def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
     jet = Jet2.from_derivatives(
         {mn: a_der[i] for i, mn in enumerate(lambda_full(5))}, 5)
 
-    ts = np.arange(0, 17) * (h / 16)
-    op1 = mls_operator(MlsProblem(ts, np.zeros(1), np.zeros(1), 5, h),
-                       list(range(6)))
+    line = sampling_recipe("corner-line", h)
+    op1 = mls_operator(line.problem(5), list(range(6)))
+    ts = line.samples
     ax, ay = frame.line(anchor, ts)
     alpha_der = op1 @ _sample(alpha_field, ax, ay)
     g1_der = op1 @ _sample(g1_field, ax, ay)

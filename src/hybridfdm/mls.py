@@ -36,7 +36,10 @@ stencil families fit on:
     curve                11 abscissae centred      h/16     11       6 curve and
                                                                      jump, 5 flux
     edge-boundary        9x17, inward in x         h/8      153      5 a, 4 f
+    edge-line            17 abscissae centred      h/8      17       5 alpha, g
     corner-boundary      17x17, inward in x and y  h/16     289      5 a, 4 f
+    corner-line          17 abscissae inward       h/16     17       5 alpha, beta
+                                                                     and both g
 
 The interface lattice is split by the sign of psi and each side is fitted
 separately, about 145 samples a side for the 15 coefficients of a degree-4
@@ -45,8 +48,9 @@ accuracy is set by the degree and the weight width, not by the sample count,
 and the derivative errors stay within 3x of those of a 65x65 lattice at h/32
 (15 times the samples; ROADMAP.md has the measurement).
 The widened lattice (half-width 2h) is the fallback for a side that clips
-the standard one in a thin sliver.  The 1-D Robin data lines of the edge
-and corner jets are still built in ``fieldjets``.
+the standard one in a thin sliver.  The lines carry the Robin data along a
+side: the edge line is centred on the anchor, and a corner samples both of
+its sides on the same inward abscissae.
 """
 
 from __future__ import annotations
@@ -215,6 +219,11 @@ def _lattice(context, step, nx_lo, nx_hi, ny_lo, ny_hi, h,
                           target, np.zeros(2), h, (xs, ys))
 
 
+def _line(context, step, n_lo, n_hi, h) -> SamplingRecipe:
+    ts = np.arange(n_lo, n_hi + 1) * step
+    return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h, (ts,))
+
+
 def sampling_recipe(context: str, h: float, target_offset=None,
                     widened: bool = False) -> SamplingRecipe:
     """Anchor-relative sample lattice for a stencil context.
@@ -230,10 +239,13 @@ def sampling_recipe(context: str, h: float, target_offset=None,
         n = 16 if widened else 8
         return _lattice(context, h / 8, -n, n, -n, n, h, target_offset)
     if context == "curve":
-        ts = np.arange(-5, 6) * (h / 16)
-        return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h, (ts,))
+        return _line(context, h / 16, -5, 5, h)
     if context == "edge-boundary":
         return _lattice(context, h / 8, 0, 8, -8, 8, h)
+    if context == "edge-line":
+        return _line(context, h / 8, -8, 8, h)
     if context == "corner-boundary":
         return _lattice(context, h / 16, 0, 16, 0, 16, h)
+    if context == "corner-line":
+        return _line(context, h / 16, 0, 16, h)
     raise ValueError(f"unknown sampling context {context!r}")

@@ -159,15 +159,18 @@ def transpose_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
 
 
 def gh_blocks(table: ReductionTable, order: int | None = None):
-    """The G and H families of ``build_gh_polynomials`` as two coefficient
-    blocks, (n_band, ..., order+1, order+1) and (n_f, ..., order+1, order+1).
+    """G/H coefficient polynomials of the Taylor identity
 
-    Block entry [k, ..., p, q] is value(p, q, *key_k) / (p! q!), with the
-    keys in the order of the dicts ``build_gh_polynomials`` returns: the
-    band (for a transposed table its (n, m) form) and Lambda_{order-2}.
-    Each block is allocated zeroed at once, which is cheaper to fault in than
-    one block per polynomial, and only the entries with p + q <= order are
-    filled.
+    u(x* + x, y* + y) = sum_band u^(m,n) G[m,n](x,y)
+                        + sum_{Lambda_{order-2}} f^(m,n) H[m,n](x,y) + O(h^{order+1})
+
+    as two coefficient blocks, G (n_band, ..., order+1, order+1) and
+    H (n_f, ..., order+1, order+1).  Block entry [k, ..., p, q] is
+    value(p, q, *key_k) / (p! q!), with the keys in canonical order: the
+    band (for a transposed table its (n, m) form, with the roles of x and y
+    exchanged) and Lambda_{order-2}.  Each block is allocated zeroed at
+    once, which is cheaper to fault in than one block per polynomial, and
+    only the entries with p + q <= order are filled.
     """
     if order is None:
         order = table.order
@@ -187,31 +190,11 @@ def gh_blocks(table: ReductionTable, order: int | None = None):
                 [value(p, q, *key) for p, q in full], axis=-1) / divisor
         return c
 
-    return (block(_band_keys(table, order), table.u_value),
-            block(lambda_full(order - 2), table.f_value))
-
-
-def _band_keys(table: ReductionTable, order: int):
+    band = lambda_band(order)
     if table.transposed:
-        return tuple((n, m) for (m, n) in lambda_band(order))
-    return lambda_band(order)
-
-
-def build_gh_polynomials(table: ReductionTable, order: int | None = None):
-    """G/H coefficient polynomials of the Taylor identity
-
-    u(x* + x, y* + y) = sum_band u^(m,n) G[m,n](x,y)
-                        + sum_{Lambda_{order-2}} f^(m,n) H[m,n](x,y) + O(h^{order+1})
-
-    For a transposed table the keys of G run over the n-band and the roles of
-    x and y in the construction are exchanged.  The polynomials of each
-    family are views of one block of ``gh_blocks``.
-    """
-    if order is None:
-        order = table.order
-    g, h = gh_blocks(table, order)
-    return ({key: Poly2(c) for key, c in zip(_band_keys(table, order), g)},
-            {key: Poly2(c) for key, c in zip(lambda_full(order - 2), h)})
+        band = tuple((n, m) for (m, n) in band)
+    return (block(band, table.u_value),
+            block(lambda_full(order - 2), table.f_value))
 
 
 def leading_g_poly(m: int, n: int, size: int) -> Poly2:

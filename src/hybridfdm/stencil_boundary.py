@@ -27,6 +27,14 @@ transposed basis E~_m absorbs beta.  Hat and tilde coefficient blocks are kept
 separate (8 unknowns) exactly as in the reference construction; the displayed
 stencil is their sum.
 
+Every polynomial family is a coefficient block of ``reduction.gh_blocks``
+(one (7, 7) table per polynomial on the leading axis).  E_n, E~_m and the
+tilde combinations through p, nu and mu are matrix products over that
+axis, and the canonical offsets are fixed, so the h-expansions and the
+right-hand-side weights go through the cached offset operators of
+EDGE_OFFSETS and CORNER_OFFSETS (``stencil_core.expand_at_offsets`` and
+``weights_at_offsets``), as for the 9-point stencil.
+
 The other three sides and corners reuse the same construction through frame
 maps: field values are sampled at reflected points, so all jets are estimated
 directly at the target anchor, and only the grid offsets are mapped back.
@@ -41,19 +49,16 @@ from math import comb
 
 import numpy as np
 
-from .indexsets import lambda_full
-from .jets import Jet2, Poly2
-from .reduction import (
-    build_gh_polynomials,
-    build_reduction_table,
-    transpose_reduction_table,
-)
+from .indexsets import lambda_band, lambda_full
+from .jets import Jet2
+from .reduction import build_reduction_table, gh_blocks, transpose_reduction_table
 from .stencil_core import (
     build_degree_solvers,
-    expand_poly_in_h,
+    expand_at_offsets,
     frac_leading_g,
     run_constant_recursion,
     stencil_values,
+    weights_at_offsets,
 )
 
 EDGE_OFFSETS = ((0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -61,6 +66,10 @@ EDGE_CENTER = EDGE_OFFSETS.index((0, 0))
 CORNER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 F_INDICES_B = lambda_full(4)      # f^(m,n) weights at boundary points
 M_EDGE = 6
+# rows of an order-6 G block holding G_{0,n} (n = 0..6) and G_{1,n}
+# (n = 0..5); in a transposed table's block the same rows hold G~_{n,0}, G~_{n,1}
+G0_ROWS = [lambda_band(M_EDGE).index((0, n)) for n in range(M_EDGE + 1)]
+G1_ROWS = [lambda_band(M_EDGE).index((1, n)) for n in range(M_EDGE)]
 
 
 def _frac_row(size, *terms):
@@ -139,19 +148,25 @@ def _corner_solvers():
 _CORNER_COMBINE = np.hstack([np.eye(4), np.eye(4)])
 
 
-def build_edge_basis(a_jet: Jet2, alpha: np.ndarray):
-    """E_n polynomials (n = 0..6) plus the G/H families they came from."""
-    table = build_reduction_table(a_jet, M_EDGE)
-    g, h = build_gh_polynomials(table)
+def _robin_weights(alpha: np.ndarray) -> np.ndarray:
+    """(..., 7, 6) matrix W with W[n, i] = binom(i, n) alpha^(i-n) for i >= n."""
     alpha = np.asarray(alpha, dtype=float)
-    e = []
-    for n in range(M_EDGE + 1):
-        en = g[(0, n)]
-        if n < M_EDGE:
-            for i in range(n, M_EDGE):
-                en = en + g[(1, i)].scaled(comb(i, n) * alpha[..., i - n])
-        e.append(en)
-    return e, g, h
+    w = np.zeros(alpha.shape[:-1] + (M_EDGE + 1, M_EDGE))
+    for n in range(M_EDGE):
+        for i in range(n, M_EDGE):
+            w[..., n, i] = comb(i, n) * alpha[..., i - n]
+    return w
+
+
+def robin_basis(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """E_n = G_{6,0,n} + sum_i binom(i,n) alpha^(i-n) G_{6,1,i}, n = 0..6.
+
+    ``g`` is the (28, ..., 7, 7) G block of an order-6 table and ``alpha``
+    (..., 6) holds d^n alpha/dy^n; returns the (7, ..., 7, 7) block.  The
+    block of a transposed table with beta gives E~_m.
+    """
+    return g[G0_ROWS] + np.einsum("...ni,i...pq->n...pq",
+                                  _robin_weights(alpha), g[G1_ROWS])
 
 
 @dataclass
@@ -160,8 +175,8 @@ class EdgeStencil:
 
     coeffs: np.ndarray            # (..., 6, 7)
     monotone: np.ndarray
-    g_polys: dict
-    h_polys: dict
+    g1_polys: np.ndarray          # (6, ..., 7, 7) G_{6,1,n}, n = 0..5
+    h_polys: np.ndarray           # (15, ..., 7, 7) H_{6,m,n}, Lambda_4 order
     offsets: tuple = EDGE_OFFSETS
 
     def values(self, h: float) -> np.ndarray:
@@ -169,87 +184,56 @@ class EdgeStencil:
 
     def f_weights(self, h: float) -> np.ndarray:
         """Weights of f^(m,n), (m,n) in Lambda_4 (h^-1 applied by assembler)."""
-        return _weights(self.coeffs, [self.h_polys[mn] for mn in F_INDICES_B],
-                        EDGE_OFFSETS, h)
+        return weights_at_offsets(self.h_polys, EDGE_OFFSETS, self.coeffs, h)
 
     def g1_weights(self, h: float) -> np.ndarray:
         """Weights of the boundary-data derivatives g1^(n), n = 0..5."""
-        return -_weights(self.coeffs, [self.g_polys[(1, n)] for n in range(6)],
-                         EDGE_OFFSETS, h)
-
-
-def _weights(coeffs: np.ndarray, polys, offsets, h: float) -> np.ndarray:
-    ch = stencil_values(coeffs, h)
-    xo = h * np.array([o[0] for o in offsets], dtype=float)
-    yo = h * np.array([o[1] for o in offsets], dtype=float)
-    return np.stack([np.sum(ch * p.eval(xo, yo), axis=-1) for p in polys], axis=-1)
+        return -weights_at_offsets(self.g1_polys, EDGE_OFFSETS, self.coeffs, h)
 
 
 def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
     """Canonical-frame edge stencil; alpha holds d^n alpha/dy^n, n = 0..5."""
-    e_polys, g, h = build_edge_basis(a_jet, alpha)
-    exp = np.stack([expand_poly_in_h(en, EDGE_OFFSETS, 7) for en in e_polys],
-                   axis=-3)
-    res = run_constant_recursion(exp, list(range(7)), 6, _edge_solvers(),
-                                 center=EDGE_CENTER)
+    g, h = gh_blocks(build_reduction_table(a_jet, M_EDGE))
+    exp = expand_at_offsets(robin_basis(g, alpha), EDGE_OFFSETS)
+    res = run_constant_recursion(np.moveaxis(exp, 0, -3), list(range(7)), 6,
+                                 _edge_solvers(), center=EDGE_CENTER)
     return EdgeStencil(coeffs=res.coeffs, monotone=res.monotone,
-                       g_polys=g, h_polys=h)
+                       g1_polys=g[G1_ROWS], h_polys=h)
 
 
 @dataclass
 class CornerReduction:
-    """Coefficient tables feeding the 4-point corner solve."""
+    """Coefficient tables and polynomial blocks feeding the 4-point corner
+    solve; each block holds one (7, 7) table per polynomial."""
 
     lam: np.ndarray               # (7, 7) lambda_{m,n}
     mu: np.ndarray                # (7, 6) mu_{m,n}
-    nu: dict                      # (i, j) in Lambda_4 -> (7,) nu_{m,i,j}
+    nu: np.ndarray                # (15, 7) nu_{m,i,j}, rows (i, j) in Lambda_4
     p: np.ndarray                 # (7, 7) p_{m,n}
-    e_polys: list                 # E_n, n = 0..6
-    et_polys: list                # E~_m, m = 0..6
-    g_polys: dict
-    h_polys: dict
-    gt_polys: dict
-    ht_polys: dict
+    e_polys: np.ndarray           # E_n, n = 0..6
+    et_polys: np.ndarray          # E~_m, m = 0..6
+    g1_polys: np.ndarray          # G_{6,1,n}, n = 0..5
+    h_polys: np.ndarray           # H_{6,i,j}, Lambda_4 order
+    gt1_polys: np.ndarray         # G~_{6,m,1}, m = 0..5
+    ht_polys: np.ndarray          # H~_{6,i,j}, Lambda_4 order
 
 
 def build_corner_reduction(a_jet: Jet2, alpha: np.ndarray,
                            beta: np.ndarray) -> CornerReduction:
     table = build_reduction_table(a_jet, M_EDGE)
-    ttable = transpose_reduction_table(a_jet, M_EDGE)
-    g, h = build_gh_polynomials(table)
-    gt, ht = build_gh_polynomials(ttable)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    g, h = gh_blocks(table)
+    gt, ht = gh_blocks(transpose_reduction_table(a_jet, M_EDGE))
     M = M_EDGE
-
-    lam = np.zeros((M + 1, M + 1))
-    mu = np.zeros((M + 1, M))
-    for m in range(M + 1):
-        for n in range(M + 1):
-            lam[m, n] = table.u_value(m, 0, 0, n)
-        for n in range(M):
-            mu[m, n] = table.u_value(m, 0, 1, n)
-    nu = {ij: np.array([table.f_value(m, 0, *ij) for m in range(M + 1)])
-          for ij in F_INDICES_B}
-
-    p = lam.copy()
-    for m in range(M + 1):
-        for n in range(M):
-            p[m, n] += sum(comb(i, n) * alpha[i - n] * mu[m, i]
-                           for i in range(n, M))
-
-    e_polys, _, _ = build_edge_basis(a_jet, alpha)
-    et_polys = []
-    for m in range(M + 1):
-        em = gt[(m, 0)]
-        if m < M:
-            for i in range(m, M):
-                em = em + gt[(i, 1)].scaled(comb(i, m) * beta[i - m])
-        et_polys.append(em)
-
-    return CornerReduction(lam=lam, mu=mu, nu=nu, p=p, e_polys=e_polys,
-                           et_polys=et_polys, g_polys=g, h_polys=h,
-                           gt_polys=gt, ht_polys=ht)
+    lam = np.array([[table.u_value(m, 0, 0, n) for n in range(M + 1)]
+                    for m in range(M + 1)])
+    mu = np.array([[table.u_value(m, 0, 1, n) for n in range(M)]
+                   for m in range(M + 1)])
+    nu = np.array([[table.f_value(m, 0, *ij) for m in range(M + 1)]
+                   for ij in F_INDICES_B])
+    return CornerReduction(
+        lam=lam, mu=mu, nu=nu, p=lam + mu @ _robin_weights(alpha).T,
+        e_polys=robin_basis(g, alpha), et_polys=robin_basis(gt, beta),
+        g1_polys=g[G1_ROWS], h_polys=h, gt1_polys=gt[G1_ROWS], ht_polys=ht)
 
 
 @dataclass
@@ -269,46 +253,30 @@ class CornerStencil:
     def values(self, h: float) -> np.ndarray:
         return stencil_values(self.coeffs, h)
 
+    def _split_weights(self, hat, til, h):
+        return (weights_at_offsets(hat, CORNER_OFFSETS, self.chat, h)
+                + weights_at_offsets(til, CORNER_OFFSETS, self.ctilde, h))
+
     def f_weights(self, h: float) -> np.ndarray:
         red = self.reduction
-        hat = [red.h_polys[mn] for mn in F_INDICES_B]
-        til = []
-        for mn in F_INDICES_B:
-            poly = red.ht_polys[mn]
-            for i in range(M_EDGE + 1):
-                poly = poly + red.et_polys[i].scaled(red.nu[mn][i])
-            til.append(poly)
-        return (_weights(self.chat, hat, CORNER_OFFSETS, h)
-                + _weights(self.ctilde, til, CORNER_OFFSETS, h))
+        return self._split_weights(
+            red.h_polys, red.ht_polys + np.tensordot(red.nu, red.et_polys, 1), h)
 
     def g1_weights(self, h: float) -> np.ndarray:
         red = self.reduction
-        hat = [red.g_polys[(1, n)] for n in range(6)]
-        til = []
-        for n in range(6):
-            poly = Poly2.zero(red.et_polys[0].size)
-            for m in range(M_EDGE + 1):
-                poly = poly + red.et_polys[m].scaled(red.mu[m, n])
-            til.append(poly)
-        return -(_weights(self.chat, hat, CORNER_OFFSETS, h)
-                 + _weights(self.ctilde, til, CORNER_OFFSETS, h))
+        return -self._split_weights(
+            red.g1_polys, np.tensordot(red.mu.T, red.et_polys, 1), h)
 
     def g3_weights(self, h: float) -> np.ndarray:
-        red = self.reduction
-        return -_weights(self.ctilde, [red.gt_polys[(m, 1)] for m in range(6)],
-                         CORNER_OFFSETS, h)
+        return -weights_at_offsets(self.reduction.gt1_polys, CORNER_OFFSETS,
+                                   self.ctilde, h)
 
 
 def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
-    rows = []
-    for n in range(M_EDGE + 1):
-        hat = expand_poly_in_h(reduction.e_polys[n], CORNER_OFFSETS, 7)
-        til_poly = Poly2.zero(reduction.et_polys[0].size)
-        for m in range(M_EDGE + 1):
-            til_poly = til_poly + reduction.et_polys[m].scaled(reduction.p[m, n])
-        til = expand_poly_in_h(til_poly, CORNER_OFFSETS, 7)
-        rows.append(np.concatenate([hat, til], axis=0))
-    exp = np.stack(rows, axis=0)           # (7 rows, 8 cols, 7 terms)
+    hat = expand_at_offsets(reduction.e_polys, CORNER_OFFSETS)
+    til = expand_at_offsets(np.tensordot(reduction.p.T, reduction.et_polys, 1),
+                            CORNER_OFFSETS)
+    exp = np.concatenate([hat, til], axis=1)   # (7 rows, 8 cols, 7 terms)
     res = run_constant_recursion(exp, list(range(7)), 6, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)
     return CornerStencil(chat=res.raw[:4], ctilde=res.raw[4:],

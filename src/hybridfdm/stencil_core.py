@@ -34,6 +34,7 @@ from .errors import StencilError
 from .jets import Poly2
 
 RESID_TOL = 1e-9
+GROWTH_CAP = 2.0
 SLACK = 1e-13
 _TINY = 1e-11
 
@@ -41,14 +42,16 @@ _TINY = 1e-11
 def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarray:
     """phi[..., o, t] = coefficient of h^t in poly(vx_o * h, vy_o * h).
 
-    Only the families whose offsets change per node or per frame use it: the
-    13-point interface rows and the edge and corner rows.  The fixed 9-point
-    offsets go through the cached ``offset_operator`` instead.  That one
-    matrix product sums each coefficient over all k*k table entries, in
-    another order than the per-degree masked sums here, so it moves results
-    at rounding level; an interface row amplifies such a change (up to
-    1.1e-8 row-relative measured on a generated interface problem at J=5),
-    which is why the interface rows keep this path and stay bit-identical.
+    Only the 13-point interface rows use it.  Their offsets (v0 + k, w0 + l)
+    move with the base point of every node, so no operator can be cached for
+    them, and they amplify rounding by about 1e7: the one matrix product of
+    ``expand_at_offsets`` sums each coefficient over all k*k table entries,
+    in another order than the per-degree masked sums here, and routing the
+    interface rows through it moved them by up to 1.1e-8 row-relative on a
+    generated interface problem at J=5.  The 9-point, edge and corner
+    families have fixed offsets and go through ``offset_operator``; the edge
+    and corner stencils are built on canonical offsets, and only their
+    output offsets are reflected onto a side (``map_by_reflection``).
     """
     offsets = np.asarray(offsets, dtype=float)
     n_off = offsets.shape[0]
@@ -88,6 +91,37 @@ def offset_operator(offsets: tuple, size: int, nterms: int) -> np.ndarray:
                                   * v[:, 1] ** q[keep, None])
     op.flags.writeable = False
     return op
+
+
+def expand_at_offsets(blocks: np.ndarray, offsets: tuple) -> np.ndarray:
+    """h-expansions at fixed offsets of a (K, ..., k, k) block of tables.
+
+    Returns (K, ..., n_off, k): entry [i, ..., o, t] is the coefficient of
+    h^t in P_i(vx_o h, vy_o h), for all K tables by one matrix product with
+    the cached ``offset_operator``.
+    """
+    size = blocks.shape[-1]
+    op = offset_operator(offsets, size, size)
+    return (blocks.reshape(len(blocks), -1, size * size)
+            @ op.reshape(size * size, -1)).reshape(
+        blocks.shape[:-2] + (len(offsets), size))
+
+
+def weights_at_offsets(blocks: np.ndarray, offsets: tuple,
+                       coeffs: np.ndarray, h: float) -> np.ndarray:
+    """sum_o C_o(h) P_i(h * offset_o) for each table P_i of a block.
+
+    ``blocks`` is (K, ..., k, k) and ``coeffs`` the (..., n_off, D+1)
+    stencil; returns the (..., K) weights.  All K tables are evaluated at
+    the offsets by one product with the offset operator contracted against
+    h^t, and the values are then contracted with the stencil values.
+    """
+    size = blocks.shape[-1]
+    at_offsets = offset_operator(offsets, size, size) @ (h ** np.arange(size))
+    values = (blocks.reshape(len(blocks), -1, size * size) @ at_offsets).reshape(
+        blocks.shape[:-2] + (len(offsets),))
+    return np.moveaxis(np.sum(stencil_values(coeffs, h) * values, axis=-1),
+                       0, -1)
 
 
 def frac_leading_g(m: int, n: int, k: int, ell: int) -> Fraction:
@@ -307,7 +341,6 @@ def _damped_solution(A: np.ndarray, b: np.ndarray,
 def run_basic_recursion(expansions: np.ndarray, lead, T: int,
                         normalize_col: int, zero_degrees=(),
                         h: float | None = None,
-                        growth_cap: float = 2.0,
                         penalty: np.ndarray | None = None,
                         max_degree: int | None = None) -> tuple[np.ndarray, float]:
     """Recursive degree-by-degree solve for the interface stencil.
@@ -319,7 +352,7 @@ def run_basic_recursion(expansions: np.ndarray, lead, T: int,
     terms); without a penalty the minimum-norm solution is taken.
 
     When ``h`` is given, the expansion is truncated as soon as a degree stops
-    contracting (|C_d| h^d beyond ``growth_cap`` times the leading term):
+    contracting (|C_d| h^d beyond ``GROWTH_CAP`` times the leading term):
     with the interface curvature under-resolved (kappa h > 0.75) the
     corrections grow like kappa^d and the h-polynomial diverges, so keeping
     the degrees that still contract preserves a bounded, lower-order row
@@ -350,7 +383,7 @@ def run_basic_recursion(expansions: np.ndarray, lead, T: int,
             x = _damped_solution(A, b, penalty)
             if h is not None:
                 lead_scale = max(float(np.abs(coeffs[:, 0]).max()), 1e-300)
-                if float(np.abs(x).max()) * h**d > growth_cap * lead_scale:
+                if float(np.abs(x).max()) * h**d > GROWTH_CAP * lead_scale:
                     break
         coeffs[:, d] = x
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))

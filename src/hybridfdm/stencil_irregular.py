@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IRREGULAR_OFFSETS
+from .jets import Poly2
 from .stencil_core import expand_poly_in_h, run_basic_recursion
 from .stencil_regular import StencilPoly
-from .transmission import BAND5, F3, InterfaceLocalModel
+from .transmission import BAND5, InterfaceLocalModel
 
 CENTER13 = IRREGULAR_OFFSETS.index((0, 0))
 
@@ -41,13 +42,9 @@ def assemble_irregular_system(model: InterfaceLocalModel,
     curve = model.curve
     vw = np.array([(curve.v0 + k, curve.w0 + ell)
                    for (k, ell) in IRREGULAR_OFFSETS])
-    gp_stack = np.stack([model.g_plus[mn].c for mn in BAND5])
-    gm_stack = np.stack([model.g_minus[mn].c for mn in BAND5])
     ublock = model.table.u_block()
-    phi_minus = np.einsum("ij,ipq->jpq", ublock, gm_stack)
-    from .jets import Poly2
-
-    exp_p = expand_poly_in_h(Poly2(gp_stack), vw, 6)
+    phi_minus = np.einsum("ij,ipq->jpq", ublock, model.g_minus)
+    exp_p = expand_poly_in_h(Poly2(model.g_plus), vw, 6)
     exp_m = expand_poly_in_h(Poly2(phi_minus), vw, 6)
     exp = np.where(minus_mask[None, :, None], exp_m, exp_p)
     lead = [sum(mn) for mn in BAND5]
@@ -88,10 +85,7 @@ def solve_irregular_stencil(system: IrregularSystem,
         href = h
         vw = np.array([(curve.v0 + k, curve.w0 + ell)
                        for (k, ell) in IRREGULAR_OFFSETS])
-        from .jets import Poly2
-
-        gm = Poly2(np.stack([model.g_minus[mn].c for mn in BAND5]))
-        gvals = gm.eval(vw[:, 0] * href, vw[:, 1] * href)
+        gvals = Poly2(model.g_minus).eval(vw[:, 0] * href, vw[:, 1] * href)
         penalty = np.where(system.minus_mask[None, :], gvals, 0.0)
         coeffs, _ = run_basic_recursion(
             system.expansions, system.lead, 5, normalize_col=CENTER13,
@@ -125,14 +119,9 @@ def irregular_rhs_weights(stencil: StencilPoly, system: IrregularSystem,
     minus = system.minus_mask
     plus = ~minus
 
-    from .jets import Poly2
-
-    gm = Poly2(np.stack([model.g_minus[mn].c for mn in BAND5]))
-    hp = Poly2(np.stack([model.h_plus[mn].c for mn in F3]))
-    hm = Poly2(np.stack([model.h_minus[mn].c for mn in F3]))
-    i_minus = gm.eval(xo[minus], yo[minus]) @ ch[minus]
-    j_plus = hp.eval(xo[plus], yo[plus]) @ ch[plus]
-    j_minus = hm.eval(xo[minus], yo[minus]) @ ch[minus]
+    i_minus = Poly2(model.g_minus).eval(xo[minus], yo[minus]) @ ch[minus]
+    j_plus = Poly2(model.h_plus).eval(xo[plus], yo[plus]) @ ch[plus]
+    j_minus = Poly2(model.h_minus).eval(xo[minus], yo[minus]) @ ch[minus]
     j_plus = j_plus + i_minus @ model.table.f_block("+")
     j_minus = j_minus + i_minus @ model.table.f_block("-")
     j_g = i_minus @ model.table.g_block()

@@ -18,13 +18,13 @@ Laplacian stencil when the coefficient is constant.
 c_{1,1,0} = -1 is hard-coded; any negative value works and only rescales the
 row.
 
-The offsets never change, so the h-expansions of the 15 G polynomials and
-the values of the 21 H polynomials at the offsets both go through one cached
-constant operator (``stencil_core.offset_operator`` of OFFSETS9, shape
-(64, 9, 8)): a chunk's G tables, flattened to 64 entries each, times the
-operator give all expansions in one matrix product, and the H tables times
-the operator contracted against h^t give all H values at the nine offsets,
-which the rhs weights then contract with the stencil values.
+The h-expansions of the 15 G polynomials and the values of the 21 H
+polynomials at the nine offsets go through the cached constant operator of
+OFFSETS9 (``stencil_core.offset_operator``, shape (64, 9, 8)), as for the
+edge and corner stencils: ``expand_at_offsets`` multiplies the chunk's G
+block, flattened to 64 entries per table, by the operator once, and
+``weights_at_offsets`` evaluates the H block through the operator
+contracted against h^t and contracts the values with the stencil values.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from .jets import Jet2
 from .reduction import build_reduction_table, gh_blocks
 from .stencil_core import (
     build_degree_solvers,
+    expand_at_offsets,
     frac_leading_g,
-    offset_operator,
     run_constant_recursion,
     stencil_values,
+    weights_at_offsets,
 )
 
 OFFSETS9 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
@@ -115,28 +116,20 @@ def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
     view, which the recursion reads faster than a contiguous copy.
     """
     g, h_polys = gh_blocks(build_reduction_table(a_jet, 7))
-    exp = (g.reshape(len(g), -1, 64)
-           @ offset_operator(OFFSETS9, 8, 8).reshape(64, -1)).reshape(
-        g.shape[:-2] + (9, 8))
     _, lead = _regular_solvers()
-    return RegularSystem(expansions=np.moveaxis(exp, 0, -3),
-                         h_polys=h_polys, lead=tuple(lead))
+    return RegularSystem(
+        expansions=np.moveaxis(expand_at_offsets(g, OFFSETS9), 0, -3),
+        h_polys=h_polys, lead=tuple(lead))
 
 
 def regular_rhs_weights(stencil: StencilPoly, h_polys: np.ndarray,
                         h: float) -> np.ndarray:
     """Weights of f^(m,n) over Lambda_5: sum_o C_o(h) H_{7,m,n}(kh, lh).
 
-    ``h_polys`` is the (21, ..., 8, 8) block of H tables; all of them are
-    evaluated at the nine offsets by one product with the offset operator
-    contracted against h^t.  The h^-2 row scale of the scheme is applied by
-    the assembler, not here.
+    ``h_polys`` is the (21, ..., 8, 8) block of H tables.  The h^-2 row
+    scale of the scheme is applied by the assembler, not here.
     """
-    ch = stencil.values(h)
-    at_offsets = offset_operator(OFFSETS9, 8, 8) @ (h ** np.arange(8))
-    hv = (h_polys.reshape(len(h_polys), -1, 64) @ at_offsets).reshape(
-        h_polys.shape[:-2] + (9,))
-    return np.moveaxis(np.sum(ch * hv, axis=-1), 0, -1)
+    return weights_at_offsets(h_polys, OFFSETS9, stencil.coeffs, h)
 
 
 def build_regular_batch(a_jet: Jet2):

@@ -40,7 +40,7 @@ from .jets import (
     series_sqrt,
 )
 from .mls import mls_operator, sampling_recipe
-from .reduction import build_gh_polynomials, build_reduction_table
+from .reduction import build_reduction_table, gh_blocks
 
 M_IRR = 5                      # expansion order of the interface stencils
 BAND5 = lambda_band(5)         # 11 entries
@@ -134,28 +134,34 @@ class TransmissionTable:
 
 @dataclass
 class InterfaceLocalModel:
-    """Everything the 13-point stencil needs at one base point."""
+    """Everything the 13-point stencil needs at one base point.
+
+    The G/H families of the order-5 expansion are coefficient blocks, one
+    (6, 6) table per polynomial: G over BAND5, H over F3.
+    """
 
     curve: CurveJet
     table: TransmissionTable
-    g_plus: dict                # (m,n) band -> Poly2 (order-5 expansion)
-    g_minus: dict
-    h_plus: dict                # (m,n) in Lambda_3 -> Poly2
-    h_minus: dict
+    g_plus: np.ndarray          # (11, 6, 6)
+    g_minus: np.ndarray
+    h_plus: np.ndarray          # (10, 6, 6)
+    h_minus: np.ndarray
 
 
-def _composition_series(polys: dict, r_t, s_t, nterms: int, mono) -> dict:
-    return {mn: poly2_compose_series(p, r_t, s_t, nterms, mono)
-            for mn, p in polys.items()}
+def _composition_series(block, keys, r_t, s_t, nterms: int, mono) -> dict:
+    return {mn: poly2_compose_series(Poly2(c), r_t, s_t, nterms, mono)
+            for mn, c in zip(keys, block)}
 
 
-def _flux_series(polys: dict, a_poly: Poly2, r_t, s_t, nterms: int, mono) -> dict:
+def _flux_series(block, keys, a_poly: Poly2, r_t, s_t, nterms: int,
+                 mono) -> dict:
     """Series of grad(P)(r, s) . (s', -r') * a(r, s) for each polynomial."""
     rp = series_deriv(r_t)
     sp = series_deriv(s_t)
     a_series = poly2_compose_series(a_poly, r_t, s_t, nterms, mono)
     out = {}
-    for mn, p in polys.items():
+    for mn, c in zip(keys, block):
+        p = Poly2(c)
         px = poly2_compose_series(p.dx(), r_t, s_t, nterms, mono)
         py = poly2_compose_series(p.dy(), r_t, s_t, nterms, mono)
         flux = series_mul(px, sp, nterms) - series_mul(py, rp, nterms)
@@ -176,11 +182,8 @@ def build_transmission(curves, a_plus_jet: Jet2,
     the offending point.
     """
     stacked = Jet2(np.stack([a_plus_jet.c, a_minus_jet.c]), a_plus_jet.order)
-    g_all, h_all = build_gh_polynomials(build_reduction_table(stacked, M_IRR))
-    g_p = {mn: Poly2(poly.c[0]) for mn, poly in g_all.items()}
-    g_m = {mn: Poly2(poly.c[1]) for mn, poly in g_all.items()}
-    h_p = {mn: Poly2(poly.c[0]) for mn, poly in h_all.items()}
-    h_m = {mn: Poly2(poly.c[1]) for mn, poly in h_all.items()}
+    # G over BAND5 and H over F3, each (n, side, B, 6, 6)
+    g_all, h_all = gh_blocks(build_reduction_table(stacked, M_IRR))
 
     fact = np.array([factorial(p) for p in range(6)], dtype=float)
     r = np.stack([curve.r for curve in curves])
@@ -190,15 +193,16 @@ def build_transmission(curves, a_plus_jet: Jet2,
     s_t[:, 0] = 0.0
     mono = monomial_series_table(r_t, s_t, M_IRR + 1, 6)
 
-    gu_p = _composition_series(g_p, r_t, s_t, 6, mono)
-    gu_m = _composition_series(g_m, r_t, s_t, 6, mono)
-    hu_p = _composition_series(h_p, r_t, s_t, 6, mono)
-    hu_m = _composition_series(h_m, r_t, s_t, 6, mono)
+    gu_p = _composition_series(g_all[:, 0], BAND5, r_t, s_t, 6, mono)
+    gu_m = _composition_series(g_all[:, 1], BAND5, r_t, s_t, 6, mono)
+    hu_p = _composition_series(h_all[:, 0], F3, r_t, s_t, 6, mono)
+    hu_m = _composition_series(h_all[:, 1], F3, r_t, s_t, 6, mono)
     mono5 = mono[..., :5]
-    fg_p = _flux_series(g_p, a_plus_jet.as_poly(), r_t, s_t, 5, mono5)
-    fg_m = _flux_series(g_m, a_minus_jet.as_poly(), r_t, s_t, 5, mono5)
-    fh_p = _flux_series(h_p, a_plus_jet.as_poly(), r_t, s_t, 5, mono5)
-    fh_m = _flux_series(h_m, a_minus_jet.as_poly(), r_t, s_t, 5, mono5)
+    a_p, a_m = a_plus_jet.as_poly(), a_minus_jet.as_poly()
+    fg_p = _flux_series(g_all[:, 0], BAND5, a_p, r_t, s_t, 5, mono5)
+    fg_m = _flux_series(g_all[:, 1], BAND5, a_m, r_t, s_t, 5, mono5)
+    fh_p = _flux_series(h_all[:, 0], F3, a_p, r_t, s_t, 5, mono5)
+    fh_m = _flux_series(h_all[:, 1], F3, a_m, r_t, s_t, 5, mono5)
 
     B = len(curves)
     rows = np.zeros((B, N_UP, N_SYMBOLS))
@@ -250,8 +254,6 @@ def build_transmission(curves, a_plus_jet: Jet2,
     return [
         InterfaceLocalModel(
             curve=curve, table=TransmissionTable(rows[b]),
-            g_plus={mn: Poly2(poly.c[b]) for mn, poly in g_p.items()},
-            g_minus={mn: Poly2(poly.c[b]) for mn, poly in g_m.items()},
-            h_plus={mn: Poly2(poly.c[b]) for mn, poly in h_p.items()},
-            h_minus={mn: Poly2(poly.c[b]) for mn, poly in h_m.items()})
+            g_plus=g_all[:, 0, b], g_minus=g_all[:, 1, b],
+            h_plus=h_all[:, 0, b], h_minus=h_all[:, 1, b])
         for b, curve in enumerate(curves)]

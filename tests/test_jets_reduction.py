@@ -7,8 +7,8 @@ from hybridfdm.errors import ReductionError
 from hybridfdm.indexsets import lambda_band, lambda_complement, lambda_full, lambda_sets
 from hybridfdm.jets import Jet2, Poly2, poly2_compose_series, series_mul, series_sqrt
 from hybridfdm.reduction import (
-    build_gh_polynomials,
     build_reduction_table,
+    gh_blocks,
     leading_g_poly,
     transpose_reduction_table,
 )
@@ -262,7 +262,7 @@ class TestValueOnlyTable:
 
 
 def reference_gh_polynomials(table, order):
-    """G/H polynomials filled one (p, q) entry at a time."""
+    """G/H tables filled one (p, q) entry at a time, keyed in block order."""
     from math import factorial
 
     batch = table.a_jet.c.shape[:-2]
@@ -289,11 +289,11 @@ class TestGHPolynomialsBatch:
                                                      gh_order):
         table = build(random_a_jets(22, 5), order)
         gh_order = order if gh_order is None else gh_order
-        for got, want in zip(build_gh_polynomials(table, gh_order),
+        for got, want in zip(gh_blocks(table, gh_order),
                              reference_gh_polynomials(table, gh_order)):
-            assert got.keys() == want.keys()
-            for key, c in want.items():
-                assert np.array_equal(got[key].c, c)
+            assert len(got) == len(want)
+            for c_got, c in zip(got, want.values()):
+                assert np.array_equal(c_got, c)
 
 
 # The paper's 15x9 constant matrix: rows are the canonical first band of
@@ -325,8 +325,8 @@ class TestGHPolynomials:
         a = random_poly(rng, 3, scale=0.2)
         a.c[0, 0] = 1.7
         table = build_reduction_table(poly_jet(a, 6, (0.1, -0.1)), 7)
-        g, _ = build_gh_polynomials(table)
-        c = g[(0, 0)].c.copy()
+        g, _ = gh_blocks(table)
+        c = g[lambda_band(7).index((0, 0))].copy()
         c[0, 0] -= 1.0
         assert np.allclose(c, 0.0, atol=1e-13)
 
@@ -342,12 +342,13 @@ class TestGHPolynomials:
 
     def test_constant_a_gives_leading_parts_only(self):
         table = build_reduction_table(Jet2.constant(2.0, 6), 7)
-        g, h = build_gh_polynomials(table)
-        for (m, n) in lambda_band(7):
-            assert np.allclose(g[(m, n)].c, leading_g_poly(m, n, 8).c, atol=1e-14)
+        g, h = gh_blocks(table)
+        for k, (m, n) in enumerate(lambda_band(7)):
+            assert np.allclose(g[k], leading_g_poly(m, n, 8).c, atol=1e-14)
         # leading term of H_{7,0,0} is -x^2/(2a)
-        assert h[(0, 0)].c[2, 0] == pytest.approx(-1.0 / (2.0 * 2.0))
-        assert np.allclose(h[(0, 0)].c[:2, :2], 0.0)
+        h00 = h[lambda_full(5).index((0, 0))]
+        assert h00[2, 0] == pytest.approx(-1.0 / (2.0 * 2.0))
+        assert np.allclose(h00[:2, :2], 0.0)
 
     def test_g02_point_values(self):
         assert leading_g_poly(0, 2, 8).eval(0.0, -1.0) == pytest.approx(0.5)
@@ -364,15 +365,15 @@ class TestGHPolynomials:
         f = pde_source(a, u)
         base = (0.05, -0.1)
         table = build_reduction_table(poly_jet(a, 6, base), 7)
-        g, h = build_gh_polynomials(table)
+        g, h = gh_blocks(table)
         for (dx_, dy_) in [(0.3, 0.2), (-0.25, 0.15), (0.1, -0.35)]:
             direct = u.eval(base[0] + dx_, base[1] + dy_)
             via = sum(
-                u.deriv_at(m, n, *base) * g[(m, n)].eval(dx_, dy_)
-                for (m, n) in lambda_band(7)
+                u.deriv_at(m, n, *base) * Poly2(c).eval(dx_, dy_)
+                for (m, n), c in zip(lambda_band(7), g)
             ) + sum(
-                f.deriv_at(m, n, *base) * h[(m, n)].eval(dx_, dy_)
-                for (m, n) in lambda_full(5)
+                f.deriv_at(m, n, *base) * Poly2(c).eval(dx_, dy_)
+                for (m, n), c in zip(lambda_full(5), h)
             )
             assert via == pytest.approx(direct, rel=1e-9, abs=1e-11)
 
@@ -381,11 +382,12 @@ class TestTransposedTable:
     def test_constant_a_transposed_entries(self):
         table = transpose_reduction_table(Jet2.constant(1.0, 6), 7)
         assert table.u_value(0, 2, 2, 0) == pytest.approx(-1.0)
-        g, _ = build_gh_polynomials(table)
+        g, _ = gh_blocks(table)
         expect = np.zeros((8, 8))
         expect[2, 0] = 0.5
         expect[0, 2] = -0.5
-        assert np.allclose(g[(2, 0)].c, expect, atol=1e-14)
+        # the transposed block holds G~_{n,m} in the row of (m, n)
+        assert np.allclose(g[lambda_band(7).index((0, 2))], expect, atol=1e-14)
 
     def test_transpose_symmetry_random_a(self):
         rng = np.random.default_rng(13)
@@ -393,9 +395,10 @@ class TestTransposedTable:
         a.c[0, 0] = 2.0
         base = (0.1, 0.25)
         ajet = poly_jet(a, 6, base)
-        g, h = build_gh_polynomials(build_reduction_table(ajet.transposed(), 7))
-        gt, ht = build_gh_polynomials(transpose_reduction_table(ajet, 7))
-        for (m, n) in lambda_band(7):
-            assert np.allclose(gt[(n, m)].c, g[(m, n)].c.T, atol=1e-12)
-        for (i, j) in lambda_full(5):
-            assert np.allclose(ht[(j, i)].c, h[(i, j)].c.T, atol=1e-12)
+        g, h = gh_blocks(build_reduction_table(ajet.transposed(), 7))
+        gt, ht = gh_blocks(transpose_reduction_table(ajet, 7))
+        for k in range(len(lambda_band(7))):
+            assert np.allclose(gt[k], g[k].T, atol=1e-12)
+        full = lambda_full(5)
+        for k, (i, j) in enumerate(full):
+            assert np.allclose(ht[full.index((j, i))], h[k].T, atol=1e-12)

@@ -117,6 +117,8 @@ def test_recipe_shapes():
     h = 0.25
     assert len(sampling_recipe("regular-interior", h).samples) == 81
     assert len(sampling_recipe("curve", h).samples) == 11
+    assert len(sampling_recipe("edge-line", h).samples) == 17
+    assert len(sampling_recipe("corner-line", h).samples) == 17
     assert len(sampling_recipe("corner-boundary", h).samples) == 17 * 17
     assert len(sampling_recipe("edge-boundary", h).samples) == 9 * 17
     assert len(sampling_recipe("irregular-interface", h).samples) == 17 * 17
@@ -146,6 +148,18 @@ def test_interface_lattices():
             assert np.array_equal(axis, np.arange(-n, n + 1) * (h / 8))
         assert np.array_equal(rec.target, [0.01, -0.02])
         assert np.array_equal(rec.center, [0.0, 0.0])
+
+
+def test_robin_lines():
+    """The edge line is centred at spacing h/8, the corner line runs inward
+    at h/16; both are 17 abscissae with the target and centre on the anchor."""
+    h = 0.15
+    for context, want in (("edge-line", np.arange(-8, 9) * (h / 8)),
+                          ("corner-line", np.arange(0, 17) * (h / 16))):
+        rec = sampling_recipe(context, h)
+        assert np.array_equal(rec.samples, want)
+        assert rec.axes[0] is rec.samples
+        assert np.array_equal(rec.target, [0.0]) and np.array_equal(rec.center, [0.0])
 
 
 def test_errors():
@@ -228,9 +242,10 @@ def operator_cases():
                    sampling_recipe(context, h).problem(degree), full)
         yield (f"scattered-{degree}", MlsProblem(
             rng.uniform(-h, h, (60, 2)), target, np.zeros(2), degree, h), full)
-        yield (f"curve-{degree}",
-               sampling_recipe("curve", h).problem(degree),
-               list(range(degree + 1)))
+        for context in ("curve", "edge-line", "corner-line"):
+            yield (f"{context}-{degree}",
+                   sampling_recipe(context, h).problem(degree),
+                   list(range(degree + 1)))
         ts = np.arange(-8, 9) * (h / 8)
         yield (f"abscissae-{degree}", MlsProblem(
             ts, np.array([0.2 * h]), np.zeros(1), degree, h), [0, 1, degree])

@@ -1,27 +1,36 @@
 """Edge and corner boundary stencils."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from hybridfdm.fieldjets import corner_jets, edge_jets
-from hybridfdm.indexsets import lambda_full
+from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2, Poly2
+from hybridfdm.reduction import (
+    build_reduction_table,
+    gh_blocks,
+    transpose_reduction_table,
+)
 from hybridfdm.stencil_boundary import (
     CORNER_FRAMES,
     CORNER_OFFSETS,
     EDGE_OFFSETS,
+    F_INDICES_B,
     SIDE_FRAMES,
     build_corner_reduction,
-    build_edge_basis,
     map_by_reflection,
+    robin_basis,
     solve_corner_stencil,
     solve_edge_stencil,
     _corner_solvers,
     _edge_solvers,
 )
-from hybridfdm.stencil_core import check_sign_sum, expand_poly_in_h
+from hybridfdm.stencil_core import check_sign_sum, expand_at_offsets
 
 from test_jets_reduction import poly_jet, random_poly
+from test_stencil_regular import reference_weights
 
 A0_GAMMA1 = np.array(
     [
@@ -50,6 +59,11 @@ A0_CORNER1 = np.array(
 ZERO_ALPHA = np.zeros(6)
 
 
+def edge_basis(jet, alpha):
+    """The (7, ..., 7, 7) block of E_n of an edge stencil."""
+    return robin_basis(gh_blocks(build_reduction_table(jet, 6))[0], alpha)
+
+
 class TestEdgeStructure:
     def test_leading_expansions_match_a0(self):
         """Runtime A_0 of generic data still equals the constant matrix."""
@@ -58,19 +72,17 @@ class TestEdgeStructure:
         a.c[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         alpha = rng.uniform(-0.5, 0.5, size=6)
-        e_polys, _, _ = build_edge_basis(jet, alpha)
-        lead = np.array(
-            [expand_poly_in_h(en, EDGE_OFFSETS, 7)[:, n] for n, en in enumerate(e_polys)]
-        )
+        exp = expand_at_offsets(edge_basis(jet, alpha), EDGE_OFFSETS)
+        lead = np.array([exp[n, :, n] for n in range(7)])
         assert np.allclose(lead, A0_GAMMA1, atol=1e-12)
 
     def test_e0_row_is_all_ones(self):
-        e_polys, _, _ = build_edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
-        assert np.allclose([e_polys[0].eval(k, l) for k, l in EDGE_OFFSETS], 1.0)
+        e = edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
+        assert np.allclose([Poly2(e[0]).eval(k, l) for k, l in EDGE_OFFSETS], 1.0)
 
     def test_e2_degree2_part(self):
-        e_polys, _, _ = build_edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
-        part = expand_poly_in_h(e_polys[2], EDGE_OFFSETS, 7)[:, 2]
+        e = edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
+        part = expand_at_offsets(e, EDGE_OFFSETS)[2, :, 2]
         assert np.allclose(part, [1 / 2, 0, 1 / 2, 0, -1 / 2, 0], atol=1e-14)
 
     def test_neumann_constant_stencil(self):
@@ -150,14 +162,10 @@ class TestCornerStructure:
         alpha = rng.uniform(0, 1, size=6)
         beta = rng.uniform(0, 1, size=6)
         red = build_corner_reduction(jet, alpha, beta)
-        rows = []
-        for n in range(7):
-            hat = expand_poly_in_h(red.e_polys[n], CORNER_OFFSETS, 7)
-            tp = Poly2.zero(red.et_polys[0].size)
-            for m in range(7):
-                tp = tp + red.et_polys[m].scaled(red.p[m, n])
-            til = expand_poly_in_h(tp, CORNER_OFFSETS, 7)
-            rows.append(np.concatenate([hat, til], axis=0)[:, n])
+        hat = expand_at_offsets(red.e_polys, CORNER_OFFSETS)
+        til = expand_at_offsets(np.einsum("mn,mpq->npq", red.p, red.et_polys),
+                                CORNER_OFFSETS)
+        rows = [np.concatenate([hat[n], til[n]], axis=0)[:, n] for n in range(7)]
         assert np.allclose(np.array(rows), A0_CORNER1, atol=1e-11)
 
     def test_lambda_mu_are_reduction_entries(self):
@@ -166,8 +174,6 @@ class TestCornerStructure:
         a.c[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         red = build_corner_reduction(jet, ZERO_ALPHA, ZERO_ALPHA)
-        from hybridfdm.reduction import build_reduction_table
-
         table = build_reduction_table(jet, 6)
         for m in range(7):
             for n in range(7):
@@ -207,8 +213,8 @@ class TestCornerStructure:
         for m in (2, 3, 4):
             got = sum(red.p[m, n] * u.deriv_at(0, n, 0.0, 0.0) for n in range(7))
             got -= sum(red.mu[m, n] * g1_der[n] for n in range(6))
-            got += sum(red.nu[ij][m] * f.deriv_at(*ij, 0.0, 0.0)
-                       for ij in lambda_full(4))
+            got += sum(red.nu[k][m] * f.deriv_at(*ij, 0.0, 0.0)
+                       for k, ij in enumerate(lambda_full(4)))
             assert got == pytest.approx(u.deriv_at(m, 0, 0.0, 0.0), rel=1e-9, abs=1e-9)
 
     def test_monotone_flag_for_negative_alpha_plus_beta(self):
@@ -297,6 +303,79 @@ def corner_residual(anchor, h):
     rhs = (st.f_weights(h) @ f_der + st.g1_weights(h) @ g1_der
            + st.g3_weights(h) @ g3_der)
     return (lhs - rhs) / h
+
+
+def reference_robin_basis(g, alpha):
+    """E_n (or E~_m) as Poly2 sums over a dict of G polynomials."""
+    basis = []
+    for n in range(7):
+        en = g[(0, n)]
+        for i in range(n, 6):
+            en = en + g[(1, i)].scaled(comb(i, n) * alpha[..., i - n])
+        basis.append(en)
+    return basis
+
+
+def gh_dicts(table):
+    """The G/H blocks of an order-6 table as dicts of Poly2, keyed in the
+    order of ``gh_blocks`` (band keys of a transposed table in (n, m) form)."""
+    g, h = gh_blocks(table)
+    band = lambda_band(6)
+    if table.transposed:
+        band = tuple((n, m) for (m, n) in band)
+    return ({key: Poly2(c) for key, c in zip(band, g)},
+            {key: Poly2(c) for key, c in zip(lambda_full(4), h)})
+
+
+class TestRhsWeights:
+    @pytest.mark.parametrize("h", [0.3, 1.0 / 64])
+    def test_match_per_polynomial_eval(self, h):
+        rng = np.random.default_rng(31)
+        a = random_poly(rng, 3, scale=0.2)
+        a.c[0, 0] = 2.0
+        jet = poly_jet(a, 5, (0.0, 0.0))
+        edge_jet = Jet2(np.stack([jet.c, jet.c * 1.1]), 5)
+        alpha = rng.uniform(0, 1, size=(2, 6))
+        beta = rng.uniform(0, 1, size=6)
+
+        def assert_close(got, want):
+            scale = np.abs(want).max(axis=-1, keepdims=True)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+        st = solve_edge_stencil(edge_jet, alpha)
+        g, hp = gh_dicts(build_reduction_table(edge_jet, 6))
+        assert_close(st.f_weights(h), reference_weights(
+            st.coeffs, [hp[mn] for mn in F_INDICES_B], EDGE_OFFSETS, h))
+        assert_close(st.g1_weights(h), -reference_weights(
+            st.coeffs, [g[(1, n)] for n in range(6)], EDGE_OFFSETS, h))
+
+        red = build_corner_reduction(jet, alpha[0], beta)
+        cst = solve_corner_stencil(red)
+        g, hp = gh_dicts(build_reduction_table(jet, 6))
+        gt, ht = gh_dicts(transpose_reduction_table(jet, 6))
+        et = reference_robin_basis({(n, m): p for (m, n), p in gt.items()}, beta)
+        f_til = []
+        for k, mn in enumerate(F_INDICES_B):
+            poly = ht[mn]
+            for i in range(7):
+                poly = poly + et[i].scaled(red.nu[k][i])
+            f_til.append(poly)
+        g1_til = []
+        for n in range(6):
+            poly = Poly2.zero(7)
+            for m in range(7):
+                poly = poly + et[m].scaled(red.mu[m, n])
+            g1_til.append(poly)
+        chat, ctil = cst.chat, cst.ctilde
+        assert_close(cst.f_weights(h), reference_weights(
+            chat, [hp[mn] for mn in F_INDICES_B], CORNER_OFFSETS, h)
+            + reference_weights(ctil, f_til, CORNER_OFFSETS, h))
+        assert_close(cst.g1_weights(h), -(reference_weights(
+            chat, [g[(1, n)] for n in range(6)], CORNER_OFFSETS, h)
+            + reference_weights(ctil, g1_til, CORNER_OFFSETS, h)))
+        assert_close(cst.g3_weights(h), -reference_weights(
+            ctil, [gt[(m, 1)] for m in range(6)], CORNER_OFFSETS, h))
 
 
 class TestConsistency:

@@ -6,12 +6,13 @@ import pytest
 from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2, Poly2
 from hybridfdm.mls import mls_operator, sampling_recipe
-from hybridfdm.reduction import build_gh_polynomials, build_reduction_table
+from hybridfdm.reduction import build_reduction_table, gh_blocks
 from hybridfdm.stencil_core import (
     check_sign_sum,
     expand_poly_in_h,
     offset_operator,
 )
+from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS
 from hybridfdm.stencil_regular import (
     CENTER9,
     OFFSETS9,
@@ -199,25 +200,28 @@ def random_a_jet(rng, batch):
     return Jet2(c, 6)
 
 
-def rhs_weights_reference(stencil, h_polys, h):
-    """The per-polynomial Poly2.eval loop the offset operator replaced."""
-    ch = stencil.values(h)
-    kh = h * np.array([o[0] for o in OFFSETS9], dtype=float)
-    lh = h * np.array([o[1] for o in OFFSETS9], dtype=float)
-    return np.stack([np.sum(ch * Poly2(c).eval(kh, lh), axis=-1)
-                     for c in h_polys], axis=-1)
+def reference_weights(coeffs, polys, offsets, h):
+    """The per-polynomial Poly2.eval loop the offset operators replaced."""
+    ch = coeffs @ (h ** np.arange(coeffs.shape[-1]))
+    kh = h * np.array([o[0] for o in offsets], dtype=float)
+    lh = h * np.array([o[1] for o in offsets], dtype=float)
+    return np.stack([np.sum(ch * p.eval(kh, lh), axis=-1) for p in polys],
+                    axis=-1)
 
 
 class TestOffsetOperator:
+    @pytest.mark.parametrize("offsets,size", [(OFFSETS9, 8), (EDGE_OFFSETS, 7),
+                                              (CORNER_OFFSETS, 7)])
     @pytest.mark.parametrize("batch", [(), (1,), (5,), (3, 4)])
-    def test_matches_expand_poly_in_h(self, batch):
+    def test_matches_expand_poly_in_h(self, batch, offsets, size):
         rng = np.random.default_rng(len(batch) + sum(batch))
-        c = rng.standard_normal(batch + (8, 8))
-        op = offset_operator(OFFSETS9, 8, 8)
-        assert op.shape == (64, 9, 8)
-        got = (c.reshape(batch + (64,)) @ op.reshape(64, -1)).reshape(
-            batch + (9, 8))
-        want = expand_poly_in_h(Poly2(c), OFFSETS9, 8)
+        c = rng.standard_normal(batch + (size, size))
+        op = offset_operator(offsets, size, size)
+        k = len(offsets)
+        assert op.shape == (size * size, k, size)
+        got = (c.reshape(batch + (size * size,))
+               @ op.reshape(size * size, -1)).reshape(batch + (k, size))
+        want = expand_poly_in_h(Poly2(c), offsets, size)
         scale = np.abs(c).max(axis=(-2, -1))[..., None, None]
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
@@ -231,12 +235,13 @@ class TestOffsetOperator:
     def test_system_expansions_match_per_polynomial_path(self, batch):
         jet = random_a_jet(np.random.default_rng(3), batch)
         system = assemble_regular_system(jet)
-        g, _ = build_gh_polynomials(build_reduction_table(jet, 7))
-        want = np.stack([expand_poly_in_h(g[mn], OFFSETS9, 8)
-                         for mn in lambda_band(7)], axis=-3)
+        g, _ = gh_blocks(build_reduction_table(jet, 7))
+        assert len(g) == len(lambda_band(7))
+        want = np.stack([expand_poly_in_h(Poly2(c), OFFSETS9, 8) for c in g],
+                        axis=-3)
         assert system.expansions.shape == batch + (15, 9, 8)
-        scale = np.stack([np.abs(g[mn].c).max(axis=(-2, -1))
-                          for mn in lambda_band(7)], axis=-1)[..., None, None]
+        scale = np.stack([np.abs(c).max(axis=(-2, -1)) for c in g],
+                         axis=-1)[..., None, None]
         assert np.all(np.abs(system.expansions - want) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
@@ -245,7 +250,8 @@ class TestOffsetOperator:
         jet = random_a_jet(np.random.default_rng(4), batch)
         stencil, h_polys = build_regular_batch(jet)
         got = regular_rhs_weights(stencil, h_polys, h)
-        want = rhs_weights_reference(stencil, h_polys, h)
+        want = reference_weights(stencil.coeffs,
+                                 [Poly2(c) for c in h_polys], OFFSETS9, h)
         assert got.shape == batch + (len(lambda_full(5)),)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
