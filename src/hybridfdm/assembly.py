@@ -5,15 +5,16 @@ family (``RowBlock``): Dirichlet identities, 4-point Robin corner and 6-point
 Robin edge rows at scale h^-1, 9-point regular rows at scale h^-2 and
 13-point interface rows at scale h^-1, each with its right-hand side (no
 equilibration).  The sparse matrix, the rhs and the M-matrix audit all read
-the same blocks.  Assembly is deterministic (fixed chunking, fixed orders):
-interior nodes go in chunks of ``CHUNK`` and interface nodes in chunks of
-``IFACE_CHUNK``, each chunk sharing one base-point and chart search and one
-transmission build.  Every interface row is the same whatever the chunk
-size; a regular row moves at rounding level (a few 1e-15 row-relative) with
-its chunk's boundaries, because the batched MLS products of
-``regular_jets`` round differently for another batch size.  The chunks
-are fixed, so they can fan out over a process pool with results identical
-to the serial path.
+the same blocks.  Assembly is deterministic (fixed chunking, fixed orders).
+The jets of each regular family are estimated once for the whole family
+(``regular_jets``), then its nodes go in chunks of ``CHUNK``; interface
+nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
+and chart search and one transmission build.  No row depends on the chunk
+size: a regular chunk contracts only elementwise along its batch axis
+(``stencil_core._dot``), so every regular and interface row is the same,
+bit for bit, whatever ``CHUNK`` and ``IFACE_CHUNK`` are.  The chunks are
+fixed, so they can fan out over a process pool with results identical to
+the serial path.
 Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
 phase timings and the row count of every family.
 """
@@ -143,15 +144,13 @@ def _set_context(problem: ProblemSpec, h: float):
 
 
 def _regular_chunk(args):
-    """Stencil coefficients and rhs for one chunk of interior nodes."""
-    pts, side = args
-    problem, h = _CTX["problem"], _CTX["h"]
-    a_field = problem.a_plus if side == "+" else problem.a_minus
-    f_field = problem.f_plus if side == "+" else problem.f_minus
-    jet, f_der = regular_jets(a_field, f_field, pts, h)
-    stencil, h_polys = build_regular_batch(jet)
+    """Stencil coefficients and rhs of interior nodes from their jets."""
+    a_jet, f_der = args
+    h = _CTX["h"]
+    stencil, h_polys = build_regular_batch(Jet2(a_jet, 6))
     weights = regular_rhs_weights(stencil, h_polys, h)
-    rhs = np.einsum("bk,bk->b", weights, f_der) / h**2
+    # elementwise, so that a row's rhs does not depend on the chunk size
+    rhs = sum(w * f for w, f in zip(weights.T, f_der.T)) / h**2
     return stencil.coeffs, rhs
 
 
@@ -334,9 +333,12 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         ii, jj = np.nonzero(cls.labels == label)
         if len(ii) == 0:
             continue
-        pts = np.column_stack([xs[ii], ys[jj]])
-        regular.append((side, ii, jj, [(pts[k: k + CHUNK], side)
-                                       for k in range(0, len(pts), CHUNK)]))
+        a_field = problem.a_plus if side == "+" else problem.a_minus
+        f_field = problem.f_plus if side == "+" else problem.f_minus
+        jet, f_der = regular_jets(a_field, f_field, np.column_stack([ii, jj]),
+                                  (xs[0], ys[0]), h)
+        regular.append((side, ii, jj, [(jet.c[k: k + CHUNK], f_der[k: k + CHUNK])
+                                       for k in range(0, len(ii), CHUNK)]))
     ii, jj = iface_nodes
     offs = np.asarray(IRREGULAR_OFFSETS)
     minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0

@@ -132,21 +132,6 @@ def write_convergence_csv(path, rows):
                      f"{FLOAT_FMT % r.order},{FLOAT_FMT % r.wall}\r\n")
 
 
-def read_convergence_csv(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                continue
-            rows.append(ConvergenceRow(J=int(parts[0]), h=float(parts[1]),
-                                       error=float(parts[2]),
-                                       order=float(parts[3]),
-                                       wall=float(parts[4])))
-    return rows
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -10,11 +10,12 @@ sampled values.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MlsError
 from .indexsets import lambda_full
 from .jets import Jet2
-from .mls import MlsProblem, distinct_values, mls_operator, sampling_recipe
+from .mls import MlsProblem, mls_operator, sampling_recipe
 from .stencil_boundary import BoundaryFrame
 
 
@@ -32,34 +33,35 @@ def _sample(field, x, y) -> np.ndarray:
         np.broadcast_to(np.asarray(field(x, y), dtype=float), shape))
 
 
-def _distinct_points(x: np.ndarray, y: np.ndarray):
-    """First occurrence of every distinct (x, y) pair, with coordinates
-    compared bit for bit, and the index of each pair among them."""
-    _, ix = distinct_values(x)
-    _, iy = distinct_values(y)
-    _, first, inverse = np.unique(ix * (iy.max() + 1) + iy, return_index=True,
-                                  return_inverse=True)
-    return first, inverse
+def regular_jets(a_field, f_field, nodes: np.ndarray, origin, h: float):
+    """Interior jets of a row family: a-jet of order 6 and f derivatives on
+    Lambda_5, one row per node of the (N, 2) integer grid indices ``nodes``.
 
-
-def regular_jets(a_field, f_field, anchors: np.ndarray, h: float):
-    """Batched interior jets: a-jet of order 6 and f derivatives on Lambda_5.
-
-    ``anchors`` is (B, 2); the fields must accept array arguments.
+    Node (i, j) sits at ``origin + (i, j) * h``, so the ``"regular-interior"``
+    lattices of all nodes are windows of one lattice of spacing h/4.  Each
+    field is evaluated once, through ``_sample``, on the two axes of that
+    lattice over the family's bounding box; each node's window is gathered
+    by integer index, and each MLS product runs once for the whole family.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1, 2)
     rec = sampling_recipe("regular-interior", h)
     op_a = mls_operator(rec.problem(6), lambda_full(6))
     op_f = mls_operator(rec.problem(5), lambda_full(5))
-    # neighboring lattices share most points: evaluate each distinct one once
-    pts = anchors[:, None, :] + rec.samples[None, :, :]
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    first, inverse = _distinct_points(x, y)
-    x, y = x[first], y[first]
-    va = _sample(a_field, x, y)[inverse].reshape(pts.shape[:2])
-    vf = _sample(f_field, x, y)[inverse].reshape(pts.shape[:2])
-    a_der = va @ op_a.T
-    f_der = vf @ op_f.T
+    # lattice indices (in steps of h/4) of each node's first window point
+    first = [round(axis[0] / rec.step) for axis in rec.axes]
+    window = [len(axis) for axis in rec.axes]
+    start = round(h / rec.step) * nodes + first
+    box = start.min(axis=0)
+    ax, ay = (origin[d] + np.arange(box[d], start[:, d].max() + window[d])
+              * rec.step for d in (0, 1))
+
+    def windows(field):
+        values = _sample(field, ax[:, None], ay[None, :])
+        return sliding_window_view(values, window)[tuple((start - box).T)] \
+            .reshape(len(nodes), -1)
+
+    a_der = windows(a_field) @ op_a.T
+    f_der = windows(f_field) @ op_f.T
     jet = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)
     return jet, f_der

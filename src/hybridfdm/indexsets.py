@@ -9,11 +9,15 @@ Canonical ordering: ascending total degree, and within a degree ``t`` the
 index ``(0, t)`` precedes ``(1, t - 1)`` (and generally indices are sorted by
 first component).  This ordering fixes the row order of all constant system
 matrices used by the stencil solvers.
+
+The same order packs the k (k + 1) / 2 entries with m + n < k of a k x k
+coefficient table (``reduction.gh_blocks``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -34,12 +38,9 @@ def lambda_band(order: int) -> tuple[tuple[int, int], ...]:
     return tuple(mn for mn in lambda_full(order) if mn[0] <= 1)
 
 
-@lru_cache(maxsize=None)
-def lambda_complement(order: int) -> tuple[tuple[int, int], ...]:
-    """Second band: Lambda \\ Lambda^1."""
-    return tuple(mn for mn in lambda_full(order) if mn[0] > 1)
-
-
-def lambda_sets(order: int):
-    """Return (Lambda, Lambda^1, Lambda^2) for the given order."""
-    return lambda_full(order), lambda_band(order), lambda_complement(order)
+def packed_size(n_entries: int) -> int:
+    """Size k of a table packed into ``n_entries`` = k (k + 1) / 2 entries."""
+    k = (isqrt(8 * n_entries + 1) - 1) // 2
+    if k * (k + 1) // 2 != n_entries:
+        raise ValueError(f"{n_entries} entries do not pack a square table")
+    return k

@@ -131,12 +131,6 @@ class Jet2:
         return cls(c, order, base)
 
     # -- access ------------------------------------------------------------
-    def deriv(self, m: int, n: int):
-        """Raw partial derivative d^{m+n} f / dx^m dy^n at the base point."""
-        if m + n > self.order:
-            raise ValueError(f"derivative {(m, n)} outside jet of order {self.order}")
-        return self.c[..., m, n] * (_FACT[m] * _FACT[n])
-
     @property
     def value(self):
         return self.c[..., 0, 0]
@@ -258,15 +252,6 @@ class Poly2:
         return np.einsum("...mn,mnk->...k", self.c, mon.reshape(k, k, -1)).reshape(
             self.c.shape[:-2] + pts_shape
         )
-
-    def deriv_at(self, m: int, n: int, x, y):
-        """Evaluate d^{m+n}/dx^m dy^n of the polynomial at (x, y)."""
-        p = self
-        for _ in range(m):
-            p = p.dx()
-        for _ in range(n):
-            p = p.dy()
-        return p.eval(x, y)
 
     def transposed(self) -> "Poly2":
         return Poly2(np.swapaxes(self.c, -1, -2))

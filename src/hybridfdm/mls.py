@@ -204,6 +204,7 @@ class SamplingRecipe:
     center: np.ndarray
     h: float
     axes: tuple                # per-axis offsets whose product is ``samples``
+    step: float                # lattice spacing: every offset is k * step
 
     def problem(self, degree: int) -> MlsProblem:
         return MlsProblem(self.samples, self.target, self.center, degree, self.h)
@@ -216,12 +217,12 @@ def _lattice(context, step, nx_lo, nx_hi, ny_lo, ny_hi, h,
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     target = np.zeros(2) if target is None else np.asarray(target, float)
     return SamplingRecipe(context, np.column_stack([gx.ravel(), gy.ravel()]),
-                          target, np.zeros(2), h, (xs, ys))
+                          target, np.zeros(2), h, (xs, ys), step)
 
 
 def _line(context, step, n_lo, n_hi, h) -> SamplingRecipe:
     ts = np.arange(n_lo, n_hi + 1) * step
-    return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h, (ts,))
+    return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h, (ts,), step)
 
 
 def sampling_recipe(context: str, h: float, target_offset=None,

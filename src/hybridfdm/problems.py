@@ -33,7 +33,6 @@ from .errors import ConfigError
 from .expressions import compile_expression
 from .geometry import LevelSetInterface, ParametricInterface
 from .jets import Poly2
-from .transmission import CurveJet
 
 
 @dataclass
@@ -75,22 +74,6 @@ class ProblemSpec:
             return self.exact_u_plus(x, y)
         side = np.asarray(self.psi(x, y)) > 0.0
         return np.where(side, self.exact_u_plus(x, y), self.exact_u_minus(x, y))
-
-
-def curvature(curve: CurveJet) -> float:
-    """|r's'' - r''s'| / ((r')^2 + (s')^2)^(3/2) from the curve jets."""
-    r1, r2 = curve.r[1], curve.r[2]
-    s1, s2 = curve.s[1], curve.s[2]
-    speed2 = r1 * r1 + s1 * s1
-    if speed2 == 0.0:
-        raise ConfigError("degenerate tangent in curvature evaluation")
-    return abs(r1 * s2 - r2 * s1) / speed2**1.5
-
-
-def curvature_jump(curve: CurveJet):
-    """The (g, gGamma) pair of the curvature-driven experiment: (k - 1, k)."""
-    k = curvature(curve)
-    return k - 1.0, k
 
 
 # ----------------------------------------------------------------------------

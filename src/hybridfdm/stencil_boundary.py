@@ -27,10 +27,11 @@ transposed basis E~_m absorbs beta.  Hat and tilde coefficient blocks are kept
 separate (8 unknowns) exactly as in the reference construction; the displayed
 stencil is their sum.
 
-Every polynomial family is a coefficient block of ``reduction.gh_blocks``
-(one (7, 7) table per polynomial on the leading axis).  E_n, E~_m and the
-tilde combinations through p, nu and mu are matrix products over that
-axis, and the canonical offsets are fixed, so the h-expansions and the
+Every polynomial family is a packed coefficient block of
+``reduction.gh_blocks`` (one row of the 28 coefficients with p + q <= 6 per
+polynomial on the leading axis).  E_n, E~_m and the tilde combinations
+through p, nu and mu are matrix products over that axis, and the canonical
+offsets are fixed, so the h-expansions and the
 right-hand-side weights go through the cached offset operators of
 EDGE_OFFSETS and CORNER_OFFSETS (``stencil_core.expand_at_offsets`` and
 ``weights_at_offsets``), as for the 9-point stencil.
@@ -58,6 +59,7 @@ from .stencil_core import (
     frac_leading_g,
     run_constant_recursion,
     stencil_values,
+    tie_row,
     weights_at_offsets,
 )
 
@@ -70,13 +72,6 @@ M_EDGE = 6
 # (n = 0..5); in a transposed table's block the same rows hold G~_{n,0}, G~_{n,1}
 G0_ROWS = [lambda_band(M_EDGE).index((0, n)) for n in range(M_EDGE + 1)]
 G1_ROWS = [lambda_band(M_EDGE).index((1, n)) for n in range(M_EDGE)]
-
-
-def _frac_row(size, *terms):
-    row = [Fraction(0)] * size
-    for col, w in terms:
-        row[col] += Fraction(w)
-    return row
 
 
 @lru_cache(maxsize=1)
@@ -93,12 +88,12 @@ def _edge_solvers():
             5: [((0, 1), (1, 1)), ((1, -1), (1, 1)), ((1, 0), (1, 1))],
         }
         if d in pairs:
-            return [_frac_row(6, (EDGE_OFFSETS.index(a), 1), (EDGE_OFFSETS.index(b), -1))
+            return [tie_row(6, (EDGE_OFFSETS.index(a), 1), (EDGE_OFFSETS.index(b), -1))
                     for a, b in pairs[d]]
         if d == 6:
-            rows = [_frac_row(6, (EDGE_OFFSETS.index(o), 1))
+            rows = [tie_row(6, (EDGE_OFFSETS.index(o), 1))
                     for o in ((0, 1), (1, -1), (1, 0))]
-            rows.append(_frac_row(6, (EDGE_OFFSETS.index((0, 0)), 1), (c11, 2)))
+            rows.append(tie_row(6, (EDGE_OFFSETS.index((0, 0)), 1), (c11, 2)))
             return rows
         return []
 
@@ -118,27 +113,27 @@ def _corner_solvers():
     H00, H01, H10, H11, T00, T01, T10, T11 = range(8)
 
     def ties(d):
-        zero_rows = [_frac_row(8, (T00, 1)), _frac_row(8, (T10, 1))]
+        zero_rows = [tie_row(8, (T00, 1)), tie_row(8, (T10, 1))]
         if d <= 2:
             return zero_rows
         if d == 3:
-            return [_frac_row(8, (T01, 1), (T11, -1))] + zero_rows
+            return [tie_row(8, (T01, 1), (T11, -1))] + zero_rows
         if d == 4:
-            return [_frac_row(8, (H11, 1), (T11, -1)),
-                    _frac_row(8, (T01, 1), (T11, -2))] + zero_rows
+            return [tie_row(8, (H11, 1), (T11, -1)),
+                    tie_row(8, (T01, 1), (T11, -2))] + zero_rows
         if d == 5:
-            return [_frac_row(8, (H10, 1), (T11, -1)),
-                    _frac_row(8, (H11, 1), (T11, -1)),
-                    _frac_row(8, (T10, 1), (T11, -1)),
-                    _frac_row(8, (T01, 1), (T11, -3)),
-                    _frac_row(8, (T00, 1))]
+            return [tie_row(8, (H10, 1), (T11, -1)),
+                    tie_row(8, (H11, 1), (T11, -1)),
+                    tie_row(8, (T10, 1), (T11, -1)),
+                    tie_row(8, (T01, 1), (T11, -3)),
+                    tie_row(8, (T00, 1))]
         if d == 6:
-            return [_frac_row(8, (H01, 1), (T11, -1)),
-                    _frac_row(8, (H10, 1), (T11, -1)),
-                    _frac_row(8, (H11, 1), (T11, -1)),
-                    _frac_row(8, (T01, 1), (T11, -1)),
-                    _frac_row(8, (T10, 1), (T11, -1)),
-                    _frac_row(8, (T00, 1))]
+            return [tie_row(8, (H01, 1), (T11, -1)),
+                    tie_row(8, (H10, 1), (T11, -1)),
+                    tie_row(8, (H11, 1), (T11, -1)),
+                    tie_row(8, (T01, 1), (T11, -1)),
+                    tie_row(8, (T10, 1), (T11, -1)),
+                    tie_row(8, (T00, 1))]
         return []
 
     return build_degree_solvers(a0, lead, T=6, ties_for_degree=ties,
@@ -161,11 +156,11 @@ def _robin_weights(alpha: np.ndarray) -> np.ndarray:
 def robin_basis(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """E_n = G_{6,0,n} + sum_i binom(i,n) alpha^(i-n) G_{6,1,i}, n = 0..6.
 
-    ``g`` is the (28, ..., 7, 7) G block of an order-6 table and ``alpha``
-    (..., 6) holds d^n alpha/dy^n; returns the (7, ..., 7, 7) block.  The
-    block of a transposed table with beta gives E~_m.
+    ``g`` is the packed (13, ..., 28) G block of an order-6 table and
+    ``alpha`` (..., 6) holds d^n alpha/dy^n; returns the (7, ..., 28) block.
+    The block of a transposed table with beta gives E~_m.
     """
-    return g[G0_ROWS] + np.einsum("...ni,i...pq->n...pq",
+    return g[G0_ROWS] + np.einsum("...ni,i...e->n...e",
                                   _robin_weights(alpha), g[G1_ROWS])
 
 
@@ -175,8 +170,8 @@ class EdgeStencil:
 
     coeffs: np.ndarray            # (..., 6, 7)
     monotone: np.ndarray
-    g1_polys: np.ndarray          # (6, ..., 7, 7) G_{6,1,n}, n = 0..5
-    h_polys: np.ndarray           # (15, ..., 7, 7) H_{6,m,n}, Lambda_4 order
+    g1_polys: np.ndarray          # (6, ..., 28) G_{6,1,n}, n = 0..5
+    h_polys: np.ndarray           # (15, ..., 28) H_{6,m,n}, Lambda_4 order
     offsets: tuple = EDGE_OFFSETS
 
     def values(self, h: float) -> np.ndarray:
@@ -204,7 +199,8 @@ def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
 @dataclass
 class CornerReduction:
     """Coefficient tables and polynomial blocks feeding the 4-point corner
-    solve; each block holds one (7, 7) table per polynomial."""
+    solve; each block holds one packed row of 28 coefficients per
+    polynomial."""
 
     lam: np.ndarray               # (7, 7) lambda_{m,n}
     mu: np.ndarray                # (7, 6) mu_{m,n}

@@ -19,6 +19,11 @@ off-center <= 0) and the next degree's row sum being nonnegative.
 The constant systems are reduced once in exact rational arithmetic, giving a
 per-degree solution operator that is then applied to batches of points with
 plain matrix products.
+
+The families with fixed offsets (9-point, edge, corner) take their Phi_r as
+packed coefficient blocks (``reduction.gh_blocks``), and one cached operator
+per offset set, (36, 9, 8) for the 9-point offsets, turns a block into
+h-expansions or values at the offsets.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 from .errors import StencilError
+from .indexsets import lambda_full, packed_size
 from .jets import Poly2
 
 RESID_TOL = 1e-9
@@ -44,14 +50,14 @@ def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarra
 
     Only the 13-point interface rows use it.  Their offsets (v0 + k, w0 + l)
     move with the base point of every node, so no operator can be cached for
-    them, and they amplify rounding by about 1e7: the one matrix product of
-    ``expand_at_offsets`` sums each coefficient over all k*k table entries,
-    in another order than the per-degree masked sums here, and routing the
-    interface rows through it moved them by up to 1.1e-8 row-relative on a
-    generated interface problem at J=5.  The 9-point, edge and corner
-    families have fixed offsets and go through ``offset_operator``; the edge
-    and corner stencils are built on canonical offsets, and only their
-    output offsets are reflected onto a side (``map_by_reflection``).
+    them, and they amplify rounding by about 1e7: ``expand_at_offsets``
+    adds the terms in another order than the per-degree masked sums here,
+    and routing the interface rows through it (then a matrix product)
+    moved them by up to 1.1e-8 row-relative on a generated interface
+    problem at J=5.  The 9-point, edge and corner families have fixed
+    offsets and go through ``offset_operator``; the edge and corner
+    stencils are built on canonical offsets, and only their output offsets
+    are reflected onto a side (``map_by_reflection``).
     """
     offsets = np.asarray(offsets, dtype=float)
     n_off = offsets.shape[0]
@@ -73,55 +79,78 @@ def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarra
 
 
 @lru_cache(maxsize=None)
-def offset_operator(offsets: tuple, size: int, nterms: int) -> np.ndarray:
-    """Constant map from size x size coefficient tables to h-expansions.
+def offset_operator(offsets: tuple, size: int) -> np.ndarray:
+    """Constant map from packed size x size coefficient tables to h-expansions.
 
-    ``op[p * size + q, o, t]`` is vx_o^p vy_o^q when p + q == t < nterms and
-    0 otherwise, so for a table c flattened to (..., size * size)
-    ``c @ op.reshape(size * size, -1)`` is
-    ``expand_poly_in_h(Poly2(c), offsets, nterms)`` up to rounding, and
-    ``op @ h**arange(nterms)`` evaluates the polynomial at the points
-    h * offsets.  Built once per offset set; read-only.
+    A packed table holds the E = k (k + 1) / 2 entries (p, q) with p + q < k
+    of a k x k table, in Lambda_{k-1} order.  ``op[e, o, t]`` is
+    vx_o^p vy_o^q for the packed entry e = (p, q) when t == p + q and 0
+    otherwise, so ``c @ op.reshape(E, -1)`` expands packed tables c like
+    ``expand_poly_in_h``, and ``op @ h**arange(size)`` evaluates them at the
+    points h * offsets.  (36, 9, 8) for OFFSETS9; cached, read-only.
     """
     v = np.asarray(offsets, dtype=float)
-    p, q = np.indices((size, size)).reshape(2, -1)
-    op = np.zeros((size * size, len(v), nterms))
-    keep = p + q < nterms
-    op[keep, :, (p + q)[keep]] = (v[:, 0] ** p[keep, None]
-                                  * v[:, 1] ** q[keep, None])
+    p, q = (np.array(ix) for ix in zip(*lambda_full(size - 1)))
+    op = np.zeros((len(p), len(v), size))
+    op[np.arange(len(p)), :, p + q] = v[:, 0] ** p[:, None] * v[:, 1] ** q[:, None]
     op.flags.writeable = False
     return op
 
 
-def expand_at_offsets(blocks: np.ndarray, offsets: tuple) -> np.ndarray:
-    """h-expansions at fixed offsets of a (K, ..., k, k) block of tables.
+def _dot(pairs):
+    """sum_i a_i * b_i over the (a_i, b_i) pairs, added left to right.
 
-    Returns (K, ..., n_off, k): entry [i, ..., o, t] is the coefficient of
-    h^t in P_i(vx_o h, vy_o h), for all K tables by one matrix product with
-    the cached ``offset_operator``.
+    Elementwise operations round each entry of a batch the same way for any
+    batch size; a BLAS product does not (numpy sends one row through gemv,
+    and OpenBLAS picks kernels by the row count).  The fixed-offset stencils
+    contract through this, so a row does not depend on its batch.
     """
-    size = blocks.shape[-1]
-    op = offset_operator(offsets, size, size)
-    return (blocks.reshape(len(blocks), -1, size * size)
-            @ op.reshape(size * size, -1)).reshape(
-        blocks.shape[:-2] + (len(offsets), size))
+    acc = None
+    for a, b in pairs:
+        term = a * b
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def expand_at_offsets(blocks: np.ndarray, offsets: tuple) -> np.ndarray:
+    """h-expansions at fixed offsets of a (K, ..., E) block of packed tables.
+
+    Returns (K, ..., n_off, k) for tables of size k (E = k (k + 1) / 2):
+    entry [i, ..., o, t] is the coefficient of h^t in P_i(vx_o h, vy_o h),
+    the nonzero terms of the cached ``offset_operator`` added in entry
+    order, as a matrix product with it would, but elementwise.  The result
+    is a view of (n_off, k, K, ...) memory.
+    """
+    n = blocks.shape[-1]
+    size = packed_size(n)
+    op = offset_operator(offsets, size)
+    tables = np.moveaxis(blocks, -1, 0)
+    out = np.zeros((len(offsets), size) + blocks.shape[:-1])
+    for o, t, e in zip(*np.nonzero(np.transpose(op, (1, 2, 0)))):
+        w, acc = op[e, o, t], out[o, t]
+        if abs(w) == 1.0:       # offsets in {-1, 0, 1}: add or subtract in place
+            (np.add if w > 0 else np.subtract)(acc, tables[e], out=acc)
+        else:
+            acc += tables[e] * w
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def weights_at_offsets(blocks: np.ndarray, offsets: tuple,
                        coeffs: np.ndarray, h: float) -> np.ndarray:
     """sum_o C_o(h) P_i(h * offset_o) for each table P_i of a block.
 
-    ``blocks`` is (K, ..., k, k) and ``coeffs`` the (..., n_off, D+1)
-    stencil; returns the (..., K) weights.  All K tables are evaluated at
-    the offsets by one product with the offset operator contracted against
-    h^t, and the values are then contracted with the stencil values.
+    ``blocks`` is (K, ..., E) packed tables and ``coeffs`` the
+    (..., n_off, D+1) stencil; returns the (..., K) weights
+    sum_e P_i[e] w_e, w_e = sum_o C_o(h) vx_o^p vy_o^q h^(p+q).
     """
-    size = blocks.shape[-1]
-    at_offsets = offset_operator(offsets, size, size) @ (h ** np.arange(size))
-    values = (blocks.reshape(len(blocks), -1, size * size) @ at_offsets).reshape(
-        blocks.shape[:-2] + (len(offsets),))
-    return np.moveaxis(np.sum(stencil_values(coeffs, h) * values, axis=-1),
-                       0, -1)
+    n = blocks.shape[-1]
+    size = packed_size(n)
+    at_offsets = offset_operator(offsets, size) @ (h ** np.arange(size))
+    values = np.moveaxis(stencil_values(coeffs, h), -1, 0)
+    tables = np.moveaxis(blocks, -1, 0)
+    out = _dot((tables[e], _dot((values[o], w) for o, w in enumerate(row)))
+               for e, row in enumerate(at_offsets))
+    return np.moveaxis(out, 0, -1)
 
 
 def frac_leading_g(m: int, n: int, k: int, ell: int) -> Fraction:
@@ -176,6 +205,16 @@ def _solution_operator(rows: list[list[Fraction]]) -> np.ndarray:
     )
 
 
+def tie_row(size: int, *terms) -> list[Fraction]:
+    """Exact constraint row of ``size`` columns: the sum of ``weight`` at
+    ``column`` over the (column, weight) ``terms``; ties the free
+    coefficients of a constant stencil system."""
+    row = [Fraction(0)] * size
+    for col, w in terms:
+        row[col] += Fraction(w)
+    return row
+
+
 @dataclass
 class DegreeSolver:
     """Affine solution map C_d = Sb @ b_d + t * St for one degree."""
@@ -204,9 +243,7 @@ def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
         rows_d = [r for r in range(len(a0)) if lead[r] + d <= T]
         stacked = [a0[r] for r in rows_d]
         stacked += [list(t) for t in ties_for_degree(d)]
-        pin_row = [Fraction(0)] * len(a0[0])
-        pin_row[pin_col] = Fraction(1)
-        stacked.append(pin_row)
+        stacked.append(tie_row(len(a0[0]), (pin_col, 1)))
         L = _solution_operator(stacked)
         solvers.append(
             DegreeSolver(Sb=L[:, : len(rows_d)], St=L[:, -1],
@@ -233,48 +270,56 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
     The free parameter of each maximize-degree is chosen as the largest value
     keeping center coefficients >= 0, off-center <= 0, and the next degree's
     row sum >= 0 (the greedy selection that makes the scheme an M-matrix
-    candidate for every h).
+    candidate for every h).  Every contraction runs through ``_dot`` on
+    vectors along the batch axis, so each stencil is the same whatever
+    batch it is solved in.
     """
     exp = expansions
     squeeze = exp.ndim == 3
     if squeeze:
         exp = exp[None]
     B, R, O, _ = exp.shape
+    X = np.moveaxis(exp, 0, -1)           # X[r, o, t] is a batch vector
+    lead = np.asarray(lead)
     ncols = next(s for s in solvers if s is not None).Sb.shape[0]
     K = np.eye(ncols) if combine is None else np.asarray(combine, dtype=float)
     n_disp = K.shape[0]
 
-    coeffs = np.zeros((B, ncols, T + 1))
+    def rows(c, r, t):
+        """sum_o c[o] X[r, o, t], one batch vector per row r (with its t)."""
+        terms = X[r, :, t]
+        return _dot((c[o], terms[..., o, :]) for o in range(O))
+
+    coeffs = np.zeros((ncols, T + 1, B))
     monotone = np.ones(B, dtype=bool)
     worst = 0.0
     sum_row = next((r for r in range(R) if lead[r] == 0), None)
 
     for d in range(T + 1):
-        rows_d = [r for r in range(R) if lead[r] + d <= T]
-        b = np.zeros((B, len(rows_d)))
-        for i, r in enumerate(rows_d):
-            for s in range(d):
-                b[:, i] -= np.einsum("bo,bo->b", coeffs[:, :, s],
-                                     exp[:, r, :, lead[r] + d - s])
+        rows_d = np.flatnonzero(lead + d <= T)
+        b = np.zeros((len(rows_d), B))
+        for s in range(d):
+            b = b - rows(coeffs[:, s], rows_d, lead[rows_d] + d - s)
+        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         solver = solvers[d]
         if solver is None:
             # top degree left zero; rows must already balance
             worst = max(worst, float(np.abs(b).max(initial=0.0)))
             continue
 
-        P = b @ solver.Sb.T
+        P = _dot((w[:, None], b_i) for w, b_i in zip(solver.Sb.T, b))
         V = solver.St
         if solver.fixed is not None:
             c_star = np.full(B, solver.fixed)
         else:
-            Pc = P @ K.T
             Vc = K @ V
+            Pc = K @ P          # at most two unit entries a row: exact
             upper = np.full(B, np.inf)
             lower = np.full(B, -np.inf)
             for o in range(n_disp):
                 sgn = 1.0 if o == center else -1.0
                 a = sgn * Vc[o]
-                rhs = -sgn * Pc[:, o]
+                rhs = -sgn * Pc[o]
                 if a > _TINY:
                     lower = np.maximum(lower, rhs / a)
                 elif a < -_TINY:
@@ -284,10 +329,9 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
             if d + 1 <= T and sum_row is not None:
                 i0 = np.zeros(B)
                 for s in range(d):
-                    i0 -= np.einsum("bo,bo->b", coeffs[:, :, s],
-                                    exp[:, sum_row, :, d + 1 - s])
-                i0 -= np.einsum("bo,bo->b", P, exp[:, sum_row, :, 1])
-                slope = -np.einsum("o,bo->b", V, exp[:, sum_row, :, 1])
+                    i0 = i0 - rows(coeffs[:, s], sum_row, d + 1 - s)
+                i0 = i0 - rows(P, sum_row, 1)
+                slope = -rows(V, sum_row, 1)
                 neg = slope < -_TINY
                 pos = slope > _TINY
                 flat = ~neg & ~pos
@@ -301,19 +345,17 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
             infeasible = lower > upper + SLACK
             monotone &= ~infeasible
 
-        C_d = P + c_star[:, None] * V[None, :]
-        coeffs[:, :, d] = C_d
+        coeffs[:, d] = P + c_star * V[:, None]
 
         # residual of A_d C_d = b_d (includes stacked-row consistency)
-        A_batch = np.stack([exp[:, r, :, lead[r]] for r in rows_d], axis=1)
-        resid = np.einsum("bro,bo->br", A_batch, C_d) - b
-        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+        resid = rows(coeffs[:, d], rows_d, lead[rows_d]) - b
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
 
     if worst > RESID_TOL:
         raise StencilError(f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
 
-    disp = np.einsum("do,bot->bdt", K, coeffs)
+    disp, coeffs = (np.ascontiguousarray(np.moveaxis(c, -1, 0))
+                    for c in (np.tensordot(K, coeffs, 1), coeffs))
     if squeeze:
         return RecursionResult(disp[0], coeffs[0], monotone[0], worst)
     return RecursionResult(disp, coeffs, monotone, worst)

@@ -18,19 +18,21 @@ Laplacian stencil when the coefficient is constant.
 c_{1,1,0} = -1 is hard-coded; any negative value works and only rescales the
 row.
 
-The h-expansions of the 15 G polynomials and the values of the 21 H
-polynomials at the nine offsets go through the cached constant operator of
-OFFSETS9 (``stencil_core.offset_operator``, shape (64, 9, 8)), as for the
-edge and corner stencils: ``expand_at_offsets`` multiplies the chunk's G
-block, flattened to 64 entries per table, by the operator once, and
-``weights_at_offsets`` evaluates the H block through the operator
-contracted against h^t and contracts the values with the stencil values.
+The 15 G and 21 H polynomials are packed coefficient blocks: each degree-7
+polynomial is the row of its 36 coefficients with p + q <= 7, in Lambda_7
+order (``reduction.gh_blocks``).  Their h-expansions and values at the nine
+offsets go through the cached constant operator of OFFSETS9
+(``stencil_core.offset_operator``, shape (36, 9, 8)), as for the edge and
+corner stencils: ``expand_at_offsets`` adds up the operator's nonzero terms
+over the chunk's whole (15, B, 36) G block, and ``weights_at_offsets``
+contracts the H block with the operator evaluated at h and the stencil
+values.  Both work elementwise along the chunk, like the recursion, so a
+node's stencil and weights do not depend on the chunk it is solved in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +46,7 @@ from .stencil_core import (
     frac_leading_g,
     run_constant_recursion,
     stencil_values,
+    tie_row,
     weights_at_offsets,
 )
 
@@ -65,13 +68,6 @@ class StencilPoly:
         return stencil_values(self.coeffs, h)
 
 
-def _tie(*terms, size=9):
-    row = [Fraction(0)] * size
-    for col, w in terms:
-        row[col] += Fraction(w)
-    return row
-
-
 @lru_cache(maxsize=1)
 def _regular_solvers():
     band = lambda_band(7)
@@ -81,14 +77,14 @@ def _regular_solvers():
 
     def ties(d):
         if d == 4:
-            return [_tie((c[(1, 0)], 1), (c[(1, 1)], -1))]
+            return [tie_row(9, (c[(1, 0)], 1), (c[(1, 1)], -1))]
         if d == 5:
-            return [_tie((c[o], 1), (c[(1, 1)], -1))
+            return [tie_row(9, (c[o], 1), (c[(1, 1)], -1))
                     for o in ((0, 1), (1, -1), (1, 0))]
         if d == 6:
-            rows = [_tie((c[o], 1), (c[(1, 1)], -1))
+            rows = [tie_row(9, (c[o], 1), (c[(1, 1)], -1))
                     for o in ((-1, 1), (0, 1), (1, -1), (1, 0))]
-            rows.append(_tie((c[(0, 0)], 1), (c[(1, 1)], 8)))
+            rows.append(tie_row(9, (c[(0, 0)], 1), (c[(1, 1)], 8)))
             return rows
         return []
 
@@ -104,16 +100,16 @@ class RegularSystem:
     """Recursive linear systems of the 9-point stencil at one or many points."""
 
     expansions: np.ndarray       # (..., 15, 9, 8) h-expansions of G_{7,m,n}
-    h_polys: np.ndarray          # (21, ..., 8, 8) H_{7,m,n}, Lambda_5 order
+    h_polys: np.ndarray          # (21, ..., 36) H_{7,m,n}, Lambda_5 order
     lead: tuple
 
 
 def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
     """Expansions and source polynomials at the stencil center (base = node).
 
-    All 15 G tables are expanded by one matrix product; the result keeps
-    the product's (15, ..., 9, 8) memory order behind a (..., 15, 9, 8)
-    view, which the recursion reads faster than a contiguous copy.
+    All 15 G tables are expanded at once; the result is a (..., 15, 9, 8)
+    view of (9, 8, 15, ...) memory, in which every batch vector the
+    recursion reads is contiguous.
     """
     g, h_polys = gh_blocks(build_reduction_table(a_jet, 7))
     _, lead = _regular_solvers()
@@ -126,7 +122,7 @@ def regular_rhs_weights(stencil: StencilPoly, h_polys: np.ndarray,
                         h: float) -> np.ndarray:
     """Weights of f^(m,n) over Lambda_5: sum_o C_o(h) H_{7,m,n}(kh, lh).
 
-    ``h_polys`` is the (21, ..., 8, 8) block of H tables.  The h^-2 row
+    ``h_polys`` is the packed (21, ..., 36) block of H tables.  The h^-2 row
     scale of the scheme is applied by the assembler, not here.
     """
     return weights_at_offsets(h_polys, OFFSETS9, stencil.coeffs, h)
@@ -136,7 +132,7 @@ def build_regular_batch(a_jet: Jet2):
     """Stencil at every point of a jet with leading batch axes.
 
     Returns the StencilPoly (batched coefficients and monotone flags) and the
-    (21, ..., 8, 8) block of H tables for the source weights.
+    packed (21, ..., 36) block of H tables for the source weights.
     """
     system = assemble_regular_system(a_jet)
     solvers, lead = _regular_solvers()

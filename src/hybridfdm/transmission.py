@@ -40,7 +40,7 @@ from .jets import (
     series_sqrt,
 )
 from .mls import mls_operator, sampling_recipe
-from .reduction import build_reduction_table, gh_blocks
+from .reduction import build_reduction_table, dense_tables, gh_blocks
 
 M_IRR = 5                      # expansion order of the interface stencils
 BAND5 = lambda_band(5)         # 11 entries
@@ -137,7 +137,8 @@ class InterfaceLocalModel:
     """Everything the 13-point stencil needs at one base point.
 
     The G/H families of the order-5 expansion are coefficient blocks, one
-    (6, 6) table per polynomial: G over BAND5, H over F3.
+    square (6, 6) table per polynomial (``reduction.dense_tables`` of the
+    packed blocks): G over BAND5, H over F3.
     """
 
     curve: CurveJet
@@ -182,8 +183,10 @@ def build_transmission(curves, a_plus_jet: Jet2,
     the offending point.
     """
     stacked = Jet2(np.stack([a_plus_jet.c, a_minus_jet.c]), a_plus_jet.order)
-    # G over BAND5 and H over F3, each (n, side, B, 6, 6)
-    g_all, h_all = gh_blocks(build_reduction_table(stacked, M_IRR))
+    # G over BAND5 and H over F3, each (n, side, B, 6, 6): the series
+    # compositions and the 13-point rows read square tables
+    g_all, h_all = (dense_tables(block) for block in
+                    gh_blocks(build_reduction_table(stacked, M_IRR)))
 
     fact = np.array([factorial(p) for p in range(6)], dtype=float)
     r = np.stack([curve.r for curve in curves])

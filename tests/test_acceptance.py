@@ -11,6 +11,7 @@ import math
 import pytest
 
 from hybridfdm import cli
+from test_cli import read_convergence_csv
 
 # max |u_h - u| of ex31 by J when the interface lattice was 65x65 at h/32;
 # the current 17x17 lattice must stay within 1.25 times of it.
@@ -22,7 +23,7 @@ def convergence(tmp_path, problem, J_range, mode):
     code = cli.main(["--problem", problem, "--J-range", J_range,
                      "--mode", mode, "--out", str(out)])
     assert code == 0
-    return cli.read_convergence_csv(out)
+    return read_convergence_csv(out)
 
 
 def test_ex31_exact_errors(tmp_path):

@@ -1,5 +1,6 @@
 """Global assembly and solve."""
 
+import dataclasses
 import logging
 import re
 
@@ -276,6 +277,29 @@ class TestInterfaceAssembly:
             assert np.array_equal(systems[0].matrix.indices, other.matrix.indices)
             assert np.array_equal(systems[0].matrix.data, other.matrix.data)
             assert np.array_equal(systems[0].rhs, other.rhs)
+
+    def test_regular_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        """Regular blocks of both families (values, coefficients and rhs)
+        are bit-identical for chunks of 1, 7, 333 and 2048 nodes."""
+        import hybridfdm.assembly as assembly
+
+        # a box twice as tall as wide: over 333 regular+ nodes already at J=4
+        case = manufacture(seed=9, degree=3, interface_kind="circle")
+        problem = dataclasses.replace(case.problem, domain=(-2.0, 2.0, -2.0, 6.0))
+        blocks = []
+        for chunk in (1, 7, 333, 2048):
+            monkeypatch.setattr(assembly, "CHUNK", chunk)
+            system = assemble(problem, 4)
+            blocks.append({b.family: b for b in system.blocks
+                           if b.family.startswith("regular")})
+        rows = {family: len(b.ii) for family, b in blocks[0].items()}
+        assert rows.keys() == {"regular+", "regular-"}
+        assert max(rows.values()) > 333
+        for other in blocks[1:]:
+            for family, block in blocks[0].items():
+                for field in ("values", "coeffs", "rhs"):
+                    assert np.array_equal(getattr(block, field),
+                                          getattr(other[family], field))
 
     @pytest.mark.parametrize("stage", ["geometry", "fits", "transmission",
                                        "recursion"])

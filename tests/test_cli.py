@@ -4,15 +4,31 @@ import numpy as np
 import pytest
 
 from hybridfdm.cli import (
+    ConvergenceRow,
     average_order,
     main,
-    read_convergence_csv,
     run_convergence,
     solve_once,
     write_convergence_csv,
     write_solution_csv,
 )
 from hybridfdm.problems import manufacture
+
+
+def read_convergence_csv(path):
+    """The rows of a convergence table written by ``write_convergence_csv``."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            parts = line.strip().split(",")
+            if len(parts) != 5:
+                continue
+            rows.append(ConvergenceRow(J=int(parts[0]), h=float(parts[1]),
+                                       error=float(parts[2]),
+                                       order=float(parts[3]),
+                                       wall=float(parts[4])))
+    return rows
 
 LAPLACE_X = """
 [problem]

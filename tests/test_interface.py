@@ -30,7 +30,7 @@ from hybridfdm.transmission import (
     curve_jet_from_chart,
 )
 
-from test_jets_reduction import pde_source, poly_jet, random_poly
+from test_jets_reduction import deriv_at, pde_source, poly_jet, random_poly
 from test_stencil_regular import system_rows
 
 
@@ -271,17 +271,17 @@ class TestTransmission:
         from hybridfdm.transmission import COL_FM, COL_FP, COL_G, COL_GG, COL_UP
 
         for mn in BAND5:
-            symbols[COL_UP[mn]] = u_p.deriv_at(*mn, *base)
+            symbols[COL_UP[mn]] = deriv_at(u_p, *mn, *base)
         for mn in lambda_full(3):
-            symbols[COL_FP[mn]] = f_p.deriv_at(*mn, *base)
-            symbols[COL_FM[mn]] = f_m.deriv_at(*mn, *base)
+            symbols[COL_FP[mn]] = deriv_at(f_p, *mn, *base)
+            symbols[COL_FM[mn]] = deriv_at(f_m, *mn, *base)
         for p in range(6):
             symbols[COL_G[p]] = curve.g[p]
         for p in range(5):
             symbols[COL_GG[p]] = curve.gg[p]
         got = model.table.matrix @ symbols
         for i, mn in enumerate(BAND5):
-            want = u_m.deriv_at(*mn, *base)
+            want = deriv_at(u_m, *mn, *base)
             assert got[i] == pytest.approx(want, rel=1e-8, abs=1e-8)
 
     def test_smooth_solution_identity(self):

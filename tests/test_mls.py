@@ -261,37 +261,47 @@ def test_operator_matches_reference_bit_for_bit(name, problem, requests):
     assert np.array_equal(got, want)
 
 
-def test_regular_jets_evaluate_each_distinct_point_once():
-    """Overlapping interior lattices share their field values; points that
-    differ in the last bit stay distinct.  The jets equal those of a direct
-    evaluation on every lattice, bit for bit."""
+def test_regular_jets_evaluate_each_field_once_on_the_lattice_axes():
+    """Each field is called once per family, on the two axes of the global
+    h/4 lattice over the family's bounding box: an (n, 1) column of x values
+    and a (1, m) row of y values.  The jets equal those of a direct
+    evaluation at the same coordinates, bit for bit."""
     from hybridfdm.fieldjets import regular_jets
 
     h = 0.0625
-    gx, gy = np.meshgrid(np.arange(-3, 4) * h, np.arange(-2, 3) * h,
-                         indexing="ij")
-    anchors = np.column_stack([gx.ravel(), gy.ravel()])
-    anchors = np.vstack([anchors, [np.nextafter(anchors[-1, 0], 1.0),
-                                   anchors[-1, 1]]])
-    seen = []
+    origin = (-0.3, 0.2)
+    nodes = np.array([(i, j) for i in range(2, 9) for j in range(3, 8)]
+                     + [(12, 4)])
+    shapes = {"a": [], "f": []}
 
-    def a_field(x, y):
-        seen.append(np.size(x))
+    def a_plain(x, y):
         return 2.0 + np.sin(x + 2.0 * y) * np.cos(3.0 * x)
 
-    def f_field(x, y):
+    def f_plain(x, y):
         return np.exp(x) * y**3 - x * y
 
-    jet, f_der = regular_jets(a_field, f_field, anchors, h)
+    def a_field(x, y):
+        shapes["a"].append((np.shape(x), np.shape(y)))
+        return a_plain(x, y)
 
+    def f_field(x, y):
+        shapes["f"].append((np.shape(x), np.shape(y)))
+        return f_plain(x, y)
+
+    jet, f_der = regular_jets(a_field, f_field, nodes, origin, h)
+
+    # lattice indices 4 * node + (-4..4); the box spans x nodes 2..12, y 3..7
+    axes = ((4 * 12 + 4) - (4 * 2 - 4) + 1, (4 * 7 + 4) - (4 * 3 - 4) + 1)
+    assert shapes == {"a": [((axes[0], 1), (1, axes[1]))],
+                      "f": [((axes[0], 1), (1, axes[1]))]}
+    step = h / 4
+    k = np.arange(-4, 5)
+    x = origin[0] + (4 * nodes[:, 0, None] + k)[:, :, None] * step
+    y = origin[1] + (4 * nodes[:, 1, None] + k)[:, None, :] * step
+    x, y = (c.reshape(len(nodes), -1) for c in np.broadcast_arrays(x, y))
     rec = sampling_recipe("regular-interior", h)
-    pts = anchors[:, None, :] + rec.samples[None, :, :]
-    assert seen == [len(np.unique(pts.reshape(-1, 2), axis=0))]
-    assert seen[0] < 0.4 * pts[..., 0].size
-    a_der = a_field(pts[..., 0], pts[..., 1]) @ mls_operator(
-        rec.problem(6), lambda_full(6)).T
-    want = f_field(pts[..., 0], pts[..., 1]) @ mls_operator(
-        rec.problem(5), lambda_full(5)).T
+    a_der = a_plain(x, y) @ mls_operator(rec.problem(6), lambda_full(6)).T
+    want = f_plain(x, y) @ mls_operator(rec.problem(5), lambda_full(5)).T
     assert np.array_equal(f_der, want)
     want = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)

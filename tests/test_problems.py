@@ -9,13 +9,27 @@ from hybridfdm.errors import ConfigError
 from hybridfdm.expressions import compile_expression
 from hybridfdm.problems import (
     builtin,
-    curvature,
-    curvature_jump,
     load_config,
     load_config_string,
     manufacture,
 )
 from test_interface import exact_circle_curvejet
+
+
+def curvature(curve) -> float:
+    """|r's'' - r''s'| / ((r')^2 + (s')^2)^(3/2) from the curve jets."""
+    r1, r2 = curve.r[1], curve.r[2]
+    s1, s2 = curve.s[1], curve.s[2]
+    speed2 = r1 * r1 + s1 * s1
+    if speed2 == 0.0:
+        raise ConfigError("degenerate tangent in curvature evaluation")
+    return abs(r1 * s2 - r2 * s1) / speed2**1.5
+
+
+def curvature_jump(curve):
+    """The (g, gGamma) pair of the curvature-driven experiment: (k - 1, k)."""
+    k = curvature(curve)
+    return k - 1.0, k
 
 mp.dps = 40
 

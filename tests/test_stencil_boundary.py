@@ -10,6 +10,7 @@ from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2, Poly2
 from hybridfdm.reduction import (
     build_reduction_table,
+    dense_tables,
     gh_blocks,
     transpose_reduction_table,
 )
@@ -29,7 +30,7 @@ from hybridfdm.stencil_boundary import (
 )
 from hybridfdm.stencil_core import check_sign_sum, expand_at_offsets
 
-from test_jets_reduction import poly_jet, random_poly
+from test_jets_reduction import deriv_at, poly_jet, random_poly
 from test_stencil_regular import reference_weights
 
 A0_GAMMA1 = np.array(
@@ -78,7 +79,8 @@ class TestEdgeStructure:
 
     def test_e0_row_is_all_ones(self):
         e = edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
-        assert np.allclose([Poly2(e[0]).eval(k, l) for k, l in EDGE_OFFSETS], 1.0)
+        assert np.allclose([Poly2(dense_tables(e[0])).eval(k, l)
+                            for k, l in EDGE_OFFSETS], 1.0)
 
     def test_e2_degree2_part(self):
         e = edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
@@ -163,7 +165,7 @@ class TestCornerStructure:
         beta = rng.uniform(0, 1, size=6)
         red = build_corner_reduction(jet, alpha, beta)
         hat = expand_at_offsets(red.e_polys, CORNER_OFFSETS)
-        til = expand_at_offsets(np.einsum("mn,mpq->npq", red.p, red.et_polys),
+        til = expand_at_offsets(np.einsum("mn,me->ne", red.p, red.et_polys),
                                 CORNER_OFFSETS)
         rows = [np.concatenate([hat[n], til[n]], axis=0)[:, n] for n in range(7)]
         assert np.allclose(np.array(rows), A0_CORNER1, atol=1e-11)
@@ -211,11 +213,11 @@ class TestCornerStructure:
 
         g1_der = np.array([g1[n] * factorial(n) for n in range(6)])
         for m in (2, 3, 4):
-            got = sum(red.p[m, n] * u.deriv_at(0, n, 0.0, 0.0) for n in range(7))
+            got = sum(red.p[m, n] * deriv_at(u, 0, n, 0.0, 0.0) for n in range(7))
             got -= sum(red.mu[m, n] * g1_der[n] for n in range(6))
-            got += sum(red.nu[k][m] * f.deriv_at(*ij, 0.0, 0.0)
+            got += sum(red.nu[k][m] * deriv_at(f, *ij, 0.0, 0.0)
                        for k, ij in enumerate(lambda_full(4)))
-            assert got == pytest.approx(u.deriv_at(m, 0, 0.0, 0.0), rel=1e-9, abs=1e-9)
+            assert got == pytest.approx(deriv_at(u, m, 0, 0.0, 0.0), rel=1e-9, abs=1e-9)
 
     def test_monotone_flag_for_negative_alpha_plus_beta(self):
         jet = Jet2.constant(1.0, 5)
@@ -319,7 +321,7 @@ def reference_robin_basis(g, alpha):
 def gh_dicts(table):
     """The G/H blocks of an order-6 table as dicts of Poly2, keyed in the
     order of ``gh_blocks`` (band keys of a transposed table in (n, m) form)."""
-    g, h = gh_blocks(table)
+    g, h = map(dense_tables, gh_blocks(table))
     band = lambda_band(6)
     if table.transposed:
         band = tuple((n, m) for (m, n) in band)

@@ -6,9 +6,10 @@ import pytest
 from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2, Poly2
 from hybridfdm.mls import mls_operator, sampling_recipe
-from hybridfdm.reduction import build_reduction_table, gh_blocks
+from hybridfdm.reduction import build_reduction_table, dense_tables, gh_blocks
 from hybridfdm.stencil_core import (
     check_sign_sum,
+    expand_at_offsets,
     expand_poly_in_h,
     offset_operator,
 )
@@ -215,19 +216,34 @@ class TestOffsetOperator:
     @pytest.mark.parametrize("batch", [(), (1,), (5,), (3, 4)])
     def test_matches_expand_poly_in_h(self, batch, offsets, size):
         rng = np.random.default_rng(len(batch) + sum(batch))
-        c = rng.standard_normal(batch + (size, size))
-        op = offset_operator(offsets, size, size)
+        n = len(lambda_full(size - 1))
+        c = rng.standard_normal(batch + (n,))
+        op = offset_operator(offsets, size)
         k = len(offsets)
-        assert op.shape == (size * size, k, size)
-        got = (c.reshape(batch + (size * size,))
-               @ op.reshape(size * size, -1)).reshape(batch + (k, size))
-        want = expand_poly_in_h(Poly2(c), offsets, size)
-        scale = np.abs(c).max(axis=(-2, -1))[..., None, None]
+        assert op.shape == (n, k, size)
+        got = (c @ op.reshape(n, -1)).reshape(batch + (k, size))
+        want = expand_poly_in_h(Poly2(dense_tables(c)), offsets, size)
+        scale = np.abs(c).max(axis=-1)[..., None, None]
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
+    @pytest.mark.parametrize("offsets,size", [
+        (OFFSETS9, 8), (EDGE_OFFSETS, 7), (CORNER_OFFSETS, 7),
+        (((2, -1), (0, 3), (-1, 1)), 5)])
+    def test_expand_at_offsets_matches_expand_poly_in_h(self, offsets, size):
+        """The elementwise term sums, also for offsets outside {-1, 0, 1}."""
+        n = len(lambda_full(size - 1))
+        blocks = np.random.default_rng(size).standard_normal((3, 4, n))
+        got = expand_at_offsets(blocks, offsets)
+        want = expand_poly_in_h(Poly2(dense_tables(blocks)), offsets, size)
+        assert got.shape == (3, 4, len(offsets), size)
+        bound = (np.abs(blocks) @ np.abs(offset_operator(offsets, size))
+                 .reshape(n, -1)).reshape(got.shape)
+        assert np.all(np.abs(got - want) <= 2e-15 * bound)
+
     def test_is_cached_and_read_only(self):
-        op = offset_operator(OFFSETS9, 8, 8)
-        assert offset_operator(OFFSETS9, 8, 8) is op
+        op = offset_operator(OFFSETS9, 8)
+        assert op.shape == (36, 9, 8)
+        assert offset_operator(OFFSETS9, 8) is op
         with pytest.raises(ValueError):
             op[0, 0, 0] = 1.0
 
@@ -235,7 +251,7 @@ class TestOffsetOperator:
     def test_system_expansions_match_per_polynomial_path(self, batch):
         jet = random_a_jet(np.random.default_rng(3), batch)
         system = assemble_regular_system(jet)
-        g, _ = gh_blocks(build_reduction_table(jet, 7))
+        g = dense_tables(gh_blocks(build_reduction_table(jet, 7))[0])
         assert len(g) == len(lambda_band(7))
         want = np.stack([expand_poly_in_h(Poly2(c), OFFSETS9, 8) for c in g],
                         axis=-3)
@@ -251,7 +267,8 @@ class TestOffsetOperator:
         stencil, h_polys = build_regular_batch(jet)
         got = regular_rhs_weights(stencil, h_polys, h)
         want = reference_weights(stencil.coeffs,
-                                 [Poly2(c) for c in h_polys], OFFSETS9, h)
+                                 [Poly2(c) for c in dense_tables(h_polys)],
+                                 OFFSETS9, h)
         assert got.shape == batch + (len(lambda_full(5)),)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
