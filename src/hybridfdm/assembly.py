@@ -135,6 +135,12 @@ class SolveResult:
 # worker-side state (inherited through fork when a pool is used)
 # ---------------------------------------------------------------------------
 
+# The problem and h of the current assembly.  The pool pickles every task and
+# its result, and a problem's fields are compiled expressions or manufactured
+# closures, which do not pickle; so a task carries only its nodes and jets,
+# and the workers inherit the problem through fork from this dict.  A pool
+# initializer would only set the same module-level state in each worker, and
+# the serial path reads it in-process, so the dict stays.
 _CTX: dict = {}
 
 
@@ -182,7 +188,7 @@ def _irregular_one(point, bp, chart):
     """Per-node front half of an interface row from its base point and
     chart: the curve jet and the one-sided field jets."""
     problem, h = _CTX["problem"], _CTX["h"]
-    curve = curve_jet_from_chart(chart, bp.base, bp.v0, bp.w0, h)
+    curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
     jp, jm, fpd, fmd = irregular_jets(
         problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
         problem.psi, point, bp.base, h)

@@ -92,6 +92,8 @@ def run_convergence(problem: ProblemSpec, j_values, mode: str = "exact",
     if mode == "exact" and not problem.has_exact:
         raise HybridFdmError(
             f"problem {problem.name!r} has no exact solution; use successive")
+    if mode == "successive" and len(j_values) < 2:
+        raise HybridFdmError("successive mode needs at least two J values")
     if mode == "successive" and any(b - a != 1 for a, b in
                                     zip(j_values, j_values[1:])):
         raise HybridFdmError("successive mode requires consecutive J values")

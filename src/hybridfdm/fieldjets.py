@@ -146,7 +146,7 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
             last_exc = exc
             continue
         jet_p, jet_m = (Jet2.from_derivatives(
-            dict(zip(lambda_full(4), a_fit[sd])), 4, tuple(base))
+            dict(zip(lambda_full(4), a_fit[sd])), 4)
             for sd in "+-")
         return jet_p, jet_m, f_fit["+"], f_fit["-"]
     raise MlsError(

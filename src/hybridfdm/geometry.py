@@ -83,12 +83,12 @@ def classify_grid(xs: np.ndarray, ys: np.ndarray, psi_fn) -> GridClassification:
 class LocalChart:
     """Samples of a local parametrization t -> Gamma and the jump data on it.
 
-    ``ts`` are the eleven parameter offsets (t* = 0 in the middle), already
-    oriented so that (s'(0), -r'(0)) points into the plus region.
+    The samples sit at the eleven parameter offsets of the ``"curve"``
+    sampling recipe (t* = 0 in the middle), oriented so that
+    (s'(0), -r'(0)) points into the plus region.
     """
 
     kind: str                  # "angle" | "graph-x" | "graph-y"
-    ts: np.ndarray             # (11,)
     xs: np.ndarray             # curve x(t)
     ys: np.ndarray             # curve y(t)
     g_vals: np.ndarray         # jump [u] samples
@@ -258,7 +258,7 @@ class LevelSetInterface:
         for (kd, absc, _, _), r in zip(lines, roots):
             xs, ys = self._orient(*((absc, r) if kd == "graph-x" else (r, absc)))
             charts.append(LocalChart(
-                kind=kd, ts=ts, xs=xs, ys=ys,
+                kind=kd, xs=xs, ys=ys,
                 g_vals=np.asarray(self.jump_g(xs, ys), dtype=float) * ones,
                 gg_vals=np.asarray(self.jump_ggamma(xs, ys), dtype=float) * ones,
                 exact_x_line=(kd == "graph-x"), exact_y_line=(kd == "graph-y")))
@@ -381,6 +381,6 @@ class ParametricInterface:
             if probe > 0:
                 g_vals = np.asarray(self.jump_g(th), dtype=float) * np.ones(11)
                 gg_vals = np.asarray(self.jump_ggamma(th), dtype=float) * np.ones(11)
-                return LocalChart(kind="angle", ts=ts, xs=xs, ys=ys,
+                return LocalChart(kind="angle", xs=xs, ys=ys,
                                   g_vals=g_vals, gg_vals=gg_vals)
         raise GeometryError("could not orient the angle chart")

@@ -94,27 +94,25 @@ def _conv2(a: np.ndarray, b: np.ndarray, out_size: int,
 class Jet2:
     """Taylor table of a 2D function at a base point (batched over leading axes)."""
 
-    __slots__ = ("c", "order", "base")
+    __slots__ = ("c", "order")
 
-    def __init__(self, c: np.ndarray, order: int, base=(0.0, 0.0)):
+    def __init__(self, c: np.ndarray, order: int):
         self.order = int(order)
         self.c = _masked(np.asarray(c, dtype=float), self.order)
         if self.c.shape[-1] != self.order + 1:
             raise ValueError("table size does not match order")
-        self.base = base
 
     @classmethod
-    def _trusted(cls, c: np.ndarray, order: int, base=(0.0, 0.0)) -> "Jet2":
+    def _trusted(cls, c: np.ndarray, order: int) -> "Jet2":
         """Internal constructor for tables already satisfying the mask."""
         self = cls.__new__(cls)
         self.order = order
         self.c = c
-        self.base = base
         return self
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def from_derivatives(cls, derivs: dict, order: int, base=(0.0, 0.0)) -> "Jet2":
+    def from_derivatives(cls, derivs: dict, order: int) -> "Jet2":
         """Build from a map (m, n) -> raw partial derivative value/array."""
         shape = np.broadcast_shapes(*(np.shape(v) for v in derivs.values())) if derivs else ()
         c = np.zeros(shape + (order + 1, order + 1))
@@ -122,13 +120,13 @@ class Jet2:
             if m + n > order:
                 raise ValueError(f"derivative {(m, n)} outside jet of order {order}")
             c[..., m, n] = np.asarray(v) / (_FACT[m] * _FACT[n])
-        return cls(c, order, base)
+        return cls(c, order)
 
     @classmethod
-    def constant(cls, value, order: int, base=(0.0, 0.0)) -> "Jet2":
+    def constant(cls, value, order: int) -> "Jet2":
         c = np.zeros(np.shape(value) + (order + 1, order + 1))
         c[..., 0, 0] = value
-        return cls(c, order, base)
+        return cls(c, order)
 
     # -- access ------------------------------------------------------------
     @property
@@ -138,7 +136,7 @@ class Jet2:
     # -- arithmetic ---------------------------------------------------------
     def __mul__(self, other: "Jet2") -> "Jet2":
         order = min(self.order, other.order)
-        return Jet2._trusted(_conv2(self.c, other.c, order + 1), order, self.base)
+        return Jet2._trusted(_conv2(self.c, other.c, order + 1), order)
 
     def reciprocal(self) -> "Jet2":
         """1/f as a jet; requires a nonvanishing value at the base point."""
@@ -158,23 +156,22 @@ class Jet2:
                             continue
                         acc += a[..., i, j] * b[..., m - i, n - j]
                 b[..., m, n] = -inv0 * acc
-        return Jet2._trusted(b, self.order, self.base)
+        return Jet2._trusted(b, self.order)
 
     def dx(self) -> "Jet2":
         """Jet of df/dx (order drops by one)."""
         k = self.order
         m = np.arange(1, k + 1)
-        return Jet2._trusted(self.c[..., 1:, :k] * m[:, None], k - 1, self.base)
+        return Jet2._trusted(self.c[..., 1:, :k] * m[:, None], k - 1)
 
     def dy(self) -> "Jet2":
         k = self.order
         n = np.arange(1, k + 1)
-        return Jet2._trusted(self.c[..., :k, 1:] * n[None, :], k - 1, self.base)
+        return Jet2._trusted(self.c[..., :k, 1:] * n[None, :], k - 1)
 
     def transposed(self) -> "Jet2":
         """Jet of (x, y) -> f(y, x)."""
-        return Jet2._trusted(np.swapaxes(self.c, -1, -2), self.order,
-                             (self.base[1], self.base[0]))
+        return Jet2._trusted(np.swapaxes(self.c, -1, -2), self.order)
 
     def as_poly(self) -> "Poly2":
         return Poly2(self.c.copy())

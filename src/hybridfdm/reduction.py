@@ -17,9 +17,14 @@ differentiated; the coefficients themselves are only added, scaled and
 multiplied by derivatives of those weights.  So each coefficient is carried as
 its value at the base point alone (one float per batch entry): the constant
 term of a truncated jet product is the product of the constant terms, which
-makes the value-only recursion exact, not an approximation.  From the table
-come the polynomial families G (weights of the band derivatives) and H
-(weights of the source derivatives) that every stencil builder consumes.
+makes the value-only recursion exact, not an approximation.  The weights'
+base-point partials come from one scaling of each weight's Taylor table:
+entry (r, s) times s, s-1, ..., 2, then times r, r-1, ..., 2.  That is the
+order in which s ``dy()`` and then r ``dx()`` calls would round the entry
+down to a constant term, so each partial has the bits of the differentiated
+jet's value without any derivative jet being built.  From the table come the
+polynomial families G (weights of the band derivatives) and H (weights of
+the source derivatives) that every stencil builder consumes.
 """
 
 from __future__ import annotations
@@ -70,19 +75,15 @@ def _accumulate(store: dict, key, value: np.ndarray):
         store[key] = value
 
 
-class _DerivCache:
-    """Mixed-partial derivatives of a jet, computed once each."""
-
-    def __init__(self, jet: Jet2):
-        self._cache = {(0, 0): jet}
-
-    def get(self, r: int, s: int) -> Jet2:
-        if (r, s) not in self._cache:
-            if r > 0:
-                self._cache[(r, s)] = self.get(r - 1, s).dx()
-            else:
-                self._cache[(r, s)] = self.get(r, s - 1).dy()
-        return self._cache[(r, s)]
+def _partials(jet: Jet2) -> np.ndarray:
+    """Base-point partials f^(r,s) of a jet as a (k, k, ...) table, scaled
+    factor by factor in the order the module docstring gives."""
+    d = np.moveaxis(jet.c, (-2, -1), (0, 1)).copy()
+    for t in range(d.shape[0] - 1, 1, -1):
+        d[:, t:] *= t
+    for t in range(d.shape[0] - 1, 1, -1):
+        d[t:] *= t
+    return d
 
 
 def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
@@ -102,9 +103,9 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
     table = ReductionTable(order=order, a_jet=a_jet)
     one = np.ones(a_jet.c.shape[:-2])
     inv_a = a_jet.reciprocal()
-    r1 = _DerivCache(a_jet.dx() * inv_a)
-    r2 = _DerivCache(a_jet.dy() * inv_a)
-    q_inv = _DerivCache(inv_a)
+    r1 = _partials(a_jet.dx() * inv_a)
+    r2 = _partials(a_jet.dy() * inv_a)
+    q_inv = _partials(inv_a)
 
     for p, q in lambda_full(order):
         if p <= 1:
@@ -121,7 +122,7 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
             for i in range(mr + 1):
                 for j in range(nr + 1):
                     w = -comb(mr, i) * comb(nr, j)
-                    _accumulate(fcoef, (i, j), q_inv.get(mr - i, nr - j).value * w)
+                    _accumulate(fcoef, (i, j), q_inv[mr - i, nr - j] * w)
 
             def substitute(target, weight, scale):
                 """Add scale * weight * u^target, reducing target if needed."""
@@ -138,8 +139,8 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
             for i in range(mr + 1):
                 for j in range(nr + 1):
                     w = comb(mr, i) * comb(nr, j)
-                    substitute((i + 1, j), r1.get(mr - i, nr - j).value, -w)
-                    substitute((i, j + 1), r2.get(mr - i, nr - j).value, -w)
+                    substitute((i + 1, j), r1[mr - i, nr - j], -w)
+                    substitute((i, j + 1), r2[mr - i, nr - j], -w)
 
             table.u[(p, q)] = ucoef
             table.f[(p, q)] = fcoef
@@ -158,8 +159,8 @@ def transpose_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
     return out
 
 
-def gh_blocks(table: ReductionTable, order: int | None = None):
-    """G/H coefficient polynomials of the Taylor identity
+def gh_blocks(table: ReductionTable):
+    """G/H coefficient polynomials of the Taylor identity at the table's order
 
     u(x* + x, y* + y) = sum_band u^(m,n) G[m,n](x,y)
                         + sum_{Lambda_{order-2}} f^(m,n) H[m,n](x,y) + O(h^{order+1})
@@ -173,10 +174,7 @@ def gh_blocks(table: ReductionTable, order: int | None = None):
     writes of the entries the table holds (392 of 1,296 at order 7) and the
     per-entry reads of ``stencil_core`` are contiguous.
     """
-    if order is None:
-        order = table.order
-    if order > table.order:
-        raise ReductionError("requested order exceeds the table order")
+    order = table.order
     batch = table.a_jet.c.shape[:-2]
     full = lambda_full(order)
     fact = [factorial(k) for k in range(order + 1)]

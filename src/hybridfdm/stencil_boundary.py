@@ -18,7 +18,7 @@ the free-parameter ties
 and the remaining free parameter maximized under the sign conditions plus the
 next degree's row sum (which equals 6 alpha at degree one, so alpha >= 0 is
 necessary for monotonicity; with alpha < 0 the consistent stencil is still
-produced and flagged).
+produced, and the audit reports it).
 
 Corners eliminate through both conditions: x-derivatives reduce to the
 tangential band via the reduction table (u^(m,0) = sum lambda u^(0,n) + sum
@@ -169,7 +169,6 @@ class EdgeStencil:
     """6-point Robin/Neumann edge stencil in the canonical inward frame."""
 
     coeffs: np.ndarray            # (..., 6, 7)
-    monotone: np.ndarray
     g1_polys: np.ndarray          # (6, ..., 28) G_{6,1,n}, n = 0..5
     h_polys: np.ndarray           # (15, ..., 28) H_{6,m,n}, Lambda_4 order
     offsets: tuple = EDGE_OFFSETS
@@ -192,8 +191,7 @@ def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
     exp = expand_at_offsets(robin_basis(g, alpha), EDGE_OFFSETS)
     res = run_constant_recursion(np.moveaxis(exp, 0, -3), list(range(7)), 6,
                                  _edge_solvers(), center=EDGE_CENTER)
-    return EdgeStencil(coeffs=res.coeffs, monotone=res.monotone,
-                       g1_polys=g[G1_ROWS], h_polys=h)
+    return EdgeStencil(coeffs=res.coeffs, g1_polys=g[G1_ROWS], h_polys=h)
 
 
 @dataclass
@@ -238,7 +236,6 @@ class CornerStencil:
 
     chat: np.ndarray              # (4, 7)
     ctilde: np.ndarray            # (4, 7)
-    monotone: bool
     reduction: CornerReduction
     offsets: tuple = CORNER_OFFSETS
 
@@ -276,7 +273,7 @@ def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
     res = run_constant_recursion(exp, list(range(7)), 6, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)
     return CornerStencil(chat=res.raw[:4], ctilde=res.raw[4:],
-                         monotone=bool(res.monotone), reduction=reduction)
+                         reduction=reduction)
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,10 @@ degrees feeding the right-hand side.  The leading parts are offset-geometry
 constants, so each degree has a fixed matrix A_d; uniqueness is restored by
 tying designated free coefficients together and either pinning the remaining
 one or maximizing it subject to the per-degree sign conditions (center >= 0,
-off-center <= 0) and the next degree's row sum being nonnegative.
+off-center <= 0) and the next degree's row sum being nonnegative.  The
+maximization reads only the upper bounds these conditions put on the free
+value; when no value meets every condition, the stencil is still produced,
+it breaks one, and ``check_sign_sum`` (the M-matrix audit) reports it.
 
 The constant systems are reduced once in exact rational arithmetic, giving a
 per-degree solution operator that is then applied to batches of points with
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from .jets import Poly2
 
 RESID_TOL = 1e-9
 GROWTH_CAP = 2.0
-SLACK = 1e-13
 _TINY = 1e-11
 
 
@@ -154,15 +156,11 @@ def weights_at_offsets(blocks: np.ndarray, offsets: tuple,
 
 
 def frac_leading_g(m: int, n: int, k: int, ell: int) -> Fraction:
-    """Exact value of the homogeneous polynomial G_{m,n} at integer offsets."""
-    total = Fraction(0)
-    for j in range(n // 2 + 1):
-        total += (
-            Fraction((-1) ** j, factorial(m + 2 * j) * factorial(n - 2 * j))
-            * Fraction(k) ** (m + 2 * j)
-            * Fraction(ell) ** (n - 2 * j)
-        )
-    return total
+    """Exact value of the homogeneous polynomial G_{m,n} at integer offsets:
+    sum_j (-1)^j C(m+n, m+2j) k^(m+2j) ell^(n-2j), over (m+n)!."""
+    return Fraction(sum((-1) ** j * comb(m + n, m + 2 * j)
+                        * k ** (m + 2 * j) * ell ** (n - 2 * j)
+                        for j in range(n // 2 + 1)), factorial(m + n))
 
 
 def _solution_operator(rows: list[list[Fraction]]) -> np.ndarray:
@@ -256,7 +254,6 @@ def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
 class RecursionResult:
     coeffs: np.ndarray        # (..., n_off, T+1) displayed stencil coefficients
     raw: np.ndarray           # (..., n_cols, T+1) solver unknowns (hat/tilde split)
-    monotone: np.ndarray      # (...,) sign/sum selection succeeded
     residual: float           # worst linear-system residual encountered
 
 
@@ -270,7 +267,10 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
     The free parameter of each maximize-degree is chosen as the largest value
     keeping center coefficients >= 0, off-center <= 0, and the next degree's
     row sum >= 0 (the greedy selection that makes the scheme an M-matrix
-    candidate for every h).  Every contraction runs through ``_dot`` on
+    candidate for every h), or zero when nothing bounds it from above.  Only
+    these upper bounds are read: where the lower bounds exceed them, no value
+    meets every condition, the chosen one breaks some, and the audit
+    ``check_sign_sum`` reports it.  Every contraction runs through ``_dot`` on
     vectors along the batch axis, so each stencil is the same whatever
     batch it is solved in.
     """
@@ -291,7 +291,6 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
         return _dot((c[o], terms[..., o, :]) for o in range(O))
 
     coeffs = np.zeros((ncols, T + 1, B))
-    monotone = np.ones(B, dtype=bool)
     worst = 0.0
     sum_row = next((r for r in range(R) if lead[r] == 0), None)
 
@@ -315,17 +314,11 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
             Vc = K @ V
             Pc = K @ P          # at most two unit entries a row: exact
             upper = np.full(B, np.inf)
-            lower = np.full(B, -np.inf)
             for o in range(n_disp):
                 sgn = 1.0 if o == center else -1.0
                 a = sgn * Vc[o]
-                rhs = -sgn * Pc[o]
-                if a > _TINY:
-                    lower = np.maximum(lower, rhs / a)
-                elif a < -_TINY:
-                    upper = np.minimum(upper, rhs / a)
-                else:
-                    monotone &= -rhs >= -SLACK
+                if a < -_TINY:
+                    upper = np.minimum(upper, -sgn * Pc[o] / a)
             if d + 1 <= T and sum_row is not None:
                 i0 = np.zeros(B)
                 for s in range(d):
@@ -333,17 +326,9 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
                 i0 = i0 - rows(P, sum_row, 1)
                 slope = -rows(V, sum_row, 1)
                 neg = slope < -_TINY
-                pos = slope > _TINY
-                flat = ~neg & ~pos
-                up2 = np.where(neg, i0 / np.where(neg, -slope, 1.0), np.inf)
-                lo2 = np.where(pos, -i0 / np.where(pos, slope, 1.0), -np.inf)
-                upper = np.minimum(upper, up2)
-                lower = np.maximum(lower, lo2)
-                monotone &= ~flat | (i0 >= -SLACK)
-            unbounded = ~np.isfinite(upper)
-            c_star = np.where(unbounded, 0.0, upper)
-            infeasible = lower > upper + SLACK
-            monotone &= ~infeasible
+                upper = np.minimum(
+                    upper, np.where(neg, i0 / np.where(neg, -slope, 1.0), np.inf))
+            c_star = np.where(np.isfinite(upper), upper, 0.0)
 
         coeffs[:, d] = P + c_star * V[:, None]
 
@@ -357,8 +342,8 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
     disp, coeffs = (np.ascontiguousarray(np.moveaxis(c, -1, 0))
                     for c in (np.tensordot(K, coeffs, 1), coeffs))
     if squeeze:
-        return RecursionResult(disp[0], coeffs[0], monotone[0], worst)
-    return RecursionResult(disp, coeffs, monotone, worst)
+        return RecursionResult(disp[0], coeffs[0], worst)
+    return RecursionResult(disp, coeffs, worst)
 
 
 def _damped_solution(A: np.ndarray, b: np.ndarray,

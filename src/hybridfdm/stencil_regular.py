@@ -62,7 +62,6 @@ class StencilPoly:
 
     offsets: tuple
     coeffs: np.ndarray           # (n_off, D+1), batched variants use (..., n_off, D+1)
-    monotone: np.ndarray | None = None   # (...,) sign/sum selection succeeded
 
     def values(self, h: float) -> np.ndarray:
         return stencil_values(self.coeffs, h)
@@ -131,12 +130,11 @@ def regular_rhs_weights(stencil: StencilPoly, h_polys: np.ndarray,
 def build_regular_batch(a_jet: Jet2):
     """Stencil at every point of a jet with leading batch axes.
 
-    Returns the StencilPoly (batched coefficients and monotone flags) and the
-    packed (21, ..., 36) block of H tables for the source weights.
+    Returns the StencilPoly (batched coefficients) and the packed
+    (21, ..., 36) block of H tables for the source weights.
     """
     system = assemble_regular_system(a_jet)
     solvers, lead = _regular_solvers()
     res = run_constant_recursion(system.expansions, lead, 7, solvers,
                                  center=CENTER9)
-    return (StencilPoly(OFFSETS9, res.coeffs, monotone=res.monotone),
-            system.h_polys)
+    return StencilPoly(OFFSETS9, res.coeffs), system.h_polys

@@ -66,7 +66,6 @@ class CurveJet:
     g_Gamma(t) sqrt(r'(t)^2 + s'(t)^2), arclength factor included.
     """
 
-    base: tuple
     v0: float
     w0: float
     r: np.ndarray               # (6,)
@@ -83,7 +82,7 @@ def _curve_operators(h: float):
     return op6, op5
 
 
-def curve_jet_from_chart(chart: LocalChart, base, v0: float, w0: float,
+def curve_jet_from_chart(chart: LocalChart, v0: float, w0: float,
                          h: float) -> CurveJet:
     """Estimate the curve/jump jets from the eleven chart samples by MLS."""
     fact = np.array([factorial(p) for p in range(6)])
@@ -106,7 +105,7 @@ def curve_jet_from_chart(chart: LocalChart, base, v0: float, w0: float,
     arc = series_sqrt(speed2, 5)
     gg_plain = (op5 @ chart.gg_vals) / fact[:5]
     gg = series_mul(gg_plain, arc, 5)
-    return CurveJet(base=tuple(base), v0=v0, w0=w0, r=r, s=s, g=g, gg=gg)
+    return CurveJet(v0=v0, w0=w0, r=r, s=s, g=g, gg=gg)
 
 
 @dataclass
@@ -149,25 +148,18 @@ class InterfaceLocalModel:
     h_minus: np.ndarray
 
 
-def _composition_series(block, keys, r_t, s_t, nterms: int, mono) -> dict:
-    return {mn: poly2_compose_series(Poly2(c), r_t, s_t, nterms, mono)
-            for mn, c in zip(keys, block)}
-
-
-def _flux_series(block, keys, a_poly: Poly2, r_t, s_t, nterms: int,
-                 mono) -> dict:
-    """Series of grad(P)(r, s) . (s', -r') * a(r, s) for each polynomial."""
+def _flux_series(block, a_poly: Poly2, r_t, s_t, nterms: int,
+                 mono) -> np.ndarray:
+    """Series of grad(P)(r, s) . (s', -r') * a(r, s) for each polynomial P
+    of a (K, ..., k, k) block; returns (K, ..., nterms)."""
     rp = series_deriv(r_t)
     sp = series_deriv(s_t)
     a_series = poly2_compose_series(a_poly, r_t, s_t, nterms, mono)
-    out = {}
-    for mn, c in zip(keys, block):
-        p = Poly2(c)
-        px = poly2_compose_series(p.dx(), r_t, s_t, nterms, mono)
-        py = poly2_compose_series(p.dy(), r_t, s_t, nterms, mono)
-        flux = series_mul(px, sp, nterms) - series_mul(py, rp, nterms)
-        out[mn] = series_mul(flux, a_series, nterms)
-    return out
+    p = Poly2(block)
+    px = poly2_compose_series(p.dx(), r_t, s_t, nterms, mono)
+    py = poly2_compose_series(p.dy(), r_t, s_t, nterms, mono)
+    flux = series_mul(px, sp, nterms) - series_mul(py, rp, nterms)
+    return series_mul(flux, a_series, nterms)
 
 
 def build_transmission(curves, a_plus_jet: Jet2,
@@ -196,31 +188,34 @@ def build_transmission(curves, a_plus_jet: Jet2,
     s_t[:, 0] = 0.0
     mono = monomial_series_table(r_t, s_t, M_IRR + 1, 6)
 
-    gu_p = _composition_series(g_all[:, 0], BAND5, r_t, s_t, 6, mono)
-    gu_m = _composition_series(g_all[:, 1], BAND5, r_t, s_t, 6, mono)
-    hu_p = _composition_series(h_all[:, 0], F3, r_t, s_t, 6, mono)
-    hu_m = _composition_series(h_all[:, 1], F3, r_t, s_t, 6, mono)
+    # series of each side's G (rows in BAND5 = COL_UP order) and H (rows in
+    # F3 order) polynomials along the curve, and of their fluxes
+    gu_p, gu_m, hu_p, hu_m = (
+        poly2_compose_series(Poly2(block), r_t, s_t, 6, mono)
+        for block in (g_all[:, 0], g_all[:, 1], h_all[:, 0], h_all[:, 1]))
     mono5 = mono[..., :5]
     a_p, a_m = a_plus_jet.as_poly(), a_minus_jet.as_poly()
-    fg_p = _flux_series(g_all[:, 0], BAND5, a_p, r_t, s_t, 5, mono5)
-    fg_m = _flux_series(g_all[:, 1], BAND5, a_m, r_t, s_t, 5, mono5)
-    fh_p = _flux_series(h_all[:, 0], F3, a_p, r_t, s_t, 5, mono5)
-    fh_m = _flux_series(h_all[:, 1], F3, a_m, r_t, s_t, 5, mono5)
+    fg_p, fg_m, fh_p, fh_m = (
+        _flux_series(block, a_poly, r_t, s_t, 5, mono5)
+        for block, a_poly in ((g_all[:, 0], a_p), (g_all[:, 1], a_m),
+                              (h_all[:, 0], a_p), (h_all[:, 1], a_m)))
 
     B = len(curves)
     rows = np.zeros((B, N_UP, N_SYMBOLS))
     rows[:, COL_UP[(0, 0)], COL_UP[(0, 0)]] = 1.0
     rows[:, COL_UP[(0, 0)], COL_G[0]] = -1.0
 
+    fp = slice(N_UP, N_UP + N_F)            # the COL_FP and COL_FM columns
+    fm = slice(N_UP + N_F, N_UP + 2 * N_F)
     speed2 = r[:, 1] ** 2 + s[:, 1] ** 2
     am0 = a_minus_jet.value
 
     for p in range(1, M_IRR + 1):
         mat = np.empty((B, 2, 2))
-        mat[:, 0, 0] = fg_m[(0, p)][:, p - 1]
-        mat[:, 0, 1] = fg_m[(1, p - 1)][:, p - 1]
-        mat[:, 1, 0] = gu_m[(0, p)][:, p]
-        mat[:, 1, 1] = gu_m[(1, p - 1)][:, p]
+        mat[:, 0, 0] = fg_m[COL_UP[(0, p)], :, p - 1]
+        mat[:, 0, 1] = fg_m[COL_UP[(1, p - 1)], :, p - 1]
+        mat[:, 1, 0] = gu_m[COL_UP[(0, p)], :, p]
+        mat[:, 1, 1] = gu_m[COL_UP[(1, p - 1)], :, p]
         det = mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0]
         expected = am0 * p * speed2**p / factorial(p) ** 2
         ok = np.isclose(np.abs(det), expected, rtol=1e-8, atol=1e-300)
@@ -234,21 +229,19 @@ def build_transmission(curves, a_plus_jet: Jet2,
 
         rhs = np.zeros((B, 2, N_SYMBOLS))
         rhs_flux, rhs_jump = rhs[:, 0], rhs[:, 1]
-        for mn in BAND5:
-            rhs_flux[:, COL_UP[mn]] += fg_p[mn][:, p - 1]
-            rhs_jump[:, COL_UP[mn]] += gu_p[mn][:, p]
-        for mn in F3:
-            rhs_flux[:, COL_FP[mn]] += fh_p[mn][:, p - 1]
-            rhs_flux[:, COL_FM[mn]] -= fh_m[mn][:, p - 1]
-            rhs_jump[:, COL_FP[mn]] += hu_p[mn][:, p]
-            rhs_jump[:, COL_FM[mn]] -= hu_m[mn][:, p]
+        rhs_flux[:, :N_UP] += fg_p[..., p - 1].T
+        rhs_jump[:, :N_UP] += gu_p[..., p].T
+        rhs_flux[:, fp] += fh_p[..., p - 1].T
+        rhs_flux[:, fm] -= fh_m[..., p - 1].T
+        rhs_jump[:, fp] += hu_p[..., p].T
+        rhs_jump[:, fm] -= hu_m[..., p].T
         rhs_flux[:, COL_GG[p - 1]] -= 1.0
         rhs_jump[:, COL_G[p]] -= 1.0
         for mn in BAND5:
             if sum(mn) <= p - 1:
                 known = rows[:, COL_UP[mn]]
-                rhs_flux -= fg_m[mn][:, p - 1, None] * known
-                rhs_jump -= gu_m[mn][:, p, None] * known
+                rhs_flux -= fg_m[COL_UP[mn], :, p - 1, None] * known
+                rhs_jump -= gu_m[COL_UP[mn], :, p, None] * known
 
         sol = np.linalg.solve(mat, rhs)
         rows[:, COL_UP[(0, p)]] = sol[:, 0]

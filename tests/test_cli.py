@@ -146,12 +146,18 @@ class TestConvergenceCommand:
         assert [r.J for r in rows] == [2, 3]
         assert np.isfinite(rows[1].order)
 
-    def test_successive_requires_consecutive(self):
+    def test_successive_requires_consecutive(self, monkeypatch):
+        from hybridfdm import cli
         from hybridfdm.errors import HybridFdmError
 
+        def no_solve(*args):
+            raise AssertionError("solved before the J values were checked")
+
+        monkeypatch.setattr(cli, "solve_once", no_solve)
         case = manufacture(seed=12, degree=3, interface_kind="none")
-        with pytest.raises(HybridFdmError):
-            run_convergence(case.problem, [2, 4], mode="successive")
+        for j_values in ([2, 4], [5]):
+            with pytest.raises(HybridFdmError):
+                run_convergence(case.problem, j_values, mode="successive")
 
     def test_exact_mode_requires_exact_solution(self):
         from hybridfdm.errors import HybridFdmError

@@ -15,7 +15,15 @@ from hybridfdm.geometry import (
     classify_grid,
 )
 from hybridfdm.indexsets import lambda_full
-from hybridfdm.jets import Jet2, Poly2, poly2_compose_series, series_mul
+from hybridfdm.jets import (
+    Jet2,
+    Poly2,
+    monomial_series_table,
+    poly2_compose_series,
+    series_deriv,
+    series_mul,
+)
+from hybridfdm.reduction import build_reduction_table, dense_tables, gh_blocks
 from hybridfdm.stencil_irregular import (
     CENTER13,
     assemble_irregular_system,
@@ -25,12 +33,21 @@ from hybridfdm.stencil_irregular import (
 )
 from hybridfdm.transmission import (
     BAND5,
+    M_IRR,
     CurveJet,
+    _flux_series,
     build_transmission,
     curve_jet_from_chart,
 )
 
-from test_jets_reduction import deriv_at, pde_source, poly_jet, random_poly
+from test_jets_reduction import (
+    deriv_at,
+    pde_source,
+    poly_jet,
+    random_a_jets,
+    random_poly,
+    same_bits,
+)
 from test_stencil_regular import system_rows
 
 
@@ -219,7 +236,7 @@ def exact_circle_curvejet(theta0, radius=1.0, u_plus=None, u_minus=None,
             return series_mul(series_mul(px, sp, 5) - series_mul(py, rp, 5), av, 5)
 
         gg = flux(up, apc) - flux(um, amc)
-    return CurveJet(base=base, v0=0.0, w0=0.0, r=r, s=s, g=g, gg=gg)
+    return CurveJet(v0=0.0, w0=0.0, r=r, s=s, g=g, gg=gg)
 
 
 def one_node(jet):
@@ -230,8 +247,8 @@ def one_node(jet):
 class TestTransmission:
     def test_vertical_line_closed_form(self):
         """On x = 0 with plus side x > 0: T_{1,0,1,0} = a+/a-, T_{0,1,0,1} = 1."""
-        curve = CurveJet(base=(0.0, 0.0), v0=0.0, w0=0.0,
-                         r=np.zeros(6), s=np.array([0.0, 1, 0, 0, 0, 0]),
+        curve = CurveJet(v0=0.0, w0=0.0, r=np.zeros(6),
+                         s=np.array([0.0, 1, 0, 0, 0, 0]),
                          g=np.zeros(6), gg=np.zeros(5))
         ap, am = 3.0, 7.0
         (model,) = build_transmission([curve], one_node(Jet2.constant(ap, 4)),
@@ -245,7 +262,7 @@ class TestTransmission:
         rng = np.random.default_rng(0)
         a = random_poly(rng, 3, scale=0.1)
         a.c[0, 0] = 2.0
-        jet = one_node(poly_jet(a, 4, curve.base))
+        jet = one_node(poly_jet(a, 4, (curve.r[0], curve.s[0])))
         (model,) = build_transmission([curve], jet, jet)
         assert model.table.u_plus(0, 0, 0, 0) == 1.0
         for mn in BAND5:
@@ -264,7 +281,7 @@ class TestTransmission:
         a_m.c[0, 0] = 0.9
         f_p, f_m = pde_source(a_p, u_p), pde_source(a_m, u_m)
         curve = exact_circle_curvejet(theta0, 1.0, u_p, u_m, a_p, a_m)
-        base = curve.base
+        base = (curve.r[0], curve.s[0])
         (model,) = build_transmission([curve], one_node(poly_jet(a_p, 4, base)),
                                       one_node(poly_jet(a_m, 4, base)))
         symbols = np.zeros(model.table.matrix.shape[1])
@@ -293,7 +310,7 @@ class TestTransmission:
         curve = exact_circle_curvejet(1.1, 1.0, u, u, a, a)
         assert np.allclose(curve.g, 0.0, atol=1e-13)
         assert np.allclose(curve.gg, 0.0, atol=1e-13)
-        jet = one_node(poly_jet(a, 4, curve.base))
+        jet = one_node(poly_jet(a, 4, (curve.r[0], curve.s[0])))
         (model,) = build_transmission([curve], jet, jet)
         ub = model.table.u_block()
         assert np.allclose(ub, np.eye(len(BAND5)), atol=1e-9)
@@ -312,8 +329,8 @@ class TestTransmission:
             u_p, u_m = random_poly(rng, 5), random_poly(rng, 5)
             curve = exact_circle_curvejet(theta, 1.0, u_p, u_m, a_p, a_m)
             curves.append(curve)
-            jps.append(poly_jet(a_p, 4, curve.base))
-            jms.append(poly_jet(a_m, 4, curve.base))
+            jps.append(poly_jet(a_p, 4, (curve.r[0], curve.s[0])))
+            jms.append(poly_jet(a_m, 4, (curve.r[0], curve.s[0])))
         chunk = build_transmission(curves,
                                    Jet2(np.stack([j.c for j in jps]), 4),
                                    Jet2(np.stack([j.c for j in jms]), 4))
@@ -335,6 +352,43 @@ class TestTransmission:
         with pytest.raises(StencilError, match="determinant") as info:
             build_transmission(curves, jet, jet)
         assert info.value.index == 1
+
+
+def per_polynomial_flux(c, a_poly, r_t, s_t, nterms, mono):
+    """Flux series of one polynomial, grad(P)(r, s) . (s', -r') a(r, s)."""
+    p = Poly2(c)
+    px = poly2_compose_series(p.dx(), r_t, s_t, nterms, mono)
+    py = poly2_compose_series(p.dy(), r_t, s_t, nterms, mono)
+    flux = (series_mul(px, series_deriv(s_t), nterms)
+            - series_mul(py, series_deriv(r_t), nterms))
+    return series_mul(flux, poly2_compose_series(a_poly, r_t, s_t, nterms,
+                                                 mono), nterms)
+
+
+class TestBlockSeries:
+    def test_block_calls_match_per_polynomial_calls_bit_for_bit(self):
+        """One composition and one flux call per G or H block of a side give
+        the bits of one call per polynomial, on a random 7-node chunk."""
+        rng = np.random.default_rng(31)
+        jp, jm = random_a_jets(32, 7, order=4), random_a_jets(33, 7, order=4)
+        stacked = Jet2(np.stack([jp.c, jm.c]), 4)
+        blocks = [dense_tables(b) for b in
+                  gh_blocks(build_reduction_table(stacked, M_IRR))]
+        r_t, s_t = rng.uniform(-1, 1, (2, 7, 6))
+        r_t[:, 0] = s_t[:, 0] = 0.0
+        mono = monomial_series_table(r_t, s_t, M_IRR + 1, 6)
+        for side, a_jet in enumerate((jp, jm)):
+            a_poly = a_jet.as_poly()
+            for block in (b[:, side] for b in blocks):
+                series = poly2_compose_series(Poly2(block), r_t, s_t, 6, mono)
+                flux = _flux_series(block, a_poly, r_t, s_t, 5, mono[..., :5])
+                assert series.shape == flux.shape[:-1] + (6,) \
+                    == (len(block), 7, 6)
+                for k, c in enumerate(block):
+                    assert same_bits(series[k], poly2_compose_series(
+                        Poly2(c), r_t, s_t, 6, mono))
+                    assert same_bits(flux[k], per_polynomial_flux(
+                        c, a_poly, r_t, s_t, 5, mono[..., :5]))
 
 
 def make_circle_problem(rng):
@@ -363,7 +417,7 @@ def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
     (bp,) = iface.locate_base([point], h)
     (chart,) = iface.chart([bp], h) if chart_kind is None else \
         iface.chart([bp], h, chart_kind)
-    curve = curve_jet_from_chart(chart, bp.base, bp.v0, bp.w0, h)
+    curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
     jp, jm, fpd, fmd = irregular_jets(
         a_p.as_callable(), a_m.as_callable(), f_p.as_callable(),
         f_m.as_callable(), iface.psi, point, bp.base, h)
@@ -443,7 +497,7 @@ class TestIrregularStencil:
         minus_mask = psi_vals <= 0.0
         values = []
         for chart in charts:
-            curve = curve_jet_from_chart(chart, bp.base, bp.v0, bp.w0, h)
+            curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
             (model,) = build_transmission([curve], one_node(jp), one_node(jm))
             stencil = solve_irregular_stencil(
                 assemble_irregular_system(model, minus_mask))

@@ -9,6 +9,7 @@ from hybridfdm.errors import ReductionError
 from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2, Poly2, poly2_compose_series, series_mul, series_sqrt
 from hybridfdm.reduction import (
+    _partials,
     build_reduction_table,
     dense_tables,
     gh_blocks,
@@ -63,7 +64,7 @@ def poly_jet(poly, order, base):
     for m in range(order + 1):
         for n in range(order + 1 - m):
             derivs[(m, n)] = deriv_at(poly, m, n, *base)
-    return Jet2.from_derivatives(derivs, order, base)
+    return Jet2.from_derivatives(derivs, order)
 
 
 def pde_source(a, u):
@@ -295,6 +296,43 @@ class TestValueOnlyTable:
                         assert np.array_equal(got[pq][key][k], value)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bits (so -0.0 differs from 0.0)."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def derivative_chain_partials(jet):
+    """Base-point partials (r, s) -> f^(r,s) as values of derivative jets:
+    s ``dy()`` and then r ``dx()`` calls, each jet built once."""
+    cache = {(0, 0): jet}
+
+    def get(r, s):
+        if (r, s) not in cache:
+            cache[(r, s)] = get(r - 1, s).dx() if r > 0 else get(r, s - 1).dy()
+        return cache[(r, s)]
+
+    return {(r, s): get(r, s).value for r, s in lambda_full(jet.order)}
+
+
+class TestWeightPartials:
+    """The reduction reads the weights' partials from one scaled table."""
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_scaled_table_matches_derivative_jets_bit_for_bit(self, order):
+        rng = np.random.default_rng(40 + order)
+        random = Jet2(rng.standard_normal((64, order + 1, order + 1))
+                      * 10.0 ** rng.uniform(-3, 3, (64, 1, 1)), order)
+        signed = np.zeros((order + 1, order + 1))
+        signed[0, 0] = 2.0
+        signed[1, 2] = signed[3, 0] = signed[0, order] = -0.0
+        for jet in (random, Jet2(signed, order)):
+            got = _partials(jet)
+            for (r, s), want in derivative_chain_partials(jet).items():
+                assert same_bits(got[r, s], want), (r, s)
+
+
 def reference_gh_polynomials(table, order):
     """G/H tables filled one (p, q) entry at a time, keyed in block order."""
     from math import factorial
@@ -318,15 +356,12 @@ def reference_gh_polynomials(table, order):
 
 class TestGHPolynomialsBatch:
     @pytest.mark.parametrize("build,order", REDUCTIONS)
-    @pytest.mark.parametrize("gh_order", [5, None])
-    def test_matches_entrywise_reference_bit_for_bit(self, build, order,
-                                                     gh_order):
+    def test_matches_entrywise_reference_bit_for_bit(self, build, order):
         table = build(random_a_jets(22, 5), order)
-        gh_order = order if gh_order is None else gh_order
-        for got, want in zip(gh_blocks(table, gh_order),
-                             reference_gh_polynomials(table, gh_order)):
+        for got, want in zip(gh_blocks(table),
+                             reference_gh_polynomials(table, order)):
             assert len(got) == len(want)
-            assert got.shape[-1] == len(lambda_full(gh_order))
+            assert got.shape[-1] == len(lambda_full(order))
             for c_got, c in zip(dense_tables(got), want.values()):
                 assert np.array_equal(c_got, c)
 

@@ -158,7 +158,7 @@ class TestCurvature:
                                 -np.cos(theta0), np.sin(theta0), np.cos(theta0)])
             from hybridfdm.transmission import CurveJet
 
-            curve = CurveJet(base=(r[0], s[0]), v0=0, w0=0, r=r, s=s,
+            curve = CurveJet(v0=0, w0=0, r=r, s=s,
                              g=np.zeros(6), gg=np.zeros(5))
             assert curvature(curve) == pytest.approx(expect, rel=1e-12)
 

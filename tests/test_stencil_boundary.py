@@ -91,7 +91,7 @@ class TestEdgeStructure:
         st = solve_edge_stencil(Jet2.constant(1.0, 5), ZERO_ALPHA)
         assert np.allclose(st.coeffs[:, 0], [-2, 10, -2, -1, -4, -1], atol=1e-13)
         assert np.allclose(st.coeffs[:, 1:], 0.0, atol=1e-13)
-        assert st.monotone
+        assert check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
 
     def test_degree1_sum_is_6alpha(self):
         rng = np.random.default_rng(5)
@@ -102,7 +102,7 @@ class TestEdgeStructure:
             st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), alpha)
             assert st.coeffs[:, 1].sum() == pytest.approx(6 * alpha0, abs=1e-11)
             assert check_sign_sum(st.coeffs, st.offsets.index((0, 0)), tol=1e-10).passed
-            assert st.monotone
+            assert check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
 
     def test_pure_neumann_sums_vanish(self):
         rng = np.random.default_rng(15)
@@ -110,14 +110,14 @@ class TestEdgeStructure:
         a.c[0, 0] = 1.5
         st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), ZERO_ALPHA)
         assert np.allclose(st.coeffs.sum(axis=0), 0.0, atol=1e-11)
-        assert st.monotone
+        assert check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
 
     def test_zero_alpha_value_with_varying_alpha_may_lose_sums(self):
-        """alpha(y_j) = 0 with nonconstant alpha: consistent but flagged.
+        """alpha(y_j) = 0 with nonconstant alpha: consistent, but the audit fails.
 
         The boundary data of u == 1 is g1 = alpha(y), whose derivatives feed
         the row sums; they need not stay nonnegative when alpha vanishes at
-        the anchor, so only the non-monotone flag is guaranteed here.
+        the anchor, so only the audit's failing verdict is guaranteed here.
         """
         rng = np.random.default_rng(5)
         alpha = np.concatenate([[0.0], rng.uniform(-1, 1, 5)])
@@ -125,7 +125,7 @@ class TestEdgeStructure:
         a.c[0, 0] = 1.5
         st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), alpha)
         assert st.coeffs[:, 1].sum() == pytest.approx(0.0, abs=1e-11)
-        assert not st.monotone
+        assert not check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
         # still consistent: u == 1 with g1 = alpha leaves an O(h^6) residual
         errs = []
         for h in (0.125, 0.0625, 0.03125):
@@ -136,7 +136,7 @@ class TestEdgeStructure:
 
     def test_negative_alpha_flagged(self):
         st = solve_edge_stencil(Jet2.constant(1.0, 5), np.array([-1.0, 0, 0, 0, 0, 0]))
-        assert not st.monotone
+        assert not check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
 
 
 class TestCornerStructure:
@@ -224,7 +224,7 @@ class TestCornerStructure:
         st = solve_corner_stencil(
             build_corner_reduction(jet, np.array([-2.0, 0, 0, 0, 0, 0]), ZERO_ALPHA)
         )
-        assert not st.monotone
+        assert not check_sign_sum(st.coeffs, 0).passed
 
     def test_constant_neumann_corner_passes_audit(self):
         jet = Jet2.constant(2.0, 5)
