@@ -9,14 +9,17 @@ the same blocks.  Assembly is deterministic (fixed chunking, fixed orders).
 The jets of each regular family are estimated once for the whole family
 (``regular_jets``), then its nodes go in chunks of ``CHUNK``; interface
 nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
-and chart search and one transmission build.  No row depends on the chunk
-size: a regular chunk contracts only elementwise along its batch axis
-(``stencil_core._dot``), so every regular and interface row is the same,
-bit for bit, whatever ``CHUNK`` and ``IFACE_CHUNK`` are.  The chunks are
+and chart search, one field lattice for its one-sided MLS fits, and one
+transmission build.  No row depends on the chunk size: a regular chunk
+contracts only elementwise along its batch axis (``stencil_core._dot``),
+and every interface sample keeps the coordinates of its node's own window,
+so every regular and interface row is the same, bit for bit, whatever
+``CHUNK`` and ``IFACE_CHUNK`` are.  The chunks are
 fixed, so they can fan out over a process pool with results identical to
 the serial path.
 Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
-phase timings and the row count of every family.
+phase timings, the row count of every family and, as ``widened``, the number
+of interface nodes whose field jets took the widened MLS lattice.
 """
 
 from __future__ import annotations
@@ -184,15 +187,10 @@ def _in_batch(points):
         raise _named(exc, points[exc.index]) from exc
 
 
-def _irregular_one(point, bp, chart):
-    """Per-node front half of an interface row from its base point and
-    chart: the curve jet and the one-sided field jets."""
-    problem, h = _CTX["problem"], _CTX["h"]
-    curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
-    jp, jm, fpd, fmd = irregular_jets(
-        problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
-        problem.psi, point, bp.base, h)
-    return curve, jp, jm, fpd, fmd
+def _irregular_one(bp, chart):
+    """Per-node front half of an interface row: the curve jet at its base
+    point, from its chart."""
+    return curve_jet_from_chart(chart, bp.v0, bp.w0, _CTX["h"])
 
 
 def _irregular_chunk(args):
@@ -200,33 +198,35 @@ def _irregular_chunk(args):
 
     ``args`` holds the nodes and their (n, 13) minus-side footprint masks.
     Base points and charts are located for the whole chunk at once, the
-    curve and field jets node by node, and the transmission is built once
-    for the chunk; the 13-point stencil and its rhs are then solved node by
-    node.
+    curve jets node by node; the one-sided field jets and the transmission
+    are built once for the chunk, and the 13-point stencil and its rhs are
+    then solved node by node.  Returns one (row values, rhs, widened) triple
+    per node, ``widened`` telling whether its field jets took the widened
+    MLS lattice.
     """
     points, minus = args
     problem, h = _CTX["problem"], _CTX["h"]
     with _in_batch(points):
         bases = problem.interface.locate_base(points, h)
         charts = problem.interface.chart(bases, h)
-    front = []
+    curves = []
     for point, bp, chart in zip(points, bases, charts):
         with _at_node(point):
-            front.append(_irregular_one(point, bp, chart))
-    curves, jp, jm, fpd, fmd = zip(*front)
-    order = jp[0].order
+            curves.append(_irregular_one(bp, chart))
     with _in_batch(points):
-        models = build_transmission(list(curves),
-                                    Jet2(np.stack([j.c for j in jp]), order),
-                                    Jet2(np.stack([j.c for j in jm]), order))
+        jp, jm, fpd, fmd, widened = irregular_jets(
+            problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
+            problem.psi, points, [bp.base for bp in bases], h)
+        models = build_transmission(curves, jp, jm)
     out = []
-    for point, mask, model, fp, fm in zip(points, minus, models, fpd, fmd):
+    for point, mask, model, fp, fm, wide in zip(points, minus, models, fpd,
+                                                fmd, widened):
         with _at_node(point):
             system = assemble_irregular_system(model, mask)
             stencil = solve_irregular_stencil(system, h=h)
             weights = irregular_rhs_weights(stencil, system, h)
             rhs = irregular_rhs_value(weights, fp, fm, model.curve)
-        out.append((stencil.values(h) / h, rhs))
+        out.append((stencil.values(h) / h, rhs, bool(wide)))
     return out
 
 
@@ -371,13 +371,15 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
 
         # ---- interface rows -------------------------------------------------
         ti = time.perf_counter()
+        widened = 0
         if iface_chunks:
-            values, rhs = zip(*(r for part in run(_irregular_chunk,
-                                                  iface_chunks)
-                                for r in part))
+            values, rhs, wide = zip(*(r for part in run(_irregular_chunk,
+                                                        iface_chunks)
+                                      for r in part))
             blocks.append(RowBlock("interface", *iface_nodes,
                                    IRREGULAR_OFFSETS, np.stack(values),
                                    np.array(rhs)))
+            widened = sum(wide)
         timings["irregular"] = time.perf_counter() - ti
     finally:
         if pool is not None:
@@ -404,7 +406,7 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
              timings["total"], timings["boundary"], timings["regular"],
              timings["irregular"],
              ", ".join(f"{family} {n}" for family, n in rows.items()),
-             extra={"timings": timings, "rows": rows})
+             extra={"timings": timings, "rows": rows, "widened": widened})
     return system
 
 

@@ -4,7 +4,14 @@ These helpers bind the sampling recipes to the MLS estimator.  All sample
 lattices are anchor-relative and translation-invariant, so one operator
 matrix per mesh size serves every anchor of a class; estimating the jets for
 a whole batch of interior points is then a single matrix product against the
-sampled values.
+sampled values.  The two fits of a family (a and f, one degree apart) are
+one ``mls_operators`` call on the shared lattice.
+
+Each batch evaluates every field once: a regular family on the axes of one
+lattice over its nodes, an interface chunk on the axes holding every
+coordinate of its nodes' windows.  Interface fits differ per node (side
+mask and base point), so they are made node by node, sharing the weights
+of a node and one Vandermonde per lattice and basis scale across the chunk.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import MlsError
 from .indexsets import lambda_full
 from .jets import Jet2
-from .mls import MlsProblem, mls_operator, sampling_recipe
+from .mls import (
+    MlsProblem,
+    distinct_values,
+    mls_operator,
+    mls_operators,
+    sampling_recipe,
+)
 from .stencil_boundary import BoundaryFrame
 
 
@@ -45,8 +58,8 @@ def regular_jets(a_field, f_field, nodes: np.ndarray, origin, h: float):
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1, 2)
     rec = sampling_recipe("regular-interior", h)
-    op_a = mls_operator(rec.problem(6), lambda_full(6))
-    op_f = mls_operator(rec.problem(5), lambda_full(5))
+    [(op_a, op_f)] = mls_operators(
+        rec.problem(6), [(6, lambda_full(6)), (5, lambda_full(5))])
     # lattice indices (in steps of h/4) of each node's first window point
     first = [round(axis[0] / rec.step) for axis in rec.axes]
     window = [len(axis) for axis in rec.axes]
@@ -79,8 +92,8 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     rec = sampling_recipe("edge-boundary", h)
-    op_a = mls_operator(rec.problem(5), lambda_full(5))
-    op_f = mls_operator(rec.problem(4), lambda_full(4))
+    [(op_a, op_f)] = mls_operators(
+        rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
     xh, yh = rec.samples[:, 0], rec.samples[:, 1]
     px, py = frame.point((anchors[:, 0:1], anchors[:, 1:2]), xh[None, :], yh[None, :])
     a_der = _sample(a_field, px, py) @ op_a.T
@@ -97,61 +110,96 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
     return jet, alpha_der, f_der, g_der
 
 
-def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor, base,
+def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchors, bases,
                    h: float):
-    """One-sided jets at an interface base point.
+    """One-sided jets at the interface base points of a chunk of nodes.
 
-    Samples the ``"irregular-interface"`` lattice around the grid node (17x17
-    at spacing h/8, half-width h), splits it by the sign of psi (points on
-    the curve go minus), and fits each side separately with the basis
-    centered on the node and derivatives taken at the base point.  On coarse
-    grids one side can clip the standard lattice in a thin sliver: with fewer
-    than 30 samples on a side, or a rank-deficient fit, the recipe's widened
-    lattice (33x33, half-width 2h) is tried, which stays within the
-    enlarged-box contract of the field callables.  The side with fewer
-    samples is fitted first, so a failing sliver costs no fit of the other
-    side.  Each field is evaluated once per lattice through ``_sample``, as
-    a tensor product of the recipe's two axes: psi, a+, a-, f+ and f- each
-    see the (n, 1) column of x values and the (1, n) row of y values, and a
-    one-sided field's values on the other side are dropped by the mask.
-    Returns (a+ jet, a- jet, f+ derivatives, f- derivatives) with the jets
-    of order 4 and the source derivatives over Lambda_3.
+    Node k samples the ``"irregular-interface"`` lattice around its grid
+    node ``anchors[k]`` (17x17 at spacing h/8, half-width h), splits it by
+    the sign of psi (points on the curve go minus), and fits each side
+    separately with the basis centered on the node and derivatives taken at
+    its base point ``bases[k]``.  On coarse grids one side can clip the
+    standard lattice in a thin sliver: with fewer than 30 samples on a side,
+    or a rank-deficient fit, the node tries the recipe's widened lattice
+    (33x33, half-width 2h), which stays within the enlarged-box contract of
+    the field callables.  The side with fewer samples is fitted first, so a
+    failing sliver costs no fit of the other side.
+
+    The fields are sampled once for the whole chunk.  Its lattice axes are
+    the distinct values, bit for bit, of every node's widened-window
+    coordinates ``anchor + offset``, so each sample keeps the coordinates it
+    would have on its node's own window.  psi, a+, a-, f+ and f- are each
+    called once, through ``_sample``, on the (nx, 1) column and the (1, ny)
+    row of those axes; every node gathers its windows by index, and a
+    one-sided field's values on the other side are dropped by the mask.  The
+    fits of a node share its weights, and the fits of the chunk share one
+    Vandermonde per lattice and basis scale (``mls_operators``).
+
+    Returns (a+ jet, a- jet, f+ derivatives, f- derivatives, widened) for
+    the n nodes: the jets of order 4 batched over the nodes, the (n, 10)
+    source derivatives over Lambda_3, and the (n,) flags of the nodes that
+    took the widened lattice.  A node whose fits fail on both lattices
+    raises ``MlsError`` with its position in ``index``.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    target = np.asarray(base, dtype=float) - anchor
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
+    targets = np.asarray(bases, dtype=float).reshape(-1, 2) - anchors
+    n = len(anchors)
+    recipes = [sampling_recipe("irregular-interface", h, widened=w)
+               for w in (False, True)]
+    # positions of the standard lattice's offsets among the widened ones
+    cut = (len(recipes[1].axes[0]) - len(recipes[0].axes[0])) // 2
+    windows = (slice(cut, -cut), slice(None))
 
-    last_exc = None
-    for widened in (False, True):
-        rec = sampling_recipe("irregular-interface", h, target, widened)
-        ax = (anchor[0] + rec.axes[0])[:, None]
-        ay = (anchor[1] + rec.axes[1])[None, :]
-        side = _sample(psi, ax, ay).ravel()
-        masks = {"+": side > 0.0, "-": side <= 0.0}
-        if min(masks["+"].sum(), masks["-"].sum()) < 30 and not widened:
-            continue
+    axes, index = [], []
+    for d in (0, 1):
+        coords, inverse = distinct_values(
+            (anchors[:, d, None] + recipes[1].axes[d]).ravel())
+        axes.append(coords)
+        index.append(inverse.reshape(n, -1))
+    psi_v, ap_v, am_v, fp_v, fm_v = (
+        _sample(field, axes[0][:, None], axes[1][None, :])
+        for field in (psi, a_plus, a_minus, f_plus, f_minus))
+    values = {"+": (ap_v, fp_v), "-": (am_v, fm_v)}
+    fits = ((4, lambda_full(4)), (3, lambda_full(3)))
+    vandermondes = ({}, {})        # per lattice: full-window E per scale
 
-        def fit(field, mask, degree, reqs):
-            prob = MlsProblem(rec.samples[mask], target, rec.center, degree, h)
-            op = mls_operator(prob, reqs)
-            return op @ _sample(field, ax, ay).ravel()[mask]
-
-        sides = {"+": (a_plus, f_plus), "-": (a_minus, f_minus)}
-        order = sorted(sides, key=lambda sd: masks[sd].sum())
-        try:
-            a_fit = {sd: fit(sides[sd][0], masks[sd], 4, lambda_full(4))
-                     for sd in order}
-            f_fit = {sd: fit(sides[sd][1], masks[sd], 3, lambda_full(3))
-                     for sd in order}
-        except MlsError as exc:
-            last_exc = exc
-            continue
-        jet_p, jet_m = (Jet2.from_derivatives(
-            dict(zip(lambda_full(4), a_fit[sd])), 4)
-            for sd in "+-")
-        return jet_p, jet_m, f_fit["+"], f_fit["-"]
-    raise MlsError(
-        f"one-sided sample set near {tuple(np.round(anchor, 6))} stays "
-        f"degenerate after widening: {last_exc}")
+    a_der = {sd: np.empty((n, len(fits[0][1]))) for sd in "+-"}
+    f_der = {sd: np.empty((n, len(fits[1][1]))) for sd in "+-"}
+    widened = np.zeros(n, dtype=bool)
+    for k in range(n):
+        last_exc = None
+        for wide in (False, True):
+            window = windows[wide]
+            at = (index[0][k, window][:, None], index[1][k, window][None, :])
+            side = psi_v[at].ravel()
+            masks = {"+": side > 0.0, "-": side <= 0.0}
+            if min(masks["+"].sum(), masks["-"].sum()) < 30 and not wide:
+                continue
+            rec = recipes[wide]
+            order = sorted("+-", key=lambda sd: masks[sd].sum())
+            try:
+                ops = mls_operators(
+                    MlsProblem(rec.samples, targets[k], rec.center, 4, h),
+                    fits, [masks[sd] for sd in order], vandermondes[wide])
+            except MlsError as exc:
+                last_exc = exc
+                continue
+            for sd, (op_a, op_f) in zip(order, ops):
+                a_v, f_v = values[sd]
+                a_der[sd][k] = op_a @ a_v[at].ravel()[masks[sd]]
+                f_der[sd][k] = op_f @ f_v[at].ravel()[masks[sd]]
+            widened[k] = wide
+            break
+        else:
+            exc = MlsError(
+                f"one-sided sample set near {tuple(np.round(anchors[k], 6))} "
+                f"stays degenerate after widening: {last_exc}")
+            exc.index = k
+            raise exc
+    jet_p, jet_m = (Jet2.from_derivatives(
+        {mn: a_der[sd][:, i] for i, mn in enumerate(fits[0][1])}, 4)
+        for sd in "+-")
+    return jet_p, jet_m, f_der["+"], f_der["-"], widened
 
 
 def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
@@ -163,8 +211,8 @@ def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
     """
     anchor = np.asarray(anchor, dtype=float)
     rec = sampling_recipe("corner-boundary", h)
-    op_a = mls_operator(rec.problem(5), lambda_full(5))
-    op_f = mls_operator(rec.problem(4), lambda_full(4))
+    [(op_a, op_f)] = mls_operators(
+        rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
     px, py = frame.point(anchor, rec.samples[:, 0], rec.samples[:, 1])
     a_der = _sample(a_field, px, py) @ op_a.T
     f_der = _sample(f_field, px, py) @ op_f.T

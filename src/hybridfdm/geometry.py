@@ -106,15 +106,24 @@ class BasePoint:
 
 
 def _bisect(f, lo, hi, iters: int = 60):
-    """Vectorized bisection; assumes a sign change on [lo, hi]."""
-    flo = f(lo)
+    """Vectorized bisection; assumes a sign change on [lo, hi].
+
+    Stops early at its fixed point: once a step changes none of lo, hi and
+    f(lo), bit for bit, every later step would repeat it, so the roots are
+    the same as after all ``iters`` steps.  NaN compares unequal, so a NaN
+    keeps the loop going to the end.
+    """
+    state = np.array(np.broadcast_arrays(lo, hi, f(lo)), dtype=float)
     for _ in range(iters):
+        lo, hi, flo = state
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        towards_hi = flo * fm > 0
-        lo = np.where(towards_hi, mid, lo)
-        flo = np.where(towards_hi, fm, flo)
-        hi = np.where(towards_hi, hi, mid)
+        step = np.where(flo * fm > 0, (mid, hi, fm), (lo, mid, flo))
+        if np.array_equal(step, state) and np.array_equal(
+                step.view(np.int64), state.view(np.int64)):
+            break
+        state = step
+    lo, hi, _ = state
     return 0.5 * (lo + hi)
 
 

@@ -14,17 +14,27 @@ inverse.  Everything reduces to a single (n_requests x K) matrix that can be
 applied to many value vectors at once; for translation-invariant sample
 lattices that matrix is built once per mesh size.
 
-Only the QR factorization and the triangular solve are left to LAPACK.  The
-Vandermonde E is gathered from power tables of the distinct coordinate values
-per axis (a lattice of K samples has about sqrt(K) of them), and the pattern
-of the derivative matrix D is cached per (degree, requests), its entries
-multiplied from scalar power tables: numpy's array power may round the last
-bit differently from the scalar one.  The order of the remaining algebra --
-QR of sqrt(w) E, the solve R^-1 Q^T sqrt(w), then D times that -- is fixed on
-purpose.  The 13-point interface stencils amplify a rounding-level change of
-an MLS operator by about 1e7, so an algebraically equal reordering (one QR
-for several fields, or stacked zero-weight fits) moves interface rows by up
-to 4e-9 relative.
+``mls_operators`` fits several degrees on one sample set, optionally split
+into subsets by boolean masks (the two sides of an interface lattice).
+What the fits of one call share is computed once: on the whole set the
+sample norms, the weights sqrt(w) and, per basis scale, the Vandermonde E
+at the top degree; per fit and scale the derivative matrix D.  A subset
+reads the whole-set arrays masked by rows, and a lower degree reads the
+leading columns of E, because Lambda_d is a prefix of Lambda_(d+1).  E is
+gathered from power tables of the distinct coordinate values per axis (a
+lattice of K samples has about sqrt(K) of them), and the pattern of D is
+cached per (degree, requests), its entries multiplied from scalar power
+tables: numpy's array power may round the last bit differently from the
+scalar one.  What stays per fit and degree is what LAPACK does: the QR of
+sqrt(w) E and the solve R^-1 Q^T sqrt(w), then D times that, in this order
+on purpose.  Every shared quantity is the same, bit for bit, as when each
+fit computes it alone, so the operators do not depend on how fits are
+grouped.  The
+13-point interface stencils amplify a rounding-level change of an MLS
+operator by about 1e7, so an algebraically equal reordering (one QR for
+several fields or degrees -- the QR of a column prefix differs from the
+prefix of the QR in the last bits -- or stacked zero-weight fits) moves
+interface rows by up to 4e-9 relative.
 
 Sampling recipes (``sampling_recipe``) name the anchor-relative lattices the
 stencil families fit on:
@@ -101,12 +111,13 @@ def _derivative_terms(degree: int, dim: int, requests: tuple):
 
     Entry (i, j) is the omega_i derivative at the target of the basis
     monomial u^alpha_j, the product over the axes of
-    a! / (a - o)! * tgt^(a - o) / scale^o.  Returns the entries' rows and
-    columns and, per entry and axis, the factorial ratio, the target power
-    a - o and the scale power o.
+    a! / (a - o)! * tgt^(a - o) / scale^o; a 1-D request may be a plain
+    order.  Returns the entries' rows and columns and, per entry and axis,
+    the factorial ratio, the target power a - o and the scale power o.
     """
     rows, cols, ratio, tpow, spow = [], [], [], [], []
     for i, om in enumerate(requests):
+        om = (om,) if np.isscalar(om) else tuple(om)
         if sum(om) > degree:
             raise MlsError(
                 f"derivative order {om} exceeds basis degree {degree}")
@@ -128,62 +139,111 @@ def _derivative_terms(degree: int, dim: int, requests: tuple):
     return terms
 
 
-def mls_operator(problem: MlsProblem, requests) -> np.ndarray:
-    """Matrix A with derivs = A @ values; one row per requested multi-index."""
-    dim = problem.dim
-    z = np.atleast_2d(problem.samples.astype(float))
-    if dim == 1:
-        z = problem.samples.astype(float)[:, None]
-    target = np.atleast_1d(np.asarray(problem.target, dtype=float))
-    center = np.atleast_1d(np.asarray(problem.center, dtype=float))
-    K = z.shape[0]
-    exps = _basis_exponents(problem.degree, dim)
-    J = len(exps)
-    if K < J:
-        raise MlsError(f"{K} samples cannot determine a degree-{problem.degree} fit "
-                       f"({J} coefficients)")
-
-    rel = z - center
-    scale = np.max(np.linalg.norm(rel, axis=1))
-    if scale == 0.0:
-        scale = problem.h
-    u = rel / scale
-
-    # Vandermonde E from per-axis power tables of the distinct coordinates
-    powers = np.arange(problem.degree + 1)
+def _vandermonde(u: np.ndarray, degree: int) -> np.ndarray:
+    """Basis Vandermonde of the scaled samples ``u`` (K, dim), built from
+    per-axis power tables of the distinct coordinate values."""
+    dim = u.shape[1]
+    exps = _basis_exponents(degree, dim)
+    powers = np.arange(degree + 1)
     E = None
     for d in range(dim):
         values, inverse = distinct_values(u[:, d])
         table = np.power.outer(values, powers)[:, [a[d] for a in exps]]
         E = table[inverse] if E is None else E * table[inverse]
+    return E
 
+
+def mls_operators(problem: MlsProblem, fits, masks=None,
+                  vandermondes=None) -> list:
+    """Operators of several fits on one sample set, sharing its weights and
+    its Vandermonde.
+
+    ``fits`` lists (degree, requests) pairs, each degree at most
+    ``problem.degree``; a fit's operator is the matrix A with
+    derivs = A @ values, one row per requested multi-index.  Each entry of
+    ``masks`` (default: one entry, all samples) selects the samples of one
+    set of fits; the result holds one list of operators per mask, in the
+    order of ``fits``.  ``vandermondes``, if given, keeps the Vandermonde of
+    the whole sample set per basis scale across calls; pass the same dict
+    only to problems with the same samples, centre and degree.
+    """
+    dim = problem.dim
+    z = problem.samples.astype(float)
+    z = z[:, None] if dim == 1 else np.atleast_2d(z)
+    target = np.atleast_1d(np.asarray(problem.target, dtype=float))
+    center = np.atleast_1d(np.asarray(problem.center, dtype=float))
+    rel = z - center
+    norms = np.linalg.norm(rel, axis=1)
     r2 = np.sum((z - target) ** 2, axis=1)
     sqrt_w = np.exp(-0.5 * r2 / problem.h**2) / np.sqrt(2.0)
+    vandermondes = {} if vandermondes is None else vandermondes
+    derivatives = {}              # D per (fit, scale): the target is shared
 
+    out = []
+    for mask in (None,) if masks is None else masks:
+        rows = slice(None) if mask is None else mask
+        K = len(z) if mask is None else int(np.count_nonzero(mask))
+        ops = []
+        for i, (degree, requests) in enumerate(fits):
+            J = len(_basis_exponents(degree, dim))
+            if K < J:
+                raise MlsError(f"{K} samples cannot determine a degree-{degree} "
+                               f"fit ({J} coefficients)")
+            if not ops:
+                scale = np.max(norms[rows])
+                if scale == 0.0:
+                    scale = problem.h
+                if scale not in vandermondes:
+                    vandermondes[scale] = _vandermonde(rel / scale,
+                                                       problem.degree)
+                # the lower degrees' bases are column prefixes of the top one
+                E_side = vandermondes[scale][rows]
+                w_side = sqrt_w[rows]
+            coef_of_values = _weighted_solve(E_side[:, :J], w_side)
+            if (i, scale) not in derivatives:
+                derivatives[i, scale] = _derivative_matrix(
+                    degree, requests, (target - center) / scale, scale)
+            ops.append(derivatives[i, scale] @ coef_of_values)
+        out.append(ops)
+    return out
+
+
+def _weighted_solve(E, sqrt_w) -> np.ndarray:
+    """R^-1 Q^T sqrt(w) of the pivot-checked QR of sqrt(w) E: the (J, K)
+    basis coefficients of the weighted fit to K sample values."""
     q, r = np.linalg.qr(sqrt_w[:, None] * E)
-    diag = np.abs(np.diag(r))
-    if diag.min() == 0.0 or diag.max() / diag.min() > COND_LIMIT:
+    diag = np.abs(r.diagonal())
+    lo, hi = diag.min(), diag.max()
+    if lo == 0.0 or hi / lo > COND_LIMIT:
         raise MlsError("rank-deficient moving least squares system "
-                       f"(condition {diag.max() / max(diag.min(), 1e-300):.2e})")
+                       f"(condition {hi / max(lo, 1e-300):.2e})")
     from scipy.linalg import solve_triangular
 
-    coef_of_values = solve_triangular(r, q.T * sqrt_w[None, :])  # (J, K)
+    return solve_triangular(r, q.T * sqrt_w[None, :])
 
-    # D from scalar power tables: scalar ** is the C pow, array ** may not be
-    rows, cols, ratio, tpow, spow = _derivative_terms(
-        problem.degree, dim,
-        tuple((om,) if np.isscalar(om) else tuple(om) for om in requests))
-    tgt = (target - center) / scale
-    tgt_pow = np.array([[tgt[d] ** e for e in range(problem.degree + 1)]
+
+def _derivative_matrix(degree, requests, tgt, scale) -> np.ndarray:
+    """D of a fit: the requested derivatives at the scaled target ``tgt``
+    of the degree-``degree`` basis, from scalar power tables (scalar ** is
+    the C pow, array ** may not be)."""
+    dim = len(tgt)
+    rows, cols, ratio, tpow, spow = _derivative_terms(degree, dim,
+                                                      tuple(requests))
+    tgt_pow = np.array([[tgt[d] ** e for e in range(degree + 1)]
                         for d in range(dim)])
-    scale_pow = np.array([scale**o for o in range(problem.degree + 1)])
+    scale_pow = np.array([scale**o for o in range(degree + 1)])
     val = None
     for d in range(dim):
         factor = ratio[:, d] * tgt_pow[d, tpow[:, d]] / scale_pow[spow[:, d]]
         val = factor if val is None else val * factor
-    D = np.zeros((len(requests), J))
+    D = np.zeros((len(requests), len(_basis_exponents(degree, dim))))
     D[rows, cols] = val
-    return D @ coef_of_values
+    return D
+
+
+def mls_operator(problem: MlsProblem, requests) -> np.ndarray:
+    """Matrix A with derivs = A @ values; one row per requested multi-index."""
+    return mls_operators(problem, [(problem.degree, requests)])[0][0]
 
 
 # ----------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from hybridfdm.geometry import (
 from hybridfdm.problems import (
     BoundaryCondition,
     ProblemSpec,
+    builtin,
     load_config_string,
     manufacture,
 )
@@ -306,6 +307,7 @@ class TestInterfaceAssembly:
     def test_failing_node_is_named(self, stage, monkeypatch):
         """One node of a five-node chunk fails: the typed error names it."""
         import hybridfdm.assembly as assembly
+        import hybridfdm.fieldjets as fieldjets
         import hybridfdm.geometry as geometry
 
         case = manufacture(seed=9, degree=3, interface_kind="circle")
@@ -331,6 +333,19 @@ class TestInterfaceAssembly:
         def raise_geometry(out):
             raise GeometryError("closest interface sample lies beyond sqrt(2) h")
 
+        def on_third_target(fn, spoil):
+            """Spoils every fit of the third node fitted, on each lattice
+            it tries; the nodes of a chunk are fitted in order."""
+            targets = []
+
+            def wrapped(problem, *args, **kwargs):
+                key = tuple(problem.target)
+                if key not in targets:
+                    targets.append(key)
+                out = fn(problem, *args, **kwargs)
+                return spoil(out) if targets.index(key) == 2 else out
+            return wrapped
+
         def raise_mls(out):
             raise MlsError("rank-deficient moving least squares system")
 
@@ -341,19 +356,20 @@ class TestInterfaceAssembly:
         def raise_residual(out):
             raise StencilError("stencil recursion residual 1e-08 exceeds 1e-09")
 
-        # base points are located for the whole chunk in one call, which
-        # selects each node's base point in turn
+        # base points are located and field jets fitted for the whole chunk
+        # in one call, which handles each node in turn
         module, target, spoil, kind = {
             "geometry": (geometry, "_select_base", raise_geometry,
                          GeometryError),
-            "fits": (assembly, "irregular_jets", raise_mls, MlsError),
+            "fits": (fieldjets, "mls_operators", raise_mls, MlsError),
             "transmission": (assembly, "curve_jet_from_chart", nan_speed,
                              StencilError),
             "recursion": (assembly, "solve_irregular_stencil", raise_residual,
                           StencilError),
         }[stage]
+        wrap = on_third_target if stage == "fits" else on_third_node
         monkeypatch.setattr(module, target,
-                            on_third_node(getattr(module, target), spoil))
+                            wrap(getattr(module, target), spoil))
         x, y = points[2]
         with pytest.raises(kind, match=re.escape(
                 f"interface node ({x:.6g}, {y:.6g}): ")):
@@ -422,10 +438,21 @@ class TestAssemblyLog:
         assert record.rows == system.family_rows == {
             "corner": 1, "dirichlet": 17, "edge1": 7, "edge3": 7,
             "regular+": 49}
+        assert record.widened == 0
         message = record.getMessage()
         assert message.startswith("assembled 81 rows at J=3 in ")
         assert message.endswith("rows per family: corner 1, dirichlet 17, "
                                 "edge1 7, edge3 7, regular+ 49")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_widened_interface_lattices_are_counted(self, caplog, threads):
+        """ex31 at J=5: 52 interface nodes take the widened MLS lattice,
+        counted the same through the process pool."""
+        caplog.set_level(logging.INFO, logger="hybridfdm.assembly")
+        assemble(builtin("ex31"), 5, threads=threads)
+        (record,) = [r for r in caplog.records
+                     if r.name == "hybridfdm.assembly"]
+        assert record.widened == 52
 
 
 class TestAudit:

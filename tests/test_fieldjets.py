@@ -1,5 +1,7 @@
 """Interface-lattice field jets: tensor-product sampling and its bit identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,16 +70,16 @@ def bits(a):
     return a.shape, a.view(np.int64).tolist()
 
 
-class CountingPsi:
-    """psi that records the argument shapes of every call."""
+class Counting:
+    """A field that records the argument shapes of every call."""
 
-    def __init__(self, psi):
-        self.psi = psi
+    def __init__(self, field):
+        self.field = field
         self.shapes = []
 
     def __call__(self, x, y):
         self.shapes.append((np.shape(x), np.shape(y)))
-        return self.psi(x, y)
+        return self.field(x, y)
 
 
 def interface_cases(problem, J):
@@ -90,55 +92,84 @@ def interface_cases(problem, J):
     return [(p, bp.base) for p, bp in zip(points, bases)], h
 
 
+def fields_of(problem):
+    return (problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
+            problem.psi)
+
+
 @pytest.fixture(scope="module")
 def ex31_j5():
     problem = builtin("ex31")
     return problem, *interface_cases(problem, 5)
 
 
-def assert_same_jets(problem, cases, h):
+def assert_same_jets(problem, cases, h, chunk):
+    """Chunk-form jets, ``chunk`` nodes per call, equal the point-list
+    reference node by node, bit for bit; returns the widened count."""
     widened = 0
-    for point, base in cases:
-        fields = (problem.a_plus, problem.a_minus, problem.f_plus,
-                  problem.f_minus)
-        counted = CountingPsi(problem.psi)
-        got = irregular_jets(*fields, counted, point, base, h)
-        want = reference_irregular_jets(*fields, problem.psi, point, base, h,
-                                        lattice_axes(h))
-        assert bits(got[0].c) == bits(want[0].c), point
-        assert bits(got[1].c) == bits(want[1].c), point
-        assert bits(got[2]) == bits(want[2]), point
-        assert bits(got[3]) == bits(want[3]), point
-        widened += len(counted.shapes) - 1
+    for k in range(0, len(cases), chunk):
+        points, bases = zip(*cases[k: k + chunk])
+        jp, jm, fp, fm, wide = irregular_jets(*fields_of(problem), points,
+                                              bases, h)
+        assert jp.c.shape == jm.c.shape == (len(points), 5, 5)
+        assert fp.shape == fm.shape == (len(points), 10)
+        for b, (point, base) in enumerate(zip(points, bases)):
+            want = reference_irregular_jets(*fields_of(problem), point, base,
+                                            h, lattice_axes(h))
+            assert bits(jp.c[b]) == bits(want[0].c), point
+            assert bits(jm.c[b]) == bits(want[1].c), point
+            assert bits(fp[b]) == bits(want[2]), point
+            assert bits(fm[b]) == bits(want[3]), point
+        widened += int(wide.sum())
     return widened
 
 
-def test_irregular_jets_match_point_list_body_on_ex31(ex31_j5):
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "all"])
+def test_irregular_jets_match_point_list_body_on_ex31(ex31_j5, chunk):
     problem, cases, h = ex31_j5
     assert len(cases) > 100
-    assert assert_same_jets(problem, cases, h) == 52
+    assert assert_same_jets(problem, cases, h, chunk or len(cases)) == 52
 
 
-def test_irregular_jets_match_point_list_body_on_circle():
-    case = manufacture(5, interface_kind="circle")
-    cases, h = interface_cases(case.problem, 4)
+@pytest.mark.parametrize("domain", [None, (-1.9, 1.9, -1.9, 1.9)],
+                         ids=["dyadic", "non-dyadic"])
+def test_irregular_jets_match_point_list_body_on_circle(domain):
+    """The manufactured circle, on its own (-2, 2)^2 box and on one whose
+    grid coordinates are not binary fractions."""
+    problem = manufacture(5, interface_kind="circle").problem
+    if domain is not None:
+        problem = dataclasses.replace(problem, domain=domain)
+    cases, h = interface_cases(problem, 4)
     assert len(cases) > 20
-    assert_same_jets(case.problem, cases, h)
+    assert_same_jets(problem, cases, h, 16)
 
 
-def test_psi_is_called_once_per_lattice_attempt(ex31_j5):
+def test_each_field_is_called_once_per_chunk_on_tensor_axes(ex31_j5):
+    """psi, a+, a-, f+ and f- are each called once for the whole chunk, on
+    an (nx, 1) column and a (1, ny) row; the axes hold every node's widened
+    window coordinates and nothing else."""
     problem, cases, h = ex31_j5
-    calls = []
-    for point, base in cases:
-        counted = CountingPsi(problem.psi)
-        irregular_jets(problem.a_plus, problem.a_minus, problem.f_plus,
-                       problem.f_minus, counted, point, base, h)
-        calls.append(counted.shapes)
-    assert sorted({len(c) for c in calls}) == [1, 2]
-    assert sum(len(c) == 2 for c in calls) == 52
-    for shapes in calls:
-        assert shapes[0] == ((17, 1), (1, 17))
-        assert shapes[1:] in ([], [((33, 1), (1, 33))])
+    points, bases = zip(*cases[:20])
+    counted = [Counting(field) for field in fields_of(problem)]
+    irregular_jets(*counted, points, bases, h)
+    offs = lattice_axes(h)[1]
+    nx = len({x.hex() for x, _ in points for x in x + offs})
+    ny = len({y.hex() for _, y in points for y in y + offs})
+    for field in counted:
+        assert field.shapes == [((nx, 1), (1, ny))]
+
+
+def test_a_node_that_fails_both_lattices_is_indexed(ex31_j5):
+    """A node whose fits fail on both lattices raises MlsError with its
+    position in the chunk.  A base point far off its node gives the whole
+    lattice zero weight, so both attempts are rank-deficient."""
+    problem, cases, h = ex31_j5
+    points, bases = (list(c) for c in zip(*cases[:5]))
+    bases[3] = (points[3][0] + 1e3, points[3][1])
+    with pytest.raises(MlsError, match="stays degenerate after widening: "
+                       "rank-deficient") as info:
+        irregular_jets(*fields_of(problem), points, bases, h)
+    assert info.value.index == 3
 
 
 class TestSample:

@@ -204,6 +204,77 @@ class TestBatchedGeometry:
         assert {c.kind for c in charts} == {"angle"}
 
 
+def bisect_full(f, lo, hi, iters=60):
+    """The bisection loop run for all its steps, with no early stop."""
+    flo = f(lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        towards_hi = flo * fm > 0
+        lo = np.where(towards_hi, mid, lo)
+        flo = np.where(towards_hi, fm, flo)
+        hi = np.where(towards_hi, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestBisection:
+    def test_roots_match_the_full_loop_bit_for_bit(self):
+        """Stopping at the fixed point gives the 60-step roots, in fewer
+        calls of psi."""
+        from hybridfdm.geometry import _bisect
+
+        calls = []
+
+        def psi(y):
+            calls.append(None)
+            return (0.3 + np.sin(2.0 * y)) * (1.0 + y) - 0.7 * y**3
+
+        lo = np.linspace(-0.9, 0.3, 41)
+        hi = lo + 0.25
+        keep = psi(lo) * psi(hi) <= 0.0
+        lo, hi = lo[keep], hi[keep]
+        calls.clear()
+        got = _bisect(psi, lo, hi)
+        assert len(lo) > 0 and len(calls) < 61
+        assert same_bits(got, bisect_full(psi, lo, hi))
+
+    def test_nan_keeps_the_full_loop(self):
+        """A NaN f(lo) never compares equal, so the loop runs all 60 steps,
+        though hi reaches lo long before."""
+        from hybridfdm.geometry import _bisect
+
+        calls = []
+
+        def psi(x):
+            calls.append(None)
+            return np.where(x > 0.9, np.nan, x - 0.5)
+
+        lo, hi = np.array([0.0, 0.95]), np.array([1.0, 1.0])
+        got = _bisect(psi, lo, hi)
+        assert len(calls) == 61
+        assert same_bits(got, bisect_full(psi, lo, hi))
+
+    def test_ex31_base_points_and_charts_unchanged(self, monkeypatch):
+        import hybridfdm.geometry as geometry
+        from hybridfdm.problems import builtin
+
+        problem = builtin("ex31")
+        points, h = TestBatchedGeometry().nodes(problem, 5)
+        iface = problem.interface
+        got = iface.locate_base(points, h)
+        got_charts = iface.chart(got, h)
+        monkeypatch.setattr(geometry, "_bisect", bisect_full)
+        want = iface.locate_base(points, h)
+        for batch, single in ((got, want),
+                              (got_charts, iface.chart(want, h))):
+            for a, b in zip(batch, single):
+                for key, value in vars(b).items():
+                    if isinstance(value, str):
+                        assert getattr(a, key) == value
+                    else:
+                        assert same_bits(getattr(a, key), value), key
+
+
 def exact_circle_curvejet(theta0, radius=1.0, u_plus=None, u_minus=None,
                           a_plus=None, a_minus=None):
     """CurveJet with analytically exact circle and jump derivatives."""
@@ -418,16 +489,16 @@ def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
     (chart,) = iface.chart([bp], h) if chart_kind is None else \
         iface.chart([bp], h, chart_kind)
     curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
-    jp, jm, fpd, fmd = irregular_jets(
+    jp, jm, fpd, fmd, _ = irregular_jets(
         a_p.as_callable(), a_m.as_callable(), f_p.as_callable(),
-        f_m.as_callable(), iface.psi, point, bp.base, h)
-    (model,) = build_transmission([curve], one_node(jp), one_node(jm))
+        f_m.as_callable(), iface.psi, [point], [bp.base], h)
+    (model,) = build_transmission([curve], jp, jm)
     psi_vals = iface.psi(point[0] + h * np.array([o[0] for o in IRREGULAR_OFFSETS]),
                          point[1] + h * np.array([o[1] for o in IRREGULAR_OFFSETS]))
     minus_mask = np.asarray(psi_vals) <= 0.0
     system = assemble_irregular_system(model, minus_mask)
     stencil = solve_irregular_stencil(system)
-    return stencil, system, curve, fpd, fmd
+    return stencil, system, curve, fpd[0], fmd[0]
 
 
 class TestIrregularStencil:
@@ -487,10 +558,10 @@ class TestIrregularStencil:
         charts += para.chart([bp2], h)
         assert charts[0].kind != charts[1].kind
 
-        jp, jm, fpd, fmd = irregular_jets(
+        jp, jm, *_ = irregular_jets(
             self.a_p.as_callable(), self.a_m.as_callable(),
             self.f_p.as_callable(), self.f_m.as_callable(),
-            self.iface.psi, point, bp.base, h)
+            self.iface.psi, [point], [bp.base], h)
         psi_vals = circle_psi(
             point[0] + h * np.array([o[0] for o in IRREGULAR_OFFSETS]),
             point[1] + h * np.array([o[1] for o in IRREGULAR_OFFSETS]))
@@ -498,7 +569,7 @@ class TestIrregularStencil:
         values = []
         for chart in charts:
             curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
-            (model,) = build_transmission([curve], one_node(jp), one_node(jm))
+            (model,) = build_transmission([curve], jp, jm)
             stencil = solve_irregular_stencil(
                 assemble_irregular_system(model, minus_mask))
             values.append(stencil.values(h))

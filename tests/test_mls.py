@@ -14,6 +14,7 @@ from hybridfdm.mls import (
     MlsProblem,
     _basis_exponents,
     mls_operator,
+    mls_operators,
     sampling_recipe,
 )
 
@@ -306,3 +307,60 @@ def test_regular_jets_evaluate_each_field_once_on_the_lattice_axes():
     want = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)
     assert np.array_equal(jet.c, want.c)
+
+
+def multi_degree_cases():
+    """(name, problem at the top degree, fits, masks) of every fit pair the
+    stencil families make on one sample set."""
+    h = 0.078125
+    for context, top in (("regular-interior", 6), ("edge-boundary", 5),
+                         ("corner-boundary", 5)):
+        yield context, sampling_recipe(context, h).problem(top), top, None
+    target = np.array([0.31, -0.22]) * h
+    for widened in (False, True):
+        iface = sampling_recipe("irregular-interface", h, target, widened)
+        x, y = iface.samples[:, 0], iface.samples[:, 1]
+        side = x**2 / h + 2 * y**3 / h**2 - 0.1 * x > 0.001 * h
+        yield (f"interface-{'widened' if widened else 'standard'}",
+               iface.problem(4), 4, [side, ~side])
+    disc = np.hypot(x, y) < 0.9 * h     # a side that reaches no corner
+    yield "interface-disc", iface.problem(4), 4, [disc, ~disc]
+
+
+@pytest.mark.parametrize("name, problem, top, masks",
+                         list(multi_degree_cases()),
+                         ids=[c[0] for c in multi_degree_cases()])
+def test_multi_degree_fits_match_single_fits_bit_for_bit(name, problem, top,
+                                                         masks):
+    """One call for the top degree and the one below, sharing weights and
+    Vandermonde (each mask reads its side of them), equals separate fits on
+    the masked samples; so does a second call that reuses the Vandermonde."""
+    fits = [(top, lambda_full(top)), (top - 1, lambda_full(top - 1))]
+    vandermondes = {}
+    for _ in range(2):
+        got = mls_operators(problem, fits, masks, vandermondes)
+        # one Vandermonde per basis scale, the largest norm of a side
+        scales = {np.max(np.linalg.norm(problem.samples[sel], axis=1))
+                  for sel in ([slice(None)] if masks is None else masks)}
+        assert len(vandermondes) == len(scales)
+        for ops, mask in zip(got, [None] if masks is None else masks):
+            sel = slice(None) if mask is None else mask
+            for op, (degree, requests) in zip(ops, fits):
+                single = MlsProblem(problem.samples[sel], problem.target,
+                                    problem.center, degree, problem.h)
+                want = reference_operator(single, requests)
+                assert op.shape == want.shape
+                assert np.array_equal(op, want)
+                assert np.array_equal(op, mls_operator(single, requests))
+
+
+def test_multi_degree_thin_side_raises_before_any_fit():
+    """A side with fewer samples than the top degree's coefficients raises
+    MlsError for that degree, as a single fit of it does."""
+    rec = sampling_recipe("irregular-interface", 0.1)
+    thin = np.zeros(len(rec.samples), dtype=bool)
+    thin[:12] = True
+    with pytest.raises(MlsError, match=r"^12 samples cannot determine a "
+                       r"degree-4 fit \(15 coefficients\)$"):
+        mls_operators(rec.problem(4), [(4, lambda_full(4)),
+                                       (3, lambda_full(3))], [~thin, thin])
