@@ -9,8 +9,9 @@ the same blocks.  Assembly is deterministic (fixed chunking, fixed orders).
 The jets of each regular family are estimated once for the whole family
 (``regular_jets``), then its nodes go in chunks of ``CHUNK``; interface
 nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
-and chart search, one field lattice for its one-sided MLS fits, and one
-transmission build.  No row depends on the chunk size: a regular chunk
+and chart search, one field lattice for its one-sided MLS fits, one
+transmission build and one expansion of its 13-point degree systems.  No
+row depends on the chunk size: a regular chunk
 contracts only elementwise along its batch axis (``stencil_core._dot``),
 and every interface sample keeps the coordinates of its node's own window,
 so every regular and interface row is the same, bit for bit, whatever
@@ -198,11 +199,11 @@ def _irregular_chunk(args):
 
     ``args`` holds the nodes and their (n, 13) minus-side footprint masks.
     Base points and charts are located for the whole chunk at once, the
-    curve jets node by node; the one-sided field jets and the transmission
-    are built once for the chunk, and the 13-point stencil and its rhs are
-    then solved node by node.  Returns one (row values, rhs, widened) triple
-    per node, ``widened`` telling whether its field jets took the widened
-    MLS lattice.
+    curve jets node by node; the one-sided field jets, the transmission and
+    the 13-point degree systems are built once for the chunk, and the
+    stencil and its rhs are then solved node by node.  Returns one
+    (row values, rhs, widened) triple per node, ``widened`` telling whether
+    its field jets took the widened MLS lattice.
     """
     points, minus = args
     problem, h = _CTX["problem"], _CTX["h"]
@@ -217,15 +218,15 @@ def _irregular_chunk(args):
         jp, jm, fpd, fmd, widened = irregular_jets(
             problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
             problem.psi, points, [bp.base for bp in bases], h)
-        models = build_transmission(curves, jp, jm)
+        systems = assemble_irregular_system(
+            build_transmission(curves, jp, jm), minus)
     out = []
-    for point, mask, model, fp, fm, wide in zip(points, minus, models, fpd,
-                                                fmd, widened):
+    for point, system, fp, fm, wide in zip(points, systems, fpd, fmd,
+                                           widened):
         with _at_node(point):
-            system = assemble_irregular_system(model, mask)
             stencil = solve_irregular_stencil(system, h=h)
             weights = irregular_rhs_weights(stencil, system, h)
-            rhs = irregular_rhs_value(weights, fp, fm, model.curve)
+            rhs = irregular_rhs_value(weights, fp, fm, system.model.curve)
         out.append((stencil.values(h) / h, rhs, bool(wide)))
     return out
 

@@ -70,6 +70,7 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import MlsError
 from .indexsets import lambda_full
@@ -208,18 +209,49 @@ def mls_operators(problem: MlsProblem, fits, masks=None,
     return out
 
 
+@lru_cache(maxsize=1)
+def _lapack():
+    """The float64 LAPACK routines of ``_weighted_solve``, resolved once."""
+    return get_lapack_funcs(("geqrf", "orgqr", "trtrs"), dtype=np.float64)
+
+
+def _lapack_info(name: str, info: int):
+    if info != 0:
+        raise MlsError(f"LAPACK {name} failed with info {info}")
+
+
 def _weighted_solve(E, sqrt_w) -> np.ndarray:
     """R^-1 Q^T sqrt(w) of the pivot-checked QR of sqrt(w) E: the (J, K)
-    basis coefficients of the weighted fit to K sample values."""
-    q, r = np.linalg.qr(sqrt_w[:, None] * E)
-    diag = np.abs(r.diagonal())
+    basis coefficients of the weighted fit to K sample values.
+
+    Calls LAPACK directly, as ``np.linalg.qr`` and
+    ``scipy.linalg.solve_triangular`` do but without their argument checks
+    and copies, so the result is the same bit for bit: ``dgeqrf`` on
+    sqrt(w) E laid out in Fortran order, ``dorgqr`` for the J columns of
+    Q, and ``dtrtrs`` on the lower triangle R^T with ``trans``, the form
+    ``solve_triangular`` passes a C-ordered R in.  A fit whose R diagonal
+    spans more than ``COND_LIMIT`` is rank deficient; a nonzero LAPACK
+    ``info`` raises ``MlsError``.
+    """
+    geqrf, orgqr, trtrs = _lapack()
+    # sqrt(w) E in Fortran order: the C order of its transpose
+    a = np.multiply(E.T, sqrt_w, order="C").T
+    qr, tau, _, info = geqrf(a, overwrite_a=1)
+    _lapack_info("dgeqrf", info)
+    diag = np.abs(qr.diagonal())
     lo, hi = diag.min(), diag.max()
     if lo == 0.0 or hi / lo > COND_LIMIT:
         raise MlsError("rank-deficient moving least squares system "
                        f"(condition {hi / max(lo, 1e-300):.2e})")
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(r, q.T * sqrt_w[None, :])
+    # R^T in the lower triangle; dtrtrs does not read the upper one
+    rt = np.asfortranarray(qr[:E.shape[1]].T)
+    q, _, info = orgqr(qr, tau, overwrite_a=1)
+    _lapack_info("dorgqr", info)
+    # Q^T sqrt(w) in Fortran order: the C order of Q sqrt(w)
+    b = np.multiply(q, sqrt_w[:, None], order="C").T
+    x, info = trtrs(rt, b, lower=1, trans=1, overwrite_b=1)
+    _lapack_info("dtrtrs", info)
+    return x
 
 
 def _derivative_matrix(degree, requests, tgt, scale) -> np.ndarray:

@@ -50,6 +50,15 @@ _TINY = 1e-11
 def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarray:
     """phi[..., o, t] = coefficient of h^t in poly(vx_o * h, vy_o * h).
 
+    ``offsets`` is (O, 2), shared by every table of the batch, or (B, O, 2),
+    one offset set per entry of the leading batch axis of ``poly.c``
+    (B, ..., k, k).  The power table vx^p vy^q of all offsets is built at
+    once, and each degree t is one masked ``einsum`` over the table
+    entries with p + q = t.  The batch only adds outer loops to it: the
+    inner sum over a table's entries is the same, so a node's expansion is
+    the same, bit for bit, alone or in a chunk (the tests hold it to the
+    per-node loop this replaced).
+
     Only the 13-point interface rows use it.  Their offsets (v0 + k, w0 + l)
     move with the base point of every node, so no operator can be cached for
     them, and they amplify rounding by about 1e7: ``expand_at_offsets``
@@ -62,21 +71,19 @@ def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarra
     are reflected onto a side (``map_by_reflection``).
     """
     offsets = np.asarray(offsets, dtype=float)
-    n_off = offsets.shape[0]
     k = poly.size
-    mon = np.empty((n_off, k, k))
-    for o, (vx, vy) in enumerate(offsets):
-        xp = vx ** np.arange(k)
-        yp = vy ** np.arange(k)
-        mon[o] = np.outer(xp, yp)
+    powers = offsets[..., None] ** np.arange(k)          # (..., O, 2, k)
+    mon = powers[..., 0, :, None] * powers[..., 1, None, :]
     batch = poly.c.shape[:-2]
-    out = np.zeros(batch + (n_off, nterms))
+    lead = offsets.shape[:-2]
+    # per-node offsets meet the tables' leading axis, shared ones broadcast
+    mon = mon.reshape(lead + (1,) * (len(batch) - len(lead)) + mon.shape[-3:])
+    out = np.zeros(batch + (offsets.shape[-2], nterms))
     mm, nn = np.indices((k, k))
     for t in range(min(nterms, 2 * k - 1)):
         mask = (mm + nn) == t
-        if not mask.any():
-            continue
-        out[..., t] = np.einsum("...pq,opq->...o", np.where(mask, poly.c, 0.0), mon)
+        out[..., t] = np.einsum("...pq,...opq->...o",
+                                np.where(mask, poly.c, 0.0), mon)
     return out
 
 
@@ -354,10 +361,10 @@ def _damped_solution(A: np.ndarray, b: np.ndarray,
     minimizer over the affine solution set is basis independent, which keeps
     the stencil deterministic and chart independent.
     """
-    from scipy.linalg import null_space
-
     x = np.linalg.lstsq(A, b, rcond=1e-11)[0]
     if penalty is not None:
+        from scipy.linalg import null_space
+
         N = null_space(A, rcond=1e-11)
         if N.size:
             t = np.linalg.lstsq(penalty @ N, -penalty @ x, rcond=1e-10)[0]

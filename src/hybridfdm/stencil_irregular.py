@@ -27,6 +27,7 @@ from .stencil_regular import StencilPoly
 from .transmission import BAND5, InterfaceLocalModel
 
 CENTER13 = IRREGULAR_OFFSETS.index((0, 0))
+LEAD13 = tuple(sum(mn) for mn in BAND5)     # leading h-degree of each row
 
 
 @dataclass
@@ -35,22 +36,36 @@ class IrregularSystem:
     lead: tuple
     minus_mask: np.ndarray       # (13,) True where the offset sits in minus
     model: InterfaceLocalModel
+    offsets: np.ndarray          # (13, 2) the offsets (v0 + k, w0 + l)
 
 
-def assemble_irregular_system(model: InterfaceLocalModel,
-                              minus_mask: np.ndarray) -> IrregularSystem:
-    curve = model.curve
-    vw = np.array([(curve.v0 + k, curve.w0 + ell)
-                   for (k, ell) in IRREGULAR_OFFSETS])
-    ublock = model.table.u_block()
-    phi_minus = np.einsum("ij,ipq->jpq", ublock, model.g_minus)
-    exp_p = expand_poly_in_h(Poly2(model.g_plus), vw, 6)
+def assemble_irregular_system(models, minus_masks) -> list[IrregularSystem]:
+    """Degree systems of a chunk of 13-point rows, one per node.
+
+    ``models`` holds one ``InterfaceLocalModel`` per node and
+    ``minus_masks`` (B, 13) marks the offsets in minus.  The chunk's offsets
+    (v0 + k, w0 + l) are stacked to (B, 13, 2); the minus polynomials are
+    transported by one stacked ``u_block`` . G- product, each side is
+    expanded once for the whole chunk (``expand_poly_in_h``) and one
+    masked select picks each offset's side.  Every step adds only outer
+    loops over the chunk to what a chunk of one does, so a node's system
+    is the same, bit for bit, in any chunk.  The returned systems hold
+    views of the chunk arrays; the stencil solve and the rhs stay per node
+    (a batched form of their sums rounds differently).
+    """
+    minus_masks = np.asarray(minus_masks, dtype=bool)
+    bases = np.array([(m.curve.v0, m.curve.w0) for m in models])
+    vw = bases[:, None, :] + np.asarray(IRREGULAR_OFFSETS)
+    ublock = np.stack([m.table.u_block() for m in models])
+    g_plus = np.stack([m.g_plus for m in models])
+    g_minus = np.stack([m.g_minus for m in models])
+    phi_minus = np.einsum("bij,bipq->bjpq", ublock, g_minus)
+    exp_p = expand_poly_in_h(Poly2(g_plus), vw, 6)
     exp_m = expand_poly_in_h(Poly2(phi_minus), vw, 6)
-    exp = np.where(minus_mask[None, :, None], exp_m, exp_p)
-    lead = [sum(mn) for mn in BAND5]
-    return IrregularSystem(expansions=exp, lead=tuple(lead),
-                           minus_mask=np.asarray(minus_mask, dtype=bool),
-                           model=model)
+    exp = np.where(minus_masks[:, None, :, None], exp_m, exp_p)
+    return [IrregularSystem(expansions=e, lead=LEAD13, minus_mask=mask,
+                            model=model, offsets=v)
+            for e, mask, model, v in zip(exp, minus_masks, models, vw)]
 
 
 KAPPA_CRIT = 0.75
@@ -82,10 +97,8 @@ def solve_irregular_stencil(system: IrregularSystem,
             under_resolved = kappa * h > KAPPA_CRIT
 
     if under_resolved:
-        href = h
-        vw = np.array([(curve.v0 + k, curve.w0 + ell)
-                       for (k, ell) in IRREGULAR_OFFSETS])
-        gvals = Poly2(model.g_minus).eval(vw[:, 0] * href, vw[:, 1] * href)
+        vw = system.offsets
+        gvals = Poly2(model.g_minus).eval(vw[:, 0] * h, vw[:, 1] * h)
         penalty = np.where(system.minus_mask[None, :], gvals, 0.0)
         coeffs, _ = run_basic_recursion(
             system.expansions, system.lead, 5, normalize_col=CENTER13,
@@ -111,10 +124,8 @@ class IrregularWeights:
 def irregular_rhs_weights(stencil: StencilPoly, system: IrregularSystem,
                           h: float) -> IrregularWeights:
     model = system.model
-    curve = model.curve
     ch = stencil.values(h)
-    vw = np.array([(curve.v0 + k, curve.w0 + ell)
-                   for (k, ell) in IRREGULAR_OFFSETS])
+    vw = system.offsets
     xo, yo = vw[:, 0] * h, vw[:, 1] * h
     minus = system.minus_mask
     plus = ~minus

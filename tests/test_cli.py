@@ -1,5 +1,11 @@
 """Command-line interface."""
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +119,35 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+    def test_main_leaves_the_collector_unfrozen(self, laplace_cfg, tmp_path):
+        """Only the process entry ``run`` freezes the heap; ``main`` called
+        in-process leaves the caller's collector as it was."""
+        before = gc.get_freeze_count()
+        assert main(["--problem", laplace_cfg, "--J", "2",
+                     "--out", str(tmp_path / "u.csv")]) == 0
+        assert main(["--problem", "nosuch"]) == 1
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_the_heap_and_exits_with_the_code_of_main(self):
+        """In a fresh process ``run`` freezes the import-time heap, then
+        exits with what ``main`` returned."""
+        probe = ("import gc, sys\n"
+                 "from hybridfdm import cli\n"
+                 "sys.argv = ['hybridfdm', '--problem', 'nosuch']\n"
+                 "try:\n"
+                 "    cli.run()\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "True"]
+        assert "is neither a builtin" in done.stderr
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_is_an_error(self, laplace_cfg, threads,

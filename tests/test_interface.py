@@ -1,8 +1,12 @@
 """Interface geometry, transmission tables, and the 13-point stencil."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hybridfdm.assembly as assembly
 from hybridfdm.errors import StencilError
 from hybridfdm.fieldjets import irregular_jets
 from hybridfdm.geometry import (
@@ -23,7 +27,9 @@ from hybridfdm.jets import (
     series_deriv,
     series_mul,
 )
+from hybridfdm.problems import builtin, load_config
 from hybridfdm.reduction import build_reduction_table, dense_tables, gh_blocks
+from hybridfdm.stencil_core import expand_poly_in_h
 from hybridfdm.stencil_irregular import (
     CENTER13,
     assemble_irregular_system,
@@ -35,6 +41,8 @@ from hybridfdm.transmission import (
     BAND5,
     M_IRR,
     CurveJet,
+    InterfaceLocalModel,
+    TransmissionTable,
     _flux_series,
     build_transmission,
     curve_jet_from_chart,
@@ -496,7 +504,7 @@ def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
     psi_vals = iface.psi(point[0] + h * np.array([o[0] for o in IRREGULAR_OFFSETS]),
                          point[1] + h * np.array([o[1] for o in IRREGULAR_OFFSETS]))
     minus_mask = np.asarray(psi_vals) <= 0.0
-    system = assemble_irregular_system(model, minus_mask)
+    (system,) = assemble_irregular_system([model], [minus_mask])
     stencil = solve_irregular_stencil(system)
     return stencil, system, curve, fpd[0], fmd[0]
 
@@ -570,8 +578,8 @@ class TestIrregularStencil:
         for chart in charts:
             curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
             (model,) = build_transmission([curve], jp, jm)
-            stencil = solve_irregular_stencil(
-                assemble_irregular_system(model, minus_mask))
+            (system,) = assemble_irregular_system([model], [minus_mask])
+            stencil = solve_irregular_stencil(system)
             values.append(stencil.values(h))
         scale = np.max(np.abs(values[0]))
         assert np.allclose(values[0], values[1], atol=1e-8 * scale)
@@ -600,3 +608,123 @@ class TestIrregularStencil:
             errs.append(abs(lhs / h - rhs) + 1e-18)
         slope = np.polyfit(np.log2(hs), np.log2(errs), 1)[0]
         assert slope >= 4.5 or max(errs) < 1e-11
+
+
+def expand_one(c, offsets, nterms):
+    """Expansion of (..., k, k) tables at one node's (O, 2) offsets: the
+    per-node body ``expand_poly_in_h`` had before it took a chunk."""
+    k = c.shape[-1]
+    mon = np.empty((len(offsets), k, k))
+    for o, (vx, vy) in enumerate(offsets):
+        mon[o] = np.outer(vx ** np.arange(k), vy ** np.arange(k))
+    out = np.zeros(c.shape[:-2] + (len(offsets), nterms))
+    mm, nn = np.indices((k, k))
+    for t in range(min(nterms, 2 * k - 1)):
+        out[..., t] = np.einsum("...pq,opq->...o",
+                                np.where((mm + nn) == t, c, 0.0), mon)
+    return out
+
+
+def system_one(model, mask):
+    """Expansions and offsets of one node's 13-point system, built node by
+    node as ``assemble_irregular_system`` did before it took a chunk."""
+    curve = model.curve
+    vw = np.array([(curve.v0 + k, curve.w0 + ell)
+                   for (k, ell) in IRREGULAR_OFFSETS])
+    phi_minus = np.einsum("ij,ipq->jpq", model.table.u_block(), model.g_minus)
+    exp = np.where(mask[None, :, None], expand_one(phi_minus, vw, 6),
+                   expand_one(model.g_plus, vw, 6))
+    return exp, vw
+
+
+def generated_interface_config(seed):
+    """Config text of the benchmark's generated interface problem."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("workload", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    return workload.generate(seed, "levelset")[0]
+
+
+@pytest.fixture(scope="module")
+def real_chunks(tmp_path_factory):
+    """(models, minus masks) of every interface chunk that assembly builds
+    for ex31 and for the generated interface problem of seed 1, at J=5."""
+    path = tmp_path_factory.mktemp("generated") / "iface1.ini"
+    path.write_text(generated_interface_config(1))
+    chunks = {}
+    for name, problem in (("ex31", builtin("ex31")),
+                          ("generated-1", load_config(str(path)))):
+        seen = chunks.setdefault(name, [])
+        real = assembly.assemble_irregular_system
+
+        def record(models, minus_masks, seen=seen, real=real):
+            seen.append((models, np.asarray(minus_masks)))
+            return real(models, minus_masks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "assemble_irregular_system", record)
+            assembly.assemble(problem, 5)
+    return chunks
+
+
+def random_models(rng, B):
+    """B interface models laid out as ``build_transmission`` lays out a
+    chunk: each G/H table a view of one (n, side, B, 6, 6) block."""
+    g_all = rng.normal(size=(len(BAND5), 2, B, 6, 6)) \
+        * 10.0 ** rng.uniform(-3, 3, (len(BAND5), 2, B, 1, 1))
+    h_all = rng.normal(size=(10, 2, B, 6, 6))
+    rows = rng.normal(size=(B, len(BAND5), 42))
+    models = []
+    for b in range(B):
+        v0, w0 = rng.uniform(-1.0, 1.0, 2)
+        curve = CurveJet(v0=float(v0), w0=float(w0), r=np.zeros(6),
+                         s=np.zeros(6), g=np.zeros(6), gg=np.zeros(5))
+        models.append(InterfaceLocalModel(
+            curve=curve, table=TransmissionTable(rows[b]),
+            g_plus=g_all[:, 0, b], g_minus=g_all[:, 1, b],
+            h_plus=h_all[:, 0, b], h_minus=h_all[:, 1, b]))
+    return models
+
+
+class TestBatchedIrregularSystem:
+    """The chunk-wide expansion and degree systems equal the per-node
+    computation they replace, bit for bit."""
+
+    def check_chunk(self, models, masks):
+        systems = assemble_irregular_system(models, masks)
+        assert len(systems) == len(models)
+        for system, model, mask in zip(systems, models, masks):
+            exp, vw = system_one(model, mask)
+            assert system.model is model
+            assert system.lead == tuple(sum(mn) for mn in BAND5)
+            assert np.array_equal(system.minus_mask, mask)
+            assert same_bits(system.offsets, vw)
+            assert same_bits(system.expansions, exp)
+        # the plus side alone, through the expansion itself
+        vw = np.stack([system.offsets for system in systems])
+        got = expand_poly_in_h(Poly2(np.stack([m.g_plus for m in models])),
+                               vw, 6)
+        for g, model, offsets in zip(got, models, vw):
+            assert same_bits(g, expand_one(model.g_plus, offsets, 6))
+
+    @pytest.mark.parametrize("name", ["ex31", "generated-1"])
+    def test_real_chunks(self, real_chunks, name):
+        chunks = real_chunks[name]
+        assert sum(len(models) for models, _ in chunks) > 64
+        for models, masks in chunks:
+            self.check_chunk(models, masks)
+
+    @pytest.mark.parametrize("B", [1, 64])
+    def test_random_chunks(self, B):
+        rng = np.random.default_rng(B)
+        masks = rng.uniform(size=(B, len(IRREGULAR_OFFSETS))) < 0.4
+        self.check_chunk(random_models(rng, B), masks)
+
+    @pytest.mark.parametrize("B", [1, 64])
+    def test_shared_offsets_match_the_per_node_body(self, B):
+        """Offsets without a batch axis serve every table of the batch."""
+        rng = np.random.default_rng(100 + B)
+        c = rng.normal(size=(B, 11, 6, 6))
+        offsets = rng.uniform(-1.0, 1.0, 2) + np.asarray(IRREGULAR_OFFSETS)
+        assert same_bits(expand_poly_in_h(Poly2(c), offsets, 6),
+                         expand_one(c, offsets, 6))

@@ -179,6 +179,15 @@ def test_errors():
     with pytest.raises(MlsError, match=r"^rank-deficient moving least squares "
                        r"system \(condition "):
         mls_operator(collinear, [(1, 0)])
+    # a widened interface side on two lattice lines: no diagonal entry of R
+    # is zero, but they span more than COND_LIMIT
+    iface = sampling_recipe("irregular-interface", h, widened=True)
+    x = iface.samples[:, 0]
+    lines = np.isin(x, x.max() - np.array([0.0, h / 8]))
+    with pytest.raises(MlsError, match=r"^rank-deficient moving least squares "
+                       r"system \(condition "):
+        mls_operator(MlsProblem(iface.samples[lines], iface.target,
+                                iface.center, 4, h), [(1, 0)])
 
 
 def reference_operator(problem, requests):
@@ -223,6 +232,22 @@ def reference_operator(problem, requests):
     return D @ coef_of_values
 
 
+def widened_side_cases():
+    """(name, mask) of one-sided subsets of the widened 33x33 interface
+    lattice at spacing h/8: curved and straight cuts at several offsets, and
+    thin slivers."""
+    lattice = sampling_recipe("irregular-interface", 1.0, widened=True)
+    x, y = lattice.samples[:, 0], lattice.samples[:, 1]
+    rng = np.random.default_rng(11)
+    for k in range(6):
+        ang, cut = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.5, 1.5)
+        line = x * np.cos(ang) + y * np.sin(ang) - cut
+        yield f"straight-{k}", line > 0.0
+        yield f"curved-{k}", line + 0.4 * (x * np.sin(ang)) ** 2 > 0.0
+    yield "sliver", x > 1.3         # six lattice lines
+    yield "corner", (x > 1.0) & (y > 1.0)
+
+
 def operator_cases():
     h = 0.078125
     rng = np.random.default_rng(5)
@@ -250,6 +275,14 @@ def operator_cases():
         ts = np.arange(-8, 9) * (h / 8)
         yield (f"abscissae-{degree}", MlsProblem(
             ts, np.array([0.2 * h]), np.zeros(1), degree, h), [0, 1, degree])
+    # the one-sided fits of the widened interface lattice: a to degree 4,
+    # f to degree 3
+    iface = sampling_recipe("irregular-interface", h, target, widened=True)
+    for side, mask in widened_side_cases():
+        for degree in (4, 3):
+            yield (f"wide-side-{side}-{degree}", MlsProblem(
+                iface.samples[mask], iface.target, iface.center, degree, h),
+                lambda_full(degree))
 
 
 @pytest.mark.parametrize("name, problem, requests",
