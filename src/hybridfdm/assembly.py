@@ -37,13 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    AssemblyError,
-    GeometryError,
-    HybridFdmError,
-    MlsError,
-    StencilError,
-)
+from .errors import AssemblyError, HybridFdmError, per_node
 from .fieldjets import corner_jets, edge_jets, irregular_jets, regular_jets
 from .geometry import (
     IRREGULAR_OFFSETS,
@@ -62,7 +56,7 @@ from .stencil_boundary import (
     solve_corner_stencil,
     solve_edge_stencil,
 )
-from .stencil_core import check_sign_sum
+from .stencil_core import check_sign_sum, stencil_values
 from .stencil_irregular import (
     assemble_irregular_system,
     irregular_rhs_value,
@@ -157,24 +151,16 @@ def _regular_chunk(args):
     """Stencil coefficients and rhs of interior nodes from their jets."""
     a_jet, f_der = args
     h = _CTX["h"]
-    stencil, h_polys = build_regular_batch(Jet2(a_jet, 6))
-    weights = regular_rhs_weights(stencil, h_polys, h)
+    coeffs, h_polys = build_regular_batch(Jet2(a_jet, 6))
+    weights = regular_rhs_weights(coeffs, h_polys, h)
     # elementwise, so that a row's rhs does not depend on the chunk size
     rhs = sum(w * f for w, f in zip(weights.T, f_der.T)) / h**2
-    return stencil.coeffs, rhs
+    return coeffs, rhs
 
 
 def _named(exc, point):
     """The same error type, with the interface node and row family named."""
     return type(exc)(f"interface node ({point[0]:.6g}, {point[1]:.6g}): {exc}")
-
-
-@contextmanager
-def _at_node(point):
-    try:
-        yield
-    except (GeometryError, MlsError, StencilError) as exc:
-        raise _named(exc, point) from exc
 
 
 @contextmanager
@@ -194,6 +180,17 @@ def _irregular_one(bp, chart):
     return curve_jet_from_chart(chart, bp.v0, bp.w0, _CTX["h"])
 
 
+def _irregular_row(system, fp, fm, wide):
+    """Per-node back half of an interface row: its stencil, scaled by
+    h^-1, its rhs from the one-sided source jets ``fp`` and ``fm``, and
+    whether its field jets took the widened MLS lattice."""
+    h = _CTX["h"]
+    coeffs = solve_irregular_stencil(system, h)
+    weights = irregular_rhs_weights(coeffs, system, h)
+    rhs = irregular_rhs_value(weights, fp, fm, system.model.curve)
+    return stencil_values(coeffs, h) / h, rhs, bool(wide)
+
+
 def _irregular_chunk(args):
     """Row data for one chunk of interface nodes.
 
@@ -202,38 +199,29 @@ def _irregular_chunk(args):
     curve jets node by node; the one-sided field jets, the transmission and
     the 13-point degree systems are built once for the chunk, and the
     stencil and its rhs are then solved node by node.  Returns one
-    (row values, rhs, widened) triple per node, ``widened`` telling whether
-    its field jets took the widened MLS lattice.
+    ``_irregular_row`` triple per node.  A failure pinned to one node
+    (``per_node``, or a batched step's ``index``) names that node.
     """
     points, minus = args
     problem, h = _CTX["problem"], _CTX["h"]
     with _in_batch(points):
         bases = problem.interface.locate_base(points, h)
         charts = problem.interface.chart(bases, h)
-    curves = []
-    for point, bp, chart in zip(points, bases, charts):
-        with _at_node(point):
-            curves.append(_irregular_one(bp, chart))
-    with _in_batch(points):
+        curves = per_node(zip(bases, charts), lambda bc: _irregular_one(*bc))
         jp, jm, fpd, fmd, widened = irregular_jets(
             problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
             problem.psi, points, [bp.base for bp in bases], h)
         systems = assemble_irregular_system(
             build_transmission(curves, jp, jm), minus)
-    out = []
-    for point, system, fp, fm, wide in zip(points, systems, fpd, fmd,
-                                           widened):
-        with _at_node(point):
-            stencil = solve_irregular_stencil(system, h=h)
-            weights = irregular_rhs_weights(stencil, system, h)
-            rhs = irregular_rhs_value(weights, fp, fm, system.model.curve)
-        out.append((stencil.values(h) / h, rhs, bool(wide)))
-    return out
+        return per_node(zip(systems, fpd, fmd, widened),
+                        lambda row: _irregular_row(*row))
 
 
 def _grid(problem: ProblemSpec, J: int):
     l1, l2, l3, l4 = problem.domain
     width, height = l2 - l1, l4 - l3
+    if J < 1:
+        raise AssemblyError(f"J must be at least 1, got {J}")
     n0 = height / width
     if abs(n0 - round(n0)) > 1e-12 or round(n0) < 1:
         raise AssemblyError("domain height must be an integer multiple of width")

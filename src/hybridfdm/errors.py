@@ -1,4 +1,5 @@
-"""Exception hierarchy; the CLI maps these onto exit codes."""
+"""Exception hierarchy, which the CLI maps onto exit codes, and
+``per_node``, which pins a failure to its entry of a batch."""
 
 
 class HybridFdmError(Exception):
@@ -33,3 +34,16 @@ class AssemblyError(HybridFdmError):
 
 class ConfigError(HybridFdmError):
     """Malformed problem configuration."""
+
+
+def per_node(items, fn) -> list:
+    """``fn`` of every item; a HybridFdmError records the failing position
+    in its ``index``, so the caller can name the node."""
+    out = []
+    for k, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except HybridFdmError as exc:
+            exc.index = k
+            raise
+    return out

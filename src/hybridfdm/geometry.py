@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, per_node
 from .mls import sampling_recipe
 
 IRREGULAR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
@@ -134,19 +134,6 @@ def _line_brackets(fixed, scan, vals):
     return fixed[li], scan[si], scan[si + 1]
 
 
-def _per_node(items, fn) -> list:
-    """``fn`` of every item; a GeometryError records the failing position in
-    its ``index``, so the caller can name the node."""
-    out = []
-    for k, item in enumerate(items):
-        try:
-            out.append(fn(item))
-        except GeometryError as exc:
-            exc.index = k
-            raise
-    return out
-
-
 def _select_base(cands: np.ndarray, point, h: float) -> BasePoint:
     """Closest candidate inside the open unit box around the grid node.
 
@@ -205,16 +192,16 @@ class LevelSetInterface:
             fy, sx = point[1] + offs, point[0] + scan
             vals = np.asarray(self.psi(sx[None, :], fy[:, None]), dtype=float)
             brackets[1].append(_line_brackets(fy, sx, vals))
-        per_node = []
+        found_at = []
         for along, parts in zip("yx", brackets):
             fixed, lo, hi = (np.concatenate(col) for col in zip(*parts))
             roots = self._solve(lo, hi, fixed, along)
             found = np.column_stack(
                 [fixed, roots] if along == "y" else [roots, fixed])
             ends = np.cumsum([len(part[0]) for part in parts])[:-1]
-            per_node.append(np.split(found, ends))
-        return _per_node(
-            zip(points, *per_node),
+            found_at.append(np.split(found, ends))
+        return per_node(
+            zip(points, *found_at),
             lambda item: _select_base(np.vstack(item[1:]), item[0], h))
 
     def _solve(self, lo, hi, fixed, along):
@@ -251,7 +238,7 @@ class LevelSetInterface:
             absc, start = (x0 + ts, y0) if kd == "graph-x" else (y0 + ts, x0)
             return (kd, absc) + self._brackets(absc, start, h, _GRAPH_ALONG[kd])
 
-        lines = _per_node(bases, bracket)
+        lines = per_node(bases, bracket)
         roots = [None] * len(lines)
         for kd, along in _GRAPH_ALONG.items():
             sel = [k for k, line in enumerate(lines) if line[0] == kd]
@@ -364,13 +351,13 @@ class ParametricInterface:
             bp = _select_base(cands, point, h)
             bp.aux = float(thetas[np.nonzero(near)[0][bp.aux]])
             return bp
-        return _per_node(points, one)
+        return per_node(points, one)
 
     def chart(self, bases, h: float, kind: str = "angle") -> list:
         """One angle chart per base point of ``bases``."""
         if kind != "angle":
             raise ValueError("parametric interfaces build angle charts")
-        return _per_node(bases, lambda bp: self._angle_chart(bp, h))
+        return per_node(bases, lambda bp: self._angle_chart(bp, h))
 
     def _angle_chart(self, bp: BasePoint, h: float) -> LocalChart:
         theta0 = bp.aux

@@ -98,7 +98,7 @@ def _edge_solvers():
         return []
 
     return build_degree_solvers(a0, lead, T=6, ties_for_degree=ties,
-                                pin_col=c11, fixed_values={0: -1.0})
+                                pin_col=c11)
 
 
 @lru_cache(maxsize=1)
@@ -137,7 +137,7 @@ def _corner_solvers():
         return []
 
     return build_degree_solvers(a0, lead, T=6, ties_for_degree=ties,
-                                pin_col=T11, fixed_values={0: -1.0})
+                                pin_col=T11)
 
 
 _CORNER_COMBINE = np.hstack([np.eye(4), np.eye(4)])

@@ -10,23 +10,30 @@ a target order,
 Expanding Phi_r(offset*h) in powers of h and collecting h^{lead_r + d} yields
 one small linear system per degree d: the coefficient of the current degree
 against the constant leading (homogeneous) parts of Phi_r, with all lower
-degrees feeding the right-hand side.  The leading parts are offset-geometry
-constants, so each degree has a fixed matrix A_d; uniqueness is restored by
-tying designated free coefficients together and either pinning the remaining
-one or maximizing it subject to the per-degree sign conditions (center >= 0,
-off-center <= 0) and the next degree's row sum being nonnegative.  The
-maximization reads only the upper bounds these conditions put on the free
-value; when no value meets every condition, the stencil is still produced,
-it breaks one, and ``check_sign_sum`` (the M-matrix audit) reports it.
+degrees feeding the right-hand side.
+
+This module holds the solve of the fixed-offset families (9-point, edge,
+corner).  Their leading parts are offset-geometry constants, so each degree
+has a fixed matrix A_d; uniqueness is restored by tying designated free
+coefficients together and either pinning the remaining one to ``PIN0`` (at
+degree 0) or maximizing it subject to the per-degree sign conditions
+(center >= 0, off-center <= 0) and the next degree's row sum being
+nonnegative.  The maximization reads only the upper bounds these conditions
+put on the free value; when no value meets every condition, the stencil is
+still produced, it breaks one, and ``check_sign_sum`` (the M-matrix audit)
+reports it.
 
 The constant systems are reduced once in exact rational arithmetic, giving a
 per-degree solution operator that is then applied to batches of points with
 plain matrix products.
 
-The families with fixed offsets (9-point, edge, corner) take their Phi_r as
-packed coefficient blocks (``reduction.gh_blocks``), and one cached operator
-per offset set, (36, 9, 8) for the 9-point offsets, turns a block into
-h-expansions or values at the offsets.
+The fixed-offset families take their Phi_r as packed coefficient blocks
+(``reduction.gh_blocks``), and one cached operator per offset set, (36, 9, 8)
+for the 9-point offsets, turns a block into h-expansions or values at the
+offsets.  The 13-point interface rows share only the h-expansion
+(``expand_poly_in_h``), the residual gate (``check_residual``) and
+``stencil_values`` with them; their solve, both the full recursion and the
+leading-degree fallback, lives in ``stencil_irregular``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .indexsets import lambda_full, packed_size
 from .jets import Poly2
 
 RESID_TOL = 1e-9
-GROWTH_CAP = 2.0
+PIN0 = -1.0         # the pinned free coefficient of every degree-0 solve
 _TINY = 1e-11
 
 
@@ -226,12 +233,10 @@ class DegreeSolver:
 
     Sb: np.ndarray           # (n_cols, n_rows_d)
     St: np.ndarray           # (n_cols,)
-    fixed: float | None      # pin value; None means maximize the free parameter
 
 
 def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
                          ties_for_degree, pin_col: int,
-                         fixed_values: dict[int, float],
                          zero_degrees=()) -> list:
     """Exact per-degree solvers for a constant-matrix family.
 
@@ -250,11 +255,15 @@ def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
         stacked += [list(t) for t in ties_for_degree(d)]
         stacked.append(tie_row(len(a0[0]), (pin_col, 1)))
         L = _solution_operator(stacked)
-        solvers.append(
-            DegreeSolver(Sb=L[:, : len(rows_d)], St=L[:, -1],
-                         fixed=fixed_values.get(d))
-        )
+        solvers.append(DegreeSolver(Sb=L[:, : len(rows_d)], St=L[:, -1]))
     return solvers
+
+
+def check_residual(worst: float) -> None:
+    """The gate of every recursion: its worst relative residual must not
+    exceed ``RESID_TOL``."""
+    if worst > RESID_TOL:
+        raise StencilError(f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
 
 
 @dataclass
@@ -271,15 +280,16 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
 
     ``expansions`` has shape (..., R, O, T+1); ``combine`` maps raw unknowns
     to displayed stencil coefficients (corner hat+tilde), identity if None.
-    The free parameter of each maximize-degree is chosen as the largest value
-    keeping center coefficients >= 0, off-center <= 0, and the next degree's
-    row sum >= 0 (the greedy selection that makes the scheme an M-matrix
-    candidate for every h), or zero when nothing bounds it from above.  Only
-    these upper bounds are read: where the lower bounds exceed them, no value
-    meets every condition, the chosen one breaks some, and the audit
-    ``check_sign_sum`` reports it.  Every contraction runs through ``_dot`` on
-    vectors along the batch axis, so each stencil is the same whatever
-    batch it is solved in.
+    The free parameter is ``PIN0`` at degree 0.  At every later degree it is
+    chosen as the largest value keeping center coefficients >= 0,
+    off-center <= 0, and the next degree's row sum >= 0 (the greedy
+    selection that makes the scheme an M-matrix candidate for every h), or
+    zero when nothing bounds it from above.  Only these upper bounds are
+    read: where the lower bounds exceed them, no value meets every
+    condition, the chosen one breaks some, and the audit ``check_sign_sum``
+    reports it.  Every contraction runs through ``_dot`` on vectors along
+    the batch axis, so each stencil is the same whatever batch it is solved
+    in.
     """
     exp = expansions
     squeeze = exp.ndim == 3
@@ -315,8 +325,8 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
 
         P = _dot((w[:, None], b_i) for w, b_i in zip(solver.Sb.T, b))
         V = solver.St
-        if solver.fixed is not None:
-            c_star = np.full(B, solver.fixed)
+        if d == 0:
+            c_star = np.full(B, PIN0)
         else:
             Vc = K @ V
             Pc = K @ P          # at most two unit entries a row: exact
@@ -343,88 +353,13 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
         resid = rows(coeffs[:, d], rows_d, lead[rows_d]) - b
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
 
-    if worst > RESID_TOL:
-        raise StencilError(f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
+    check_residual(worst)
 
     disp, coeffs = (np.ascontiguousarray(np.moveaxis(c, -1, 0))
                     for c in (np.tensordot(K, coeffs, 1), coeffs))
     if squeeze:
         return RecursionResult(disp[0], coeffs[0], worst)
     return RecursionResult(disp, coeffs, worst)
-
-
-def _damped_solution(A: np.ndarray, b: np.ndarray,
-                     penalty: np.ndarray | None) -> np.ndarray:
-    """Solution of A x = b minimizing |penalty @ x| over the solution set.
-
-    Falls back to the plain minimum-norm solution without a penalty.  The
-    minimizer over the affine solution set is basis independent, which keeps
-    the stencil deterministic and chart independent.
-    """
-    x = np.linalg.lstsq(A, b, rcond=1e-11)[0]
-    if penalty is not None:
-        from scipy.linalg import null_space
-
-        N = null_space(A, rcond=1e-11)
-        if N.size:
-            t = np.linalg.lstsq(penalty @ N, -penalty @ x, rcond=1e-10)[0]
-            x = x + N @ t
-    return x
-
-
-def run_basic_recursion(expansions: np.ndarray, lead, T: int,
-                        normalize_col: int, zero_degrees=(),
-                        h: float | None = None,
-                        penalty: np.ndarray | None = None,
-                        max_degree: int | None = None) -> tuple[np.ndarray, float]:
-    """Recursive degree-by-degree solve for the interface stencil.
-
-    Degree 0 is normalized by fixing the coefficient in ``normalize_col`` to
-    one.  The remaining freedom of every degree is spent minimizing
-    ``penalty @ C_d`` over the solution set (with the minus-side transported
-    weights as the penalty this damps the pollution of the transmission
-    terms); without a penalty the minimum-norm solution is taken.
-
-    When ``h`` is given, the expansion is truncated as soon as a degree stops
-    contracting (|C_d| h^d beyond ``GROWTH_CAP`` times the leading term):
-    with the interface curvature under-resolved (kappa h > 0.75) the
-    corrections grow like kappa^d and the h-polynomial diverges, so keeping
-    the degrees that still contract preserves a bounded, lower-order row
-    instead of an exploding one.  Fully resolved geometry never trips the cap.
-    """
-    R, O, _ = expansions.shape
-    coeffs = np.zeros((O, T + 1))
-    worst = 0.0
-    for d in range(T + 1):
-        if max_degree is not None and d > max_degree:
-            break
-        rows_d = [r for r in range(R) if lead[r] + d <= T]
-        A = np.stack([expansions[r, :, lead[r]] for r in rows_d])
-        b = np.zeros(len(rows_d))
-        for i, r in enumerate(rows_d):
-            for s in range(d):
-                b[i] -= coeffs[:, s] @ expansions[r, :, lead[r] + d - s]
-        if d in zero_degrees:
-            worst = max(worst, float(np.abs(b).max(initial=0.0)))
-            continue
-        if d == 0:
-            keep = [o for o in range(O) if o != normalize_col]
-            pen = None if penalty is None else penalty[:, keep]
-            x = np.zeros(O)
-            x[normalize_col] = 1.0
-            x[keep] = _damped_solution(A[:, keep], -A[:, normalize_col], pen)
-        else:
-            x = _damped_solution(A, b, penalty)
-            if h is not None:
-                lead_scale = max(float(np.abs(coeffs[:, 0]).max()), 1e-300)
-                if float(np.abs(x).max()) * h**d > GROWTH_CAP * lead_scale:
-                    break
-        coeffs[:, d] = x
-        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        worst = max(worst, float(np.abs(A @ x - b).max(initial=0.0)) / scale)
-    if worst > RESID_TOL:
-        raise StencilError(f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
-    return coeffs, worst
 
 
 # ----------------------------------------------------------------------------

@@ -15,8 +15,8 @@ result satisfies the sign and sum conditions for every h > 0 (the per-degree
 sums all vanish for this family), is unique, and reduces to the constant
 Laplacian stencil when the coefficient is constant.
 
-c_{1,1,0} = -1 is hard-coded; any negative value works and only rescales the
-row.
+c_{1,1,0} = -1 (``stencil_core.PIN0``) is hard-coded; any negative value
+works and only rescales the row.
 
 The 15 G and 21 H polynomials are packed coefficient blocks: each degree-7
 polynomial is the row of its 36 coefficients with p + q <= 7, in Lambda_7
@@ -45,7 +45,6 @@ from .stencil_core import (
     expand_at_offsets,
     frac_leading_g,
     run_constant_recursion,
-    stencil_values,
     tie_row,
     weights_at_offsets,
 )
@@ -54,17 +53,6 @@ OFFSETS9 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1))
 CENTER9 = OFFSETS9.index((0, 0))
 _COL = {off: i for i, off in enumerate(OFFSETS9)}
-
-
-@dataclass
-class StencilPoly:
-    """Stencil coefficients C_o = sum_p coeffs[o, p] h^p over fixed offsets."""
-
-    offsets: tuple
-    coeffs: np.ndarray           # (n_off, D+1), batched variants use (..., n_off, D+1)
-
-    def values(self, h: float) -> np.ndarray:
-        return stencil_values(self.coeffs, h)
 
 
 @lru_cache(maxsize=1)
@@ -89,7 +77,7 @@ def _regular_solvers():
 
     solvers = build_degree_solvers(
         a0, lead, T=7, ties_for_degree=ties, pin_col=c[(1, 1)],
-        fixed_values={0: -1.0}, zero_degrees=(7,),
+        zero_degrees=(7,),
     )
     return solvers, lead
 
@@ -117,24 +105,25 @@ def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
         h_polys=h_polys, lead=tuple(lead))
 
 
-def regular_rhs_weights(stencil: StencilPoly, h_polys: np.ndarray,
+def regular_rhs_weights(coeffs: np.ndarray, h_polys: np.ndarray,
                         h: float) -> np.ndarray:
     """Weights of f^(m,n) over Lambda_5: sum_o C_o(h) H_{7,m,n}(kh, lh).
 
     ``h_polys`` is the packed (21, ..., 36) block of H tables.  The h^-2 row
     scale of the scheme is applied by the assembler, not here.
     """
-    return weights_at_offsets(h_polys, OFFSETS9, stencil.coeffs, h)
+    return weights_at_offsets(h_polys, OFFSETS9, coeffs, h)
 
 
 def build_regular_batch(a_jet: Jet2):
     """Stencil at every point of a jet with leading batch axes.
 
-    Returns the StencilPoly (batched coefficients) and the packed
-    (21, ..., 36) block of H tables for the source weights.
+    Returns the (..., 9, 8) stencil coefficients, C_o(h) = sum_p
+    coeffs[..., o, p] h^p over OFFSETS9, and the packed (21, ..., 36) block
+    of H tables for the source weights.
     """
     system = assemble_regular_system(a_jet)
     solvers, lead = _regular_solvers()
     res = run_constant_recursion(system.expansions, lead, 7, solvers,
                                  center=CENTER9)
-    return StencilPoly(OFFSETS9, res.coeffs), system.h_polys
+    return res.coeffs, system.h_polys

@@ -116,6 +116,9 @@ class TestSolveCommand:
     def test_usage_errors_exit_1(self, laplace_cfg, capsys):
         assert main(["--problem", "nosuch"]) == 1
         assert main(["--problem", laplace_cfg]) == 1
+        for level in (["--J", "0"], ["--J", "-1"], ["--J-range", "0..2"]):
+            assert main(["--problem", laplace_cfg] + level) == 1
+            assert "error: J must be at least 1" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1

@@ -29,9 +29,12 @@ from hybridfdm.jets import (
 )
 from hybridfdm.problems import builtin, load_config
 from hybridfdm.reduction import build_reduction_table, dense_tables, gh_blocks
-from hybridfdm.stencil_core import expand_poly_in_h
+from hybridfdm.stencil_core import RESID_TOL, expand_poly_in_h, stencil_values
 from hybridfdm.stencil_irregular import (
     CENTER13,
+    GROWTH_CAP,
+    KAPPA_CRIT,
+    LEAD13,
     assemble_irregular_system,
     irregular_rhs_value,
     irregular_rhs_weights,
@@ -505,8 +508,8 @@ def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
                          point[1] + h * np.array([o[1] for o in IRREGULAR_OFFSETS]))
     minus_mask = np.asarray(psi_vals) <= 0.0
     (system,) = assemble_irregular_system([model], [minus_mask])
-    stencil = solve_irregular_stencil(system)
-    return stencil, system, curve, fpd[0], fmd[0]
+    coeffs = solve_irregular_stencil(system, h)
+    return coeffs, system, curve, fpd[0], fmd[0]
 
 
 class TestIrregularStencil:
@@ -518,27 +521,27 @@ class TestIrregularStencil:
                                        jump_ggamma=self.gg_pt)
 
     def residual(self, point, h, chart_kind=None):
-        stencil, system, curve, fpd, fmd = build_point_stencil(
+        coeffs, system, curve, fpd, fmd = build_point_stencil(
             self.iface, self.a_p, self.a_m, self.f_p, self.f_m, point, h,
             chart_kind)
-        ch = stencil.values(h)
+        ch = stencil_values(coeffs, h)
         lhs = 0.0
         for i, (k, l) in enumerate(IRREGULAR_OFFSETS):
             x, y = point[0] + k * h, point[1] + l * h
             u = self.u_m if circle_psi(x, y) <= 0 else self.u_p
             lhs += ch[i] * u.eval(x, y)
-        w = irregular_rhs_weights(stencil, system, h)
+        w = irregular_rhs_weights(coeffs, system, h)
         rhs = irregular_rhs_value(w, fpd, fmd, curve)
         return lhs / h - rhs
 
     def test_row1_all_ones_and_sums_vanish(self):
         h = 0.125
         point = (1.0 + 0.3 * h, 0.0)
-        stencil, system, *_ = build_point_stencil(
+        coeffs, system, *_ = build_point_stencil(
             self.iface, self.a_p, self.a_m, self.f_p, self.f_m, point, h)
         assert np.allclose(system_rows(system, 5, 5, 5), 1.0)
-        assert np.allclose(stencil.coeffs.sum(axis=0), 0.0, atol=1e-9)
-        assert stencil.coeffs[CENTER13, 0] == 1.0
+        assert np.allclose(coeffs.sum(axis=0), 0.0, atol=1e-9)
+        assert coeffs[CENTER13, 0] == 1.0
 
     def test_fifth_order_consistency(self):
         hs = [2.0**-k for k in range(3, 7)]
@@ -579,8 +582,8 @@ class TestIrregularStencil:
             curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
             (model,) = build_transmission([curve], jp, jm)
             (system,) = assemble_irregular_system([model], [minus_mask])
-            stencil = solve_irregular_stencil(system)
-            values.append(stencil.values(h))
+            values.append(stencil_values(solve_irregular_stencil(system, h),
+                                         h))
         scale = np.max(np.abs(values[0]))
         assert np.allclose(values[0], values[1], atol=1e-8 * scale)
 
@@ -598,16 +601,125 @@ class TestIrregularStencil:
         zero = Poly2(np.array([[0.0]]))
         for h in hs:
             point = (1.0 + 0.4 * h, 0.2 * h)
-            stencil, system, curve, fpd, fmd = build_point_stencil(
+            coeffs, system, curve, fpd, fmd = build_point_stencil(
                 iface, one, one, zero, zero, point, h)
-            ch = stencil.values(h)
+            ch = stencil_values(coeffs, h)
             lhs = sum(ch[i] * u.eval(point[0] + k * h, point[1] + l * h)
                       for i, (k, l) in enumerate(IRREGULAR_OFFSETS))
-            w = irregular_rhs_weights(stencil, system, h)
+            w = irregular_rhs_weights(coeffs, system, h)
             rhs = irregular_rhs_value(w, fpd, fmd, curve)
             errs.append(abs(lhs / h - rhs) + 1e-18)
         slope = np.polyfit(np.log2(hs), np.log2(errs), 1)[0]
         assert slope >= 4.5 or max(errs) < 1e-11
+
+
+def generic_damped_solution(A, b, penalty):
+    """The damped solve of ``generic_recursion``."""
+    x = np.linalg.lstsq(A, b, rcond=1e-11)[0]
+    if penalty is not None:
+        from scipy.linalg import null_space
+
+        N = null_space(A, rcond=1e-11)
+        if N.size:
+            t = np.linalg.lstsq(penalty @ N, -penalty @ x, rcond=1e-10)[0]
+            x = x + N @ t
+    return x
+
+
+def generic_recursion(expansions, lead, T, normalize_col, zero_degrees=(),
+                      h=None, penalty=None, max_degree=None):
+    """One knob-driven recursion that runs both 13-point paths, as the
+    interface solve did before each path got its own code."""
+    R, O, _ = expansions.shape
+    coeffs = np.zeros((O, T + 1))
+    worst = 0.0
+    for d in range(T + 1):
+        if max_degree is not None and d > max_degree:
+            break
+        rows_d = [r for r in range(R) if lead[r] + d <= T]
+        A = np.stack([expansions[r, :, lead[r]] for r in rows_d])
+        b = np.zeros(len(rows_d))
+        for i, r in enumerate(rows_d):
+            for s in range(d):
+                b[i] -= coeffs[:, s] @ expansions[r, :, lead[r] + d - s]
+        if d in zero_degrees:
+            worst = max(worst, float(np.abs(b).max(initial=0.0)))
+            continue
+        if d == 0:
+            keep = [o for o in range(O) if o != normalize_col]
+            pen = None if penalty is None else penalty[:, keep]
+            x = np.zeros(O)
+            x[normalize_col] = 1.0
+            x[keep] = generic_damped_solution(A[:, keep], -A[:, normalize_col],
+                                              pen)
+        else:
+            x = generic_damped_solution(A, b, penalty)
+            if h is not None:
+                lead_scale = max(float(np.abs(coeffs[:, 0]).max()), 1e-300)
+                if float(np.abs(x).max()) * h**d > GROWTH_CAP * lead_scale:
+                    break
+        coeffs[:, d] = x
+        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+        worst = max(worst, float(np.abs(A @ x - b).max(initial=0.0)) / scale)
+    if worst > RESID_TOL:
+        raise StencilError(
+            f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
+    return coeffs
+
+
+def generic_solve(system, h):
+    """(coefficients, path) of a 13-point row through ``generic_recursion``,
+    called its two ways: the full recursion, or degree 0 alone with the
+    minus-side penalty where the curve is under-resolved."""
+    curve = system.model.curve
+    speed2 = curve.r[1] ** 2 + curve.s[1] ** 2
+    kappa = abs(curve.r[1] * curve.s[2] - curve.r[2] * curve.s[1]) \
+        / speed2**1.5
+    if kappa * h > KAPPA_CRIT:
+        vw = system.offsets
+        gvals = Poly2(system.model.g_minus).eval(vw[:, 0] * h, vw[:, 1] * h)
+        penalty = np.where(system.minus_mask[None, :], gvals, 0.0)
+        return generic_recursion(system.expansions, LEAD13, 5, CENTER13,
+                                 penalty=penalty, max_degree=0), "fallback"
+    return generic_recursion(system.expansions, LEAD13, 5, CENTER13,
+                             zero_degrees=(5,), h=h), "full"
+
+
+@pytest.fixture(scope="module")
+def star_systems():
+    """(system, h) of every interface node of ex32 and ex34 at J=4, where
+    both 13-point paths run and some rows of each fail."""
+    nodes = []
+    for name in ("ex32", "ex34"):
+        found = []
+
+        def record(system, fp, fm, wide, found=found):
+            found.append(system)
+            return np.zeros(len(IRREGULAR_OFFSETS)), 0.0, False
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_irregular_row", record)
+            h = assembly.assemble(builtin(name), 4).h
+        nodes += [(system, h) for system in found]
+    return nodes
+
+
+class TestBothPaths:
+    def test_rows_and_failures_match_the_generic_recursion(self, star_systems):
+        """Each 13-point path gives the rows, bit for bit, and the failures,
+        word for word, of the generic recursion it replaces."""
+        paths = {"full": 0, "fallback": 0, "failed": 0}
+        for system, h in star_systems:
+            try:
+                want, path = generic_solve(system, h)
+            except StencilError as exc:
+                with pytest.raises(StencilError) as got:
+                    solve_irregular_stencil(system, h)
+                assert str(got.value) == str(exc)
+                paths["failed"] += 1
+                continue
+            assert same_bits(solve_irregular_stencil(system, h), want)
+            paths[path] += 1
+        assert paths == {"full": 157, "fallback": 47, "failed": 14}
 
 
 def expand_one(c, offsets, nterms):
@@ -696,7 +808,6 @@ class TestBatchedIrregularSystem:
         for system, model, mask in zip(systems, models, masks):
             exp, vw = system_one(model, mask)
             assert system.model is model
-            assert system.lead == tuple(sum(mn) for mn in BAND5)
             assert np.array_equal(system.minus_mask, mask)
             assert same_bits(system.offsets, vw)
             assert same_bits(system.expansions, exp)

@@ -12,7 +12,9 @@ from hybridfdm.stencil_core import (
     expand_at_offsets,
     expand_poly_in_h,
     offset_operator,
+    stencil_values,
 )
+from hybridfdm.stencil_irregular import LEAD13, IrregularSystem
 from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS
 from hybridfdm.stencil_regular import (
     CENTER9,
@@ -30,8 +32,9 @@ def system_rows(system, T, d, s):
     """The degree-s couplings into the degree-d system of a stencil with
     target order T: expansions[..., r, :, lead[r] + d - s] over the rows with
     lead[r] + d <= T.  s = d gives the constant leading matrix A_d."""
-    rows = [r for r, t in enumerate(system.lead) if t + d <= T]
-    return np.stack([system.expansions[..., r, :, system.lead[r] + d - s]
+    lead = LEAD13 if isinstance(system, IrregularSystem) else system.lead
+    rows = [r for r, t in enumerate(lead) if t + d <= T]
+    return np.stack([system.expansions[..., r, :, lead[r] + d - s]
                      for r in rows], axis=-2)
 
 
@@ -70,23 +73,23 @@ class TestSystemStructure:
 
 class TestConstantCoefficient:
     def test_exact_laplacian_stencil(self):
-        stencil, _ = build_regular_batch(Jet2.constant(3.0, 6))
+        coeffs, _ = build_regular_batch(Jet2.constant(3.0, 6))
         expect0 = {(0, 0): 20.0}
         for off in OFFSETS9:
             want = 20.0 if off == (0, 0) else (-4.0 if 0 in off else -1.0)
             i = OFFSETS9.index(off)
-            assert abs(stencil.coeffs[i, 0] - want) <= 1e-14
-            assert np.all(np.abs(stencil.coeffs[i, 1:]) <= 1e-14)
-        assert check_sign_sum(stencil.coeffs, CENTER9).passed
+            assert abs(coeffs[i, 0] - want) <= 1e-14
+            assert np.all(np.abs(coeffs[i, 1:]) <= 1e-14)
+        assert check_sign_sum(coeffs, CENTER9).passed
 
     def test_mmatrix_report_passes(self):
-        stencil, _ = build_regular_batch(Jet2.constant(1.0, 6))
-        assert check_sign_sum(stencil.coeffs, CENTER9).passed
+        coeffs, _ = build_regular_batch(Jet2.constant(1.0, 6))
+        assert check_sign_sum(coeffs, CENTER9).passed
 
     def test_injected_violation_detected(self):
-        stencil, _ = build_regular_batch(Jet2.constant(1.0, 6))
-        stencil.coeffs[CENTER9, 0] = -1.0
-        report = check_sign_sum(stencil.coeffs, CENTER9)
+        coeffs, _ = build_regular_batch(Jet2.constant(1.0, 6))
+        coeffs[CENTER9, 0] = -1.0
+        report = check_sign_sum(coeffs, CENTER9)
         assert not report.passed
         assert (CENTER9, 0, -1.0) in report.sign_violations
 
@@ -96,23 +99,23 @@ class TestLinearCoefficientClosedForms:
     def test_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         r1, r2 = rng.uniform(-1, 1, size=2)
-        stencil, _ = build_regular_batch(linear_a_jet(r1, r2))
+        coeffs, _ = build_regular_batch(linear_a_jet(r1, r2))
         ref = reference_coefficients(r1, r2)
         for i, off in enumerate(OFFSETS9):
-            got, want = stencil.coeffs[i], ref[off]
+            got, want = coeffs[i], ref[off]
             assert np.allclose(got, want, rtol=1e-11, atol=1e-13), (off, got, want)
 
     def test_degree_sums_vanish(self):
         rng = np.random.default_rng(17)
         r1, r2 = rng.uniform(-1, 1, size=2)
-        stencil, _ = build_regular_batch(linear_a_jet(r1, r2))
-        assert np.allclose(stencil.coeffs.sum(axis=0), 0.0, atol=1e-11)
-        assert check_sign_sum(stencil.coeffs, CENTER9, tol=1e-11).passed
+        coeffs, _ = build_regular_batch(linear_a_jet(r1, r2))
+        assert np.allclose(coeffs.sum(axis=0), 0.0, atol=1e-11)
+        assert check_sign_sum(coeffs, CENTER9, tol=1e-11).passed
 
     def test_bit_reproducible(self):
         jet = linear_a_jet(0.37, -0.81)
-        c1 = build_regular_batch(jet)[0].coeffs
-        c2 = build_regular_batch(jet)[0].coeffs
+        c1 = build_regular_batch(jet)[0]
+        c2 = build_regular_batch(jet)[0]
         assert np.array_equal(c1, c2)
 
 
@@ -143,10 +146,10 @@ def scheme_residual(x0, y0, h):
     a_der = mls_operator(rec.problem(6), lambda_full(6)) @ a_fn(pts[:, 0], pts[:, 1])
     f_der = mls_operator(rec.problem(5), lambda_full(5)) @ f_fn(pts[:, 0], pts[:, 1])
     jet = Jet2.from_derivatives(dict(zip(lambda_full(6), a_der)), 6)
-    stencil, h_polys = build_regular_batch(jet)
-    weights = regular_rhs_weights(stencil, h_polys, h)
+    coeffs, h_polys = build_regular_batch(jet)
+    weights = regular_rhs_weights(coeffs, h_polys, h)
     lhs = sum(
-        stencil.values(h)[i] * u_fn(x0 + k * h, y0 + l * h)
+        stencil_values(coeffs, h)[i] * u_fn(x0 + k * h, y0 + l * h)
         for i, (k, l) in enumerate(OFFSETS9)
     )
     rhs = sum(weights[i] * f_der[i] for i in range(len(f_der)))
@@ -170,15 +173,15 @@ class TestConsistency:
                          @ a_fn(pts[:, 0], pts[:, 1]))
                 jet = Jet2.from_derivatives(dict(zip(lambda_full(6), a_der)),
                                             6)
-                stencil, _ = build_regular_batch(jet)
-                assert check_sign_sum(stencil.coeffs, CENTER9, tol=1e-10).passed
-                assert check_sign_sum(stencil.coeffs, CENTER9).passed
+                coeffs, _ = build_regular_batch(jet)
+                assert check_sign_sum(coeffs, CENTER9, tol=1e-10).passed
+                assert check_sign_sum(coeffs, CENTER9).passed
 
 
 class TestRhsWeights:
     def test_zero_source_zero_rhs(self):
-        stencil, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
-        w = regular_rhs_weights(stencil, h_polys, 0.1)
+        coeffs, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
+        w = regular_rhs_weights(coeffs, h_polys, 0.1)
         rhs = sum(w[i] * 0.0 for i in range(len(w)))
         assert rhs == 0.0
 
@@ -188,9 +191,9 @@ class TestRhsWeights:
         Oracle: u = -(x^2+y^2)/2 gives f = -lap(u) = 2 and the (20,-4,-1)
         pattern sums to 12 h^2 = 6 f h^2, so the weight is +6 h^2.
         """
-        stencil, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
+        coeffs, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
         for h in (0.1, 0.05):
-            w00 = regular_rhs_weights(stencil, h_polys, h)[0]
+            w00 = regular_rhs_weights(coeffs, h_polys, h)[0]
             assert w00 == pytest.approx(6.0 * h**2, rel=0.02)
 
 
@@ -264,9 +267,9 @@ class TestOffsetOperator:
     @pytest.mark.parametrize("h", [0.3, 1.0 / 64])
     def test_rhs_weights_match_per_polynomial_eval(self, batch, h):
         jet = random_a_jet(np.random.default_rng(4), batch)
-        stencil, h_polys = build_regular_batch(jet)
-        got = regular_rhs_weights(stencil, h_polys, h)
-        want = reference_weights(stencil.coeffs,
+        coeffs, h_polys = build_regular_batch(jet)
+        got = regular_rhs_weights(coeffs, h_polys, h)
+        want = reference_weights(coeffs,
                                  [Poly2(c) for c in dense_tables(h_polys)],
                                  OFFSETS9, h)
         assert got.shape == batch + (len(lambda_full(5)),)
