@@ -3,9 +3,11 @@
 Every grid node owns exactly one row, and rows come in blocks of one stencil
 family (``RowBlock``): Dirichlet identities, 4-point Robin corner and 6-point
 Robin edge rows at scale h^-1, 9-point regular rows at scale h^-2 and
-13-point interface rows at scale h^-1, each with its right-hand side (no
-equilibration).  The sparse matrix, the rhs and the M-matrix audit all read
-the same blocks.  Assembly is deterministic (fixed chunking, fixed orders).
+13-point interface rows at scale h^-1 (no equilibration).  Each row's rhs
+is one weight vector against one data vector of estimated derivatives (f,
+the Robin data, the jumps), contracted by ``stencil_core.contract``.  The
+sparse matrix, the rhs and the M-matrix audit all read the same blocks.
+Assembly is deterministic (fixed chunking, fixed orders).
 The jets of each regular family are estimated once for the whole family
 (``regular_jets``), then its nodes go in chunks of ``CHUNK``; interface
 nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
@@ -56,7 +58,7 @@ from .stencil_boundary import (
     solve_corner_stencil,
     solve_edge_stencil,
 )
-from .stencil_core import check_sign_sum, stencil_values
+from .stencil_core import check_sign_sum, contract, stencil_values
 from .stencil_irregular import (
     assemble_irregular_system,
     irregular_rhs_value,
@@ -76,18 +78,24 @@ IFACE_CHUNK = 64       # interface nodes per transmission batch
 class RowBlock:
     """Rows of one stencil family, one per grid node (ii[r], jj[r]).
 
-    ``coeffs`` holds the h-polynomial stencil coefficients of the families
-    that claim the M-matrix property (corner, edges, regular rows), and is
-    None for Dirichlet and interface rows.
+    Every family has the same record: h-polynomial stencil coefficients,
+    a row scale h^-scale, the rhs, and whether the family claims the
+    M-matrix property (corner, edge and regular rows).  A Dirichlet row is
+    the constant polynomial one at scale 0.
     """
 
     family: str          # dirichlet, corner, edge1..edge4, regular+/-, interface
     ii: np.ndarray
     jj: np.ndarray
     offsets: tuple       # k grid offsets shared by all rows
-    values: np.ndarray   # (n, k) matrix entries, row scale applied
+    coeffs: np.ndarray   # (n, k, D+1)
+    scale: int           # the rows are scaled by h^-scale
     rhs: np.ndarray      # (n,)
-    coeffs: np.ndarray | None = None    # (n, k, D+1)
+    claims: bool         # audited as an M-matrix row family
+
+    def values(self, h: float) -> np.ndarray:
+        """(n, k) matrix entries at mesh size h, row scale applied."""
+        return stencil_values(self.coeffs, h) / h**self.scale
 
     def columns(self, ny: int):
         """Flat row (n,) and column (n, k) indices, ``ny`` nodes along y."""
@@ -153,9 +161,7 @@ def _regular_chunk(args):
     h = _CTX["h"]
     coeffs, h_polys = build_regular_batch(Jet2(a_jet, 6))
     weights = regular_rhs_weights(coeffs, h_polys, h)
-    # elementwise, so that a row's rhs does not depend on the chunk size
-    rhs = sum(w * f for w, f in zip(weights.T, f_der.T)) / h**2
-    return coeffs, rhs
+    return coeffs, contract(weights, f_der) / h**2
 
 
 def _named(exc, point):
@@ -181,14 +187,14 @@ def _irregular_one(bp, chart):
 
 
 def _irregular_row(system, fp, fm, wide):
-    """Per-node back half of an interface row: its stencil, scaled by
-    h^-1, its rhs from the one-sided source jets ``fp`` and ``fm``, and
-    whether its field jets took the widened MLS lattice."""
+    """Per-node back half of an interface row: its stencil coefficients,
+    its rhs from the one-sided source jets ``fp`` and ``fm``, and whether
+    its field jets took the widened MLS lattice."""
     h = _CTX["h"]
     coeffs = solve_irregular_stencil(system, h)
     weights = irregular_rhs_weights(coeffs, system, h)
     rhs = irregular_rhs_value(weights, fp, fm, system.model.curve)
-    return stencil_values(coeffs, h) / h, rhs, bool(wide)
+    return coeffs, rhs, bool(wide)
 
 
 def _irregular_chunk(args):
@@ -234,18 +240,20 @@ def _grid(problem: ProblemSpec, J: int):
 
 
 def _dirichlet_block(ii, jj, data) -> RowBlock:
-    return RowBlock("dirichlet", ii, jj, ((0, 0),), np.ones((len(ii), 1)),
-                    np.broadcast_to(np.asarray(data, dtype=float), ii.shape))
+    return RowBlock("dirichlet", ii, jj, ((0, 0),), np.ones((len(ii), 1, 1)),
+                    scale=0, claims=False, rhs=np.broadcast_to(
+                        np.asarray(data, dtype=float), ii.shape))
 
 
-def _boundary_block(family, ii, jj, stencil, frame, h, rhs) -> RowBlock:
+def _boundary_block(family, ii, jj, stencil, frame, data, h) -> RowBlock:
     """Rows of a canonical-frame Robin stencil, mapped onto its side or
-    corner; an unbatched (corner) stencil gives a block of one row."""
+    corner, with their rhs from the stencil's data vector; an unbatched
+    (corner) stencil gives a block of one row."""
     n, k = len(ii), len(stencil.offsets)
     return RowBlock(family, ii, jj, map_by_reflection(stencil, frame),
-                    np.reshape(stencil.values(h) / h, (n, k)),
-                    np.reshape(rhs, n),
-                    np.reshape(stencil.coeffs, (n, k, -1)))
+                    np.reshape(stencil.coeffs, (n, k, -1)), scale=1,
+                    claims=True,
+                    rhs=np.reshape(contract(stencil.weights(h), data) / h, n))
 
 
 def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
@@ -292,9 +300,9 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             problem.a_plus, problem.f_plus, bcx.alpha, bcx.data,
             bcy.alpha, bcy.data, (x, y), frame, h)
         st = solve_corner_stencil(build_corner_reduction(jet, a_der, b_der))
-        value = (st.f_weights(h) @ f_der + st.g1_weights(h) @ g1_der
-                 + st.g3_weights(h) @ g3_der) / h
-        blocks.append(_boundary_block("corner", ii, jj, st, frame, h, value))
+        blocks.append(_boundary_block("corner", ii, jj, st, frame,
+                                      np.concatenate([f_der, g1_der, g3_der]),
+                                      h))
 
     for side in (1, 2, 3, 4):
         bc = problem.boundary[side]
@@ -315,10 +323,8 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             problem.a_plus, problem.f_plus, bc.alpha, bc.data,
             anchors, frame, h)
         st = solve_edge_stencil(jet, a_der)
-        values = (np.einsum("bk,bk->b", st.f_weights(h), f_der)
-                  + np.einsum("bk,bk->b", st.g1_weights(h), g_der)) / h
-        blocks.append(_boundary_block(f"edge{side}", ii, jj, st, frame, h,
-                                      values))
+        blocks.append(_boundary_block(f"edge{side}", ii, jj, st, frame,
+                                      np.hstack([f_der, g_der]), h))
     timings["boundary"] = time.perf_counter() - tb
 
     # ---- regular interior rows --------------------------------------------
@@ -350,24 +356,23 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
     run = map if pool is None else pool.map
     try:
-        hp = h ** np.arange(8)
         for side, ii, jj, chunks in regular:
             coeffs, rhs = (np.concatenate(part)
                            for part in zip(*run(_regular_chunk, chunks)))
             blocks.append(RowBlock(f"regular{side}", ii, jj, OFFSETS9,
-                                   (coeffs @ hp) / h**2, rhs, coeffs))
+                                   coeffs, scale=2, claims=True, rhs=rhs))
         timings["regular"] = time.perf_counter() - tr
 
         # ---- interface rows -------------------------------------------------
         ti = time.perf_counter()
         widened = 0
         if iface_chunks:
-            values, rhs, wide = zip(*(r for part in run(_irregular_chunk,
+            coeffs, rhs, wide = zip(*(r for part in run(_irregular_chunk,
                                                         iface_chunks)
                                       for r in part))
             blocks.append(RowBlock("interface", *iface_nodes,
-                                   IRREGULAR_OFFSETS, np.stack(values),
-                                   np.array(rhs)))
+                                   IRREGULAR_OFFSETS, np.stack(coeffs),
+                                   scale=1, claims=False, rhs=np.array(rhs)))
             widened = sum(wide)
         timings["irregular"] = time.perf_counter() - ti
     finally:
@@ -382,7 +387,7 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         rhs[r] = block.rhs
         rows.append(np.repeat(r, c.shape[1]))
         cols.append(c.ravel())
-        vals.append(block.values.ravel())
+        vals.append(block.values(h).ravel())
     matrix = sp.csr_matrix(sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nn, nn)))
@@ -429,7 +434,7 @@ class MMatrixAudit:
 
     rows: dict                    # family -> row count
     failed: dict                  # family -> failing rows, claiming families only
-    matrix_signs_ok: bool         # sign pattern of the non-interface matrix rows
+    matrix_signs_ok: bool         # sign pattern of the claiming blocks' rows
     violations: list              # Violation: the first failing entry per row
 
     @property
@@ -439,8 +444,8 @@ class MMatrixAudit:
 
 def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
     """Per-degree sign/sum conditions of every block that claims the M-matrix
-    property, plus a direct sign check of the assembled non-interface rows:
-    a positive diagonal and no off-diagonal entry above tol * max(1, diag)."""
+    property, plus a direct sign check of those blocks' assembled rows: a
+    positive diagonal and no off-diagonal entry above tol * max(1, diag)."""
     mat, ny = system.matrix, len(system.ys)
     row_of = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     scale = np.maximum(1.0, mat.diagonal())[row_of]
@@ -452,7 +457,7 @@ def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
     failed, violations = {}, []
     signs_ok = True
     for block in system.blocks:
-        if block.family == "interface":
+        if not block.claims:
             continue
         for k in first[np.isin(bad_rows, block.columns(ny)[0])]:
             signs_ok = False
@@ -460,8 +465,6 @@ def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
             violations.append(Violation(
                 block.family, divmod(int(row_of[k]), ny),
                 f"matrix entry in the column of node {col} is {mat.data[k]:.6g}"))
-        if block.coeffs is None:
-            continue
         report = check_sign_sum(block.coeffs, block.offsets.index((0, 0)), tol)
         failed[block.family] = (failed.get(block.family, 0)
                                 + int((~report.passed).sum()))

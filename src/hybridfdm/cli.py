@@ -159,18 +159,22 @@ def main(argv=None) -> int:
                                  "elliptic interface problems")
     parser.add_argument("--problem", required=True,
                         help="builtin name (ex31..ex34) or config file path")
-    parser.add_argument("--J", type=int, default=None,
+    levels = parser.add_mutually_exclusive_group()
+    levels.add_argument("--J", type=int, default=None,
                         help="grid refinement level, h = width / 2^J")
-    parser.add_argument("--J-range", dest="j_range", default=None,
+    levels.add_argument("--J-range", dest="j_range", default=None,
                         help="run a convergence study over a..b")
     parser.add_argument("--mode", choices=("exact", "successive"),
-                        default="exact", help="error definition for studies")
+                        default=None,
+                        help="error definition for studies (default exact)")
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--threads", type=int, default=1,
                         help="stencil-generation worker processes")
     parser.add_argument("--check-mmatrix", action="store_true",
                         help="audit the sign/sum conditions instead of solving")
     args = parser.parse_args(argv)
+    if args.mode is not None and args.j_range is None:
+        parser.error("--mode applies only to a --J-range study")
 
     try:
         problem = _load_problem(args.problem)
@@ -194,7 +198,8 @@ def main(argv=None) -> int:
 
         if args.j_range is not None:
             rows = run_convergence(problem, _parse_range(args.j_range),
-                                   mode=args.mode, threads=args.threads)
+                                   mode=args.mode or "exact",
+                                   threads=args.threads)
             print(f"{'J':>3} {'h':>12} {'error':>14} {'order':>7} {'wall':>9}")
             for r in rows:
                 order = f"{r.order:7.2f}" if np.isfinite(r.order) else "      -"

@@ -179,7 +179,7 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchors, bases,
             order = sorted("+-", key=lambda sd: masks[sd].sum())
             try:
                 ops = mls_operators(
-                    MlsProblem(rec.samples, targets[k], rec.center, 4, h),
+                    MlsProblem(rec.samples, targets[k], 4, h),
                     fits, [masks[sd] for sd in order], vandermondes[wide])
             except MlsError as exc:
                 last_exc = exc

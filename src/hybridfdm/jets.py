@@ -122,12 +122,6 @@ class Jet2:
             c[..., m, n] = np.asarray(v) / (_FACT[m] * _FACT[n])
         return cls(c, order)
 
-    @classmethod
-    def constant(cls, value, order: int) -> "Jet2":
-        c = np.zeros(np.shape(value) + (order + 1, order + 1))
-        c[..., 0, 0] = value
-        return cls(c, order)
-
     # -- access ------------------------------------------------------------
     @property
     def value(self):

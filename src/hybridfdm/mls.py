@@ -6,9 +6,10 @@ derivative of a function at z* is read off a weighted polynomial fit
     f^(w)(z*) = (f(z_1)..f(z_K)) D^-1 E (E^T D^-1 E)^-1 (p_1^(w)(z*)..)^T
 
 with D = 2 diag(exp(|z_k - z*|^2 / h^2)) and E the basis Vandermonde.  The
-basis is centered at a designated point (usually z* itself, but the stencil
-at interface points centers on the grid node while targeting the projected
-base point) and scaled by the sample radius, and the normal equations are
+basis is centered at the anchor, the origin of the sample coordinates (z*
+itself, except at interface points, whose fits center on the grid node
+while targeting the projected base point), and scaled by the sample
+radius, and the normal equations are
 solved through a pivot-checked QR factorization rather than the explicit
 inverse.  Everything reduces to a single (n_requests x K) matrix that can be
 applied to many value vectors at once; for translation-invariant sample
@@ -80,11 +81,11 @@ COND_LIMIT = 1e12
 
 @dataclass
 class MlsProblem:
-    """Sample geometry for one fit.  Points are relative to the anchor."""
+    """Sample geometry for one fit.  Points are relative to the anchor,
+    which is also the centre of the basis."""
 
     samples: np.ndarray          # (K,) for 1D, (K, 2) for 2D, anchor-relative
     target: np.ndarray           # anchor-relative coordinates of z*
-    center: np.ndarray           # anchor-relative basis center (x*, y*)
     degree: int                  # total degree M of the basis
     h: float                     # weight length scale (the grid size)
 
@@ -166,15 +167,13 @@ def mls_operators(problem: MlsProblem, fits, masks=None,
     set of fits; the result holds one list of operators per mask, in the
     order of ``fits``.  ``vandermondes``, if given, keeps the Vandermonde of
     the whole sample set per basis scale across calls; pass the same dict
-    only to problems with the same samples, centre and degree.
+    only to problems with the same samples and degree.
     """
     dim = problem.dim
     z = problem.samples.astype(float)
     z = z[:, None] if dim == 1 else np.atleast_2d(z)
     target = np.atleast_1d(np.asarray(problem.target, dtype=float))
-    center = np.atleast_1d(np.asarray(problem.center, dtype=float))
-    rel = z - center
-    norms = np.linalg.norm(rel, axis=1)
+    norms = np.linalg.norm(z, axis=1)
     r2 = np.sum((z - target) ** 2, axis=1)
     sqrt_w = np.exp(-0.5 * r2 / problem.h**2) / np.sqrt(2.0)
     vandermondes = {} if vandermondes is None else vandermondes
@@ -195,7 +194,7 @@ def mls_operators(problem: MlsProblem, fits, masks=None,
                 if scale == 0.0:
                     scale = problem.h
                 if scale not in vandermondes:
-                    vandermondes[scale] = _vandermonde(rel / scale,
+                    vandermondes[scale] = _vandermonde(z / scale,
                                                        problem.degree)
                 # the lower degrees' bases are column prefixes of the top one
                 E_side = vandermondes[scale][rows]
@@ -203,7 +202,7 @@ def mls_operators(problem: MlsProblem, fits, masks=None,
             coef_of_values = _weighted_solve(E_side[:, :J], w_side)
             if (i, scale) not in derivatives:
                 derivatives[i, scale] = _derivative_matrix(
-                    degree, requests, (target - center) / scale, scale)
+                    degree, requests, target / scale, scale)
             ops.append(derivatives[i, scale] @ coef_of_values)
         out.append(ops)
     return out
@@ -292,45 +291,42 @@ class SamplingRecipe:
 
     context: str
     samples: np.ndarray        # anchor-relative offsets, (K,) or (K, 2)
-    target: np.ndarray
-    center: np.ndarray
     h: float
     axes: tuple                # per-axis offsets whose product is ``samples``
     step: float                # lattice spacing: every offset is k * step
 
     def problem(self, degree: int) -> MlsProblem:
-        return MlsProblem(self.samples, self.target, self.center, degree, self.h)
+        """The fit of this lattice at the anchor."""
+        return MlsProblem(self.samples, np.zeros(len(self.axes)), degree,
+                          self.h)
 
 
-def _lattice(context, step, nx_lo, nx_hi, ny_lo, ny_hi, h,
-             target=None) -> SamplingRecipe:
+def _lattice(context, step, nx_lo, nx_hi, ny_lo, ny_hi, h) -> SamplingRecipe:
     xs = np.arange(nx_lo, nx_hi + 1) * step
     ys = np.arange(ny_lo, ny_hi + 1) * step
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    target = np.zeros(2) if target is None else np.asarray(target, float)
     return SamplingRecipe(context, np.column_stack([gx.ravel(), gy.ravel()]),
-                          target, np.zeros(2), h, (xs, ys), step)
+                          h, (xs, ys), step)
 
 
 def _line(context, step, n_lo, n_hi, h) -> SamplingRecipe:
     ts = np.arange(n_lo, n_hi + 1) * step
-    return SamplingRecipe(context, ts, np.zeros(1), np.zeros(1), h, (ts,), step)
+    return SamplingRecipe(context, ts, h, (ts,), step)
 
 
-def sampling_recipe(context: str, h: float, target_offset=None,
+def sampling_recipe(context: str, h: float,
                     widened: bool = False) -> SamplingRecipe:
     """Anchor-relative sample lattice for a stencil context.
 
-    ``target_offset`` (2-vector) shifts the evaluation point off the anchor;
-    only the interface context uses it (grid node anchor, on-curve target).
     ``widened`` selects the interface fallback lattice, twice as wide at the
-    same spacing.
+    same spacing.  An off-anchor target (the interface base point) is set
+    on the ``MlsProblem`` of the fit.
     """
     if context == "regular-interior":
         return _lattice(context, h / 4, -4, 4, -4, 4, h)
     if context == "irregular-interface":
         n = 16 if widened else 8
-        return _lattice(context, h / 8, -n, n, -n, n, h, target_offset)
+        return _lattice(context, h / 8, -n, n, -n, n, h)
     if context == "curve":
         return _line(context, h / 16, -5, 5, h)
     if context == "edge-boundary":

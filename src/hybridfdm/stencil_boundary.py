@@ -36,6 +36,11 @@ right-hand-side weights go through the cached offset operators of
 EDGE_OFFSETS and CORNER_OFFSETS (``stencil_core.expand_at_offsets`` and
 ``weights_at_offsets``), as for the 9-point stencil.
 
+Each stencil has one ``weights(h)`` vector over one data vector, [f, g1]
+at an edge and [f, g1, g3] at a corner.  The Robin data enter with a minus
+sign, so their polynomial blocks are stored negated (an exact operation)
+under the H block.
+
 The other three sides and corners reuse the same construction through frame
 maps: field values are sampled at reflected points, so all jets are estimated
 directly at the target anchor, and only the grid offsets are mapped back.
@@ -58,7 +63,6 @@ from .stencil_core import (
     expand_at_offsets,
     frac_leading_g,
     run_constant_recursion,
-    stencil_values,
     tie_row,
     weights_at_offsets,
 )
@@ -169,20 +173,13 @@ class EdgeStencil:
     """6-point Robin/Neumann edge stencil in the canonical inward frame."""
 
     coeffs: np.ndarray            # (..., 6, 7)
-    g1_polys: np.ndarray          # (6, ..., 28) G_{6,1,n}, n = 0..5
-    h_polys: np.ndarray           # (15, ..., 28) H_{6,m,n}, Lambda_4 order
+    rhs_polys: np.ndarray         # (21, ..., 28) H_{6,m,n}, -G_{6,1,n}
     offsets: tuple = EDGE_OFFSETS
 
-    def values(self, h: float) -> np.ndarray:
-        return stencil_values(self.coeffs, h)
-
-    def f_weights(self, h: float) -> np.ndarray:
-        """Weights of f^(m,n), (m,n) in Lambda_4 (h^-1 applied by assembler)."""
-        return weights_at_offsets(self.h_polys, EDGE_OFFSETS, self.coeffs, h)
-
-    def g1_weights(self, h: float) -> np.ndarray:
-        """Weights of the boundary-data derivatives g1^(n), n = 0..5."""
-        return -weights_at_offsets(self.g1_polys, EDGE_OFFSETS, self.coeffs, h)
+    def weights(self, h: float) -> np.ndarray:
+        """(..., 21) weights of [f^(m,n) over Lambda_4, g1^(n), n = 0..5]
+        (h^-1 applied by the assembler)."""
+        return weights_at_offsets(self.rhs_polys, EDGE_OFFSETS, self.coeffs, h)
 
 
 def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
@@ -191,14 +188,17 @@ def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
     exp = expand_at_offsets(robin_basis(g, alpha), EDGE_OFFSETS)
     res = run_constant_recursion(np.moveaxis(exp, 0, -3), list(range(7)), 6,
                                  _edge_solvers(), center=EDGE_CENTER)
-    return EdgeStencil(coeffs=res.coeffs, g1_polys=g[G1_ROWS], h_polys=h)
+    return EdgeStencil(coeffs=res.coeffs,
+                       rhs_polys=np.concatenate([h, -g[G1_ROWS]]))
 
 
 @dataclass
 class CornerReduction:
     """Coefficient tables and polynomial blocks feeding the 4-point corner
     solve; each block holds one packed row of 28 coefficients per
-    polynomial."""
+    polynomial.  The rhs blocks hold one polynomial per entry of the data
+    vector [f^(i,j) over Lambda_4, g1^(n), g3^(m)], n, m = 0..5.
+    """
 
     lam: np.ndarray               # (7, 7) lambda_{m,n}
     mu: np.ndarray                # (7, 6) mu_{m,n}
@@ -206,10 +206,8 @@ class CornerReduction:
     p: np.ndarray                 # (7, 7) p_{m,n}
     e_polys: np.ndarray           # E_n, n = 0..6
     et_polys: np.ndarray          # E~_m, m = 0..6
-    g1_polys: np.ndarray          # G_{6,1,n}, n = 0..5
-    h_polys: np.ndarray           # H_{6,i,j}, Lambda_4 order
-    gt1_polys: np.ndarray         # G~_{6,m,1}, m = 0..5
-    ht_polys: np.ndarray          # H~_{6,i,j}, Lambda_4 order
+    hat_polys: np.ndarray         # (27, 28) H_{6,i,j}, -G_{6,1,n}, 0
+    tilde_polys: np.ndarray       # (27, 28) H~ + nu E~, -mu E~, -G~_{6,m,1}
 
 
 def build_corner_reduction(a_jet: Jet2, alpha: np.ndarray,
@@ -224,10 +222,15 @@ def build_corner_reduction(a_jet: Jet2, alpha: np.ndarray,
                    for m in range(M + 1)])
     nu = np.array([[table.f_value(m, 0, *ij) for m in range(M + 1)]
                    for ij in F_INDICES_B])
+    et = robin_basis(gt, beta)
+    g1 = g[G1_ROWS]
     return CornerReduction(
         lam=lam, mu=mu, nu=nu, p=lam + mu @ _robin_weights(alpha).T,
-        e_polys=robin_basis(g, alpha), et_polys=robin_basis(gt, beta),
-        g1_polys=g[G1_ROWS], h_polys=h, gt1_polys=gt[G1_ROWS], ht_polys=ht)
+        e_polys=robin_basis(g, alpha), et_polys=et,
+        hat_polys=np.concatenate([h, -g1, np.zeros_like(g1)]),
+        tilde_polys=np.concatenate([ht + np.tensordot(nu, et, 1),
+                                    -np.tensordot(mu.T, et, 1),
+                                    -gt[G1_ROWS]]))
 
 
 @dataclass
@@ -243,26 +246,13 @@ class CornerStencil:
     def coeffs(self) -> np.ndarray:
         return self.chat + self.ctilde
 
-    def values(self, h: float) -> np.ndarray:
-        return stencil_values(self.coeffs, h)
-
-    def _split_weights(self, hat, til, h):
-        return (weights_at_offsets(hat, CORNER_OFFSETS, self.chat, h)
-                + weights_at_offsets(til, CORNER_OFFSETS, self.ctilde, h))
-
-    def f_weights(self, h: float) -> np.ndarray:
+    def weights(self, h: float) -> np.ndarray:
+        """(27,) weights of the data vector, the hat and the tilde block
+        each against its own coefficients (h^-1 applied by the assembler)."""
         red = self.reduction
-        return self._split_weights(
-            red.h_polys, red.ht_polys + np.tensordot(red.nu, red.et_polys, 1), h)
-
-    def g1_weights(self, h: float) -> np.ndarray:
-        red = self.reduction
-        return -self._split_weights(
-            red.g1_polys, np.tensordot(red.mu.T, red.et_polys, 1), h)
-
-    def g3_weights(self, h: float) -> np.ndarray:
-        return -weights_at_offsets(self.reduction.gt1_polys, CORNER_OFFSETS,
-                                   self.ctilde, h)
+        return (weights_at_offsets(red.hat_polys, CORNER_OFFSETS, self.chat, h)
+                + weights_at_offsets(red.tilde_polys, CORNER_OFFSETS,
+                                     self.ctilde, h))
 
 
 def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:

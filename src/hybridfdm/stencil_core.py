@@ -31,9 +31,10 @@ The fixed-offset families take their Phi_r as packed coefficient blocks
 (``reduction.gh_blocks``), and one cached operator per offset set, (36, 9, 8)
 for the 9-point offsets, turns a block into h-expansions or values at the
 offsets.  The 13-point interface rows share only the h-expansion
-(``expand_poly_in_h``), the residual gate (``check_residual``) and
-``stencil_values`` with them; their solve, both the full recursion and the
-leading-degree fallback, lives in ``stencil_irregular``.
+(``expand_poly_in_h``), the residual gate (``check_residual``),
+``stencil_values`` and the rhs contraction (``contract``) with them; their
+solve, both the full recursion and the leading-degree fallback, lives in
+``stencil_irregular``.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ def _dot(pairs):
         term = a * b
         acc = term if acc is None else acc + term
     return acc
+
+
+def contract(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., i] data[..., i], the rhs of every family, added
+    left to right through ``_dot``, so no rhs depends on its batch."""
+    return _dot(zip(np.moveaxis(weights, -1, 0), np.moveaxis(data, -1, 0)))
 
 
 def expand_at_offsets(blocks: np.ndarray, offsets: tuple) -> np.ndarray:

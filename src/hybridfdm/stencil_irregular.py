@@ -13,9 +13,9 @@ Where the curve is under-resolved (``KAPPA_CRIT``), the row falls back to
 the leading degree alone, its remaining freedom spent on damping the
 minus-side transported weights (``_leading_degree`` with a penalty).
 
-The source and jump weights on the right-hand side follow the same split:
-direct H-polynomial sums per side plus transmission-transported terms
-through the minus-side band values I-.
+The right-hand side is one (31,) weight vector over the data vector of the
+transmission's symbol order, f+ and f- over F3, g and gGamma
+(``irregular_rhs_weights``), contracted like every family's rhs.
 """
 
 from __future__ import annotations
@@ -26,8 +26,20 @@ import numpy as np
 
 from .geometry import IRREGULAR_OFFSETS
 from .jets import Poly2
-from .stencil_core import check_residual, expand_poly_in_h, stencil_values
-from .transmission import BAND5, InterfaceLocalModel
+from .stencil_core import (
+    check_residual,
+    contract,
+    expand_poly_in_h,
+    stencil_values,
+)
+from .transmission import (
+    BAND5,
+    DATA,
+    FMINUS,
+    FPLUS,
+    UPLUS,
+    InterfaceLocalModel,
+)
 
 CENTER13 = IRREGULAR_OFFSETS.index((0, 0))
 LEAD13 = tuple(sum(mn) for mn in BAND5)     # leading h-degree of each row
@@ -60,7 +72,7 @@ def assemble_irregular_system(models, minus_masks) -> list[IrregularSystem]:
     minus_masks = np.asarray(minus_masks, dtype=bool)
     bases = np.array([(m.curve.v0, m.curve.w0) for m in models])
     vw = bases[:, None, :] + np.asarray(IRREGULAR_OFFSETS)
-    ublock = np.stack([m.table.u_block() for m in models])
+    ublock = np.stack([m.table[:, UPLUS] for m in models])
     g_plus = np.stack([m.g_plus for m in models])
     g_minus = np.stack([m.g_minus for m in models])
     phi_minus = np.einsum("bij,bipq->bjpq", ublock, g_minus)
@@ -182,18 +194,11 @@ def solve_irregular_stencil(system: IrregularSystem, h: float) -> np.ndarray:
     return coeffs
 
 
-@dataclass
-class IrregularWeights:
-    """Right-hand-side weights of the 13-point row (h^-1 already applied)."""
-
-    j_plus: np.ndarray          # (10,) weights of f+^(m,n), Lambda_3
-    j_minus: np.ndarray
-    j_g: np.ndarray             # (6,) weights of g^(p)
-    j_gg: np.ndarray            # (5,) weights of gGamma^(p)
-
-
 def irregular_rhs_weights(coeffs: np.ndarray, system: IrregularSystem,
-                          h: float) -> IrregularWeights:
+                          h: float) -> np.ndarray:
+    """(31,) weights of the row's data vector, h^-1 applied: the minus
+    offsets' band values I- carry every data symbol through the table, and
+    each side's H polynomials add their f terms over its own offsets."""
     model = system.model
     ch = stencil_values(coeffs, h)
     vw = system.offsets
@@ -202,20 +207,15 @@ def irregular_rhs_weights(coeffs: np.ndarray, system: IrregularSystem,
     plus = ~minus
 
     i_minus = Poly2(model.g_minus).eval(xo[minus], yo[minus]) @ ch[minus]
-    j_plus = Poly2(model.h_plus).eval(xo[plus], yo[plus]) @ ch[plus]
-    j_minus = Poly2(model.h_minus).eval(xo[minus], yo[minus]) @ ch[minus]
-    j_plus = j_plus + i_minus @ model.table.f_block("+")
-    j_minus = j_minus + i_minus @ model.table.f_block("-")
-    j_g = i_minus @ model.table.g_block()
-    j_gg = i_minus @ model.table.gg_block()
-    return IrregularWeights(j_plus=j_plus / h, j_minus=j_minus / h,
-                            j_g=j_g / h, j_gg=j_gg / h)
+    weights = i_minus @ model.table
+    weights[FPLUS] += Poly2(model.h_plus).eval(xo[plus], yo[plus]) @ ch[plus]
+    weights[FMINUS] += (Poly2(model.h_minus).eval(xo[minus], yo[minus])
+                        @ ch[minus])
+    return weights[DATA] / h
 
 
-def irregular_rhs_value(weights: IrregularWeights, f_plus_der: np.ndarray,
+def irregular_rhs_value(weights: np.ndarray, f_plus_der: np.ndarray,
                         f_minus_der: np.ndarray, curve) -> float:
-    """Contract the weights with the estimated data derivatives."""
-    return float(
-        weights.j_plus @ f_plus_der + weights.j_minus @ f_minus_der
-        + weights.j_g @ curve.g + weights.j_gg @ curve.gg
-    )
+    """Contract the weights with the data vector [f+, f-, g, gGamma]."""
+    return float(contract(weights, np.concatenate(
+        [f_plus_der, f_minus_der, curve.g, curve.gg])))

@@ -14,6 +14,11 @@ p = 1..5, carrying lower orders forward.  The 2x2 determinant at step p
 equals a-^(0,0) p ((r')^2 + (s')^2)^p / (p!)^2 up to sign, which is asserted
 at runtime.
 
+Each model's ``table`` is the (11, 42) matrix of these functionals, one row
+per u-^(m',n') in BAND5 order, read by column slices: ``UPLUS`` transports
+the minus polynomials, and ``DATA`` spans the data vector every 13-point
+rhs is written over.
+
 Everything here works on the eleven-sample local charts produced by the
 geometry module; the curve, jump and coefficient jets are estimated from
 point values by MLS, never differentiated symbolically.
@@ -46,15 +51,18 @@ M_IRR = 5                      # expansion order of the interface stencils
 BAND5 = lambda_band(5)         # 11 entries
 F3 = lambda_full(3)            # 10 entries
 
-# symbol layout of the transmission functionals
+# symbol layout of the transmission functionals: u+ over BAND5, then the
+# data f+ and f- over F3, g^(p) and gGamma^(p)
 N_UP = len(BAND5)
 N_F = len(F3)
 COL_UP = {mn: i for i, mn in enumerate(BAND5)}
-COL_FP = {mn: N_UP + i for i, mn in enumerate(F3)}
-COL_FM = {mn: N_UP + N_F + i for i, mn in enumerate(F3)}
 COL_G = {p: N_UP + 2 * N_F + p for p in range(6)}
 COL_GG = {p: N_UP + 2 * N_F + 6 + p for p in range(5)}
 N_SYMBOLS = N_UP + 2 * N_F + 6 + 5
+UPLUS = slice(0, N_UP)
+FPLUS = slice(N_UP, N_UP + N_F)
+FMINUS = slice(N_UP + N_F, N_UP + 2 * N_F)
+DATA = slice(N_UP, N_SYMBOLS)
 
 
 @dataclass
@@ -109,29 +117,6 @@ def curve_jet_from_chart(chart: LocalChart, v0: float, w0: float,
 
 
 @dataclass
-class TransmissionTable:
-    """Rows: u-^(m',n') over the band of order 5; columns: the symbol list."""
-
-    matrix: np.ndarray          # (11, 42)
-
-    def u_plus(self, mp, np_, m, n) -> float:
-        return self.matrix[COL_UP[(mp, np_)], COL_UP[(m, n)]]
-
-    def f_block(self, sign: str) -> np.ndarray:
-        cols = COL_FP if sign == "+" else COL_FM
-        return self.matrix[:, [cols[mn] for mn in F3]]
-
-    def g_block(self) -> np.ndarray:
-        return self.matrix[:, [COL_G[p] for p in range(6)]]
-
-    def gg_block(self) -> np.ndarray:
-        return self.matrix[:, [COL_GG[p] for p in range(5)]]
-
-    def u_block(self) -> np.ndarray:
-        return self.matrix[:, [COL_UP[mn] for mn in BAND5]]
-
-
-@dataclass
 class InterfaceLocalModel:
     """Everything the 13-point stencil needs at one base point.
 
@@ -141,7 +126,7 @@ class InterfaceLocalModel:
     """
 
     curve: CurveJet
-    table: TransmissionTable
+    table: np.ndarray           # (11, 42): rows BAND5, columns the symbols
     g_plus: np.ndarray          # (11, 6, 6)
     g_minus: np.ndarray
     h_plus: np.ndarray          # (10, 6, 6)
@@ -205,8 +190,6 @@ def build_transmission(curves, a_plus_jet: Jet2,
     rows[:, COL_UP[(0, 0)], COL_UP[(0, 0)]] = 1.0
     rows[:, COL_UP[(0, 0)], COL_G[0]] = -1.0
 
-    fp = slice(N_UP, N_UP + N_F)            # the COL_FP and COL_FM columns
-    fm = slice(N_UP + N_F, N_UP + 2 * N_F)
     speed2 = r[:, 1] ** 2 + s[:, 1] ** 2
     am0 = a_minus_jet.value
 
@@ -231,10 +214,10 @@ def build_transmission(curves, a_plus_jet: Jet2,
         rhs_flux, rhs_jump = rhs[:, 0], rhs[:, 1]
         rhs_flux[:, :N_UP] += fg_p[..., p - 1].T
         rhs_jump[:, :N_UP] += gu_p[..., p].T
-        rhs_flux[:, fp] += fh_p[..., p - 1].T
-        rhs_flux[:, fm] -= fh_m[..., p - 1].T
-        rhs_jump[:, fp] += hu_p[..., p].T
-        rhs_jump[:, fm] -= hu_m[..., p].T
+        rhs_flux[:, FPLUS] += fh_p[..., p - 1].T
+        rhs_flux[:, FMINUS] -= fh_m[..., p - 1].T
+        rhs_jump[:, FPLUS] += hu_p[..., p].T
+        rhs_jump[:, FMINUS] -= hu_m[..., p].T
         rhs_flux[:, COL_GG[p - 1]] -= 1.0
         rhs_jump[:, COL_G[p]] -= 1.0
         for mn in BAND5:
@@ -249,7 +232,7 @@ def build_transmission(curves, a_plus_jet: Jet2,
 
     return [
         InterfaceLocalModel(
-            curve=curve, table=TransmissionTable(rows[b]),
+            curve=curve, table=rows[b],
             g_plus=g_all[:, 0, b], g_minus=g_all[:, 1, b],
             h_plus=h_all[:, 0, b], h_minus=h_all[:, 1, b])
         for b, curve in enumerate(curves)]

@@ -28,6 +28,7 @@ from hybridfdm.geometry import (
     LevelSetInterface,
     classify_grid,
 )
+from hybridfdm.jets import Poly2
 from hybridfdm.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -35,6 +36,15 @@ from hybridfdm.problems import (
     load_config_string,
     manufacture,
 )
+from hybridfdm.reduction import (
+    build_reduction_table,
+    gh_blocks,
+    transpose_reduction_table,
+)
+from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS, G1_ROWS
+from hybridfdm.stencil_core import stencil_values, weights_at_offsets
+from hybridfdm.stencil_irregular import solve_irregular_stencil
+from hybridfdm.transmission import COL_G, COL_GG, FMINUS, FPLUS
 
 LAPLACE_XY = """
 [problem]
@@ -298,9 +308,11 @@ class TestInterfaceAssembly:
         assert max(rows.values()) > 333
         for other in blocks[1:]:
             for family, block in blocks[0].items():
-                for field in ("values", "coeffs", "rhs"):
+                for field in ("coeffs", "rhs"):
                     assert np.array_equal(getattr(block, field),
                                           getattr(other[family], field))
+                assert np.array_equal(block.values(system.h),
+                                      other[family].values(system.h))
 
     @pytest.mark.parametrize("stage", ["geometry", "fits", "transmission",
                                        "recursion"])
@@ -397,18 +409,24 @@ class TestInterfaceAssembly:
             assemble(p, 3)
 
 
+@pytest.fixture(scope="module", params=["interface", "robin"])
+def block_system(request):
+    """(kind, system at J=4) of a problem with interface rows, or of one
+    with Robin edge and corner rows; both have Dirichlet and regular rows."""
+    if request.param == "interface":
+        problem = manufacture(seed=9, degree=3, interface_kind="circle").problem
+    else:
+        problem = robin_problem(2.0)
+    return request.param, assemble(problem, 4)
+
+
 class TestRowBlocks:
-    @pytest.mark.parametrize("kind", ["interface", "robin"])
-    def test_blocks_partition_the_grid(self, kind):
+    def test_blocks_partition_the_grid(self, block_system):
         """Every node sits in one block, whose values and rhs are its row."""
-        if kind == "interface":
-            problem = manufacture(seed=9, degree=3,
-                                  interface_kind="circle").problem
-            expect = {"dirichlet", "regular+", "regular-", "interface"}
-        else:
-            problem = robin_problem(2.0)
-            expect = {"dirichlet", "corner", "edge1", "edge3", "regular+"}
-        system = assemble(problem, 4)
+        kind, system = block_system
+        expect = ({"dirichlet", "regular+", "regular-", "interface"}
+                  if kind == "interface" else
+                  {"dirichlet", "corner", "edge1", "edge3", "regular+"})
         assert {b.family for b in system.blocks} == expect
         n = system.matrix.shape[0]
         owners = np.zeros(n, dtype=int)
@@ -416,12 +434,140 @@ class TestRowBlocks:
         for block in system.blocks:
             rows, cols = block.columns(len(system.ys))
             np.add.at(owners, rows, 1)
-            rebuilt[rows[:, None], cols] = block.values
+            rebuilt[rows[:, None], cols] = block.values(system.h)
             assert np.array_equal(system.rhs[rows], block.rhs)
-            assert (block.coeffs is None) == (
-                block.family in ("dirichlet", "interface"))
         assert (owners == 1).all()
         assert np.array_equal(system.matrix.toarray(), rebuilt)
+
+    def test_values_rebuild_the_csr_rows_bit_for_bit(self, block_system):
+        """Each block's ``values(h)`` are its CSR rows: the same columns
+        and the same bits, so the record alone rebuilds the matrix."""
+        _, system = block_system
+        mat = system.matrix
+        for block in system.blocks:
+            rows, cols = block.columns(len(system.ys))
+            order = np.argsort(cols, axis=1)
+            starts = mat.indptr[rows][:, None] + np.arange(cols.shape[1])
+            assert (np.diff(mat.indptr)[rows] == cols.shape[1]).all()
+            assert np.array_equal(mat.indices[starts],
+                                  np.take_along_axis(cols, order, axis=1))
+            values = np.take_along_axis(block.values(system.h), order, axis=1)
+            assert np.array_equal(mat.data[starts].view(np.int64),
+                                  values.view(np.int64))
+
+    def test_claims_exactly_the_fixed_offset_families(self, block_system):
+        """Corner, edge and regular rows claim the M-matrix property;
+        Dirichlet identities and interface rows do not.  Every family has
+        coefficients, and a Dirichlet row is the constant one at scale 0."""
+        _, system = block_system
+        for block in system.blocks:
+            assert block.claims == block.family.startswith(
+                ("corner", "edge", "regular"))
+            assert block.coeffs.shape[:2] == (len(block.ii),
+                                              len(block.offsets))
+            if block.family == "dirichlet":
+                assert block.scale == 0
+                assert block.coeffs.shape[2] == 1 and (block.coeffs == 1).all()
+
+
+def separate_edge_rhs(st, jet, f_der, g_der, h):
+    """An edge block's rhs from separate f and g1 weight blocks, each
+    contracted by ``einsum``, as assembly formed it before the one data
+    vector."""
+    g, hb = gh_blocks(build_reduction_table(jet, 6))
+    f_w = weights_at_offsets(hb, EDGE_OFFSETS, st.coeffs, h)
+    g1_w = -weights_at_offsets(g[G1_ROWS], EDGE_OFFSETS, st.coeffs, h)
+    return (np.einsum("bk,bk->b", f_w, f_der)
+            + np.einsum("bk,bk->b", g1_w, g_der)) / h
+
+
+def separate_corner_rhs(st, jet, f_der, g1_der, g3_der, h):
+    """A corner row's rhs from separate f, g1 and g3 weight blocks, each a
+    hat part against ``chat`` plus a tilde part against ``ctilde``."""
+    red = st.reduction
+    g, hb = gh_blocks(build_reduction_table(jet, 6))
+    gt, ht = gh_blocks(transpose_reduction_table(jet, 6))
+    et = red.et_polys
+
+    def split(hat, til):
+        return (weights_at_offsets(hat, CORNER_OFFSETS, st.chat, h)
+                + weights_at_offsets(til, CORNER_OFFSETS, st.ctilde, h))
+    f_w = split(hb, ht + np.tensordot(red.nu, et, 1))
+    g1_w = -split(g[G1_ROWS], np.tensordot(red.mu.T, et, 1))
+    g3_w = -weights_at_offsets(gt[G1_ROWS], CORNER_OFFSETS, st.ctilde, h)
+    return (f_w @ f_der + g1_w @ g1_der + g3_w @ g3_der) / h
+
+
+def separate_interface_rhs(system, fp, fm, h):
+    """A 13-point row's rhs from its four weight blocks (f+, f-, g and
+    gGamma), each read from its own columns of the transmission table."""
+    model = system.model
+    ch = stencil_values(solve_irregular_stencil(system, h), h)
+    xo, yo = system.offsets[:, 0] * h, system.offsets[:, 1] * h
+    minus, plus = system.minus_mask, ~system.minus_mask
+    table = model.table
+    i_minus = Poly2(model.g_minus).eval(xo[minus], yo[minus]) @ ch[minus]
+    j_plus = (Poly2(model.h_plus).eval(xo[plus], yo[plus]) @ ch[plus]
+              + i_minus @ table[:, FPLUS])
+    j_minus = (Poly2(model.h_minus).eval(xo[minus], yo[minus]) @ ch[minus]
+               + i_minus @ table[:, FMINUS])
+    j_g = i_minus @ table[:, [COL_G[p] for p in range(6)]]
+    j_gg = i_minus @ table[:, [COL_GG[p] for p in range(5)]]
+    curve = model.curve
+    return float(j_plus / h @ fp + j_minus / h @ fm + j_g / h @ curve.g
+                 + j_gg / h @ curve.gg)
+
+
+class TestRhsContraction:
+    def test_one_data_vector_matches_the_separate_blocks(self, monkeypatch):
+        """Edge, corner and interface rhs of ex31 at J=4, each one weight
+        vector against one data vector, agree with the contraction of the
+        separate weight blocks within 1e-14 of the row's largest entry."""
+        import hybridfdm.assembly as assembly
+
+        seen = {"edge": [], "corner": [], "interface": []}
+
+        def spy(name, kind):
+            real = getattr(assembly, name)
+
+            def wrapped(*args):
+                out = real(*args)
+                seen[kind].append((args, out))
+                return out
+            monkeypatch.setattr(assembly, name, wrapped)
+        spy("edge_jets", "edge")
+        spy("solve_edge_stencil", "edge")
+        spy("corner_jets", "corner")
+        spy("solve_corner_stencil", "corner")
+        spy("_irregular_row", "interface")
+        system = assemble(builtin("ex31"), 4)
+        h = system.h
+
+        want = {"corner": [], "edge": [], "interface": []}
+        calls = seen["edge"]
+        for (_, jets), (_, st) in zip(calls[::2], calls[1::2]):
+            jet, _, f_der, g_der = jets
+            want["edge"].append(separate_edge_rhs(st, jet, f_der, g_der, h))
+        calls = seen["corner"]
+        for (_, jets), (_, st) in zip(calls[::2], calls[1::2]):
+            jet, _, f_der, g1_der, _, g3_der = jets
+            want["corner"].append(separate_corner_rhs(
+                st, jet, f_der, g1_der, g3_der, h))
+        want["interface"] = [[separate_interface_rhs(system_, fp, fm, h)
+                              for (system_, fp, fm, _), _ in seen["interface"]]]
+
+        got = {"corner": [], "edge": [], "interface": []}
+        for block in system.blocks:
+            kind = block.family.rstrip("1234")
+            if kind in got:
+                got[kind].append((block.rhs, block.values(h)))
+        assert [len(v) for v in got.values()] == [1, 2, 1]
+        for kind, blocks in got.items():
+            assert len(blocks) == len(want[kind])
+            for (rhs, values), ref in zip(blocks, want[kind]):
+                largest = np.abs(values).max(axis=1)
+                assert rhs.shape == np.shape(np.atleast_1d(ref))
+                assert (np.abs(rhs - ref) <= 1e-14 * largest).all(), kind
 
 
 class TestAssemblyLog:

@@ -119,9 +119,16 @@ class TestSolveCommand:
         for level in (["--J", "0"], ["--J", "-1"], ["--J-range", "0..2"]):
             assert main(["--problem", laplace_cfg] + level) == 1
             assert "error: J must be at least 1" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 1
+        for argv in ([], ["--problem", laplace_cfg, "--J", "4",
+                          "--J-range", "4..5"],
+                     ["--problem", laplace_cfg, "--J", "2",
+                      "--mode", "successive"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --J-range: not allowed with argument --J" in err
+        assert "error: --mode applies only to a --J-range study" in err
 
     def test_main_leaves_the_collector_unfrozen(self, laplace_cfg, tmp_path):
         """Only the process entry ``run`` freezes the heap; ``main`` called

@@ -44,7 +44,7 @@ def reference_irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchor,
             continue
 
         def fit(field, mask, degree, reqs):
-            prob = MlsProblem(samples[mask], target, np.zeros(2), degree, h)
+            prob = MlsProblem(samples[mask], target, degree, h)
             op = mls_operator(prob, reqs)
             vals = np.asarray(field(pts[mask, 0], pts[mask, 1]), dtype=float)
             return op @ vals

@@ -44,14 +44,18 @@ from hybridfdm.transmission import (
     BAND5,
     M_IRR,
     CurveJet,
+    COL_UP,
+    FMINUS,
+    FPLUS,
+    UPLUS,
     InterfaceLocalModel,
-    TransmissionTable,
     _flux_series,
     build_transmission,
     curve_jet_from_chart,
 )
 
 from test_jets_reduction import (
+    constant_jet,
     deriv_at,
     pde_source,
     poly_jet,
@@ -326,6 +330,11 @@ def one_node(jet):
     return Jet2(jet.c[None], jet.order)
 
 
+def transported(model, mp, np_, m, n):
+    """The table entry that carries u+^(m,n) into u-^(m',n')."""
+    return model.table[COL_UP[(mp, np_)], COL_UP[(m, n)]]
+
+
 class TestTransmission:
     def test_vertical_line_closed_form(self):
         """On x = 0 with plus side x > 0: T_{1,0,1,0} = a+/a-, T_{0,1,0,1} = 1."""
@@ -333,11 +342,11 @@ class TestTransmission:
                          s=np.array([0.0, 1, 0, 0, 0, 0]),
                          g=np.zeros(6), gg=np.zeros(5))
         ap, am = 3.0, 7.0
-        (model,) = build_transmission([curve], one_node(Jet2.constant(ap, 4)),
-                                      one_node(Jet2.constant(am, 4)))
-        assert model.table.u_plus(1, 0, 1, 0) == pytest.approx(ap / am)
-        assert model.table.u_plus(0, 1, 0, 1) == pytest.approx(1.0)
-        assert model.table.u_plus(0, 1, 1, 0) == pytest.approx(0.0, abs=1e-14)
+        (model,) = build_transmission([curve], one_node(constant_jet(ap, 4)),
+                                      one_node(constant_jet(am, 4)))
+        assert transported(model, 1, 0, 1, 0) == pytest.approx(ap / am)
+        assert transported(model, 0, 1, 0, 1) == pytest.approx(1.0)
+        assert transported(model, 0, 1, 1, 0) == pytest.approx(0.0, abs=1e-14)
 
     def test_t0000_pattern(self):
         curve = exact_circle_curvejet(0.3)
@@ -346,10 +355,10 @@ class TestTransmission:
         a.c[0, 0] = 2.0
         jet = one_node(poly_jet(a, 4, (curve.r[0], curve.s[0])))
         (model,) = build_transmission([curve], jet, jet)
-        assert model.table.u_plus(0, 0, 0, 0) == 1.0
+        assert transported(model, 0, 0, 0, 0) == 1.0
         for mn in BAND5:
             if mn != (0, 0):
-                assert model.table.u_plus(*mn, 0, 0) == pytest.approx(0.0, abs=1e-13)
+                assert transported(model, *mn, 0, 0) == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_piecewise_polynomial_exactness(self, seed):
@@ -366,19 +375,18 @@ class TestTransmission:
         base = (curve.r[0], curve.s[0])
         (model,) = build_transmission([curve], one_node(poly_jet(a_p, 4, base)),
                                       one_node(poly_jet(a_m, 4, base)))
-        symbols = np.zeros(model.table.matrix.shape[1])
-        from hybridfdm.transmission import COL_FM, COL_FP, COL_G, COL_GG, COL_UP
+        symbols = np.zeros(model.table.shape[1])
+        from hybridfdm.transmission import COL_G, COL_GG
 
         for mn in BAND5:
             symbols[COL_UP[mn]] = deriv_at(u_p, *mn, *base)
-        for mn in lambda_full(3):
-            symbols[COL_FP[mn]] = deriv_at(f_p, *mn, *base)
-            symbols[COL_FM[mn]] = deriv_at(f_m, *mn, *base)
+        symbols[FPLUS] = [deriv_at(f_p, *mn, *base) for mn in lambda_full(3)]
+        symbols[FMINUS] = [deriv_at(f_m, *mn, *base) for mn in lambda_full(3)]
         for p in range(6):
             symbols[COL_G[p]] = curve.g[p]
         for p in range(5):
             symbols[COL_GG[p]] = curve.gg[p]
-        got = model.table.matrix @ symbols
+        got = model.table @ symbols
         for i, mn in enumerate(BAND5):
             want = deriv_at(u_m, *mn, *base)
             assert got[i] == pytest.approx(want, rel=1e-8, abs=1e-8)
@@ -394,9 +402,9 @@ class TestTransmission:
         assert np.allclose(curve.gg, 0.0, atol=1e-13)
         jet = one_node(poly_jet(a, 4, (curve.r[0], curve.s[0])))
         (model,) = build_transmission([curve], jet, jet)
-        ub = model.table.u_block()
+        ub = model.table[:, UPLUS]
         assert np.allclose(ub, np.eye(len(BAND5)), atol=1e-9)
-        fsum = model.table.f_block("+") + model.table.f_block("-")
+        fsum = model.table[:, FPLUS] + model.table[:, FMINUS]
         assert np.allclose(fsum, 0.0, atol=1e-9)
 
     def test_chunk_matches_single_nodes_bit_for_bit(self):
@@ -420,7 +428,7 @@ class TestTransmission:
         for curve, jp, jm, got in zip(curves, jps, jms, chunk):
             (want,) = build_transmission([curve], one_node(jp), one_node(jm))
             assert got.curve is curve
-            assert np.array_equal(got.table.matrix, want.table.matrix)
+            assert np.array_equal(got.table, want.table)
             for name in ("g_plus", "g_minus", "h_plus", "h_minus"):
                 block, ref = getattr(got, name), getattr(want, name)
                 assert block.shape == ref.shape
@@ -430,7 +438,7 @@ class TestTransmission:
         """One broken node in a chunk of three: the error points at it."""
         curves = [exact_circle_curvejet(t) for t in (0.3, 1.2, 2.1)]
         curves[1].s[1] = np.nan
-        jet = Jet2(np.stack([Jet2.constant(2.0, 4).c] * 3), 4)
+        jet = Jet2(np.stack([constant_jet(2.0, 4).c] * 3), 4)
         with pytest.raises(StencilError, match="determinant") as info:
             build_transmission(curves, jet, jet)
         assert info.value.index == 1
@@ -695,7 +703,7 @@ def star_systems():
 
         def record(system, fp, fm, wide, found=found):
             found.append(system)
-            return np.zeros(len(IRREGULAR_OFFSETS)), 0.0, False
+            return np.zeros((len(IRREGULAR_OFFSETS), 6)), 0.0, False
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "_irregular_row", record)
             h = assembly.assemble(builtin(name), 4).h
@@ -743,7 +751,7 @@ def system_one(model, mask):
     curve = model.curve
     vw = np.array([(curve.v0 + k, curve.w0 + ell)
                    for (k, ell) in IRREGULAR_OFFSETS])
-    phi_minus = np.einsum("ij,ipq->jpq", model.table.u_block(), model.g_minus)
+    phi_minus = np.einsum("ij,ipq->jpq", model.table[:, UPLUS], model.g_minus)
     exp = np.where(mask[None, :, None], expand_one(phi_minus, vw, 6),
                    expand_one(model.g_plus, vw, 6))
     return exp, vw
@@ -792,7 +800,7 @@ def random_models(rng, B):
         curve = CurveJet(v0=float(v0), w0=float(w0), r=np.zeros(6),
                          s=np.zeros(6), g=np.zeros(6), gg=np.zeros(5))
         models.append(InterfaceLocalModel(
-            curve=curve, table=TransmissionTable(rows[b]),
+            curve=curve, table=rows[b],
             g_plus=g_all[:, 0, b], g_minus=g_all[:, 1, b],
             h_plus=h_all[:, 0, b], h_minus=h_all[:, 1, b]))
     return models

@@ -51,6 +51,11 @@ def leading_g_poly(m: int, n: int, size: int) -> Poly2:
     return Poly2(c)
 
 
+def constant_jet(value, order):
+    """The jet of a constant function."""
+    return Jet2.from_derivatives({(0, 0): value}, order)
+
+
 def random_poly(rng, degree, scale=1.0):
     c = np.zeros((degree + 1, degree + 1))
     for m in range(degree + 1):
@@ -181,7 +186,7 @@ class TestSeries:
 
 class TestReductionTable:
     def test_constant_coefficient_entries(self):
-        a = Jet2.constant(3.0, 6)
+        a = constant_jet(3.0, 6)
         table = build_reduction_table(a, 7)
         assert table.u_value(2, 0, 0, 2) == pytest.approx(-1.0)
         for mn in lambda_band(2):
@@ -190,7 +195,7 @@ class TestReductionTable:
         assert table.f_value(2, 0, 0, 0) == pytest.approx(-1.0 / 3.0)
 
     def test_first_band_seeds(self):
-        a = Jet2.constant(1.0, 6)
+        a = constant_jet(1.0, 6)
         table = build_reduction_table(a, 7)
         for (p, q) in lambda_band(7):
             assert table.u_value(p, q, p, q) == pytest.approx(1.0)
@@ -246,11 +251,11 @@ class TestReductionTable:
 
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ReductionError):
-            build_reduction_table(Jet2.constant(-1.0, 6), 7)
+            build_reduction_table(constant_jet(-1.0, 6), 7)
 
     def test_rejects_short_jet(self):
         with pytest.raises(ReductionError):
-            build_reduction_table(Jet2.constant(1.0, 4), 7)
+            build_reduction_table(constant_jet(1.0, 4), 7)
 
 
 def random_a_jets(seed, count, order=6):
@@ -411,7 +416,7 @@ class TestGHPolynomials:
         assert np.allclose(got, A0_REGULAR, atol=1e-15)
 
     def test_constant_a_gives_leading_parts_only(self):
-        table = build_reduction_table(Jet2.constant(2.0, 6), 7)
+        table = build_reduction_table(constant_jet(2.0, 6), 7)
         g, h = map(dense_tables, gh_blocks(table))
         for k, (m, n) in enumerate(lambda_band(7)):
             assert np.allclose(g[k], leading_g_poly(m, n, 8).c, atol=1e-14)
@@ -450,7 +455,7 @@ class TestGHPolynomials:
 
 class TestTransposedTable:
     def test_constant_a_transposed_entries(self):
-        table = transpose_reduction_table(Jet2.constant(1.0, 6), 7)
+        table = transpose_reduction_table(constant_jet(1.0, 6), 7)
         assert table.u_value(0, 2, 2, 0) == pytest.approx(-1.0)
         g = dense_tables(gh_blocks(table)[0])
         expect = np.zeros((8, 8))

@@ -93,7 +93,7 @@ def test_sample_permutation_invariance():
     vals = np.cos(rec.samples[:, 0] + 0.3 * rec.samples[:, 1])
     (est,) = mls_operator(rec.problem(6), [(2, 0)]) @ vals
     perm = rng.permutation(len(vals))
-    prob2 = MlsProblem(rec.samples[perm], rec.target, rec.center, 6, h)
+    prob2 = MlsProblem(rec.samples[perm], np.zeros(2), 6, h)
     (est2,) = mls_operator(prob2, [(2, 0)]) @ vals[perm]
     assert est2 == pytest.approx(est, rel=1e-12)
 
@@ -102,9 +102,9 @@ def test_offset_target_interface_style():
     """Basis centered at the anchor, derivatives evaluated off-center."""
     h = 0.1
     target = np.array([0.013, -0.007])
-    rec = sampling_recipe("irregular-interface", h, target_offset=target)
+    rec = sampling_recipe("irregular-interface", h)
     keep = rec.samples[:, 0] + rec.samples[:, 1] <= 0.0  # one-sided
-    prob = MlsProblem(rec.samples[keep], rec.target, rec.center, 4, h)
+    prob = MlsProblem(rec.samples[keep], target, 4, h)
     x, y = rec.samples[keep, 0], rec.samples[keep, 1]
     vals = 1.0 + x + x * y + y**3
     est = dict(zip(lambda_full(4), mls_operator(prob, lambda_full(4)) @ vals))
@@ -141,26 +141,25 @@ def test_samples_are_the_product_of_the_axes(context):
 
 def test_interface_lattices():
     """Half-width h at spacing h/8, and 2h for the widened fallback; the
-    target offset is carried, the basis stays centred on the anchor."""
+    recipe's own fit targets the anchor."""
     h = 0.15
     for widened, n in ((False, 8), (True, 16)):
-        rec = sampling_recipe("irregular-interface", h, (0.01, -0.02), widened)
+        rec = sampling_recipe("irregular-interface", h, widened)
         for axis in rec.axes:
             assert np.array_equal(axis, np.arange(-n, n + 1) * (h / 8))
-        assert np.array_equal(rec.target, [0.01, -0.02])
-        assert np.array_equal(rec.center, [0.0, 0.0])
+        assert np.array_equal(rec.problem(4).target, [0.0, 0.0])
 
 
 def test_robin_lines():
     """The edge line is centred at spacing h/8, the corner line runs inward
-    at h/16; both are 17 abscissae with the target and centre on the anchor."""
+    at h/16; both are 17 abscissae, and their fits target the anchor."""
     h = 0.15
     for context, want in (("edge-line", np.arange(-8, 9) * (h / 8)),
                           ("corner-line", np.arange(0, 17) * (h / 16))):
         rec = sampling_recipe(context, h)
         assert np.array_equal(rec.samples, want)
         assert rec.axes[0] is rec.samples
-        assert np.array_equal(rec.target, [0.0]) and np.array_equal(rec.center, [0.0])
+        assert np.array_equal(rec.problem(5).target, [0.0])
 
 
 def test_errors():
@@ -169,12 +168,12 @@ def test_errors():
     with pytest.raises(MlsError, match=r"^derivative order \(7,\) exceeds "
                        r"basis degree 6$"):
         mls_operator(rec.problem(6), [7])  # order beyond basis degree
-    few = MlsProblem(rec.samples[:4], rec.target, rec.center, 6, h)
+    few = MlsProblem(rec.samples[:4], np.zeros(1), 6, h)
     with pytest.raises(MlsError, match=r"^4 samples cannot determine a "
                        r"degree-6 fit \(7 coefficients\)$"):
         mls_operator(few, [1])  # too few samples
     collinear = MlsProblem(
-        np.zeros((30, 2)), np.zeros(2), np.zeros(2), 2, h
+        np.zeros((30, 2)), np.zeros(2), 2, h
     )
     with pytest.raises(MlsError, match=r"^rank-deficient moving least squares "
                        r"system \(condition "):
@@ -186,8 +185,8 @@ def test_errors():
     lines = np.isin(x, x.max() - np.array([0.0, h / 8]))
     with pytest.raises(MlsError, match=r"^rank-deficient moving least squares "
                        r"system \(condition "):
-        mls_operator(MlsProblem(iface.samples[lines], iface.target,
-                                iface.center, 4, h), [(1, 0)])
+        mls_operator(MlsProblem(iface.samples[lines], np.zeros(2), 4, h),
+                     [(1, 0)])
 
 
 def reference_operator(problem, requests):
@@ -198,13 +197,11 @@ def reference_operator(problem, requests):
     if dim == 1:
         z = problem.samples.astype(float)[:, None]
     target = np.atleast_1d(np.asarray(problem.target, dtype=float))
-    center = np.atleast_1d(np.asarray(problem.center, dtype=float))
     exps = _basis_exponents(problem.degree, dim)
-    rel = z - center
-    scale = np.max(np.linalg.norm(rel, axis=1))
+    scale = np.max(np.linalg.norm(z, axis=1))
     if scale == 0.0:
         scale = problem.h
-    u = rel / scale
+    u = z / scale
     pows = [np.power.outer(u[:, d], np.arange(problem.degree + 1))
             for d in range(dim)]
     if dim == 1:
@@ -218,7 +215,7 @@ def reference_operator(problem, requests):
     diag = np.abs(np.diag(r))
     assert diag.max() / diag.min() <= COND_LIMIT
     coef_of_values = solve_triangular(r, q.T * sqrt_w[None, :])
-    tgt = (target - center) / scale
+    tgt = target / scale
     D = np.zeros((len(requests), len(exps)))
     for i, omega in enumerate(requests):
         om = (omega,) if np.isscalar(omega) else tuple(omega)
@@ -255,34 +252,33 @@ def operator_cases():
     for degree in (3, 4, 5, 6):
         full = lambda_full(degree)
         for widened, tag in ((False, ""), (True, "wide-")):
-            iface = sampling_recipe("irregular-interface", h, target, widened)
+            iface = sampling_recipe("irregular-interface", h, widened)
             x, y = iface.samples[:, 0], iface.samples[:, 1]
             curved = x**2 / h + 2 * y**3 / h**2 - 0.1 * x > 0.001 * h
             for mask in (curved, ~curved, x + 0.3 * y > 0.01 * h):
                 yield (f"one-sided-{tag}{degree}", MlsProblem(
-                    iface.samples[mask], iface.target, iface.center, degree,
-                    h), lambda_full(min(degree, 4)))
+                    iface.samples[mask], target, degree, h),
+                    lambda_full(min(degree, 4)))
         for context in ("regular-interior", "edge-boundary",
                         "corner-boundary"):
             yield (f"{context}-{degree}",
                    sampling_recipe(context, h).problem(degree), full)
         yield (f"scattered-{degree}", MlsProblem(
-            rng.uniform(-h, h, (60, 2)), target, np.zeros(2), degree, h), full)
+            rng.uniform(-h, h, (60, 2)), target, degree, h), full)
         for context in ("curve", "edge-line", "corner-line"):
             yield (f"{context}-{degree}",
                    sampling_recipe(context, h).problem(degree),
                    list(range(degree + 1)))
         ts = np.arange(-8, 9) * (h / 8)
         yield (f"abscissae-{degree}", MlsProblem(
-            ts, np.array([0.2 * h]), np.zeros(1), degree, h), [0, 1, degree])
+            ts, np.array([0.2 * h]), degree, h), [0, 1, degree])
     # the one-sided fits of the widened interface lattice: a to degree 4,
     # f to degree 3
-    iface = sampling_recipe("irregular-interface", h, target, widened=True)
+    iface = sampling_recipe("irregular-interface", h, widened=True)
     for side, mask in widened_side_cases():
         for degree in (4, 3):
             yield (f"wide-side-{side}-{degree}", MlsProblem(
-                iface.samples[mask], iface.target, iface.center, degree, h),
-                lambda_full(degree))
+                iface.samples[mask], target, degree, h), lambda_full(degree))
 
 
 @pytest.mark.parametrize("name, problem, requests",
@@ -351,13 +347,14 @@ def multi_degree_cases():
         yield context, sampling_recipe(context, h).problem(top), top, None
     target = np.array([0.31, -0.22]) * h
     for widened in (False, True):
-        iface = sampling_recipe("irregular-interface", h, target, widened)
+        iface = sampling_recipe("irregular-interface", h, widened)
+        problem = MlsProblem(iface.samples, target, 4, h)
         x, y = iface.samples[:, 0], iface.samples[:, 1]
         side = x**2 / h + 2 * y**3 / h**2 - 0.1 * x > 0.001 * h
         yield (f"interface-{'widened' if widened else 'standard'}",
-               iface.problem(4), 4, [side, ~side])
+               problem, 4, [side, ~side])
     disc = np.hypot(x, y) < 0.9 * h     # a side that reaches no corner
-    yield "interface-disc", iface.problem(4), 4, [disc, ~disc]
+    yield "interface-disc", problem, 4, [disc, ~disc]
 
 
 @pytest.mark.parametrize("name, problem, top, masks",
@@ -380,7 +377,7 @@ def test_multi_degree_fits_match_single_fits_bit_for_bit(name, problem, top,
             sel = slice(None) if mask is None else mask
             for op, (degree, requests) in zip(ops, fits):
                 single = MlsProblem(problem.samples[sel], problem.target,
-                                    problem.center, degree, problem.h)
+                                    degree, problem.h)
                 want = reference_operator(single, requests)
                 assert op.shape == want.shape
                 assert np.array_equal(op, want)

@@ -28,9 +28,13 @@ from hybridfdm.stencil_boundary import (
     _corner_solvers,
     _edge_solvers,
 )
-from hybridfdm.stencil_core import check_sign_sum, expand_at_offsets
+from hybridfdm.stencil_core import (
+    check_sign_sum,
+    expand_at_offsets,
+    stencil_values,
+)
 
-from test_jets_reduction import deriv_at, poly_jet, random_poly
+from test_jets_reduction import constant_jet, deriv_at, poly_jet, random_poly
 from test_stencil_regular import reference_weights
 
 A0_GAMMA1 = np.array(
@@ -58,6 +62,8 @@ A0_CORNER1 = np.array(
 )
 
 ZERO_ALPHA = np.zeros(6)
+# entries of the boundary data vector [f over Lambda_4, g1, g3]
+F_SLOT, G1_SLOT, G3_SLOT = slice(0, 15), slice(15, 21), slice(21, 27)
 
 
 def edge_basis(jet, alpha):
@@ -78,17 +84,17 @@ class TestEdgeStructure:
         assert np.allclose(lead, A0_GAMMA1, atol=1e-12)
 
     def test_e0_row_is_all_ones(self):
-        e = edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
+        e = edge_basis(constant_jet(1.0, 5), ZERO_ALPHA)
         assert np.allclose([Poly2(dense_tables(e[0])).eval(k, l)
                             for k, l in EDGE_OFFSETS], 1.0)
 
     def test_e2_degree2_part(self):
-        e = edge_basis(Jet2.constant(1.0, 5), ZERO_ALPHA)
+        e = edge_basis(constant_jet(1.0, 5), ZERO_ALPHA)
         part = expand_at_offsets(e, EDGE_OFFSETS)[2, :, 2]
         assert np.allclose(part, [1 / 2, 0, 1 / 2, 0, -1 / 2, 0], atol=1e-14)
 
     def test_neumann_constant_stencil(self):
-        st = solve_edge_stencil(Jet2.constant(1.0, 5), ZERO_ALPHA)
+        st = solve_edge_stencil(constant_jet(1.0, 5), ZERO_ALPHA)
         assert np.allclose(st.coeffs[:, 0], [-2, 10, -2, -1, -4, -1], atol=1e-13)
         assert np.allclose(st.coeffs[:, 1:], 0.0, atol=1e-13)
         assert check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
@@ -129,13 +135,14 @@ class TestEdgeStructure:
         # still consistent: u == 1 with g1 = alpha leaves an O(h^6) residual
         errs = []
         for h in (0.125, 0.0625, 0.03125):
-            resid = (st.values(h).sum() - st.g1_weights(h) @ alpha) / h
+            resid = (stencil_values(st.coeffs, h).sum()
+                     - st.weights(h)[G1_SLOT] @ alpha) / h
             errs.append(abs(resid))
         slope = np.polyfit(np.log2([0.125, 0.0625, 0.03125]), np.log2(errs), 1)[0]
         assert slope >= 5.5
 
     def test_negative_alpha_flagged(self):
-        st = solve_edge_stencil(Jet2.constant(1.0, 5), np.array([-1.0, 0, 0, 0, 0, 0]))
+        st = solve_edge_stencil(constant_jet(1.0, 5), np.array([-1.0, 0, 0, 0, 0, 0]))
         assert not check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
 
 
@@ -220,14 +227,14 @@ class TestCornerStructure:
             assert got == pytest.approx(deriv_at(u, m, 0, 0.0, 0.0), rel=1e-9, abs=1e-9)
 
     def test_monotone_flag_for_negative_alpha_plus_beta(self):
-        jet = Jet2.constant(1.0, 5)
+        jet = constant_jet(1.0, 5)
         st = solve_corner_stencil(
             build_corner_reduction(jet, np.array([-2.0, 0, 0, 0, 0, 0]), ZERO_ALPHA)
         )
         assert not check_sign_sum(st.coeffs, 0).passed
 
     def test_constant_neumann_corner_passes_audit(self):
-        jet = Jet2.constant(2.0, 5)
+        jet = constant_jet(2.0, 5)
         st = solve_corner_stencil(build_corner_reduction(jet, ZERO_ALPHA, ZERO_ALPHA))
         assert check_sign_sum(st.coeffs, st.offsets.index((0, 0)), tol=1e-11).passed
         assert np.allclose(st.coeffs, st.chat + st.ctilde)
@@ -282,12 +289,12 @@ def edge_residual(anchor, h):
         a_fn, f_fn, alpha_fn, g1_fn, np.array([anchor]), frame, h
     )
     st = solve_edge_stencil(jet, alpha_der[0])
-    ch = st.values(h)[0]
+    ch = stencil_values(st.coeffs, h)[0]
     lhs = sum(
         ch[i] * u_fn(anchor[0] + k * h, anchor[1] + l * h)
         for i, (k, l) in enumerate(EDGE_OFFSETS)
     )
-    rhs = st.f_weights(h)[0] @ f_der[0] + st.g1_weights(h)[0] @ g_der[0]
+    rhs = st.weights(h)[0] @ np.concatenate([f_der[0], g_der[0]])
     return (lhs - rhs) / h
 
 
@@ -297,13 +304,12 @@ def corner_residual(anchor, h):
         a_fn, f_fn, alpha_fn, g1_fn, beta_fn, g3_fn, anchor, frame, h
     )
     st = solve_corner_stencil(build_corner_reduction(jet, alpha_der, beta_der))
-    ch = st.values(h)
+    ch = stencil_values(st.coeffs, h)
     lhs = sum(
         ch[i] * u_fn(anchor[0] + k * h, anchor[1] + l * h)
         for i, (k, l) in enumerate(CORNER_OFFSETS)
     )
-    rhs = (st.f_weights(h) @ f_der + st.g1_weights(h) @ g1_der
-           + st.g3_weights(h) @ g3_der)
+    rhs = st.weights(h) @ np.concatenate([f_der, g1_der, g3_der])
     return (lhs - rhs) / h
 
 
@@ -347,9 +353,11 @@ class TestRhsWeights:
 
         st = solve_edge_stencil(edge_jet, alpha)
         g, hp = gh_dicts(build_reduction_table(edge_jet, 6))
-        assert_close(st.f_weights(h), reference_weights(
+        w = st.weights(h)
+        assert w.shape == (2, 21)
+        assert_close(w[:, F_SLOT], reference_weights(
             st.coeffs, [hp[mn] for mn in F_INDICES_B], EDGE_OFFSETS, h))
-        assert_close(st.g1_weights(h), -reference_weights(
+        assert_close(w[:, G1_SLOT], -reference_weights(
             st.coeffs, [g[(1, n)] for n in range(6)], EDGE_OFFSETS, h))
 
         red = build_corner_reduction(jet, alpha[0], beta)
@@ -370,13 +378,15 @@ class TestRhsWeights:
                 poly = poly + et[m].scaled(red.mu[m, n])
             g1_til.append(poly)
         chat, ctil = cst.chat, cst.ctilde
-        assert_close(cst.f_weights(h), reference_weights(
+        w = cst.weights(h)
+        assert w.shape == (27,)
+        assert_close(w[F_SLOT], reference_weights(
             chat, [hp[mn] for mn in F_INDICES_B], CORNER_OFFSETS, h)
             + reference_weights(ctil, f_til, CORNER_OFFSETS, h))
-        assert_close(cst.g1_weights(h), -(reference_weights(
+        assert_close(w[G1_SLOT], -(reference_weights(
             chat, [g[(1, n)] for n in range(6)], CORNER_OFFSETS, h)
             + reference_weights(ctil, g1_til, CORNER_OFFSETS, h)))
-        assert_close(cst.g3_weights(h), -reference_weights(
+        assert_close(w[G3_SLOT], -reference_weights(
             ctil, [gt[(m, 1)] for m in range(6)], CORNER_OFFSETS, h))
 
 
@@ -396,13 +406,13 @@ class TestConsistency:
 
 class TestReflection:
     def test_offset_maps(self):
-        st = solve_edge_stencil(Jet2.constant(1.0, 5), ZERO_ALPHA)
+        st = solve_edge_stencil(constant_jet(1.0, 5), ZERO_ALPHA)
         assert map_by_reflection(st, SIDE_FRAMES[2]) == (
             (0, -1), (0, 0), (0, 1), (-1, -1), (-1, 0), (-1, 1))
         assert map_by_reflection(st, SIDE_FRAMES[3]) == (
             (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
         cst = solve_corner_stencil(
-            build_corner_reduction(Jet2.constant(1.0, 5), ZERO_ALPHA, ZERO_ALPHA))
+            build_corner_reduction(constant_jet(1.0, 5), ZERO_ALPHA, ZERO_ALPHA))
         assert map_by_reflection(cst, CORNER_FRAMES[(2, 4)]) == (
             (0, 0), (0, -1), (-1, 0), (-1, -1))
 

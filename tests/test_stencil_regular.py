@@ -25,7 +25,7 @@ from hybridfdm.stencil_regular import (
 )
 
 from linear_coeff_reference import coefficients as reference_coefficients
-from test_jets_reduction import A0_REGULAR
+from test_jets_reduction import A0_REGULAR, constant_jet
 
 
 def system_rows(system, T, d, s):
@@ -44,36 +44,36 @@ def linear_a_jet(r1, r2):
 
 class TestSystemStructure:
     def test_a0_matches_paper(self):
-        system = assemble_regular_system(Jet2.constant(1.0, 6))
+        system = assemble_regular_system(constant_jet(1.0, 6))
         assert np.allclose(system_rows(system, 7, 0, 0), A0_REGULAR, atol=1e-14)
 
     def test_a0_row_for_mixed_derivative(self):
-        system = assemble_regular_system(Jet2.constant(1.0, 6))
+        system = assemble_regular_system(constant_jet(1.0, 6))
         row = lambda_band(7).index((1, 1))
         assert np.allclose(system_rows(system, 7, 0, 0)[row],
                            [1, 0, -1, 0, 0, 0, -1, 0, 1])
 
     def test_a7_is_all_ones(self):
-        system = assemble_regular_system(Jet2.constant(1.0, 6))
+        system = assemble_regular_system(constant_jet(1.0, 6))
         a7 = system_rows(system, 7, 7, 7)
         assert a7.shape == (1, 9)
         assert np.allclose(a7, 1.0)
 
     def test_constant_a_has_zero_couplings(self):
-        system = assemble_regular_system(Jet2.constant(2.0, 6))
+        system = assemble_regular_system(constant_jet(2.0, 6))
         for d in range(1, 7):
             for s in range(d):
                 assert np.allclose(system_rows(system, 7, d, s), 0.0, atol=1e-15)
 
     def test_submatrix_row_counts(self):
-        system = assemble_regular_system(Jet2.constant(1.0, 6))
+        system = assemble_regular_system(constant_jet(1.0, 6))
         for d, rows in zip(range(8), (15, 13, 11, 9, 7, 5, 3, 1)):
             assert system_rows(system, 7, d, d).shape[0] == rows
 
 
 class TestConstantCoefficient:
     def test_exact_laplacian_stencil(self):
-        coeffs, _ = build_regular_batch(Jet2.constant(3.0, 6))
+        coeffs, _ = build_regular_batch(constant_jet(3.0, 6))
         expect0 = {(0, 0): 20.0}
         for off in OFFSETS9:
             want = 20.0 if off == (0, 0) else (-4.0 if 0 in off else -1.0)
@@ -83,11 +83,11 @@ class TestConstantCoefficient:
         assert check_sign_sum(coeffs, CENTER9).passed
 
     def test_mmatrix_report_passes(self):
-        coeffs, _ = build_regular_batch(Jet2.constant(1.0, 6))
+        coeffs, _ = build_regular_batch(constant_jet(1.0, 6))
         assert check_sign_sum(coeffs, CENTER9).passed
 
     def test_injected_violation_detected(self):
-        coeffs, _ = build_regular_batch(Jet2.constant(1.0, 6))
+        coeffs, _ = build_regular_batch(constant_jet(1.0, 6))
         coeffs[CENTER9, 0] = -1.0
         report = check_sign_sum(coeffs, CENTER9)
         assert not report.passed
@@ -180,7 +180,7 @@ class TestConsistency:
 
 class TestRhsWeights:
     def test_zero_source_zero_rhs(self):
-        coeffs, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
+        coeffs, h_polys = build_regular_batch(constant_jet(1.0, 6))
         w = regular_rhs_weights(coeffs, h_polys, 0.1)
         rhs = sum(w[i] * 0.0 for i in range(len(w)))
         assert rhs == 0.0
@@ -191,7 +191,7 @@ class TestRhsWeights:
         Oracle: u = -(x^2+y^2)/2 gives f = -lap(u) = 2 and the (20,-4,-1)
         pattern sums to 12 h^2 = 6 f h^2, so the weight is +6 h^2.
         """
-        coeffs, h_polys = build_regular_batch(Jet2.constant(1.0, 6))
+        coeffs, h_polys = build_regular_batch(constant_jet(1.0, 6))
         for h in (0.1, 0.05):
             w00 = regular_rhs_weights(coeffs, h_polys, h)[0]
             assert w00 == pytest.approx(6.0 * h**2, rel=0.02)
