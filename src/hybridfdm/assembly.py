@@ -225,6 +225,10 @@ def _irregular_chunk(args):
 
 def _grid(problem: ProblemSpec, J: int):
     l1, l2, l3, l4 = problem.domain
+    if not (l1 < l2 and l3 < l4):
+        raise AssemblyError(
+            f"domain needs l1 < l2 and l3 < l4, got l1 = {l1:g}, l2 = {l2:g}, "
+            f"l3 = {l3:g}, l4 = {l4:g}")
     width, height = l2 - l1, l4 - l3
     if J < 1:
         raise AssemblyError(f"J must be at least 1, got {J}")

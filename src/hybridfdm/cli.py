@@ -69,6 +69,14 @@ def write_solution_csv(path, system, result):
                          f"{FLOAT_FMT % result.u[i, j]}\r\n")
 
 
+def _write_out(write, path, *data):
+    """``write(path, *data)``; an unwritable path is a ``HybridFdmError``."""
+    try:
+        write(path, *data)
+    except OSError as exc:
+        raise HybridFdmError(f"cannot write --out {path!r}: {exc}") from exc
+
+
 def exact_error(problem: ProblemSpec, system, result) -> float:
     gx, gy = np.meshgrid(system.xs, system.ys, indexing="ij")
     return float(np.abs(result.u - problem.exact_u(gx, gy)).max())
@@ -207,7 +215,7 @@ def main(argv=None) -> int:
                       f"{r.wall:8.2f}s")
             print(f"average order: {average_order(rows):.2f}")
             if args.out:
-                write_convergence_csv(args.out, rows)
+                _write_out(write_convergence_csv, args.out, rows)
             return 0
 
         if args.J is None:
@@ -220,7 +228,7 @@ def main(argv=None) -> int:
               f"assemble {result.wall_assemble:.2f}s "
               f"solve {result.wall_solve:.2f}s")
         if args.out:
-            write_solution_csv(args.out, system, result)
+            _write_out(write_solution_csv, args.out, system, result)
         return 0
     except HybridFdmError as exc:
         sys.stderr.write(f"error: {exc}\n")

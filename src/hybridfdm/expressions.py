@@ -4,7 +4,8 @@ Supports numbers, named variables, the constants pi and e, the operators
 + - * / ^ (power, right associative) with unary minus, parentheses, and a
 fixed set of functions over numpy, so compiled expressions evaluate pointwise
 on arrays.  No attribute access, no names beyond the whitelist: just enough
-to describe coefficients, sources and boundary data.
+to describe coefficients, sources and boundary data.  A function called
+with the wrong number of arguments is a ``ConfigError`` at compile time.
 
 A compiled expression computes each repeated subexpression once.  The
 renderer keys every compound subtree by its rendered Python text (not by
@@ -32,6 +33,7 @@ _FUNCTIONS = {
     "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign,
     "min": np.minimum, "max": np.maximum,
 }
+_BINARY = {"atan2", "min", "max"}      # every other function takes one
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
 _TOKEN = re.compile(
@@ -126,6 +128,11 @@ class _Parser:
                 self.expect(")")
                 if val not in _FUNCTIONS:
                     raise ConfigError(f"unknown function {val!r}")
+                arity = 2 if val in _BINARY else 1
+                if len(args) != arity:
+                    raise ConfigError(
+                        f"function {val!r} takes {arity} argument"
+                        f"{'s' if arity > 1 else ''}, got {len(args)}")
                 return ("call", val, tuple(args))
             if val in _CONSTANTS:
                 return ("num", _CONSTANTS[val])

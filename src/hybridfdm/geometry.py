@@ -12,10 +12,12 @@ region.
 
 Base points and charts are built for a batch of nodes at once (one chunk of
 interface rows): ``locate_base(points, h)`` returns one ``BasePoint`` per
-node and ``chart(bases, h)`` one ``LocalChart`` per base point.  For a level
-set, every node still scans its own lines for root brackets, but the
-brackets of the whole batch go through one bisection per line direction, so
-each bisection step calls psi once for the batch.  Bisection is elementwise,
+node and ``chart(bases, h)`` one ``LocalChart`` per base point.  On the
+grid-anchored lattices (the grid, and a batch's base-point scans) psi is
+evaluated once, through ``mls.lattice_values``.  For a level set, every
+node still finds the root brackets of its own lines, but the brackets of
+the whole batch go through one bisection per line direction, so each
+bisection step calls psi once for the batch.  Bisection is elementwise,
 so a node's result does not depend on the batch it came in.  The pointwise
 probes (the gradient that picks the chart kind, the orientation test) stay
 calls on scalars: scalar and array evaluations of psi can differ in the last
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, per_node
-from .mls import sampling_recipe
+from .mls import lattice_values, sampling_recipe
 
 IRREGULAR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
                      (1, -1), (1, 0), (1, 1), (-2, 0), (2, 0), (0, -2), (0, 2))
@@ -55,10 +57,9 @@ def classify_grid(xs: np.ndarray, ys: np.ndarray, psi_fn) -> GridClassification:
     Boundary nodes take the boundary label regardless of the interface;
     interior nodes are regular (plus/minus per the side holding all nine
     stencil points, with points exactly on the curve counting as minus) or
-    irregular.
+    irregular.  psi is evaluated once, on the grid (``lattice_values``).
     """
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    psi = np.asarray(psi_fn(gx, gy), dtype=float)
+    psi = lattice_values(psi_fn, xs[:, None], ys[None, :])
     n1, n2 = psi.shape
     pos = psi > 0.0
 
@@ -176,22 +177,21 @@ class LevelSetInterface:
         """One base point per node of ``points``.
 
         The candidates are curve points from 1D root solves along the
-        coordinate lines at h/16 through each node's box.  Every node scans
-        its own lines; the brackets of all nodes are then refined together,
-        one bisection per line direction.
+        coordinate lines at h/16 through each node's box, the middle 33 rows
+        and columns of its 49x49 scan lattice, on which psi is evaluated once
+        for the batch.  Every node finds the brackets of its own lines; the
+        brackets of all nodes are then refined together, one bisection per
+        line direction.
         """
-        step = h / 16.0
-        offs = np.arange(-16, 17) * step
-        scan = np.arange(-24, 25) * step
+        scan = np.arange(-24, 25) * (h / 16.0)
+        lines = slice(8, -8)             # the 33 line offsets among the scan
+        at = np.asarray(points, dtype=float).reshape(-1, 2)[:, :, None] + scan
+        vals = lattice_values(self.psi, at[:, 0, :, None], at[:, 1, None, :])
         brackets = ([], [])
-        for point in points:
+        for (sx, sy), box in zip(at, vals):
             # lines of constant x scanning y, and of constant y scanning x
-            fx, sy = point[0] + offs, point[1] + scan
-            vals = np.asarray(self.psi(fx[:, None], sy[None, :]), dtype=float)
-            brackets[0].append(_line_brackets(fx, sy, vals))
-            fy, sx = point[1] + offs, point[0] + scan
-            vals = np.asarray(self.psi(sx[None, :], fy[:, None]), dtype=float)
-            brackets[1].append(_line_brackets(fy, sx, vals))
+            brackets[0].append(_line_brackets(sx[lines], sy, box[lines]))
+            brackets[1].append(_line_brackets(sy[lines], sx, box[:, lines].T))
         found_at = []
         for along, parts in zip("yx", brackets):
             fixed, lo, hi = (np.concatenate(col) for col in zip(*parts))

@@ -61,7 +61,9 @@ and the derivative errors stay within 3x of those of a 65x65 lattice at h/32
 The widened lattice (half-width 2h) is the fallback for a side that clips
 the standard one in a thin sliver.  The lines carry the Robin data along a
 side: the edge line is centred on the anchor, and a corner samples both of
-its sides on the same inward abscissae.
+its sides on the same inward abscissae.  ``lattice_values`` evaluates a
+field on a whole batch of grid-anchored lattices in one call; ``fieldjets``
+and ``geometry`` sample every such lattice through it.
 """
 
 from __future__ import annotations
@@ -105,6 +107,22 @@ def distinct_values(column: np.ndarray):
     index of each entry among them."""
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
     return bits.view(np.float64), inverse
+
+
+def lattice_values(field, x, y) -> np.ndarray:
+    """Values of ``field`` at the broadcast of the coordinates x and y.
+
+    The field is called once, on the (nx, 1) column and the (1, ny) row of
+    the bit-distinct values of x and of y; each point reads its value by
+    index, so it keeps its own coordinates.  The field may return a scalar
+    or any shape that broadcasts against its arguments; the result is a new
+    C-contiguous array.
+    """
+    (ux, ix), (uy, iy) = (distinct_values(np.asarray(c, dtype=float).ravel())
+                          for c in (x, y))
+    values = np.broadcast_to(np.asarray(field(ux[:, None], uy[None, :]),
+                                        dtype=float), (len(ux), len(uy)))
+    return values[ix.reshape(np.shape(x)), iy.reshape(np.shape(y))]
 
 
 @lru_cache(maxsize=64)
@@ -289,7 +307,6 @@ class SamplingRecipe:
     lists every x offset with every y offset, the y offset varying fastest.
     """
 
-    context: str
     samples: np.ndarray        # anchor-relative offsets, (K,) or (K, 2)
     h: float
     axes: tuple                # per-axis offsets whose product is ``samples``
@@ -301,17 +318,17 @@ class SamplingRecipe:
                           self.h)
 
 
-def _lattice(context, step, nx_lo, nx_hi, ny_lo, ny_hi, h) -> SamplingRecipe:
+def _lattice(step, nx_lo, nx_hi, ny_lo, ny_hi, h) -> SamplingRecipe:
     xs = np.arange(nx_lo, nx_hi + 1) * step
     ys = np.arange(ny_lo, ny_hi + 1) * step
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return SamplingRecipe(context, np.column_stack([gx.ravel(), gy.ravel()]),
-                          h, (xs, ys), step)
+    return SamplingRecipe(np.column_stack([gx.ravel(), gy.ravel()]), h,
+                          (xs, ys), step)
 
 
-def _line(context, step, n_lo, n_hi, h) -> SamplingRecipe:
+def _line(step, n_lo, n_hi, h) -> SamplingRecipe:
     ts = np.arange(n_lo, n_hi + 1) * step
-    return SamplingRecipe(context, ts, h, (ts,), step)
+    return SamplingRecipe(ts, h, (ts,), step)
 
 
 def sampling_recipe(context: str, h: float,
@@ -323,18 +340,18 @@ def sampling_recipe(context: str, h: float,
     on the ``MlsProblem`` of the fit.
     """
     if context == "regular-interior":
-        return _lattice(context, h / 4, -4, 4, -4, 4, h)
+        return _lattice(h / 4, -4, 4, -4, 4, h)
     if context == "irregular-interface":
         n = 16 if widened else 8
-        return _lattice(context, h / 8, -n, n, -n, n, h)
+        return _lattice(h / 8, -n, n, -n, n, h)
     if context == "curve":
-        return _line(context, h / 16, -5, 5, h)
+        return _line(h / 16, -5, 5, h)
     if context == "edge-boundary":
-        return _lattice(context, h / 8, 0, 8, -8, 8, h)
+        return _lattice(h / 8, 0, 8, -8, 8, h)
     if context == "edge-line":
-        return _line(context, h / 8, -8, 8, h)
+        return _line(h / 8, -8, 8, h)
     if context == "corner-boundary":
-        return _lattice(context, h / 16, 0, 16, 0, 16, h)
+        return _lattice(h / 16, 0, 16, 0, 16, h)
     if context == "corner-line":
-        return _line(context, h / 16, 0, 16, h)
+        return _line(h / 16, 0, 16, h)
     raise ValueError(f"unknown sampling context {context!r}")

@@ -7,15 +7,15 @@ belongs to the minus region.
 
 The field callables (psi, a+-, f+-, boundary data and Robin coefficients)
 receive numpy arrays that broadcast against each other but need not share a
-shape: the interface lattices pass an (n, 1) column of x values and a (1, n)
-row of y values, the side lines a fixed coordinate as a column.  A callable
-may return a scalar or any shape that broadcasts against its arguments;
-``fieldjets`` broadcasts whatever it returns.  Each field must be evaluable
-on the whole domain box enlarged by a couple of mesh widths, on both sides
-of the interface: a one-sided field is evaluated on a node's full lattice,
-the other side included, and its values there are dropped (the derivative
-lattices reach outside the box by up to h).  The built-ins use their global
-analytic formulas, so this holds trivially.
+shape: every grid-anchored lattice (``mls.lattice_values``) passes an
+(nx, 1) column of x values and a (1, ny) row of y values.  A callable may
+return a scalar or any shape that broadcasts against its arguments;
+``lattice_values`` broadcasts whatever it returns.  Each field must be
+evaluable on the whole domain box enlarged by a couple of mesh widths, on
+both sides of the interface: a one-sided field is evaluated on a node's
+full lattice, the other side included, and its values there are dropped
+(the derivative lattices reach outside the box by up to h).  The built-ins
+use their global analytic formulas, so this holds trivially.
 
 The built-in problems are stored as configuration text and parsed by the same
 loader used for user files, so a written-out config round-trips bit-exactly.
@@ -81,8 +81,13 @@ class ProblemSpec:
 # ----------------------------------------------------------------------------
 
 def load_config(path) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config_string(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read problem config {str(path)!r}: "
+                          f"{exc}") from exc
+    return load_config_string(text)
 
 
 def load_config_string(text: str) -> ProblemSpec:

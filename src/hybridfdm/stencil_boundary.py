@@ -275,10 +275,9 @@ class BoundaryFrame:
     """Maps the canonical inward frame onto a concrete side or corner.
 
     ``point(anchor, xhat, yhat)`` sends canonical coordinates to physical
-    points (for sampling field values at the target anchor), ``offset(k, l)``
-    sends canonical stencil offsets to grid index offsets, and
-    ``line(anchor, that)`` parametrizes the alpha/g side (``line2`` the beta/g
-    side at corners).
+    points (for sampling field values at the target anchor; the alpha/g
+    side is x-hat = 0, a corner's beta/g side y-hat = 0), and
+    ``offset(k, l)`` sends canonical stencil offsets to grid index offsets.
     """
 
     name: str
@@ -295,14 +294,6 @@ class BoundaryFrame:
         if self.swap:
             return self.sy * ell, self.sx * k
         return self.sx * k, self.sy * ell
-
-    def line(self, anchor, that):
-        """Physical point along the canonical x-hat = 0 side."""
-        return self.point(anchor, 0.0, that)
-
-    def line2(self, anchor, that):
-        """Physical point along the canonical y-hat = 0 side (corners)."""
-        return self.point(anchor, that, 0.0)
 
 
 SIDE_FRAMES = {

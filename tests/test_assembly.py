@@ -113,6 +113,16 @@ def robin_problem(alpha, robin_sides=(1, 3), name="robin"):
 
 
 class TestNoInterface:
+    @pytest.mark.parametrize("domain", [(1, 1, -1, 1), (1, -1, -1, 1),
+                                        (-1, 1, 2, -2)])
+    def test_domain_sides_must_be_ordered(self, domain):
+        p = dataclasses.replace(robin_problem(2.0), domain=domain)
+        l1, l2, l3, l4 = domain
+        with pytest.raises(AssemblyError, match=re.escape(
+                f"domain needs l1 < l2 and l3 < l4, got l1 = {l1}, "
+                f"l2 = {l2}, l3 = {l3}, l4 = {l4}")):
+            assemble(p, 3)
+
     def test_laplace_xy_exact(self):
         p = load_config_string(LAPLACE_XY)
         system, result = solve_problem(p, 3)
@@ -407,6 +417,17 @@ class TestInterfaceAssembly:
                 "13-point footprint of interface node (-0.75, -0.75) leaves "
                 "the grid")):
             assemble(p, 3)
+
+    def test_scalar_returning_psi(self):
+        """A Python psi may return a scalar: here the whole box is plus, so
+        every interior row is regular+."""
+        iface = LevelSetInterface(lambda x, y: 1.0, jump_g=zero,
+                                  jump_ggamma=zero)
+        p = dataclasses.replace(robin_problem(2.0), interface=iface)
+        system, result = solve_problem(p, 3)
+        assert system.family_rows["regular+"] == 7 * 7
+        assert "regular-" not in system.family_rows
+        assert np.abs(result.u).max() == 0.0
 
 
 @pytest.fixture(scope="module", params=["interface", "robin"])

@@ -130,6 +130,25 @@ class TestSolveCommand:
         assert "argument --J-range: not allowed with argument --J" in err
         assert "error: --mode applies only to a --J-range study" in err
 
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes(b"[problem]\nname = caf\xe9\n")
+        for spec in (tmp_path, latin1):
+            assert main(["--problem", str(spec), "--J", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read problem config "
+                                  f"{str(spec)!r}: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("level", [["--J", "2"], ["--J-range", "2..3"]])
+    def test_unwritable_out_exits_1(self, laplace_cfg, tmp_path, capsys,
+                                    level):
+        out = str(tmp_path / "missing" / "u.csv")
+        assert main(["--problem", laplace_cfg, *level, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {out!r}: ")
+        assert err.count("\n") == 1
+
     def test_main_leaves_the_collector_unfrozen(self, laplace_cfg, tmp_path):
         """Only the process entry ``run`` freezes the heap; ``main`` called
         in-process leaves the caller's collector as it was."""

@@ -1,6 +1,7 @@
 """Compiled expressions: common-subexpression rendering changes no bit."""
 
 import configparser
+import re
 
 import numpy as np
 import pytest
@@ -177,3 +178,15 @@ def test_source_and_error_messages():
         compile_expression("x +", ("x",))
     with pytest.raises(ConfigError, match="trailing input near"):
         compile_expression("x y", ("x", "y"))
+
+
+@pytest.mark.parametrize("src, message", [
+    ("sin(x, y)", "function 'sin' takes 1 argument, got 2"),
+    ("atan2(x)", "function 'atan2' takes 2 arguments, got 1"),
+    ("max(x, y, x)", "function 'max' takes 2 arguments, got 3"),
+])
+def test_argument_count_is_checked_at_compile_time(src, message):
+    """A unary ufunc given two arguments would take the second as its
+    ``out`` array and overwrite the caller's y."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        compile_expression(src, ("x", "y"))

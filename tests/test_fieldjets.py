@@ -1,4 +1,5 @@
-"""Interface-lattice field jets: tensor-product sampling and its bit identity."""
+"""Field jets and their sampling: one lattice evaluation per batch
+(``lattice_values``) and its bit identity."""
 
 import dataclasses
 
@@ -8,11 +9,20 @@ import pytest
 from hybridfdm.assembly import _grid
 from hybridfdm.errors import MlsError
 from hybridfdm.expressions import compile_expression
-from hybridfdm.fieldjets import _sample, corner_jets, edge_jets, irregular_jets
-from hybridfdm.geometry import LABEL_IRREGULAR, classify_grid
+from hybridfdm.fieldjets import corner_jets, edge_jets, irregular_jets
+from hybridfdm.geometry import (
+    LABEL_IRREGULAR,
+    LevelSetInterface,
+    classify_grid,
+)
 from hybridfdm.indexsets import lambda_full
 from hybridfdm.jets import Jet2
-from hybridfdm.mls import MlsProblem, mls_operator, sampling_recipe
+from hybridfdm.mls import (
+    MlsProblem,
+    lattice_values,
+    mls_operator,
+    sampling_recipe,
+)
 from hybridfdm.problems import builtin, manufacture
 from hybridfdm.stencil_boundary import CORNER_FRAMES, SIDE_FRAMES
 
@@ -172,12 +182,12 @@ def test_a_node_that_fails_both_lattices_is_indexed(ex31_j5):
     assert info.value.index == 3
 
 
-class TestSample:
+class TestLatticeValues:
     x = np.linspace(-1.0, 1.0, 5)[:, None]
     y = np.linspace(0.0, 2.0, 7)[None, :]
 
     def test_scalar_returning_lambda(self):
-        out = _sample(lambda x, y: 1.0, self.x, self.y)
+        out = lattice_values(lambda x, y: 1.0, self.x, self.y)
         assert out.shape == (5, 7) and out.dtype == float
         assert out.flags.c_contiguous
         assert np.all(out == 1.0)
@@ -185,14 +195,14 @@ class TestSample:
     def test_one_variable_expression(self):
         fn = compile_expression("sin(2*x)", ("x", "y"))
         assert np.shape(fn(self.x, self.y)) == (5, 1)
-        out = _sample(fn, self.x, self.y)
+        out = lattice_values(fn, self.x, self.y)
         assert out.shape == (5, 7)
         assert bits(out) == bits(np.repeat(np.sin(2.0 * self.x), 7, axis=1))
 
     def test_full_shape_field(self):
         fn = compile_expression("x^4 + 2*y^4 - 2", ("x", "y"))
         want = fn(self.x, self.y)
-        out = _sample(fn, self.x, self.y)
+        out = lattice_values(fn, self.x, self.y)
         assert out.shape == (5, 7)
         assert bits(out) == bits(want)
         assert bits(out.ravel()) == bits(
@@ -201,8 +211,77 @@ class TestSample:
 
     def test_flat_points_keep_their_shape(self):
         x = np.linspace(0.0, 1.0, 9)
-        out = _sample(lambda x, y: 2.0 + 0.0 * x, x, x[::-1].copy())
+        out = lattice_values(lambda x, y: 2.0 + 0.0 * x, x, x[::-1].copy())
         assert out.shape == (9,) and np.all(out == 2.0)
+
+    def test_duplicate_coordinates_are_evaluated_once(self):
+        x = np.array([[0.5, 0.25, 0.5], [0.25, 0.5, 0.5]])
+        y = np.array([[1.0, 1.0, 3.0], [3.0, 1.0, 1.0]])
+        field = Counting(lambda x, y: x * 10.0 + y)
+        out = lattice_values(field, x, y)
+        assert field.shapes == [((2, 1), (1, 2))]
+        assert bits(out) == bits(x * 10.0 + y)
+
+    def test_signed_zeros_stay_distinct(self):
+        x = np.array([0.0, -0.0, 0.0, -0.0])
+        field = Counting(lambda x, y: np.copysign(1.0, x) + 0.0 * y)
+        out = lattice_values(field, x, np.ones(4))
+        assert field.shapes == [((2, 1), (1, 1))]
+        assert out.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+
+def test_boundary_jets_evaluate_each_field_once_per_batch():
+    """edge_jets and corner_jets call every field once, on an (nx, 1)
+    column and a (1, ny) row of distinct coordinates: side 1 (fixed x)
+    takes the 9 lattice x values and the 1 line x value, and a corner's
+    two Robin lines run along y and along x."""
+    h = 0.125
+    a = compile_expression("2 + sin(x)*sin(y)", ("x", "y"))
+    f = compile_expression("cos(x) * y^2", ("x", "y"))
+    anchors = np.array([[-1.0, -0.5], [-1.0, 0.25], [-1.0, 0.5]])
+    fields = [Counting(fn) for fn in (a, f, lambda x, y: 1.5 + 0.0 * y,
+                                      lambda x, y: y)]
+    edge_jets(*fields, anchors, SIDE_FRAMES[1], h)
+    ny = len({y.hex() for y in
+              (anchors[:, 1, None] + np.arange(-8, 9) * (h / 8)).ravel()})
+    for field in fields[:2]:
+        assert field.shapes == [((9, 1), (1, ny))]
+    for field in fields[2:]:
+        assert field.shapes == [((1, 1), (1, ny))]
+
+    fields = [Counting(fn) for fn in (a, f, lambda x, y: 1.5, lambda x, y: y,
+                                      lambda x, y: 2.5, lambda x, y: x)]
+    corner_jets(*fields, np.array([-1.0, -1.0]), CORNER_FRAMES[(1, 3)], h)
+    for field in fields[:2]:
+        assert field.shapes == [((17, 1), (1, 17))]
+    for field in fields[2:4]:
+        assert field.shapes == [((1, 1), (1, 17))]
+    for field in fields[4:]:
+        assert field.shapes == [((17, 1), (1, 1))]
+
+
+def test_geometry_evaluates_psi_once_per_batch(ex31_j5):
+    """classify_grid calls psi once on the grid axes, and locate_base once
+    per batch on the distinct coordinates of its nodes' 49x49 scan
+    lattices before bisecting; each base point is the one its node gets
+    alone."""
+    problem, cases, h = ex31_j5
+    xs, ys, _ = _grid(problem, 5)
+    psi = Counting(problem.psi)
+    classify_grid(xs, ys, psi)
+    assert psi.shapes == [((len(xs), 1), (1, len(ys)))]
+
+    points = [p for p, _ in cases[:12]]
+    psi = Counting(problem.psi)
+    bases = LevelSetInterface(psi).locate_base(points, h)
+    scan = np.arange(-24, 25) * (h / 16)
+    nx = len({x.hex() for x, _ in points for x in x + scan})
+    ny = len({y.hex() for _, y in points for y in y + scan})
+    assert psi.shapes[0] == ((nx, 1), (1, ny))
+    assert all(len(shape[0]) == 1 for shape in psi.shapes[1:])  # bisection
+    for point, bp in zip(points, bases):
+        [alone] = problem.interface.locate_base([point], h)
+        assert (bp.base, bp.v0, bp.w0) == (alone.base, alone.v0, alone.w0)
 
 
 def test_boundary_jets_do_not_depend_on_the_returned_shape():

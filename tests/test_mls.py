@@ -292,9 +292,9 @@ def test_operator_matches_reference_bit_for_bit(name, problem, requests):
 
 
 def test_regular_jets_evaluate_each_field_once_on_the_lattice_axes():
-    """Each field is called once per family, on the two axes of the global
-    h/4 lattice over the family's bounding box: an (n, 1) column of x values
-    and a (1, m) row of y values.  The jets equal those of a direct
+    """Each field is called once per family, on the distinct coordinates of
+    its nodes' windows on the global h/4 lattice: an (n, 1) column of x
+    values and a (1, m) row of y values.  The jets equal those of a direct
     evaluation at the same coordinates, bit for bit."""
     from hybridfdm.fieldjets import regular_jets
 
@@ -320,8 +320,9 @@ def test_regular_jets_evaluate_each_field_once_on_the_lattice_axes():
 
     jet, f_der = regular_jets(a_field, f_field, nodes, origin, h)
 
-    # lattice indices 4 * node + (-4..4); the box spans x nodes 2..12, y 3..7
-    axes = ((4 * 12 + 4) - (4 * 2 - 4) + 1, (4 * 7 + 4) - (4 * 3 - 4) + 1)
+    # lattice indices 4 * node + (-4..4): x nodes 2..8 cover 4..36 and node
+    # 12 covers 44..52 (the gap 37..43 is not evaluated), y nodes 3..7 8..32
+    axes = ((36 - 4 + 1) + (52 - 44 + 1), 32 - 8 + 1)
     assert shapes == {"a": [((axes[0], 1), (1, axes[1]))],
                       "f": [((axes[0], 1), (1, axes[1]))]}
     step = h / 4
