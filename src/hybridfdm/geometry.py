@@ -94,8 +94,6 @@ class LocalChart:
     ys: np.ndarray             # curve y(t)
     g_vals: np.ndarray         # jump [u] samples
     gg_vals: np.ndarray        # flux jump [a grad u . n] samples
-    exact_x_line: bool = False  # xs is exactly linear in t (graph-x chart)
-    exact_y_line: bool = False
 
 
 @dataclass
@@ -256,8 +254,7 @@ class LevelSetInterface:
             charts.append(LocalChart(
                 kind=kd, xs=xs, ys=ys,
                 g_vals=np.asarray(self.jump_g(xs, ys), dtype=float) * ones,
-                gg_vals=np.asarray(self.jump_ggamma(xs, ys), dtype=float) * ones,
-                exact_x_line=(kd == "graph-x"), exact_y_line=(kd == "graph-y")))
+                gg_vals=np.asarray(self.jump_ggamma(xs, ys), dtype=float) * ones))
         return charts
 
     def _brackets(self, abscissae, start, h, along):

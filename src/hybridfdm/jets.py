@@ -7,13 +7,14 @@ masked to zero.  Leading axes are broadcast, so a single Jet2 can hold the
 jets of one function at thousands of base points at once; all arithmetic is
 plain numpy on those arrays.
 
-``Poly2`` shares the coefficient layout but represents an actual polynomial
-``sum c[m, n] x^m y^n``; it is what the stencil builders evaluate at grid
-offsets.
+A plain polynomial ``sum c[m, n] x^m y^n`` is its coefficient table alone, a
+(..., k, k) array in the same layout (a jet's ``c`` is one).  The stencil
+builders evaluate such tables at grid offsets (``poly_eval``) and
+differentiate them (``poly_dx``, ``poly_dy``, which keep the k x k shape).
 
 A handful of univariate truncated-series helpers (multiply, sqrt, composition
-of a Poly2 with two series) support the interface transmission solves, where
-everything is expanded along a curve parameter.
+of a coefficient table with two series) support the interface transmission
+solves, where everything is expanded along a curve parameter.
 """
 
 from __future__ import annotations
@@ -43,31 +44,20 @@ def _masked(c: np.ndarray, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _conv_table(na: int, nb: int, out_size: int, triangular: bool):
-    """Flat index table for the truncated product of coefficient tables.
+def _conv_table(na: int, nb: int, out_size: int):
+    """Flat index table for the truncated product of degree-masked tables.
 
     Returns gather indices (ia, ib), reduceat segment starts, and the flat
-    output positions.  With ``triangular`` the inputs are degree-masked jets
-    and pairs beyond the output's total degree are dropped; otherwise the
-    full coefficient squares contribute wherever they fit in the output.
+    output positions; pairs beyond the output's total degree are dropped.
     """
     pairs = []
     for pa in range(na):
-        for qa in range(na):
-            if triangular and pa + qa > na - 1:
-                continue
+        for qa in range(na - pa):
             for pb in range(nb):
-                if pa + pb > out_size - 1:
-                    continue
-                for qb in range(nb):
-                    if triangular and pb + qb > nb - 1:
-                        continue
-                    if qa + qb > out_size - 1:
-                        continue
-                    if triangular and pa + pb + qa + qb > out_size - 1:
-                        continue
-                    pairs.append((pa * na + qa, pb * nb + qb,
-                                  (pa + pb) * out_size + (qa + qb)))
+                for qb in range(nb - pb):
+                    if pa + qa + pb + qb < out_size:
+                        pairs.append((pa * na + qa, pb * nb + qb,
+                                      (pa + pb) * out_size + (qa + qb)))
     pairs.sort(key=lambda t: t[2])
     ia = np.array([p[0] for p in pairs])
     ib = np.array([p[1] for p in pairs])
@@ -76,12 +66,11 @@ def _conv_table(na: int, nb: int, out_size: int, triangular: bool):
     return ia, ib, starts, out_pos
 
 
-def _conv2(a: np.ndarray, b: np.ndarray, out_size: int,
-           triangular: bool = True) -> np.ndarray:
-    """Truncated 2D convolution of coefficient tables."""
+def _conv2(a: np.ndarray, b: np.ndarray, out_size: int) -> np.ndarray:
+    """Truncated 2D convolution of degree-masked coefficient tables."""
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     na, nb = a.shape[-1], b.shape[-1]
-    ia, ib, starts, out_pos = _conv_table(na, nb, out_size, triangular)
+    ia, ib, starts, out_pos = _conv_table(na, nb, out_size)
     af = np.broadcast_to(a, batch + (na, na)).reshape(batch + (na * na,))
     bf = np.broadcast_to(b, batch + (nb, nb)).reshape(batch + (nb * nb,))
     prod = af[..., ia] * bf[..., ib]
@@ -167,95 +156,49 @@ class Jet2:
         """Jet of (x, y) -> f(y, x)."""
         return Jet2._trusted(np.swapaxes(self.c, -1, -2), self.order)
 
-    def as_poly(self) -> "Poly2":
-        return Poly2(self.c.copy())
+
+# ----------------------------------------------------------------------------
+# plain polynomials sum c[m, n] x^m y^n (coefficient tables, no mask)
+# ----------------------------------------------------------------------------
+
+def poly_eval(c: np.ndarray, x, y):
+    """Evaluate the polynomials of a (..., k, k) table at points; x, y
+    scalars or arrays of a common shape K.
+
+    Batched coefficients (B, k, k) with K points give a (B, K) result
+    (scalar points give (B,)).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pts_shape = np.broadcast_shapes(x.shape, y.shape)
+    k = c.shape[-1]
+    xp = np.ones((k,) + pts_shape)
+    yp = np.ones((k,) + pts_shape)
+    for p in range(1, k):
+        xp[p] = xp[p - 1] * x
+        yp[p] = yp[p - 1] * y
+    # result[..., pts] = sum_{m,n} c[..., m, n] xp[m, pts] yp[n, pts]
+    mon = np.einsum("m...,n...->mn...", xp, yp)
+    if pts_shape == ():
+        return np.einsum("...mn,mn->...", c, mon)
+    return np.einsum("...mn,mnk->...k", c, mon.reshape(k, k, -1)).reshape(
+        c.shape[:-2] + pts_shape
+    )
 
 
-class Poly2:
-    """Plain bivariate polynomial sum c[m, n] x^m y^n, batched over leading axes."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: np.ndarray):
-        self.c = np.asarray(c, dtype=float)
-        if self.c.shape[-1] != self.c.shape[-2]:
-            raise ValueError("coefficient table must be square")
-
-    @classmethod
-    def zero(cls, size: int, batch=()) -> "Poly2":
-        return cls(np.zeros(tuple(batch) + (size, size)))
-
-    @property
-    def size(self) -> int:
-        return self.c.shape[-1]
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        k = max(self.size, other.size)
-        a = _embed(self.c, k)
-        b = _embed(other.c, k)
-        return Poly2(a + b)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        k = max(self.size, other.size)
-        return Poly2(_embed(self.c, k) - _embed(other.c, k))
-
-    def scaled(self, s) -> "Poly2":
-        s = np.asarray(s)
-        return Poly2(self.c * (s[..., None, None] if s.ndim else s))
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        k = self.size + other.size - 1
-        return Poly2(_conv2(self.c, other.c, k, triangular=False))
-
-    def dx(self) -> "Poly2":
-        k = self.size
-        m = np.arange(1, k)
-        out = np.zeros_like(self.c)
-        out[..., : k - 1, :] = self.c[..., 1:, :] * m[:, None]
-        return Poly2(out)
-
-    def dy(self) -> "Poly2":
-        k = self.size
-        n = np.arange(1, k)
-        out = np.zeros_like(self.c)
-        out[..., :, : k - 1] = self.c[..., :, 1:] * n[None, :]
-        return Poly2(out)
-
-    def eval(self, x, y):
-        """Evaluate at points; x, y scalars or arrays of a common shape K.
-
-        Batched coefficients (B, P, P) with K points give a (B, K) result
-        (scalar points give (B,)).
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        pts_shape = np.broadcast_shapes(x.shape, y.shape)
-        k = self.size
-        xp = np.ones((k,) + pts_shape)
-        yp = np.ones((k,) + pts_shape)
-        for p in range(1, k):
-            xp[p] = xp[p - 1] * x
-            yp[p] = yp[p - 1] * y
-        # result[..., pts] = sum_{m,n} c[..., m, n] xp[m, pts] yp[n, pts]
-        mon = np.einsum("m...,n...->mn...", xp, yp)
-        if pts_shape == ():
-            return np.einsum("...mn,mn->...", self.c, mon)
-        return np.einsum("...mn,mnk->...k", self.c, mon.reshape(k, k, -1)).reshape(
-            self.c.shape[:-2] + pts_shape
-        )
-
-    def transposed(self) -> "Poly2":
-        return Poly2(np.swapaxes(self.c, -1, -2))
-
-    def as_callable(self):
-        return lambda x, y: self.eval(x, y)
+def poly_dx(c: np.ndarray) -> np.ndarray:
+    """Table of d/dx of the polynomials of c, zero-padded to c's shape."""
+    k = c.shape[-1]
+    out = np.zeros_like(c)
+    out[..., : k - 1, :] = c[..., 1:, :] * np.arange(1, k)[:, None]
+    return out
 
 
-def _embed(c: np.ndarray, size: int) -> np.ndarray:
-    if c.shape[-1] == size:
-        return c
-    out = np.zeros(c.shape[:-2] + (size, size))
-    out[..., : c.shape[-2], : c.shape[-1]] = c
+def poly_dy(c: np.ndarray) -> np.ndarray:
+    """Table of d/dy of the polynomials of c, zero-padded to c's shape."""
+    k = c.shape[-1]
+    out = np.zeros_like(c)
+    out[..., :, : k - 1] = c[..., :, 1:] * np.arange(1, k)[None, :]
     return out
 
 
@@ -312,13 +255,14 @@ def monomial_series_table(xs: np.ndarray, ys: np.ndarray, kmax: int,
     return out
 
 
-def poly2_compose_series(poly: Poly2, xs: np.ndarray, ys: np.ndarray,
+def poly2_compose_series(c: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                          nterms: int, mono: np.ndarray | None = None) -> np.ndarray:
-    """Series of poly(x(t), y(t)) given series for x(t), y(t).
+    """Series of P(x(t), y(t)) for the polynomials P of a (..., k, k) table c,
+    given series for x(t), y(t).
 
     ``mono`` may carry a precomputed monomial table from
     :func:`monomial_series_table` (trailing shape (k, k, nterms))."""
-    k = poly.size
+    k = c.shape[-1]
     if mono is None:
         mono = monomial_series_table(xs, ys, k, nterms)
-    return np.einsum("...mn,...mnt->...t", poly.c, mono[..., :k, :k, :nterms])
+    return np.einsum("...mn,...mnt->...t", c, mono[..., :k, :k, :nterms])

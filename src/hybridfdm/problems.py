@@ -19,6 +19,8 @@ use their global analytic formulas, so this holds trivially.
 
 The built-in problems are stored as configuration text and parsed by the same
 loader used for user files, so a written-out config round-trips bit-exactly.
+The test suite builds its manufactured polynomial problems on the same
+ProblemSpec (``tests/manufactured.py``); nothing here depends on them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 from .errors import ConfigError
 from .expressions import compile_expression
 from .geometry import LevelSetInterface, ParametricInterface
-from .jets import Poly2
 
 
 @dataclass
@@ -378,91 +379,3 @@ def builtin(name: str) -> ProblemSpec:
         raise ConfigError(
             f"unknown builtin {name!r}; choose from {sorted(BUILTIN_CONFIGS)}")
     return load_config_string(BUILTIN_CONFIGS[name])
-
-
-# ----------------------------------------------------------------------------
-# manufactured cases for property tests
-# ----------------------------------------------------------------------------
-
-@dataclass
-class ManufacturedCase:
-    problem: ProblemSpec
-    u_plus: Poly2
-    u_minus: Poly2
-
-    def exact(self, x, y):
-        return self.problem.exact_u(x, y)
-
-
-def _random_poly(rng, degree, scale=1.0):
-    c = np.zeros((degree + 1, degree + 1))
-    for m in range(degree + 1):
-        for n in range(degree + 1 - m):
-            c[m, n] = scale * rng.uniform(-1, 1)
-    return Poly2(c)
-
-
-def _pde_source(a: Poly2, u: Poly2) -> Poly2:
-    ux, uy = u.dx(), u.dy()
-    return (a.dx() * ux + a.dy() * uy + a * (ux.dx() + uy.dy())).scaled(-1.0)
-
-
-def manufacture(seed: int, degree: int = 5,
-                interface_kind: str = "circle") -> ManufacturedCase:
-    """A piecewise-polynomial problem whose data satisfy the interface and
-    boundary conditions exactly by construction."""
-    if degree > 7:
-        raise ConfigError("manufactured degree must be at most 7")
-    rng = np.random.default_rng(seed)
-    u_p = _random_poly(rng, degree, scale=0.5)
-    u_m = _random_poly(rng, degree, scale=0.5)
-    a_p = _random_poly(rng, 3, scale=0.1)
-    a_p.c[0, 0] = 2.0
-    a_m = _random_poly(rng, 3, scale=0.1)
-    a_m.c[0, 0] = 1.0
-    f_p, f_m = _pde_source(a_p, u_p), _pde_source(a_m, u_m)
-
-    if interface_kind == "none":
-        interface = None
-        u_m, a_m, f_m = u_p, a_p, f_p
-    elif interface_kind in ("circle", "ellipse"):
-        # radius^2 = 0.9 keeps the curve away from dyadic grid nodes and the boundary
-        if interface_kind == "circle":
-            def psi(x, y):
-                return np.asarray(x) ** 2 + np.asarray(y) ** 2 - 0.9
-
-            def grad_psi(x, y):
-                return 2.0 * np.asarray(x), 2.0 * np.asarray(y)
-        else:
-            def psi(x, y):
-                return np.asarray(x) ** 2 + 4.0 * np.asarray(y) ** 2 - 0.9
-
-            def grad_psi(x, y):
-                return 2.0 * np.asarray(x), 8.0 * np.asarray(y)
-
-        def jump_g(x, y):
-            return u_p.eval(x, y) - u_m.eval(x, y)
-
-        def jump_gg(x, y):
-            gx, gy = grad_psi(x, y)
-            norm = np.hypot(gx, gy)
-            nx, ny = gx / norm, gy / norm
-            fp = a_p.eval(x, y) * (u_p.dx().eval(x, y) * nx
-                                   + u_p.dy().eval(x, y) * ny)
-            fm = a_m.eval(x, y) * (u_m.dx().eval(x, y) * nx
-                                   + u_m.dy().eval(x, y) * ny)
-            return fp - fm
-
-        interface = LevelSetInterface(psi, jump_g=jump_g, jump_ggamma=jump_gg)
-    else:
-        raise ConfigError(f"unknown manufactured interface {interface_kind!r}")
-
-    boundary = {side: BoundaryCondition("dirichlet", u_p.as_callable())
-                for side in (1, 2, 3, 4)}
-    problem = ProblemSpec(
-        name=f"manufactured-{seed}", domain=(-2.0, 2.0, -2.0, 2.0),
-        interface=interface, a_plus=a_p.as_callable(),
-        a_minus=a_m.as_callable(), f_plus=f_p.as_callable(),
-        f_minus=f_m.as_callable(), boundary=boundary,
-        exact_u_plus=u_p.as_callable(), exact_u_minus=u_m.as_callable())
-    return ManufacturedCase(problem=problem, u_plus=u_p, u_minus=u_m)

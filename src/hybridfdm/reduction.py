@@ -25,6 +25,9 @@ down to a constant term, so each partial has the bits of the differentiated
 jet's value without any derivative jet being built.  From the table come the
 polynomial families G (weights of the band derivatives) and H (weights of
 the source derivatives) that every stencil builder consumes.
+
+The Robin corners also reduce onto the band n in {0, 1}: the transposed
+jet's blocks with their indices swapped (``transpose_blocks``).
 """
 
 from __future__ import annotations
@@ -48,15 +51,13 @@ class ReductionTable:
     the coefficient jet's batch shape (a numpy scalar for an unbatched jet).
     Values suffice, and are exact, because the recursion differentiates only
     the weight jets a_x/a, a_y/a and 1/a, never an entry (see the module
-    docstring).  For transposed tables the band is n in {0, 1} instead of
-    m in {0, 1}.
+    docstring).
     """
 
     order: int
     a_jet: Jet2
     u: dict = field(default_factory=dict)
     f: dict = field(default_factory=dict)
-    transposed: bool = False
 
     def u_value(self, p, q, m, n):
         return self.u.get((p, q), {}).get((m, n), self._zero())
@@ -148,17 +149,6 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
     return table
 
 
-def transpose_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
-    """Reduction onto the n in {0, 1} band (roles of x and y swapped)."""
-    t = build_reduction_table(a_jet.transposed(), order)
-    out = ReductionTable(order=order, a_jet=a_jet, transposed=True)
-    for (p, q), coeffs in t.u.items():
-        out.u[(q, p)] = {(n, m): v for (m, n), v in coeffs.items()}
-    for (p, q), coeffs in t.f.items():
-        out.f[(q, p)] = {(j, i): v for (i, j), v in coeffs.items()}
-    return out
-
-
 def gh_blocks(table: ReductionTable):
     """G/H coefficient polynomials of the Taylor identity at the table's order
 
@@ -168,8 +158,7 @@ def gh_blocks(table: ReductionTable):
     as two packed coefficient blocks, G (n_band, ..., E) and H (n_f, ..., E):
     entry [k, ..., e] is value(p, q, *key_k) / (p! q!) for the e-th (p, q)
     of Lambda_order, E = (order + 1)(order + 2) / 2 in all.  The keys are in
-    canonical order: the band (for a transposed table its (n, m) form, with
-    the roles of x and y exchanged) and Lambda_{order-2}.  Each block is one
+    canonical order: the band and Lambda_{order-2}.  Each block is one
     zeroed (E, K, ...) array, returned as its (K, ..., E) view, so that the
     writes of the entries the table holds (392 of 1,296 at order 7) and the
     per-entry reads of ``stencil_core`` are contiguous.
@@ -189,10 +178,31 @@ def gh_blocks(table: ReductionTable):
                               out=c[e, k, ...])
         return np.moveaxis(c, 0, -1)
 
-    band = lambda_band(order)
-    if table.transposed:
-        band = tuple((n, m) for (m, n) in band)
-    return block(band, table.u), block(lambda_full(order - 2), table.f)
+    return (block(lambda_band(order), table.u),
+            block(lambda_full(order - 2), table.f))
+
+
+def _swapped(keys) -> list:
+    """Positions of the swapped keys (n, m) of ``keys``, in their order."""
+    return [keys.index((n, m)) for (m, n) in keys]
+
+
+def transpose_blocks(g: np.ndarray, h: np.ndarray):
+    """G/H blocks of the reduction onto the band n in {0, 1}, from the
+    ``gh_blocks`` of the transposed jet's table.
+
+    Exchanging x and y maps u^(p,q) to u^(q,p), so the G row of band key
+    (m, n) holds G~_{n,m}, the packed entries move (p, q) -> (q, p), and the
+    H rows (i, j) -> (j, i).  Each block is permuted in its (E, K, ...)
+    storage and returned as the (K, ..., E) view, the layout ``gh_blocks``
+    gives; the entries are copied, not recomputed.
+    """
+    order = packed_size(g.shape[-1]) - 1
+    entries = _swapped(lambda_full(order))
+    rows = _swapped(lambda_full(order - 2))
+    gt = np.moveaxis(g, -1, 0)[entries]
+    ht = np.moveaxis(h[rows], -1, 0)[entries]
+    return np.moveaxis(gt, 0, -1), np.moveaxis(ht, 0, -1)
 
 
 def dense_tables(block: np.ndarray) -> np.ndarray:

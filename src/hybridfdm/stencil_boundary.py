@@ -57,7 +57,7 @@ import numpy as np
 
 from .indexsets import lambda_band, lambda_full
 from .jets import Jet2
-from .reduction import build_reduction_table, gh_blocks, transpose_reduction_table
+from .reduction import build_reduction_table, gh_blocks, transpose_blocks
 from .stencil_core import (
     build_degree_solvers,
     expand_at_offsets,
@@ -73,7 +73,7 @@ CORNER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 F_INDICES_B = lambda_full(4)      # f^(m,n) weights at boundary points
 M_EDGE = 6
 # rows of an order-6 G block holding G_{0,n} (n = 0..6) and G_{1,n}
-# (n = 0..5); in a transposed table's block the same rows hold G~_{n,0}, G~_{n,1}
+# (n = 0..5); in the transposed blocks the same rows hold G~_{n,0}, G~_{n,1}
 G0_ROWS = [lambda_band(M_EDGE).index((0, n)) for n in range(M_EDGE + 1)]
 G1_ROWS = [lambda_band(M_EDGE).index((1, n)) for n in range(M_EDGE)]
 
@@ -162,7 +162,8 @@ def robin_basis(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
     ``g`` is the packed (13, ..., 28) G block of an order-6 table and
     ``alpha`` (..., 6) holds d^n alpha/dy^n; returns the (7, ..., 28) block.
-    The block of a transposed table with beta gives E~_m.
+    The transposed block (``reduction.transpose_blocks``) with beta gives
+    E~_m.
     """
     return g[G0_ROWS] + np.einsum("...ni,i...e->n...e",
                                   _robin_weights(alpha), g[G1_ROWS])
@@ -214,7 +215,8 @@ def build_corner_reduction(a_jet: Jet2, alpha: np.ndarray,
                            beta: np.ndarray) -> CornerReduction:
     table = build_reduction_table(a_jet, M_EDGE)
     g, h = gh_blocks(table)
-    gt, ht = gh_blocks(transpose_reduction_table(a_jet, M_EDGE))
+    gt, ht = transpose_blocks(*gh_blocks(
+        build_reduction_table(a_jet.transposed(), M_EDGE)))
     M = M_EDGE
     lam = np.array([[table.u_value(m, 0, 0, n) for n in range(M + 1)]
                     for m in range(M + 1)])

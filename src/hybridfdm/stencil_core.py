@@ -48,18 +48,18 @@ import numpy as np
 
 from .errors import StencilError
 from .indexsets import lambda_full, packed_size
-from .jets import Poly2
 
 RESID_TOL = 1e-9
 PIN0 = -1.0         # the pinned free coefficient of every degree-0 solve
 _TINY = 1e-11
 
 
-def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarray:
-    """phi[..., o, t] = coefficient of h^t in poly(vx_o * h, vy_o * h).
+def expand_poly_in_h(c: np.ndarray, offsets: np.ndarray, nterms: int) -> np.ndarray:
+    """phi[..., o, t] = coefficient of h^t in P(vx_o * h, vy_o * h) for the
+    polynomials P of a (..., k, k) coefficient table c.
 
     ``offsets`` is (O, 2), shared by every table of the batch, or (B, O, 2),
-    one offset set per entry of the leading batch axis of ``poly.c``
+    one offset set per entry of the leading batch axis of ``c``
     (B, ..., k, k).  The power table vx^p vy^q of all offsets is built at
     once, and each degree t is one masked ``einsum`` over the table
     entries with p + q = t.  The batch only adds outer loops to it: the
@@ -79,10 +79,10 @@ def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarra
     are reflected onto a side (``map_by_reflection``).
     """
     offsets = np.asarray(offsets, dtype=float)
-    k = poly.size
+    k = c.shape[-1]
     powers = offsets[..., None] ** np.arange(k)          # (..., O, 2, k)
     mon = powers[..., 0, :, None] * powers[..., 1, None, :]
-    batch = poly.c.shape[:-2]
+    batch = c.shape[:-2]
     lead = offsets.shape[:-2]
     # per-node offsets meet the tables' leading axis, shared ones broadcast
     mon = mon.reshape(lead + (1,) * (len(batch) - len(lead)) + mon.shape[-3:])
@@ -91,7 +91,7 @@ def expand_poly_in_h(poly: Poly2, offsets: np.ndarray, nterms: int) -> np.ndarra
     for t in range(min(nterms, 2 * k - 1)):
         mask = (mm + nn) == t
         out[..., t] = np.einsum("...pq,...opq->...o",
-                                np.where(mask, poly.c, 0.0), mon)
+                                np.where(mask, c, 0.0), mon)
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IRREGULAR_OFFSETS
-from .jets import Poly2
+from .jets import poly_eval
 from .stencil_core import (
     check_residual,
     contract,
@@ -76,8 +76,8 @@ def assemble_irregular_system(models, minus_masks) -> list[IrregularSystem]:
     g_plus = np.stack([m.g_plus for m in models])
     g_minus = np.stack([m.g_minus for m in models])
     phi_minus = np.einsum("bij,bipq->bjpq", ublock, g_minus)
-    exp_p = expand_poly_in_h(Poly2(g_plus), vw, 6)
-    exp_m = expand_poly_in_h(Poly2(phi_minus), vw, 6)
+    exp_p = expand_poly_in_h(g_plus, vw, 6)
+    exp_m = expand_poly_in_h(phi_minus, vw, 6)
     exp = np.where(minus_masks[:, None, :, None], exp_m, exp_p)
     return [IrregularSystem(expansions=e, minus_mask=mask, model=model,
                             offsets=v)
@@ -185,7 +185,7 @@ def solve_irregular_stencil(system: IrregularSystem, h: float) -> np.ndarray:
         return run_basic_recursion(system.expansions, h)[0]
 
     vw = system.offsets
-    gvals = Poly2(model.g_minus).eval(vw[:, 0] * h, vw[:, 1] * h)
+    gvals = poly_eval(model.g_minus, vw[:, 0] * h, vw[:, 1] * h)
     penalty = np.where(system.minus_mask[None, :], gvals, 0.0)
     x, worst = _leading_degree(system.expansions, penalty)
     check_residual(worst)
@@ -206,10 +206,10 @@ def irregular_rhs_weights(coeffs: np.ndarray, system: IrregularSystem,
     minus = system.minus_mask
     plus = ~minus
 
-    i_minus = Poly2(model.g_minus).eval(xo[minus], yo[minus]) @ ch[minus]
+    i_minus = poly_eval(model.g_minus, xo[minus], yo[minus]) @ ch[minus]
     weights = i_minus @ model.table
-    weights[FPLUS] += Poly2(model.h_plus).eval(xo[plus], yo[plus]) @ ch[plus]
-    weights[FMINUS] += (Poly2(model.h_minus).eval(xo[minus], yo[minus])
+    weights[FPLUS] += poly_eval(model.h_plus, xo[plus], yo[plus]) @ ch[plus]
+    weights[FMINUS] += (poly_eval(model.h_minus, xo[minus], yo[minus])
                         @ ch[minus])
     return weights[DATA] / h
 

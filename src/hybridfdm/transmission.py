@@ -37,9 +37,10 @@ from .geometry import LocalChart
 from .indexsets import lambda_band, lambda_full
 from .jets import (
     Jet2,
-    Poly2,
     monomial_series_table,
     poly2_compose_series,
+    poly_dx,
+    poly_dy,
     series_deriv,
     series_mul,
     series_sqrt,
@@ -92,15 +93,18 @@ def _curve_operators(h: float):
 
 def curve_jet_from_chart(chart: LocalChart, v0: float, w0: float,
                          h: float) -> CurveJet:
-    """Estimate the curve/jump jets from the eleven chart samples by MLS."""
+    """Estimate the curve/jump jets from the eleven chart samples by MLS.
+
+    A graph chart's abscissa (xs of a "graph-x" chart, ys of a "graph-y"
+    one) is exactly linear in t, so its jet is set, not fitted."""
     fact = np.array([factorial(p) for p in range(6)])
     op6, op5 = _curve_operators(float(h))
-    if chart.exact_x_line:
+    if chart.kind == "graph-x":
         r = np.zeros(6)
         r[0], r[1] = chart.xs[5], np.sign(chart.xs[6] - chart.xs[5])
     else:
         r = op6 @ chart.xs
-    if chart.exact_y_line:
+    if chart.kind == "graph-y":
         s = np.zeros(6)
         s[0], s[1] = chart.ys[5], np.sign(chart.ys[6] - chart.ys[5])
     else:
@@ -133,16 +137,15 @@ class InterfaceLocalModel:
     h_minus: np.ndarray
 
 
-def _flux_series(block, a_poly: Poly2, r_t, s_t, nterms: int,
-                 mono) -> np.ndarray:
+def _flux_series(block, a_c, r_t, s_t, nterms: int, mono) -> np.ndarray:
     """Series of grad(P)(r, s) . (s', -r') * a(r, s) for each polynomial P
-    of a (K, ..., k, k) block; returns (K, ..., nterms)."""
+    of a (K, ..., k, k) block, with a the polynomial of the table a_c;
+    returns (K, ..., nterms)."""
     rp = series_deriv(r_t)
     sp = series_deriv(s_t)
-    a_series = poly2_compose_series(a_poly, r_t, s_t, nterms, mono)
-    p = Poly2(block)
-    px = poly2_compose_series(p.dx(), r_t, s_t, nterms, mono)
-    py = poly2_compose_series(p.dy(), r_t, s_t, nterms, mono)
+    a_series = poly2_compose_series(a_c, r_t, s_t, nterms, mono)
+    px = poly2_compose_series(poly_dx(block), r_t, s_t, nterms, mono)
+    py = poly2_compose_series(poly_dy(block), r_t, s_t, nterms, mono)
     flux = series_mul(px, sp, nterms) - series_mul(py, rp, nterms)
     return series_mul(flux, a_series, nterms)
 
@@ -176,14 +179,14 @@ def build_transmission(curves, a_plus_jet: Jet2,
     # series of each side's G (rows in BAND5 = COL_UP order) and H (rows in
     # F3 order) polynomials along the curve, and of their fluxes
     gu_p, gu_m, hu_p, hu_m = (
-        poly2_compose_series(Poly2(block), r_t, s_t, 6, mono)
+        poly2_compose_series(block, r_t, s_t, 6, mono)
         for block in (g_all[:, 0], g_all[:, 1], h_all[:, 0], h_all[:, 1]))
     mono5 = mono[..., :5]
-    a_p, a_m = a_plus_jet.as_poly(), a_minus_jet.as_poly()
+    a_p, a_m = a_plus_jet.c, a_minus_jet.c
     fg_p, fg_m, fh_p, fh_m = (
-        _flux_series(block, a_poly, r_t, s_t, 5, mono5)
-        for block, a_poly in ((g_all[:, 0], a_p), (g_all[:, 1], a_m),
-                              (h_all[:, 0], a_p), (h_all[:, 1], a_m)))
+        _flux_series(block, a_c, r_t, s_t, 5, mono5)
+        for block, a_c in ((g_all[:, 0], a_p), (g_all[:, 1], a_m),
+                           (h_all[:, 0], a_p), (h_all[:, 1], a_m)))
 
     B = len(curves)
     rows = np.zeros((B, N_UP, N_SYMBOLS))

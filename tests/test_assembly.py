@@ -28,23 +28,19 @@ from hybridfdm.geometry import (
     LevelSetInterface,
     classify_grid,
 )
-from hybridfdm.jets import Poly2
+from hybridfdm.jets import poly_eval
 from hybridfdm.problems import (
     BoundaryCondition,
     ProblemSpec,
     builtin,
     load_config_string,
-    manufacture,
 )
-from hybridfdm.reduction import (
-    build_reduction_table,
-    gh_blocks,
-    transpose_reduction_table,
-)
+from hybridfdm.reduction import build_reduction_table, gh_blocks, transpose_blocks
 from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS, G1_ROWS
 from hybridfdm.stencil_core import stencil_values, weights_at_offsets
 from hybridfdm.stencil_irregular import solve_irregular_stencil
 from hybridfdm.transmission import COL_G, COL_GG, FMINUS, FPLUS
+from manufactured import manufacture
 
 LAPLACE_XY = """
 [problem]
@@ -507,7 +503,8 @@ def separate_corner_rhs(st, jet, f_der, g1_der, g3_der, h):
     hat part against ``chat`` plus a tilde part against ``ctilde``."""
     red = st.reduction
     g, hb = gh_blocks(build_reduction_table(jet, 6))
-    gt, ht = gh_blocks(transpose_reduction_table(jet, 6))
+    gt, ht = transpose_blocks(
+        *gh_blocks(build_reduction_table(jet.transposed(), 6)))
     et = red.et_polys
 
     def split(hat, til):
@@ -527,10 +524,10 @@ def separate_interface_rhs(system, fp, fm, h):
     xo, yo = system.offsets[:, 0] * h, system.offsets[:, 1] * h
     minus, plus = system.minus_mask, ~system.minus_mask
     table = model.table
-    i_minus = Poly2(model.g_minus).eval(xo[minus], yo[minus]) @ ch[minus]
-    j_plus = (Poly2(model.h_plus).eval(xo[plus], yo[plus]) @ ch[plus]
+    i_minus = poly_eval(model.g_minus, xo[minus], yo[minus]) @ ch[minus]
+    j_plus = (poly_eval(model.h_plus, xo[plus], yo[plus]) @ ch[plus]
               + i_minus @ table[:, FPLUS])
-    j_minus = (Poly2(model.h_minus).eval(xo[minus], yo[minus]) @ ch[minus]
+    j_minus = (poly_eval(model.h_minus, xo[minus], yo[minus]) @ ch[minus]
                + i_minus @ table[:, FMINUS])
     j_g = i_minus @ table[:, [COL_G[p] for p in range(6)]]
     j_gg = i_minus @ table[:, [COL_GG[p] for p in range(5)]]

@@ -18,7 +18,7 @@ from hybridfdm.cli import (
     write_convergence_csv,
     write_solution_csv,
 )
-from hybridfdm.problems import manufacture
+from manufactured import manufacture
 
 
 def read_convergence_csv(path):

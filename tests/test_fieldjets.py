@@ -23,8 +23,9 @@ from hybridfdm.mls import (
     mls_operator,
     sampling_recipe,
 )
-from hybridfdm.problems import builtin, manufacture
+from hybridfdm.problems import builtin
 from hybridfdm.stencil_boundary import CORNER_FRAMES, SIDE_FRAMES
+from manufactured import manufacture
 
 
 def lattice_axes(h):

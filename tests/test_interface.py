@@ -1,6 +1,7 @@
 """Interface geometry, transmission tables, and the 13-point stencil."""
 
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,11 @@ from hybridfdm.geometry import (
 from hybridfdm.indexsets import lambda_full
 from hybridfdm.jets import (
     Jet2,
-    Poly2,
     monomial_series_table,
     poly2_compose_series,
+    poly_dx,
+    poly_dy,
+    poly_eval,
     series_deriv,
     series_mul,
 )
@@ -54,13 +57,12 @@ from hybridfdm.transmission import (
     curve_jet_from_chart,
 )
 
+from manufactured import pde_source, random_poly
 from test_jets_reduction import (
     constant_jet,
     deriv_at,
-    pde_source,
     poly_jet,
     random_a_jets,
-    random_poly,
     same_bits,
 )
 from test_stencil_regular import system_rows
@@ -307,17 +309,17 @@ def exact_circle_curvejet(theta0, radius=1.0, u_plus=None, u_minus=None,
     g = np.zeros(6)
     gg = np.zeros(5)
     if u_plus is not None:
-        up = poly_jet(u_plus, 7, base).as_poly()
-        um = poly_jet(u_minus, 7, base).as_poly()
-        apc = poly_jet(a_plus, 6, base).as_poly()
-        amc = poly_jet(a_minus, 6, base).as_poly()
+        up = poly_jet(u_plus, 7, base).c
+        um = poly_jet(u_minus, 7, base).c
+        apc = poly_jet(a_plus, 6, base).c
+        amc = poly_jet(a_minus, 6, base).c
         g = poly2_compose_series(up - um, rt, st, 6)
         sp = np.array([st[p + 1] * (p + 1) for p in range(5)])
         rp = np.array([rt[p + 1] * (p + 1) for p in range(5)])
 
         def flux(u, a):
-            px = poly2_compose_series(u.dx(), rt, st, 5)
-            py = poly2_compose_series(u.dy(), rt, st, 5)
+            px = poly2_compose_series(poly_dx(u), rt, st, 5)
+            py = poly2_compose_series(poly_dy(u), rt, st, 5)
             av = poly2_compose_series(a, rt, st, 5)
             return series_mul(series_mul(px, sp, 5) - series_mul(py, rp, 5), av, 5)
 
@@ -352,7 +354,7 @@ class TestTransmission:
         curve = exact_circle_curvejet(0.3)
         rng = np.random.default_rng(0)
         a = random_poly(rng, 3, scale=0.1)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         jet = one_node(poly_jet(a, 4, (curve.r[0], curve.s[0])))
         (model,) = build_transmission([curve], jet, jet)
         assert transported(model, 0, 0, 0, 0) == 1.0
@@ -367,9 +369,9 @@ class TestTransmission:
         theta0 = rng.uniform(0, 2 * np.pi)
         u_p, u_m = random_poly(rng, 5), random_poly(rng, 5)
         a_p = random_poly(rng, 3, scale=0.15)
-        a_p.c[0, 0] = 1.8
+        a_p[0, 0] = 1.8
         a_m = random_poly(rng, 3, scale=0.15)
-        a_m.c[0, 0] = 0.9
+        a_m[0, 0] = 0.9
         f_p, f_m = pde_source(a_p, u_p), pde_source(a_m, u_m)
         curve = exact_circle_curvejet(theta0, 1.0, u_p, u_m, a_p, a_m)
         base = (curve.r[0], curve.s[0])
@@ -396,7 +398,7 @@ class TestTransmission:
         rng = np.random.default_rng(7)
         u = random_poly(rng, 5)
         a = random_poly(rng, 3, scale=0.1)
-        a.c[0, 0] = 1.4
+        a[0, 0] = 1.4
         curve = exact_circle_curvejet(1.1, 1.0, u, u, a, a)
         assert np.allclose(curve.g, 0.0, atol=1e-13)
         assert np.allclose(curve.gg, 0.0, atol=1e-13)
@@ -413,9 +415,9 @@ class TestTransmission:
         curves, jps, jms = [], [], []
         for theta in (0.2, 1.3, 2.9, 4.4, 5.8):
             a_p = random_poly(rng, 3, scale=0.15)
-            a_p.c[0, 0] = 1.8
+            a_p[0, 0] = 1.8
             a_m = random_poly(rng, 3, scale=0.15)
-            a_m.c[0, 0] = 0.7
+            a_m[0, 0] = 0.7
             u_p, u_m = random_poly(rng, 5), random_poly(rng, 5)
             curve = exact_circle_curvejet(theta, 1.0, u_p, u_m, a_p, a_m)
             curves.append(curve)
@@ -446,9 +448,8 @@ class TestTransmission:
 
 def per_polynomial_flux(c, a_poly, r_t, s_t, nterms, mono):
     """Flux series of one polynomial, grad(P)(r, s) . (s', -r') a(r, s)."""
-    p = Poly2(c)
-    px = poly2_compose_series(p.dx(), r_t, s_t, nterms, mono)
-    py = poly2_compose_series(p.dy(), r_t, s_t, nterms, mono)
+    px = poly2_compose_series(poly_dx(c), r_t, s_t, nterms, mono)
+    py = poly2_compose_series(poly_dy(c), r_t, s_t, nterms, mono)
     flux = (series_mul(px, series_deriv(s_t), nterms)
             - series_mul(py, series_deriv(r_t), nterms))
     return series_mul(flux, poly2_compose_series(a_poly, r_t, s_t, nterms,
@@ -468,15 +469,15 @@ class TestBlockSeries:
         r_t[:, 0] = s_t[:, 0] = 0.0
         mono = monomial_series_table(r_t, s_t, M_IRR + 1, 6)
         for side, a_jet in enumerate((jp, jm)):
-            a_poly = a_jet.as_poly()
+            a_poly = a_jet.c
             for block in (b[:, side] for b in blocks):
-                series = poly2_compose_series(Poly2(block), r_t, s_t, 6, mono)
+                series = poly2_compose_series(block, r_t, s_t, 6, mono)
                 flux = _flux_series(block, a_poly, r_t, s_t, 5, mono[..., :5])
                 assert series.shape == flux.shape[:-1] + (6,) \
                     == (len(block), 7, 6)
                 for k, c in enumerate(block):
                     assert same_bits(series[k], poly2_compose_series(
-                        Poly2(c), r_t, s_t, 6, mono))
+                        c, r_t, s_t, 6, mono))
                     assert same_bits(flux[k], per_polynomial_flux(
                         c, a_poly, r_t, s_t, 5, mono[..., :5]))
 
@@ -485,19 +486,21 @@ def make_circle_problem(rng):
     """Piecewise polynomial data with exact jumps across the unit circle."""
     u_p, u_m = random_poly(rng, 5), random_poly(rng, 5)
     a_p = random_poly(rng, 3, scale=0.1)
-    a_p.c[0, 0] = 2.0
+    a_p[0, 0] = 2.0
     a_m = random_poly(rng, 3, scale=0.1)
-    a_m.c[0, 0] = 1.0
+    a_m[0, 0] = 1.0
     f_p, f_m = pde_source(a_p, u_p), pde_source(a_m, u_m)
 
     def jump_g_pt(x, y):
-        return u_p.eval(x, y) - u_m.eval(x, y)
+        return poly_eval(u_p, x, y) - poly_eval(u_m, x, y)
 
     def jump_gg_pt(x, y):
         r = np.hypot(x, y)
         nx, ny = x / r, y / r
-        fp = a_p.eval(x, y) * (u_p.dx().eval(x, y) * nx + u_p.dy().eval(x, y) * ny)
-        fm = a_m.eval(x, y) * (u_m.dx().eval(x, y) * nx + u_m.dy().eval(x, y) * ny)
+        fp = poly_eval(a_p, x, y) * (poly_eval(poly_dx(u_p), x, y) * nx
+                                     + poly_eval(poly_dy(u_p), x, y) * ny)
+        fm = poly_eval(a_m, x, y) * (poly_eval(poly_dx(u_m), x, y) * nx
+                                     + poly_eval(poly_dy(u_m), x, y) * ny)
         return fp - fm
 
     return u_p, u_m, a_p, a_m, f_p, f_m, jump_g_pt, jump_gg_pt
@@ -509,8 +512,8 @@ def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
         iface.chart([bp], h, chart_kind)
     curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
     jp, jm, fpd, fmd, _ = irregular_jets(
-        a_p.as_callable(), a_m.as_callable(), f_p.as_callable(),
-        f_m.as_callable(), iface.psi, [point], [bp.base], h)
+        *(partial(poly_eval, c) for c in (a_p, a_m, f_p, f_m)),
+        iface.psi, [point], [bp.base], h)
     (model,) = build_transmission([curve], jp, jm)
     psi_vals = iface.psi(point[0] + h * np.array([o[0] for o in IRREGULAR_OFFSETS]),
                          point[1] + h * np.array([o[1] for o in IRREGULAR_OFFSETS]))
@@ -537,7 +540,7 @@ class TestIrregularStencil:
         for i, (k, l) in enumerate(IRREGULAR_OFFSETS):
             x, y = point[0] + k * h, point[1] + l * h
             u = self.u_m if circle_psi(x, y) <= 0 else self.u_p
-            lhs += ch[i] * u.eval(x, y)
+            lhs += ch[i] * poly_eval(u, x, y)
         w = irregular_rhs_weights(coeffs, system, h)
         rhs = irregular_rhs_value(w, fpd, fmd, curve)
         return lhs / h - rhs
@@ -578,8 +581,8 @@ class TestIrregularStencil:
         assert charts[0].kind != charts[1].kind
 
         jp, jm, *_ = irregular_jets(
-            self.a_p.as_callable(), self.a_m.as_callable(),
-            self.f_p.as_callable(), self.f_m.as_callable(),
+            *(partial(poly_eval, c)
+              for c in (self.a_p, self.a_m, self.f_p, self.f_m)),
             self.iface.psi, [point], [bp.base], h)
         psi_vals = circle_psi(
             point[0] + h * np.array([o[0] for o in IRREGULAR_OFFSETS]),
@@ -597,22 +600,22 @@ class TestIrregularStencil:
 
     def test_harmonic_exactness_decay(self):
         """a = 1 both sides, zero jumps, harmonic u: residual O(h^5)."""
-        one = Poly2(np.array([[1.0]]))
-        u = Poly2(np.zeros((5, 5)))
-        u.c[2, 0], u.c[0, 2] = 1.0, -1.0    # x^2 - y^2
-        u.c[1, 1] = 0.5
+        one = np.array([[1.0]])
+        u = np.zeros((5, 5))
+        u[2, 0], u[0, 2] = 1.0, -1.0    # x^2 - y^2
+        u[1, 1] = 0.5
         iface = LevelSetInterface(circle_psi,
                                   jump_g=lambda x, y: 0.0 * np.asarray(x),
                                   jump_ggamma=lambda x, y: 0.0 * np.asarray(x))
         errs = []
         hs = [2.0**-k for k in range(3, 6)]
-        zero = Poly2(np.array([[0.0]]))
+        zero = np.array([[0.0]])
         for h in hs:
             point = (1.0 + 0.4 * h, 0.2 * h)
             coeffs, system, curve, fpd, fmd = build_point_stencil(
                 iface, one, one, zero, zero, point, h)
             ch = stencil_values(coeffs, h)
-            lhs = sum(ch[i] * u.eval(point[0] + k * h, point[1] + l * h)
+            lhs = sum(ch[i] * poly_eval(u, point[0] + k * h, point[1] + l * h)
                       for i, (k, l) in enumerate(IRREGULAR_OFFSETS))
             w = irregular_rhs_weights(coeffs, system, h)
             rhs = irregular_rhs_value(w, fpd, fmd, curve)
@@ -685,7 +688,7 @@ def generic_solve(system, h):
         / speed2**1.5
     if kappa * h > KAPPA_CRIT:
         vw = system.offsets
-        gvals = Poly2(system.model.g_minus).eval(vw[:, 0] * h, vw[:, 1] * h)
+        gvals = poly_eval(system.model.g_minus, vw[:, 0] * h, vw[:, 1] * h)
         penalty = np.where(system.minus_mask[None, :], gvals, 0.0)
         return generic_recursion(system.expansions, LEAD13, 5, CENTER13,
                                  penalty=penalty, max_degree=0), "fallback"
@@ -821,8 +824,7 @@ class TestBatchedIrregularSystem:
             assert same_bits(system.expansions, exp)
         # the plus side alone, through the expansion itself
         vw = np.stack([system.offsets for system in systems])
-        got = expand_poly_in_h(Poly2(np.stack([m.g_plus for m in models])),
-                               vw, 6)
+        got = expand_poly_in_h(np.stack([m.g_plus for m in models]), vw, 6)
         for g, model, offsets in zip(got, models, vw):
             assert same_bits(g, expand_one(model.g_plus, offsets, 6))
 
@@ -845,5 +847,5 @@ class TestBatchedIrregularSystem:
         rng = np.random.default_rng(100 + B)
         c = rng.normal(size=(B, 11, 6, 6))
         offsets = rng.uniform(-1.0, 1.0, 2) + np.asarray(IRREGULAR_OFFSETS)
-        assert same_bits(expand_poly_in_h(Poly2(c), offsets, 6),
+        assert same_bits(expand_poly_in_h(c, offsets, 6),
                          expand_one(c, offsets, 6))

@@ -7,14 +7,23 @@ import pytest
 
 from hybridfdm.errors import ReductionError
 from hybridfdm.indexsets import lambda_band, lambda_full
-from hybridfdm.jets import Jet2, Poly2, poly2_compose_series, series_mul, series_sqrt
+from hybridfdm.jets import (
+    Jet2,
+    poly2_compose_series,
+    poly_dx,
+    poly_dy,
+    poly_eval,
+    series_mul,
+    series_sqrt,
+)
 from hybridfdm.reduction import (
     _partials,
     build_reduction_table,
     dense_tables,
     gh_blocks,
-    transpose_reduction_table,
+    transpose_blocks,
 )
+from manufactured import pde_source, poly_mul, random_poly
 
 OFFSETS9 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 
@@ -33,35 +42,27 @@ def jet_deriv(jet, m: int, n: int):
 
 
 def deriv_at(poly, m: int, n: int, x, y):
-    """Evaluate d^{m+n}/dx^m dy^n of a polynomial at (x, y)."""
+    """Evaluate d^{m+n}/dx^m dy^n of a polynomial table at (x, y)."""
     for _ in range(m):
-        poly = poly.dx()
+        poly = poly_dx(poly)
     for _ in range(n):
-        poly = poly.dy()
-    return poly.eval(x, y)
+        poly = poly_dy(poly)
+    return poly_eval(poly, x, y)
 
 
-def leading_g_poly(m: int, n: int, size: int) -> Poly2:
+def leading_g_poly(m: int, n: int, size: int) -> np.ndarray:
     """The constant homogeneous polynomial G_{m,n} (x-band form, m in {0,1})."""
     c = np.zeros((size, size))
     for ell in range(n // 2 + 1):
         c[m + 2 * ell, n - 2 * ell] = (-1.0) ** ell / (
             factorial(m + 2 * ell) * factorial(n - 2 * ell)
         )
-    return Poly2(c)
+    return c
 
 
 def constant_jet(value, order):
     """The jet of a constant function."""
     return Jet2.from_derivatives({(0, 0): value}, order)
-
-
-def random_poly(rng, degree, scale=1.0):
-    c = np.zeros((degree + 1, degree + 1))
-    for m in range(degree + 1):
-        for n in range(degree + 1 - m):
-            c[m, n] = scale * rng.uniform(-1, 1)
-    return Poly2(c)
 
 
 def poly_jet(poly, order, base):
@@ -70,12 +71,6 @@ def poly_jet(poly, order, base):
         for n in range(order + 1 - m):
             derivs[(m, n)] = deriv_at(poly, m, n, *base)
     return Jet2.from_derivatives(derivs, order)
-
-
-def pde_source(a, u):
-    """f = -div(a grad u) for polynomial data."""
-    ux, uy = u.dx(), u.dy()
-    return (a.dx() * ux + a.dy() * uy + a * (ux.dx() + uy.dy())).scaled(-1.0)
 
 
 class TestLambdaSets:
@@ -120,7 +115,7 @@ class TestJet2:
         base = (0.3, -0.2)
         jp, jq = poly_jet(p, 6, base), poly_jet(q, 6, base)
         prod = jp * jq
-        pq = p * q
+        pq = poly_mul(p, q)
         for m in range(7):
             for n in range(7 - m):
                 assert jet_deriv(prod, m, n) == pytest.approx(
@@ -130,7 +125,7 @@ class TestJet2:
     def test_reciprocal(self):
         rng = np.random.default_rng(4)
         p = random_poly(rng, 3, scale=0.2)
-        p.c[0, 0] = 2.0
+        p[0, 0] = 2.0
         j = poly_jet(p, 6, (0.1, 0.1))
         one = j * j.reciprocal()
         assert one.value == pytest.approx(1.0)
@@ -170,14 +165,14 @@ class TestSeries:
         ys = np.array([0.0, 0.7, 0.0, 0.0, 0.0, 0.0])
         series = poly2_compose_series(p, xs, ys, 6)
         for t in (0.05, -0.08):
-            direct = p.eval(xs[1] * t, ys[1] * t)
+            direct = poly_eval(p, xs[1] * t, ys[1] * t)
             via = sum(series[k] * t**k for k in range(6))
             assert via == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_poly_compose_series_truncates_consistently(self):
         # quadratic curve: compare against the exact Taylor coefficients of
         # q(t) = p(x(t), y(t)) computed by expanding the composed polynomial
-        p = Poly2(np.array([[0.0, 1.0], [2.0, 0.0]]))  # 2x + y
+        p = np.array([[0.0, 1.0], [2.0, 0.0]])  # 2x + y
         xs = np.array([0.0, 1.0, -0.5, 0.0])
         ys = np.array([0.0, 0.0, 2.0, 0.0])
         series = poly2_compose_series(p, xs, ys, 4)
@@ -204,11 +199,11 @@ class TestReductionTable:
     def test_generic_gradient_entries(self):
         rng = np.random.default_rng(7)
         apoly = random_poly(rng, 3, scale=0.3)
-        apoly.c[0, 0] = 2.5
+        apoly[0, 0] = 2.5
         base = (0.2, -0.3)
         ajet = poly_jet(apoly, 6, base)
         table = build_reduction_table(ajet, 7)
-        a0 = apoly.eval(*base)
+        a0 = poly_eval(apoly, *base)
         assert table.u_value(2, 0, 1, 0) == pytest.approx(
             -deriv_at(apoly, 1, 0, *base) / a0, rel=1e-12
         )
@@ -219,7 +214,7 @@ class TestReductionTable:
     def test_band_support_invariants(self):
         rng = np.random.default_rng(8)
         apoly = random_poly(rng, 3, scale=0.2)
-        apoly.c[0, 0] = 2.0
+        apoly[0, 0] = 2.0
         table = build_reduction_table(poly_jet(apoly, 6, (0.1, 0.2)), 7)
         for (p, q), coeffs in table.u.items():
             for (m, n) in coeffs:
@@ -234,7 +229,7 @@ class TestReductionTable:
         rng = np.random.default_rng(seed)
         u = random_poly(rng, 7)
         a = random_poly(rng, 3, scale=0.15)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         f = pde_source(a, u)
         base = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
         table = build_reduction_table(poly_jet(a, 6, base), 7)
@@ -265,14 +260,13 @@ def random_a_jets(seed, count, order=6):
     tables = []
     for _ in range(count):
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = rng.uniform(1.5, 2.5)
+        a[0, 0] = rng.uniform(1.5, 2.5)
         base = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
         tables.append(poly_jet(a, order, base).c)
     return Jet2(np.stack(tables), order)
 
 
-REDUCTIONS = [(build_reduction_table, 6), (build_reduction_table, 7),
-              (transpose_reduction_table, 6)]
+REDUCTIONS = [(build_reduction_table, 6), (build_reduction_table, 7)]
 
 
 class TestValueOnlyTable:
@@ -343,11 +337,8 @@ def reference_gh_polynomials(table, order):
     from math import factorial
 
     batch = table.a_jet.c.shape[:-2]
-    band = lambda_band(order)
-    if table.transposed:
-        band = tuple((n, m) for (m, n) in band)
     out = []
-    for keys, value in ((band, table.u_value),
+    for keys, value in ((lambda_band(order), table.u_value),
                         (lambda_full(order - 2), table.f_value)):
         polys = {}
         for key in keys:
@@ -398,7 +389,7 @@ class TestGHPolynomials:
     def test_g00_is_one(self):
         rng = np.random.default_rng(9)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 1.7
+        a[0, 0] = 1.7
         table = build_reduction_table(poly_jet(a, 6, (0.1, -0.1)), 7)
         g, _ = gh_blocks(table)
         c = dense_tables(g[lambda_band(7).index((0, 0))])
@@ -409,7 +400,8 @@ class TestGHPolynomials:
         """All 135 entries of the paper's matrix from the G leading parts."""
         got = np.array(
             [
-                [leading_g_poly(m, n, 8).eval(k, ell) for (k, ell) in OFFSETS9]
+                [poly_eval(leading_g_poly(m, n, 8), k, ell)
+                 for (k, ell) in OFFSETS9]
                 for (m, n) in lambda_band(7)
             ]
         )
@@ -419,15 +411,15 @@ class TestGHPolynomials:
         table = build_reduction_table(constant_jet(2.0, 6), 7)
         g, h = map(dense_tables, gh_blocks(table))
         for k, (m, n) in enumerate(lambda_band(7)):
-            assert np.allclose(g[k], leading_g_poly(m, n, 8).c, atol=1e-14)
+            assert np.allclose(g[k], leading_g_poly(m, n, 8), atol=1e-14)
         # leading term of H_{7,0,0} is -x^2/(2a)
         h00 = h[lambda_full(5).index((0, 0))]
         assert h00[2, 0] == pytest.approx(-1.0 / (2.0 * 2.0))
         assert np.allclose(h00[:2, :2], 0.0)
 
     def test_g02_point_values(self):
-        assert leading_g_poly(0, 2, 8).eval(0.0, -1.0) == pytest.approx(0.5)
-        vals = [leading_g_poly(1, 3, 8).eval(k, q) for (k, q) in OFFSETS9]
+        assert poly_eval(leading_g_poly(0, 2, 8), 0.0, -1.0) == pytest.approx(0.5)
+        vals = [poly_eval(leading_g_poly(1, 3, 8), k, q) for (k, q) in OFFSETS9]
         assert np.allclose(vals, 0.0)
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -436,28 +428,38 @@ class TestGHPolynomials:
         rng = np.random.default_rng(seed)
         u = random_poly(rng, 7)
         a = random_poly(rng, 3, scale=0.1)
-        a.c[0, 0] = 1.5
+        a[0, 0] = 1.5
         f = pde_source(a, u)
         base = (0.05, -0.1)
         table = build_reduction_table(poly_jet(a, 6, base), 7)
         g, h = map(dense_tables, gh_blocks(table))
         for (dx_, dy_) in [(0.3, 0.2), (-0.25, 0.15), (0.1, -0.35)]:
-            direct = u.eval(base[0] + dx_, base[1] + dy_)
+            direct = poly_eval(u, base[0] + dx_, base[1] + dy_)
             via = sum(
-                deriv_at(u, m, n, *base) * Poly2(c).eval(dx_, dy_)
+                deriv_at(u, m, n, *base) * poly_eval(c, dx_, dy_)
                 for (m, n), c in zip(lambda_band(7), g)
             ) + sum(
-                deriv_at(f, m, n, *base) * Poly2(c).eval(dx_, dy_)
+                deriv_at(f, m, n, *base) * poly_eval(c, dx_, dy_)
                 for (m, n), c in zip(lambda_full(5), h)
             )
             assert via == pytest.approx(direct, rel=1e-9, abs=1e-11)
 
 
 class TestTransposedTable:
+    """The reduction onto the band n in {0, 1}: the transposed jet's blocks
+    with their indices swapped (``transpose_blocks``)."""
+
+    @staticmethod
+    def blocks(a_jet, order):
+        return transpose_blocks(
+            *gh_blocks(build_reduction_table(a_jet.transposed(), order)))
+
     def test_constant_a_transposed_entries(self):
-        table = transpose_reduction_table(constant_jet(1.0, 6), 7)
-        assert table.u_value(0, 2, 2, 0) == pytest.approx(-1.0)
-        g = dense_tables(gh_blocks(table)[0])
+        jet = constant_jet(1.0, 6)
+        # u^(0,2) = -u^(2,0) - f / a, read in the transposed jet's table
+        table = build_reduction_table(jet.transposed(), 7)
+        assert table.u_value(2, 0, 0, 2) == pytest.approx(-1.0)
+        g = dense_tables(self.blocks(jet, 7)[0])
         expect = np.zeros((8, 8))
         expect[2, 0] = 0.5
         expect[0, 2] = -0.5
@@ -467,15 +469,51 @@ class TestTransposedTable:
     def test_transpose_symmetry_random_a(self):
         rng = np.random.default_rng(13)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         base = (0.1, 0.25)
         ajet = poly_jet(a, 6, base)
         g, h = map(dense_tables,
                    gh_blocks(build_reduction_table(ajet.transposed(), 7)))
-        gt, ht = map(dense_tables,
-                     gh_blocks(transpose_reduction_table(ajet, 7)))
+        gt, ht = map(dense_tables, self.blocks(ajet, 7))
         for k in range(len(lambda_band(7))):
             assert np.allclose(gt[k], g[k].T, atol=1e-12)
         full = lambda_full(5)
         for k, (i, j) in enumerate(full):
             assert np.allclose(ht[full.index((j, i))], h[k].T, atol=1e-12)
+
+    @pytest.mark.parametrize("batch,order", [(5, 6), (5, 7), (None, 6)])
+    def test_matches_the_transposed_table_bit_for_bit(self, batch, order):
+        """Equal, in bits and layout, to the blocks packed entry by entry
+        from the transposed jet's table re-keyed to the swapped indices."""
+        jet = random_a_jets(23, batch or 1, order)
+        if batch is None:
+            jet = Jet2(jet.c[0], order)
+        got = self.blocks(jet, order)
+        want = swapped_table_blocks(jet, order)
+        for g, w in zip(got, want):
+            assert same_bits(g, w) and g.strides == w.strides
+
+
+def swapped_table_blocks(a_jet, order):
+    """G/H blocks of the transposed jet's table with every (p, q) key swapped
+    to (q, p) and the band read in its (n, m) form, packed one entry at a
+    time into (E, K, ...) storage."""
+    t = build_reduction_table(a_jet.transposed(), order)
+    u = {(q, p): {(n, m): v for (m, n), v in coeffs.items()}
+         for (p, q), coeffs in t.u.items()}
+    f = {(q, p): {(j, i): v for (i, j), v in coeffs.items()}
+         for (p, q), coeffs in t.f.items()}
+    full = lambda_full(order)
+
+    def block(keys, store):
+        c = np.zeros((len(full), len(keys)) + a_jet.c.shape[:-2])
+        for e, (p, q) in enumerate(full):
+            entries = store.get((p, q), {})
+            for k, key in enumerate(keys):
+                if key in entries:
+                    np.divide(entries[key], factorial(p) * factorial(q),
+                              out=c[e, k, ...])
+        return np.moveaxis(c, 0, -1)
+
+    band = [(n, m) for (m, n) in lambda_band(order)]
+    return block(band, u), block(lambda_full(order - 2), f)

@@ -7,12 +7,9 @@ from mpmath import mp, mpf
 import hybridfdm.expressions as ex
 from hybridfdm.errors import ConfigError
 from hybridfdm.expressions import compile_expression
-from hybridfdm.problems import (
-    builtin,
-    load_config,
-    load_config_string,
-    manufacture,
-)
+from hybridfdm.jets import poly_dx, poly_dy, poly_eval
+from hybridfdm.problems import builtin, load_config, load_config_string
+from manufactured import manufacture
 from test_interface import exact_circle_curvejet
 
 
@@ -169,7 +166,7 @@ class TestManufacture:
         p = case.problem
         x, y = 0.3, -0.8
         assert p.interface is None
-        assert p.exact_u(x, y) == pytest.approx(case.u_plus.eval(x, y))
+        assert p.exact_u(x, y) == pytest.approx(poly_eval(case.u_plus, x, y))
 
     def test_default_psi_takes_the_broadcast_shape(self):
         psi = manufacture(seed=4, interface_kind="none").problem.psi
@@ -183,7 +180,7 @@ class TestManufacture:
         thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         radius = np.sqrt(0.9)
         x, y = radius * np.cos(thetas), radius * np.sin(thetas)
-        direct = case.u_plus.eval(x, y) - case.u_minus.eval(x, y)
+        direct = poly_eval(case.u_plus, x, y) - poly_eval(case.u_minus, x, y)
         via = case.problem.interface.jump_g(x, y)
         assert np.allclose(via, direct, atol=1e-12)
 
@@ -196,9 +193,10 @@ class TestManufacture:
         n = np.hypot(gx, gy)
         up, um = case.u_plus, case.u_minus
         p = case.problem
-        expect = (p.a_plus(x, y) * (up.dx().eval(x, y) * gx + up.dy().eval(x, y) * gy)
-                  - p.a_minus(x, y) * (um.dx().eval(x, y) * gx
-                                       + um.dy().eval(x, y) * gy)) / n
+        expect = (p.a_plus(x, y) * (poly_eval(poly_dx(up), x, y) * gx
+                                    + poly_eval(poly_dy(up), x, y) * gy)
+                  - p.a_minus(x, y) * (poly_eval(poly_dx(um), x, y) * gx
+                                       + poly_eval(poly_dy(um), x, y) * gy)) / n
         assert p.interface.jump_ggamma(x, y) == pytest.approx(expect, rel=1e-12)
 
 

@@ -7,12 +7,12 @@ import pytest
 
 from hybridfdm.fieldjets import corner_jets, edge_jets
 from hybridfdm.indexsets import lambda_band, lambda_full
-from hybridfdm.jets import Jet2, Poly2
+from hybridfdm.jets import Jet2, poly_dx, poly_eval
 from hybridfdm.reduction import (
     build_reduction_table,
     dense_tables,
     gh_blocks,
-    transpose_reduction_table,
+    transpose_blocks,
 )
 from hybridfdm.stencil_boundary import (
     CORNER_FRAMES,
@@ -34,7 +34,8 @@ from hybridfdm.stencil_core import (
     stencil_values,
 )
 
-from test_jets_reduction import constant_jet, deriv_at, poly_jet, random_poly
+from manufactured import pde_source, random_poly
+from test_jets_reduction import constant_jet, deriv_at, poly_jet
 from test_stencil_regular import reference_weights
 
 A0_GAMMA1 = np.array(
@@ -76,7 +77,7 @@ class TestEdgeStructure:
         """Runtime A_0 of generic data still equals the constant matrix."""
         rng = np.random.default_rng(2)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         alpha = rng.uniform(-0.5, 0.5, size=6)
         exp = expand_at_offsets(edge_basis(jet, alpha), EDGE_OFFSETS)
@@ -85,7 +86,7 @@ class TestEdgeStructure:
 
     def test_e0_row_is_all_ones(self):
         e = edge_basis(constant_jet(1.0, 5), ZERO_ALPHA)
-        assert np.allclose([Poly2(dense_tables(e[0])).eval(k, l)
+        assert np.allclose([poly_eval(dense_tables(e[0]), k, l)
                             for k, l in EDGE_OFFSETS], 1.0)
 
     def test_e2_degree2_part(self):
@@ -104,7 +105,7 @@ class TestEdgeStructure:
         for alpha0 in (0.7, 2.3):
             alpha = np.concatenate([[alpha0], rng.uniform(-1, 1, 5)])
             a = random_poly(rng, 3, scale=0.2)
-            a.c[0, 0] = 1.5
+            a[0, 0] = 1.5
             st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), alpha)
             assert st.coeffs[:, 1].sum() == pytest.approx(6 * alpha0, abs=1e-11)
             assert check_sign_sum(st.coeffs, st.offsets.index((0, 0)), tol=1e-10).passed
@@ -113,7 +114,7 @@ class TestEdgeStructure:
     def test_pure_neumann_sums_vanish(self):
         rng = np.random.default_rng(15)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 1.5
+        a[0, 0] = 1.5
         st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), ZERO_ALPHA)
         assert np.allclose(st.coeffs.sum(axis=0), 0.0, atol=1e-11)
         assert check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
@@ -128,7 +129,7 @@ class TestEdgeStructure:
         rng = np.random.default_rng(5)
         alpha = np.concatenate([[0.0], rng.uniform(-1, 1, 5)])
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 1.5
+        a[0, 0] = 1.5
         st = solve_edge_stencil(poly_jet(a, 5, (0.0, 0.0)), alpha)
         assert st.coeffs[:, 1].sum() == pytest.approx(0.0, abs=1e-11)
         assert not check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
@@ -166,7 +167,7 @@ class TestCornerStructure:
     def test_runtime_leading_matches_a0(self):
         rng = np.random.default_rng(7)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         alpha = rng.uniform(0, 1, size=6)
         beta = rng.uniform(0, 1, size=6)
@@ -180,7 +181,7 @@ class TestCornerStructure:
     def test_lambda_mu_are_reduction_entries(self):
         rng = np.random.default_rng(8)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         red = build_corner_reduction(jet, ZERO_ALPHA, ZERO_ALPHA)
         table = build_reduction_table(jet, 6)
@@ -196,10 +197,8 @@ class TestCornerStructure:
         """u^(m,0) from tangential data via p, mu, nu for a compliant u."""
         rng = np.random.default_rng(9)
         a = random_poly(rng, 3, scale=0.1)
-        a.c[0, 0] = 1.5
+        a[0, 0] = 1.5
         u = random_poly(rng, 6)
-        from test_jets_reduction import pde_source
-
         f = pde_source(a, u)
         from math import factorial as _fact
 
@@ -208,14 +207,14 @@ class TestCornerStructure:
         jet = poly_jet(a, 5, (0.0, 0.0))
         red = build_corner_reduction(jet, alpha_der, ZERO_ALPHA)
         # g1(y) = -u_x(0,y) + alpha(y) u(0,y) as a 1D polynomial in y
-        ux = u.dx()
+        ux = poly_dx(u)
         g1 = np.zeros(16)
-        for n in range(u.size):
-            g1[n] -= ux.c[0, n]
+        for n in range(len(u)):
+            g1[n] -= ux[0, n]
         for i, av in enumerate(alpha_poly):
-            for n in range(u.size):
+            for n in range(len(u)):
                 if i + n < 16:
-                    g1[i + n] += av * u.c[0, n]
+                    g1[i + n] += av * u[0, n]
         from math import factorial
 
         g1_der = np.array([g1[n] * factorial(n) for n in range(6)])
@@ -314,25 +313,21 @@ def corner_residual(anchor, h):
 
 
 def reference_robin_basis(g, alpha):
-    """E_n (or E~_m) as Poly2 sums over a dict of G polynomials."""
+    """E_n (or E~_m) as sums of scaled tables over a dict of G polynomials."""
     basis = []
     for n in range(7):
         en = g[(0, n)]
         for i in range(n, 6):
-            en = en + g[(1, i)].scaled(comb(i, n) * alpha[..., i - n])
+            en = en + g[(1, i)] * (comb(i, n) * alpha[i - n])
         basis.append(en)
     return basis
 
 
-def gh_dicts(table):
-    """The G/H blocks of an order-6 table as dicts of Poly2, keyed in the
-    order of ``gh_blocks`` (band keys of a transposed table in (n, m) form)."""
-    g, h = map(dense_tables, gh_blocks(table))
-    band = lambda_band(6)
-    if table.transposed:
-        band = tuple((n, m) for (m, n) in band)
-    return ({key: Poly2(c) for key, c in zip(band, g)},
-            {key: Poly2(c) for key, c in zip(lambda_full(4), h)})
+def gh_dicts(blocks, band=lambda_band(6)):
+    """Order-6 G/H blocks as dicts of square tables, keyed in block order
+    (the band keys of transposed blocks in their (n, m) form)."""
+    g, h = map(dense_tables, blocks)
+    return dict(zip(band, g)), dict(zip(lambda_full(4), h))
 
 
 class TestRhsWeights:
@@ -340,7 +335,7 @@ class TestRhsWeights:
     def test_match_per_polynomial_eval(self, h):
         rng = np.random.default_rng(31)
         a = random_poly(rng, 3, scale=0.2)
-        a.c[0, 0] = 2.0
+        a[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         edge_jet = Jet2(np.stack([jet.c, jet.c * 1.1]), 5)
         alpha = rng.uniform(0, 1, size=(2, 6))
@@ -352,7 +347,7 @@ class TestRhsWeights:
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
         st = solve_edge_stencil(edge_jet, alpha)
-        g, hp = gh_dicts(build_reduction_table(edge_jet, 6))
+        g, hp = gh_dicts(gh_blocks(build_reduction_table(edge_jet, 6)))
         w = st.weights(h)
         assert w.shape == (2, 21)
         assert_close(w[:, F_SLOT], reference_weights(
@@ -362,20 +357,23 @@ class TestRhsWeights:
 
         red = build_corner_reduction(jet, alpha[0], beta)
         cst = solve_corner_stencil(red)
-        g, hp = gh_dicts(build_reduction_table(jet, 6))
-        gt, ht = gh_dicts(transpose_reduction_table(jet, 6))
+        g, hp = gh_dicts(gh_blocks(build_reduction_table(jet, 6)))
+        gt, ht = gh_dicts(
+            transpose_blocks(
+                *gh_blocks(build_reduction_table(jet.transposed(), 6))),
+            band=[(n, m) for (m, n) in lambda_band(6)])
         et = reference_robin_basis({(n, m): p for (m, n), p in gt.items()}, beta)
         f_til = []
         for k, mn in enumerate(F_INDICES_B):
             poly = ht[mn]
             for i in range(7):
-                poly = poly + et[i].scaled(red.nu[k][i])
+                poly = poly + et[i] * red.nu[k][i]
             f_til.append(poly)
         g1_til = []
         for n in range(6):
-            poly = Poly2.zero(7)
+            poly = np.zeros((7, 7))
             for m in range(7):
-                poly = poly + et[m].scaled(red.mu[m, n])
+                poly = poly + et[m] * red.mu[m, n]
             g1_til.append(poly)
         chat, ctil = cst.chat, cst.ctilde
         w = cst.weights(h)

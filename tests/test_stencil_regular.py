@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridfdm.indexsets import lambda_band, lambda_full
-from hybridfdm.jets import Jet2, Poly2
+from hybridfdm.jets import Jet2, poly_eval
 from hybridfdm.mls import mls_operator, sampling_recipe
 from hybridfdm.reduction import build_reduction_table, dense_tables, gh_blocks
 from hybridfdm.stencil_core import (
@@ -205,11 +205,11 @@ def random_a_jet(rng, batch):
 
 
 def reference_weights(coeffs, polys, offsets, h):
-    """The per-polynomial Poly2.eval loop the offset operators replaced."""
+    """The per-polynomial ``poly_eval`` loop the offset operators replaced."""
     ch = coeffs @ (h ** np.arange(coeffs.shape[-1]))
     kh = h * np.array([o[0] for o in offsets], dtype=float)
     lh = h * np.array([o[1] for o in offsets], dtype=float)
-    return np.stack([np.sum(ch * p.eval(kh, lh), axis=-1) for p in polys],
+    return np.stack([np.sum(ch * poly_eval(p, kh, lh), axis=-1) for p in polys],
                     axis=-1)
 
 
@@ -225,7 +225,7 @@ class TestOffsetOperator:
         k = len(offsets)
         assert op.shape == (n, k, size)
         got = (c @ op.reshape(n, -1)).reshape(batch + (k, size))
-        want = expand_poly_in_h(Poly2(dense_tables(c)), offsets, size)
+        want = expand_poly_in_h(dense_tables(c), offsets, size)
         scale = np.abs(c).max(axis=-1)[..., None, None]
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
@@ -237,7 +237,7 @@ class TestOffsetOperator:
         n = len(lambda_full(size - 1))
         blocks = np.random.default_rng(size).standard_normal((3, 4, n))
         got = expand_at_offsets(blocks, offsets)
-        want = expand_poly_in_h(Poly2(dense_tables(blocks)), offsets, size)
+        want = expand_poly_in_h(dense_tables(blocks), offsets, size)
         assert got.shape == (3, 4, len(offsets), size)
         bound = (np.abs(blocks) @ np.abs(offset_operator(offsets, size))
                  .reshape(n, -1)).reshape(got.shape)
@@ -256,7 +256,7 @@ class TestOffsetOperator:
         system = assemble_regular_system(jet)
         g = dense_tables(gh_blocks(build_reduction_table(jet, 7))[0])
         assert len(g) == len(lambda_band(7))
-        want = np.stack([expand_poly_in_h(Poly2(c), OFFSETS9, 8) for c in g],
+        want = np.stack([expand_poly_in_h(c, OFFSETS9, 8) for c in g],
                         axis=-3)
         assert system.expansions.shape == batch + (15, 9, 8)
         scale = np.stack([np.abs(c).max(axis=(-2, -1)) for c in g],
@@ -269,9 +269,7 @@ class TestOffsetOperator:
         jet = random_a_jet(np.random.default_rng(4), batch)
         coeffs, h_polys = build_regular_batch(jet)
         got = regular_rhs_weights(coeffs, h_polys, h)
-        want = reference_weights(coeffs,
-                                 [Poly2(c) for c in dense_tables(h_polys)],
-                                 OFFSETS9, h)
+        want = reference_weights(coeffs, dense_tables(h_polys), OFFSETS9, h)
         assert got.shape == batch + (len(lambda_full(5)),)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
