@@ -1,11 +1,16 @@
-"""A small arithmetic-expression evaluator for problem configuration files.
+"""Problem-configuration expressions, compiled to functions over numpy.
 
-Supports numbers, named variables, the constants pi and e, the operators
-+ - * / ^ (power, right associative) with unary minus, parentheses, and a
-fixed set of functions over numpy, so compiled expressions evaluate pointwise
-on arrays.  No attribute access, no names beyond the whitelist: just enough
-to describe coefficients, sources and boundary data.  A function called
-with the wrong number of arguments is a ``ConfigError`` at compile time.
+An expression is Python expression syntax cut down to a whitelist: int and
+float literals, the caller's variables, the constants pi and e, + - * /,
+^ for power (as is **), unary minus and plus, parentheses, and calls of a
+fixed set of numpy functions by plain name with positional arguments.  The
+text, its whitespace collapsed (a config value may span lines) and ^ mapped
+to **, is parsed by ``ast``; one walk keeps the whitelisted nodes and
+raises ``ConfigError`` quoting the text of any other, as it does for an
+unknown name or a wrong argument count.  The grammar being Python's, ``01``
+is rejected and ``1_0`` reads as 10.  ``#`` is rejected, as Python would
+read the rest as a comment; in a config file ``;`` starts an inline
+comment, which the loader strips.
 
 A compiled expression computes each repeated subexpression once.  The
 renderer keys every compound subtree by its rendered Python text (not by
@@ -19,7 +24,7 @@ computed.
 
 from __future__ import annotations
 
-import re
+import ast
 
 import numpy as np
 
@@ -36,111 +41,56 @@ _FUNCTIONS = {
 _BINARY = {"atan2", "min", "max"}      # every other function takes one
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^(),]))"
-)
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+              ast.Pow: "^"}
 
 
-def _tokenize(src: str):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            if src[pos:].strip():
-                raise ConfigError(f"cannot tokenize expression at: {src[pos:]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-    tokens.append(("end", None))
-    return tokens
+def parse_expression(src: str, variables: tuple) -> tuple:
+    """The tree of one expression: ``("num", float)``, ``("var", name)``,
+    ``("neg", t)``, ``(op, a, b)`` with op in ``+ - * / ^`` and
+    ``("call", name, args)``; unary plus is dropped, pi and e are numbers."""
+    line = " ".join(src.split())
+    text = line.replace("^", "**")
+    if "#" in text:
+        raise ConfigError(f"cannot parse expression {line!r}: '#' is not "
+                          f"allowed (';' starts a comment)")
 
+    def walk(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return (_OPERATORS[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            return walk(node.operand)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            # through the literal's text, so a huge integer reads as inf
+            return ("num", float(str(node.value)))
+        if isinstance(node, ast.Name):
+            if node.id in _CONSTANTS:
+                return ("num", _CONSTANTS[node.id])
+            if node.id not in variables:
+                raise ConfigError(f"unknown variable {node.id!r} "
+                                  f"(expected one of {sorted(variables)})")
+            return ("var", node.id)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and not node.keywords):
+            name, args = node.func.id, tuple(walk(arg) for arg in node.args)
+            if name not in _FUNCTIONS:
+                raise ConfigError(f"unknown function {name!r}")
+            arity = 2 if name in _BINARY else 1
+            if len(args) != arity:
+                raise ConfigError(
+                    f"function {name!r} takes {arity} argument"
+                    f"{'s' if arity > 1 else ''}, got {len(args)}")
+            return ("call", name, args)
+        raise ConfigError(f"unsupported syntax "
+                          f"{ast.get_source_segment(text, node)!r} in {line!r}")
 
-class _Parser:
-    """Pratt parser producing nested tuples."""
-
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        node = self.expression(0)
-        if self.peek()[0] != "end":
-            raise ConfigError(f"trailing input near {self.peek()[1]!r}")
-        return node
-
-    def expression(self, min_bp):
-        node = self.prefix()
-        while True:
-            kind, val = self.peek()
-            if kind != "op" or val not in ("+", "-", "*", "/", "^"):
-                break
-            lbp, rbp = {"+": (10, 11), "-": (10, 11), "*": (20, 21),
-                        "/": (20, 21), "^": (31, 30)}[val]
-            if lbp < min_bp:
-                break
-            self.next()
-            rhs = self.expression(rbp)
-            node = (val, node, rhs)
-        return node
-
-    def prefix(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "op" and val == "-":
-            return ("neg", self.expression(25))
-        if kind == "op" and val == "+":
-            return self.expression(25)
-        if kind == "op" and val == "(":
-            node = self.expression(0)
-            self.expect(")")
-            return node
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.next()
-                args = [self.expression(0)]
-                while self.peek() == ("op", ","):
-                    self.next()
-                    args.append(self.expression(0))
-                self.expect(")")
-                if val not in _FUNCTIONS:
-                    raise ConfigError(f"unknown function {val!r}")
-                arity = 2 if val in _BINARY else 1
-                if len(args) != arity:
-                    raise ConfigError(
-                        f"function {val!r} takes {arity} argument"
-                        f"{'s' if arity > 1 else ''}, got {len(args)}")
-                return ("call", val, tuple(args))
-            if val in _CONSTANTS:
-                return ("num", _CONSTANTS[val])
-            if val not in self.variables:
-                raise ConfigError(f"unknown variable {val!r} "
-                                  f"(expected one of {sorted(self.variables)})")
-            return ("var", val)
-        raise ConfigError(f"unexpected token {val!r}")
+    try:
+        return walk(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError) as exc:
+        reason = exc.msg if isinstance(exc, SyntaxError) else exc
+        raise ConfigError(f"cannot parse expression {line!r}: {reason}") from exc
 
 
 _SYMBOLS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
@@ -156,7 +106,7 @@ def _format(node, args) -> str:
     return f"({args[0]} {_SYMBOLS[op]} {args[1]})"
 
 
-def _render(ast):
+def _render(tree):
     """(statements, result) of the parsed tree as Python over numpy functions.
 
     Every compound subtree is keyed by its plain rendered text, so the tree
@@ -183,7 +133,7 @@ def _render(ast):
             uses[text] = 0
         return text
 
-    root = fold(ast)
+    root = fold(tree)
     statements, temps = [], {}
 
     def emit(text) -> str:
@@ -209,8 +159,7 @@ def compile_expression(src: str, variables: tuple):
     ufuncs, so evaluation runs at native numpy speed; repeated subtrees are
     computed once (see the module docstring).
     """
-    ast = _Parser(_tokenize(src), set(variables)).parse()
-    statements, result = _render(ast)
+    statements, result = _render(parse_expression(src, variables))
     namespace = {f"_f_{name}": fn for name, fn in _FUNCTIONS.items()}
     body = "".join(f"    {line}\n" for line in statements)
     source = f"def _raw({', '.join(variables)}):\n{body}    return {result}\n"

@@ -92,60 +92,62 @@ def load_config(path) -> ProblemSpec:
 
 
 def load_config_string(text: str) -> ProblemSpec:
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=(";",))
     try:
         cp.read_file(io.StringIO(text))
     except configparser.Error as exc:
         raise ConfigError(f"malformed problem config: {exc}") from exc
 
-    def need(section, key):
-        if not cp.has_option(section, key):
+    def need(section, key, fallback=None):
+        value = cp.get(section, key, fallback=fallback)
+        if value is None:
             raise ConfigError(f"config is missing [{section}] {key}")
-        return cp.get(section, key)
+        return value
 
+    def expr(section, key, variables, fallback=None):
+        """[section] key (else the fallback source), compiled; an error in
+        the expression names the key."""
+        src = need(section, key, fallback)
+        try:
+            return compile_expression(src, variables)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+    xy, theta = ("x", "y"), ("theta",)
     name = cp.get("problem", "name", fallback="unnamed")
-    const = lambda src: float(compile_expression(src, ())())
-    domain = tuple(const(need("domain", k)) for k in ("l1", "l2", "l3", "l4"))
+    domain = tuple(float(expr("domain", k, ())())
+                   for k in ("l1", "l2", "l3", "l4"))
 
     kind = cp.get("interface", "kind", fallback="none").strip().lower()
     if kind == "none":
         interface = None
     elif kind == "levelset":
-        psi = compile_expression(need("interface", "psi"), ("x", "y"))
-        g = compile_expression(need("interface", "g"), ("x", "y"))
-        gg = compile_expression(need("interface", "g_gamma"), ("x", "y"))
-        interface = LevelSetInterface(psi, jump_g=g, jump_ggamma=gg)
+        interface = LevelSetInterface(
+            expr("interface", "psi", xy), jump_g=expr("interface", "g", xy),
+            jump_ggamma=expr("interface", "g_gamma", xy))
     elif kind == "parametric":
-        r = compile_expression(need("interface", "r"), ("theta",))
-        s = compile_expression(need("interface", "s"), ("theta",))
-        psi = compile_expression(need("interface", "psi"), ("x", "y"))
-        g = compile_expression(need("interface", "g"), ("theta",))
-        gg = compile_expression(need("interface", "g_gamma"), ("theta",))
-        period = const(cp.get("interface", "period", fallback="2*pi"))
-        interface = ParametricInterface(r, s, psi, jump_g=g, jump_ggamma=gg,
-                                        period=period)
+        interface = ParametricInterface(
+            expr("interface", "r", theta), expr("interface", "s", theta),
+            expr("interface", "psi", xy),
+            jump_g=expr("interface", "g", theta),
+            jump_ggamma=expr("interface", "g_gamma", theta),
+            period=float(expr("interface", "period", (), "2*pi")()))
     else:
         raise ConfigError(f"unknown interface kind {kind!r}")
 
-    def field_expr(key, default_key=None):
-        if cp.has_option("fields", key):
-            src = cp.get("fields", key)
-        elif default_key is not None:
-            src = need("fields", default_key)
-        else:
-            src = need("fields", key)
-        return compile_expression(src, ("x", "y"))
-
-    a_plus = field_expr("a_plus")
-    f_plus = field_expr("f_plus")
-    a_minus = field_expr("a_minus", "a_plus" if interface is None else None)
-    f_minus = field_expr("f_minus", "f_plus" if interface is None else None)
+    a_plus = expr("fields", "a_plus", xy)
+    f_plus = expr("fields", "f_plus", xy)
+    # without an interface the minus side defaults to the plus side
+    a_minus = expr("fields", "a_minus", xy,
+                   a_plus.source if interface is None else None)
+    f_minus = expr("fields", "f_minus", xy,
+                   f_plus.source if interface is None else None)
 
     exact_p = exact_m = None
     if cp.has_section("exact"):
-        exact_p = compile_expression(need("exact", "u_plus"), ("x", "y"))
-        src_m = cp.get("exact", "u_minus", fallback=cp.get("exact", "u_plus"))
-        exact_m = compile_expression(src_m, ("x", "y"))
+        exact_p = expr("exact", "u_plus", xy)
+        exact_m = expr("exact", "u_minus", xy, exact_p.source)
 
     boundary = {}
     for side in (1, 2, 3, 4):
@@ -153,13 +155,12 @@ def load_config_string(text: str) -> ProblemSpec:
         if not cp.has_section(sec):
             raise ConfigError(f"config is missing section [{sec}]")
         bkind = need(sec, "kind").strip().lower()
-        data = compile_expression(need(sec, "g"), ("x", "y"))
+        data = expr(sec, "g", xy)
         if bkind == "dirichlet":
             boundary[side] = BoundaryCondition("dirichlet", data)
         elif bkind in ("robin", "neumann"):
-            alpha_src = cp.get(sec, "alpha", fallback="0")
-            alpha = compile_expression(alpha_src, ("x", "y"))
-            boundary[side] = BoundaryCondition("robin", data, alpha)
+            boundary[side] = BoundaryCondition("robin", data,
+                                               expr(sec, "alpha", xy, "0"))
         else:
             raise ConfigError(f"unknown boundary kind {bkind!r} in [{sec}]")
 

@@ -1,4 +1,5 @@
-"""Compiled expressions: common-subexpression rendering changes no bit."""
+"""Compiled expressions: parse trees, the whitelist, and common-subexpression
+rendering that changes no bit."""
 
 import configparser
 import re
@@ -30,8 +31,7 @@ def reference_to_python(node) -> str:
 
 
 def reference_compile(src, variables):
-    ast = ex._Parser(ex._tokenize(src), set(variables)).parse()
-    body = reference_to_python(ast)
+    body = reference_to_python(ex.parse_expression(src, variables))
     namespace = {f"_f_{name}": fn for name, fn in ex._FUNCTIONS.items()}
     arglist = ", ".join(variables) if variables else ""
     raw = eval(f"lambda {arglist}: {body}", namespace)
@@ -137,9 +137,8 @@ def test_repeated_subtree_is_computed_once(monkeypatch):
 
 
 def test_statements_bind_only_shared_subtrees():
-    ast = ex._Parser(ex._tokenize("sin(2*x)*cos(2*x) + sin(2*x) + y"),
-                     {"x", "y"}).parse()
-    statements, result = ex._render(ast)
+    tree = ex.parse_expression("sin(2*x)*cos(2*x) + sin(2*x) + y", ("x", "y"))
+    statements, result = ex._render(tree)
     assert statements == ["_t0 = (2.0 * x)", "_t1 = _f_sin(_t0)"]
     assert result == "(((_t1 * _f_cos(_t0)) + _t1) + y)"
 
@@ -150,9 +149,9 @@ def test_signed_zero_literals_stay_distinct():
 
 
 def test_parser_returns_hashable_trees():
-    ast = ex._Parser(ex._tokenize("atan2(y, x) + max(x, 1)"), {"x", "y"}).parse()
-    assert ast[1] == ("call", "atan2", (("var", "y"), ("var", "x")))
-    hash(ast)
+    tree = ex.parse_expression("atan2(y, x) + max(x, 1)", ("x", "y"))
+    assert tree[1] == ("call", "atan2", (("var", "y"), ("var", "x")))
+    hash(tree)
 
 
 def test_constant_and_zero_argument_paths():
@@ -174,10 +173,18 @@ def test_source_and_error_messages():
     with pytest.raises(ConfigError,
                        match=r"unknown variable 'z' \(expected one of \['x'\]\)"):
         compile_expression("x + z", ("x",))
-    with pytest.raises(ConfigError, match="unexpected token None"):
+    with pytest.raises(ConfigError,
+                       match=r"cannot parse expression 'x \+': invalid syntax"):
         compile_expression("x +", ("x",))
-    with pytest.raises(ConfigError, match="trailing input near"):
+    with pytest.raises(ConfigError,
+                       match="cannot parse expression 'x y': invalid syntax"):
         compile_expression("x y", ("x", "y"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "cannot parse expression 'sin(x + y': '(' was never closed")):
+        compile_expression("sin(x + y", ("x", "y"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "unsupported syntax 'x // y' in '1 + x // y'")):
+        compile_expression("1 + x // y", ("x", "y"))
 
 
 @pytest.mark.parametrize("src, message", [
@@ -189,4 +196,40 @@ def test_argument_count_is_checked_at_compile_time(src, message):
     """A unary ufunc given two arguments would take the second as its
     ``out`` array and overwrite the caller's y."""
     with pytest.raises(ConfigError, match=re.escape(message)):
+        compile_expression(src, ("x", "y"))
+
+
+X, A, B, C = ("var", "x"), ("var", "a"), ("var", "b"), ("var", "c")
+TWO = ("num", 2.0)
+
+
+@pytest.mark.parametrize("src, tree", [
+    ("-x^2", ("neg", ("^", X, TWO))),
+    ("2^-x^2", ("^", TWO, ("neg", ("^", X, TWO)))),
+    ("a^b^c", ("^", A, ("^", B, C))),
+    ("a-b-c", ("-", ("-", A, B), C)),
+    ("a/b/c", ("/", ("/", A, B), C)),
+    ("-a*b", ("*", ("neg", A), B)),
+    ("x**2", ("^", X, TWO)),
+    ("+x", X),
+    ("3", ("num", 3.0)),
+    ("-0.0", ("neg", ("num", 0.0))),
+    ("1_0", ("num", 10.0)),
+])
+def test_precedence_and_associativity(src, tree):
+    # repr tells 3 from 3.0 and -0.0 from 0.0, which == does not
+    assert repr(ex.parse_expression(src, ("a", "b", "c", "x"))) == repr(tree)
+
+
+@pytest.mark.parametrize("src", [
+    "x if y else 1", "x < y", "x.real", "[x]", "x @ y", "x // y", "x % y",
+    "lambda: 1", "sin(x=1)", "sin(*x)", "1j", "True", "'a'", "(x := 1)",
+    "x[0]", "__import__('os')", "", "01", "x # the rest", "x\0",
+])
+def test_whitelist_rejects_everything_else(src, monkeypatch):
+    def no_exec(*args):
+        raise AssertionError("rejected input reached exec")
+
+    monkeypatch.setattr(ex, "exec", no_exec, raising=False)
+    with pytest.raises(ConfigError):
         compile_expression(src, ("x", "y"))

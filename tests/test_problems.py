@@ -1,14 +1,19 @@
 """Problem registry: expressions, builtins, manufactured cases, consistency."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 import hybridfdm.expressions as ex
+from hybridfdm.assembly import assemble, solve
 from hybridfdm.errors import ConfigError
 from hybridfdm.expressions import compile_expression
 from hybridfdm.jets import poly_dx, poly_dy, poly_eval
-from hybridfdm.problems import builtin, load_config, load_config_string
+from hybridfdm.problems import (BUILTIN_CONFIGS, builtin, load_config,
+                                load_config_string)
 from manufactured import manufacture
 from test_interface import exact_circle_curvejet
 
@@ -41,7 +46,7 @@ _MP_FUNCS = {
 
 def compile_mp(src, variables):
     """Evaluate the same expression grammar in arbitrary precision."""
-    ast = ex._Parser(ex._tokenize(src), set(variables)).parse()
+    tree = ex.parse_expression(src, variables)
 
     def ev(node, env):
         op = node[0]
@@ -57,7 +62,7 @@ def compile_mp(src, variables):
         return {"+": a + b, "-": a - b, "*": a * b, "/": a / b,
                 "^": a**b}[op]
 
-    return lambda *args: ev(ast, dict(zip(variables, args)))
+    return lambda *args: ev(tree, dict(zip(variables, args)))
 
 
 class TestExpressions:
@@ -136,6 +141,41 @@ class TestBuiltins:
                 assert np.array_equal(va, vb)
             if a.has_exact:
                 assert np.array_equal(a.exact_u(x, y), b.exact_u(x, y))
+
+
+def readme_config() -> str:
+    """The one ``ini`` block of README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    return block
+
+
+class TestLoader:
+    @pytest.mark.parametrize("line, broken, message", [
+        ("a_minus = 1000*(2 + sin(x)*sin(y))",
+         "a_minus = 1000*(2 + sin(x)*sin(z))",
+         "[fields] a_minus: unknown variable 'z' "
+         "(expected one of ['x', 'y'])"),
+        ("alpha = sin(x) + 2", "alpha = sin(x) +",
+         "[boundary.gamma3] alpha: cannot parse expression 'sin(x) +': "
+         "invalid syntax"),
+    ])
+    def test_expression_errors_name_their_key(self, line, broken, message):
+        text = BUILTIN_CONFIGS["ex31"]
+        assert text.count(line) == 1
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config_string(text.replace(line, broken))
+
+    def test_readme_example_solves(self):
+        p = load_config_string(readme_config())
+        assert p.name == "demo" and p.has_exact
+        for a, u in ((p.a_plus, p.exact_u_plus), (p.a_minus, p.exact_u_minus)):
+            r = _mp_pde_residual(a.source, u.source, p.f_plus.source, 0.3, -0.7)
+            assert abs(r) <= 1e-9
+        result = solve(assemble(p, J=4))
+        assert result.residual < 1e-10
+        assert np.all(np.isfinite(result.u))
 
 
 class TestCurvature:
