@@ -438,7 +438,6 @@ class MMatrixAudit:
 
     rows: dict                    # family -> row count
     failed: dict                  # family -> failing rows, claiming families only
-    matrix_signs_ok: bool         # sign pattern of the claiming blocks' rows
     violations: list              # Violation: the first failing entry per row
 
     @property
@@ -447,39 +446,40 @@ class MMatrixAudit:
 
 
 def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
-    """Per-degree sign/sum conditions of every block that claims the M-matrix
-    property, plus a direct sign check of those blocks' assembled rows: a
-    positive diagonal and no off-diagonal entry above tol * max(1, diag)."""
-    mat, ny = system.matrix, len(system.ys)
-    row_of = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    scale = np.maximum(1.0, mat.diagonal())[row_of]
-    wrong = np.where(mat.indices == row_of, mat.data <= 0.0,
-                     mat.data > tol * scale)
-    bad_rows, first = np.unique(row_of[wrong], return_index=True)
-    first = np.nonzero(wrong)[0][first]     # first wrong CSR entry of each row
+    """Audit the rows of every block that claims the M-matrix property.
 
+    A row fails if its coefficients break a per-degree sign/sum condition
+    (``check_sign_sum``) or if a matrix entry at mesh size h has the wrong
+    sign: a diagonal <= 0, or an off-diagonal entry above
+    tol * max(1, diagonal).  A failing row is named by its first coefficient
+    violation (a sign before a sum), else by its first wrong entry in column
+    order.
+    """
     failed, violations = {}, []
-    signs_ok = True
     for block in system.blocks:
         if not block.claims:
             continue
-        for k in first[np.isin(bad_rows, block.columns(ny)[0])]:
-            signs_ok = False
-            col = divmod(int(mat.indices[k]), ny)
-            violations.append(Violation(
-                block.family, divmod(int(row_of[k]), ny),
-                f"matrix entry in the column of node {col} is {mat.data[k]:.6g}"))
-        report = check_sign_sum(block.coeffs, block.offsets.index((0, 0)), tol)
-        failed[block.family] = (failed.get(block.family, 0)
-                                + int((~report.passed).sum()))
+        center = block.offsets.index((0, 0))
+        report = check_sign_sum(block.coeffs, center, tol)
         found = {}
         for b, o, p, v in report.sign_violations:
             found.setdefault(b, f"degree-{p} coefficient at offset "
                                 f"{block.offsets[o]} is {v:.6g}")
         for b, p, v in report.sum_violations:
             found.setdefault(b, f"degree-{p} coefficient sum is {v:.6g}")
+        values = block.values(system.h)
+        diag = values[:, center]
+        wrong = values > tol * np.maximum(1.0, diag)[:, None]
+        wrong[:, center] = diag <= 0.0
+        for di, dj in sorted(block.offsets):        # column order
+            o = block.offsets.index((di, dj))
+            for b in np.flatnonzero(wrong[:, o]):
+                col = (int(block.ii[b] + di), int(block.jj[b] + dj))
+                found.setdefault(int(b), f"matrix entry in the column of node "
+                                         f"{col} is {values[b, o]:.6g}")
+        failed[block.family] = failed.get(block.family, 0) + len(found)
         violations += [Violation(block.family,
                                  (int(block.ii[b]), int(block.jj[b])), found[b])
                        for b in sorted(found)]
     return MMatrixAudit(rows=system.family_rows, failed=failed,
-                        matrix_signs_ok=signs_ok, violations=violations)
+                        violations=violations)

@@ -92,12 +92,11 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchors, bases,
     node ``anchors[k]`` (17x17 at spacing h/8, half-width h), splits it by
     the sign of psi (points on the curve go minus), and fits each side
     separately with the basis centered on the node and derivatives taken at
-    its base point ``bases[k]``.  On coarse grids one side can clip the
-    standard lattice in a thin sliver: with fewer than 30 samples on a side,
-    or a rank-deficient fit, the node tries the recipe's widened lattice
-    (33x33, half-width 2h), which stays within the enlarged-box contract of
-    the field callables.  The side with fewer samples is fitted first, so a
-    failing sliver costs no fit of the other side.
+    its base point ``bases[k]``.  With fewer than 30 samples on a side (at
+    42-50% of the nodes of ex31 and ex33, at every J), or a rank-deficient
+    fit, the node takes the recipe's widened lattice (33x33, half-width 2h),
+    within the enlarged-box contract of the field callables.  The side with
+    fewer samples is fitted first, so a failing side costs no other fit.
 
     psi, a+, a-, f+ and f- are each evaluated once for the whole chunk
     (``lattice_values``) on every node's widened window, at the coordinates

@@ -58,12 +58,14 @@ fit.  Its half-width h matches the weight width; past unisolvency the fit's
 accuracy is set by the degree and the weight width, not by the sample count,
 and the derivative errors stay within 3x of those of a 65x65 lattice at h/32
 (15 times the samples; ROADMAP.md has the measurement).
-The widened lattice (half-width 2h) is the fallback for a side that clips
-the standard one in a thin sliver.  The lines carry the Robin data along a
-side: the edge line is centred on the anchor, and a corner samples both of
-its sides on the same inward abscissae.  ``lattice_values`` evaluates a
-field on a whole batch of grid-anchored lattices in one call; ``fieldjets``
-and ``geometry`` sample every such lattice through it.
+The widened lattice (half-width 2h) serves a node whose side keeps fewer
+than 30 of the 289 standard samples; a node's distance to the curve scales
+with h, so that is 42-50% of the interface nodes of ex31 and ex33 at every
+J.  The lines carry the Robin data along a side: the edge line is centred on
+the anchor, and a corner samples both of its sides on the same inward
+abscissae.  ``lattice_values`` evaluates a field on a whole batch of
+grid-anchored lattices in one call; ``fieldjets`` and ``geometry`` sample
+every such lattice through it.
 """
 
 from __future__ import annotations

@@ -378,7 +378,7 @@ class MMatrixReport:
     """Outcome of the per-degree sign and sum audit of stencil coefficients;
     each violation starts with the batch index of its stencil."""
 
-    passed: np.ndarray         # (...,) per stencil; a bool when unbatched
+    passed: np.ndarray         # (...,) per stencil
     sign_violations: list      # (..., offset index, degree, value)
     sum_violations: list       # (..., degree, value)
 
@@ -402,8 +402,8 @@ def check_sign_sum(coeffs: np.ndarray, center: int, tol: float = 1e-12) -> MMatr
         return [tuple(int(k) for k in idx) + (float(values[tuple(idx)]),)
                 for idx in np.argwhere(bad)]
 
-    return MMatrixReport(passed if passed.ndim else bool(passed),
-                         entries(sign_bad, coeffs), entries(sum_bad, sums))
+    return MMatrixReport(np.asarray(passed), entries(sign_bad, coeffs),
+                         entries(sum_bad, sums))
 
 
 def stencil_values(coeffs: np.ndarray, h: float) -> np.ndarray:

@@ -9,6 +9,8 @@ import pytest
 
 from hybridfdm.assembly import (
     IFACE_CHUNK,
+    GlobalSystem,
+    RowBlock,
     _grid,
     _irregular_chunk,
     _set_context,
@@ -37,8 +39,9 @@ from hybridfdm.problems import (
 )
 from hybridfdm.reduction import build_reduction_table, gh_blocks, transpose_blocks
 from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS, G1_ROWS
-from hybridfdm.stencil_core import stencil_values, weights_at_offsets
+from hybridfdm.stencil_core import check_sign_sum, stencil_values, weights_at_offsets
 from hybridfdm.stencil_irregular import solve_irregular_stencil
+from hybridfdm.stencil_regular import CENTER9, OFFSETS9
 from hybridfdm.transmission import COL_G, COL_GG, FMINUS, FPLUS
 from manufactured import manufacture
 
@@ -625,7 +628,6 @@ class TestAudit:
         system = assemble(case.problem, 4)
         audit = audit_m_matrix(system)
         assert audit.passed
-        assert audit.matrix_signs_ok
         assert audit.rows["interface"] > 0
 
     def test_adversarial_negative_alpha_flagged(self):
@@ -642,3 +644,26 @@ class TestAudit:
         corner = [v for v in audit.violations if v.family == "corner"]
         assert [v.node for v in corner] == [(0, 0)]
         assert corner[0].what.startswith("degree-1 coefficient sum is -")
+
+    def test_matrix_entry_caught_where_every_degree_passes(self):
+        """h = 2: off-center coefficients of +0.5e-10 at degrees 1..7 pass
+        the per-degree checks at tol 1e-10, but sum to an entry of
+        0.5e-10 * 254 / 4 = 3.2e-9 > 1e-10 * 5 at mesh size 2.  The audit
+        reads only the row blocks, so the system carries no matrix."""
+        coeffs = np.zeros((1, 9, 8))
+        coeffs[0, :, 1:] = 0.5e-10
+        coeffs[0, CENTER9] = 0.0
+        coeffs[0, CENTER9, 0] = 20.0
+        assert check_sign_sum(coeffs, CENTER9, tol=1e-10).passed.all()
+        block = RowBlock("regular+", np.array([1]), np.array([1]), OFFSETS9,
+                         coeffs, scale=2, rhs=np.zeros(1), claims=True)
+        grid = np.array([0.0, 2.0, 4.0])
+        system = GlobalSystem(matrix=None, rhs=np.zeros(9), labels=None,
+                              xs=grid, ys=grid, h=2.0, blocks=[block],
+                              timings={})
+        audit = audit_m_matrix(system, tol=1e-10)
+        assert audit.failed == {"regular+": 1}
+        assert not audit.passed
+        assert audit.violations == [(
+            "regular+", (1, 1),
+            "matrix entry in the column of node (0, 0) is 3.175e-09")]
