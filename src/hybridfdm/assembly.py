@@ -9,7 +9,9 @@ the Robin data, the jumps), contracted by ``stencil_core.contract``.  The
 sparse matrix, the rhs and the M-matrix audit all read the same blocks.
 Assembly is deterministic (fixed chunking, fixed orders).
 The jets of each regular family are estimated once for the whole family
-(``regular_jets``), then its nodes go in chunks of ``CHUNK``; interface
+(``regular_jets``), then its nodes go in chunks of ``CHUNK`` (1,024): a
+chunk's working set is its reduction table, its G h-expansions and, after
+the recursion, its H block, about 14.4 KiB a node at its peak; interface
 nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
 and chart search, one field lattice for its one-sided MLS fits, one
 transmission build and one expansion of its 13-point degree systems.  No
@@ -70,7 +72,7 @@ from .transmission import build_transmission, curve_jet_from_chart
 
 log = logging.getLogger(__name__)
 
-CHUNK = 2048           # interior nodes per regular-row batch
+CHUNK = 1024           # interior nodes per regular-row batch
 IFACE_CHUNK = 64       # interface nodes per transmission batch
 
 

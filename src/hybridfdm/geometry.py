@@ -8,7 +8,9 @@ irregular node gets a base point: the closest point of an h/16 discretization
 of the curve inside the open 3x3 box, together with a local parametrization
 (the problem's own angle chart, or a graph over the dominant coordinate for
 level-set curves) oriented so the left normal (s', -r') points into the plus
-region.
+region.  An angle chart starts from the sweep angle of its base point, so it
+is centered on it; one whose center lies more than ``CENTER_TOL`` h away
+raises ``GeometryError``.
 
 Base points and charts are built for a batch of nodes at once (one chunk of
 interface rows): ``locate_base(points, h)`` returns one ``BasePoint`` per
@@ -43,6 +45,8 @@ LABEL_IRREGULAR = 2
 LABEL_BOUNDARY = 3
 
 _GRAPH_ALONG = {"graph-x": "y", "graph-y": "x"}   # chart kind -> root line
+# how far an angle chart's center may lie from its base point, in units of h
+CENTER_TOL = 1e-9
 
 
 @dataclass
@@ -138,7 +142,8 @@ def _select_base(cands: np.ndarray, point, h: float) -> BasePoint:
 
     Tangency can leave the box empty (the curve touching the node's 3x3
     square only at a corner); the closest candidate overall is used then,
-    still within sqrt(2) h of the node.
+    still within sqrt(2) h of the node.  ``aux`` is the chosen candidate's
+    index in ``cands``.
     """
     if cands.size == 0:
         raise GeometryError(f"no interface sample near irregular node {point}")
@@ -146,14 +151,13 @@ def _select_base(cands: np.ndarray, point, h: float) -> BasePoint:
     w = (point[1] - cands[:, 1]) / h
     box = np.maximum(np.abs(v), np.abs(w))
     inside = box < 1.0 - 1e-9
+    d2 = (cands[:, 0] - point[0]) ** 2 + (cands[:, 1] - point[1]) ** 2
     if inside.any():
-        cands, v, w = cands[inside], v[inside], w[inside]
-        d2 = (cands[:, 0] - point[0]) ** 2 + (cands[:, 1] - point[1]) ** 2
-        k = int(np.argmin(d2))
+        idx = np.flatnonzero(inside)
+        k = int(idx[np.argmin(d2[idx])])
     else:
         # tangency sliver: stay as close to the expansion box as possible,
         # since base points far outside it degenerate the recursive solves
-        d2 = (cands[:, 0] - point[0]) ** 2 + (cands[:, 1] - point[1]) ** 2
         k = int(np.lexsort((d2, np.round(box / 1e-9)))[0])
     if np.sqrt(d2[k]) > np.sqrt(2.0) * h * (1 + 1.0 / 8.0):
         raise GeometryError(
@@ -357,6 +361,7 @@ class ParametricInterface:
         return per_node(bases, lambda bp: self._angle_chart(bp, h))
 
     def _angle_chart(self, bp: BasePoint, h: float) -> LocalChart:
+        """The chart t -> (r, s)(theta* +- t), centered on the base point."""
         theta0 = bp.aux
         ts = sampling_recipe("curve", h).samples
         for flip in (1.0, -1.0):
@@ -364,6 +369,13 @@ class ParametricInterface:
             xs = np.asarray(self.r(th), dtype=float)
             ys = np.asarray(self.s(th), dtype=float)
             c = 5
+            off = np.hypot(xs[c] - bp.base[0], ys[c] - bp.base[1])
+            if not off <= CENTER_TOL * h:
+                node = (bp.base[0] + bp.v0 * h, bp.base[1] + bp.w0 * h)
+                raise GeometryError(
+                    f"angle chart of irregular node ({node[0]:.6g}, "
+                    f"{node[1]:.6g}) is centered {off / h:.3g} h from its "
+                    "base point")
             tx, ty = xs[c + 1] - xs[c - 1], ys[c + 1] - ys[c - 1]
             nx, ny = ty, -tx
             d = np.hypot(nx, ny)

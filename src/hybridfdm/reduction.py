@@ -26,6 +26,14 @@ jet's value without any derivative jet being built.  From the table come the
 polynomial families G (weights of the band derivatives) and H (weights of
 the source derivatives) that every stencil builder consumes.
 
+The substitutions do not depend on the coefficient, so they are compiled
+once per order (``_program``) into straight-line code over rows of one
+value array: each instruction sets a row to, or adds into it, one term
+weight * value * scale, in the order the recursion meets them.  Every entry
+is therefore the same sum, rounded the same way, as the recursion gives
+when it walks its terms one by one; a scale of -1 negates or subtracts
+instead of multiplying, which rounds the same.
+
 The Robin corners also reduce onto the band n in {0, 1}: the transposed
 jet's blocks with their indices swapped (``transpose_blocks``).
 """
@@ -33,6 +41,7 @@ jet's blocks with their indices swapped (``transpose_blocks``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -48,7 +57,8 @@ class ReductionTable:
 
     ``u[(p, q)][(m, n)]`` is the base-point value of the coefficient of
     ``u^(m,n)`` and ``f[(p, q)][(i, j)]`` that of ``f^(i,j)``: an array of
-    the coefficient jet's batch shape (a numpy scalar for an unbatched jet).
+    the coefficient jet's batch shape (a numpy scalar for an unbatched jet),
+    a view of one row of the table's value array.
     Values suffice, and are exact, because the recursion differentiates only
     the weight jets a_x/a, a_y/a and 1/a, never an entry (see the module
     docstring).
@@ -67,13 +77,6 @@ class ReductionTable:
 
     def _zero(self):
         return np.zeros(self.a_jet.c.shape[:-2])
-
-
-def _accumulate(store: dict, key, value: np.ndarray):
-    if key in store:
-        store[key] = store[key] + value
-    else:
-        store[key] = value
 
 
 def _partials(jet: Jet2) -> np.ndarray:
@@ -101,52 +104,196 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
     if not np.all(a_jet.value > 0.0):
         raise ReductionError("coefficient must be positive at the base point")
 
-    table = ReductionTable(order=order, a_jet=a_jet)
-    one = np.ones(a_jet.c.shape[:-2])
+    batch = a_jet.c.shape[:-2]
+    n = int(np.prod(batch, dtype=int))
+    m = order - 1                 # weight partials of total order < m + m
     inv_a = a_jet.reciprocal()
-    r1 = _partials(a_jet.dx() * inv_a)
-    r2 = _partials(a_jet.dy() * inv_a)
-    q_inv = _partials(inv_a)
+    weights = [np.ones(n)] + [
+        w for jet in (a_jet.dx() * inv_a, a_jet.dy() * inv_a, inv_a)
+        for w in _partials(jet)[:m, :m].reshape(m * m, n)]
+    program = _program(order)
+    values = np.empty((program.n_rows, n))
+    _run(program.code, weights, list(values))
+    table = ReductionTable(order=order, a_jet=a_jet)
+    for store, entries in ((table.u, program.u_rows),
+                           (table.f, program.f_rows)):
+        for pq, rows in entries.items():
+            store[pq] = {key: values[r].reshape(batch) if batch else values[r, 0]
+                         for key, r in rows.items()}
+    return table
 
+
+# Instructions of the compiled reduction, (op, row, weight, value, scale).
+# SET* writes ``row``, ADD* adds into it: weight * scale for the *_W ops,
+# (weight * value) * scale for the *_WV ops.  NEG* and SUB* are the same
+# with a scale of -1, negating or subtracting instead; NEG_V and SUB_V take
+# the unit weight (1 * value == value).  SEED sets a band row to one.
+(SEED, SET_W, NEG_W, ADD_W, SUB_W, NEG_V, SUB_V,
+ SET_WV, NEG_WV, ADD_WV, SUB_WV) = range(11)
+_ONE = 0                          # weight row of ones
+
+
+@dataclass(frozen=True)
+class _Program:
+    """Straight-line reduction of one order: its value rows, instructions,
+    and the rows of each table entry, {(p, q): {key: row}}."""
+
+    n_rows: int
+    code: tuple
+    u_rows: dict
+    f_rows: dict
+
+
+@lru_cache(maxsize=None)
+def _program(order: int) -> _Program:
+    """Compile the substitutions of ``build_reduction_table`` at ``order``.
+
+    Weight rows are the ones row, then the partials (r, s), r, s < m, of
+    a_x/a, a_y/a and 1/a, each r-major.  A key's first term sets its row and
+    every later term adds into it, in the order the recursion meets them.
+    """
+    m = order - 1
+    r1, r2, q_inv = (1 + k * m * m for k in range(3))
+    u_rows: dict = {}
+    f_rows: dict = {}
+    code = []
+    n_rows = 0
     for p, q in lambda_full(order):
         if p <= 1:
-            table.u[(p, q)] = {(p, q): one.copy()}
-            table.f[(p, q)] = {}
+            u_rows[(p, q)] = {(p, q): n_rows}
+            f_rows[(p, q)] = {}
+            code.append((SEED, n_rows, None, None, None))
+            n_rows += 1
 
     for p in range(2, order + 1):
         for q in range(0, order - p + 1):
             mr, nr = p - 2, q
-            ucoef: dict = {}
-            fcoef: dict = {}
+            rows = {"u": {}, "f": {}}
+
+            def term(store, key, w, v, scale):
+                """Emit weight row w * value row v (None: one) * scale."""
+                nonlocal n_rows
+                first = key not in rows[store]
+                if first:
+                    rows[store][key] = n_rows
+                    n_rows += 1
+                neg = scale == -1
+                if v is None:
+                    ops = (SET_W, NEG_W, ADD_W, SUB_W)
+                elif w == _ONE:
+                    ops = (SET_WV, NEG_V, ADD_WV, SUB_V)
+                else:
+                    ops = (SET_WV, NEG_WV, ADD_WV, SUB_WV)
+                op = ops[(0 if first else 2) + neg]
+                code.append((op, rows[store][key], w, v, float(scale)))
 
             # -(f/a)^(mr,nr), expanded by Leibniz over f^(i,j)
             for i in range(mr + 1):
                 for j in range(nr + 1):
-                    w = -comb(mr, i) * comb(nr, j)
-                    _accumulate(fcoef, (i, j), q_inv[mr - i, nr - j] * w)
+                    term("f", (i, j), q_inv + (mr - i) * m + nr - j, None,
+                         -comb(mr, i) * comb(nr, j))
 
-            def substitute(target, weight, scale):
+            def substitute(target, w, scale):
                 """Add scale * weight * u^target, reducing target if needed."""
                 if target[0] <= 1:
-                    _accumulate(ucoef, target, weight * scale)
+                    term("u", target, w, None, scale)
                     return
-                for key, sub in table.u[target].items():
-                    _accumulate(ucoef, key, weight * sub * scale)
-                for key, sub in table.f[target].items():
-                    _accumulate(fcoef, key, weight * sub * scale)
+                for key, v in u_rows[target].items():
+                    term("u", key, w, v, scale)
+                for key, v in f_rows[target].items():
+                    term("f", key, w, v, scale)
 
-            # x * 1.0 == x exactly, so a unit weight changes no bit
-            substitute((mr, nr + 2), one, -1.0)
+            substitute((mr, nr + 2), _ONE, -1)
             for i in range(mr + 1):
                 for j in range(nr + 1):
                     w = comb(mr, i) * comb(nr, j)
-                    substitute((i + 1, j), r1[mr - i, nr - j], -w)
-                    substitute((i, j + 1), r2[mr - i, nr - j], -w)
+                    at = (mr - i) * m + nr - j
+                    substitute((i + 1, j), r1 + at, -w)
+                    substitute((i, j + 1), r2 + at, -w)
 
-            table.u[(p, q)] = ucoef
-            table.f[(p, q)] = fcoef
+            u_rows[(p, q)], f_rows[(p, q)] = rows["u"], rows["f"]
+    return _Program(n_rows, tuple(code), u_rows, f_rows)
 
-    return table
+
+def _run(code, weights, rows):
+    """Execute compiled instructions on weight and value rows (B-vectors),
+    in place; ordered by how often each op occurs."""
+    for op, dst, w, v, scale in code:
+        out = rows[dst]
+        if op == ADD_WV:
+            t = weights[w] * rows[v]
+            t *= scale
+            out += t
+        elif op == SUB_WV:
+            out -= weights[w] * rows[v]
+        elif op == NEG_V:
+            np.negative(rows[v], out)
+        elif op == NEG_W:
+            np.negative(weights[w], out)
+        elif op == SET_W:
+            np.multiply(weights[w], scale, out)
+        elif op == SUB_W:
+            out -= weights[w]
+        elif op == SUB_V:
+            out -= rows[v]
+        elif op == ADD_W:
+            out += weights[w] * scale
+        elif op == SET_WV:
+            np.multiply(weights[w], rows[v], out)
+            out *= scale
+        elif op == NEG_WV:
+            np.multiply(weights[w], rows[v], out)
+            np.negative(out, out)
+        else:                       # SEED
+            out[...] = 1.0
+
+
+class PackedEntries:
+    """The G or H block of a reduction table, read one packed entry at a time.
+
+    ``entries[e]`` is the (K, ...) array value(p, q, *key_k) / (p! q!) for
+    the e-th (p, q) of Lambda_order and the K keys of the family (G: the
+    band, H: Lambda_{order-2}), zero where the table holds no value; there
+    are E = (order + 1)(order + 2) / 2 entries.  An entry is computed when
+    it is read, so a reader that takes the entries in turn
+    (``stencil_core.expand_at_offsets``) never holds the whole block;
+    ``block()`` stacks them into the block ``gh_blocks`` returns.
+    """
+
+    def __init__(self, table: ReductionTable, family: str):
+        order = table.order
+        self.keys, self._store = {
+            "G": (lambda_band(order), table.u),
+            "H": (lambda_full(order - 2), table.f)}[family]
+        self._full = lambda_full(order)
+        self._batch = table.a_jet.c.shape[:-2]
+
+    def __len__(self) -> int:
+        return len(self._full)
+
+    def __getitem__(self, e: int) -> np.ndarray:
+        return self._fill(e, np.zeros((len(self.keys),) + self._batch))
+
+    def __iter__(self):
+        return (self[e] for e in range(len(self)))
+
+    def _fill(self, e: int, out: np.ndarray) -> np.ndarray:
+        p, q = self._full[e]
+        entries = self._store.get((p, q), {})
+        den = factorial(p) * factorial(q)
+        for k, key in enumerate(self.keys):
+            if key in entries:
+                np.divide(entries[key], den, out=out[k, ...])
+        return out
+
+    def block(self) -> np.ndarray:
+        """The (K, ..., E) packed block: a view of one zeroed (E, K, ...)
+        array, so that the writes of the entries the table holds and the
+        per-entry reads of ``stencil_core`` are contiguous."""
+        c = np.zeros((len(self), len(self.keys)) + self._batch)
+        for e in range(len(self)):
+            self._fill(e, c[e])
+        return np.moveaxis(c, 0, -1)
 
 
 def gh_blocks(table: ReductionTable):
@@ -158,28 +305,9 @@ def gh_blocks(table: ReductionTable):
     as two packed coefficient blocks, G (n_band, ..., E) and H (n_f, ..., E):
     entry [k, ..., e] is value(p, q, *key_k) / (p! q!) for the e-th (p, q)
     of Lambda_order, E = (order + 1)(order + 2) / 2 in all.  The keys are in
-    canonical order: the band and Lambda_{order-2}.  Each block is one
-    zeroed (E, K, ...) array, returned as its (K, ..., E) view, so that the
-    writes of the entries the table holds (392 of 1,296 at order 7) and the
-    per-entry reads of ``stencil_core`` are contiguous.
+    canonical order: the band and Lambda_{order-2} (``PackedEntries``).
     """
-    order = table.order
-    batch = table.a_jet.c.shape[:-2]
-    full = lambda_full(order)
-    fact = [factorial(k) for k in range(order + 1)]
-
-    def block(keys, store):
-        c = np.zeros((len(full), len(keys)) + batch)
-        for e, (p, q) in enumerate(full):
-            entries = store.get((p, q), {})
-            for k, key in enumerate(keys):
-                if key in entries:
-                    np.divide(entries[key], fact[p] * fact[q],
-                              out=c[e, k, ...])
-        return np.moveaxis(c, 0, -1)
-
-    return (block(lambda_band(order), table.u),
-            block(lambda_full(order - 2), table.f))
+    return PackedEntries(table, "G").block(), PackedEntries(table, "H").block()
 
 
 def _swapped(keys) -> list:

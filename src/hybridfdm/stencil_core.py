@@ -27,14 +27,15 @@ The constant systems are reduced once in exact rational arithmetic, giving a
 per-degree solution operator that is then applied to batches of points with
 plain matrix products.
 
-The fixed-offset families take their Phi_r as packed coefficient blocks
-(``reduction.gh_blocks``), and one cached operator per offset set, (36, 9, 8)
-for the 9-point offsets, turns a block into h-expansions or values at the
-offsets.  The 13-point interface rows share only the h-expansion
-(``expand_poly_in_h``), the residual gate (``check_residual``),
-``stencil_values`` and the rhs contraction (``contract``) with them; their
-solve, both the full recursion and the leading-degree fallback, lives in
-``stencil_irregular``.
+The fixed-offset families take their Phi_r as packed coefficient tables,
+blocks (``reduction.gh_blocks``) or the entries of a reduction table read
+one at a time (``reduction.PackedEntries``, the 9-point G polynomials), and
+one cached operator per offset set, (36, 9, 8) for the 9-point offsets,
+turns them into h-expansions or values at the offsets.  The 13-point
+interface rows share only the h-expansion (``expand_poly_in_h``), the
+residual gate (``check_residual``), ``stencil_values`` and the rhs
+contraction (``contract``) with them; their solve, both the full recursion
+and the leading-degree fallback, lives in ``stencil_irregular``.
 """
 
 from __future__ import annotations
@@ -135,26 +136,32 @@ def contract(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return _dot(zip(np.moveaxis(weights, -1, 0), np.moveaxis(data, -1, 0)))
 
 
-def expand_at_offsets(blocks: np.ndarray, offsets: tuple) -> np.ndarray:
-    """h-expansions at fixed offsets of a (K, ..., E) block of packed tables.
+def expand_at_offsets(blocks, offsets: tuple) -> np.ndarray:
+    """h-expansions at fixed offsets of K packed tables of size k.
 
-    Returns (K, ..., n_off, k) for tables of size k (E = k (k + 1) / 2):
-    entry [i, ..., o, t] is the coefficient of h^t in P_i(vx_o h, vy_o h),
-    the nonzero terms of the cached ``offset_operator`` added in entry
-    order, as a matrix product with it would, but elementwise.  The result
-    is a view of (n_off, k, K, ...) memory.
+    ``blocks`` is a (K, ..., E) block, E = k (k + 1) / 2, or the
+    ``reduction.PackedEntries`` of a reduction table, whose block is then
+    never built.  Returns (K, ..., n_off, k): entry [i, ..., o, t] is the
+    coefficient of h^t in P_i(vx_o h, vy_o h).  Each packed entry is read
+    once, in entry order, and added into every (offset, degree) sum of the
+    cached ``offset_operator`` that reads it; so every sum adds its terms in
+    entry order, as a matrix product with the operator would, but
+    elementwise.  The result is a view of (n_off, k, K, ...) memory.
     """
-    n = blocks.shape[-1]
-    size = packed_size(n)
+    entries = (np.moveaxis(blocks, -1, 0) if isinstance(blocks, np.ndarray)
+               else blocks)
+    size = packed_size(len(entries))
     op = offset_operator(offsets, size)
-    tables = np.moveaxis(blocks, -1, 0)
-    out = np.zeros((len(offsets), size) + blocks.shape[:-1])
-    for o, t, e in zip(*np.nonzero(np.transpose(op, (1, 2, 0)))):
-        w, acc = op[e, o, t], out[o, t]
-        if abs(w) == 1.0:       # offsets in {-1, 0, 1}: add or subtract in place
-            (np.add if w > 0 else np.subtract)(acc, tables[e], out=acc)
-        else:
-            acc += tables[e] * w
+    out = None
+    for e, table in enumerate(entries):
+        if out is None:
+            out = np.zeros((len(offsets), size) + table.shape)
+        for o, t in zip(*np.nonzero(op[e])):
+            w, acc = op[e, o, t], out[o, t]
+            if abs(w) == 1.0:   # offsets in {-1, 0, 1}: add or subtract
+                (np.add if w > 0 else np.subtract)(acc, table, out=acc)
+            else:
+                acc += table * w
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 

@@ -18,28 +18,30 @@ Laplacian stencil when the coefficient is constant.
 c_{1,1,0} = -1 (``stencil_core.PIN0``) is hard-coded; any negative value
 works and only rescales the row.
 
-The 15 G and 21 H polynomials are packed coefficient blocks: each degree-7
+The 15 G and 21 H polynomials are packed coefficient tables: each degree-7
 polynomial is the row of its 36 coefficients with p + q <= 7, in Lambda_7
-order (``reduction.gh_blocks``).  Their h-expansions and values at the nine
-offsets go through the cached constant operator of OFFSETS9
+order (``reduction.PackedEntries``).  Their h-expansions and values at the
+nine offsets go through the cached constant operator of OFFSETS9
 (``stencil_core.offset_operator``, shape (36, 9, 8)), as for the edge and
-corner stencils: ``expand_at_offsets`` adds up the operator's nonzero terms
-over the chunk's whole (15, B, 36) G block, and ``weights_at_offsets``
-contracts the H block with the operator evaluated at h and the stencil
-values.  Both work elementwise along the chunk, like the recursion, so a
-node's stencil and weights do not depend on the chunk it is solved in.
+corner stencils.  ``expand_at_offsets`` reads the G entries straight from
+the reduction table, one packed entry (15 tables' (p, q) coefficient) at a
+time, and adds each into every (offset, degree) sum that reads it, so the
+packed G block is never built.  The H block is built from the table only
+after the recursion, when the expansions are gone, and
+``weights_at_offsets`` contracts it with the operator evaluated at h and the
+stencil values.  Both work elementwise along the chunk, like the recursion,
+so a node's stencil and weights do not depend on the chunk it is solved in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .indexsets import lambda_band
 from .jets import Jet2
-from .reduction import build_reduction_table, gh_blocks
+from .reduction import PackedEntries, ReductionTable, build_reduction_table
 from .stencil_core import (
     build_degree_solvers,
     expand_at_offsets,
@@ -53,13 +55,13 @@ OFFSETS9 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1))
 CENTER9 = OFFSETS9.index((0, 0))
 _COL = {off: i for i, off in enumerate(OFFSETS9)}
+LEAD9 = tuple(m + n for (m, n) in lambda_band(7))   # leading h-degree of a row
 
 
 @lru_cache(maxsize=1)
 def _regular_solvers():
     band = lambda_band(7)
     a0 = [[frac_leading_g(m, n, k, ell) for (k, ell) in OFFSETS9] for (m, n) in band]
-    lead = [m + n for (m, n) in band]
     c = _COL
 
     def ties(d):
@@ -75,34 +77,21 @@ def _regular_solvers():
             return rows
         return []
 
-    solvers = build_degree_solvers(
-        a0, lead, T=7, ties_for_degree=ties, pin_col=c[(1, 1)],
+    return build_degree_solvers(
+        a0, LEAD9, T=7, ties_for_degree=ties, pin_col=c[(1, 1)],
         zero_degrees=(7,),
     )
-    return solvers, lead
 
 
-@dataclass
-class RegularSystem:
-    """Recursive linear systems of the 9-point stencil at one or many points."""
+def regular_expansions(table: ReductionTable) -> np.ndarray:
+    """(..., 15, 9, 8) h-expansions of the G_{7,m,n} at OFFSETS9.
 
-    expansions: np.ndarray       # (..., 15, 9, 8) h-expansions of G_{7,m,n}
-    h_polys: np.ndarray          # (21, ..., 36) H_{7,m,n}, Lambda_5 order
-    lead: tuple
-
-
-def assemble_regular_system(a_jet: Jet2) -> RegularSystem:
-    """Expansions and source polynomials at the stencil center (base = node).
-
-    All 15 G tables are expanded at once; the result is a (..., 15, 9, 8)
-    view of (9, 8, 15, ...) memory, in which every batch vector the
-    recursion reads is contiguous.
+    Expanded straight from the order-7 reduction table, one packed entry at
+    a time; the result is a view of (9, 8, 15, ...) memory, in which every
+    batch vector the recursion reads is contiguous.
     """
-    g, h_polys = gh_blocks(build_reduction_table(a_jet, 7))
-    _, lead = _regular_solvers()
-    return RegularSystem(
-        expansions=np.moveaxis(expand_at_offsets(g, OFFSETS9), 0, -3),
-        h_polys=h_polys, lead=tuple(lead))
+    return np.moveaxis(expand_at_offsets(PackedEntries(table, "G"), OFFSETS9),
+                       0, -3)
 
 
 def regular_rhs_weights(coeffs: np.ndarray, h_polys: np.ndarray,
@@ -120,10 +109,11 @@ def build_regular_batch(a_jet: Jet2):
 
     Returns the (..., 9, 8) stencil coefficients, C_o(h) = sum_p
     coeffs[..., o, p] h^p over OFFSETS9, and the packed (21, ..., 36) block
-    of H tables for the source weights.
+    of H tables for the source weights.  The expansions live only through
+    the recursion, and the H block is built from the reduction table after
+    it, so the two are never held at once.
     """
-    system = assemble_regular_system(a_jet)
-    solvers, lead = _regular_solvers()
-    res = run_constant_recursion(system.expansions, lead, 7, solvers,
-                                 center=CENTER9)
-    return res.coeffs, system.h_polys
+    table = build_reduction_table(a_jet, 7)
+    coeffs = run_constant_recursion(regular_expansions(table), LEAD9, 7,
+                                    _regular_solvers(), center=CENTER9).coeffs
+    return coeffs, PackedEntries(table, "H").block()

@@ -300,14 +300,14 @@ class TestInterfaceAssembly:
 
     def test_regular_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
         """Regular blocks of both families (values, coefficients and rhs)
-        are bit-identical for chunks of 1, 7, 333 and 2048 nodes."""
+        are bit-identical for chunks of 1, 7, 333, 1024 and 2048 nodes."""
         import hybridfdm.assembly as assembly
 
         # a box twice as tall as wide: over 333 regular+ nodes already at J=4
         case = manufacture(seed=9, degree=3, interface_kind="circle")
         problem = dataclasses.replace(case.problem, domain=(-2.0, 2.0, -2.0, 6.0))
         blocks = []
-        for chunk in (1, 7, 333, 2048):
+        for chunk in (1, 7, 333, 1024, 2048):
             monkeypatch.setattr(assembly, "CHUNK", chunk)
             system = assemble(problem, 4)
             blocks.append({b.family: b for b in system.blocks
@@ -322,6 +322,36 @@ class TestInterfaceAssembly:
                                           getattr(other[family], field))
                 assert np.array_equal(block.values(system.h),
                                       other[family].values(system.h))
+
+    def test_regular_chunk_working_set(self):
+        """One 1,024-node regular chunk allocates at most 15 KiB a node at
+        its peak: the G entries are expanded straight from the reduction
+        table, and the H block is built only after the recursion."""
+        import tracemalloc
+
+        from hybridfdm.assembly import CHUNK, _regular_chunk
+        from hybridfdm.fieldjets import regular_jets
+        from hybridfdm.geometry import LABEL_REGULAR_PLUS
+
+        problem = builtin("ex31")
+        xs, ys, h = _grid(problem, 6)
+        ii, jj = np.nonzero(classify_grid(xs, ys, problem.psi).labels
+                            == LABEL_REGULAR_PLUS)
+        jet, f_der = regular_jets(problem.a_plus, problem.f_plus,
+                                  np.column_stack([ii, jj]), (xs[0], ys[0]), h)
+        assert CHUNK == 1024 and len(ii) > CHUNK
+        _set_context(problem, h)
+        chunk = (jet.c[:CHUNK], f_der[:CHUNK])
+        _regular_chunk(chunk)            # fills the cached constant operators
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _regular_chunk(chunk)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 1024 * CHUNK
 
     @pytest.mark.parametrize("stage", ["geometry", "fits", "transmission",
                                        "recursion"])

@@ -1,6 +1,6 @@
 """Jet arithmetic, index sets, and the derivative-reduction table."""
 
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -269,6 +269,71 @@ def random_a_jets(seed, count, order=6):
 REDUCTIONS = [(build_reduction_table, 6), (build_reduction_table, 7)]
 
 
+def term_by_term_table(a_jet, order):
+    """(u, f) dicts of the reduction, each term weight * sub * scale formed
+    and added on its own, walking the substitutions as the compiled
+    ``build_reduction_table`` program replays them."""
+    one = np.ones(a_jet.c.shape[:-2])
+    inv_a = a_jet.reciprocal()
+    r1 = _partials(a_jet.dx() * inv_a)
+    r2 = _partials(a_jet.dy() * inv_a)
+    q_inv = _partials(inv_a)
+    u = {(p, q): {(p, q): one.copy()} for p, q in lambda_full(order) if p <= 1}
+    f = {pq: {} for pq in u}
+
+    def add(store, key, value):
+        store[key] = store[key] + value if key in store else value
+
+    for p in range(2, order + 1):
+        for q in range(order - p + 1):
+            mr, nr = p - 2, q
+            uc, fc = {}, {}
+            for i in range(mr + 1):
+                for j in range(nr + 1):
+                    add(fc, (i, j),
+                        q_inv[mr - i, nr - j] * (-comb(mr, i) * comb(nr, j)))
+
+            def substitute(target, weight, scale):
+                if target[0] <= 1:
+                    add(uc, target, weight * scale)
+                    return
+                for key, sub in u[target].items():
+                    add(uc, key, weight * sub * scale)
+                for key, sub in f[target].items():
+                    add(fc, key, weight * sub * scale)
+
+            substitute((mr, nr + 2), one, -1.0)
+            for i in range(mr + 1):
+                for j in range(nr + 1):
+                    w = comb(mr, i) * comb(nr, j)
+                    substitute((i + 1, j), r1[mr - i, nr - j], -w)
+                    substitute((i, j + 1), r2[mr - i, nr - j], -w)
+            u[(p, q)], f[(p, q)] = uc, fc
+    return u, f
+
+
+class TestCompiledTable:
+    @pytest.mark.parametrize("order", [5, 6, 7])
+    @pytest.mark.parametrize("batch", [(), (6,), (2, 3)])
+    def test_matches_the_term_by_term_recursion_bit_for_bit(self, order, batch):
+        """Same keys, in the same order, and the same bits, signed zeros
+        included (a constant coefficient makes many entries zero)."""
+        rng = np.random.default_rng(order + len(batch))
+        c = 0.3 * rng.standard_normal(batch + (7, 7))
+        c[..., 0, 0] = 2.0
+        linear = c.copy()
+        linear[..., 2:, :] = linear[..., :, 2:] = linear[..., 1, 1] = 0.0
+        for jet in (Jet2(c, 6), Jet2(linear, 6), constant_jet(1.5, 6)):
+            table = build_reduction_table(jet, order)
+            for got, want in zip((table.u, table.f),
+                                 term_by_term_table(jet, order)):
+                assert list(got) == list(want)
+                for pq, coeffs in want.items():
+                    assert list(got[pq]) == list(coeffs)
+                    for key, value in coeffs.items():
+                        assert same_bits(got[pq][key], value)
+
+
 class TestValueOnlyTable:
     """The table stores coefficient values, not jets."""
 
@@ -334,7 +399,7 @@ class TestWeightPartials:
 
 def reference_gh_polynomials(table, order):
     """G/H tables filled one (p, q) entry at a time, keyed in block order."""
-    from math import factorial
+    from math import comb, factorial
 
     batch = table.a_jet.c.shape[:-2]
     out = []

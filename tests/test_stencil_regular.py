@@ -14,28 +14,33 @@ from hybridfdm.stencil_core import (
     offset_operator,
     stencil_values,
 )
-from hybridfdm.stencil_irregular import LEAD13, IrregularSystem
 from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS
 from hybridfdm.stencil_regular import (
     CENTER9,
+    LEAD9,
     OFFSETS9,
-    assemble_regular_system,
     build_regular_batch,
+    regular_expansions,
     regular_rhs_weights,
 )
 
 from linear_coeff_reference import coefficients as reference_coefficients
-from test_jets_reduction import A0_REGULAR, constant_jet
+from test_jets_reduction import A0_REGULAR, constant_jet, same_bits
 
 
-def system_rows(system, T, d, s):
+def system_rows(expansions, lead, T, d, s):
     """The degree-s couplings into the degree-d system of a stencil with
-    target order T: expansions[..., r, :, lead[r] + d - s] over the rows with
-    lead[r] + d <= T.  s = d gives the constant leading matrix A_d."""
-    lead = LEAD13 if isinstance(system, IrregularSystem) else system.lead
+    target order T and row leads ``lead``: expansions[..., r, :,
+    lead[r] + d - s] over the rows with lead[r] + d <= T.  s = d gives the
+    constant leading matrix A_d."""
     rows = [r for r, t in enumerate(lead) if t + d <= T]
-    return np.stack([system.expansions[..., r, :, lead[r] + d - s]
-                     for r in rows], axis=-2)
+    return np.stack([expansions[..., r, :, lead[r] + d - s] for r in rows],
+                    axis=-2)
+
+
+def expansions9(jet):
+    """The 9-point h-expansions of a coefficient jet."""
+    return regular_expansions(build_reduction_table(jet, 7))
 
 
 def linear_a_jet(r1, r2):
@@ -44,31 +49,32 @@ def linear_a_jet(r1, r2):
 
 class TestSystemStructure:
     def test_a0_matches_paper(self):
-        system = assemble_regular_system(constant_jet(1.0, 6))
-        assert np.allclose(system_rows(system, 7, 0, 0), A0_REGULAR, atol=1e-14)
+        exp = expansions9(constant_jet(1.0, 6))
+        assert np.allclose(system_rows(exp, LEAD9, 7, 0, 0), A0_REGULAR,
+                           atol=1e-14)
 
     def test_a0_row_for_mixed_derivative(self):
-        system = assemble_regular_system(constant_jet(1.0, 6))
+        exp = expansions9(constant_jet(1.0, 6))
         row = lambda_band(7).index((1, 1))
-        assert np.allclose(system_rows(system, 7, 0, 0)[row],
+        assert np.allclose(system_rows(exp, LEAD9, 7, 0, 0)[row],
                            [1, 0, -1, 0, 0, 0, -1, 0, 1])
 
     def test_a7_is_all_ones(self):
-        system = assemble_regular_system(constant_jet(1.0, 6))
-        a7 = system_rows(system, 7, 7, 7)
+        a7 = system_rows(expansions9(constant_jet(1.0, 6)), LEAD9, 7, 7, 7)
         assert a7.shape == (1, 9)
         assert np.allclose(a7, 1.0)
 
     def test_constant_a_has_zero_couplings(self):
-        system = assemble_regular_system(constant_jet(2.0, 6))
+        exp = expansions9(constant_jet(2.0, 6))
         for d in range(1, 7):
             for s in range(d):
-                assert np.allclose(system_rows(system, 7, d, s), 0.0, atol=1e-15)
+                assert np.allclose(system_rows(exp, LEAD9, 7, d, s), 0.0,
+                                   atol=1e-15)
 
     def test_submatrix_row_counts(self):
-        system = assemble_regular_system(constant_jet(1.0, 6))
+        exp = expansions9(constant_jet(1.0, 6))
         for d, rows in zip(range(8), (15, 13, 11, 9, 7, 5, 3, 1)):
-            assert system_rows(system, 7, d, d).shape[0] == rows
+            assert system_rows(exp, LEAD9, 7, d, d).shape[0] == rows
 
 
 class TestConstantCoefficient:
@@ -253,15 +259,19 @@ class TestOffsetOperator:
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
     def test_system_expansions_match_per_polynomial_path(self, batch):
         jet = random_a_jet(np.random.default_rng(3), batch)
-        system = assemble_regular_system(jet)
-        g = dense_tables(gh_blocks(build_reduction_table(jet, 7))[0])
+        expansions = expansions9(jet)
+        block = gh_blocks(build_reduction_table(jet, 7))[0]
+        # read from the table or from its packed block: the same bits
+        assert same_bits(expansions, np.moveaxis(
+            expand_at_offsets(block, OFFSETS9), 0, -3))
+        g = dense_tables(block)
         assert len(g) == len(lambda_band(7))
         want = np.stack([expand_poly_in_h(c, OFFSETS9, 8) for c in g],
                         axis=-3)
-        assert system.expansions.shape == batch + (15, 9, 8)
+        assert expansions.shape == batch + (15, 9, 8)
         scale = np.stack([np.abs(c).max(axis=(-2, -1)) for c in g],
                          axis=-1)[..., None, None]
-        assert np.all(np.abs(system.expansions - want) <= 1e-15 * scale)
+        assert np.all(np.abs(expansions - want) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
     @pytest.mark.parametrize("h", [0.3, 1.0 / 64])
