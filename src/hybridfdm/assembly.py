@@ -11,7 +11,7 @@ Assembly is deterministic (fixed chunking, fixed orders).
 The jets of each regular family are estimated once for the whole family
 (``regular_jets``), then its nodes go in chunks of ``CHUNK`` (1,024): a
 chunk's working set is its reduction table, its G h-expansions and, after
-the recursion, its H block, about 14.4 KiB a node at its peak; interface
+the recursion, its H block, about 14.35 KiB a node at its peak; interface
 nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
 and chart search, one field lattice for its one-sided MLS fits, one
 transmission build and one expansion of its 13-point degree systems.  No

@@ -55,7 +55,6 @@ class ProblemSpec:
     boundary: dict               # side id 1..4 -> BoundaryCondition
     exact_u_plus: object = None
     exact_u_minus: object = None
-    config_text: str = ""
 
     @property
     def psi(self):
@@ -99,7 +98,10 @@ def load_config_string(text: str) -> ProblemSpec:
     except configparser.Error as exc:
         raise ConfigError(f"malformed problem config: {exc}") from exc
 
+    read = set()
+
     def need(section, key, fallback=None):
+        read.add((section, key))
         value = cp.get(section, key, fallback=fallback)
         if value is None:
             raise ConfigError(f"config is missing [{section}] {key}")
@@ -115,11 +117,11 @@ def load_config_string(text: str) -> ProblemSpec:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     xy, theta = ("x", "y"), ("theta",)
-    name = cp.get("problem", "name", fallback="unnamed")
+    name = need("problem", "name", "unnamed")
     domain = tuple(float(expr("domain", k, ())())
                    for k in ("l1", "l2", "l3", "l4"))
 
-    kind = cp.get("interface", "kind", fallback="none").strip().lower()
+    kind = need("interface", "kind", "none").strip().lower()
     if kind == "none":
         interface = None
     elif kind == "levelset":
@@ -158,17 +160,23 @@ def load_config_string(text: str) -> ProblemSpec:
         data = expr(sec, "g", xy)
         if bkind == "dirichlet":
             boundary[side] = BoundaryCondition("dirichlet", data)
-        elif bkind in ("robin", "neumann"):
-            boundary[side] = BoundaryCondition("robin", data,
-                                               expr(sec, "alpha", xy, "0"))
+        elif bkind in ("robin", "neumann"):   # neumann: alpha = 0, no key
+            boundary[side] = BoundaryCondition("robin", data, (
+                expr(sec, "alpha", xy, "0") if bkind == "robin"
+                else compile_expression("0", xy)))
         else:
             raise ConfigError(f"unknown boundary kind {bkind!r} in [{sec}]")
+
+    # a misspelled key would otherwise leave its fallback in place
+    for section in cp.sections():
+        for key in cp[section]:
+            if (section, key) not in read:
+                raise ConfigError(f"unknown config key [{section}] {key}")
 
     return ProblemSpec(name=name, domain=domain, interface=interface,
                        a_plus=a_plus, a_minus=a_minus, f_plus=f_plus,
                        f_minus=f_minus, boundary=boundary,
-                       exact_u_plus=exact_p, exact_u_minus=exact_m,
-                       config_text=text)
+                       exact_u_plus=exact_p, exact_u_minus=exact_m)
 
 
 # ----------------------------------------------------------------------------

@@ -32,7 +32,9 @@ value array: each instruction sets a row to, or adds into it, one term
 weight * value * scale, in the order the recursion meets them.  Every entry
 is therefore the same sum, rounded the same way, as the recursion gives
 when it walks its terms one by one; a scale of -1 negates or subtracts
-instead of multiplying, which rounds the same.
+instead of multiplying, which rounds the same.  The table is that value
+array; each packed G or H entry is a compiled gather of its rows divided by
+p! q!, for a whole block (``gh_blocks``) or entry by entry (``g_entries``).
 
 The Robin corners also reduce onto the band n in {0, 1}: the transposed
 jet's blocks with their indices swapped (``transpose_blocks``).
@@ -40,7 +42,7 @@ jet's blocks with their indices swapped (``transpose_blocks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
@@ -51,32 +53,31 @@ from .indexsets import lambda_band, lambda_full, packed_size
 from .jets import Jet2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionTable:
     """Reduction coefficients a_u, a_f for all (p, q) in Lambda_order.
 
-    ``u[(p, q)][(m, n)]`` is the base-point value of the coefficient of
-    ``u^(m,n)`` and ``f[(p, q)][(i, j)]`` that of ``f^(i,j)``: an array of
-    the coefficient jet's batch shape (a numpy scalar for an unbatched jet),
-    a view of one row of the table's value array.
-    Values suffice, and are exact, because the recursion differentiates only
-    the weight jets a_x/a, a_y/a and 1/a, never an entry (see the module
-    docstring).
+    ``values`` holds one row of base-point values per coefficient, (rows, B)
+    for B points of the batch shape ``batch``, and a last row of zeros; the
+    order's ``_program`` maps each coefficient to its row.  Values suffice,
+    and are exact, because the recursion differentiates only the weight jets
+    a_x/a, a_y/a and 1/a, never an entry (see the module docstring).
     """
 
     order: int
-    a_jet: Jet2
-    u: dict = field(default_factory=dict)
-    f: dict = field(default_factory=dict)
+    values: np.ndarray
+    batch: tuple
 
     def u_value(self, p, q, m, n):
-        return self.u.get((p, q), {}).get((m, n), self._zero())
+        """Coefficient of u^(m,n) in u^(p,q), an array of the batch shape."""
+        return self._value(_program(self.order).u_rows, (p, q), (m, n))
 
     def f_value(self, p, q, i, j):
-        return self.f.get((p, q), {}).get((i, j), self._zero())
+        """Coefficient of f^(i,j) in u^(p,q), an array of the batch shape."""
+        return self._value(_program(self.order).f_rows, (p, q), (i, j))
 
-    def _zero(self):
-        return np.zeros(self.a_jet.c.shape[:-2])
+    def _value(self, rows, pq, key):
+        return self.values[rows.get(pq, {}).get(key, -1)].reshape(self.batch)
 
 
 def _partials(jet: Jet2) -> np.ndarray:
@@ -112,15 +113,9 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
         w for jet in (a_jet.dx() * inv_a, a_jet.dy() * inv_a, inv_a)
         for w in _partials(jet)[:m, :m].reshape(m * m, n)]
     program = _program(order)
-    values = np.empty((program.n_rows, n))
+    values = np.zeros((program.n_rows + 1, n))      # the last row stays zero
     _run(program.code, weights, list(values))
-    table = ReductionTable(order=order, a_jet=a_jet)
-    for store, entries in ((table.u, program.u_rows),
-                           (table.f, program.f_rows)):
-        for pq, rows in entries.items():
-            store[pq] = {key: values[r].reshape(batch) if batch else values[r, 0]
-                         for key, r in rows.items()}
-    return table
+    return ReductionTable(order, values, batch)
 
 
 # Instructions of the compiled reduction, (op, row, weight, value, scale).
@@ -136,12 +131,17 @@ _ONE = 0                          # weight row of ones
 @dataclass(frozen=True)
 class _Program:
     """Straight-line reduction of one order: its value rows, instructions,
-    and the rows of each table entry, {(p, q): {key: row}}."""
+    the rows of each table entry, {(p, q): {key: row}}, and the gathers of
+    the packed G and H blocks: the (E, K) rows of entry e's K coefficients
+    (-1, the zero row, where the table holds none) and the (E,) divisors
+    p! q!, for the e-th (p, q) of Lambda_order."""
 
     n_rows: int
     code: tuple
     u_rows: dict
     f_rows: dict
+    gathers: dict
+    divisors: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +212,17 @@ def _program(order: int) -> _Program:
                     substitute((i, j + 1), r2 + at, -w)
 
             u_rows[(p, q)], f_rows[(p, q)] = rows["u"], rows["f"]
-    return _Program(n_rows, tuple(code), u_rows, f_rows)
+
+    full = lambda_full(order)
+    gathers = {family: np.array([[store[pq].get(key, -1) for key in keys]
+                                 for pq in full])
+               for family, store, keys in (
+                   ("G", u_rows, lambda_band(order)),
+                   ("H", f_rows, lambda_full(order - 2)))}
+    divisors = np.array([float(factorial(p) * factorial(q)) for p, q in full])
+    for cached in (*gathers.values(), divisors):
+        cached.flags.writeable = False
+    return _Program(n_rows, tuple(code), u_rows, f_rows, gathers, divisors)
 
 
 def _run(code, weights, rows):
@@ -248,52 +258,25 @@ def _run(code, weights, rows):
             out[...] = 1.0
 
 
-class PackedEntries:
-    """The G or H block of a reduction table, read one packed entry at a time.
-
-    ``entries[e]`` is the (K, ...) array value(p, q, *key_k) / (p! q!) for
-    the e-th (p, q) of Lambda_order and the K keys of the family (G: the
-    band, H: Lambda_{order-2}), zero where the table holds no value; there
-    are E = (order + 1)(order + 2) / 2 entries.  An entry is computed when
-    it is read, so a reader that takes the entries in turn
-    (``stencil_core.expand_at_offsets``) never holds the whole block;
-    ``block()`` stacks them into the block ``gh_blocks`` returns.
+def g_entries(table: ReductionTable):
+    """The packed entries of the G block (see ``gh_blocks``) in entry order,
+    each a (K, ...) gather divided in place, so that a reader that takes
+    them in turn (``stencil_core.expand_at_offsets``) never holds the block.
     """
+    program = _program(table.order)
+    for rows, den in zip(program.gathers["G"], program.divisors):
+        entry = table.values[rows]
+        entry /= den
+        yield entry.reshape(entry.shape[:1] + table.batch)
 
-    def __init__(self, table: ReductionTable, family: str):
-        order = table.order
-        self.keys, self._store = {
-            "G": (lambda_band(order), table.u),
-            "H": (lambda_full(order - 2), table.f)}[family]
-        self._full = lambda_full(order)
-        self._batch = table.a_jet.c.shape[:-2]
 
-    def __len__(self) -> int:
-        return len(self._full)
-
-    def __getitem__(self, e: int) -> np.ndarray:
-        return self._fill(e, np.zeros((len(self.keys),) + self._batch))
-
-    def __iter__(self):
-        return (self[e] for e in range(len(self)))
-
-    def _fill(self, e: int, out: np.ndarray) -> np.ndarray:
-        p, q = self._full[e]
-        entries = self._store.get((p, q), {})
-        den = factorial(p) * factorial(q)
-        for k, key in enumerate(self.keys):
-            if key in entries:
-                np.divide(entries[key], den, out=out[k, ...])
-        return out
-
-    def block(self) -> np.ndarray:
-        """The (K, ..., E) packed block: a view of one zeroed (E, K, ...)
-        array, so that the writes of the entries the table holds and the
-        per-entry reads of ``stencil_core`` are contiguous."""
-        c = np.zeros((len(self), len(self.keys)) + self._batch)
-        for e in range(len(self)):
-            self._fill(e, c[e])
-        return np.moveaxis(c, 0, -1)
+def packed_block(table: ReductionTable, family: str) -> np.ndarray:
+    """The (K, ..., E) G or H block of ``gh_blocks``: one (E, K, B) gather
+    divided in place, whose per-entry reads are contiguous."""
+    program = _program(table.order)
+    block = table.values[program.gathers[family]]
+    block /= program.divisors[:, None, None]
+    return np.moveaxis(block.reshape(block.shape[:2] + table.batch), 0, -1)
 
 
 def gh_blocks(table: ReductionTable):
@@ -304,10 +287,11 @@ def gh_blocks(table: ReductionTable):
 
     as two packed coefficient blocks, G (n_band, ..., E) and H (n_f, ..., E):
     entry [k, ..., e] is value(p, q, *key_k) / (p! q!) for the e-th (p, q)
-    of Lambda_order, E = (order + 1)(order + 2) / 2 in all.  The keys are in
-    canonical order: the band and Lambda_{order-2} (``PackedEntries``).
+    of Lambda_order, E = (order + 1)(order + 2) / 2 in all, and zero where
+    the table holds no value.  The keys are in canonical order: the band and
+    Lambda_{order-2}.
     """
-    return PackedEntries(table, "G").block(), PackedEntries(table, "H").block()
+    return packed_block(table, "G"), packed_block(table, "H")
 
 
 def _swapped(keys) -> list:

@@ -186,7 +186,8 @@ class EdgeStencil:
 def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
     """Canonical-frame edge stencil; alpha holds d^n alpha/dy^n, n = 0..5."""
     g, h = gh_blocks(build_reduction_table(a_jet, M_EDGE))
-    exp = expand_at_offsets(robin_basis(g, alpha), EDGE_OFFSETS)
+    exp = expand_at_offsets(np.moveaxis(robin_basis(g, alpha), -1, 0),
+                            EDGE_OFFSETS, M_EDGE + 1)
     res = run_constant_recursion(np.moveaxis(exp, 0, -3), list(range(7)), 6,
                                  _edge_solvers(), center=EDGE_CENTER)
     return EdgeStencil(coeffs=res.coeffs,
@@ -258,9 +259,10 @@ class CornerStencil:
 
 
 def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
-    hat = expand_at_offsets(reduction.e_polys, CORNER_OFFSETS)
-    til = expand_at_offsets(np.tensordot(reduction.p.T, reduction.et_polys, 1),
-                            CORNER_OFFSETS)
+    til_polys = np.tensordot(reduction.p.T, reduction.et_polys, 1)
+    hat, til = (expand_at_offsets(np.moveaxis(polys, -1, 0), CORNER_OFFSETS,
+                                  M_EDGE + 1)
+                for polys in (reduction.e_polys, til_polys))
     exp = np.concatenate([hat, til], axis=1)   # (7 rows, 8 cols, 7 terms)
     res = run_constant_recursion(exp, list(range(7)), 6, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)

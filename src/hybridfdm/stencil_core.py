@@ -28,14 +28,15 @@ per-degree solution operator that is then applied to batches of points with
 plain matrix products.
 
 The fixed-offset families take their Phi_r as packed coefficient tables,
-blocks (``reduction.gh_blocks``) or the entries of a reduction table read
-one at a time (``reduction.PackedEntries``, the 9-point G polynomials), and
-one cached operator per offset set, (36, 9, 8) for the 9-point offsets,
-turns them into h-expansions or values at the offsets.  The 13-point
-interface rows share only the h-expansion (``expand_poly_in_h``), the
-residual gate (``check_residual``), ``stencil_values`` and the rhs
-contraction (``contract``) with them; their solve, both the full recursion
-and the leading-degree fallback, lives in ``stencil_irregular``.
+read entry by entry from blocks (``reduction.gh_blocks``) or gathered from
+a reduction table one entry at a time (``reduction.g_entries``, the 9-point
+G polynomials), and one cached operator per offset set, (36, 9, 8) for the
+9-point offsets, turns them into h-expansions or values at the offsets.
+The 13-point interface rows share only the h-expansion
+(``expand_poly_in_h``), the residual gate (``check_residual``),
+``stencil_values`` and the rhs contraction (``contract``) with them; their
+solve, both the full recursion and the leading-degree fallback, lives in
+``stencil_irregular``.
 """
 
 from __future__ import annotations
@@ -136,21 +137,19 @@ def contract(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return _dot(zip(np.moveaxis(weights, -1, 0), np.moveaxis(data, -1, 0)))
 
 
-def expand_at_offsets(blocks, offsets: tuple) -> np.ndarray:
-    """h-expansions at fixed offsets of K packed tables of size k.
+def expand_at_offsets(entries, offsets: tuple, size: int) -> np.ndarray:
+    """h-expansions at fixed offsets of K packed tables of size ``size``.
 
-    ``blocks`` is a (K, ..., E) block, E = k (k + 1) / 2, or the
-    ``reduction.PackedEntries`` of a reduction table, whose block is then
-    never built.  Returns (K, ..., n_off, k): entry [i, ..., o, t] is the
-    coefficient of h^t in P_i(vx_o h, vy_o h).  Each packed entry is read
-    once, in entry order, and added into every (offset, degree) sum of the
+    ``entries`` holds the E = size (size + 1) / 2 packed entries (K, ...) in
+    entry order: a block's ``np.moveaxis(block, -1, 0)``, or the entries
+    of a reduction table gathered one at a time (``reduction.g_entries``),
+    whose block is then never built.  Returns (K, ..., n_off, size): entry
+    [i, ..., o, t] is the coefficient of h^t in P_i(vx_o h, vy_o h).  Each
+    entry is read once and added into every (offset, degree) sum of the
     cached ``offset_operator`` that reads it; so every sum adds its terms in
     entry order, as a matrix product with the operator would, but
-    elementwise.  The result is a view of (n_off, k, K, ...) memory.
+    elementwise.  The result is a view of (n_off, size, K, ...) memory.
     """
-    entries = (np.moveaxis(blocks, -1, 0) if isinstance(blocks, np.ndarray)
-               else blocks)
-    size = packed_size(len(entries))
     op = offset_operator(offsets, size)
     out = None
     for e, table in enumerate(entries):

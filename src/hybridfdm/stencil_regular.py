@@ -20,14 +20,15 @@ works and only rescales the row.
 
 The 15 G and 21 H polynomials are packed coefficient tables: each degree-7
 polynomial is the row of its 36 coefficients with p + q <= 7, in Lambda_7
-order (``reduction.PackedEntries``).  Their h-expansions and values at the
+order (``reduction.gh_blocks``).  Their h-expansions and values at the
 nine offsets go through the cached constant operator of OFFSETS9
 (``stencil_core.offset_operator``, shape (36, 9, 8)), as for the edge and
 corner stencils.  ``expand_at_offsets`` reads the G entries straight from
-the reduction table, one packed entry (15 tables' (p, q) coefficient) at a
-time, and adds each into every (offset, degree) sum that reads it, so the
-packed G block is never built.  The H block is built from the table only
-after the recursion, when the expansions are gone, and
+the reduction table: each packed entry (15 tables' (p, q) coefficient) is
+one gather of table rows divided by p! q! (``reduction.g_entries``), added
+into every (offset, degree) sum that reads it, so the packed G block is
+never built.  The H block is gathered from the table in one go only after
+the recursion, when the expansions are gone, and
 ``weights_at_offsets`` contracts it with the operator evaluated at h and the
 stencil values.  Both work elementwise along the chunk, like the recursion,
 so a node's stencil and weights do not depend on the chunk it is solved in.
@@ -41,7 +42,12 @@ import numpy as np
 
 from .indexsets import lambda_band
 from .jets import Jet2
-from .reduction import PackedEntries, ReductionTable, build_reduction_table
+from .reduction import (
+    ReductionTable,
+    build_reduction_table,
+    g_entries,
+    packed_block,
+)
 from .stencil_core import (
     build_degree_solvers,
     expand_at_offsets,
@@ -86,12 +92,11 @@ def _regular_solvers():
 def regular_expansions(table: ReductionTable) -> np.ndarray:
     """(..., 15, 9, 8) h-expansions of the G_{7,m,n} at OFFSETS9.
 
-    Expanded straight from the order-7 reduction table, one packed entry at
-    a time; the result is a view of (9, 8, 15, ...) memory, in which every
-    batch vector the recursion reads is contiguous.
+    Expanded straight from the order-7 reduction table, one gathered packed
+    entry at a time; the result is a view of (9, 8, 15, ...) memory, in
+    which every batch vector the recursion reads is contiguous.
     """
-    return np.moveaxis(expand_at_offsets(PackedEntries(table, "G"), OFFSETS9),
-                       0, -3)
+    return np.moveaxis(expand_at_offsets(g_entries(table), OFFSETS9, 8), 0, -3)
 
 
 def regular_rhs_weights(coeffs: np.ndarray, h_polys: np.ndarray,
@@ -116,4 +121,4 @@ def build_regular_batch(a_jet: Jet2):
     table = build_reduction_table(a_jet, 7)
     coeffs = run_constant_recursion(regular_expansions(table), LEAD9, 7,
                                     _regular_solvers(), center=CENTER9).coeffs
-    return coeffs, PackedEntries(table, "H").block()
+    return coeffs, packed_block(table, "H")

@@ -18,8 +18,10 @@ from hybridfdm.jets import (
 )
 from hybridfdm.reduction import (
     _partials,
+    _program,
     build_reduction_table,
     dense_tables,
+    g_entries,
     gh_blocks,
     transpose_blocks,
 )
@@ -192,9 +194,10 @@ class TestReductionTable:
     def test_first_band_seeds(self):
         a = constant_jet(1.0, 6)
         table = build_reduction_table(a, 7)
+        _, f = table_dicts(table)
         for (p, q) in lambda_band(7):
             assert table.u_value(p, q, p, q) == pytest.approx(1.0)
-            assert not table.f[(p, q)]
+            assert not f[(p, q)]
 
     def test_generic_gradient_entries(self):
         rng = np.random.default_rng(7)
@@ -215,11 +218,12 @@ class TestReductionTable:
         rng = np.random.default_rng(8)
         apoly = random_poly(rng, 3, scale=0.2)
         apoly[0, 0] = 2.0
-        table = build_reduction_table(poly_jet(apoly, 6, (0.1, 0.2)), 7)
-        for (p, q), coeffs in table.u.items():
+        u, f = table_dicts(
+            build_reduction_table(poly_jet(apoly, 6, (0.1, 0.2)), 7))
+        for (p, q), coeffs in u.items():
             for (m, n) in coeffs:
                 assert m <= 1 and m + n <= p + q
-        for (p, q), coeffs in table.f.items():
+        for (p, q), coeffs in f.items():
             for (i, j) in coeffs:
                 assert i + j <= p + q - 2
 
@@ -266,7 +270,15 @@ def random_a_jets(seed, count, order=6):
     return Jet2(np.stack(tables), order)
 
 
-REDUCTIONS = [(build_reduction_table, 6), (build_reduction_table, 7)]
+def table_dicts(table):
+    """(u, f) dicts {(p, q): {key: value}} of a table, keyed as its order's
+    program maps its value rows, each value read through ``u_value`` or
+    ``f_value``."""
+    program = _program(table.order)
+    return tuple({pq: {key: read(*pq, *key) for key in keys}
+                  for pq, keys in rows.items()}
+                 for rows, read in ((program.u_rows, table.u_value),
+                                    (program.f_rows, table.f_value)))
 
 
 def term_by_term_table(a_jet, order):
@@ -325,7 +337,7 @@ class TestCompiledTable:
         linear[..., 2:, :] = linear[..., :, 2:] = linear[..., 1, 1] = 0.0
         for jet in (Jet2(c, 6), Jet2(linear, 6), constant_jet(1.5, 6)):
             table = build_reduction_table(jet, order)
-            for got, want in zip((table.u, table.f),
+            for got, want in zip(table_dicts(table),
                                  term_by_term_table(jet, order)):
                 assert list(got) == list(want)
                 for pq, coeffs in want.items():
@@ -337,22 +349,23 @@ class TestCompiledTable:
 class TestValueOnlyTable:
     """The table stores coefficient values, not jets."""
 
-    @pytest.mark.parametrize("build,order", REDUCTIONS)
-    def test_entries_are_arrays_of_the_batch_shape(self, build, order):
-        table = build(random_a_jets(20, 5), order)
-        for store in (table.u, table.f):
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_entries_are_arrays_of_the_batch_shape(self, order):
+        table = build_reduction_table(random_a_jets(20, 5), order)
+        for store in table_dicts(table):
             for coeffs in store.values():
                 for value in coeffs.values():
                     assert isinstance(value, np.ndarray)
                     assert value.shape == (5,)
 
-    @pytest.mark.parametrize("build,order", REDUCTIONS)
-    def test_batch_matches_single_points_bit_for_bit(self, build, order):
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_batch_matches_single_points_bit_for_bit(self, order):
         batch = random_a_jets(21, 5)
-        table = build(batch, order)
+        table = table_dicts(build_reduction_table(batch, order))
         for k in range(5):
-            single = build(Jet2(batch.c[k], batch.order), order)
-            for got, want in ((table.u, single.u), (table.f, single.f)):
+            single = table_dicts(
+                build_reduction_table(Jet2(batch.c[k], batch.order), order))
+            for got, want in zip(table, single):
                 assert got.keys() == want.keys()
                 for pq, coeffs in want.items():
                     assert coeffs.keys() == got[pq].keys()
@@ -401,7 +414,7 @@ def reference_gh_polynomials(table, order):
     """G/H tables filled one (p, q) entry at a time, keyed in block order."""
     from math import comb, factorial
 
-    batch = table.a_jet.c.shape[:-2]
+    batch = table.batch
     out = []
     for keys, value in ((lambda_band(order), table.u_value),
                         (lambda_full(order - 2), table.f_value)):
@@ -416,15 +429,28 @@ def reference_gh_polynomials(table, order):
 
 
 class TestGHPolynomialsBatch:
-    @pytest.mark.parametrize("build,order", REDUCTIONS)
-    def test_matches_entrywise_reference_bit_for_bit(self, build, order):
-        table = build(random_a_jets(22, 5), order)
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_matches_entrywise_reference_bit_for_bit(self, order):
+        table = build_reduction_table(random_a_jets(22, 5), order)
         for got, want in zip(gh_blocks(table),
                              reference_gh_polynomials(table, order)):
             assert len(got) == len(want)
             assert got.shape[-1] == len(lambda_full(order))
             for c_got, c in zip(dense_tables(got), want.values()):
-                assert np.array_equal(c_got, c)
+                assert same_bits(c_got, c)
+
+    @pytest.mark.parametrize("order", [6, 7])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_streamed_g_entries_match_the_block_bit_for_bit(self, order,
+                                                             batch):
+        jet = random_a_jets(24, int(np.prod(batch, dtype=int)), order - 1)
+        table = build_reduction_table(
+            Jet2(jet.c.reshape(batch + jet.c.shape[-2:]), order - 1), order)
+        block = np.moveaxis(gh_blocks(table)[0], -1, 0)
+        entries = list(g_entries(table))
+        assert len(entries) == len(block)
+        for got, want in zip(entries, block):
+            assert same_bits(got, want)
 
 
 # The paper's 15x9 constant matrix: rows are the canonical first band of
@@ -563,11 +589,11 @@ def swapped_table_blocks(a_jet, order):
     """G/H blocks of the transposed jet's table with every (p, q) key swapped
     to (q, p) and the band read in its (n, m) form, packed one entry at a
     time into (E, K, ...) storage."""
-    t = build_reduction_table(a_jet.transposed(), order)
+    tu, tf = table_dicts(build_reduction_table(a_jet.transposed(), order))
     u = {(q, p): {(n, m): v for (m, n), v in coeffs.items()}
-         for (p, q), coeffs in t.u.items()}
+         for (p, q), coeffs in tu.items()}
     f = {(q, p): {(j, i): v for (i, j), v in coeffs.items()}
-         for (p, q), coeffs in t.f.items()}
+         for (p, q), coeffs in tf.items()}
     full = lambda_full(order)
 
     def block(keys, store):

@@ -167,6 +167,39 @@ class TestLoader:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config_string(text.replace(line, broken))
 
+    @pytest.mark.parametrize("name, line, broken, key", [
+        ("ex31", "alpha = cos(y) + 2", "alpah = cos(y) + 2",
+         "[boundary.gamma1] alpah"),
+        ("ex31", "u_minus =", "u_mnus =", "[exact] u_mnus"),
+        ("ex33", "g_gamma = ", "perod = 6.2\ng_gamma = ", "[interface] perod"),
+        ("ex31", "kind = levelset", "kind = none", "[interface] psi"),
+        ("ex31", "kind = dirichlet", "kind = dirichlet\nalpha = 1",
+         "[boundary.gamma2] alpha"),
+        ("ex31", "[exact]", "[extra]\nnote = 1\n\n[exact]", "[extra] note"),
+    ])
+    def test_every_unread_key_is_an_error(self, name, line, broken, key):
+        """A misspelled key would leave its fallback in place: a Robin side
+        with alpha 0, u- equal to u+, a period of 2 pi; a key that the
+        problem's kinds do not read would be dropped."""
+        text = BUILTIN_CONFIGS[name]
+        assert line in text
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unknown config key {key}")):
+            load_config_string(text.replace(line, broken, 1))
+
+    def test_neumann_side_reads_no_alpha(self):
+        """A neumann side is a Robin side with alpha = 0; an alpha key on it
+        is an error, not a Robin coefficient."""
+        text = BUILTIN_CONFIGS["ex31"].replace(
+            "kind = robin\nalpha = cos(y) + 2\n", "kind = neumann\n", 1)
+        side = load_config_string(text).boundary[1]
+        assert side.kind == "robin"
+        assert np.all(side.alpha(np.array([0.5, 1.0]), 0.25) == 0.0)
+        with pytest.raises(ConfigError,
+                           match=re.escape("[boundary.gamma1] alpha")):
+            load_config_string(text.replace(
+                "kind = neumann\n", "kind = neumann\nalpha = cos(y) + 2\n"))
+
     def test_readme_example_solves(self):
         p = load_config_string(readme_config())
         assert p.name == "demo" and p.has_exact

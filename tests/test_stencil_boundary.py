@@ -80,7 +80,8 @@ class TestEdgeStructure:
         a[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         alpha = rng.uniform(-0.5, 0.5, size=6)
-        exp = expand_at_offsets(edge_basis(jet, alpha), EDGE_OFFSETS)
+        exp = expand_at_offsets(np.moveaxis(edge_basis(jet, alpha), -1, 0),
+                                EDGE_OFFSETS, 7)
         lead = np.array([exp[n, :, n] for n in range(7)])
         assert np.allclose(lead, A0_GAMMA1, atol=1e-12)
 
@@ -91,7 +92,8 @@ class TestEdgeStructure:
 
     def test_e2_degree2_part(self):
         e = edge_basis(constant_jet(1.0, 5), ZERO_ALPHA)
-        part = expand_at_offsets(e, EDGE_OFFSETS)[2, :, 2]
+        part = expand_at_offsets(np.moveaxis(e, -1, 0), EDGE_OFFSETS, 7)
+        part = part[2, :, 2]
         assert np.allclose(part, [1 / 2, 0, 1 / 2, 0, -1 / 2, 0], atol=1e-14)
 
     def test_neumann_constant_stencil(self):
@@ -172,9 +174,10 @@ class TestCornerStructure:
         alpha = rng.uniform(0, 1, size=6)
         beta = rng.uniform(0, 1, size=6)
         red = build_corner_reduction(jet, alpha, beta)
-        hat = expand_at_offsets(red.e_polys, CORNER_OFFSETS)
-        til = expand_at_offsets(np.einsum("mn,me->ne", red.p, red.et_polys),
-                                CORNER_OFFSETS)
+        hat = expand_at_offsets(np.moveaxis(red.e_polys, -1, 0),
+                                CORNER_OFFSETS, 7)
+        til = expand_at_offsets(np.einsum("mn,me->en", red.p, red.et_polys),
+                                CORNER_OFFSETS, 7)
         rows = [np.concatenate([hat[n], til[n]], axis=0)[:, n] for n in range(7)]
         assert np.allclose(np.array(rows), A0_CORNER1, atol=1e-11)
 

@@ -242,7 +242,7 @@ class TestOffsetOperator:
         """The elementwise term sums, also for offsets outside {-1, 0, 1}."""
         n = len(lambda_full(size - 1))
         blocks = np.random.default_rng(size).standard_normal((3, 4, n))
-        got = expand_at_offsets(blocks, offsets)
+        got = expand_at_offsets(np.moveaxis(blocks, -1, 0), offsets, size)
         want = expand_poly_in_h(dense_tables(blocks), offsets, size)
         assert got.shape == (3, 4, len(offsets), size)
         bound = (np.abs(blocks) @ np.abs(offset_operator(offsets, size))
@@ -263,7 +263,7 @@ class TestOffsetOperator:
         block = gh_blocks(build_reduction_table(jet, 7))[0]
         # read from the table or from its packed block: the same bits
         assert same_bits(expansions, np.moveaxis(
-            expand_at_offsets(block, OFFSETS9), 0, -3))
+            expand_at_offsets(np.moveaxis(block, -1, 0), OFFSETS9, 8), 0, -3))
         g = dense_tables(block)
         assert len(g) == len(lambda_band(7))
         want = np.stack([expand_poly_in_h(c, OFFSETS9, 8) for c in g],
