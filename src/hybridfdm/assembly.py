@@ -8,20 +8,24 @@ is one weight vector against one data vector of estimated derivatives (f,
 the Robin data, the jumps), contracted by ``stencil_core.contract``.  The
 sparse matrix, the rhs and the M-matrix audit all read the same blocks.
 Assembly is deterministic (fixed chunking, fixed orders).
-The jets of each regular family are estimated once for the whole family
-(``regular_jets``), then its nodes go in chunks of ``CHUNK`` (1,024): a
-chunk's working set is its reduction table, its G h-expansions and, after
-the recursion, its H block, about 14.35 KiB a node at its peak; interface
-nodes go in chunks of ``IFACE_CHUNK``, each chunk sharing one base-point
-and chart search, one field lattice for its one-sided MLS fits, one
-transmission build and one expansion of its 13-point degree systems.  No
-row depends on the chunk size: a regular chunk
-contracts only elementwise along its batch axis (``stencil_core._dot``),
-and every interface sample keeps the coordinates of its node's own window,
-so every regular and interface row is the same, bit for bit, whatever
-``CHUNK`` and ``IFACE_CHUNK`` are.  The chunks are
-fixed, so they can fan out over a process pool with results identical to
-the serial path.
+The nodes of each regular family go in chunks of ``CHUNK`` (1,024), and a
+chunk starts from its nodes' grid indices: it estimates its own jets
+(``regular_jets``), builds the u rows of its reduction table and its
+packed G h-expansions, drops the u rows, runs the recursion, drops the
+expansions, and only then builds the table's f rows for its source
+weights.  At its peak, in the expansion or the recursion, a chunk holds
+its jets, the packed expansions and the u rows or the recursion's own
+arrays, about 7.1 KiB a node.  Interface nodes go in chunks of
+``IFACE_CHUNK``, each chunk sharing one base-point and chart search, one
+field lattice for its one-sided MLS fits, one transmission build and one
+expansion of its 13-point degree systems.  No row depends on the chunk
+size: a regular chunk estimates each node's jets by a product of its own
+and otherwise contracts only elementwise along its batch axis
+(``stencil_core._dot``), and every interface sample keeps the coordinates
+of its node's own window, so every regular and interface row is the same,
+bit for bit, whatever ``CHUNK`` and ``IFACE_CHUNK`` are.  The chunks are fixed, so they can fan out over a
+process pool with results identical to the serial path; a regular task is
+its side and node indices, not its jets.
 Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
 phase timings, the row count of every family and, as ``widened``, the number
 of interface nodes whose field jets took the widened MLS lattice.
@@ -50,7 +54,6 @@ from .geometry import (
     LABEL_REGULAR_PLUS,
     classify_grid,
 )
-from .jets import Jet2
 from .problems import ProblemSpec
 from .stencil_boundary import (
     CORNER_FRAMES,
@@ -145,24 +148,33 @@ class SolveResult:
 
 # The problem and h of the current assembly.  The pool pickles every task and
 # its result, and a problem's fields are compiled expressions or manufactured
-# closures, which do not pickle; so a task carries only its nodes and jets,
-# and the workers inherit the problem through fork from this dict.  A pool
+# closures, which do not pickle; so a task carries only its nodes (and, for
+# an interface chunk, their footprint masks), and the workers inherit the
+# problem, h and the grid origin through fork from this dict.  A pool
 # initializer would only set the same module-level state in each worker, and
 # the serial path reads it in-process, so the dict stays.
 _CTX: dict = {}
 
 
-def _set_context(problem: ProblemSpec, h: float):
+def _set_context(problem: ProblemSpec, h: float, origin):
     _CTX["problem"] = problem
     _CTX["h"] = h
+    _CTX["origin"] = origin         # grid node (0, 0)
 
 
 def _regular_chunk(args):
-    """Stencil coefficients and rhs of interior nodes from their jets."""
-    a_jet, f_der = args
-    h = _CTX["h"]
-    coeffs, h_polys = build_regular_batch(Jet2(a_jet, 6))
-    weights = regular_rhs_weights(coeffs, h_polys, h)
+    """Stencil coefficients and rhs of a chunk of interior nodes.
+
+    ``args`` is the side ("+" or "-") and the (n, 2) grid indices of the
+    nodes; the chunk estimates its own jets from that side's fields.
+    """
+    side, nodes = args
+    problem, h = _CTX["problem"], _CTX["h"]
+    a_field, f_field = ((problem.a_plus, problem.f_plus) if side == "+"
+                        else (problem.a_minus, problem.f_minus))
+    a_jet, f_der = regular_jets(a_field, f_field, nodes, _CTX["origin"], h)
+    coeffs, table = build_regular_batch(a_jet)
+    weights = regular_rhs_weights(coeffs, table, h)
     return coeffs, contract(weights, f_der) / h**2
 
 
@@ -286,7 +298,7 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             f"{ys[b]:.6g}) leaves the grid; the interface runs too close "
             "to the boundary for this mesh")
     timings = {}
-    _set_context(problem, h)
+    _set_context(problem, h, (xs[0], ys[0]))
 
     # ---- boundary rows -----------------------------------------------------
     tb = time.perf_counter()
@@ -340,11 +352,8 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         ii, jj = np.nonzero(cls.labels == label)
         if len(ii) == 0:
             continue
-        a_field = problem.a_plus if side == "+" else problem.a_minus
-        f_field = problem.f_plus if side == "+" else problem.f_minus
-        jet, f_der = regular_jets(a_field, f_field, np.column_stack([ii, jj]),
-                                  (xs[0], ys[0]), h)
-        regular.append((side, ii, jj, [(jet.c[k: k + CHUNK], f_der[k: k + CHUNK])
+        nodes = np.column_stack([ii, jj])
+        regular.append((side, ii, jj, [(side, nodes[k: k + CHUNK])
                                        for k in range(0, len(ii), CHUNK)]))
     ii, jj = iface_nodes
     offs = np.asarray(IRREGULAR_OFFSETS)

@@ -3,15 +3,17 @@
 These helpers bind the sampling recipes to the MLS estimator.  All sample
 lattices are anchor-relative and translation-invariant, so one operator
 matrix per mesh size serves every anchor of a class; estimating the jets for
-a whole batch of interior points is then a single matrix product against the
-sampled values.  The two fits of a family (a and f, one degree apart) are
-one ``mls_operators`` call on the shared lattice.
+a whole batch of points is then one product of that matrix with the
+sampled values: one matrix product at the Robin sides and corners, and one
+vector-matrix product per node for the regular rows, whose jets must not
+depend on the chunk.  The two fits of a family (a and f, one degree apart)
+are one ``mls_operators`` call on the shared lattice.
 
-Each batch (a regular family, a Robin side, a corner, an interface chunk)
-evaluates every field once, through ``mls.lattice_values``.  Interface fits
-differ per node (side mask and base point), so they are made node by node,
-sharing the weights of a node and one Vandermonde per lattice and basis
-scale across the chunk.
+Each batch (a chunk of regular nodes, a Robin side, a corner, an interface
+chunk) evaluates every field once, through ``mls.lattice_values``.
+Interface fits differ per node (side mask and base point), so they are
+made node by node, sharing the weights of a node and one Vandermonde per
+lattice and basis scale across the chunk.
 """
 
 from __future__ import annotations
@@ -32,13 +34,18 @@ from .stencil_boundary import BoundaryFrame
 
 
 def regular_jets(a_field, f_field, nodes: np.ndarray, origin, h: float):
-    """Interior jets of a row family: a-jet of order 6 and f derivatives on
-    Lambda_5, one row per node of the (N, 2) integer grid indices ``nodes``.
+    """Interior jets of a chunk of nodes: a-jet of order 6 and f derivatives
+    on Lambda_5, one row per node of the (N, 2) integer grid indices
+    ``nodes``.
 
     Node (i, j) sits at ``origin + (i, j) * h``, so sample (k, l) of its
     ``"regular-interior"`` lattice is ``origin + (4 i + k, 4 j + l) * h/4``,
-    whatever nodes share the family.  Each field is evaluated once and each
-    MLS product runs once for the whole family.
+    whatever nodes share the chunk.  Each field is evaluated once for the
+    chunk, and each node's 81 window values go through the MLS operator in
+    a product of their own (a stacked ``np.matmul``, one vector-matrix
+    product per node), so a node's jets are the same, bit for bit, in any
+    chunk; one matrix product for the whole chunk would not be, since BLAS
+    picks its kernel by the row count.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1, 2)
     rec = sampling_recipe("regular-interior", h)
@@ -48,8 +55,11 @@ def regular_jets(a_field, f_field, nodes: np.ndarray, origin, h: float):
     x, y = (origin[d] + (ratio * nodes[:, d, None]
                          + np.rint(axis / rec.step).astype(np.int64))
             * rec.step for d, axis in enumerate(rec.axes))
-    a_der, f_der = (lattice_values(field, x[:, :, None], y[:, None, :])
-                    .reshape(len(nodes), -1) @ op.T
+    # one (1, 81) x (81, K) product per node: the stacked matmul makes the
+    # same call for every node, whatever the chunk holds
+    a_der, f_der = (np.matmul(lattice_values(field, x[:, :, None],
+                                             y[:, None, :])
+                              .reshape(len(nodes), 1, -1), op.T)[:, 0]
                     for field, op in ((a_field, op_a), (f_field, op_f)))
     jet = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)

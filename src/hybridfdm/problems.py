@@ -116,6 +116,17 @@ def load_config_string(text: str) -> ProblemSpec:
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
+    missing = []
+
+    def required(section, key, variables, why):
+        """[section] key, which the problem's kinds need, compiled.  An
+        absent key is reported after the unknown-key check below, so that
+        a misspelled key is named as such."""
+        if cp.has_option(section, key):
+            return expr(section, key, variables)
+        missing.append(f"config is missing [{section}] {key}: {why}")
+        return None
+
     xy, theta = ("x", "y"), ("theta",)
     name = need("problem", "name", "unnamed")
     domain = tuple(float(expr("domain", k, ())())
@@ -149,7 +160,12 @@ def load_config_string(text: str) -> ProblemSpec:
     exact_p = exact_m = None
     if cp.has_section("exact"):
         exact_p = expr("exact", "u_plus", xy)
-        exact_m = expr("exact", "u_minus", xy, exact_p.source)
+        if interface is None:
+            exact_m = expr("exact", "u_minus", xy, exact_p.source)
+        else:
+            exact_m = required("exact", "u_minus", xy,
+                               "a problem with an interface needs the exact "
+                               "solution on its minus side")
 
     boundary = {}
     for side in (1, 2, 3, 4):
@@ -162,8 +178,9 @@ def load_config_string(text: str) -> ProblemSpec:
             boundary[side] = BoundaryCondition("dirichlet", data)
         elif bkind in ("robin", "neumann"):   # neumann: alpha = 0, no key
             boundary[side] = BoundaryCondition("robin", data, (
-                expr(sec, "alpha", xy, "0") if bkind == "robin"
-                else compile_expression("0", xy)))
+                required(sec, "alpha", xy, "a robin side needs its alpha "
+                         "(kind = neumann is alpha = 0)")
+                if bkind == "robin" else compile_expression("0", xy)))
         else:
             raise ConfigError(f"unknown boundary kind {bkind!r} in [{sec}]")
 
@@ -172,6 +189,8 @@ def load_config_string(text: str) -> ProblemSpec:
         for key in cp[section]:
             if (section, key) not in read:
                 raise ConfigError(f"unknown config key [{section}] {key}")
+    if missing:
+        raise ConfigError(missing[0])
 
     return ProblemSpec(name=name, domain=domain, interface=interface,
                        a_plus=a_plus, a_minus=a_minus, f_plus=f_plus,

@@ -27,14 +27,17 @@ polynomial families G (weights of the band derivatives) and H (weights of
 the source derivatives) that every stencil builder consumes.
 
 The substitutions do not depend on the coefficient, so they are compiled
-once per order (``_program``) into straight-line code over rows of one
-value array: each instruction sets a row to, or adds into it, one term
+once per order (``_program``) into straight-line code over value rows:
+each instruction sets a row to, or adds into it, one term
 weight * value * scale, in the order the recursion meets them.  Every entry
 is therefore the same sum, rounded the same way, as the recursion gives
 when it walks its terms one by one; a scale of -1 negates or subtracts
-instead of multiplying, which rounds the same.  The table is that value
-array; each packed G or H entry is a compiled gather of its rows divided by
-p! q!, for a whole block (``gh_blocks``) or entry by entry (``g_entries``).
+instead of multiplying, which rounds the same.  The table is two value
+arrays, the u rows (coefficients of band derivatives, read by G) and the f
+rows (coefficients of source derivatives, read by H), since no term mixes
+the two; each packed G or H entry is a compiled gather of its rows divided
+by p! q!, for a whole block (``gh_blocks``) or entry by entry
+(``packed_entries``).
 
 The Robin corners also reduce onto the band n in {0, 1}: the transposed
 jet's blocks with their indices swapped (``transpose_blocks``).
@@ -57,27 +60,31 @@ from .jets import Jet2
 class ReductionTable:
     """Reduction coefficients a_u, a_f for all (p, q) in Lambda_order.
 
-    ``values`` holds one row of base-point values per coefficient, (rows, B)
-    for B points of the batch shape ``batch``, and a last row of zeros; the
-    order's ``_program`` maps each coefficient to its row.  Values suffice,
-    and are exact, because the recursion differentiates only the weight jets
-    a_x/a, a_y/a and 1/a, never an entry (see the module docstring).
+    ``u`` holds one row of base-point values per coefficient of a band
+    derivative u^(m,n) (the rows the G block reads) and ``f`` one per
+    coefficient of a source derivative f^(i,j) (the H rows), each
+    (rows + 1, B) for B points of the batch shape ``batch``, with a last
+    row of zeros; the order's ``_program`` maps each coefficient to its row.
+    Values suffice, and are exact, because the recursion differentiates only
+    the weight jets a_x/a, a_y/a and 1/a, never an entry (see the module
+    docstring).  A table built without one of the arrays holds None there.
     """
 
     order: int
-    values: np.ndarray
+    u: np.ndarray | None
+    f: np.ndarray | None
     batch: tuple
 
     def u_value(self, p, q, m, n):
         """Coefficient of u^(m,n) in u^(p,q), an array of the batch shape."""
-        return self._value(_program(self.order).u_rows, (p, q), (m, n))
+        return self._value(self.u, _program(self.order).u_rows, (p, q), (m, n))
 
     def f_value(self, p, q, i, j):
         """Coefficient of f^(i,j) in u^(p,q), an array of the batch shape."""
-        return self._value(_program(self.order).f_rows, (p, q), (i, j))
+        return self._value(self.f, _program(self.order).f_rows, (p, q), (i, j))
 
-    def _value(self, rows, pq, key):
-        return self.values[rows.get(pq, {}).get(key, -1)].reshape(self.batch)
+    def _value(self, values, rows, pq, key):
+        return values[rows.get(pq, {}).get(key, -1)].reshape(self.batch)
 
 
 def _partials(jet: Jet2) -> np.ndarray:
@@ -91,11 +98,14 @@ def _partials(jet: Jet2) -> np.ndarray:
     return d
 
 
-def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
+def build_reduction_table(a_jet: Jet2, order: int,
+                          rows: str = "uf") -> ReductionTable:
     """Reduction table for expansion order ``order`` (indices in Lambda_order).
 
     ``a_jet`` must carry derivatives of the coefficient up to total order
     ``order - 1`` and have a strictly positive value at the base point.
+    ``rows`` names the arrays to build, "u", "f" or both; one left out is
+    None.  An array has the same bits built alone or with the other.
     """
     if a_jet.order < order - 1:
         raise ReductionError(
@@ -113,9 +123,11 @@ def build_reduction_table(a_jet: Jet2, order: int) -> ReductionTable:
         w for jet in (a_jet.dx() * inv_a, a_jet.dy() * inv_a, inv_a)
         for w in _partials(jet)[:m, :m].reshape(m * m, n)]
     program = _program(order)
-    values = np.zeros((program.n_rows + 1, n))      # the last row stays zero
-    _run(program.code, weights, list(values))
-    return ReductionTable(order, values, batch)
+    arrays = dict.fromkeys("uf")
+    for store in rows:                          # the last row stays zero
+        arrays[store] = np.zeros((program.sizes[store] + 1, n))
+        _run(program.code[store], weights, list(arrays[store]))
+    return ReductionTable(order, arrays["u"], arrays["f"], batch)
 
 
 # Instructions of the compiled reduction, (op, row, weight, value, scale).
@@ -130,14 +142,15 @@ _ONE = 0                          # weight row of ones
 
 @dataclass(frozen=True)
 class _Program:
-    """Straight-line reduction of one order: its value rows, instructions,
-    the rows of each table entry, {(p, q): {key: row}}, and the gathers of
-    the packed G and H blocks: the (E, K) rows of entry e's K coefficients
-    (-1, the zero row, where the table holds none) and the (E,) divisors
-    p! q!, for the e-th (p, q) of Lambda_order."""
+    """Straight-line reduction of one order: per array, "u" and "f", its row
+    count (the zero row not counted) and its instructions; the rows of each
+    table entry in its array, {(p, q): {key: row}}; and the gathers of the
+    packed G (u rows) and H (f rows) blocks: the (E, K) rows of entry e's K
+    coefficients (-1, the array's zero row, where the table holds none) and
+    the (E,) divisors p! q!, for the e-th (p, q) of Lambda_order."""
 
-    n_rows: int
-    code: tuple
+    sizes: dict
+    code: dict
     u_rows: dict
     f_rows: dict
     gathers: dict
@@ -151,19 +164,22 @@ def _program(order: int) -> _Program:
     Weight rows are the ones row, then the partials (r, s), r, s < m, of
     a_x/a, a_y/a and 1/a, each r-major.  A key's first term sets its row and
     every later term adds into it, in the order the recursion meets them.
+    A u row is formed only from u rows and an f row only from f rows, so
+    each array has its own rows and its own instructions, in the order
+    the recursion meets them.
     """
     m = order - 1
     r1, r2, q_inv = (1 + k * m * m for k in range(3))
     u_rows: dict = {}
     f_rows: dict = {}
-    code = []
-    n_rows = 0
+    code = []                     # (op, store, row, weight, value, scale)
+    sizes = {"u": 0, "f": 0}
     for p, q in lambda_full(order):
         if p <= 1:
-            u_rows[(p, q)] = {(p, q): n_rows}
+            u_rows[(p, q)] = {(p, q): sizes["u"]}
             f_rows[(p, q)] = {}
-            code.append((SEED, n_rows, None, None, None))
-            n_rows += 1
+            code.append((SEED, "u", sizes["u"], None, None, None))
+            sizes["u"] += 1
 
     for p in range(2, order + 1):
         for q in range(0, order - p + 1):
@@ -172,11 +188,10 @@ def _program(order: int) -> _Program:
 
             def term(store, key, w, v, scale):
                 """Emit weight row w * value row v (None: one) * scale."""
-                nonlocal n_rows
                 first = key not in rows[store]
                 if first:
-                    rows[store][key] = n_rows
-                    n_rows += 1
+                    rows[store][key] = sizes[store]
+                    sizes[store] += 1
                 neg = scale == -1
                 if v is None:
                     ops = (SET_W, NEG_W, ADD_W, SUB_W)
@@ -185,7 +200,8 @@ def _program(order: int) -> _Program:
                 else:
                     ops = (SET_WV, NEG_WV, ADD_WV, SUB_WV)
                 op = ops[(0 if first else 2) + neg]
-                code.append((op, rows[store][key], w, v, float(scale)))
+                code.append((op, store, rows[store][key], w, v,
+                             float(scale)))
 
             # -(f/a)^(mr,nr), expanded by Leibniz over f^(i,j)
             for i in range(mr + 1):
@@ -222,7 +238,9 @@ def _program(order: int) -> _Program:
     divisors = np.array([float(factorial(p) * factorial(q)) for p, q in full])
     for cached in (*gathers.values(), divisors):
         cached.flags.writeable = False
-    return _Program(n_rows, tuple(code), u_rows, f_rows, gathers, divisors)
+    code = {store: tuple(ins[:1] + ins[2:] for ins in code if ins[1] == store)
+            for store in sizes}
+    return _Program(sizes, code, u_rows, f_rows, gathers, divisors)
 
 
 def _run(code, weights, rows):
@@ -258,23 +276,25 @@ def _run(code, weights, rows):
             out[...] = 1.0
 
 
-def g_entries(table: ReductionTable):
-    """The packed entries of the G block (see ``gh_blocks``) in entry order,
-    each a (K, ...) gather divided in place, so that a reader that takes
-    them in turn (``stencil_core.expand_at_offsets``) never holds the block.
-    """
+def packed_entries(table: ReductionTable, family: str):
+    """The packed entries of the G or H block (see ``gh_blocks``) in entry
+    order, each a (K, ...) gather divided in place, so that a reader that
+    takes them in turn (``stencil_core.expand_at_offsets``,
+    ``weights_at_offsets``) never holds the block."""
     program = _program(table.order)
-    for rows, den in zip(program.gathers["G"], program.divisors):
-        entry = table.values[rows]
+    values = table.u if family == "G" else table.f
+    for rows, den in zip(program.gathers[family], program.divisors):
+        entry = values[rows]
         entry /= den
         yield entry.reshape(entry.shape[:1] + table.batch)
 
 
 def packed_block(table: ReductionTable, family: str) -> np.ndarray:
     """The (K, ..., E) G or H block of ``gh_blocks``: one (E, K, B) gather
-    divided in place, whose per-entry reads are contiguous."""
+    of the u or f rows divided in place, whose per-entry reads are
+    contiguous."""
     program = _program(table.order)
-    block = table.values[program.gathers[family]]
+    block = (table.u if family == "G" else table.f)[program.gathers[family]]
     block /= program.divisors[:, None, None]
     return np.moveaxis(block.reshape(block.shape[:2] + table.batch), 0, -1)
 

@@ -76,13 +76,13 @@ M_EDGE = 6
 # (n = 0..5); in the transposed blocks the same rows hold G~_{n,0}, G~_{n,1}
 G0_ROWS = [lambda_band(M_EDGE).index((0, n)) for n in range(M_EDGE + 1)]
 G1_ROWS = [lambda_band(M_EDGE).index((1, n)) for n in range(M_EDGE)]
+LEAD_E = tuple(range(M_EDGE + 1))   # leading h-degree of E_n and E~_m: n
 
 
 @lru_cache(maxsize=1)
 def _edge_solvers():
     a0 = [[frac_leading_g(0, n, k, ell) for (k, ell) in EDGE_OFFSETS]
           for n in range(7)]
-    lead = list(range(7))
     c11 = EDGE_OFFSETS.index((1, 1))
 
     def ties(d):
@@ -101,7 +101,7 @@ def _edge_solvers():
             return rows
         return []
 
-    return build_degree_solvers(a0, lead, T=6, ties_for_degree=ties,
+    return build_degree_solvers(a0, LEAD_E, T=6, ties_for_degree=ties,
                                 pin_col=c11)
 
 
@@ -113,7 +113,6 @@ def _corner_solvers():
         lam = Fraction((-1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
         til = [lam * frac_leading_g(0, n, ell, k) for (k, ell) in CORNER_OFFSETS]
         a0.append(hat + til)
-    lead = list(range(7))
     H00, H01, H10, H11, T00, T01, T10, T11 = range(8)
 
     def ties(d):
@@ -140,7 +139,7 @@ def _corner_solvers():
                     tie_row(8, (T00, 1))]
         return []
 
-    return build_degree_solvers(a0, lead, T=6, ties_for_degree=ties,
+    return build_degree_solvers(a0, LEAD_E, T=6, ties_for_degree=ties,
                                 pin_col=T11)
 
 
@@ -180,16 +179,17 @@ class EdgeStencil:
     def weights(self, h: float) -> np.ndarray:
         """(..., 21) weights of [f^(m,n) over Lambda_4, g1^(n), n = 0..5]
         (h^-1 applied by the assembler)."""
-        return weights_at_offsets(self.rhs_polys, EDGE_OFFSETS, self.coeffs, h)
+        return weights_at_offsets(np.moveaxis(self.rhs_polys, -1, 0),
+                                  EDGE_OFFSETS, M_EDGE + 1, self.coeffs, h)
 
 
 def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
     """Canonical-frame edge stencil; alpha holds d^n alpha/dy^n, n = 0..5."""
     g, h = gh_blocks(build_reduction_table(a_jet, M_EDGE))
     exp = expand_at_offsets(np.moveaxis(robin_basis(g, alpha), -1, 0),
-                            EDGE_OFFSETS, M_EDGE + 1)
-    res = run_constant_recursion(np.moveaxis(exp, 0, -3), list(range(7)), 6,
-                                 _edge_solvers(), center=EDGE_CENTER)
+                            EDGE_OFFSETS, M_EDGE + 1, LEAD_E)
+    res = run_constant_recursion(exp, LEAD_E, 6, _edge_solvers(),
+                                 center=EDGE_CENTER)
     return EdgeStencil(coeffs=res.coeffs,
                        rhs_polys=np.concatenate([h, -g[G1_ROWS]]))
 
@@ -253,18 +253,20 @@ class CornerStencil:
         """(27,) weights of the data vector, the hat and the tilde block
         each against its own coefficients (h^-1 applied by the assembler)."""
         red = self.reduction
-        return (weights_at_offsets(red.hat_polys, CORNER_OFFSETS, self.chat, h)
-                + weights_at_offsets(red.tilde_polys, CORNER_OFFSETS,
-                                     self.ctilde, h))
+        hat, tilde = (weights_at_offsets(np.moveaxis(polys, -1, 0),
+                                         CORNER_OFFSETS, M_EDGE + 1, c, h)
+                      for polys, c in ((red.hat_polys, self.chat),
+                                       (red.tilde_polys, self.ctilde)))
+        return hat + tilde
 
 
 def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
     til_polys = np.tensordot(reduction.p.T, reduction.et_polys, 1)
     hat, til = (expand_at_offsets(np.moveaxis(polys, -1, 0), CORNER_OFFSETS,
-                                  M_EDGE + 1)
+                                  M_EDGE + 1, LEAD_E)
                 for polys in (reduction.e_polys, til_polys))
-    exp = np.concatenate([hat, til], axis=1)   # (7 rows, 8 cols, 7 terms)
-    res = run_constant_recursion(exp, list(range(7)), 6, _corner_solvers(),
+    exp = np.concatenate([hat, til])    # 8 columns, 28 (row, degree) pairs
+    res = run_constant_recursion(exp, LEAD_E, 6, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)
     return CornerStencil(chat=res.raw[:4], ctilde=res.raw[4:],
                          reduction=reduction)

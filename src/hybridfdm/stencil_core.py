@@ -29,9 +29,12 @@ plain matrix products.
 
 The fixed-offset families take their Phi_r as packed coefficient tables,
 read entry by entry from blocks (``reduction.gh_blocks``) or gathered from
-a reduction table one entry at a time (``reduction.g_entries``, the 9-point
-G polynomials), and one cached operator per offset set, (36, 9, 8) for the
-9-point offsets, turns them into h-expansions or values at the offsets.
+a reduction table one entry at a time (``reduction.packed_entries``, the
+9-point G and H polynomials), and one cached operator per offset set,
+(36, 9, 8) for the 9-point offsets, turns them into h-expansions or values
+at the offsets.  An h-expansion keeps only the (row, degree) pairs at or
+above each row's leading degree (``packed_positions``), the pairs the
+recursion reads.
 The 13-point interface rows share only the h-expansion
 (``expand_poly_in_h``), the residual gate (``check_residual``),
 ``stencil_values`` and the rhs contraction (``contract``) with them; their
@@ -49,7 +52,7 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from .errors import StencilError
-from .indexsets import lambda_full, packed_size
+from .indexsets import lambda_full
 
 RESID_TOL = 1e-9
 PIN0 = -1.0         # the pinned free coefficient of every degree-0 solve
@@ -124,10 +127,15 @@ def _dot(pairs):
     and OpenBLAS picks kernels by the row count).  The fixed-offset stencils
     contract through this, so a row does not depend on its batch.
     """
-    acc = None
+    acc = term = None
     for a, b in pairs:
-        term = a * b
-        acc = term if acc is None else acc + term
+        if acc is None:
+            acc = a * b
+        elif acc.ndim:          # in place, one product buffer: same bits
+            term = np.multiply(a, b, out=term)
+            acc += term
+        else:
+            acc = acc + a * b
     return acc
 
 
@@ -137,48 +145,81 @@ def contract(weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     return _dot(zip(np.moveaxis(weights, -1, 0), np.moveaxis(data, -1, 0)))
 
 
-def expand_at_offsets(entries, offsets: tuple, size: int) -> np.ndarray:
-    """h-expansions at fixed offsets of K packed tables of size ``size``.
+@lru_cache(maxsize=None)
+def packed_positions(lead: tuple, size: int) -> np.ndarray:
+    """(R, size) position of each (row, degree) pair of a packed expansion.
+
+    A packed expansion stores, for rows of leading degree ``lead[r]``, only
+    the degrees t >= lead[r]: degree-major, and within a degree the rows in
+    order, so the rows of degree t are one contiguous range.  Pairs below a
+    row's lead are -1.  For LEAD9 that is 64 of 15 x 8 pairs.  Cached,
+    read-only.
+    """
+    lead = np.asarray(lead)
+    pos = np.full((len(lead), size), -1)
+    start = 0
+    for t in range(size):
+        rows = np.flatnonzero(lead <= t)
+        pos[rows, t] = start + np.arange(len(rows))
+        start += len(rows)
+    pos.flags.writeable = False
+    return pos
+
+
+def expand_at_offsets(entries, offsets: tuple, size: int,
+                      lead) -> np.ndarray:
+    """Packed h-expansions at fixed offsets of K packed tables of ``size``.
 
     ``entries`` holds the E = size (size + 1) / 2 packed entries (K, ...) in
     entry order: a block's ``np.moveaxis(block, -1, 0)``, or the entries
-    of a reduction table gathered one at a time (``reduction.g_entries``),
-    whose block is then never built.  Returns (K, ..., n_off, size): entry
-    [i, ..., o, t] is the coefficient of h^t in P_i(vx_o h, vy_o h).  Each
-    entry is read once and added into every (offset, degree) sum of the
-    cached ``offset_operator`` that reads it; so every sum adds its terms in
-    entry order, as a matrix product with the operator would, but
-    elementwise.  The result is a view of (n_off, size, K, ...) memory.
+    of a reduction table gathered one at a time
+    (``reduction.packed_entries``), whose block is then never built.
+    Table i has no terms below degree ``lead[i]``, so only its degrees
+    t >= lead[i] are kept: entry [o, packed_positions(lead, size)[i, t], ...]
+    is the coefficient of h^t in P_i(vx_o h, vy_o h), an (n_off, P, ...)
+    array.  Each entry is read once and its rows of lead <= t are added
+    into every (offset, degree) sum of the cached ``offset_operator`` that
+    reads it; so every kept sum adds its terms in entry order, as a matrix
+    product with the operator would, but elementwise.
     """
     op = offset_operator(offsets, size)
+    pos = packed_positions(tuple(lead), size)
+    rows = [np.flatnonzero(pos[:, t] >= 0) for t in range(size)]
     out = None
     for e, table in enumerate(entries):
         if out is None:
-            out = np.zeros((len(offsets), size) + table.shape)
+            out = np.zeros((len(offsets), pos.max() + 1) + table.shape[1:])
+        parts = {}
         for o, t in zip(*np.nonzero(op[e])):
-            w, acc = op[e, o, t], out[o, t]
+            if t not in parts:      # the rows of degree t, in order
+                parts[t] = table if len(rows[t]) == len(table) \
+                    else table[rows[t]]
+            first = pos[rows[t][0], t]
+            w, acc = op[e, o, t], out[o, first: first + len(rows[t])]
             if abs(w) == 1.0:   # offsets in {-1, 0, 1}: add or subtract
-                (np.add if w > 0 else np.subtract)(acc, table, out=acc)
+                (np.add if w > 0 else np.subtract)(acc, parts[t], out=acc)
             else:
-                acc += table * w
-    return np.moveaxis(out, (0, 1), (-2, -1))
+                acc += parts[t] * w
+    return out
 
 
-def weights_at_offsets(blocks: np.ndarray, offsets: tuple,
+def weights_at_offsets(entries, offsets: tuple, size: int,
                        coeffs: np.ndarray, h: float) -> np.ndarray:
-    """sum_o C_o(h) P_i(h * offset_o) for each table P_i of a block.
+    """sum_o C_o(h) P_i(h * offset_o) for each of K packed tables P_i.
 
-    ``blocks`` is (K, ..., E) packed tables and ``coeffs`` the
+    ``entries`` holds their E = size (size + 1) / 2 packed entries (K, ...)
+    in entry order, as for ``expand_at_offsets``, and ``coeffs`` is the
     (..., n_off, D+1) stencil; returns the (..., K) weights
-    sum_e P_i[e] w_e, w_e = sum_o C_o(h) vx_o^p vy_o^q h^(p+q).
+    sum_e P_i[e] w_e, w_e = sum_o C_o(h) vx_o^p vy_o^q h^(p+q), each entry
+    read once, in turn.
     """
-    n = blocks.shape[-1]
-    size = packed_size(n)
     at_offsets = offset_operator(offsets, size) @ (h ** np.arange(size))
     values = np.moveaxis(stencil_values(coeffs, h), -1, 0)
-    tables = np.moveaxis(blocks, -1, 0)
-    out = _dot((tables[e], _dot((values[o], w) for o, w in enumerate(row)))
-               for e, row in enumerate(at_offsets))
+    # every w_e at once, each still summed over the offsets in order
+    lift = (1,) * np.ndim(values[0])
+    w = _dot((column.reshape(column.shape + lift), v)
+             for column, v in zip(at_offsets.T, values))
+    out = _dot(zip(entries, w))
     return np.moveaxis(out, 0, -1)
 
 
@@ -291,8 +332,10 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
                            center: int = 0) -> RecursionResult:
     """Recursive degree-by-degree solve against precomputed exact operators.
 
-    ``expansions`` has shape (..., R, O, T+1); ``combine`` maps raw unknowns
-    to displayed stencil coefficients (corner hat+tilde), identity if None.
+    ``expansions`` is the packed (O, P, ...) output of ``expand_at_offsets``
+    for rows of leading degree ``lead`` and T+1 degrees, read through
+    ``packed_positions``; ``combine`` maps raw unknowns to displayed stencil
+    coefficients (corner hat+tilde), identity if None.
     The free parameter is ``PIN0`` at degree 0.  At every later degree it is
     chosen as the largest value keeping center coefficients >= 0,
     off-center <= 0, and the next degree's row sum >= 0 (the greedy
@@ -302,33 +345,41 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
     condition, the chosen one breaks some, and the audit ``check_sign_sum``
     reports it.  Every contraction runs through ``_dot`` on vectors along
     the batch axis, so each stencil is the same whatever batch it is solved
-    in.
+    in.  The couplings of all lower degrees into one degree's rhs (and into
+    the sum-row bound) are gathered at once, one gather per offset; each
+    coupling is still its own left-to-right sum over the offsets, and the
+    rhs subtracts them one by one, lowest degree first.
     """
-    exp = expansions
-    squeeze = exp.ndim == 3
-    if squeeze:
-        exp = exp[None]
-    B, R, O, _ = exp.shape
-    X = np.moveaxis(exp, 0, -1)           # X[r, o, t] is a batch vector
+    O = expansions.shape[0]
+    batch = expansions.shape[2:]
+    X = expansions.reshape(O, expansions.shape[1], -1)  # X[o, i]: batch vector
+    B = X.shape[-1]
+    pos = packed_positions(tuple(lead), T + 1)
     lead = np.asarray(lead)
     ncols = next(s for s in solvers if s is not None).Sb.shape[0]
     K = np.eye(ncols) if combine is None else np.asarray(combine, dtype=float)
     n_disp = K.shape[0]
 
-    def rows(c, r, t):
-        """sum_o c[o] X[r, o, t], one batch vector per row r (with its t)."""
-        terms = X[r, :, t]
-        return _dot((c[o], terms[..., o, :]) for o in range(O))
+    def rows(c, at):
+        """sum_o c[o] X[o, at], one batch vector per packed position."""
+        return _dot((c[o], X[o, at]) for o in range(O))
+
+    def minus_each(start, terms):
+        """start - terms[0] - terms[1] - ..., subtracted in order."""
+        for term in terms:
+            start = start - term
+        return start
 
     coeffs = np.zeros((ncols, T + 1, B))
     worst = 0.0
-    sum_row = next((r for r in range(R) if lead[r] == 0), None)
+    sum_row = next((r for r in range(len(lead)) if lead[r] == 0), None)
 
     for d in range(T + 1):
         rows_d = np.flatnonzero(lead + d <= T)
-        b = np.zeros((len(rows_d), B))
-        for s in range(d):
-            b = b - rows(coeffs[:, s], rows_d, lead[rows_d] + d - s)
+        lower = np.arange(d)
+        couplings = pos[rows_d, lead[rows_d] + d - lower[:, None]]
+        b = minus_each(np.zeros((len(rows_d), B)),
+                       rows(coeffs[:, :d, None], couplings))
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         solver = solvers[d]
         if solver is None:
@@ -350,11 +401,10 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
                 if a < -_TINY:
                     upper = np.minimum(upper, -sgn * Pc[o] / a)
             if d + 1 <= T and sum_row is not None:
-                i0 = np.zeros(B)
-                for s in range(d):
-                    i0 = i0 - rows(coeffs[:, s], sum_row, d + 1 - s)
-                i0 = i0 - rows(P, sum_row, 1)
-                slope = -rows(V, sum_row, 1)
+                i0 = minus_each(np.zeros(B), rows(
+                    coeffs[:, :d], pos[sum_row, d + 1 - lower]))
+                i0 = i0 - rows(P, pos[sum_row, 1])
+                slope = -rows(V, pos[sum_row, 1])
                 neg = slope < -_TINY
                 upper = np.minimum(
                     upper, np.where(neg, i0 / np.where(neg, -slope, 1.0), np.inf))
@@ -363,16 +413,19 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
         coeffs[:, d] = P + c_star * V[:, None]
 
         # residual of A_d C_d = b_d (includes stacked-row consistency)
-        resid = rows(coeffs[:, d], rows_d, lead[rows_d]) - b
+        resid = rows(coeffs[:, d], pos[rows_d, lead[rows_d]]) - b
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
 
     check_residual(worst)
 
-    disp, coeffs = (np.ascontiguousarray(np.moveaxis(c, -1, 0))
-                    for c in (np.tensordot(K, coeffs, 1), coeffs))
-    if squeeze:
-        return RecursionResult(disp[0], coeffs[0], worst)
-    return RecursionResult(disp, coeffs, worst)
+    def batch_major(c):
+        """The (..., n, T+1) copy of an (n, T+1, B) array."""
+        return np.ascontiguousarray(
+            np.moveaxis(c, -1, 0).reshape(batch + c.shape[:2]))
+
+    # one copy at a time: the product is dropped before the raw copy
+    disp = batch_major(np.tensordot(K, coeffs, 1))
+    return RecursionResult(disp, batch_major(coeffs), worst)
 
 
 # ----------------------------------------------------------------------------

@@ -23,15 +23,21 @@ polynomial is the row of its 36 coefficients with p + q <= 7, in Lambda_7
 order (``reduction.gh_blocks``).  Their h-expansions and values at the
 nine offsets go through the cached constant operator of OFFSETS9
 (``stencil_core.offset_operator``, shape (36, 9, 8)), as for the edge and
-corner stencils.  ``expand_at_offsets`` reads the G entries straight from
-the reduction table: each packed entry (15 tables' (p, q) coefficient) is
-one gather of table rows divided by p! q! (``reduction.g_entries``), added
-into every (offset, degree) sum that reads it, so the packed G block is
-never built.  The H block is gathered from the table in one go only after
-the recursion, when the expansions are gone, and
-``weights_at_offsets`` contracts it with the operator evaluated at h and the
-stencil values.  Both work elementwise along the chunk, like the recursion,
-so a node's stencil and weights do not depend on the chunk it is solved in.
+corner stencils.  Neither block is ever built: each packed entry (the 15
+or 21 tables' (p, q) coefficient) is one gather of table rows divided by
+p! q! (``reduction.packed_entries``), read once and dropped.  The G
+entries are added into the (offset, degree) sums of the packed
+expansions, which keep only the 64 (row, degree) pairs at or above each
+row's leading degree (LEAD9), the ones the recursion reads.  The
+reduction table is built in two halves: its u rows (1.7 KiB a node), read
+by G, go once the expansions exist; its f rows (1.4 KiB), read by H, are
+built only after the recursion, when the expansions are gone, and
+``weights_at_offsets`` reads the H entries from them, against the
+operator evaluated at h and the stencil values.  So a chunk's peak, in
+the expansion or the recursion, is its packed expansions (4.5 KiB), the
+u rows or the recursion's own arrays, and its jets.  Everything works
+elementwise along the chunk, so a node's stencil and weights do not
+depend on the chunk it is solved in.
 """
 
 from __future__ import annotations
@@ -42,12 +48,7 @@ import numpy as np
 
 from .indexsets import lambda_band
 from .jets import Jet2
-from .reduction import (
-    ReductionTable,
-    build_reduction_table,
-    g_entries,
-    packed_block,
-)
+from .reduction import ReductionTable, build_reduction_table, packed_entries
 from .stencil_core import (
     build_degree_solvers,
     expand_at_offsets,
@@ -90,35 +91,41 @@ def _regular_solvers():
 
 
 def regular_expansions(table: ReductionTable) -> np.ndarray:
-    """(..., 15, 9, 8) h-expansions of the G_{7,m,n} at OFFSETS9.
+    """Packed (9, 64, ...) h-expansions of the G_{7,m,n} at OFFSETS9.
 
-    Expanded straight from the order-7 reduction table, one gathered packed
-    entry at a time; the result is a view of (9, 8, 15, ...) memory, in
-    which every batch vector the recursion reads is contiguous.
+    Expanded straight from the u rows of the order-7 reduction table, one
+    gathered packed entry at a time, keeping the 64 (row, degree) pairs at
+    or above each row's leading degree (``stencil_core.packed_positions``
+    of LEAD9); every batch vector the recursion reads is contiguous.
     """
-    return np.moveaxis(expand_at_offsets(g_entries(table), OFFSETS9, 8), 0, -3)
+    return expand_at_offsets(packed_entries(table, "G"), OFFSETS9, 8, LEAD9)
 
 
-def regular_rhs_weights(coeffs: np.ndarray, h_polys: np.ndarray,
+def regular_rhs_weights(coeffs: np.ndarray, table: ReductionTable,
                         h: float) -> np.ndarray:
     """Weights of f^(m,n) over Lambda_5: sum_o C_o(h) H_{7,m,n}(kh, lh).
 
-    ``h_polys`` is the packed (21, ..., 36) block of H tables.  The h^-2 row
-    scale of the scheme is applied by the assembler, not here.
+    ``table`` is the order-7 reduction table (its f rows suffice); the H
+    entries are read from it one at a time.  The h^-2 row scale of the
+    scheme is applied by the assembler, not here.
     """
-    return weights_at_offsets(h_polys, OFFSETS9, coeffs, h)
+    return weights_at_offsets(packed_entries(table, "H"), OFFSETS9, 8,
+                              coeffs, h)
 
 
 def build_regular_batch(a_jet: Jet2):
     """Stencil at every point of a jet with leading batch axes.
 
     Returns the (..., 9, 8) stencil coefficients, C_o(h) = sum_p
-    coeffs[..., o, p] h^p over OFFSETS9, and the packed (21, ..., 36) block
-    of H tables for the source weights.  The expansions live only through
-    the recursion, and the H block is built from the reduction table after
-    it, so the two are never held at once.
+    coeffs[..., o, p] h^p over OFFSETS9, and the order-7 reduction table
+    of the f rows alone, for the source weights (``regular_rhs_weights``).
+    The table is built in two halves: the u rows first, dropped once the
+    expansions exist, and the f rows only after the recursion, when the
+    expansions are gone; the second half recomputes the weight jets
+    rather than hold the f rows through the recursion.
     """
-    table = build_reduction_table(a_jet, 7)
-    coeffs = run_constant_recursion(regular_expansions(table), LEAD9, 7,
-                                    _regular_solvers(), center=CENTER9).coeffs
-    return coeffs, packed_block(table, "H")
+    expansions = regular_expansions(build_reduction_table(a_jet, 7, "u"))
+    coeffs = run_constant_recursion(expansions, LEAD9, 7, _regular_solvers(),
+                                    center=CENTER9).coeffs
+    del expansions
+    return coeffs, build_reduction_table(a_jet, 7, "f")

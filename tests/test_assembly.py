@@ -300,7 +300,8 @@ class TestInterfaceAssembly:
 
     def test_regular_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
         """Regular blocks of both families (values, coefficients and rhs)
-        are bit-identical for chunks of 1, 7, 333, 1024 and 2048 nodes."""
+        are bit-identical for chunks of 1, 7, 333, 1024 and 2048 nodes,
+        each chunk estimating its own jets."""
         import hybridfdm.assembly as assembly
 
         # a box twice as tall as wide: over 333 regular+ nodes already at J=4
@@ -324,24 +325,23 @@ class TestInterfaceAssembly:
                                       other[family].values(system.h))
 
     def test_regular_chunk_working_set(self):
-        """One 1,024-node regular chunk allocates at most 15 KiB a node at
-        its peak: the G entries are expanded straight from the reduction
-        table, and the H block is built only after the recursion."""
+        """One 1,024-node regular chunk, built from its node indices, its
+        jets included, allocates at most 10 KiB a node at its peak: the
+        expansions keep only the pairs the recursion reads, the table's G
+        rows go once they are expanded, and the H block is built only after
+        the recursion."""
         import tracemalloc
 
         from hybridfdm.assembly import CHUNK, _regular_chunk
-        from hybridfdm.fieldjets import regular_jets
         from hybridfdm.geometry import LABEL_REGULAR_PLUS
 
         problem = builtin("ex31")
         xs, ys, h = _grid(problem, 6)
         ii, jj = np.nonzero(classify_grid(xs, ys, problem.psi).labels
                             == LABEL_REGULAR_PLUS)
-        jet, f_der = regular_jets(problem.a_plus, problem.f_plus,
-                                  np.column_stack([ii, jj]), (xs[0], ys[0]), h)
         assert CHUNK == 1024 and len(ii) > CHUNK
-        _set_context(problem, h)
-        chunk = (jet.c[:CHUNK], f_der[:CHUNK])
+        _set_context(problem, h, (xs[0], ys[0]))
+        chunk = ("+", np.column_stack([ii, jj])[:CHUNK])
         _regular_chunk(chunk)            # fills the cached constant operators
         tracemalloc.start()
         try:
@@ -351,7 +351,7 @@ class TestInterfaceAssembly:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 15 * 1024 * CHUNK
+        assert peak <= 10 * 1024 * CHUNK
 
     @pytest.mark.parametrize("stage", ["geometry", "fits", "transmission",
                                        "recursion"])
@@ -369,7 +369,7 @@ class TestInterfaceAssembly:
         points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
         offs = np.asarray(IRREGULAR_OFFSETS)
         minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
-        _set_context(case.problem, h)
+        _set_context(case.problem, h, (xs[0], ys[0]))
         assert len(_irregular_chunk((points, minus))) == 5
 
         def on_third_node(fn, spoil):
@@ -520,13 +520,18 @@ class TestRowBlocks:
                 assert block.coeffs.shape[2] == 1 and (block.coeffs == 1).all()
 
 
+def block_weights(block, offsets, coeffs, h):
+    """``weights_at_offsets`` of a packed order-6 (K, ..., 28) block."""
+    return weights_at_offsets(np.moveaxis(block, -1, 0), offsets, 7, coeffs, h)
+
+
 def separate_edge_rhs(st, jet, f_der, g_der, h):
     """An edge block's rhs from separate f and g1 weight blocks, each
     contracted by ``einsum``, as assembly formed it before the one data
     vector."""
     g, hb = gh_blocks(build_reduction_table(jet, 6))
-    f_w = weights_at_offsets(hb, EDGE_OFFSETS, st.coeffs, h)
-    g1_w = -weights_at_offsets(g[G1_ROWS], EDGE_OFFSETS, st.coeffs, h)
+    f_w = block_weights(hb, EDGE_OFFSETS, st.coeffs, h)
+    g1_w = -block_weights(g[G1_ROWS], EDGE_OFFSETS, st.coeffs, h)
     return (np.einsum("bk,bk->b", f_w, f_der)
             + np.einsum("bk,bk->b", g1_w, g_der)) / h
 
@@ -541,11 +546,11 @@ def separate_corner_rhs(st, jet, f_der, g1_der, g3_der, h):
     et = red.et_polys
 
     def split(hat, til):
-        return (weights_at_offsets(hat, CORNER_OFFSETS, st.chat, h)
-                + weights_at_offsets(til, CORNER_OFFSETS, st.ctilde, h))
+        return (block_weights(hat, CORNER_OFFSETS, st.chat, h)
+                + block_weights(til, CORNER_OFFSETS, st.ctilde, h))
     f_w = split(hb, ht + np.tensordot(red.nu, et, 1))
     g1_w = -split(g[G1_ROWS], np.tensordot(red.mu.T, et, 1))
-    g3_w = -weights_at_offsets(gt[G1_ROWS], CORNER_OFFSETS, st.ctilde, h)
+    g3_w = -block_weights(gt[G1_ROWS], CORNER_OFFSETS, st.ctilde, h)
     return (f_w @ f_der + g1_w @ g1_der + g3_w @ g3_der) / h
 
 

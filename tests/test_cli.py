@@ -140,6 +140,16 @@ class TestSolveCommand:
                                   f"{str(spec)!r}: ")
             assert err.count("\n") == 1
 
+    def test_robin_side_without_alpha_exits_1(self, tmp_path, capsys):
+        """A robin side without its alpha is one error line naming the key,
+        not a Neumann side."""
+        path = tmp_path / "no-alpha.ini"
+        path.write_text(BAD_ALPHA.replace("alpha = -1\n", ""))
+        assert main(["--problem", str(path), "--J", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config is missing [boundary.gamma1] alpha: a robin side "
+            "needs its alpha (kind = neumann is alpha = 0)\n")
+
     @pytest.mark.parametrize("level", [["--J", "2"], ["--J-range", "2..3"]])
     def test_unwritable_out_exits_1(self, laplace_cfg, tmp_path, capsys,
                                     level):

@@ -21,8 +21,9 @@ from hybridfdm.reduction import (
     _program,
     build_reduction_table,
     dense_tables,
-    g_entries,
     gh_blocks,
+    packed_block,
+    packed_entries,
     transpose_blocks,
 )
 from manufactured import pde_source, poly_mul, random_poly
@@ -346,6 +347,45 @@ class TestCompiledTable:
                         assert same_bits(got[pq][key], value)
 
 
+class TestSplitTable:
+    """The u rows (read by G) and the f rows (read by H) are two arrays."""
+
+    @pytest.mark.parametrize("order", [5, 6, 7])
+    def test_every_key_reads_the_recursion_value(self, order):
+        """For every (p, q) of Lambda_order, every band key and every source
+        key, ``u_value`` and ``f_value`` give the bits of the term-by-term
+        recursion (which the one-array table matched bit for bit), and a
+        zero from the array's own zero row where it holds no term."""
+        jet = random_a_jets(25, 4, order - 1)
+        table = build_reduction_table(jet, order)
+        zero = np.zeros(4)
+        for read, want, keys in (
+                (table.u_value, term_by_term_table(jet, order)[0],
+                 lambda_band(order)),
+                (table.f_value, term_by_term_table(jet, order)[1],
+                 lambda_full(order - 2))):
+            for pq in lambda_full(order):
+                for key in keys:
+                    assert same_bits(read(*pq, *key),
+                                     want.get(pq, {}).get(key, zero))
+
+    def test_array_sizes_and_zero_rows(self):
+        table = build_reduction_table(random_a_jets(26, 3), 7)
+        assert _program(7).sizes == {"u": 218, "f": 174}
+        assert table.u.shape == (219, 3) and table.f.shape == (175, 3)
+        assert not table.u[-1].any() and not table.f[-1].any()
+
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_each_array_alone_has_the_same_bits(self, order):
+        jet = random_a_jets(27, 3, order - 1)
+        table = build_reduction_table(jet, order)
+        u_only, f_only = (build_reduction_table(jet, order, rows)
+                          for rows in "uf")
+        assert u_only.f is None and f_only.u is None
+        assert same_bits(u_only.u, table.u) and same_bits(f_only.f, table.f)
+        assert same_bits(packed_block(f_only, "H"), gh_blocks(table)[1])
+
+
 class TestValueOnlyTable:
     """The table stores coefficient values, not jets."""
 
@@ -443,14 +483,16 @@ class TestGHPolynomialsBatch:
     @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
     def test_streamed_g_entries_match_the_block_bit_for_bit(self, order,
                                                              batch):
+        """The G and the H entries, each streamed from its own array."""
         jet = random_a_jets(24, int(np.prod(batch, dtype=int)), order - 1)
         table = build_reduction_table(
             Jet2(jet.c.reshape(batch + jet.c.shape[-2:]), order - 1), order)
-        block = np.moveaxis(gh_blocks(table)[0], -1, 0)
-        entries = list(g_entries(table))
-        assert len(entries) == len(block)
-        for got, want in zip(entries, block):
-            assert same_bits(got, want)
+        for family, block in zip("GH", gh_blocks(table)):
+            block = np.moveaxis(block, -1, 0)
+            entries = list(packed_entries(table, family))
+            assert len(entries) == len(block)
+            for got, want in zip(entries, block):
+                assert same_bits(got, want)
 
 
 # The paper's 15x9 constant matrix: rows are the canonical first band of

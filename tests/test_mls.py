@@ -292,10 +292,11 @@ def test_operator_matches_reference_bit_for_bit(name, problem, requests):
 
 
 def test_regular_jets_evaluate_each_field_once_on_the_lattice_axes():
-    """Each field is called once per family, on the distinct coordinates of
+    """Each field is called once per chunk, on the distinct coordinates of
     its nodes' windows on the global h/4 lattice: an (n, 1) column of x
     values and a (1, m) row of y values.  The jets equal those of a direct
-    evaluation at the same coordinates, bit for bit."""
+    evaluation at the same coordinates, each node's window values times the
+    operator in a product of its own, bit for bit."""
     from hybridfdm.fieldjets import regular_jets
 
     h = 0.0625
@@ -331,8 +332,14 @@ def test_regular_jets_evaluate_each_field_once_on_the_lattice_axes():
     y = origin[1] + (4 * nodes[:, 1, None] + k)[:, None, :] * step
     x, y = (c.reshape(len(nodes), -1) for c in np.broadcast_arrays(x, y))
     rec = sampling_recipe("regular-interior", h)
-    a_der = a_plain(x, y) @ mls_operator(rec.problem(6), lambda_full(6)).T
-    want = f_plain(x, y) @ mls_operator(rec.problem(5), lambda_full(5)).T
+
+    def per_node(values, op):
+        return np.stack([v @ op.T for v in values])
+
+    a_der = per_node(a_plain(x, y),
+                     mls_operator(rec.problem(6), lambda_full(6)))
+    want = per_node(f_plain(x, y),
+                    mls_operator(rec.problem(5), lambda_full(5)))
     assert np.array_equal(f_der, want)
     want = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)
@@ -395,3 +402,26 @@ def test_multi_degree_thin_side_raises_before_any_fit():
                        r"degree-4 fit \(15 coefficients\)$"):
         mls_operators(rec.problem(4), [(4, lambda_full(4)),
                                        (3, lambda_full(3))], [~thin, thin])
+
+
+def test_regular_jets_do_not_depend_on_the_chunk():
+    """A node's jets have the same bits alone, in a chunk of 7 and among all
+    the nodes: each node's product with the operator is its own."""
+    from hybridfdm.fieldjets import regular_jets
+
+    h = 0.05
+    origin = (-1.0, -0.5)
+    nodes = np.array([(i, j) for i in range(1, 12) for j in range(2, 9)])
+
+    def a_field(x, y):
+        return 1.5 + np.cos(x) * np.sin(2.0 * y)
+
+    def f_field(x, y):
+        return np.exp(y) * x**2
+
+    jet, f_der = regular_jets(a_field, f_field, nodes, origin, h)
+    for size in (1, 7):
+        for k in range(0, len(nodes), size):
+            part = regular_jets(a_field, f_field, nodes[k: k + size], origin, h)
+            assert np.array_equal(part[0].c, jet.c[k: k + size])
+            assert np.array_equal(part[1], f_der[k: k + size])

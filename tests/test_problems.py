@@ -200,6 +200,32 @@ class TestLoader:
             load_config_string(text.replace(
                 "kind = neumann\n", "kind = neumann\nalpha = cos(y) + 2\n"))
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("ex31", "alpha = cos(y) + 2\n",
+         "config is missing [boundary.gamma1] alpha: a robin side needs its "
+         "alpha (kind = neumann is alpha = 0)"),
+        ("ex31", "u_minus = 0.001*sin(2*x)*sin(2*y)*(x^4+2*y^4-2) + 31\n",
+         "config is missing [exact] u_minus: a problem with an interface "
+         "needs the exact solution on its minus side"),
+        ("ex32", "u_minus = 1000*sin(3*pi*y) + 1500\n",
+         "config is missing [exact] u_minus"),
+    ])
+    def test_a_key_that_changes_the_problem_has_no_default(self, name, line,
+                                                          message):
+        """Without its alpha a robin side would load as Neumann, and without
+        u_minus the minus side would be compared against u+."""
+        text = BUILTIN_CONFIGS[name]
+        assert text.count(line) == 1
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config_string(text.replace(line, ""))
+
+    def test_without_an_interface_u_minus_defaults_to_u_plus(self):
+        from test_assembly import LAPLACE_XY
+
+        p = load_config_string(LAPLACE_XY)
+        assert p.interface is None and p.has_exact
+        assert p.exact_u_minus.source == p.exact_u_plus.source
+
     def test_readme_example_solves(self):
         p = load_config_string(readme_config())
         assert p.name == "demo" and p.has_exact

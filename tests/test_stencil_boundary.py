@@ -19,6 +19,7 @@ from hybridfdm.stencil_boundary import (
     CORNER_OFFSETS,
     EDGE_OFFSETS,
     F_INDICES_B,
+    LEAD_E,
     SIDE_FRAMES,
     build_corner_reduction,
     map_by_reflection,
@@ -35,8 +36,13 @@ from hybridfdm.stencil_core import (
 )
 
 from manufactured import pde_source, random_poly
-from test_jets_reduction import constant_jet, deriv_at, poly_jet
-from test_stencil_regular import reference_weights
+from test_jets_reduction import constant_jet, deriv_at, poly_jet, random_a_jets
+from test_stencil_regular import (
+    assert_packed_is_dense,
+    dense_expand_at_offsets,
+    reference_weights,
+    unpack,
+)
 
 A0_GAMMA1 = np.array(
     [
@@ -80,10 +86,20 @@ class TestEdgeStructure:
         a[0, 0] = 2.0
         jet = poly_jet(a, 5, (0.0, 0.0))
         alpha = rng.uniform(-0.5, 0.5, size=6)
-        exp = expand_at_offsets(np.moveaxis(edge_basis(jet, alpha), -1, 0),
-                                EDGE_OFFSETS, 7)
+        exp = unpack(expand_at_offsets(
+            np.moveaxis(edge_basis(jet, alpha), -1, 0), EDGE_OFFSETS, 7,
+            LEAD_E), LEAD_E, 7)
         lead = np.array([exp[n, :, n] for n in range(7)])
         assert np.allclose(lead, A0_GAMMA1, atol=1e-12)
+
+    def test_packed_expansions_equal_the_dense_ones(self):
+        """Every pair the recursion reads holds the dense form's bits."""
+        jet = random_a_jets(31, 5, order=5)
+        alpha = np.random.default_rng(31).uniform(-0.5, 0.5, size=(5, 6))
+        entries = np.moveaxis(edge_basis(jet, alpha), -1, 0)
+        assert_packed_is_dense(
+            expand_at_offsets(entries, EDGE_OFFSETS, 7, LEAD_E),
+            dense_expand_at_offsets(entries, EDGE_OFFSETS, 7), LEAD_E)
 
     def test_e0_row_is_all_ones(self):
         e = edge_basis(constant_jet(1.0, 5), ZERO_ALPHA)
@@ -92,7 +108,8 @@ class TestEdgeStructure:
 
     def test_e2_degree2_part(self):
         e = edge_basis(constant_jet(1.0, 5), ZERO_ALPHA)
-        part = expand_at_offsets(np.moveaxis(e, -1, 0), EDGE_OFFSETS, 7)
+        part = unpack(expand_at_offsets(np.moveaxis(e, -1, 0), EDGE_OFFSETS, 7,
+                                        LEAD_E), LEAD_E, 7)
         part = part[2, :, 2]
         assert np.allclose(part, [1 / 2, 0, 1 / 2, 0, -1 / 2, 0], atol=1e-14)
 
@@ -174,12 +191,27 @@ class TestCornerStructure:
         alpha = rng.uniform(0, 1, size=6)
         beta = rng.uniform(0, 1, size=6)
         red = build_corner_reduction(jet, alpha, beta)
-        hat = expand_at_offsets(np.moveaxis(red.e_polys, -1, 0),
-                                CORNER_OFFSETS, 7)
-        til = expand_at_offsets(np.einsum("mn,me->en", red.p, red.et_polys),
-                                CORNER_OFFSETS, 7)
+        hat, til = (unpack(expand_at_offsets(entries, CORNER_OFFSETS, 7,
+                                             LEAD_E), LEAD_E, 7)
+                    for entries in (np.moveaxis(red.e_polys, -1, 0),
+                                    np.einsum("mn,me->en", red.p,
+                                              red.et_polys)))
         rows = [np.concatenate([hat[n], til[n]], axis=0)[:, n] for n in range(7)]
         assert np.allclose(np.array(rows), A0_CORNER1, atol=1e-11)
+
+    def test_packed_expansions_equal_the_dense_ones(self):
+        """Hat and tilde blocks: every pair the recursion reads holds the
+        dense form's bits."""
+        rng = np.random.default_rng(32)
+        a = random_poly(rng, 3, scale=0.2)
+        a[0, 0] = 2.0
+        red = build_corner_reduction(poly_jet(a, 5, (0.1, -0.2)),
+                                     rng.uniform(0, 1, 6), rng.uniform(0, 1, 6))
+        for polys in (red.e_polys, np.tensordot(red.p.T, red.et_polys, 1)):
+            entries = np.moveaxis(polys, -1, 0)
+            assert_packed_is_dense(
+                expand_at_offsets(entries, CORNER_OFFSETS, 7, LEAD_E),
+                dense_expand_at_offsets(entries, CORNER_OFFSETS, 7), LEAD_E)
 
     def test_lambda_mu_are_reduction_entries(self):
         rng = np.random.default_rng(8)

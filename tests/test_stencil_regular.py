@@ -6,12 +6,18 @@ import pytest
 from hybridfdm.indexsets import lambda_band, lambda_full
 from hybridfdm.jets import Jet2, poly_eval
 from hybridfdm.mls import mls_operator, sampling_recipe
-from hybridfdm.reduction import build_reduction_table, dense_tables, gh_blocks
+from hybridfdm.reduction import (
+    build_reduction_table,
+    dense_tables,
+    gh_blocks,
+    packed_block,
+)
 from hybridfdm.stencil_core import (
     check_sign_sum,
     expand_at_offsets,
     expand_poly_in_h,
     offset_operator,
+    packed_positions,
     stencil_values,
 )
 from hybridfdm.stencil_boundary import CORNER_OFFSETS, EDGE_OFFSETS
@@ -38,9 +44,50 @@ def system_rows(expansions, lead, T, d, s):
                     axis=-2)
 
 
+def unpack(packed, lead, size):
+    """The dense (K, ..., n_off, size) form of a packed expansion, zero
+    below each row's lead."""
+    pos = packed_positions(tuple(lead), size)
+    out = np.zeros((len(lead),) + packed.shape[2:] + (len(packed), size))
+    for r, t in zip(*np.nonzero(pos >= 0)):
+        out[r, ..., t] = np.moveaxis(packed[:, pos[r, t]], 0, -1)
+    return out
+
+
+def dense_expand_at_offsets(entries, offsets, size):
+    """Reference copy of ``expand_at_offsets`` before it packed: every
+    (row, degree) sum of every table, (K, ..., n_off, size), each entry
+    added into every sum that reads it, in entry order."""
+    op = offset_operator(offsets, size)
+    out = None
+    for e, table in enumerate(entries):
+        if out is None:
+            out = np.zeros((len(offsets), size) + table.shape)
+        for o, t in zip(*np.nonzero(op[e])):
+            w, acc = op[e, o, t], out[o, t]
+            if abs(w) == 1.0:
+                (np.add if w > 0 else np.subtract)(acc, table, out=acc)
+            else:
+                acc += table * w
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def assert_packed_is_dense(packed, dense, lead):
+    """Every pair the recursion reads, (r, t) with t >= lead[r], has the
+    bits of the dense expansion."""
+    pos = packed_positions(tuple(lead), dense.shape[-1])
+    assert packed.shape == (dense.shape[-2], np.count_nonzero(pos >= 0)) \
+        + dense.shape[1:-2]
+    for r, t in zip(*np.nonzero(pos >= 0)):
+        assert same_bits(packed[:, pos[r, t]],
+                         np.moveaxis(dense[r, ..., t], -1, 0)), (r, t)
+
+
 def expansions9(jet):
-    """The 9-point h-expansions of a coefficient jet."""
-    return regular_expansions(build_reduction_table(jet, 7))
+    """The 9-point h-expansions of a coefficient jet, unpacked to the dense
+    (..., 15, 9, 8) form."""
+    return np.moveaxis(unpack(regular_expansions(build_reduction_table(jet, 7)),
+                              LEAD9, 8), 0, -3)
 
 
 def linear_a_jet(r1, r2):
@@ -152,8 +199,8 @@ def scheme_residual(x0, y0, h):
     a_der = mls_operator(rec.problem(6), lambda_full(6)) @ a_fn(pts[:, 0], pts[:, 1])
     f_der = mls_operator(rec.problem(5), lambda_full(5)) @ f_fn(pts[:, 0], pts[:, 1])
     jet = Jet2.from_derivatives(dict(zip(lambda_full(6), a_der)), 6)
-    coeffs, h_polys = build_regular_batch(jet)
-    weights = regular_rhs_weights(coeffs, h_polys, h)
+    coeffs, table = build_regular_batch(jet)
+    weights = regular_rhs_weights(coeffs, table, h)
     lhs = sum(
         stencil_values(coeffs, h)[i] * u_fn(x0 + k * h, y0 + l * h)
         for i, (k, l) in enumerate(OFFSETS9)
@@ -186,8 +233,8 @@ class TestConsistency:
 
 class TestRhsWeights:
     def test_zero_source_zero_rhs(self):
-        coeffs, h_polys = build_regular_batch(constant_jet(1.0, 6))
-        w = regular_rhs_weights(coeffs, h_polys, 0.1)
+        coeffs, table = build_regular_batch(constant_jet(1.0, 6))
+        w = regular_rhs_weights(coeffs, table, 0.1)
         rhs = sum(w[i] * 0.0 for i in range(len(w)))
         assert rhs == 0.0
 
@@ -197,9 +244,9 @@ class TestRhsWeights:
         Oracle: u = -(x^2+y^2)/2 gives f = -lap(u) = 2 and the (20,-4,-1)
         pattern sums to 12 h^2 = 6 f h^2, so the weight is +6 h^2.
         """
-        coeffs, h_polys = build_regular_batch(constant_jet(1.0, 6))
+        coeffs, table = build_regular_batch(constant_jet(1.0, 6))
         for h in (0.1, 0.05):
-            w00 = regular_rhs_weights(coeffs, h_polys, h)[0]
+            w00 = regular_rhs_weights(coeffs, table, h)[0]
             assert w00 == pytest.approx(6.0 * h**2, rel=0.02)
 
 
@@ -242,7 +289,8 @@ class TestOffsetOperator:
         """The elementwise term sums, also for offsets outside {-1, 0, 1}."""
         n = len(lambda_full(size - 1))
         blocks = np.random.default_rng(size).standard_normal((3, 4, n))
-        got = expand_at_offsets(np.moveaxis(blocks, -1, 0), offsets, size)
+        got = unpack(expand_at_offsets(np.moveaxis(blocks, -1, 0), offsets,
+                                       size, (0, 0, 0)), (0, 0, 0), size)
         want = expand_poly_in_h(dense_tables(blocks), offsets, size)
         assert got.shape == (3, 4, len(offsets), size)
         bound = (np.abs(blocks) @ np.abs(offset_operator(offsets, size))
@@ -259,11 +307,12 @@ class TestOffsetOperator:
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
     def test_system_expansions_match_per_polynomial_path(self, batch):
         jet = random_a_jet(np.random.default_rng(3), batch)
-        expansions = expansions9(jet)
+        packed = regular_expansions(build_reduction_table(jet, 7))
         block = gh_blocks(build_reduction_table(jet, 7))[0]
         # read from the table or from its packed block: the same bits
-        assert same_bits(expansions, np.moveaxis(
-            expand_at_offsets(np.moveaxis(block, -1, 0), OFFSETS9, 8), 0, -3))
+        assert same_bits(packed, expand_at_offsets(
+            np.moveaxis(block, -1, 0), OFFSETS9, 8, LEAD9))
+        expansions = np.moveaxis(unpack(packed, LEAD9, 8), 0, -3)
         g = dense_tables(block)
         assert len(g) == len(lambda_band(7))
         want = np.stack([expand_poly_in_h(c, OFFSETS9, 8) for c in g],
@@ -274,12 +323,23 @@ class TestOffsetOperator:
         assert np.all(np.abs(expansions - want) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
+    def test_packed_expansions_equal_the_dense_ones(self, batch):
+        """The packed G expansions, from the table or from its block, hold
+        the dense form's bits on every pair the recursion reads."""
+        jet = random_a_jet(np.random.default_rng(5), batch)
+        table = build_reduction_table(jet, 7)
+        dense = dense_expand_at_offsets(
+            np.moveaxis(gh_blocks(table)[0], -1, 0), OFFSETS9, 8)
+        assert_packed_is_dense(regular_expansions(table), dense, LEAD9)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (6,)])
     @pytest.mark.parametrize("h", [0.3, 1.0 / 64])
     def test_rhs_weights_match_per_polynomial_eval(self, batch, h):
         jet = random_a_jet(np.random.default_rng(4), batch)
-        coeffs, h_polys = build_regular_batch(jet)
-        got = regular_rhs_weights(coeffs, h_polys, h)
-        want = reference_weights(coeffs, dense_tables(h_polys), OFFSETS9, h)
+        coeffs, table = build_regular_batch(jet)
+        got = regular_rhs_weights(coeffs, table, h)
+        want = reference_weights(coeffs, dense_tables(packed_block(table, "H")),
+                                 OFFSETS9, h)
         assert got.shape == batch + (len(lambda_full(5)),)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
