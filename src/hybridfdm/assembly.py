@@ -29,6 +29,14 @@ its side and node indices, not its jets.
 Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
 phase timings, the row count of every family and, as ``widened``, the number
 of interface nodes whose field jets took the widened MLS lattice.
+
+This module imports no scipy: ``assemble`` loads LAPACK (``mls._lapack``,
+from ``scipy.linalg``) before its boundary rows and before any fork, so pool
+workers inherit it, and imports ``scipy.sparse`` where it builds the CSR
+matrix; ``solve`` imports ``scipy.sparse.linalg``.  Importing the package
+and loading a problem therefore need numpy only, and the first
+``assemble`` pays for the scipy import (its ``timings["total"]`` includes
+it).
 """
 
 from __future__ import annotations
@@ -38,12 +46,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import multiprocessing
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, HybridFdmError, per_node
 from .fieldjets import corner_jets, edge_jets, irregular_jets, regular_jets
@@ -54,6 +60,7 @@ from .geometry import (
     LABEL_REGULAR_PLUS,
     classify_grid,
 )
+from .mls import _lapack
 from .problems import ProblemSpec
 from .stencil_boundary import (
     CORNER_FRAMES,
@@ -72,6 +79,9 @@ from .stencil_irregular import (
 )
 from .stencil_regular import OFFSETS9, build_regular_batch, regular_rhs_weights
 from .transmission import build_transmission, curve_jet_from_chart
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -299,6 +309,9 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             "to the boundary for this mesh")
     timings = {}
     _set_context(problem, h, (xs[0], ys[0]))
+    # load LAPACK (scipy.linalg) here, before any fit and any fork: pool
+    # workers inherit it instead of each importing it for its first fit
+    _lapack()
 
     # ---- boundary rows -----------------------------------------------------
     tb = time.perf_counter()
@@ -394,6 +407,8 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         if pool is not None:
             pool.shutdown()
 
+    import scipy.sparse as sp
+
     nn = (n1 + 1) * (n2 + 1)
     rhs = np.zeros(nn)
     rows, cols, vals = [], [], []
@@ -420,6 +435,8 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
 
 
 def solve(system: GlobalSystem) -> SolveResult:
+    import scipy.sparse.linalg as spla
+
     t0 = time.perf_counter()
     u = spla.spsolve(system.matrix, system.rhs)
     wall = time.perf_counter() - t0

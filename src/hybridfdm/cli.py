@@ -233,13 +233,17 @@ def run():
     """Process entry of the ``hybridfdm`` command: ``main`` on the command
     line, then exit with its code.
 
-    The import-time heap (about 43,000 objects, most of them from numpy and
-    scipy modules) is frozen first, so the collection at interpreter exit
-    skips it.  ``main`` itself leaves the collector alone, for tests and
-    library callers.
+    The import-time heap (about 25,000 objects, most of them from numpy
+    modules) is frozen first, and everything alive when ``main`` returns is
+    frozen again, scipy's modules among them, since the first ``assemble``
+    imports scipy; so the collection at interpreter exit skips all of it.
+    ``main`` itself leaves the collector alone, for tests and library
+    callers.
     """
     gc.freeze()
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

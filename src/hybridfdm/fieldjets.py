@@ -10,7 +10,9 @@ depend on the chunk.  The two fits of a family (a and f, one degree apart)
 are one ``mls_operators`` call on the shared lattice.
 
 Each batch (a chunk of regular nodes, a Robin side, a corner, an interface
-chunk) evaluates every field once, through ``mls.lattice_values``.
+chunk) evaluates every field once, through ``mls.lattice_values``, and the
+fields that share their points (a and f, a side's alpha and g, the five
+interface fields) in one call that sorts the coordinates once.
 Interface fits differ per node (side mask and base point), so they are
 made node by node, sharing the weights of a node and one Vandermonde per
 lattice and basis scale across the chunk.
@@ -57,10 +59,10 @@ def regular_jets(a_field, f_field, nodes: np.ndarray, origin, h: float):
             * rec.step for d, axis in enumerate(rec.axes))
     # one (1, 81) x (81, K) product per node: the stacked matmul makes the
     # same call for every node, whatever the chunk holds
-    a_der, f_der = (np.matmul(lattice_values(field, x[:, :, None],
-                                             y[:, None, :])
-                              .reshape(len(nodes), 1, -1), op.T)[:, 0]
-                    for field, op in ((a_field, op_a), (f_field, op_f)))
+    a_v, f_v = lattice_values((a_field, f_field), x[:, :, None],
+                              y[:, None, :])
+    a_der, f_der = (np.matmul(v.reshape(len(nodes), 1, -1), op.T)[:, 0]
+                    for v, op in ((a_v, op_a), (f_v, op_f)))
     jet = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(6))}, 6)
     return jet, f_der
@@ -81,16 +83,16 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
         rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
     px, py = frame.point(anchor, rec.samples[None, :, 0],
                          rec.samples[None, :, 1])
-    a_der = lattice_values(a_field, px, py) @ op_a.T
-    f_der = lattice_values(f_field, px, py) @ op_f.T
+    a_v, f_v = lattice_values((a_field, f_field), px, py)
+    a_der, f_der = a_v @ op_a.T, f_v @ op_f.T
     jet = Jet2.from_derivatives(
         {mn: a_der[:, i] for i, mn in enumerate(lambda_full(5))}, 5)
 
     line = sampling_recipe("edge-line", h)
     op1 = mls_operator(line.problem(5), list(range(6)))
     lx, ly = frame.point(anchor, 0.0, line.samples[None, :])
-    alpha_der = lattice_values(alpha_field, lx, ly) @ op1.T
-    g_der = lattice_values(g_field, lx, ly) @ op1.T
+    alpha_v, g_v = lattice_values((alpha_field, g_field), lx, ly)
+    alpha_der, g_der = alpha_v @ op1.T, g_v @ op1.T
     return jet, alpha_der, f_der, g_der
 
 
@@ -132,9 +134,8 @@ def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchors, bases,
     windows = (slice(cut, -cut), slice(None))
 
     x, y = (anchors[:, d, None] + recipes[1].axes[d] for d in (0, 1))
-    psi_v, ap_v, am_v, fp_v, fm_v = (
-        lattice_values(field, x[:, :, None], y[:, None, :])
-        for field in (psi, a_plus, a_minus, f_plus, f_minus))
+    psi_v, ap_v, am_v, fp_v, fm_v = lattice_values(
+        (psi, a_plus, a_minus, f_plus, f_minus), x[:, :, None], y[:, None, :])
     values = {"+": (ap_v, fp_v), "-": (am_v, fm_v)}
     fits = ((4, lambda_full(4)), (3, lambda_full(3)))
     vandermondes = ({}, {})        # per lattice: full-window E per scale
@@ -189,8 +190,8 @@ def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
     [(op_a, op_f)] = mls_operators(
         rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
     px, py = frame.point(anchor, rec.samples[:, 0], rec.samples[:, 1])
-    a_der = lattice_values(a_field, px, py) @ op_a.T
-    f_der = lattice_values(f_field, px, py) @ op_f.T
+    a_v, f_v = lattice_values((a_field, f_field), px, py)
+    a_der, f_der = a_v @ op_a.T, f_v @ op_f.T
     jet = Jet2.from_derivatives(
         {mn: a_der[i] for i, mn in enumerate(lambda_full(5))}, 5)
 
@@ -198,9 +199,9 @@ def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
     op1 = mls_operator(line.problem(5), list(range(6)))
     ts = line.samples
     ax, ay = frame.point(anchor, 0.0, ts)
-    alpha_der = op1 @ lattice_values(alpha_field, ax, ay)
-    g1_der = op1 @ lattice_values(g1_field, ax, ay)
+    alpha_v, g1_v = lattice_values((alpha_field, g1_field), ax, ay)
     bx, by = frame.point(anchor, ts, 0.0)
-    beta_der = op1 @ lattice_values(beta_field, bx, by)
-    g3_der = op1 @ lattice_values(g3_field, bx, by)
+    beta_v, g3_v = lattice_values((beta_field, g3_field), bx, by)
+    alpha_der, g1_der, beta_der, g3_der = (op1 @ v for v in
+                                           (alpha_v, g1_v, beta_v, g3_v))
     return jet, alpha_der, f_der, g1_der, beta_der, g3_der

@@ -57,15 +57,20 @@ separately, about 145 samples a side for the 15 coefficients of a degree-4
 fit.  Its half-width h matches the weight width; past unisolvency the fit's
 accuracy is set by the degree and the weight width, not by the sample count,
 and the derivative errors stay within 3x of those of a 65x65 lattice at h/32
-(15 times the samples; ROADMAP.md has the measurement).
+(15 times the samples; the ``CHANGES.md`` entry "Interface MLS lattice
+sized by measured accuracy" has the measurement).
 The widened lattice (half-width 2h) serves a node whose side keeps fewer
 than 30 of the 289 standard samples; a node's distance to the curve scales
 with h, so that is 42-50% of the interface nodes of ex31 and ex33 at every
 J.  The lines carry the Robin data along a side: the edge line is centred on
 the anchor, and a corner samples both of its sides on the same inward
-abscissae.  ``lattice_values`` evaluates a field on a whole batch of
-grid-anchored lattices in one call; ``fieldjets`` and ``geometry`` sample
-every such lattice through it.
+abscissae.  ``lattice_values`` evaluates a field, or several fields on the
+same points, on a whole batch of grid-anchored lattices in one call;
+``fieldjets`` and ``geometry`` sample every such lattice through it.
+
+The LAPACK routines come from ``scipy.linalg``, imported by the first fit
+(``_lapack``) rather than with this module: importing the package and
+loading a problem need numpy only.
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import MlsError
 from .indexsets import lambda_full
@@ -111,20 +115,27 @@ def distinct_values(column: np.ndarray):
     return bits.view(np.float64), inverse
 
 
-def lattice_values(field, x, y) -> np.ndarray:
+def lattice_values(field, x, y):
     """Values of ``field`` at the broadcast of the coordinates x and y.
 
     The field is called once, on the (nx, 1) column and the (1, ny) row of
     the bit-distinct values of x and of y; each point reads its value by
     index, so it keeps its own coordinates.  The field may return a scalar
     or any shape that broadcasts against its arguments; the result is a new
-    C-contiguous array.
+    C-contiguous array.  ``field`` may also be a sequence of fields, all
+    sampled on the one sort of x and y; the result is then a tuple with one
+    array per field, each the same, bit for bit, as the field's own call.
     """
     (ux, ix), (uy, iy) = (distinct_values(np.asarray(c, dtype=float).ravel())
                           for c in (x, y))
-    values = np.broadcast_to(np.asarray(field(ux[:, None], uy[None, :]),
-                                        dtype=float), (len(ux), len(uy)))
-    return values[ix.reshape(np.shape(x)), iy.reshape(np.shape(y))]
+    at = ix.reshape(np.shape(x)), iy.reshape(np.shape(y))
+
+    def sample(fn):
+        values = np.broadcast_to(np.asarray(fn(ux[:, None], uy[None, :]),
+                                            dtype=float), (len(ux), len(uy)))
+        return values[at]
+
+    return sample(field) if callable(field) else tuple(map(sample, field))
 
 
 @lru_cache(maxsize=64)
@@ -230,7 +241,13 @@ def mls_operators(problem: MlsProblem, fits, masks=None,
 
 @lru_cache(maxsize=1)
 def _lapack():
-    """The float64 LAPACK routines of ``_weighted_solve``, resolved once."""
+    """The float64 LAPACK routines of ``_weighted_solve``, resolved once.
+
+    The first call imports ``scipy.linalg``, most of the cost of loading
+    scipy; ``assemble`` makes it before any fork, for its pool workers.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
     return get_lapack_funcs(("geqrf", "orgqr", "trtrs"), dtype=np.float64)
 
 

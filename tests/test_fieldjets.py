@@ -19,6 +19,7 @@ from hybridfdm.indexsets import lambda_full
 from hybridfdm.jets import Jet2
 from hybridfdm.mls import (
     MlsProblem,
+    distinct_values,
     lattice_values,
     mls_operator,
     sampling_recipe,
@@ -229,6 +230,29 @@ class TestLatticeValues:
         out = lattice_values(field, x, np.ones(4))
         assert field.shapes == [((2, 1), (1, 1))]
         assert out.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    def test_several_fields_share_one_sort(self, monkeypatch):
+        """A sequence of fields sorts x and y once and gives each field the
+        bits of its own call, in order."""
+        import hybridfdm.mls as mls
+
+        x = np.array([[0.5, 0.25, 0.5], [0.25, 0.5, 0.5]])
+        y = np.array([[1.0, 1.0, 3.0], [3.0, 1.0, 1.0]])
+        fields = [compile_expression(text, ("x", "y"))
+                  for text in ("sin(3*x)*y^2", "exp(x - y)", "2")]
+        alone = [lattice_values(fn, x, y) for fn in fields]
+        sorts = []
+
+        def counted(column):
+            sorts.append(len(column))
+            return distinct_values(column)
+
+        monkeypatch.setattr(mls, "distinct_values", counted)
+        together = lattice_values(fields, x, y)
+        assert sorts == [6, 6]
+        assert isinstance(together, tuple) and len(together) == 3
+        for got, want in zip(together, alone):
+            assert got.shape == (2, 3) and bits(got) == bits(want)
 
 
 def test_boundary_jets_evaluate_each_field_once_per_batch():
