@@ -233,17 +233,17 @@ def run():
     """Process entry of the ``hybridfdm`` command: ``main`` on the command
     line, then exit with its code.
 
-    The import-time heap (about 25,000 objects, most of them from numpy
-    modules) is frozen first, and everything alive when ``main`` returns is
-    frozen again, scipy's modules among them, since the first ``assemble``
-    imports scipy; so the collection at interpreter exit skips all of it.
-    ``main`` itself leaves the collector alone, for tests and library
-    callers.
+    Everything alive when ``main`` ends, also by ``--help`` or an
+    exception, is frozen (``gc.freeze``): the import-time heap, about 25,000
+    objects, most of them from numpy modules, and the scipy modules the
+    first ``assemble`` imported; so the collection at interpreter exit skips
+    all of it.  ``main`` itself leaves the collector alone, for tests and
+    library callers.
     """
-    gc.freeze()
-    code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def classify_grid(xs: np.ndarray, ys: np.ndarray, psi_fn) -> GridClassification:
     stencil points, with points exactly on the curve counting as minus) or
     irregular.  psi is evaluated once, on the grid (``lattice_values``).
     """
-    psi = lattice_values(psi_fn, xs[:, None], ys[None, :])
+    (psi,) = lattice_values((psi_fn,), xs[:, None], ys[None, :])
     n1, n2 = psi.shape
     pos = psi > 0.0
 
@@ -188,7 +188,8 @@ class LevelSetInterface:
         scan = np.arange(-24, 25) * (h / 16.0)
         lines = slice(8, -8)             # the 33 line offsets among the scan
         at = np.asarray(points, dtype=float).reshape(-1, 2)[:, :, None] + scan
-        vals = lattice_values(self.psi, at[:, 0, :, None], at[:, 1, None, :])
+        (vals,) = lattice_values((self.psi,), at[:, 0, :, None],
+                                 at[:, 1, None, :])
         brackets = ([], [])
         for (sx, sy), box in zip(at, vals):
             # lines of constant x scanning y, and of constant y scanning x

@@ -64,9 +64,9 @@ than 30 of the 289 standard samples; a node's distance to the curve scales
 with h, so that is 42-50% of the interface nodes of ex31 and ex33 at every
 J.  The lines carry the Robin data along a side: the edge line is centred on
 the anchor, and a corner samples both of its sides on the same inward
-abscissae.  ``lattice_values`` evaluates a field, or several fields on the
-same points, on a whole batch of grid-anchored lattices in one call;
-``fieldjets`` and ``geometry`` sample every such lattice through it.
+abscissae.  ``lattice_values`` evaluates the fields that share their points
+on a whole batch of grid-anchored lattices in one call; ``fieldjets`` and
+``geometry`` sample every such lattice through it.
 
 The LAPACK routines come from ``scipy.linalg``, imported by the first fit
 (``_lapack``) rather than with this module: importing the package and
@@ -115,27 +115,23 @@ def distinct_values(column: np.ndarray):
     return bits.view(np.float64), inverse
 
 
-def lattice_values(field, x, y):
-    """Values of ``field`` at the broadcast of the coordinates x and y.
+def lattice_values(fields, x, y) -> tuple:
+    """Values of each of ``fields`` at the broadcast of the coordinates x
+    and y, one array per field.
 
-    The field is called once, on the (nx, 1) column and the (1, ny) row of
-    the bit-distinct values of x and of y; each point reads its value by
-    index, so it keeps its own coordinates.  The field may return a scalar
-    or any shape that broadcasts against its arguments; the result is a new
-    C-contiguous array.  ``field`` may also be a sequence of fields, all
-    sampled on the one sort of x and y; the result is then a tuple with one
-    array per field, each the same, bit for bit, as the field's own call.
+    The bit-distinct values of x and of y are sorted out once; each field is
+    called once, on their (nx, 1) column and (1, ny) row, and each point
+    reads its value by index, so it keeps its own coordinates.  A field may
+    return a scalar or any shape that broadcasts against its arguments; each
+    result is a new C-contiguous array.
     """
     (ux, ix), (uy, iy) = (distinct_values(np.asarray(c, dtype=float).ravel())
                           for c in (x, y))
     at = ix.reshape(np.shape(x)), iy.reshape(np.shape(y))
-
-    def sample(fn):
-        values = np.broadcast_to(np.asarray(fn(ux[:, None], uy[None, :]),
-                                            dtype=float), (len(ux), len(uy)))
-        return values[at]
-
-    return sample(field) if callable(field) else tuple(map(sample, field))
+    return tuple(
+        np.broadcast_to(np.asarray(fn(ux[:, None], uy[None, :]), dtype=float),
+                        (len(ux), len(uy)))[at]
+        for fn in fields)
 
 
 @lru_cache(maxsize=64)

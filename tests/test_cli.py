@@ -170,11 +170,10 @@ class TestSolveCommand:
 
     def test_run_freezes_the_heap_and_exits_with_the_code_of_main(
             self, laplace_cfg, tmp_path):
-        """In a fresh process ``run`` freezes the import-time heap, then
-        exits with what ``main`` returned.  It freezes again when ``main``
-        returns, so the modules a solve imported (scipy's) are no work for
-        the collection at exit: a few objects stay tracked, not about
-        19,000."""
+        """In a fresh process ``run`` exits with what ``main`` returned and
+        freezes the heap when ``main`` returns, so the import-time heap and
+        the modules a solve imported (scipy's) are no work for the
+        collection at exit: a few objects stay tracked, not about 43,000."""
         probe = ("import gc, sys\n"
                  "from hybridfdm import cli\n"
                  "sys.argv = ['hybridfdm', *sys.argv[1:]]\n"
@@ -189,9 +188,9 @@ class TestSolveCommand:
                    PYTHONPATH=src if not path else src + os.pathsep + path)
 
         def run(*argv):
-            done = subprocess.run([sys.executable, "-c", probe, *argv],
-                                  env=env, capture_output=True, text=True,
-                                  timeout=120)
+            done = subprocess.run([sys.executable, "-W", "error", "-c", probe,
+                                   *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             code, frozen, tracked = done.stdout.split()[-3:]
             return code, frozen, int(tracked), done.stderr

@@ -189,7 +189,7 @@ class TestLatticeValues:
     y = np.linspace(0.0, 2.0, 7)[None, :]
 
     def test_scalar_returning_lambda(self):
-        out = lattice_values(lambda x, y: 1.0, self.x, self.y)
+        (out,) = lattice_values((lambda x, y: 1.0,), self.x, self.y)
         assert out.shape == (5, 7) and out.dtype == float
         assert out.flags.c_contiguous
         assert np.all(out == 1.0)
@@ -197,14 +197,14 @@ class TestLatticeValues:
     def test_one_variable_expression(self):
         fn = compile_expression("sin(2*x)", ("x", "y"))
         assert np.shape(fn(self.x, self.y)) == (5, 1)
-        out = lattice_values(fn, self.x, self.y)
+        (out,) = lattice_values((fn,), self.x, self.y)
         assert out.shape == (5, 7)
         assert bits(out) == bits(np.repeat(np.sin(2.0 * self.x), 7, axis=1))
 
     def test_full_shape_field(self):
         fn = compile_expression("x^4 + 2*y^4 - 2", ("x", "y"))
         want = fn(self.x, self.y)
-        out = lattice_values(fn, self.x, self.y)
+        (out,) = lattice_values((fn,), self.x, self.y)
         assert out.shape == (5, 7)
         assert bits(out) == bits(want)
         assert bits(out.ravel()) == bits(
@@ -213,21 +213,22 @@ class TestLatticeValues:
 
     def test_flat_points_keep_their_shape(self):
         x = np.linspace(0.0, 1.0, 9)
-        out = lattice_values(lambda x, y: 2.0 + 0.0 * x, x, x[::-1].copy())
+        (out,) = lattice_values((lambda x, y: 2.0 + 0.0 * x,), x,
+                                x[::-1].copy())
         assert out.shape == (9,) and np.all(out == 2.0)
 
     def test_duplicate_coordinates_are_evaluated_once(self):
         x = np.array([[0.5, 0.25, 0.5], [0.25, 0.5, 0.5]])
         y = np.array([[1.0, 1.0, 3.0], [3.0, 1.0, 1.0]])
         field = Counting(lambda x, y: x * 10.0 + y)
-        out = lattice_values(field, x, y)
+        (out,) = lattice_values((field,), x, y)
         assert field.shapes == [((2, 1), (1, 2))]
         assert bits(out) == bits(x * 10.0 + y)
 
     def test_signed_zeros_stay_distinct(self):
         x = np.array([0.0, -0.0, 0.0, -0.0])
         field = Counting(lambda x, y: np.copysign(1.0, x) + 0.0 * y)
-        out = lattice_values(field, x, np.ones(4))
+        (out,) = lattice_values((field,), x, np.ones(4))
         assert field.shapes == [((2, 1), (1, 1))]
         assert out.tolist() == [1.0, -1.0, 1.0, -1.0]
 
@@ -240,7 +241,7 @@ class TestLatticeValues:
         y = np.array([[1.0, 1.0, 3.0], [3.0, 1.0, 1.0]])
         fields = [compile_expression(text, ("x", "y"))
                   for text in ("sin(3*x)*y^2", "exp(x - y)", "2")]
-        alone = [lattice_values(fn, x, y) for fn in fields]
+        alone = [lattice_values((fn,), x, y)[0] for fn in fields]
         sorts = []
 
         def counted(column):

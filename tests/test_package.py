@@ -48,10 +48,11 @@ SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
 
 
 def fresh(code, *args):
-    """Standard output of ``code`` run in a fresh interpreter."""
+    """Standard output of ``code`` run in a fresh interpreter, in which any
+    warning is an error."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip().splitlines()
 
