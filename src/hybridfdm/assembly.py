@@ -7,36 +7,36 @@ Robin edge rows at scale h^-1, 9-point regular rows at scale h^-2 and
 is one weight vector against one data vector of estimated derivatives (f,
 the Robin data, the jumps), contracted by ``stencil_core.contract``.  The
 sparse matrix, the rhs and the M-matrix audit all read the same blocks.
-Assembly is deterministic (fixed chunking, fixed orders).
-The nodes of each regular family go in chunks of ``CHUNK`` (1,024), and a
-chunk starts from its nodes' grid indices: it estimates its own jets
-(``regular_jets``), builds the u rows of its reduction table and its
-packed G h-expansions, drops the u rows, runs the recursion, drops the
-expansions, and only then builds the table's f rows for its source
-weights.  At its peak, in the expansion or the recursion, a chunk holds
-its jets, the packed expansions and the u rows or the recursion's own
-arrays, about 7.1 KiB a node.  Interface nodes go in chunks of
-``IFACE_CHUNK``, each chunk sharing one base-point and chart search, one
-field lattice for its one-sided MLS fits, one transmission build and one
+
+Every row comes from a task: a corner node, the inner nodes of one side, a
+chunk of ``CHUNK`` (1,024) regular nodes of one side or a chunk of
+``IFACE_CHUNK`` (64) interface nodes.  A task is plain data (node indices,
+and an interface chunk's footprint masks), and every task function takes
+one frozen ``Context`` (the problem, h and the grid origin) as its first
+argument, so the module holds no state of an assembly and two ``assemble``
+calls may run at once.  The tasks are fixed, so the chunks can fan out over
+a fork pool with results identical to the serial path.
+A regular chunk estimates its own jets (``regular_jets``), builds the u
+rows of its reduction table and its packed G h-expansions, drops the u
+rows, runs the recursion, drops the expansions, and only then builds the
+table's f rows for its source weights; at its peak it holds about 7.1 KiB a
+node.  An interface chunk shares one base-point and chart search, one field
+lattice for its one-sided MLS fits, one transmission build and one
 expansion of its 13-point degree systems.  No row depends on the chunk
 size: a regular chunk estimates each node's jets by a product of its own
 and otherwise contracts only elementwise along its batch axis
 (``stencil_core._dot``), and every interface sample keeps the coordinates
-of its node's own window, so every regular and interface row is the same,
-bit for bit, whatever ``CHUNK`` and ``IFACE_CHUNK`` are.  The chunks are fixed, so they can fan out over a
-process pool with results identical to the serial path; a regular task is
-its side and node indices, not its jets.
-Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with its
-phase timings, the row count of every family and, as ``widened``, the number
-of interface nodes whose field jets took the widened MLS lattice.
+of its node's own window.
+Each ``assemble`` logs one INFO record on ``hybridfdm.assembly`` with the
+task times summed per family, the row count of every family and, as
+``widened``, the number of interface nodes whose field jets took the
+widened MLS lattice.
 
 This module imports no scipy: ``assemble`` loads LAPACK (``mls._lapack``,
-from ``scipy.linalg``) before its boundary rows and before any fork, so pool
-workers inherit it, and imports ``scipy.sparse`` where it builds the CSR
-matrix; ``solve`` imports ``scipy.sparse.linalg``.  Importing the package
-and loading a problem therefore need numpy only, and the first
-``assemble`` pays for the scipy import (its ``timings["total"]`` includes
-it).
+from ``scipy.linalg``) before any fit and any fork, so pool workers inherit
+it, and imports ``scipy.sparse`` where it builds the CSR matrix; ``solve``
+imports ``scipy.sparse.linalg``.  Importing the package and loading a
+problem need numpy only.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import multiprocessing
@@ -152,99 +153,154 @@ class SolveResult:
     wall_solve: float
 
 
-# ---------------------------------------------------------------------------
-# worker-side state (inherited through fork when a pool is used)
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Context:
+    """What every task of one ``assemble`` reads: its first argument."""
 
-# The problem and h of the current assembly.  The pool pickles every task and
-# its result, and a problem's fields are compiled expressions or manufactured
-# closures, which do not pickle; so a task carries only its nodes (and, for
-# an interface chunk, their footprint masks), and the workers inherit the
-# problem, h and the grid origin through fork from this dict.  A pool
-# initializer would only set the same module-level state in each worker, and
-# the serial path reads it in-process, so the dict stays.
-_CTX: dict = {}
+    problem: ProblemSpec
+    h: float
+    origin: tuple                 # coordinates of grid node (0, 0)
 
 
-def _set_context(problem: ProblemSpec, h: float, origin):
-    _CTX["problem"] = problem
-    _CTX["h"] = h
-    _CTX["origin"] = origin         # grid node (0, 0)
+# A pool worker's context, set by the pool's initializer only.  The pool
+# pickles tasks and results, but a problem's fields (compiled expressions,
+# closures) do not pickle; a fork pool's initializer arguments are inherited.
+_WORKER: Context | None = None
 
 
-def _regular_chunk(args):
-    """Stencil coefficients and rhs of a chunk of interior nodes.
+def _start_worker(ctx: Context):
+    global _WORKER
+    _WORKER = ctx
 
-    ``args`` is the side ("+" or "-") and the (n, 2) grid indices of the
-    nodes; the chunk estimates its own jets from that side's fields.
-    """
-    side, nodes = args
-    problem, h = _CTX["problem"], _CTX["h"]
+
+def _pooled(task):
+    return _task(_WORKER, task)
+
+
+def _task(ctx: Context, task):
+    """Run one task, ``(kind, ...)``: its rows as a RowBlock, the seconds it
+    took and how many of its interface nodes took the widened MLS lattice."""
+    # looked up at call time, so a replaced task function is the one that runs
+    run = {"boundary": _boundary_rows, "regular": _regular_chunk,
+           "irregular": _irregular_chunk}[task[0]]
+    return run(ctx, task)
+
+
+def _boundary_rows(ctx: Context, task):
+    """Rows of ("boundary", sides, ii, jj): a corner node (on two sides) or
+    the inner nodes of one side.  A corner with a Dirichlet side is a
+    Dirichlet row; a Robin row is its canonical-frame stencil mapped onto
+    its side or corner (an unbatched corner stencil gives one row)."""
+    t0 = time.perf_counter()
+    _, sides, ii, jj = task
+    problem, h = ctx.problem, ctx.h
+    x, y = ctx.origin[0] + ii * h, ctx.origin[1] + jj * h
+    bcs = [problem.boundary[side] for side in sides]
+    dirichlet = [bc for bc in bcs if bc.kind == "dirichlet"]
+    if dirichlet:
+        data = np.asarray(dirichlet[0].data(x, y), dtype=float)
+        block = RowBlock("dirichlet", ii, jj, ((0, 0),),
+                         np.ones((len(ii), 1, 1)), scale=0, claims=False,
+                         rhs=np.broadcast_to(data, ii.shape))
+        return block, time.perf_counter() - t0, 0
+    if len(sides) == 2:
+        family, frame = "corner", CORNER_FRAMES[sides]
+        jet, a_der, f_der, g1_der, b_der, g3_der = corner_jets(
+            problem.a_plus, problem.f_plus, bcs[0].alpha, bcs[0].data,
+            bcs[1].alpha, bcs[1].data, (x[0], y[0]), frame, h)
+        st = solve_corner_stencil(build_corner_reduction(jet, a_der, b_der))
+        data = np.concatenate([f_der, g1_der, g3_der])
+    else:
+        family, frame = f"edge{sides[0]}", SIDE_FRAMES[sides[0]]
+        jet, a_der, f_der, g_der = edge_jets(
+            problem.a_plus, problem.f_plus, bcs[0].alpha, bcs[0].data,
+            np.column_stack([x, y]), frame, h)
+        st = solve_edge_stencil(jet, a_der)
+        data = np.hstack([f_der, g_der])
+    n, k = len(ii), len(st.offsets)
+    block = RowBlock(family, ii, jj, map_by_reflection(st, frame),
+                     np.reshape(st.coeffs, (n, k, -1)), scale=1, claims=True,
+                     rhs=np.reshape(contract(st.weights(h), data) / h, n))
+    return block, time.perf_counter() - t0, 0
+
+
+def _regular_chunk(ctx: Context, task):
+    """Rows of ("regular", side, nodes): a chunk of (n, 2) grid indices of
+    interior nodes of one side ("+" or "-"), with jets of its own estimated
+    from that side's fields."""
+    t0 = time.perf_counter()
+    _, side, nodes = task
+    problem, h = ctx.problem, ctx.h
     a_field, f_field = ((problem.a_plus, problem.f_plus) if side == "+"
                         else (problem.a_minus, problem.f_minus))
-    a_jet, f_der = regular_jets(a_field, f_field, nodes, _CTX["origin"], h)
+    a_jet, f_der = regular_jets(a_field, f_field, nodes, ctx.origin, h)
     coeffs, table = build_regular_batch(a_jet)
     weights = regular_rhs_weights(coeffs, table, h)
-    return coeffs, contract(weights, f_der) / h**2
-
-
-def _named(exc, point):
-    """The same error type, with the interface node and row family named."""
-    return type(exc)(f"interface node ({point[0]:.6g}, {point[1]:.6g}): {exc}")
+    block = RowBlock(f"regular{side}", *nodes.T, OFFSETS9, coeffs, scale=2,
+                     claims=True, rhs=contract(weights, f_der) / h**2)
+    return block, time.perf_counter() - t0, 0
 
 
 @contextmanager
 def _in_batch(points):
-    """Name the node of a batched step's failure, found by its ``index``."""
+    """Name the node of a batched step's failure, found by its ``index``:
+    the same error type, with the interface node named."""
     try:
         yield
     except HybridFdmError as exc:
         if exc.index is None:
             raise
-        raise _named(exc, points[exc.index]) from exc
+        x, y = points[exc.index]
+        raise type(exc)(f"interface node ({x:.6g}, {y:.6g}): {exc}") from exc
 
 
-def _irregular_one(bp, chart):
+def _irregular_one(bp, chart, h):
     """Per-node front half of an interface row: the curve jet at its base
     point, from its chart."""
-    return curve_jet_from_chart(chart, bp.v0, bp.w0, _CTX["h"])
+    return curve_jet_from_chart(chart, bp.v0, bp.w0, h)
 
 
-def _irregular_row(system, fp, fm, wide):
+def _irregular_row(system, fp, fm, wide, h):
     """Per-node back half of an interface row: its stencil coefficients,
     its rhs from the one-sided source jets ``fp`` and ``fm``, and whether
     its field jets took the widened MLS lattice."""
-    h = _CTX["h"]
     coeffs = solve_irregular_stencil(system, h)
     weights = irregular_rhs_weights(coeffs, system, h)
     rhs = irregular_rhs_value(weights, fp, fm, system.model.curve)
     return coeffs, rhs, bool(wide)
 
 
-def _irregular_chunk(args):
-    """Row data for one chunk of interface nodes.
+def _irregular_chunk(ctx: Context, task):
+    """Rows of ("irregular", nodes, minus): a chunk of (n, 2) grid indices
+    of interface nodes and their (n, 13) minus-side footprint masks.
 
-    ``args`` holds the nodes and their (n, 13) minus-side footprint masks.
     Base points and charts are located for the whole chunk at once, the
     curve jets node by node; the one-sided field jets, the transmission and
     the 13-point degree systems are built once for the chunk, and the
-    stencil and its rhs are then solved node by node.  Returns one
-    ``_irregular_row`` triple per node.  A failure pinned to one node
-    (``per_node``, or a batched step's ``index``) names that node.
+    stencil and its rhs are then solved node by node.  A failure pinned to
+    one node (``per_node``, or a batched step's ``index``) names that node.
     """
-    points, minus = args
-    problem, h = _CTX["problem"], _CTX["h"]
+    t0 = time.perf_counter()
+    _, nodes, minus = task
+    problem, h = ctx.problem, ctx.h
+    points = [(float(x), float(y)) for x, y in ctx.origin + nodes * h]
     with _in_batch(points):
         bases = problem.interface.locate_base(points, h)
         charts = problem.interface.chart(bases, h)
-        curves = per_node(zip(bases, charts), lambda bc: _irregular_one(*bc))
+        curves = per_node(zip(bases, charts),
+                          lambda bc: _irregular_one(*bc, h))
         jp, jm, fpd, fmd, widened = irregular_jets(
             problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
             problem.psi, points, [bp.base for bp in bases], h)
         systems = assemble_irregular_system(
             build_transmission(curves, jp, jm), minus)
-        return per_node(zip(systems, fpd, fmd, widened),
-                        lambda row: _irregular_row(*row))
+        rows = per_node(zip(systems, fpd, fmd, widened),
+                        lambda row: _irregular_row(*row, h))
+    coeffs, rhs, wide = zip(*rows)
+    block = RowBlock("interface", *nodes.T, IRREGULAR_OFFSETS,
+                     np.stack(coeffs), scale=1, claims=False,
+                     rhs=np.array(rhs))
+    return block, time.perf_counter() - t0, sum(wide)
 
 
 def _grid(problem: ProblemSpec, J: int):
@@ -267,29 +323,21 @@ def _grid(problem: ProblemSpec, J: int):
     return xs, ys, h
 
 
-def _dirichlet_block(ii, jj, data) -> RowBlock:
-    return RowBlock("dirichlet", ii, jj, ((0, 0),), np.ones((len(ii), 1, 1)),
-                    scale=0, claims=False, rhs=np.broadcast_to(
-                        np.asarray(data, dtype=float), ii.shape))
-
-
-def _boundary_block(family, ii, jj, stencil, frame, data, h) -> RowBlock:
-    """Rows of a canonical-frame Robin stencil, mapped onto its side or
-    corner, with their rhs from the stencil's data vector; an unbatched
-    (corner) stencil gives a block of one row."""
-    n, k = len(ii), len(stencil.offsets)
-    return RowBlock(family, ii, jj, map_by_reflection(stencil, frame),
-                    np.reshape(stencil.coeffs, (n, k, -1)), scale=1,
-                    claims=True,
-                    rhs=np.reshape(contract(stencil.weights(h), data) / h, n))
+def _join(chunks) -> RowBlock:
+    """The rows of one family's chunks as one block, in chunk order."""
+    return replace(chunks[0], **{
+        field: np.concatenate([getattr(c, field) for c in chunks])
+        for field in ("ii", "jj", "coeffs", "rhs")})
 
 
 def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
     """The global system of ``problem`` at level ``J``.
 
-    With ``threads`` > 1 the regular and interface chunks fan out over a
-    fork pool of at most ``threads`` workers, and no more than the largest
-    chunk count of one family; the rows are the same as with one process.
+    With ``threads`` > 1 the chunks fan out over one fork pool of at most
+    ``threads`` workers, and no more than there are chunks, while this
+    process builds the boundary rows; the rows are the same as with one
+    process.  ``timings`` holds each family's task times, summed over the
+    workers in a pool run, and the wall time of the call as ``total``.
     """
     if threads < 1:
         raise AssemblyError(
@@ -298,8 +346,8 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
     xs, ys, h = _grid(problem, J)
     n1, n2 = len(xs) - 1, len(ys) - 1
     cls = classify_grid(xs, ys, problem.psi)
-    iface_nodes = np.nonzero(cls.labels == LABEL_IRREGULAR)
-    ii, jj = iface_nodes
+    iface = np.argwhere(cls.labels == LABEL_IRREGULAR)
+    ii, jj = iface.T
     bad = (ii < 2) | (ii > n1 - 2) | (jj < 2) | (jj > n2 - 2)
     if bad.any():
         a, b = ii[bad][0], jj[bad][0]
@@ -307,105 +355,55 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
             f"13-point footprint of interface node ({xs[a]:.6g}, "
             f"{ys[b]:.6g}) leaves the grid; the interface runs too close "
             "to the boundary for this mesh")
-    timings = {}
-    _set_context(problem, h, (xs[0], ys[0]))
+    ctx = Context(problem, h, (xs[0], ys[0]))
     # load LAPACK (scipy.linalg) here, before any fit and any fork: pool
     # workers inherit it instead of each importing it for its first fit
     _lapack()
 
-    # ---- boundary rows -----------------------------------------------------
-    tb = time.perf_counter()
-    blocks = []
-    corner_nodes = {(0, 0): (1, 3), (n1, 0): (2, 3), (0, n2): (1, 4),
-                    (n1, n2): (2, 4)}
-    for (i, j), (sx, sy) in corner_nodes.items():
-        bcx, bcy = problem.boundary[sx], problem.boundary[sy]
-        x, y = xs[i], ys[j]
-        ii, jj = np.array([i]), np.array([j])
-        if bcx.kind == "dirichlet" or bcy.kind == "dirichlet":
-            bc = bcx if bcx.kind == "dirichlet" else bcy
-            blocks.append(_dirichlet_block(ii, jj, bc.data(x, y)))
-            continue
-        frame = CORNER_FRAMES[(sx, sy)]
-        jet, a_der, f_der, g1_der, b_der, g3_der = corner_jets(
-            problem.a_plus, problem.f_plus, bcx.alpha, bcx.data,
-            bcy.alpha, bcy.data, (x, y), frame, h)
-        st = solve_corner_stencil(build_corner_reduction(jet, a_der, b_der))
-        blocks.append(_boundary_block("corner", ii, jj, st, frame,
-                                      np.concatenate([f_der, g1_der, g3_der]),
-                                      h))
-
-    for side in (1, 2, 3, 4):
-        bc = problem.boundary[side]
-        if side in (1, 2):
-            i0 = 0 if side == 1 else n1
-            anchors = np.column_stack([np.full(n2 - 1, xs[i0]), ys[1:-1]])
-            ii, jj = np.full(n2 - 1, i0), np.arange(1, n2)
-        else:
-            j0 = 0 if side == 3 else n2
-            anchors = np.column_stack([xs[1:-1], np.full(n1 - 1, ys[j0])])
-            ii, jj = np.arange(1, n1), np.full(n1 - 1, j0)
-        if bc.kind == "dirichlet":
-            blocks.append(_dirichlet_block(
-                ii, jj, bc.data(anchors[:, 0], anchors[:, 1])))
-            continue
-        frame = SIDE_FRAMES[side]
-        jet, a_der, f_der, g_der = edge_jets(
-            problem.a_plus, problem.f_plus, bc.alpha, bc.data,
-            anchors, frame, h)
-        st = solve_edge_stencil(jet, a_der)
-        blocks.append(_boundary_block(f"edge{side}", ii, jj, st, frame,
-                                      np.hstack([f_der, g_der]), h))
-    timings["boundary"] = time.perf_counter() - tb
-
-    # ---- regular interior rows --------------------------------------------
-    tr = time.perf_counter()
-    regular = []
-    for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
-        ii, jj = np.nonzero(cls.labels == label)
-        if len(ii) == 0:
-            continue
-        nodes = np.column_stack([ii, jj])
-        regular.append((side, ii, jj, [(side, nodes[k: k + CHUNK])
-                                       for k in range(0, len(ii), CHUNK)]))
-    ii, jj = iface_nodes
+    # the corner nodes, then the inner nodes of each side, by their sides
+    inner_i, inner_j = np.arange(1, n1), np.arange(1, n2)
+    at = {(1, 3): ([0], [0]), (2, 3): ([n1], [0]), (1, 4): ([0], [n2]),
+          (2, 4): ([n1], [n2]), (1,): (np.full_like(inner_j, 0), inner_j),
+          (2,): (np.full_like(inner_j, n1), inner_j),
+          (3,): (inner_i, np.full_like(inner_i, 0)),
+          (4,): (inner_i, np.full_like(inner_i, n2))}
+    boundary = [("boundary", sides, np.asarray(i), np.asarray(j))
+                for sides, (i, j) in at.items()]
     offs = np.asarray(IRREGULAR_OFFSETS)
     minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
-    points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
-    iface_chunks = [(points[k: k + IFACE_CHUNK], minus[k: k + IFACE_CHUNK])
-                    for k in range(0, len(points), IFACE_CHUNK)]
-    pool = None
-    if threads > 1:
-        # a fork pool starts all its workers at the first submit: start no
-        # more than the largest map can keep busy
-        workers = min(threads, max([len(iface_chunks)]
-                                   + [len(chunks) for *_, chunks in regular]))
-        ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    run = map if pool is None else pool.map
-    try:
-        for side, ii, jj, chunks in regular:
-            coeffs, rhs = (np.concatenate(part)
-                           for part in zip(*run(_regular_chunk, chunks)))
-            blocks.append(RowBlock(f"regular{side}", ii, jj, OFFSETS9,
-                                   coeffs, scale=2, claims=True, rhs=rhs))
-        timings["regular"] = time.perf_counter() - tr
-
-        # ---- interface rows -------------------------------------------------
-        ti = time.perf_counter()
-        widened = 0
-        if iface_chunks:
-            coeffs, rhs, wide = zip(*(r for part in run(_irregular_chunk,
-                                                        iface_chunks)
-                                      for r in part))
-            blocks.append(RowBlock("interface", *iface_nodes,
-                                   IRREGULAR_OFFSETS, np.stack(coeffs),
-                                   scale=1, claims=False, rhs=np.array(rhs)))
-            widened = sum(wide)
-        timings["irregular"] = time.perf_counter() - ti
-    finally:
-        if pool is not None:
+    # the costliest first: an interface node costs far more than a regular one
+    interior = [("irregular", iface[k: k + IFACE_CHUNK],
+                 minus[k: k + IFACE_CHUNK])
+                for k in range(0, len(iface), IFACE_CHUNK)]
+    for side, label in (("+", LABEL_REGULAR_PLUS), ("-", LABEL_REGULAR_MINUS)):
+        nodes = np.argwhere(cls.labels == label)
+        interior += [("regular", side, nodes[k: k + CHUNK])
+                     for k in range(0, len(nodes), CHUNK)]
+    if threads > 1 and interior:
+        # a fork pool starts all its workers at its first task
+        pool = ProcessPoolExecutor(
+            max_workers=min(threads, len(interior)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(ctx,))
+        try:
+            pooled = pool.map(_pooled, interior)
+            parts = [_task(ctx, task) for task in boundary] + list(pooled)
+        finally:
             pool.shutdown()
+    else:
+        parts = list(map(partial(_task, ctx), boundary + interior))
+
+    timings = dict.fromkeys(("boundary", "regular", "irregular"), 0.0)
+    blocks, chunks, widened = [], {}, 0
+    for (kind, *_), (block, seconds, wide) in zip(boundary + interior, parts):
+        timings[kind] += seconds
+        widened += wide
+        if kind == "boundary":
+            blocks.append(block)
+        else:
+            chunks.setdefault(block.family, []).append(block)
+    blocks += [_join(chunks[family]) for family in
+               ("regular+", "regular-", "interface") if family in chunks]
 
     import scipy.sparse as sp
 

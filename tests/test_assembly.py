@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from hybridfdm.assembly import (
+    CHUNK,
     IFACE_CHUNK,
+    Context,
     GlobalSystem,
     RowBlock,
     _grid,
     _irregular_chunk,
-    _set_context,
     assemble,
     audit_m_matrix,
     solve,
@@ -91,6 +92,20 @@ def solve_problem(problem, J, threads=1):
 
 def interface_rows(system):
     return sum(len(b.ii) for b in system.blocks if b.family == "interface")
+
+
+def interior_tasks(system):
+    """The regular and interface chunks ``assemble`` makes for ``system``."""
+    rows = system.family_rows
+    return sum(-(-rows[family] // size) for family, size in (
+        ("regular+", CHUNK), ("regular-", CHUNK), ("interface", IFACE_CHUNK))
+        if family in rows)
+
+
+def csr_and_rhs(system):
+    """The CSR arrays and the rhs of ``system``, for bit-for-bit checks."""
+    m = system.matrix
+    return [a.tobytes() for a in (m.indptr, m.indices, m.data, system.rhs)]
 
 
 def zero(x, y):
@@ -238,7 +253,10 @@ class TestInterfaceAssembly:
         assert np.array_equal(s1.rhs, s2.rhs)
 
     def test_pool_matches_serial_bit_for_bit(self):
-        """--threads 2 gives the serial rows exactly, over several chunks."""
+        """--threads 2 gives the serial rows exactly, over several chunks;
+        the context reaches the workers only, never this process."""
+        import hybridfdm.assembly as assembly
+
         case = manufacture(seed=9, degree=3, interface_kind="circle")
         s1 = assemble(case.problem, 5, threads=1)
         s2 = assemble(case.problem, 5, threads=2)
@@ -247,40 +265,67 @@ class TestInterfaceAssembly:
         assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
         assert np.array_equal(s1.matrix.data, s2.matrix.data)
         assert np.array_equal(s1.rhs, s2.rhs)
+        assert assembly._WORKER is None
+
+    def test_concurrent_assemblies_do_not_mix(self):
+        """Two ``assemble`` calls running at once in two threads, ex31 at
+        J=6 and at J=7, each give their serial system bit for bit."""
+        from concurrent.futures import ThreadPoolExecutor
+        from threading import Barrier
+
+        problem = builtin("ex31")
+        levels = (6, 7)
+        want = [csr_and_rhs(assemble(problem, J)) for J in levels]
+        start = Barrier(len(levels))
+
+        def at_once(J):
+            start.wait()
+            return csr_and_rhs(assemble(problem, J))
+
+        with ThreadPoolExecutor(len(levels)) as threads:
+            for _ in range(4):
+                assert list(threads.map(at_once, levels)) == want
 
     def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
         """A fork pool starts every worker at once, so its size is capped
-        by the largest chunk count of one map."""
+        by its task count: the regular and interface chunks, in one map."""
         import hybridfdm.assembly as assembly
 
         sizes = []
 
         class RecordingExecutor:
-            """Records the pool size and runs the tasks in this process."""
+            """Records the pool size and runs the tasks in this process,
+            with the worker context its initializer sets."""
 
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers, mp_context=None, initializer=None,
+                         initargs=()):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
             def shutdown(self, wait=True):
-                pass
+                assembly._WORKER = None
 
         monkeypatch.setattr(assembly, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(assembly, "_WORKER", None)
         case = manufacture(seed=9, degree=3, interface_kind="circle")
         serial = assemble(case.problem, 5)
+        tasks = interior_tasks(serial)
         chunks = -(-interface_rows(serial) // IFACE_CHUNK)
-        assert 1 < chunks < 16          # one regular chunk per side at J=5
-        for threads, started in ((16, [chunks]), (2, [2]), (1, [])):
+        # one regular chunk per side at J=5
+        assert 1 < chunks and tasks == chunks + 2 < 16
+        for threads, started in ((16, [tasks]), (2, [2]), (1, [])):
             sizes.clear()
             system = assemble(case.problem, 5, threads=threads)
             assert sizes == started
             assert np.array_equal(system.matrix.data, serial.matrix.data)
             assert np.array_equal(system.rhs, serial.rhs)
+            assert assembly._WORKER is None
         sizes.clear()
-        assemble(case.problem, 3, threads=4)
-        assert sizes == [1]
+        small = assemble(case.problem, 3, threads=4)
+        assert sizes == [min(4, interior_tasks(small))]
 
     def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
         """Interface rows are bit-identical for chunks of 1, 7 and 64 nodes."""
@@ -332,7 +377,7 @@ class TestInterfaceAssembly:
         the recursion."""
         import tracemalloc
 
-        from hybridfdm.assembly import CHUNK, _regular_chunk
+        from hybridfdm.assembly import _regular_chunk
         from hybridfdm.geometry import LABEL_REGULAR_PLUS
 
         problem = builtin("ex31")
@@ -340,14 +385,14 @@ class TestInterfaceAssembly:
         ii, jj = np.nonzero(classify_grid(xs, ys, problem.psi).labels
                             == LABEL_REGULAR_PLUS)
         assert CHUNK == 1024 and len(ii) > CHUNK
-        _set_context(problem, h, (xs[0], ys[0]))
-        chunk = ("+", np.column_stack([ii, jj])[:CHUNK])
-        _regular_chunk(chunk)            # fills the cached constant operators
+        ctx = Context(problem, h, (xs[0], ys[0]))
+        chunk = ("regular", "+", np.column_stack([ii, jj])[:CHUNK])
+        _regular_chunk(ctx, chunk)       # fills the cached constant operators
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _regular_chunk(chunk)
+            _regular_chunk(ctx, chunk)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -369,8 +414,10 @@ class TestInterfaceAssembly:
         points = [(float(xs[a]), float(ys[b])) for a, b in zip(ii, jj)]
         offs = np.asarray(IRREGULAR_OFFSETS)
         minus = cls.psi[ii[:, None] + offs[:, 0], jj[:, None] + offs[:, 1]] <= 0.0
-        _set_context(case.problem, h, (xs[0], ys[0]))
-        assert len(_irregular_chunk((points, minus))) == 5
+        ctx = Context(case.problem, h, (xs[0], ys[0]))
+        chunk = ("irregular", np.column_stack([ii, jj]), minus)
+        block, _, _ = _irregular_chunk(ctx, chunk)
+        assert len(block.ii) == len(block.rhs) == 5
 
         def on_third_node(fn, spoil):
             calls = []
@@ -424,14 +471,14 @@ class TestInterfaceAssembly:
         x, y = points[2]
         with pytest.raises(kind, match=re.escape(
                 f"interface node ({x:.6g}, {y:.6g}): ")):
-            _irregular_chunk((points, minus))
+            _irregular_chunk(ctx, chunk)
 
     def test_interface_near_boundary_names_the_node(self, monkeypatch):
         """A 13-point footprint that leaves the grid is an AssemblyError,
         raised before any interior row is built."""
         import hybridfdm.assembly as assembly
 
-        def no_rows(args):
+        def no_rows(ctx, task):
             raise AssertionError("regular rows built before the footprint check")
         monkeypatch.setattr(assembly, "_regular_chunk", no_rows)
         iface = LevelSetInterface(lambda x, y: x + 0.8, jump_g=zero,
@@ -610,7 +657,7 @@ class TestRhsContraction:
             want["corner"].append(separate_corner_rhs(
                 st, jet, f_der, g1_der, g3_der, h))
         want["interface"] = [[separate_interface_rhs(system_, fp, fm, h)
-                              for (system_, fp, fm, _), _ in seen["interface"]]]
+                              for (system_, fp, fm, _, _), _ in seen["interface"]]]
 
         got = {"corner": [], "edge": [], "interface": []}
         for block in system.blocks:

@@ -774,7 +774,7 @@ def star_systems():
     for name in ("ex32", "ex34"):
         found = []
 
-        def record(system, fp, fm, wide, found=found):
+        def record(system, fp, fm, wide, h, found=found):
             found.append(system)
             return np.zeros((len(IRREGULAR_OFFSETS), 6)), 0.0, False
         with pytest.MonkeyPatch.context() as mp:
