@@ -11,8 +11,9 @@ Usage patterns:
 are written as CSV (i, j, x, y, u_h); convergence tables as CSV rows
 (J, h, error, order, wall_seconds).  All floats use repr-exact scientific
 notation with 17 significant digits and a decimal point, independent of any
-locale.  Exit codes: 0 success, 1 usage/config errors, 2 failed numerical
-audit.
+locale.  Exit codes: 0 success, 1 usage errors and every ``HybridFdmError``
+(config errors and solver failures alike, e.g. a ``StencilError``), 2 a
+failed M-matrix audit.
 """
 
 from __future__ import annotations

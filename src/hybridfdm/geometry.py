@@ -8,8 +8,9 @@ irregular node gets a base point: the closest point of an h/16 discretization
 of the curve inside the open 3x3 box, together with a local parametrization
 (the problem's own angle chart, or a graph over the dominant coordinate for
 level-set curves) oriented so the left normal (s', -r') points into the plus
-region.  An angle chart starts from the sweep angle of its base point, so it
-is centered on it; one whose center lies more than ``CENTER_TOL`` h away
+region, by one probe of psi h/16 to either side of the chart's middle.  An
+angle chart starts from the sweep angle of its base point, so it is
+centered on it; one whose center lies more than ``CENTER_TOL`` h away
 raises ``GeometryError``.
 
 Base points and charts are built for a batch of nodes at once (one chunk of
@@ -167,6 +168,21 @@ def _select_base(cands: np.ndarray, point, h: float) -> BasePoint:
                      aux=k)
 
 
+def _plus_probe(psi, xs, ys, h: float):
+    """psi h/16 ahead of a chart's middle sample along its left normal
+    (s', -r') minus psi h/16 behind it: positive when that normal points
+    into the plus region.  The probe scales with h, so it stays between
+    neighbouring branches of a resolved curve."""
+    c = len(xs) // 2
+    tx, ty = xs[c + 1] - xs[c - 1], ys[c + 1] - ys[c - 1]
+    nx, ny = ty, -tx
+    d = np.hypot(nx, ny)
+    eps = h / 16.0
+    x0, y0 = xs[c], ys[c]
+    return (psi(x0 + eps * nx / d, y0 + eps * ny / d)
+            - psi(x0 - eps * nx / d, y0 - eps * ny / d))
+
+
 class LevelSetInterface:
     """Interface given by psi(x, y) = 0; jump data as point functions."""
 
@@ -255,7 +271,9 @@ class LevelSetInterface:
         charts = []
         ones = np.ones(len(ts))
         for (kd, absc, _, _), r in zip(lines, roots):
-            xs, ys = self._orient(*((absc, r) if kd == "graph-x" else (r, absc)))
+            xs, ys = (absc, r) if kd == "graph-x" else (r, absc)
+            if _plus_probe(self.psi, xs, ys, h) < 0:
+                xs, ys = xs[::-1].copy(), ys[::-1].copy()
             charts.append(LocalChart(
                 kind=kd, xs=xs, ys=ys,
                 g_vals=np.asarray(self.jump_g(xs, ys), dtype=float) * ones,
@@ -296,19 +314,6 @@ class LevelSetInterface:
                 if 0 <= j < n and j not in seq[: seq.index(idx) + 1]:
                     near[j] = root_guess
         return lo, hi
-
-    def _orient(self, xs, ys):
-        c = len(xs) // 2
-        tx, ty = xs[c + 1] - xs[c - 1], ys[c + 1] - ys[c - 1]
-        nx, ny = ty, -tx
-        eps = 0.25
-        x0, y0 = xs[c], ys[c]
-        d = np.hypot(nx, ny)
-        probe = (self.psi(x0 + eps * nx / d, y0 + eps * ny / d)
-                 - self.psi(x0 - eps * nx / d, y0 - eps * ny / d))
-        if probe < 0:
-            return xs[::-1].copy(), ys[::-1].copy()
-        return xs, ys
 
 
 class ParametricInterface:
@@ -377,14 +382,7 @@ class ParametricInterface:
                     f"angle chart of irregular node ({node[0]:.6g}, "
                     f"{node[1]:.6g}) is centered {off / h:.3g} h from its "
                     "base point")
-            tx, ty = xs[c + 1] - xs[c - 1], ys[c + 1] - ys[c - 1]
-            nx, ny = ty, -tx
-            d = np.hypot(nx, ny)
-            eps = h / 16.0
-            x0, y0 = xs[c], ys[c]
-            probe = (self.psi(x0 + eps * nx / d, y0 + eps * ny / d)
-                     - self.psi(x0 - eps * nx / d, y0 - eps * ny / d))
-            if probe > 0:
+            if _plus_probe(self.psi, xs, ys, h) > 0:
                 g_vals = np.asarray(self.jump_g(th), dtype=float) * np.ones(11)
                 gg_vals = np.asarray(self.jump_ggamma(th), dtype=float) * np.ones(11)
                 return LocalChart(kind="angle", xs=xs, ys=ys,

@@ -28,16 +28,16 @@ the source derivatives) that every stencil builder consumes.
 
 The substitutions do not depend on the coefficient, so they are compiled
 once per order (``_program``) into straight-line code over value rows:
-each instruction sets a row to, or adds into it, one term
-weight * value * scale, in the order the recursion meets them.  Every entry
-is therefore the same sum, rounded the same way, as the recursion gives
-when it walks its terms one by one; a scale of -1 negates or subtracts
-instead of multiplying, which rounds the same.  The table is two value
-arrays, the u rows (coefficients of band derivatives, read by G) and the f
-rows (coefficients of source derivatives, read by H), since no term mixes
-the two; each packed G or H entry is a compiled gather of its rows divided
-by p! q!, for a whole block (``gh_blocks``) or entry by entry
-(``packed_entries``).
+each instruction is one term (weight * value) * scale, or weight * scale
+where it has no value, that sets its row or adds into it, in the order the
+recursion meets them.  Every entry is therefore the same sum, rounded the
+same way, as the recursion gives when it walks its terms one by one; a
+scale of +-1 and the unit weight round exactly, so no term needs a form of
+its own.  The table is two value arrays, the u rows (coefficients of band
+derivatives, read by G) and the f rows (coefficients of source
+derivatives, read by H), since no term mixes the two; each packed G or H
+entry is one compiled gather of its rows divided by p! q!
+(``packed_entries``), and a block (``gh_blocks``) stacks them.
 
 The Robin corners also reduce onto the band n in {0, 1}: the transposed
 jet's blocks with their indices swapped (``transpose_blocks``).
@@ -130,13 +130,11 @@ def build_reduction_table(a_jet: Jet2, order: int,
     return ReductionTable(order, arrays["u"], arrays["f"], batch)
 
 
-# Instructions of the compiled reduction, (op, row, weight, value, scale).
-# SET* writes ``row``, ADD* adds into it: weight * scale for the *_W ops,
-# (weight * value) * scale for the *_WV ops.  NEG* and SUB* are the same
-# with a scale of -1, negating or subtracting instead; NEG_V and SUB_V take
-# the unit weight (1 * value == value).  SEED sets a band row to one.
-(SEED, SET_W, NEG_W, ADD_W, SUB_W, NEG_V, SUB_V,
- SET_WV, NEG_WV, ADD_WV, SUB_WV) = range(11)
+# An instruction of the compiled reduction, (first, row, weight, value,
+# scale), is one term: weights[weight], times rows[value] unless the value
+# is None, times scale.  The first term of a row sets it and every later
+# one adds into it; a band seed is a first term of the ones row, no value
+# and scale 1.
 _ONE = 0                          # weight row of ones
 
 
@@ -162,23 +160,22 @@ def _program(order: int) -> _Program:
     """Compile the substitutions of ``build_reduction_table`` at ``order``.
 
     Weight rows are the ones row, then the partials (r, s), r, s < m, of
-    a_x/a, a_y/a and 1/a, each r-major.  A key's first term sets its row and
-    every later term adds into it, in the order the recursion meets them.
-    A u row is formed only from u rows and an f row only from f rows, so
-    each array has its own rows and its own instructions, in the order
-    the recursion meets them.
+    a_x/a, a_y/a and 1/a, each r-major.  Each term is one instruction (see
+    above), emitted in the order the recursion meets them.  A u row is
+    formed only from u rows and an f row only from f rows, so each array
+    has its own rows and its own instructions.
     """
     m = order - 1
     r1, r2, q_inv = (1 + k * m * m for k in range(3))
     u_rows: dict = {}
     f_rows: dict = {}
-    code = []                     # (op, store, row, weight, value, scale)
+    code = []                     # (store, first, row, weight, value, scale)
     sizes = {"u": 0, "f": 0}
     for p, q in lambda_full(order):
         if p <= 1:
             u_rows[(p, q)] = {(p, q): sizes["u"]}
             f_rows[(p, q)] = {}
-            code.append((SEED, "u", sizes["u"], None, None, None))
+            code.append(("u", True, sizes["u"], _ONE, None, 1.0))
             sizes["u"] += 1
 
     for p in range(2, order + 1):
@@ -192,15 +189,7 @@ def _program(order: int) -> _Program:
                 if first:
                     rows[store][key] = sizes[store]
                     sizes[store] += 1
-                neg = scale == -1
-                if v is None:
-                    ops = (SET_W, NEG_W, ADD_W, SUB_W)
-                elif w == _ONE:
-                    ops = (SET_WV, NEG_V, ADD_WV, SUB_V)
-                else:
-                    ops = (SET_WV, NEG_WV, ADD_WV, SUB_WV)
-                op = ops[(0 if first else 2) + neg]
-                code.append((op, store, rows[store][key], w, v,
+                code.append((store, first, rows[store][key], w, v,
                              float(scale)))
 
             # -(f/a)^(mr,nr), expanded by Leibniz over f^(i,j)
@@ -238,42 +227,20 @@ def _program(order: int) -> _Program:
     divisors = np.array([float(factorial(p) * factorial(q)) for p, q in full])
     for cached in (*gathers.values(), divisors):
         cached.flags.writeable = False
-    code = {store: tuple(ins[:1] + ins[2:] for ins in code if ins[1] == store)
+    code = {store: tuple(ins[1:] for ins in code if ins[0] == store)
             for store in sizes}
     return _Program(sizes, code, u_rows, f_rows, gathers, divisors)
 
 
 def _run(code, weights, rows):
     """Execute compiled instructions on weight and value rows (B-vectors),
-    in place; ordered by how often each op occurs."""
-    for op, dst, w, v, scale in code:
-        out = rows[dst]
-        if op == ADD_WV:
-            t = weights[w] * rows[v]
-            t *= scale
-            out += t
-        elif op == SUB_WV:
-            out -= weights[w] * rows[v]
-        elif op == NEG_V:
-            np.negative(rows[v], out)
-        elif op == NEG_W:
-            np.negative(weights[w], out)
-        elif op == SET_W:
-            np.multiply(weights[w], scale, out)
-        elif op == SUB_W:
-            out -= weights[w]
-        elif op == SUB_V:
-            out -= rows[v]
-        elif op == ADD_W:
-            out += weights[w] * scale
-        elif op == SET_WV:
-            np.multiply(weights[w], rows[v], out)
-            out *= scale
-        elif op == NEG_WV:
-            np.multiply(weights[w], rows[v], out)
-            np.negative(out, out)
-        else:                       # SEED
-            out[...] = 1.0
+    in place: each sets its row to its term, or adds the term into it."""
+    for first, dst, w, v, scale in code:
+        term = weights[w] if v is None else weights[w] * rows[v]
+        if first:
+            np.multiply(term, scale, rows[dst])
+        else:
+            rows[dst] += term * scale
 
 
 def packed_entries(table: ReductionTable, family: str):
@@ -290,13 +257,10 @@ def packed_entries(table: ReductionTable, family: str):
 
 
 def packed_block(table: ReductionTable, family: str) -> np.ndarray:
-    """The (K, ..., E) G or H block of ``gh_blocks``: one (E, K, B) gather
-    of the u or f rows divided in place, whose per-entry reads are
+    """The (K, ..., E) G or H block of ``gh_blocks``: its ``packed_entries``
+    stacked in (E, K, ...) storage, so that each entry's reads are
     contiguous."""
-    program = _program(table.order)
-    block = (table.u if family == "G" else table.f)[program.gathers[family]]
-    block /= program.divisors[:, None, None]
-    return np.moveaxis(block.reshape(block.shape[:2] + table.batch), 0, -1)
+    return np.moveaxis(np.stack(tuple(packed_entries(table, family))), 0, -1)
 
 
 def gh_blocks(table: ReductionTable):

@@ -177,10 +177,11 @@ def expand_at_offsets(entries, offsets: tuple, size: int,
     Table i has no terms below degree ``lead[i]``, so only its degrees
     t >= lead[i] are kept: entry [o, packed_positions(lead, size)[i, t], ...]
     is the coefficient of h^t in P_i(vx_o h, vy_o h), an (n_off, P, ...)
-    array.  Each entry is read once and its rows of lead <= t are added
-    into every (offset, degree) sum of the cached ``offset_operator`` that
-    reads it; so every kept sum adds its terms in entry order, as a matrix
-    product with the operator would, but elementwise.
+    array.  Each entry is read once, and its rows of lead <= t, times the
+    operator's weight (exact for the unit ones), are added into every
+    (offset, degree) sum of the cached ``offset_operator`` that reads it;
+    so every kept sum adds its terms in entry order, as a matrix product
+    with the operator would, but elementwise.
     """
     op = offset_operator(offsets, size)
     pos = packed_positions(tuple(lead), size)
@@ -195,11 +196,7 @@ def expand_at_offsets(entries, offsets: tuple, size: int,
                 parts[t] = table if len(rows[t]) == len(table) \
                     else table[rows[t]]
             first = pos[rows[t][0], t]
-            w, acc = op[e, o, t], out[o, first: first + len(rows[t])]
-            if abs(w) == 1.0:   # offsets in {-1, 0, 1}: add or subtract
-                (np.add if w > 0 else np.subtract)(acc, parts[t], out=acc)
-            else:
-                acc += parts[t] * w
+            out[o, first: first + len(rows[t])] += parts[t] * op[e, o, t]
     return out
 
 

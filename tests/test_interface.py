@@ -171,6 +171,49 @@ class TestCharts:
         # outward normal of the unit circle ~ radial direction
         assert nx * chart.xs[c] + ny * chart.ys[c] > 0
 
+    @staticmethod
+    def ring_psi(x, y):
+        """Concentric rings of radius 0.4, 0.6, ..., 0.2 apart."""
+        return np.sin(np.pi * (np.hypot(x, y) - 0.4) / 0.2)
+
+    @staticmethod
+    def ring_grad(x, y):
+        r = np.hypot(x, y)
+        k = np.cos(np.pi * (r - 0.4) / 0.2) * np.pi / (0.2 * r)
+        return k * x, k * y
+
+    @pytest.mark.parametrize("kind", ["ring", "circle-level-set",
+                                      "circle-parametric"])
+    def test_every_left_normal_points_into_plus(self, kind):
+        # the orientation probe must stay between neighbouring branches of
+        # a resolved curve: the rings lie 0.2 = 3.2 h apart at h = 1/16
+        def circle(x, y):
+            return np.asarray(x) ** 2 + np.asarray(y) ** 2 - 0.36
+
+        zero = lambda *args: 0.0 * args[0]
+        iface, grad = {
+            "ring": (LevelSetInterface(self.ring_psi, zero, zero),
+                     self.ring_grad),
+            "circle-level-set": (LevelSetInterface(circle, zero, zero),
+                                 lambda x, y: (2 * x, 2 * y)),
+            "circle-parametric": (ParametricInterface(
+                lambda t: 0.6 * np.cos(t), lambda t: 0.6 * np.sin(t), circle,
+                zero, zero), lambda x, y: (2 * x, 2 * y)),
+        }[kind]
+        xs = np.linspace(-1.0, 1.0, 33)
+        h = xs[1] - xs[0]
+        cls = classify_grid(xs, xs, iface.psi)
+        ii, jj = np.nonzero(cls.labels == LABEL_IRREGULAR)
+        points = [(float(xs[a]), float(xs[b])) for a, b in zip(ii, jj)]
+        charts = iface.chart(iface.locate_base(points, h), h)
+        assert len(charts) > 100
+        c = 5
+        for chart in charts:
+            nx = chart.ys[c + 1] - chart.ys[c - 1]
+            ny = -(chart.xs[c + 1] - chart.xs[c - 1])
+            gx, gy = grad(chart.xs[c], chart.ys[c])
+            assert nx * gx + ny * gy > 0, (chart.xs[c], chart.ys[c])
+
 
 class TestAngleChartCenters:
     @pytest.mark.parametrize("name", ["ex32", "ex33", "ex34"])
