@@ -88,6 +88,7 @@ log = logging.getLogger(__name__)
 
 CHUNK = 1024           # interior nodes per regular-row batch
 IFACE_CHUNK = 64       # interface nodes per transmission batch
+AUDIT_TOL = 1e-10      # sign tolerance of the M-matrix audit
 
 
 @dataclass
@@ -95,9 +96,9 @@ class RowBlock:
     """Rows of one stencil family, one per grid node (ii[r], jj[r]).
 
     Every family has the same record: h-polynomial stencil coefficients,
-    a row scale h^-scale, the rhs, and whether the family claims the
-    M-matrix property (corner, edge and regular rows).  A Dirichlet row is
-    the constant polynomial one at scale 0.
+    a row scale h^-scale and the rhs.  Whether the rows claim the M-matrix
+    property follows from the family (``claims``).  A Dirichlet row is the
+    constant polynomial one at scale 0.
     """
 
     family: str          # dirichlet, corner, edge1..edge4, regular+/-, interface
@@ -107,7 +108,11 @@ class RowBlock:
     coeffs: np.ndarray   # (n, k, D+1)
     scale: int           # the rows are scaled by h^-scale
     rhs: np.ndarray      # (n,)
-    claims: bool         # audited as an M-matrix row family
+
+    @property
+    def claims(self) -> bool:
+        """Audited as an M-matrix row family: corner, edge and regular rows."""
+        return self.family.startswith(("corner", "edge", "regular"))
 
     def values(self, h: float) -> np.ndarray:
         """(n, k) matrix entries at mesh size h, row scale applied."""
@@ -149,7 +154,6 @@ class GlobalSystem:
 class SolveResult:
     u: np.ndarray                 # (N1+1, N2+1) grid values
     residual: float               # relative linear-system residual
-    wall_assemble: float
     wall_solve: float
 
 
@@ -200,7 +204,7 @@ def _boundary_rows(ctx: Context, task):
     if dirichlet:
         data = np.asarray(dirichlet[0].data(x, y), dtype=float)
         block = RowBlock("dirichlet", ii, jj, ((0, 0),),
-                         np.ones((len(ii), 1, 1)), scale=0, claims=False,
+                         np.ones((len(ii), 1, 1)), scale=0,
                          rhs=np.broadcast_to(data, ii.shape))
         return block, time.perf_counter() - t0, 0
     if len(sides) == 2:
@@ -219,7 +223,7 @@ def _boundary_rows(ctx: Context, task):
         data = np.hstack([f_der, g_der])
     n, k = len(ii), len(st.offsets)
     block = RowBlock(family, ii, jj, map_by_reflection(st, frame),
-                     np.reshape(st.coeffs, (n, k, -1)), scale=1, claims=True,
+                     np.reshape(st.coeffs, (n, k, -1)), scale=1,
                      rhs=np.reshape(contract(st.weights(h), data) / h, n))
     return block, time.perf_counter() - t0, 0
 
@@ -237,7 +241,7 @@ def _regular_chunk(ctx: Context, task):
     coeffs, table = build_regular_batch(a_jet)
     weights = regular_rhs_weights(coeffs, table, h)
     block = RowBlock(f"regular{side}", *nodes.T, OFFSETS9, coeffs, scale=2,
-                     claims=True, rhs=contract(weights, f_der) / h**2)
+                     rhs=contract(weights, f_der) / h**2)
     return block, time.perf_counter() - t0, 0
 
 
@@ -298,8 +302,7 @@ def _irregular_chunk(ctx: Context, task):
                         lambda row: _irregular_row(*row, h))
     coeffs, rhs, wide = zip(*rows)
     block = RowBlock("interface", *nodes.T, IRREGULAR_OFFSETS,
-                     np.stack(coeffs), scale=1, claims=False,
-                     rhs=np.array(rhs))
+                     np.stack(coeffs), scale=1, rhs=np.array(rhs))
     return block, time.perf_counter() - t0, sum(wide)
 
 
@@ -446,7 +449,6 @@ def solve(system: GlobalSystem) -> SolveResult:
     residual = float(num / den) if den > 0 else float(num)
     n1, n2 = system.shape
     return SolveResult(u=u.reshape(n1, n2), residual=residual,
-                       wall_assemble=system.timings.get("total", 0.0),
                        wall_solve=wall)
 
 
@@ -471,22 +473,22 @@ class MMatrixAudit:
         return not any(self.failed.values())
 
 
-def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
+def audit_m_matrix(system: GlobalSystem) -> MMatrixAudit:
     """Audit the rows of every block that claims the M-matrix property.
 
     A row fails if its coefficients break a per-degree sign/sum condition
     (``check_sign_sum``) or if a matrix entry at mesh size h has the wrong
     sign: a diagonal <= 0, or an off-diagonal entry above
-    tol * max(1, diagonal).  A failing row is named by its first coefficient
-    violation (a sign before a sum), else by its first wrong entry in column
-    order.
+    ``AUDIT_TOL`` * max(1, diagonal); the coefficient checks take the same
+    tolerance.  A failing row is named by its first coefficient violation
+    (a sign before a sum), else by its first wrong entry in column order.
     """
     failed, violations = {}, []
     for block in system.blocks:
         if not block.claims:
             continue
         center = block.offsets.index((0, 0))
-        report = check_sign_sum(block.coeffs, center, tol)
+        report = check_sign_sum(block.coeffs, center, AUDIT_TOL)
         found = {}
         for b, o, p, v in report.sign_violations:
             found.setdefault(b, f"degree-{p} coefficient at offset "
@@ -495,7 +497,7 @@ def audit_m_matrix(system: GlobalSystem, tol: float = 1e-10) -> MMatrixAudit:
             found.setdefault(b, f"degree-{p} coefficient sum is {v:.6g}")
         values = block.values(system.h)
         diag = values[:, center]
-        wrong = values > tol * np.maximum(1.0, diag)[:, None]
+        wrong = values > AUDIT_TOL * np.maximum(1.0, diag)[:, None]
         wrong[:, center] = diag <= 0.0
         for di, dj in sorted(block.offsets):        # column order
             o = block.offsets.index((di, dj))

@@ -4,8 +4,8 @@ Usage patterns:
 
     hybridfdm --problem ex31 --J 5 --out solution.csv
     hybridfdm --problem ex31 --J-range 5..7 --mode exact --out table.csv
-    hybridfdm --problem ex34 --J-range 4..6 --mode successive
-    hybridfdm --problem ex34 --J 5 --check-mmatrix
+    hybridfdm --problem ex33 --J-range 5..7 --mode successive
+    hybridfdm --problem ex33 --J 5 --check-mmatrix
 
 ``--problem`` takes a builtin name or a configuration file path.  Solutions
 are written as CSV (i, j, x, y, u_h); convergence tables as CSV rows
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
                                  "elliptic interface problems")
     parser.add_argument("--problem", required=True,
                         help="builtin name (ex31..ex34) or config file path")
-    levels = parser.add_mutually_exclusive_group()
+    levels = parser.add_mutually_exclusive_group(required=True)
     levels.add_argument("--J", type=int, default=None,
                         help="grid refinement level, h = width / 2^J")
     levels.add_argument("--J-range", dest="j_range", default=None,
@@ -180,13 +180,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.mode is not None and args.j_range is None:
         parser.error("--mode applies only to a --J-range study")
+    if args.check_mmatrix and args.J is None:
+        parser.error("--check-mmatrix needs --J")
+    if args.check_mmatrix and args.out is not None:
+        parser.error("--check-mmatrix prints its audit and writes no --out")
 
     try:
         problem = _load_problem(args.problem)
 
         if args.check_mmatrix:
-            if args.J is None:
-                raise HybridFdmError("--check-mmatrix needs --J")
             system = assemble(problem, args.J, threads=args.threads)
             audit = audit_m_matrix(system)
             print(f"M-matrix audit of {problem.name!r} at J={args.J}:")
@@ -213,14 +215,12 @@ def main(argv=None) -> int:
                 _write_out(write_convergence_csv, args.out, rows)
             return 0
 
-        if args.J is None:
-            raise HybridFdmError("need --J or --J-range")
         system, result = solve_once(problem, args.J, args.threads)
         print(f"solved {problem.name!r} at J={args.J}: "
               f"{system.shape[0]}x{system.shape[1]} nodes, "
               f"max|u_h| = {np.abs(result.u).max():.6g}, "
               f"residual = {result.residual:.2e}, "
-              f"assemble {result.wall_assemble:.2f}s "
+              f"assemble {system.timings['total']:.2f}s "
               f"solve {result.wall_solve:.2f}s")
         if args.out:
             _write_out(write_solution_csv, args.out, system, result)

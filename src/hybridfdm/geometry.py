@@ -109,16 +109,16 @@ class BasePoint:
     aux: object                # chart seed (theta* or preferred axis)
 
 
-def _bisect(f, lo, hi, iters: int = 60):
+def _bisect(f, lo, hi):
     """Vectorized bisection; assumes a sign change on [lo, hi].
 
     Stops early at its fixed point: once a step changes none of lo, hi and
     f(lo), bit for bit, every later step would repeat it, so the roots are
-    the same as after all ``iters`` steps.  NaN compares unequal, so a NaN
+    the same as after all 60 steps.  NaN compares unequal, so a NaN
     keeps the loop going to the end.
     """
     state = np.array(np.broadcast_arrays(lo, hi, f(lo)), dtype=float)
-    for _ in range(iters):
+    for _ in range(60):
         lo, hi, flo = state
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -232,13 +232,13 @@ class LevelSetInterface:
             return _bisect(lambda y: self.psi(fixed, y), lo, hi)
         return _bisect(lambda x: self.psi(x, fixed), lo, hi)
 
-    def chart(self, bases, h: float, kind: str | None = None) -> list:
+    def chart(self, bases, h: float) -> list:
         """One graph chart per base point of ``bases``.
 
-        Without ``kind`` each chart is a graph over the coordinate along
-        which psi varies least at its base point.  The eleven curve points
-        of every chart are bracketed line by line and then bisected
-        together, one bisection per graph direction.
+        Each chart is a graph over the coordinate along which psi varies
+        least at its base point.  The eleven curve points of every chart
+        are bracketed line by line and then bisected together, one
+        bisection per graph direction.
         """
         ts = sampling_recipe("curve", h).samples
         eps = h / 64.0
@@ -246,14 +246,9 @@ class LevelSetInterface:
         def bracket(bp):
             """Chart kind, abscissae and root brackets of one chart."""
             x0, y0 = bp.base
-            kd = kind
-            if kd is None:
-                gx = (self.psi(x0 + eps, y0) - self.psi(x0 - eps, y0)) / (2 * eps)
-                gy = (self.psi(x0, y0 + eps) - self.psi(x0, y0 - eps)) / (2 * eps)
-                kd = "graph-x" if abs(gy) >= abs(gx) else "graph-y"
-            if kd not in _GRAPH_ALONG:
-                raise ValueError(
-                    f"level-set interface cannot build chart {kd!r}")
+            gx = (self.psi(x0 + eps, y0) - self.psi(x0 - eps, y0)) / (2 * eps)
+            gy = (self.psi(x0, y0 + eps) - self.psi(x0, y0 - eps)) / (2 * eps)
+            kd = "graph-x" if abs(gy) >= abs(gx) else "graph-y"
             absc, start = (x0 + ts, y0) if kd == "graph-x" else (y0 + ts, x0)
             return (kd, absc) + self._brackets(absc, start, h, _GRAPH_ALONG[kd])
 
@@ -360,10 +355,8 @@ class ParametricInterface:
             return bp
         return per_node(points, one)
 
-    def chart(self, bases, h: float, kind: str = "angle") -> list:
+    def chart(self, bases, h: float) -> list:
         """One angle chart per base point of ``bases``."""
-        if kind != "angle":
-            raise ValueError("parametric interfaces build angle charts")
         return per_node(bases, lambda bp: self._angle_chart(bp, h))
 
     def _angle_chart(self, bp: BasePoint, h: float) -> LocalChart:

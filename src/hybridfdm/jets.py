@@ -166,7 +166,7 @@ def poly_eval(c: np.ndarray, x, y):
     scalars or arrays of a common shape K.
 
     Batched coefficients (B, k, k) with K points give a (B, K) result
-    (scalar points give (B,)).
+    (scalar points give (B,), a 0-d array for one table).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -179,8 +179,6 @@ def poly_eval(c: np.ndarray, x, y):
         yp[p] = yp[p - 1] * y
     # result[..., pts] = sum_{m,n} c[..., m, n] xp[m, pts] yp[n, pts]
     mon = np.einsum("m...,n...->mn...", xp, yp)
-    if pts_shape == ():
-        return np.einsum("...mn,mn->...", c, mon)
     return np.einsum("...mn,mnk->...k", c, mon.reshape(k, k, -1)).reshape(
         c.shape[:-2] + pts_shape
     )
@@ -227,12 +225,8 @@ def series_sqrt(a: np.ndarray, nterms: int) -> np.ndarray:
 
 
 def series_deriv(a: np.ndarray) -> np.ndarray:
-    """Series of a'(t) from the series of a(t)."""
-    n = a.shape[-1]
-    if n == 1:
-        return np.zeros_like(a)
-    k = np.arange(1, n)
-    return a[..., 1:] * k
+    """Series of a'(t) from the series of a(t), one term shorter."""
+    return a[..., 1:] * np.arange(1, a.shape[-1])
 
 
 def monomial_series_table(xs: np.ndarray, ys: np.ndarray, kmax: int,

@@ -130,14 +130,13 @@ def _corner_solvers():
                     tie_row(8, (T10, 1), (T11, -1)),
                     tie_row(8, (T01, 1), (T11, -3)),
                     tie_row(8, (T00, 1))]
-        if d == 6:
-            return [tie_row(8, (H01, 1), (T11, -1)),
-                    tie_row(8, (H10, 1), (T11, -1)),
-                    tie_row(8, (H11, 1), (T11, -1)),
-                    tie_row(8, (T01, 1), (T11, -1)),
-                    tie_row(8, (T10, 1), (T11, -1)),
-                    tie_row(8, (T00, 1))]
-        return []
+        # d == 6, the top degree
+        return [tie_row(8, (H01, 1), (T11, -1)),
+                tie_row(8, (H10, 1), (T11, -1)),
+                tie_row(8, (H11, 1), (T11, -1)),
+                tie_row(8, (T01, 1), (T11, -1)),
+                tie_row(8, (T10, 1), (T11, -1)),
+                tie_row(8, (T00, 1))]
 
     return build_degree_solvers(a0, LEAD_E, T=6, ties_for_degree=ties,
                                 pin_col=T11)
@@ -180,7 +179,7 @@ class EdgeStencil:
         """(..., 21) weights of [f^(m,n) over Lambda_4, g1^(n), n = 0..5]
         (h^-1 applied by the assembler)."""
         return weights_at_offsets(np.moveaxis(self.rhs_polys, -1, 0),
-                                  EDGE_OFFSETS, M_EDGE + 1, self.coeffs, h)
+                                  EDGE_OFFSETS, self.coeffs, h)
 
 
 def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
@@ -188,7 +187,7 @@ def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
     g, h = gh_blocks(build_reduction_table(a_jet, M_EDGE))
     exp = expand_at_offsets(np.moveaxis(robin_basis(g, alpha), -1, 0),
                             EDGE_OFFSETS, M_EDGE + 1, LEAD_E)
-    res = run_constant_recursion(exp, LEAD_E, 6, _edge_solvers(),
+    res = run_constant_recursion(exp, LEAD_E, _edge_solvers(),
                                  center=EDGE_CENTER)
     return EdgeStencil(coeffs=res.coeffs,
                        rhs_polys=np.concatenate([h, -g[G1_ROWS]]))
@@ -254,7 +253,7 @@ class CornerStencil:
         each against its own coefficients (h^-1 applied by the assembler)."""
         red = self.reduction
         hat, tilde = (weights_at_offsets(np.moveaxis(polys, -1, 0),
-                                         CORNER_OFFSETS, M_EDGE + 1, c, h)
+                                         CORNER_OFFSETS, c, h)
                       for polys, c in ((red.hat_polys, self.chat),
                                        (red.tilde_polys, self.ctilde)))
         return hat + tilde
@@ -266,7 +265,7 @@ def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
                                   M_EDGE + 1, LEAD_E)
                 for polys in (reduction.e_polys, til_polys))
     exp = np.concatenate([hat, til])    # 8 columns, 28 (row, degree) pairs
-    res = run_constant_recursion(exp, LEAD_E, 6, _corner_solvers(),
+    res = run_constant_recursion(exp, LEAD_E, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)
     return CornerStencil(chat=res.raw[:4], ctilde=res.raw[4:],
                          reduction=reduction)
@@ -286,7 +285,6 @@ class BoundaryFrame:
     ``offset(k, l)`` sends canonical stencil offsets to grid index offsets.
     """
 
-    name: str
     sx: int                       # physical x = anchor_x + [sx * xhat | yhat]
     sy: int
     swap: bool
@@ -303,18 +301,18 @@ class BoundaryFrame:
 
 
 SIDE_FRAMES = {
-    1: BoundaryFrame("gamma1", +1, +1, False),
-    2: BoundaryFrame("gamma2", -1, +1, False),
-    3: BoundaryFrame("gamma3", +1, +1, True),
-    4: BoundaryFrame("gamma4", -1, +1, True),
+    1: BoundaryFrame(+1, +1, False),
+    2: BoundaryFrame(-1, +1, False),
+    3: BoundaryFrame(+1, +1, True),
+    4: BoundaryFrame(-1, +1, True),
 }
 
 # corner (sx side id, sy side id): canonical alpha-side is the x-side
 CORNER_FRAMES = {
-    (1, 3): BoundaryFrame("corner13", +1, +1, False),
-    (2, 3): BoundaryFrame("corner23", -1, +1, False),
-    (1, 4): BoundaryFrame("corner14", +1, -1, False),
-    (2, 4): BoundaryFrame("corner24", -1, -1, False),
+    (1, 3): BoundaryFrame(+1, +1, False),
+    (2, 3): BoundaryFrame(-1, +1, False),
+    (1, 4): BoundaryFrame(+1, -1, False),
+    (2, 4): BoundaryFrame(-1, -1, False),
 }
 
 

@@ -200,16 +200,17 @@ def expand_at_offsets(entries, offsets: tuple, size: int,
     return out
 
 
-def weights_at_offsets(entries, offsets: tuple, size: int,
-                       coeffs: np.ndarray, h: float) -> np.ndarray:
+def weights_at_offsets(entries, offsets: tuple, coeffs: np.ndarray,
+                       h: float) -> np.ndarray:
     """sum_o C_o(h) P_i(h * offset_o) for each of K packed tables P_i.
 
-    ``entries`` holds their E = size (size + 1) / 2 packed entries (K, ...)
-    in entry order, as for ``expand_at_offsets``, and ``coeffs`` is the
-    (..., n_off, D+1) stencil; returns the (..., K) weights
+    ``coeffs`` is the (..., n_off, size) stencil, and ``entries`` holds the
+    tables' E = size (size + 1) / 2 packed entries (K, ...) in entry order,
+    as for ``expand_at_offsets``; returns the (..., K) weights
     sum_e P_i[e] w_e, w_e = sum_o C_o(h) vx_o^p vy_o^q h^(p+q), each entry
     read once, in turn.
     """
+    size = coeffs.shape[-1]
     at_offsets = offset_operator(offsets, size) @ (h ** np.arange(size))
     values = np.moveaxis(stencil_values(coeffs, h), -1, 0)
     # every w_e at once, each still summed over the offsets in order
@@ -324,15 +325,15 @@ class RecursionResult:
     residual: float           # worst linear-system residual encountered
 
 
-def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
+def run_constant_recursion(expansions: np.ndarray, lead, solvers,
                            combine: np.ndarray | None = None,
                            center: int = 0) -> RecursionResult:
     """Recursive degree-by-degree solve against precomputed exact operators.
 
     ``expansions`` is the packed (O, P, ...) output of ``expand_at_offsets``
-    for rows of leading degree ``lead`` and T+1 degrees, read through
-    ``packed_positions``; ``combine`` maps raw unknowns to displayed stencil
-    coefficients (corner hat+tilde), identity if None.
+    for rows of leading degree ``lead`` and one degree per solver, read
+    through ``packed_positions``; ``combine`` maps raw unknowns to
+    displayed stencil coefficients (corner hat+tilde), identity if None.
     The free parameter is ``PIN0`` at degree 0.  At every later degree it is
     chosen as the largest value keeping center coefficients >= 0,
     off-center <= 0, and the next degree's row sum >= 0 (the greedy
@@ -351,6 +352,7 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
     batch = expansions.shape[2:]
     X = expansions.reshape(O, expansions.shape[1], -1)  # X[o, i]: batch vector
     B = X.shape[-1]
+    T = len(solvers) - 1
     pos = packed_positions(tuple(lead), T + 1)
     lead = np.asarray(lead)
     ncols = next(s for s in solvers if s is not None).Sb.shape[0]
@@ -369,7 +371,7 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
 
     coeffs = np.zeros((ncols, T + 1, B))
     worst = 0.0
-    sum_row = next((r for r in range(len(lead)) if lead[r] == 0), None)
+    sum_row = lead.tolist().index(0)
 
     for d in range(T + 1):
         rows_d = np.flatnonzero(lead + d <= T)
@@ -397,7 +399,7 @@ def run_constant_recursion(expansions: np.ndarray, lead, T: int, solvers,
                 a = sgn * Vc[o]
                 if a < -_TINY:
                     upper = np.minimum(upper, -sgn * Pc[o] / a)
-            if d + 1 <= T and sum_row is not None:
+            if d + 1 <= T:
                 i0 = minus_each(np.zeros(B), rows(
                     coeffs[:, :d], pos[sum_row, d + 1 - lower]))
                 i0 = i0 - rows(P, pos[sum_row, 1])

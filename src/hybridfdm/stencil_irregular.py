@@ -132,8 +132,9 @@ def run_basic_recursion(expansions: np.ndarray,
     with the interface curvature under-resolved the corrections grow like
     kappa^d and the h-polynomial diverges, so keeping the degrees that still
     contract preserves a bounded, lower-order row instead of an exploding
-    one.  Fully resolved geometry never trips the cap.  Degree 5 is left
-    empty; its rows must already balance.
+    one.  A few rows of resolved curves trip it too (README, Notes): one
+    row of ``ex32`` at J=9, and 23 rows of 16 of the seeds 0..39 of the
+    benchmark family at J=5.  Degree 5 is left empty; its rows must balance.
     """
     R, O, nterms = expansions.shape
     T = nterms - 1

@@ -109,8 +109,7 @@ def regular_rhs_weights(coeffs: np.ndarray, table: ReductionTable,
     entries are read from it one at a time.  The h^-2 row scale of the
     scheme is applied by the assembler, not here.
     """
-    return weights_at_offsets(packed_entries(table, "H"), OFFSETS9, 8,
-                              coeffs, h)
+    return weights_at_offsets(packed_entries(table, "H"), OFFSETS9, coeffs, h)
 
 
 def build_regular_batch(a_jet: Jet2):
@@ -125,7 +124,7 @@ def build_regular_batch(a_jet: Jet2):
     rather than hold the f rows through the recursion.
     """
     expansions = regular_expansions(build_reduction_table(a_jet, 7, "u"))
-    coeffs = run_constant_recursion(expansions, LEAD9, 7, _regular_solvers(),
+    coeffs = run_constant_recursion(expansions, LEAD9, _regular_solvers(),
                                     center=CENTER9).coeffs
     del expansions
     return coeffs, build_reduction_table(a_jet, 7, "f")

@@ -1,13 +1,14 @@
 """End-to-end acceptance: the built-in experiments through the CLI.
 
 Each case runs ``hybridfdm.cli.main`` in-process, as the command line would,
-and reads back the convergence table it writes.  ``ex32`` and ``ex34`` do
-not solve yet (ROADMAP item 3); they are strict xfails, so a fix shows up as
-an unexpected pass.
+and reads back the table or the solution it writes.  ``ex32`` and ``ex34``
+do not solve at J=4 yet (ROADMAP item 3); they are strict xfails, so a fix
+shows up as an unexpected pass.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from hybridfdm import cli
@@ -36,6 +37,18 @@ def test_ex31_exact_errors(tmp_path):
 def test_ex33_solves_at_J5_and_J6(tmp_path):
     (row,) = convergence(tmp_path, "ex33", "5..6", "successive")
     assert row.J == 5 and math.isfinite(row.error)
+
+
+def test_ex34_solves_at_J6_on_the_leading_degree_fallback(tmp_path):
+    """The one built-in run that solves with fallback rows: 42 of the 702
+    interface rows of ex34 at J=6 are under-resolved (kappa h > 0.75) and
+    take the leading-degree stencil with its minus-side penalty."""
+    out = tmp_path / "u.csv"
+    assert cli.main(["--problem", "ex34", "--J", "6", "--out", str(out)]) == 0
+    u = np.loadtxt(out, delimiter=",", skiprows=1, usecols=4)
+    assert u.shape == (65 * 65,) and np.isfinite(u).all()
+    # 772.097337853711 when this test was written
+    assert f"{np.abs(u).max():.6g}" == "772.097"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 13-point rows of "

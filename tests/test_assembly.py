@@ -569,7 +569,7 @@ class TestRowBlocks:
 
 def block_weights(block, offsets, coeffs, h):
     """``weights_at_offsets`` of a packed order-6 (K, ..., 28) block."""
-    return weights_at_offsets(np.moveaxis(block, -1, 0), offsets, 7, coeffs, h)
+    return weights_at_offsets(np.moveaxis(block, -1, 0), offsets, coeffs, h)
 
 
 def separate_edge_rhs(st, jet, f_der, g_der, h):
@@ -738,12 +738,12 @@ class TestAudit:
         coeffs[0, CENTER9, 0] = 20.0
         assert check_sign_sum(coeffs, CENTER9, tol=1e-10).passed.all()
         block = RowBlock("regular+", np.array([1]), np.array([1]), OFFSETS9,
-                         coeffs, scale=2, rhs=np.zeros(1), claims=True)
+                         coeffs, scale=2, rhs=np.zeros(1))
         grid = np.array([0.0, 2.0, 4.0])
         system = GlobalSystem(matrix=None, rhs=np.zeros(9), labels=None,
                               xs=grid, ys=grid, h=2.0, blocks=[block],
                               timings={})
-        audit = audit_m_matrix(system, tol=1e-10)
+        audit = audit_m_matrix(system)
         assert audit.failed == {"regular+": 1}
         assert not audit.passed
         assert audit.violations == [(

@@ -114,21 +114,34 @@ class TestSolveCommand:
             assert v == result.u[i, j]
 
     def test_usage_errors_exit_1(self, laplace_cfg, capsys):
-        assert main(["--problem", "nosuch"]) == 1
-        assert main(["--problem", laplace_cfg]) == 1
+        assert main(["--problem", "nosuch", "--J", "2"]) == 1
         for level in (["--J", "0"], ["--J", "-1"], ["--J-range", "0..2"]):
             assert main(["--problem", laplace_cfg] + level) == 1
             assert "error: J must be at least 1" in capsys.readouterr().err
-        for argv in ([], ["--problem", laplace_cfg, "--J", "4",
-                          "--J-range", "4..5"],
-                     ["--problem", laplace_cfg, "--J", "2",
-                      "--mode", "successive"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert "argument --J-range: not allowed with argument --J" in err
-        assert "error: --mode applies only to a --J-range study" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (None, "the following arguments are required: --problem"),
+        ([], "one of the arguments --J --J-range is required"),
+        (["--J", "4", "--J-range", "4..5"],
+         "argument --J-range: not allowed with argument --J"),
+        (["--J", "2", "--mode", "successive"],
+         "--mode applies only to a --J-range study"),
+        (["--J-range", "2..3", "--check-mmatrix"], "--check-mmatrix needs --J"),
+        (["--J", "2", "--check-mmatrix", "--out", "a.csv"],
+         "--check-mmatrix prints its audit and writes no --out"),
+    ])
+    def test_parser_reports_misuse(self, laplace_cfg, tmp_path, monkeypatch,
+                                   capsys, argv, message):
+        """Caught by the parser, before the problem loads: exit code 1, and
+        no file written."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            main([] if argv is None else ["--problem", laplace_cfg] + argv)
+        assert exc.value.code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
 
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.ini"
@@ -165,7 +178,7 @@ class TestSolveCommand:
         before = gc.get_freeze_count()
         assert main(["--problem", laplace_cfg, "--J", "2",
                      "--out", str(tmp_path / "u.csv")]) == 0
-        assert main(["--problem", "nosuch"]) == 1
+        assert main(["--problem", "nosuch", "--J", "2"]) == 1
         assert gc.get_freeze_count() == before
 
     def test_run_freezes_the_heap_and_exits_with_the_code_of_main(
@@ -195,7 +208,7 @@ class TestSolveCommand:
             code, frozen, tracked = done.stdout.split()[-3:]
             return code, frozen, int(tracked), done.stderr
 
-        code, frozen, _, err = run("--problem", "nosuch")
+        code, frozen, _, err = run("--problem", "nosuch", "--J", "2")
         assert (code, frozen) == ("1", "True")
         assert "is neither a builtin" in err
         code, frozen, tracked, _ = run("--problem", laplace_cfg, "--J", "2",

@@ -618,10 +618,9 @@ def make_circle_problem(rng):
     return u_p, u_m, a_p, a_m, f_p, f_m, jump_g_pt, jump_gg_pt
 
 
-def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h, chart_kind=None):
+def build_point_stencil(iface, a_p, a_m, f_p, f_m, point, h):
     (bp,) = iface.locate_base([point], h)
-    (chart,) = iface.chart([bp], h) if chart_kind is None else \
-        iface.chart([bp], h, chart_kind)
+    (chart,) = iface.chart([bp], h)
     curve = curve_jet_from_chart(chart, bp.v0, bp.w0, h)
     jp, jm, fpd, fmd, _ = irregular_jets(
         *(partial(poly_eval, c) for c in (a_p, a_m, f_p, f_m)),
@@ -643,10 +642,9 @@ class TestIrregularStencil:
         self.iface = LevelSetInterface(circle_psi, jump_g=self.g_pt,
                                        jump_ggamma=self.gg_pt)
 
-    def residual(self, point, h, chart_kind=None):
+    def residual(self, point, h):
         coeffs, system, curve, fpd, fmd = build_point_stencil(
-            self.iface, self.a_p, self.a_m, self.f_p, self.f_m, point, h,
-            chart_kind)
+            self.iface, self.a_p, self.a_m, self.f_p, self.f_m, point, h)
         ch = stencil_values(coeffs, h)
         lhs = 0.0
         for i, (k, l) in enumerate(IRREGULAR_OFFSETS):
@@ -884,15 +882,16 @@ def generated_interface_config(seed):
 
 
 @pytest.fixture(scope="module")
-def real_chunks(tmp_path_factory):
-    """(models, minus masks) of every interface chunk that assembly builds
-    for ex31 and for the generated interface problem of seed 1, at J=5."""
+def j5_assemblies(tmp_path_factory):
+    """(system, chunks) of ex31 and of the generated interface problem of
+    seed 1 assembled at J=5; chunks holds the (models, minus masks) of every
+    interface chunk that assembly builds."""
     path = tmp_path_factory.mktemp("generated") / "iface1.ini"
     path.write_text(generated_interface_config(1))
-    chunks = {}
+    out = {}
     for name, problem in (("ex31", builtin("ex31")),
                           ("generated-1", load_config(str(path)))):
-        seen = chunks.setdefault(name, [])
+        seen = []
         real = assembly.assemble_irregular_system
 
         def record(models, minus_masks, seen=seen, real=real):
@@ -900,8 +899,18 @@ def real_chunks(tmp_path_factory):
             return real(models, minus_masks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "assemble_irregular_system", record)
-            assembly.assemble(problem, 5)
-    return chunks
+            out[name] = (assembly.assemble(problem, 5), seen)
+    return out
+
+
+@pytest.mark.parametrize("name, flat", [("ex31", 0), ("generated-1", 1)])
+def test_rows_with_nothing_above_degree_0(j5_assemblies, name, flat):
+    """The growth cap also trips where the curve is resolved: no node of
+    seed 1 at J=5 is under-resolved (none takes the fallback), yet the cap
+    keeps one of its interface rows at degree 0 alone."""
+    system, _ = j5_assemblies[name]
+    (block,) = [b for b in system.blocks if b.family == "interface"]
+    assert int((~block.coeffs[:, :, 1:].any(axis=(1, 2))).sum()) == flat
 
 
 def random_models(rng, B):
@@ -943,8 +952,8 @@ class TestBatchedIrregularSystem:
             assert same_bits(g, expand_one(model.g_plus, offsets, 6))
 
     @pytest.mark.parametrize("name", ["ex31", "generated-1"])
-    def test_real_chunks(self, real_chunks, name):
-        chunks = real_chunks[name]
+    def test_real_chunks(self, j5_assemblies, name):
+        _, chunks = j5_assemblies[name]
         assert sum(len(models) for models, _ in chunks) > 64
         for models, masks in chunks:
             self.check_chunk(models, masks)
