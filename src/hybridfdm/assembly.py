@@ -44,7 +44,6 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
@@ -183,11 +182,36 @@ def _pooled(task):
 
 def _task(ctx: Context, task):
     """Run one task, ``(kind, ...)``: its rows as a RowBlock, the seconds it
-    took and how many of its interface nodes took the widened MLS lattice."""
+    took and how many of its interface nodes took the widened MLS lattice.
+
+    A failure of any family is named here, by its family and its node: the
+    node a batched step pinned it to (its ``index``), or a one-node task's
+    node.  The error keeps its type."""
     # looked up at call time, so a replaced task function is the one that runs
     run = {"boundary": _boundary_rows, "regular": _regular_chunk,
            "irregular": _irregular_chunk}[task[0]]
-    return run(ctx, task)
+    try:
+        return run(ctx, task)
+    except HybridFdmError as exc:
+        family, ii, jj = _rows(ctx, task)
+        if exc.index is None and len(ii) != 1:
+            raise
+        k = exc.index or 0
+        x, y = ctx.origin[0] + ii[k] * ctx.h, ctx.origin[1] + jj[k] * ctx.h
+        raise type(exc)(f"{family} node ({x:.6g}, {y:.6g}): {exc}") from exc
+
+
+def _rows(ctx: Context, task):
+    """(family, ii, jj): the stencil family of a task's rows and their grid
+    nodes, in row order."""
+    if task[0] == "regular":
+        return (f"regular{task[1]}", *task[2].T)
+    if task[0] == "irregular":
+        return ("interface", *task[1].T)
+    _, sides, ii, jj = task
+    if any(ctx.problem.boundary[side].kind == "dirichlet" for side in sides):
+        return "dirichlet", ii, jj
+    return ("corner" if len(sides) == 2 else f"edge{sides[0]}"), ii, jj
 
 
 def _boundary_rows(ctx: Context, task):
@@ -196,26 +220,27 @@ def _boundary_rows(ctx: Context, task):
     Dirichlet row; a Robin row is its canonical-frame stencil mapped onto
     its side or corner (an unbatched corner stencil gives one row)."""
     t0 = time.perf_counter()
-    _, sides, ii, jj = task
+    family, ii, jj = _rows(ctx, task)
+    sides = task[1]
     problem, h = ctx.problem, ctx.h
     x, y = ctx.origin[0] + ii * h, ctx.origin[1] + jj * h
     bcs = [problem.boundary[side] for side in sides]
-    dirichlet = [bc for bc in bcs if bc.kind == "dirichlet"]
-    if dirichlet:
-        data = np.asarray(dirichlet[0].data(x, y), dtype=float)
-        block = RowBlock("dirichlet", ii, jj, ((0, 0),),
+    if family == "dirichlet":
+        bc = next(bc for bc in bcs if bc.kind == "dirichlet")
+        data = np.asarray(bc.data(x, y), dtype=float)
+        block = RowBlock(family, ii, jj, ((0, 0),),
                          np.ones((len(ii), 1, 1)), scale=0,
                          rhs=np.broadcast_to(data, ii.shape))
         return block, time.perf_counter() - t0, 0
-    if len(sides) == 2:
-        family, frame = "corner", CORNER_FRAMES[sides]
+    if family == "corner":
+        frame = CORNER_FRAMES[sides]
         jet, a_der, f_der, g1_der, b_der, g3_der = corner_jets(
             problem.a_plus, problem.f_plus, bcs[0].alpha, bcs[0].data,
             bcs[1].alpha, bcs[1].data, (x[0], y[0]), frame, h)
         st = solve_corner_stencil(build_corner_reduction(jet, a_der, b_der))
         data = np.concatenate([f_der, g1_der, g3_der])
     else:
-        family, frame = f"edge{sides[0]}", SIDE_FRAMES[sides[0]]
+        frame = SIDE_FRAMES[sides[0]]
         jet, a_der, f_der, g_der = edge_jets(
             problem.a_plus, problem.f_plus, bcs[0].alpha, bcs[0].data,
             np.column_stack([x, y]), frame, h)
@@ -245,33 +270,18 @@ def _regular_chunk(ctx: Context, task):
     return block, time.perf_counter() - t0, 0
 
 
-@contextmanager
-def _in_batch(points):
-    """Name the node of a batched step's failure, found by its ``index``:
-    the same error type, with the interface node named."""
-    try:
-        yield
-    except HybridFdmError as exc:
-        if exc.index is None:
-            raise
-        x, y = points[exc.index]
-        raise type(exc)(f"interface node ({x:.6g}, {y:.6g}): {exc}") from exc
-
-
 def _irregular_one(bp, chart, h):
     """Per-node front half of an interface row: the curve jet at its base
     point, from its chart."""
     return curve_jet_from_chart(chart, bp.v0, bp.w0, h)
 
 
-def _irregular_row(system, fp, fm, wide, h):
-    """Per-node back half of an interface row: its stencil coefficients,
-    its rhs from the one-sided source jets ``fp`` and ``fm``, and whether
-    its field jets took the widened MLS lattice."""
+def _irregular_row(system, fp, fm, h):
+    """Per-node back half of an interface row: its stencil coefficients and
+    its rhs from the one-sided source jets ``fp`` and ``fm``."""
     coeffs = solve_irregular_stencil(system, h)
     weights = irregular_rhs_weights(coeffs, system, h)
-    rhs = irregular_rhs_value(weights, fp, fm, system.model.curve)
-    return coeffs, rhs, bool(wide)
+    return coeffs, irregular_rhs_value(weights, fp, fm, system.model.curve)
 
 
 def _irregular_chunk(ctx: Context, task):
@@ -282,28 +292,27 @@ def _irregular_chunk(ctx: Context, task):
     curve jets node by node; the one-sided field jets, the transmission and
     the 13-point degree systems are built once for the chunk, and the
     stencil and its rhs are then solved node by node.  A failure pinned to
-    one node (``per_node``, or a batched step's ``index``) names that node.
+    one node (``per_node``, or a batched step's ``index``) carries the
+    node's position in the chunk.
     """
     t0 = time.perf_counter()
     _, nodes, minus = task
     problem, h = ctx.problem, ctx.h
     points = [(float(x), float(y)) for x, y in ctx.origin + nodes * h]
-    with _in_batch(points):
-        bases = problem.interface.locate_base(points, h)
-        charts = problem.interface.chart(bases, h)
-        curves = per_node(zip(bases, charts),
-                          lambda bc: _irregular_one(*bc, h))
-        jp, jm, fpd, fmd, widened = irregular_jets(
-            problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
-            problem.psi, points, [bp.base for bp in bases], h)
-        systems = assemble_irregular_system(
-            build_transmission(curves, jp, jm), minus)
-        rows = per_node(zip(systems, fpd, fmd, widened),
-                        lambda row: _irregular_row(*row, h))
-    coeffs, rhs, wide = zip(*rows)
+    bases = problem.interface.locate_base(points, h)
+    charts = problem.interface.chart(bases, h)
+    curves = per_node(zip(bases, charts), lambda bc: _irregular_one(*bc, h))
+    jp, jm, fpd, fmd, widened = irregular_jets(
+        problem.a_plus, problem.a_minus, problem.f_plus, problem.f_minus,
+        problem.psi, points, [bp.base for bp in bases], h)
+    systems = assemble_irregular_system(
+        build_transmission(curves, jp, jm), minus)
+    rows = per_node(zip(systems, fpd, fmd),
+                    lambda row: _irregular_row(*row, h))
+    coeffs, rhs = zip(*rows)
     block = RowBlock("interface", *nodes.T, IRREGULAR_OFFSETS,
                      np.stack(coeffs), scale=1, rhs=np.array(rhs))
-    return block, time.perf_counter() - t0, sum(wide)
+    return block, time.perf_counter() - t0, np.count_nonzero(widened)
 
 
 def _grid(problem: ProblemSpec, J: int):

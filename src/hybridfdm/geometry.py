@@ -106,7 +106,8 @@ class BasePoint:
     base: tuple                # (x*, y*) on Gamma
     v0: float                  # x* = x_i - v0 h
     w0: float
-    aux: object                # chart seed (theta* or preferred axis)
+    aux: object                # parametric: theta*, its angle chart's center;
+                               # level set: candidate index, no chart reads it
 
 
 def _bisect(f, lo, hi):

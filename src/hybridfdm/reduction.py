@@ -103,17 +103,27 @@ def build_reduction_table(a_jet: Jet2, order: int,
     """Reduction table for expansion order ``order`` (indices in Lambda_order).
 
     ``a_jet`` must carry derivatives of the coefficient up to total order
-    ``order - 1`` and have a strictly positive value at the base point.
-    ``rows`` names the arrays to build, "u", "f" or both; one left out is
-    None.  An array has the same bits built alone or with the other.
+    ``order - 1`` and have a strictly positive value at the base point;
+    where it has not, the ``ReductionError`` quotes the first such value
+    along the batch's last axis (the nodes of a batch) and sets ``index``
+    to its position there.  ``rows`` names the arrays to build, "u", "f" or
+    both; one left out is None.  An array has the same bits built alone or
+    with the other.
     """
     if a_jet.order < order - 1:
         raise ReductionError(
             f"coefficient jet of order {a_jet.order} cannot support an order-"
             f"{order} reduction (needs {order - 1})"
         )
-    if not np.all(a_jet.value > 0.0):
-        raise ReductionError("coefficient must be positive at the base point")
+    value = np.asarray(a_jet.value)
+    if not np.all(value > 0.0):
+        # the nodes of a batch lie along its last axis: the first failing
+        by_node = np.moveaxis(np.atleast_1d(value), -1, 0)
+        at = tuple(np.argwhere(~(by_node > 0.0))[0])
+        exc = ReductionError("coefficient must be positive at the base "
+                             f"point, estimated a = {by_node[at]:.6g}")
+        exc.index = int(at[0]) if value.ndim else None
+        raise exc
 
     batch = a_jet.c.shape[:-2]
     n = int(np.prod(batch, dtype=int))

@@ -24,8 +24,8 @@ Corners eliminate through both conditions: x-derivatives reduce to the
 tangential band via the reduction table (u^(m,0) = sum lambda u^(0,n) + sum
 mu u^(1,n) + source terms), the alpha condition folds mu into p_{m,n}, and the
 transposed basis E~_m absorbs beta.  Hat and tilde coefficient blocks are kept
-separate (8 unknowns) exactly as in the reference construction; the displayed
-stencil is their sum.
+separate (8 unknowns) exactly as in the reference construction; the stencil
+is their sum.
 
 Every polynomial family is a packed coefficient block of
 ``reduction.gh_blocks`` (one row of the 28 coefficients with p + q <= 6 per
@@ -36,10 +36,13 @@ right-hand-side weights go through the cached offset operators of
 EDGE_OFFSETS and CORNER_OFFSETS (``stencil_core.expand_at_offsets`` and
 ``weights_at_offsets``), as for the 9-point stencil.
 
-Each stencil has one ``weights(h)`` vector over one data vector, [f, g1]
-at an edge and [f, g1, g3] at a corner.  The Robin data enter with a minus
-sign, so their polynomial blocks are stored negated (an exact operation)
-under the H block.
+Both families return one record, ``RobinStencil``: its offsets and its
+parts, each a coefficient block with the rhs polynomial block it weighs,
+one part at an edge and a hat and a tilde part at a corner.  Its
+``coeffs`` and its one ``weights(h)`` vector, over one data vector, [f, g1]
+at an edge and [f, g1, g3] at a corner, are sums over the parts.  The
+Robin data enter with a minus sign, so their polynomial blocks are stored
+negated (an exact operation) under the H block.
 
 The other three sides and corners reuse the same construction through frame
 maps: field values are sampled at reflected points, so all jets are estimated
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
@@ -168,29 +171,37 @@ def robin_basis(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class EdgeStencil:
-    """6-point Robin/Neumann edge stencil in the canonical inward frame."""
+class RobinStencil:
+    """A Robin edge or corner stencil in the canonical inward frame.  Each
+    part pairs (..., k, 7) coefficients with the packed (K, ..., 28) rhs
+    block they weigh; the stencil and its weights are sums over the parts,
+    with no zero added, so an edge's are its one part's own."""
 
-    coeffs: np.ndarray            # (..., 6, 7)
-    rhs_polys: np.ndarray         # (21, ..., 28) H_{6,m,n}, -G_{6,1,n}
-    offsets: tuple = EDGE_OFFSETS
+    offsets: tuple
+    parts: tuple                  # ((coefficients, rhs block), ...)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return reduce(np.add, (c for c, _ in self.parts))
 
     def weights(self, h: float) -> np.ndarray:
-        """(..., 21) weights of [f^(m,n) over Lambda_4, g1^(n), n = 0..5]
-        (h^-1 applied by the assembler)."""
-        return weights_at_offsets(np.moveaxis(self.rhs_polys, -1, 0),
-                                  EDGE_OFFSETS, self.coeffs, h)
+        """(..., K) weights of the data vector, each part's block against
+        its own coefficients (h^-1 applied by the assembler)."""
+        return reduce(np.add, (
+            weights_at_offsets(np.moveaxis(polys, -1, 0), self.offsets, c, h)
+            for c, polys in self.parts))
 
 
-def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> EdgeStencil:
-    """Canonical-frame edge stencil; alpha holds d^n alpha/dy^n, n = 0..5."""
+def solve_edge_stencil(a_jet: Jet2, alpha: np.ndarray) -> RobinStencil:
+    """Canonical-frame edge stencil, (..., 6, 7) coefficients against
+    H_{6,m,n} and -G_{6,1,n}; alpha holds d^n alpha/dy^n, n = 0..5."""
     g, h = gh_blocks(build_reduction_table(a_jet, M_EDGE))
     exp = expand_at_offsets(np.moveaxis(robin_basis(g, alpha), -1, 0),
                             EDGE_OFFSETS, M_EDGE + 1, LEAD_E)
-    res = run_constant_recursion(exp, LEAD_E, _edge_solvers(),
-                                 center=EDGE_CENTER)
-    return EdgeStencil(coeffs=res.coeffs,
-                       rhs_polys=np.concatenate([h, -g[G1_ROWS]]))
+    coeffs = run_constant_recursion(exp, LEAD_E, _edge_solvers(),
+                                    center=EDGE_CENTER)
+    return RobinStencil(EDGE_OFFSETS,
+                        ((coeffs, np.concatenate([h, -g[G1_ROWS]])),))
 
 
 @dataclass
@@ -235,40 +246,20 @@ def build_corner_reduction(a_jet: Jet2, alpha: np.ndarray,
                                     -gt[G1_ROWS]]))
 
 
-@dataclass
-class CornerStencil:
-    """4-point corner stencil; hat and tilde blocks kept separate."""
-
-    chat: np.ndarray              # (4, 7)
-    ctilde: np.ndarray            # (4, 7)
-    reduction: CornerReduction
-    offsets: tuple = CORNER_OFFSETS
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.chat + self.ctilde
-
-    def weights(self, h: float) -> np.ndarray:
-        """(27,) weights of the data vector, the hat and the tilde block
-        each against its own coefficients (h^-1 applied by the assembler)."""
-        red = self.reduction
-        hat, tilde = (weights_at_offsets(np.moveaxis(polys, -1, 0),
-                                         CORNER_OFFSETS, c, h)
-                      for polys, c in ((red.hat_polys, self.chat),
-                                       (red.tilde_polys, self.ctilde)))
-        return hat + tilde
-
-
-def solve_corner_stencil(reduction: CornerReduction) -> CornerStencil:
+def solve_corner_stencil(reduction: CornerReduction) -> RobinStencil:
+    """Canonical-frame 4-point corner stencil: a hat part against
+    ``reduction.hat_polys`` and a tilde part against its ``tilde_polys``,
+    (..., 4, 7) coefficients each."""
     til_polys = np.tensordot(reduction.p.T, reduction.et_polys, 1)
     hat, til = (expand_at_offsets(np.moveaxis(polys, -1, 0), CORNER_OFFSETS,
                                   M_EDGE + 1, LEAD_E)
                 for polys in (reduction.e_polys, til_polys))
     exp = np.concatenate([hat, til])    # 8 columns, 28 (row, degree) pairs
-    res = run_constant_recursion(exp, LEAD_E, _corner_solvers(),
+    raw = run_constant_recursion(exp, LEAD_E, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)
-    return CornerStencil(chat=res.raw[:4], ctilde=res.raw[4:],
-                         reduction=reduction)
+    return RobinStencil(CORNER_OFFSETS,
+                        ((raw[..., :4, :], reduction.hat_polys),
+                         (raw[..., 4:, :], reduction.tilde_polys)))
 
 
 # ----------------------------------------------------------------------------

@@ -21,7 +21,9 @@ degree 0) or maximizing it subject to the per-degree sign conditions
 nonnegative.  The maximization reads only the upper bounds these conditions
 put on the free value; when no value meets every condition, the stencil is
 still produced, it breaks one, and ``check_sign_sum`` (the M-matrix audit)
-reports it.
+reports it.  The solve returns its unknowns alone, batch-major: the 9-point
+and edge stencils' coefficients at their offsets, and a corner's hat and
+tilde blocks side by side, whose sum is its stencil.
 
 The constant systems are reduced once in exact rational arithmetic, giving a
 per-degree solution operator that is then applied to batches of points with
@@ -279,14 +281,6 @@ def tie_row(size: int, *terms) -> list[Fraction]:
     return row
 
 
-@dataclass
-class DegreeSolver:
-    """Affine solution map C_d = Sb @ b_d + t * St for one degree."""
-
-    Sb: np.ndarray           # (n_cols, n_rows_d)
-    St: np.ndarray           # (n_cols,)
-
-
 def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
                          ties_for_degree, pin_col: int,
                          zero_degrees=()) -> list:
@@ -295,7 +289,9 @@ def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
     ``a0`` holds the leading values Phi_r(offset) as Fractions, ``lead`` the
     leading degree of each row.  ``ties_for_degree(d)`` returns extra exact
     constraint rows; the pin column is appended as the last stacked row.
-    Degrees in ``zero_degrees`` get no solver (coefficients stay zero).
+    Degree d's solver is the pair (Sb, St) of the affine solution map
+    C_d = Sb @ b_d + t * St, Sb (n_cols, n_rows_d) and St (n_cols,).
+    Degrees in ``zero_degrees`` get None (coefficients stay zero).
     """
     solvers: list = []
     for d in range(T + 1):
@@ -307,7 +303,7 @@ def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
         stacked += [list(t) for t in ties_for_degree(d)]
         stacked.append(tie_row(len(a0[0]), (pin_col, 1)))
         L = _solution_operator(stacked)
-        solvers.append(DegreeSolver(Sb=L[:, : len(rows_d)], St=L[:, -1]))
+        solvers.append((L[:, : len(rows_d)], L[:, -1]))
     return solvers
 
 
@@ -318,22 +314,18 @@ def check_residual(worst: float) -> None:
         raise StencilError(f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
 
 
-@dataclass
-class RecursionResult:
-    coeffs: np.ndarray        # (..., n_off, T+1) displayed stencil coefficients
-    raw: np.ndarray           # (..., n_cols, T+1) solver unknowns (hat/tilde split)
-    residual: float           # worst linear-system residual encountered
-
-
 def run_constant_recursion(expansions: np.ndarray, lead, solvers,
                            combine: np.ndarray | None = None,
-                           center: int = 0) -> RecursionResult:
+                           center: int = 0) -> np.ndarray:
     """Recursive degree-by-degree solve against precomputed exact operators.
 
     ``expansions`` is the packed (O, P, ...) output of ``expand_at_offsets``
     for rows of leading degree ``lead`` and one degree per solver, read
-    through ``packed_positions``; ``combine`` maps raw unknowns to
-    displayed stencil coefficients (corner hat+tilde), identity if None.
+    through ``packed_positions``.  Returns the (..., n_cols, T+1) solver
+    unknowns, batch-major: the stencil coefficients at each offset, or at a
+    corner the hat and the tilde block, 4 + 4 unknowns.  ``combine`` maps
+    the unknowns to the stencil's offsets (the corner's hat + tilde) where
+    the sign conditions bound the free parameter; identity if None.
     The free parameter is ``PIN0`` at degree 0.  At every later degree it is
     chosen as the largest value keeping center coefficients >= 0,
     off-center <= 0, and the next degree's row sum >= 0 (the greedy
@@ -355,9 +347,6 @@ def run_constant_recursion(expansions: np.ndarray, lead, solvers,
     T = len(solvers) - 1
     pos = packed_positions(tuple(lead), T + 1)
     lead = np.asarray(lead)
-    ncols = next(s for s in solvers if s is not None).Sb.shape[0]
-    K = np.eye(ncols) if combine is None else np.asarray(combine, dtype=float)
-    n_disp = K.shape[0]
 
     def rows(c, at):
         """sum_o c[o] X[o, at], one batch vector per packed position."""
@@ -369,7 +358,7 @@ def run_constant_recursion(expansions: np.ndarray, lead, solvers,
             start = start - term
         return start
 
-    coeffs = np.zeros((ncols, T + 1, B))
+    coeffs = np.zeros((len(solvers[0][0]), T + 1, B))
     worst = 0.0
     sum_row = lead.tolist().index(0)
 
@@ -386,15 +375,15 @@ def run_constant_recursion(expansions: np.ndarray, lead, solvers,
             worst = max(worst, float(np.abs(b).max(initial=0.0)))
             continue
 
-        P = _dot((w[:, None], b_i) for w, b_i in zip(solver.Sb.T, b))
-        V = solver.St
+        Sb, V = solver
+        P = _dot((w[:, None], b_i) for w, b_i in zip(Sb.T, b))
         if d == 0:
             c_star = np.full(B, PIN0)
         else:
-            Vc = K @ V
-            Pc = K @ P          # at most two unit entries a row: exact
+            # at most two unit entries a row in ``combine``: exact
+            Vc, Pc = (V, P) if combine is None else (combine @ V, combine @ P)
             upper = np.full(B, np.inf)
-            for o in range(n_disp):
+            for o in range(len(Vc)):
                 sgn = 1.0 if o == center else -1.0
                 a = sgn * Vc[o]
                 if a < -_TINY:
@@ -416,15 +405,8 @@ def run_constant_recursion(expansions: np.ndarray, lead, solvers,
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
 
     check_residual(worst)
-
-    def batch_major(c):
-        """The (..., n, T+1) copy of an (n, T+1, B) array."""
-        return np.ascontiguousarray(
-            np.moveaxis(c, -1, 0).reshape(batch + c.shape[:2]))
-
-    # one copy at a time: the product is dropped before the raw copy
-    disp = batch_major(np.tensordot(K, coeffs, 1))
-    return RecursionResult(disp, batch_major(coeffs), worst)
+    return np.ascontiguousarray(
+        np.moveaxis(coeffs, -1, 0).reshape(batch + coeffs.shape[:2]))
 
 
 # ----------------------------------------------------------------------------

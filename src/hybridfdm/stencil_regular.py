@@ -125,6 +125,6 @@ def build_regular_batch(a_jet: Jet2):
     """
     expansions = regular_expansions(build_reduction_table(a_jet, 7, "u"))
     coeffs = run_constant_recursion(expansions, LEAD9, _regular_solvers(),
-                                    center=CENTER9).coeffs
+                                    center=CENTER9)
     del expansions
     return coeffs, build_reduction_table(a_jet, 7, "f")

@@ -15,6 +15,7 @@ from hybridfdm.assembly import (
     RowBlock,
     _grid,
     _irregular_chunk,
+    _task,
     assemble,
     audit_m_matrix,
     solve,
@@ -471,7 +472,7 @@ class TestInterfaceAssembly:
         x, y = points[2]
         with pytest.raises(kind, match=re.escape(
                 f"interface node ({x:.6g}, {y:.6g}): ")):
-            _irregular_chunk(ctx, chunk)
+            _task(ctx, chunk)
 
     def test_interface_near_boundary_names_the_node(self, monkeypatch):
         """A 13-point footprint that leaves the grid is an AssemblyError,
@@ -583,21 +584,22 @@ def separate_edge_rhs(st, jet, f_der, g_der, h):
             + np.einsum("bk,bk->b", g1_w, g_der)) / h
 
 
-def separate_corner_rhs(st, jet, f_der, g1_der, g3_der, h):
+def separate_corner_rhs(red, st, jet, f_der, g1_der, g3_der, h):
     """A corner row's rhs from separate f, g1 and g3 weight blocks, each a
-    hat part against ``chat`` plus a tilde part against ``ctilde``."""
-    red = st.reduction
+    hat part against the hat coefficients plus a tilde part against the
+    tilde ones; ``red`` is the corner's reduction."""
+    (chat, _), (ctilde, _) = st.parts
     g, hb = gh_blocks(build_reduction_table(jet, 6))
     gt, ht = transpose_blocks(
         *gh_blocks(build_reduction_table(jet.transposed(), 6)))
     et = red.et_polys
 
     def split(hat, til):
-        return (block_weights(hat, CORNER_OFFSETS, st.chat, h)
-                + block_weights(til, CORNER_OFFSETS, st.ctilde, h))
+        return (block_weights(hat, CORNER_OFFSETS, chat, h)
+                + block_weights(til, CORNER_OFFSETS, ctilde, h))
     f_w = split(hb, ht + np.tensordot(red.nu, et, 1))
     g1_w = -split(g[G1_ROWS], np.tensordot(red.mu.T, et, 1))
-    g3_w = -block_weights(gt[G1_ROWS], CORNER_OFFSETS, st.ctilde, h)
+    g3_w = -block_weights(gt[G1_ROWS], CORNER_OFFSETS, ctilde, h)
     return (f_w @ f_der + g1_w @ g1_der + g3_w @ g3_der) / h
 
 
@@ -652,12 +654,12 @@ class TestRhsContraction:
             jet, _, f_der, g_der = jets
             want["edge"].append(separate_edge_rhs(st, jet, f_der, g_der, h))
         calls = seen["corner"]
-        for (_, jets), (_, st) in zip(calls[::2], calls[1::2]):
+        for (_, jets), ((red,), st) in zip(calls[::2], calls[1::2]):
             jet, _, f_der, g1_der, _, g3_der = jets
             want["corner"].append(separate_corner_rhs(
-                st, jet, f_der, g1_der, g3_der, h))
+                red, st, jet, f_der, g1_der, g3_der, h))
         want["interface"] = [[separate_interface_rhs(system_, fp, fm, h)
-                              for (system_, fp, fm, _, _), _ in seen["interface"]]]
+                              for (system_, fp, fm, _), _ in seen["interface"]]]
 
         got = {"corner": [], "edge": [], "interface": []}
         for block in system.blocks:

@@ -163,6 +163,29 @@ class TestSolveCommand:
             "error: config is missing [boundary.gamma1] alpha: a robin side "
             "needs its alpha (kind = neumann is alpha = 0)\n")
 
+    @pytest.mark.parametrize("a, robin, message", [
+        ("x + 0.5", (1, 3), "corner node (-1, -1)"),
+        ("x + 0.5", (1,), "edge1 node (-1, -0.5)"),
+        ("x*x - 0.5", (), "regular+ node (-0.5, -0.5)"),
+    ])
+    def test_nonpositive_coefficient_names_family_node_and_value(
+            self, tmp_path, capsys, a, robin, message):
+        """An estimated coefficient that is not positive is one error line
+        naming the row's family, its node and the estimate: at a Robin
+        corner or edge, or at the first failing node of a regular chunk."""
+        text = LAPLACE_X.replace("a_plus = 1", f"a_plus = {a}")
+        for side in robin:
+            text = text.replace(f"[boundary.gamma{side}]\nkind = dirichlet",
+                                f"[boundary.gamma{side}]\nkind = robin\n"
+                                "alpha = 1")
+        path = tmp_path / "negative-a.ini"
+        path.write_text(text)
+        assert main(["--problem", str(path), "--J", "2"]) == 1
+        estimate = "-0.25" if robin == () else "-0.5"
+        assert capsys.readouterr().err == (
+            f"error: {message}: coefficient must be positive at the base "
+            f"point, estimated a = {estimate}\n")
+
     @pytest.mark.parametrize("level", [["--J", "2"], ["--J-range", "2..3"]])
     def test_unwritable_out_exits_1(self, laplace_cfg, tmp_path, capsys,
                                     level):

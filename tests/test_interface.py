@@ -815,9 +815,9 @@ def star_systems():
     for name in ("ex32", "ex34"):
         found = []
 
-        def record(system, fp, fm, wide, h, found=found):
+        def record(system, fp, fm, h, found=found):
             found.append(system)
-            return np.zeros((len(IRREGULAR_OFFSETS), 6)), 0.0, False
+            return np.zeros((len(IRREGULAR_OFFSETS), 6)), 0.0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "_irregular_row", record)
             h = assembly.assemble(builtin(name), 4).h

@@ -253,6 +253,21 @@ class TestReductionTable:
         with pytest.raises(ReductionError):
             build_reduction_table(constant_jet(-1.0, 6), 7)
 
+    def test_nonpositive_coefficient_names_its_node_and_value(self):
+        """The error quotes the first failing value along the batch's last
+        axis, the nodes of a (side, node) stack as the transmission builds
+        it, and sets ``index`` to that node; an unbatched jet has none."""
+        values = np.array([[1.0, 2.0, 3.0, -4.0], [1.0, 1.0, -0.5, np.nan]])
+        jet = Jet2.from_derivatives({(0, 0): values}, 6)
+        with pytest.raises(ReductionError) as info:
+            build_reduction_table(jet, 7)
+        assert str(info.value) == ("coefficient must be positive at the base "
+                                   "point, estimated a = -0.5")
+        assert info.value.index == 2
+        with pytest.raises(ReductionError, match="estimated a = -1$") as info:
+            build_reduction_table(constant_jet(-1.0, 6), 7)
+        assert info.value.index is None
+
     def test_rejects_short_jet(self):
         with pytest.raises(ReductionError):
             build_reduction_table(constant_jet(1.0, 4), 7)

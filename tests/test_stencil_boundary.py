@@ -115,6 +115,8 @@ class TestEdgeStructure:
 
     def test_neumann_constant_stencil(self):
         st = solve_edge_stencil(constant_jet(1.0, 5), ZERO_ALPHA)
+        [(coeffs, _)] = st.parts
+        assert st.coeffs is coeffs        # no zero added: the solve's bits
         assert np.allclose(st.coeffs[:, 0], [-2, 10, -2, -1, -4, -1], atol=1e-13)
         assert np.allclose(st.coeffs[:, 1:], 0.0, atol=1e-13)
         assert check_sign_sum(st.coeffs, st.offsets.index((0, 0))).passed
@@ -271,7 +273,8 @@ class TestCornerStructure:
         jet = constant_jet(2.0, 5)
         st = solve_corner_stencil(build_corner_reduction(jet, ZERO_ALPHA, ZERO_ALPHA))
         assert check_sign_sum(st.coeffs, st.offsets.index((0, 0)), tol=1e-11).passed
-        assert np.allclose(st.coeffs, st.chat + st.ctilde)
+        (chat, _), (ctilde, _) = st.parts
+        assert np.allclose(st.coeffs, chat + ctilde)
         assert st.coeffs[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -410,7 +413,7 @@ class TestRhsWeights:
             for m in range(7):
                 poly = poly + et[m] * red.mu[m, n]
             g1_til.append(poly)
-        chat, ctil = cst.chat, cst.ctilde
+        (chat, _), (ctil, _) = cst.parts
         w = cst.weights(h)
         assert w.shape == (27,)
         assert_close(w[F_SLOT], reference_weights(
