@@ -6,7 +6,11 @@ Robin edge rows at scale h^-1, 9-point regular rows at scale h^-2 and
 13-point interface rows at scale h^-1 (no equilibration).  Each row's rhs
 is one weight vector against one data vector of estimated derivatives (f,
 the Robin data, the jumps), contracted by ``stencil_core.contract``.  The
-sparse matrix, the rhs and the M-matrix audit all read the same blocks.
+sparse matrix, the rhs and the M-matrix audit all read the same blocks,
+one block per task, kept as the tasks return them: the CSR arrays are
+written straight from them (``_csr``), with no triplets and no joined
+family, and once they are written the matrix and the rhs need no block,
+so a caller may drop the blocks before the solve (the CLI does).
 
 Every row comes from a task: a corner node, the inner nodes of one side, a
 chunk of ``CHUNK`` (1,024) regular nodes of one side or a chunk of
@@ -44,7 +48,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -133,7 +137,7 @@ class GlobalSystem:
     xs: np.ndarray
     ys: np.ndarray
     h: float
-    blocks: list                  # RowBlock, together covering every node once
+    blocks: list                  # one RowBlock per task; each node in one
     timings: dict
 
     @property
@@ -335,11 +339,37 @@ def _grid(problem: ProblemSpec, J: int):
     return xs, ys, h
 
 
-def _join(chunks) -> RowBlock:
-    """The rows of one family's chunks as one block, in chunk order."""
-    return replace(chunks[0], **{
-        field: np.concatenate([getattr(c, field) for c in chunks])
-        for field in ("ii", "jj", "coeffs", "rhs")})
+def _csr(blocks, nx: int, ny: int, h: float):
+    """The CSR matrix and the rhs of row blocks that cover the nx x ny grid
+    once, written straight from the blocks: a row's entries are its
+    block's, in column order.  Every row of a block has its columns in the
+    order of its sorted offsets, (di, dj) by di and then dj, since the dj
+    of a block span less than ny (4 for the 13-point rows, whose nodes lie
+    two or more from the sides), so one ordering serves the block.  The
+    arrays are those a COO to CSR conversion gives, canonical and with its
+    index dtype, without the triplets."""
+    import scipy.sparse as sp
+
+    nn = nx * ny
+    counts = np.zeros(nn + 1, dtype=np.int64)
+    for block in blocks:
+        counts[1 + block.ii * ny + block.jj] = len(block.offsets)
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, nn) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.cumsum(counts, dtype=index)
+    del counts
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
+    rhs = np.zeros(nn)
+    for block in blocks:
+        rows, cols = block.columns(ny)
+        k = len(block.offsets)
+        by_column = sorted(range(k), key=block.offsets.__getitem__)
+        at = indptr[rows][:, None] + np.arange(k)
+        indices[at] = cols[:, by_column]
+        data[at] = block.values(h)[:, by_column]
+        rhs[rows] = block.rhs
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
+    return matrix, rhs
 
 
 def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
@@ -406,37 +436,21 @@ def assemble(problem: ProblemSpec, J: int, threads: int = 1) -> GlobalSystem:
         parts = list(map(partial(_task, ctx), boundary + interior))
 
     timings = dict.fromkeys(("boundary", "regular", "irregular"), 0.0)
-    blocks, chunks, widened = [], {}, 0
+    blocks, widened = [], 0
     for (kind, *_), (block, seconds, wide) in zip(boundary + interior, parts):
         timings[kind] += seconds
         widened += wide
-        if kind == "boundary":
-            blocks.append(block)
-        else:
-            chunks.setdefault(block.family, []).append(block)
-    blocks += [_join(chunks[family]) for family in
-               ("regular+", "regular-", "interface") if family in chunks]
-
-    import scipy.sparse as sp
-
-    nn = (n1 + 1) * (n2 + 1)
-    rhs = np.zeros(nn)
-    rows, cols, vals = [], [], []
-    for block in blocks:
-        r, c = block.columns(n2 + 1)
-        rhs[r] = block.rhs
-        rows.append(np.repeat(r, c.shape[1]))
-        cols.append(c.ravel())
-        vals.append(block.values(h).ravel())
-    matrix = sp.csr_matrix(sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nn, nn)))
+        blocks.append(block)
+    # the boundary blocks, then each family's chunks in chunk order
+    rank = {"regular+": 1, "regular-": 2, "interface": 3}
+    blocks.sort(key=lambda block: rank.get(block.family, 0))
+    matrix, rhs = _csr(blocks, n1 + 1, n2 + 1, h)
     timings["total"] = time.perf_counter() - t0
     system = GlobalSystem(matrix=matrix, rhs=rhs, labels=cls.labels, xs=xs,
                           ys=ys, h=h, blocks=blocks, timings=timings)
     rows = system.family_rows
     log.info("assembled %d rows at J=%d in %.3fs (boundary %.3fs, regular "
-             "%.3fs, interface %.3fs); rows per family: %s", nn, J,
+             "%.3fs, interface %.3fs); rows per family: %s", len(rhs), J,
              timings["total"], timings["boundary"], timings["regular"],
              timings["irregular"],
              ", ".join(f"{family} {n}" for family, n in rows.items()),

@@ -54,7 +54,11 @@ def _load_problem(spec: str) -> ProblemSpec:
 
 
 def solve_once(problem: ProblemSpec, J: int, threads: int = 1):
+    """Assemble and solve; the row blocks are emptied before the solve, so
+    that its LU factors can take their memory (the CSR matrix and the rhs
+    hold every row)."""
     system = assemble(problem, J, threads=threads)
+    system.blocks.clear()
     result = solve(system)
     return system, result
 
@@ -121,7 +125,7 @@ def run_convergence(problem: ProblemSpec, j_values, mode: str = "exact",
             rows.append(ConvergenceRow(prev_J, prev_h, successive_error(
                 prev_u, result.u), float("nan"), prev_wall))
         prev = (J, system.h, result.u, wall)
-        del system, result      # hold one solve, row blocks and all, at a time
+        del system, result      # hold one solve at a time
     for coarse, fine in zip(rows, rows[1:]):
         fine.order = float(np.log2(coarse.error / fine.error))
     return rows

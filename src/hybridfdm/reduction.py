@@ -33,11 +33,13 @@ where it has no value, that sets its row or adds into it, in the order the
 recursion meets them.  Every entry is therefore the same sum, rounded the
 same way, as the recursion gives when it walks its terms one by one; a
 scale of +-1 and the unit weight round exactly, so no term needs a form of
-its own.  The table is two value arrays, the u rows (coefficients of band
-derivatives, read by G) and the f rows (coefficients of source
-derivatives, read by H), since no term mixes the two; each packed G or H
-entry is one compiled gather of its rows divided by p! q!
-(``packed_entries``), and a block (``gh_blocks``) stacks them.
+its own.  The table is two lists of value rows, the u rows (coefficients
+of band derivatives, read by G) and the f rows (coefficients of source
+derivatives, read by H), since no term mixes the two.  Each row is an
+array of its own, 8 KiB for a 1,024-node chunk, so no table array
+outgrows the 1 MB of the README's memory notes.  Each packed G or H entry
+is one compiled gather of its rows divided by p! q! (``packed_entries``),
+and a block (``gh_blocks``) stacks them.
 
 The Robin corners also reduce onto the band n in {0, 1}: the transposed
 jet's blocks with their indices swapped (``transpose_blocks``).
@@ -62,17 +64,18 @@ class ReductionTable:
 
     ``u`` holds one row of base-point values per coefficient of a band
     derivative u^(m,n) (the rows the G block reads) and ``f`` one per
-    coefficient of a source derivative f^(i,j) (the H rows), each
-    (rows + 1, B) for B points of the batch shape ``batch``, with a last
-    row of zeros; the order's ``_program`` maps each coefficient to its row.
-    Values suffice, and are exact, because the recursion differentiates only
-    the weight jets a_x/a, a_y/a and 1/a, never an entry (see the module
-    docstring).  A table built without one of the arrays holds None there.
+    coefficient of a source derivative f^(i,j) (the H rows), each a list
+    of rows + 1 (B,) arrays for B points of the batch shape ``batch``,
+    the last of zeros; the order's ``_program`` maps each coefficient to
+    its row.  Values suffice, and are exact, because the recursion
+    differentiates only the weight jets a_x/a, a_y/a and 1/a, never an
+    entry (see the module docstring).  A table built without one of the
+    lists holds None there.
     """
 
     order: int
-    u: np.ndarray | None
-    f: np.ndarray | None
+    u: list | None
+    f: list | None
     batch: tuple
 
     def u_value(self, p, q, m, n):
@@ -106,8 +109,8 @@ def build_reduction_table(a_jet: Jet2, order: int,
     ``order - 1`` and have a strictly positive value at the base point;
     where it has not, the ``ReductionError`` quotes the first such value
     along the batch's last axis (the nodes of a batch) and sets ``index``
-    to its position there.  ``rows`` names the arrays to build, "u", "f" or
-    both; one left out is None.  An array has the same bits built alone or
+    to its position there.  ``rows`` names the lists to build, "u", "f" or
+    both; one left out is None.  A list has the same bits built alone or
     with the other.
     """
     if a_jet.order < order - 1:
@@ -133,11 +136,12 @@ def build_reduction_table(a_jet: Jet2, order: int,
         w for jet in (a_jet.dx() * inv_a, a_jet.dy() * inv_a, inv_a)
         for w in _partials(jet)[:m, :m].reshape(m * m, n)]
     program = _program(order)
-    arrays = dict.fromkeys("uf")
-    for store in rows:                          # the last row stays zero
-        arrays[store] = np.zeros((program.sizes[store] + 1, n))
-        _run(program.code[store], weights, list(arrays[store]))
-    return ReductionTable(order, arrays["u"], arrays["f"], batch)
+    lists = dict.fromkeys("uf")
+    for store in rows:      # a row's first term sets it; the last stays zero
+        lists[store] = [np.empty(n) for _ in range(program.sizes[store])]
+        lists[store].append(np.zeros(n))
+        _run(program.code[store], weights, lists[store])
+    return ReductionTable(order, lists["u"], lists["f"], batch)
 
 
 # An instruction of the compiled reduction, (first, row, weight, value,
@@ -154,7 +158,7 @@ class _Program:
     count (the zero row not counted) and its instructions; the rows of each
     table entry in its array, {(p, q): {key: row}}; and the gathers of the
     packed G (u rows) and H (f rows) blocks: the (E, K) rows of entry e's K
-    coefficients (-1, the array's zero row, where the table holds none) and
+    coefficients (-1, the list's zero row, where the table holds none) and
     the (E,) divisors p! q!, for the e-th (p, q) of Lambda_order."""
 
     sizes: dict
@@ -261,7 +265,7 @@ def packed_entries(table: ReductionTable, family: str):
     program = _program(table.order)
     values = table.u if family == "G" else table.f
     for rows, den in zip(program.gathers[family], program.divisors):
-        entry = values[rows]
+        entry = np.stack([values[r] for r in rows])
         entry /= den
         yield entry.reshape(entry.shape[:1] + table.batch)
 

@@ -254,7 +254,7 @@ def solve_corner_stencil(reduction: CornerReduction) -> RobinStencil:
     hat, til = (expand_at_offsets(np.moveaxis(polys, -1, 0), CORNER_OFFSETS,
                                   M_EDGE + 1, LEAD_E)
                 for polys in (reduction.e_polys, til_polys))
-    exp = np.concatenate([hat, til])    # 8 columns, 28 (row, degree) pairs
+    exp = hat + til         # 8 columns, 28 (row, degree) pairs each
     raw = run_constant_recursion(exp, LEAD_E, _corner_solvers(),
                                  combine=_CORNER_COMBINE, center=0)
     return RobinStencil(CORNER_OFFSETS,

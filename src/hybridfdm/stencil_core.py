@@ -169,7 +169,7 @@ def packed_positions(lead: tuple, size: int) -> np.ndarray:
 
 
 def expand_at_offsets(entries, offsets: tuple, size: int,
-                      lead) -> np.ndarray:
+                      lead) -> list:
     """Packed h-expansions at fixed offsets of K packed tables of ``size``.
 
     ``entries`` holds the E = size (size + 1) / 2 packed entries (K, ...) in
@@ -177,9 +177,11 @@ def expand_at_offsets(entries, offsets: tuple, size: int,
     of a reduction table gathered one at a time
     (``reduction.packed_entries``), whose block is then never built.
     Table i has no terms below degree ``lead[i]``, so only its degrees
-    t >= lead[i] are kept: entry [o, packed_positions(lead, size)[i, t], ...]
-    is the coefficient of h^t in P_i(vx_o h, vy_o h), an (n_off, P, ...)
-    array.  Each entry is read once, and its rows of lead <= t, times the
+    t >= lead[i] are kept: entry [packed_positions(lead, size)[i, t], ...]
+    of the o-th array is the coefficient of h^t in P_i(vx_o h, vy_o h); one
+    (P, ...) array per offset, n_off in all, so that no array holds every
+    offset (512 KiB each for the 9-point offsets and a 1,024-node chunk).
+    Each entry is read once, and its rows of lead <= t, times the
     operator's weight (exact for the unit ones), are added into every
     (offset, degree) sum of the cached ``offset_operator`` that reads it;
     so every kept sum adds its terms in entry order, as a matrix product
@@ -191,14 +193,15 @@ def expand_at_offsets(entries, offsets: tuple, size: int,
     out = None
     for e, table in enumerate(entries):
         if out is None:
-            out = np.zeros((len(offsets), pos.max() + 1) + table.shape[1:])
+            out = [np.zeros((pos.max() + 1,) + table.shape[1:])
+                   for _ in offsets]
         parts = {}
         for o, t in zip(*np.nonzero(op[e])):
             if t not in parts:      # the rows of degree t, in order
                 parts[t] = table if len(rows[t]) == len(table) \
                     else table[rows[t]]
             first = pos[rows[t][0], t]
-            out[o, first: first + len(rows[t])] += parts[t] * op[e, o, t]
+            out[o][first: first + len(rows[t])] += parts[t] * op[e, o, t]
     return out
 
 
@@ -314,15 +317,15 @@ def check_residual(worst: float) -> None:
         raise StencilError(f"stencil recursion residual {worst:.3e} exceeds {RESID_TOL}")
 
 
-def run_constant_recursion(expansions: np.ndarray, lead, solvers,
+def run_constant_recursion(expansions: list, lead, solvers,
                            combine: np.ndarray | None = None,
                            center: int = 0) -> np.ndarray:
     """Recursive degree-by-degree solve against precomputed exact operators.
 
-    ``expansions`` is the packed (O, P, ...) output of ``expand_at_offsets``
-    for rows of leading degree ``lead`` and one degree per solver, read
-    through ``packed_positions``.  Returns the (..., n_cols, T+1) solver
-    unknowns, batch-major: the stencil coefficients at each offset, or at a
+    ``expansions`` is the output of ``expand_at_offsets``, one packed
+    (P, ...) array per offset, for rows of leading degree ``lead`` and one
+    degree per solver, read through ``packed_positions``.  Returns the
+    (..., n_cols, T+1) solver unknowns, batch-major: the stencil coefficients at each offset, or at a
     corner the hat and the tilde block, 4 + 4 unknowns.  ``combine`` maps
     the unknowns to the stencil's offsets (the corner's hat + tilde) where
     the sign conditions bound the free parameter; identity if None.
@@ -340,17 +343,17 @@ def run_constant_recursion(expansions: np.ndarray, lead, solvers,
     coupling is still its own left-to-right sum over the offsets, and the
     rhs subtracts them one by one, lowest degree first.
     """
-    O = expansions.shape[0]
-    batch = expansions.shape[2:]
-    X = expansions.reshape(O, expansions.shape[1], -1)  # X[o, i]: batch vector
-    B = X.shape[-1]
+    O = len(expansions)
+    batch = expansions[0].shape[1:]
+    X = [x.reshape(len(x), -1) for x in expansions]  # X[o][i]: batch vector
+    B = X[0].shape[-1]
     T = len(solvers) - 1
     pos = packed_positions(tuple(lead), T + 1)
     lead = np.asarray(lead)
 
     def rows(c, at):
-        """sum_o c[o] X[o, at], one batch vector per packed position."""
-        return _dot((c[o], X[o, at]) for o in range(O))
+        """sum_o c[o] X[o][at], one batch vector per packed position."""
+        return _dot((c[o], X[o][at]) for o in range(O))
 
     def minus_each(start, terms):
         """start - terms[0] - terms[1] - ..., subtracted in order."""

@@ -34,8 +34,10 @@ by G, go once the expansions exist; its f rows (1.4 KiB), read by H, are
 built only after the recursion, when the expansions are gone, and
 ``weights_at_offsets`` reads the H entries from them, against the
 operator evaluated at h and the stencil values.  So a chunk's peak, in
-the expansion or the recursion, is its packed expansions (4.5 KiB), the
-u rows or the recursion's own arrays, and its jets.  Everything works
+the expansion or the recursion, is its packed expansions (4.5 KiB a
+node), the u rows or the recursion's own arrays, and its jets.  The
+expansions are one array per offset and the table one array per row, so
+no array of a 1,024-node chunk reaches 1 MB.  Everything works
 elementwise along the chunk, so a node's stencil and weights do not
 depend on the chunk it is solved in.
 """
@@ -90,8 +92,9 @@ def _regular_solvers():
     )
 
 
-def regular_expansions(table: ReductionTable) -> np.ndarray:
-    """Packed (9, 64, ...) h-expansions of the G_{7,m,n} at OFFSETS9.
+def regular_expansions(table: ReductionTable) -> list:
+    """Packed h-expansions of the G_{7,m,n} at OFFSETS9, one (64, ...)
+    array per offset.
 
     Expanded straight from the u rows of the order-7 reduction table, one
     gathered packed entry at a time, keeping the 64 (row, degree) pairs at

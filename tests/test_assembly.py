@@ -1,8 +1,10 @@
 """Global assembly and solve."""
 
 import dataclasses
+import importlib.util
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +218,17 @@ class TestNoInterface:
         assert np.abs(result.u - result.u[::-1, :]).max() <= 1e-10
 
 
+def family_rows(system, family):
+    """The ii, jj, coeffs, rhs and values (at the system's h) of one
+    family's rows, gathered across its blocks in block order."""
+    blocks = [b for b in system.blocks if b.family == family]
+    assert blocks, family
+    rows = {field: np.concatenate([getattr(b, field) for b in blocks])
+            for field in ("ii", "jj", "coeffs", "rhs")}
+    rows["values"] = np.concatenate([b.values(system.h) for b in blocks])
+    return rows
+
+
 class TestInterfaceAssembly:
     def test_irregular_count_matches_bruteforce(self):
         case = manufacture(seed=2, interface_kind="circle")
@@ -357,18 +370,19 @@ class TestInterfaceAssembly:
         for chunk in (1, 7, 333, 1024, 2048):
             monkeypatch.setattr(assembly, "CHUNK", chunk)
             system = assemble(problem, 4)
-            blocks.append({b.family: b for b in system.blocks
-                           if b.family.startswith("regular")})
-        rows = {family: len(b.ii) for family, b in blocks[0].items()}
-        assert rows.keys() == {"regular+", "regular-"}
+            blocks.append({family: family_rows(system, family)
+                           for family in ("regular+", "regular-")})
+            # one block per chunk
+            for family, n in system.family_rows.items():
+                if family.startswith("regular"):
+                    assert sum(b.family == family for b in system.blocks) \
+                        == -(-n // chunk)
+        rows = {family: len(b["ii"]) for family, b in blocks[0].items()}
         assert max(rows.values()) > 333
         for other in blocks[1:]:
             for family, block in blocks[0].items():
-                for field in ("coeffs", "rhs"):
-                    assert np.array_equal(getattr(block, field),
-                                          getattr(other[family], field))
-                assert np.array_equal(block.values(system.h),
-                                      other[family].values(system.h))
+                for field in ("ii", "jj", "coeffs", "rhs", "values"):
+                    assert np.array_equal(block[field], other[family][field])
 
     def test_regular_chunk_working_set(self):
         """One 1,024-node regular chunk, built from its node indices, its
@@ -566,6 +580,51 @@ class TestRowBlocks:
             if block.family == "dirichlet":
                 assert block.scale == 0
                 assert block.coeffs.shape[2] == 1 and (block.coeffs == 1).all()
+
+
+def benchmark_member(seed, kind):
+    """The problem of the benchmark family (``bench/workload.py``) drawn
+    from ``seed``, with an interface of ``kind``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("workload", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    return load_config_string(workload.generate(seed, kind)[0])
+
+
+def coo_to_csr(system):
+    """The CSR matrix of ``system``'s blocks through scipy's COO to CSR
+    conversion, as ``assemble`` built it before it wrote the CSR arrays
+    itself."""
+    import scipy.sparse as sp
+
+    nn = system.matrix.shape[0]
+    rows, cols, vals = [], [], []
+    for block in system.blocks:
+        r, c = block.columns(len(system.ys))
+        rows.append(np.repeat(r, c.shape[1]))
+        cols.append(c.ravel())
+        vals.append(block.values(system.h).ravel())
+    return sp.csr_matrix(sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nn, nn)))
+
+
+@pytest.mark.parametrize("name, J", [("ex31", 5), ("none", 4)])
+def test_direct_csr_is_the_coo_conversion(name, J):
+    """The CSR arrays ``assemble`` writes straight from the row blocks have
+    the bits, the index dtype and the canonical form of the COO to CSR
+    conversion of the same blocks; ``none`` is the benchmark family's
+    member without an interface, of seed 1."""
+    problem = builtin(name) if name == "ex31" else benchmark_member(1, name)
+    system = assemble(problem, J)
+    want = coo_to_csr(system)
+    got = system.matrix
+    assert got.has_canonical_format and want.has_canonical_format
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.shape == want.shape
 
 
 def block_weights(block, offsets, coeffs, h):

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -312,3 +313,53 @@ class TestAuditCommand:
         rc = main(["--problem", str(path), "--J", "3", "--check-mmatrix"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestRowBlocksUnderTheSolve:
+    @pytest.mark.parametrize("level", [["--J", "4"], ["--J-range", "4..5"]])
+    def test_solve_sees_no_row_blocks(self, monkeypatch, capsys, level):
+        """The CLI empties ``system.blocks`` before every solve, so that
+        the LU factors can take their memory; the matrix and the rhs stay."""
+        import hybridfdm.cli as cli
+
+        seen = []
+        real = cli.solve
+
+        def spy(system):
+            nodes = system.shape[0] * system.shape[1]
+            seen.append((list(system.blocks), system.matrix.shape,
+                         len(system.rhs), nodes))
+            return real(system)
+
+        monkeypatch.setattr(cli, "solve", spy)
+        assert main(["--problem", "ex31", *level]) == 0
+        assert len(seen) == (1 if level[0] == "--J" else 2)
+        for blocks, shape, rhs, nodes in seen:
+            assert blocks == [] and shape == (nodes, nodes) and rhs == nodes
+
+    def test_audit_reads_every_block(self, monkeypatch, capsys):
+        """``--check-mmatrix`` keeps the blocks: its audit walks every
+        block of every family, one per chunk, several a family at J=6."""
+        import hybridfdm.cli as cli
+        from hybridfdm.assembly import CHUNK
+
+        seen = []
+        real = cli.audit_m_matrix
+
+        def spy(system):
+            seen.append(system)
+            return real(system)
+
+        monkeypatch.setattr(cli, "audit_m_matrix", spy)
+        assert main(["--problem", "ex31", "--J", "6", "--check-mmatrix"]) == 0
+        (system,) = seen
+        rows = system.family_rows
+        assert sum(rows.values()) == system.matrix.shape[0]
+        for family in ("regular+", "regular-"):
+            chunks = sum(b.family == family for b in system.blocks)
+            assert chunks == -(-rows[family] // CHUNK)
+        assert sum(b.family == "regular+" for b in system.blocks) > 1
+        out = capsys.readouterr().out
+        for family, n in rows.items():
+            assert re.search(rf"^  {re.escape(family)} +{n} rows  ", out,
+                             re.M), family

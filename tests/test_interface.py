@@ -70,6 +70,7 @@ from test_jets_reduction import (
     random_a_jets,
     same_bits,
 )
+from test_assembly import family_rows
 from test_stencil_regular import system_rows
 
 
@@ -909,8 +910,8 @@ def test_rows_with_nothing_above_degree_0(j5_assemblies, name, flat):
     seed 1 at J=5 is under-resolved (none takes the fallback), yet the cap
     keeps one of its interface rows at degree 0 alone."""
     system, _ = j5_assemblies[name]
-    (block,) = [b for b in system.blocks if b.family == "interface"]
-    assert int((~block.coeffs[:, :, 1:].any(axis=(1, 2))).sum()) == flat
+    coeffs = family_rows(system, "interface")["coeffs"]
+    assert int((~coeffs[:, :, 1:].any(axis=(1, 2))).sum()) == flat
 
 
 def random_models(rng, B):

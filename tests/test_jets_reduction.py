@@ -387,7 +387,10 @@ class TestSplitTable:
     def test_array_sizes_and_zero_rows(self):
         table = build_reduction_table(random_a_jets(26, 3), 7)
         assert _program(7).sizes == {"u": 218, "f": 174}
-        assert table.u.shape == (219, 3) and table.f.shape == (175, 3)
+        # one (B,) array per row, each of its own
+        for rows, n in ((table.u, 219), (table.f, 175)):
+            assert isinstance(rows, list) and len(rows) == n
+            assert all(row.shape == (3,) and row.base is None for row in rows)
         assert not table.u[-1].any() and not table.f[-1].any()
 
     @pytest.mark.parametrize("order", [6, 7])

@@ -44,9 +44,19 @@ def system_rows(expansions, lead, T, d, s):
                     axis=-2)
 
 
+def stacked(packed):
+    """The (n_off, P, ...) stack of a packed expansion, which is a list of
+    one (P, ...) array per offset, each an array of its own."""
+    assert isinstance(packed, list)
+    assert len({x.shape for x in packed}) == 1
+    assert all(x.base is None for x in packed)
+    return np.stack(packed)
+
+
 def unpack(packed, lead, size):
     """The dense (K, ..., n_off, size) form of a packed expansion, zero
     below each row's lead."""
+    packed = stacked(packed)
     pos = packed_positions(tuple(lead), size)
     out = np.zeros((len(lead),) + packed.shape[2:] + (len(packed), size))
     for r, t in zip(*np.nonzero(pos >= 0)):
@@ -76,6 +86,7 @@ def assert_packed_is_dense(packed, dense, lead):
     """Every pair the recursion reads, (r, t) with t >= lead[r], has the
     bits of the dense expansion."""
     pos = packed_positions(tuple(lead), dense.shape[-1])
+    packed = stacked(packed)
     assert packed.shape == (dense.shape[-2], np.count_nonzero(pos >= 0)) \
         + dense.shape[1:-2]
     for r, t in zip(*np.nonzero(pos >= 0)):
@@ -310,8 +321,8 @@ class TestOffsetOperator:
         packed = regular_expansions(build_reduction_table(jet, 7))
         block = gh_blocks(build_reduction_table(jet, 7))[0]
         # read from the table or from its packed block: the same bits
-        assert same_bits(packed, expand_at_offsets(
-            np.moveaxis(block, -1, 0), OFFSETS9, 8, LEAD9))
+        assert same_bits(stacked(packed), stacked(expand_at_offsets(
+            np.moveaxis(block, -1, 0), OFFSETS9, 8, LEAD9)))
         expansions = np.moveaxis(unpack(packed, LEAD9, 8), 0, -3)
         g = dense_tables(block)
         assert len(g) == len(lambda_band(7))
