@@ -7,7 +7,10 @@ a whole batch of points is then one product of that matrix with the
 sampled values: one matrix product at the Robin sides and corners, and one
 vector-matrix product per node for the regular rows, whose jets must not
 depend on the chunk.  The two fits of a family (a and f, one degree apart)
-are one ``mls_operators`` call on the shared lattice.
+are one ``mls_operators`` call on the shared lattice.  A Robin side (B
+anchors) and a corner (one anchor) share one routine for that a/f fit and
+the degree-5 operator of their data lines; they differ only in the recipe
+names and in where the lines lie.
 
 Each batch (a chunk of regular nodes, a Robin side, a corner, an interface
 chunk) evaluates every field once, through ``mls.lattice_values``, and the
@@ -68,6 +71,29 @@ def regular_jets(a_field, f_field, nodes: np.ndarray, origin, h: float):
     return jet, f_der
 
 
+def _robin_fit(a_field, f_field, anchor, frame: BoundaryFrame, h: float,
+               kind: str):
+    """The a/f fit and the data line of a Robin side or corner.
+
+    ``kind`` is ``"edge"`` or ``"corner"``: its ``-boundary`` lattice is
+    fitted around ``anchor`` (a point, or B of them as a (2, B, 1) array),
+    the a-jet of order 5 and the f derivatives on Lambda_4 batched like the
+    anchor.  Returns (a-jet, f derivatives, abscissae of the ``-line``
+    recipe, its degree-5 operator for the derivatives 0..5).
+    """
+    rec = sampling_recipe(f"{kind}-boundary", h)
+    [(op_a, op_f)] = mls_operators(
+        rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
+    px, py = frame.point(anchor, rec.samples[:, 0], rec.samples[:, 1])
+    a_v, f_v = lattice_values((a_field, f_field), px, py)
+    a_der, f_der = a_v @ op_a.T, f_v @ op_f.T
+    jet = Jet2.from_derivatives(
+        {mn: a_der[..., i] for i, mn in enumerate(lambda_full(5))}, 5)
+    line = sampling_recipe(f"{kind}-line", h)
+    return jet, f_der, line.samples, mls_operator(line.problem(5),
+                                                  list(range(6)))
+
+
 def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
               frame: BoundaryFrame, h: float):
     """Batched canonical-frame jets for a Robin side.
@@ -78,22 +104,11 @@ def edge_jets(a_field, f_field, alpha_field, g_field, anchors: np.ndarray,
     evaluated once for the B anchors.
     """
     anchor = np.atleast_2d(np.asarray(anchors, dtype=float)).T[:, :, None]
-    rec = sampling_recipe("edge-boundary", h)
-    [(op_a, op_f)] = mls_operators(
-        rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
-    px, py = frame.point(anchor, rec.samples[None, :, 0],
-                         rec.samples[None, :, 1])
-    a_v, f_v = lattice_values((a_field, f_field), px, py)
-    a_der, f_der = a_v @ op_a.T, f_v @ op_f.T
-    jet = Jet2.from_derivatives(
-        {mn: a_der[:, i] for i, mn in enumerate(lambda_full(5))}, 5)
-
-    line = sampling_recipe("edge-line", h)
-    op1 = mls_operator(line.problem(5), list(range(6)))
-    lx, ly = frame.point(anchor, 0.0, line.samples[None, :])
+    jet, f_der, ts, op1 = _robin_fit(a_field, f_field, anchor, frame, h,
+                                     "edge")
+    lx, ly = frame.point(anchor, 0.0, ts)
     alpha_v, g_v = lattice_values((alpha_field, g_field), lx, ly)
-    alpha_der, g_der = alpha_v @ op1.T, g_v @ op1.T
-    return jet, alpha_der, f_der, g_der
+    return jet, alpha_v @ op1.T, f_der, g_v @ op1.T
 
 
 def irregular_jets(a_plus, a_minus, f_plus, f_minus, psi, anchors, bases,
@@ -186,18 +201,8 @@ def corner_jets(a_field, f_field, alpha_field, g1_field, beta_field, g3_field,
     on the y-hat = 0 side; each field is evaluated once.
     """
     anchor = np.asarray(anchor, dtype=float)
-    rec = sampling_recipe("corner-boundary", h)
-    [(op_a, op_f)] = mls_operators(
-        rec.problem(5), [(5, lambda_full(5)), (4, lambda_full(4))])
-    px, py = frame.point(anchor, rec.samples[:, 0], rec.samples[:, 1])
-    a_v, f_v = lattice_values((a_field, f_field), px, py)
-    a_der, f_der = a_v @ op_a.T, f_v @ op_f.T
-    jet = Jet2.from_derivatives(
-        {mn: a_der[i] for i, mn in enumerate(lambda_full(5))}, 5)
-
-    line = sampling_recipe("corner-line", h)
-    op1 = mls_operator(line.problem(5), list(range(6)))
-    ts = line.samples
+    jet, f_der, ts, op1 = _robin_fit(a_field, f_field, anchor, frame, h,
+                                     "corner")
     ax, ay = frame.point(anchor, 0.0, ts)
     alpha_v, g1_v = lattice_values((alpha_field, g1_field), ax, ay)
     bx, by = frame.point(anchor, ts, 0.0)

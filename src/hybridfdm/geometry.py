@@ -8,23 +8,27 @@ irregular node gets a base point: the closest point of an h/16 discretization
 of the curve inside the open 3x3 box, together with a local parametrization
 (the problem's own angle chart, or a graph over the dominant coordinate for
 level-set curves) oriented so the left normal (s', -r') points into the plus
-region, by one probe of psi h/16 to either side of the chart's middle.  An
-angle chart starts from the sweep angle of its base point, so it is
-centered on it; one whose center lies more than ``CENTER_TOL`` h away
-raises ``GeometryError``.
+region, by one probe of psi h/16 to either side of the chart's middle: a
+chart whose probe is negative has its samples reversed.  An angle chart
+starts from the sweep angle of its base point, so it is centered on it; one
+whose center lies more than ``CENTER_TOL`` h away raises ``GeometryError``.
+Its curve and jump data are evaluated once, on theta* + t; the reversed
+samples are those of theta* - t, bit for bit.
 
 Base points and charts are built for a batch of nodes at once (one chunk of
 interface rows): ``locate_base(points, h)`` returns one ``BasePoint`` per
 node and ``chart(bases, h)`` one ``LocalChart`` per base point.  On the
 grid-anchored lattices (the grid, and a batch's base-point scans) psi is
 evaluated once, through ``mls.lattice_values``.  For a level set, every
-node still finds the root brackets of its own lines, but the brackets of
+node still finds the root brackets of its own lines, but base points and
+charts share one root solve (``LevelSetInterface._solve``): the brackets of
 the whole batch go through one bisection per line direction, so each
-bisection step calls psi once for the batch.  Bisection is elementwise,
-so a node's result does not depend on the batch it came in.  The pointwise
-probes (the gradient that picks the chart kind, the orientation test) stay
-calls on scalars: scalar and array evaluations of psi can differ in the last
-bit, which could flip a chart kind in a tie.  A ``GeometryError`` raised for
+bisection step calls psi once for the batch, and the roots come back split
+per node.  Bisection is elementwise, so a node's result does not depend on
+the batch it came in.  The pointwise probes (the gradient that picks the
+chart kind, the orientation test) stay calls on scalars: scalar and array
+evaluations of psi can differ in the last bit, which could flip a chart
+kind in a tie.  A ``GeometryError`` raised for
 one node of a batch carries the node's position in ``index``.
 """
 
@@ -214,24 +218,30 @@ class LevelSetInterface:
             brackets[1].append(_line_brackets(sy[lines], sx, box[:, lines].T))
         found_at = []
         for along, parts in zip("yx", brackets):
-            fixed, lo, hi = (np.concatenate(col) for col in zip(*parts))
-            roots = self._solve(lo, hi, fixed, along)
-            found = np.column_stack(
-                [fixed, roots] if along == "y" else [roots, fixed])
-            ends = np.cumsum([len(part[0]) for part in parts])[:-1]
-            found_at.append(np.split(found, ends))
+            roots = self._solve(parts, along)
+            found_at.append([
+                np.column_stack([f, r] if along == "y" else [r, f])
+                for (f, _, _), r in zip(parts, roots)])
         return per_node(
             zip(points, *found_at),
             lambda item: _select_base(np.vstack(item[1:]), item[0], h))
 
-    def _solve(self, lo, hi, fixed, along):
-        """Roots of psi on lines x = fixed (``along="y"``) or y = fixed,
-        bracketed by [lo, hi]: one bisection for all lines."""
+    def _solve(self, parts, along):
+        """Roots of psi on each node's lines x = fixed (``along="y"``) or
+        y = fixed, bracketed by [lo, hi], from its ``(fixed, lo, hi)`` in
+        ``parts``: one bisection for the lines of all nodes, whose roots
+        come back split per node."""
+        if not parts:
+            return []
+        fixed, lo, hi = (np.concatenate(col) for col in zip(*parts))
         if len(fixed) == 0:
-            return np.empty(0)
-        if along == "y":
-            return _bisect(lambda y: self.psi(fixed, y), lo, hi)
-        return _bisect(lambda x: self.psi(x, fixed), lo, hi)
+            roots = np.empty(0)
+        elif along == "y":
+            roots = _bisect(lambda y: self.psi(fixed, y), lo, hi)
+        else:
+            roots = _bisect(lambda x: self.psi(x, fixed), lo, hi)
+        ends = np.cumsum([len(part[0]) for part in parts])[:-1]
+        return np.split(roots, ends)
 
     def chart(self, bases, h: float) -> list:
         """One graph chart per base point of ``bases``.
@@ -257,12 +267,9 @@ class LevelSetInterface:
         roots = [None] * len(lines)
         for kd, along in _GRAPH_ALONG.items():
             sel = [k for k, line in enumerate(lines) if line[0] == kd]
-            if sel:
-                fixed, lo, hi = (np.concatenate([lines[k][i] for k in sel])
-                                 for i in (1, 2, 3))
-                solved = self._solve(lo, hi, fixed, along)
-                for k, r in zip(sel, solved.reshape(len(sel), len(ts))):
-                    roots[k] = r
+            for k, r in zip(sel, self._solve([lines[k][1:] for k in sel],
+                                             along)):
+                roots[k] = r
 
         charts = []
         ones = np.ones(len(ts))
@@ -280,8 +287,10 @@ class LevelSetInterface:
         """Root brackets of psi along each line, taking the root nearest the
         last.
 
-        Brackets are picked from one vectorized window scan, walking outwards
-        from the center to follow the branch through multiple crossings.
+        Brackets are picked from one vectorized window scan, in two walks
+        outwards from the middle line, to follow the branch through multiple
+        crossings: each line takes the crossing nearest the root of the line
+        before it (the middle one, the one nearest ``start``).
         """
         n = len(abscissae)
         window = start + np.arange(-24, 25) * (h / 32.0)
@@ -291,24 +300,18 @@ class LevelSetInterface:
             vals = np.asarray(self.psi(window[None, :], abscissae[:, None]))
         sign_change = vals[:, :-1] * vals[:, 1:] <= 0.0
 
-        lo = np.empty(n)
-        hi = np.empty(n)
-        center = n // 2
-        seq = [center]
-        for d in range(1, center + 1):
-            seq += [center - d, center + d]
-        near = np.full(n, start)
-        for idx in seq:
-            sc = np.nonzero(sign_change[idx])[0]
-            if len(sc) == 0:
-                raise GeometryError("lost the interface while building a chart")
-            mid = 0.5 * (window[sc] + window[sc + 1])
-            pick = sc[int(np.argmin(np.abs(mid - near[idx])))]
-            lo[idx], hi[idx] = window[pick], window[pick + 1]
-            root_guess = 0.5 * (lo[idx] + hi[idx])
-            for j in (idx - 1, idx + 1):
-                if 0 <= j < n and j not in seq[: seq.index(idx) + 1]:
-                    near[j] = root_guess
+        lo, hi = np.empty((2, n))
+        for walk in (range(n // 2, -1, -1), range(n // 2, n)):
+            near = start
+            for idx in walk:
+                sc = np.nonzero(sign_change[idx])[0]
+                if len(sc) == 0:
+                    raise GeometryError(
+                        "lost the interface while building a chart")
+                mid = 0.5 * (window[sc] + window[sc + 1])
+                pick = sc[int(np.argmin(np.abs(mid - near)))]
+                lo[idx], hi[idx] = window[pick], window[pick + 1]
+                near = 0.5 * (lo[idx] + hi[idx])
         return lo, hi
 
 
@@ -361,24 +364,25 @@ class ParametricInterface:
         return per_node(bases, lambda bp: self._angle_chart(bp, h))
 
     def _angle_chart(self, bp: BasePoint, h: float) -> LocalChart:
-        """The chart t -> (r, s)(theta* +- t), centered on the base point."""
-        theta0 = bp.aux
-        ts = sampling_recipe("curve", h).samples
-        for flip in (1.0, -1.0):
-            th = theta0 + flip * ts
-            xs = np.asarray(self.r(th), dtype=float)
-            ys = np.asarray(self.s(th), dtype=float)
-            c = 5
-            off = np.hypot(xs[c] - bp.base[0], ys[c] - bp.base[1])
-            if not off <= CENTER_TOL * h:
-                node = (bp.base[0] + bp.v0 * h, bp.base[1] + bp.w0 * h)
-                raise GeometryError(
-                    f"angle chart of irregular node ({node[0]:.6g}, "
-                    f"{node[1]:.6g}) is centered {off / h:.3g} h from its "
-                    "base point")
-            if _plus_probe(self.psi, xs, ys, h) > 0:
-                g_vals = np.asarray(self.jump_g(th), dtype=float) * np.ones(11)
-                gg_vals = np.asarray(self.jump_ggamma(th), dtype=float) * np.ones(11)
-                return LocalChart(kind="angle", xs=xs, ys=ys,
-                                  g_vals=g_vals, gg_vals=gg_vals)
-        raise GeometryError("could not orient the angle chart")
+        """The chart t -> (r, s)(theta* + t), centered on the base point,
+        its samples reversed (theta* - t) when the probe is negative."""
+        th = bp.aux + sampling_recipe("curve", h).samples
+        xs, ys = (np.asarray(fn(th), dtype=float) for fn in (self.r, self.s))
+        c = 5
+        off = np.hypot(xs[c] - bp.base[0], ys[c] - bp.base[1])
+        if not off <= CENTER_TOL * h:
+            node = (bp.base[0] + bp.v0 * h, bp.base[1] + bp.w0 * h)
+            raise GeometryError(
+                f"angle chart of irregular node ({node[0]:.6g}, "
+                f"{node[1]:.6g}) is centered {off / h:.3g} h from its "
+                "base point")
+        probe = _plus_probe(self.psi, xs, ys, h)
+        if not (probe > 0 or probe < 0):
+            raise GeometryError("could not orient the angle chart")
+        g_vals, gg_vals = (np.asarray(fn(th), dtype=float) * np.ones(11)
+                           for fn in (self.jump_g, self.jump_ggamma))
+        if probe < 0:
+            xs, ys, g_vals, gg_vals = (v[::-1].copy()
+                                       for v in (xs, ys, g_vals, gg_vals))
+        return LocalChart(kind="angle", xs=xs, ys=ys,
+                          g_vals=g_vals, gg_vals=gg_vals)

@@ -6,7 +6,9 @@ do not solve at J=4 yet (ROADMAP item 3); they are strict xfails, so a fix
 shows up as an unexpected pass.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,23 @@ def test_ex34_solves_at_J6_on_the_leading_degree_fallback(tmp_path):
     assert u.shape == (65 * 65,) and np.isfinite(u).all()
     # 772.097337853711 when this test was written
     assert f"{np.abs(u).max():.6g}" == "772.097"
+
+
+def test_no_interface_member_is_sixth_order(tmp_path):
+    """The paper's theorem without an interface: the 9-point regular rows
+    and the Robin side and corner rows are sixth order on a variable
+    coefficient.  The benchmark family's member without an interface
+    (``bench/workload.py``, c = 2 and no shift, a = 2 + sin(x) sin(y))
+    measured order 6.00 between J=6 and J=7."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("workload", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    config = tmp_path / "none.ini"
+    config.write_text(workload.config_text(2, 0, 0, "none"), encoding="utf-8")
+    rows = convergence(tmp_path, str(config), "6..7", "exact")
+    assert [r.J for r in rows] == [6, 7]
+    assert rows[1].order >= 5.9, rows
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the 13-point rows of "

@@ -184,12 +184,22 @@ class TestCharts:
         return k * x, k * y
 
     @pytest.mark.parametrize("kind", ["ring", "circle-level-set",
-                                      "circle-parametric"])
+                                      "circle-parametric",
+                                      "circle-clockwise"])
     def test_every_left_normal_points_into_plus(self, kind):
         # the orientation probe must stay between neighbouring branches of
-        # a resolved curve: the rings lie 0.2 = 3.2 h apart at h = 1/16
+        # a resolved curve: the rings lie 0.2 = 3.2 h apart at h = 1/16.
+        # The clockwise circle's angle charts are all reversed; its jump
+        # data are the curve's own x and y, so the jump samples must
+        # follow the curve samples through the reversal
         def circle(x, y):
             return np.asarray(x) ** 2 + np.asarray(y) ** 2 - 0.36
+
+        def cw_x(t):
+            return 0.6 * np.cos(-t)
+
+        def cw_y(t):
+            return 0.6 * np.sin(-t)
 
         zero = lambda *args: 0.0 * args[0]
         iface, grad = {
@@ -200,6 +210,9 @@ class TestCharts:
             "circle-parametric": (ParametricInterface(
                 lambda t: 0.6 * np.cos(t), lambda t: 0.6 * np.sin(t), circle,
                 zero, zero), lambda x, y: (2 * x, 2 * y)),
+            "circle-clockwise": (ParametricInterface(
+                cw_x, cw_y, circle, cw_x, cw_y),
+                lambda x, y: (2 * x, 2 * y)),
         }[kind]
         xs = np.linspace(-1.0, 1.0, 33)
         h = xs[1] - xs[0]
@@ -214,6 +227,9 @@ class TestCharts:
             ny = -(chart.xs[c + 1] - chart.xs[c - 1])
             gx, gy = grad(chart.xs[c], chart.ys[c])
             assert nx * gx + ny * gy > 0, (chart.xs[c], chart.ys[c])
+            if kind == "circle-clockwise":
+                assert (chart.g_vals == chart.xs).all()
+                assert (chart.gg_vals == chart.ys).all()
 
 
 class TestAngleChartCenters:
