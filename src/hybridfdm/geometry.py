@@ -295,9 +295,11 @@ class LevelSetInterface:
         n = len(abscissae)
         window = start + np.arange(-24, 25) * (h / 32.0)
         if along == "y":
-            vals = np.asarray(self.psi(abscissae[:, None], window[None, :]))
+            vals = self.psi(abscissae[:, None], window[None, :])
         else:
-            vals = np.asarray(self.psi(window[None, :], abscissae[:, None]))
+            vals = self.psi(window[None, :], abscissae[:, None])
+        # a psi that ignores one coordinate returns a row or a column
+        vals = np.broadcast_to(vals, (n, len(window)))
         sign_change = vals[:, :-1] * vals[:, 1:] <= 0.0
 
         lo, hi = np.empty((2, n))

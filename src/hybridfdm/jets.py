@@ -63,6 +63,8 @@ def _conv_table(na: int, nb: int, out_size: int):
     ib = np.array([p[1] for p in pairs])
     ko = np.array([p[2] for p in pairs])
     out_pos, starts = np.unique(ko, return_index=True)
+    for array in (ia, ib, starts, out_pos):     # shared by every caller
+        array.flags.writeable = False
     return ia, ib, starts, out_pos
 
 

@@ -15,6 +15,7 @@ the free-parameter ties
     c_{0,1,5} = c_{1,-1,5} = c_{1,0,5} = c_{1,1,5},
     c_{0,1,6} = c_{1,-1,6} = c_{1,0,6} = 0,  c_{0,0,6} = -2 c_{1,1,6},
 
+(the table ``EDGE_TIES`` states them in code), c_{1,1,0} pinned to -1,
 and the remaining free parameter maximized under the sign conditions plus the
 next degree's row sum (which equals 6 alpha at degree one, so alpha >= 0 is
 necessary for monotonicity; with alpha < 0 the consistent stencil is still
@@ -25,7 +26,17 @@ tangential band via the reduction table (u^(m,0) = sum lambda u^(0,n) + sum
 mu u^(1,n) + source terms), the alpha condition folds mu into p_{m,n}, and the
 transposed basis E~_m absorbs beta.  Hat and tilde coefficient blocks are kept
 separate (8 unknowns) exactly as in the reference construction; the stencil
-is their sum.
+is their sum.  With c^_{k,l,d} and c~_{k,l,d} the hat and tilde
+coefficients at the corner offset (k, l), the ties are
+
+    c~_{0,0,d} = 0 (every d),  c~_{1,0,d} = 0 (d <= 4),
+    c~_{0,1,3} = c~_{1,1,3},
+    c^_{1,1,4} = c~_{1,1,4},  c~_{0,1,4} = 2 c~_{1,1,4},
+    c^_{1,0,5} = c^_{1,1,5} = c~_{1,0,5} = c~_{1,1,5},  c~_{0,1,5} = 3 c~_{1,1,5},
+    c^_{0,1,6} = c^_{1,0,6} = c^_{1,1,6} = c~_{0,1,6} = c~_{1,0,6} = c~_{1,1,6}
+
+(the table ``CORNER_TIES`` states them in code), with c~_{1,1,0} pinned to
+-1 and the remaining free parameter maximized as at an edge.
 
 Every polynomial family is a packed coefficient block of
 ``reduction.gh_blocks`` (one row of the 28 coefficients with p + q <= 6 per
@@ -66,7 +77,6 @@ from .stencil_core import (
     expand_at_offsets,
     frac_leading_g,
     run_constant_recursion,
-    tie_row,
     weights_at_offsets,
 )
 
@@ -82,30 +92,36 @@ G1_ROWS = [lambda_band(M_EDGE).index((1, n)) for n in range(M_EDGE)]
 LEAD_E = tuple(range(M_EDGE + 1))   # leading h-degree of E_n and E~_m: n
 
 
+# EDGE_TIES[d] and CORNER_TIES[d]: the tie rows of degree d, each a list of
+# (unknown, weight) terms whose weighted sum of the degree-d coefficients
+# vanishes; an edge names its unknowns by offset, a corner by block (H hat,
+# T tilde) and offset
+EDGE_TIES = {
+    3: [[((1, 0), 1), ((1, 1), -1)]],
+    4: [[(o, 1), ((1, 1), -1)] for o in ((1, -1), (1, 0))],
+    5: [[(o, 1), ((1, 1), -1)] for o in ((0, 1), (1, -1), (1, 0))],
+    6: [[(o, 1)] for o in ((0, 1), (1, -1), (1, 0))]
+    + [[((0, 0), 1), ((1, 1), 2)]],
+}
+CORNER_UNKNOWNS = ("H00", "H01", "H10", "H11", "T00", "T01", "T10", "T11")
+_TILDE_ZERO = [[("T00", 1)], [("T10", 1)]]
+CORNER_TIES = {
+    0: _TILDE_ZERO, 1: _TILDE_ZERO, 2: _TILDE_ZERO,
+    3: [[("T01", 1), ("T11", -1)]] + _TILDE_ZERO,
+    4: [[("H11", 1), ("T11", -1)], [("T01", 1), ("T11", -2)]] + _TILDE_ZERO,
+    5: [[(u, 1), ("T11", -1)] for u in ("H10", "H11", "T10")]
+    + [[("T01", 1), ("T11", -3)], [("T00", 1)]],
+    6: [[(u, 1), ("T11", -1)] for u in ("H01", "H10", "H11", "T01", "T10")]
+    + [[("T00", 1)]],
+}
+
+
 @lru_cache(maxsize=1)
 def _edge_solvers():
     a0 = [[frac_leading_g(0, n, k, ell) for (k, ell) in EDGE_OFFSETS]
           for n in range(7)]
-    c11 = EDGE_OFFSETS.index((1, 1))
-
-    def ties(d):
-        pairs = {
-            3: [((1, 0), (1, 1))],
-            4: [((1, -1), (1, 1)), ((1, 0), (1, 1))],
-            5: [((0, 1), (1, 1)), ((1, -1), (1, 1)), ((1, 0), (1, 1))],
-        }
-        if d in pairs:
-            return [tie_row(6, (EDGE_OFFSETS.index(a), 1), (EDGE_OFFSETS.index(b), -1))
-                    for a, b in pairs[d]]
-        if d == 6:
-            rows = [tie_row(6, (EDGE_OFFSETS.index(o), 1))
-                    for o in ((0, 1), (1, -1), (1, 0))]
-            rows.append(tie_row(6, (EDGE_OFFSETS.index((0, 0)), 1), (c11, 2)))
-            return rows
-        return []
-
-    return build_degree_solvers(a0, LEAD_E, T=6, ties_for_degree=ties,
-                                pin_col=c11)
+    return build_degree_solvers(a0, LEAD_E, EDGE_OFFSETS, EDGE_TIES,
+                                pin=(1, 1))
 
 
 @lru_cache(maxsize=1)
@@ -116,36 +132,12 @@ def _corner_solvers():
         lam = Fraction((-1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
         til = [lam * frac_leading_g(0, n, ell, k) for (k, ell) in CORNER_OFFSETS]
         a0.append(hat + til)
-    H00, H01, H10, H11, T00, T01, T10, T11 = range(8)
-
-    def ties(d):
-        zero_rows = [tie_row(8, (T00, 1)), tie_row(8, (T10, 1))]
-        if d <= 2:
-            return zero_rows
-        if d == 3:
-            return [tie_row(8, (T01, 1), (T11, -1))] + zero_rows
-        if d == 4:
-            return [tie_row(8, (H11, 1), (T11, -1)),
-                    tie_row(8, (T01, 1), (T11, -2))] + zero_rows
-        if d == 5:
-            return [tie_row(8, (H10, 1), (T11, -1)),
-                    tie_row(8, (H11, 1), (T11, -1)),
-                    tie_row(8, (T10, 1), (T11, -1)),
-                    tie_row(8, (T01, 1), (T11, -3)),
-                    tie_row(8, (T00, 1))]
-        # d == 6, the top degree
-        return [tie_row(8, (H01, 1), (T11, -1)),
-                tie_row(8, (H10, 1), (T11, -1)),
-                tie_row(8, (H11, 1), (T11, -1)),
-                tie_row(8, (T01, 1), (T11, -1)),
-                tie_row(8, (T10, 1), (T11, -1)),
-                tie_row(8, (T00, 1))]
-
-    return build_degree_solvers(a0, LEAD_E, T=6, ties_for_degree=ties,
-                                pin_col=T11)
+    return build_degree_solvers(a0, LEAD_E, CORNER_UNKNOWNS, CORNER_TIES,
+                                pin="T11")
 
 
 _CORNER_COMBINE = np.hstack([np.eye(4), np.eye(4)])
+_CORNER_COMBINE.flags.writeable = False
 
 
 def _robin_weights(alpha: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ degrees feeding the right-hand side.
 This module holds the solve of the fixed-offset families (9-point, edge,
 corner).  Their leading parts are offset-geometry constants, so each degree
 has a fixed matrix A_d; uniqueness is restored by tying designated free
-coefficients together and either pinning the remaining one to ``PIN0`` (at
+coefficients together (each family's tie table, read by
+``build_degree_solvers``) and either pinning the remaining one to ``PIN0`` (at
 degree 0) or maximizing it subject to the per-degree sign conditions
 (center >= 0, off-center <= 0) and the next degree's row sum being
 nonnegative.  The maximization reads only the upper bounds these conditions
@@ -274,38 +275,40 @@ def _solution_operator(rows: list[list[Fraction]]) -> np.ndarray:
     )
 
 
-def tie_row(size: int, *terms) -> list[Fraction]:
-    """Exact constraint row of ``size`` columns: the sum of ``weight`` at
-    ``column`` over the (column, weight) ``terms``; ties the free
-    coefficients of a constant stencil system."""
-    row = [Fraction(0)] * size
-    for col, w in terms:
-        row[col] += Fraction(w)
-    return row
-
-
-def build_degree_solvers(a0: list[list[Fraction]], lead, T: int,
-                         ties_for_degree, pin_col: int,
-                         zero_degrees=()) -> list:
+def build_degree_solvers(a0: list[list[Fraction]], lead, unknowns: tuple,
+                         ties: dict, pin) -> list:
     """Exact per-degree solvers for a constant-matrix family.
 
-    ``a0`` holds the leading values Phi_r(offset) as Fractions, ``lead`` the
-    leading degree of each row.  ``ties_for_degree(d)`` returns extra exact
-    constraint rows; the pin column is appended as the last stacked row.
-    Degree d's solver is the pair (Sb, St) of the affine solution map
-    C_d = Sb @ b_d + t * St, Sb (n_cols, n_rows_d) and St (n_cols,).
-    Degrees in ``zero_degrees`` get None (coefficients stay zero).
+    ``a0`` holds the leading values Phi_r(offset) as Fractions, one column
+    per name of ``unknowns``, and ``lead`` the leading degree of each row;
+    the top degree T is max(lead).  ``ties`` is the family's tie table:
+    ``ties[d]`` lists the tie rows of degree d, each a list of
+    (unknown, weight) terms whose weighted sum of the degree-d coefficients
+    vanishes, every unknown named as in ``unknowns``.  A degree absent from
+    the table has no ties; one mapped to None is not solved, and its
+    coefficients stay zero.  Degree d stacks the rows r of a0 with
+    lead_r + d <= T, then its tie rows in table order, then the pin row
+    (the unknown ``pin`` alone).  Its solver is the pair (Sb, St) of the
+    affine solution map C_d = Sb @ b_d + t * St, Sb (n_cols, n_rows_d) and
+    St (n_cols,), both read-only, since every chunk shares the cache.
     """
+    col = {name: j for j, name in enumerate(unknowns)}
+    T = max(lead)
     solvers: list = []
     for d in range(T + 1):
-        if d in zero_degrees:
+        degree_ties = ties.get(d, [])
+        if degree_ties is None:
             solvers.append(None)
             continue
         rows_d = [r for r in range(len(a0)) if lead[r] + d <= T]
         stacked = [a0[r] for r in rows_d]
-        stacked += [list(t) for t in ties_for_degree(d)]
-        stacked.append(tie_row(len(a0[0]), (pin_col, 1)))
+        for terms in degree_ties + [[(pin, 1)]]:
+            row = [Fraction(0)] * len(unknowns)
+            for name, weight in terms:
+                row[col[name]] += weight
+            stacked.append(row)
         L = _solution_operator(stacked)
+        L.flags.writeable = False
         solvers.append((L[:, : len(rows_d)], L[:, -1]))
     return solvers
 

@@ -9,11 +9,12 @@ coefficient jets, the free parameters tied as
     c_{-1,1,6} = c_{0,1,6} = c_{1,-1,6} = c_{1,0,6} = c_{1,1,6},
     c_{0,0,6} = -8 c_{1,1,6},
 
-the degree-0 solution pinned to (center 20, edges -4, corners -1), and each
-remaining free parameter maximized under the per-degree sign conditions.  The
-result satisfies the sign and sum conditions for every h > 0 (the per-degree
-sums all vanish for this family), is unique, and reduces to the constant
-Laplacian stencil when the coefficient is constant.
+(the table ``TIES9`` states them in code), the degree-0 solution pinned to
+(center 20, edges -4, corners -1), and each remaining free parameter
+maximized under the per-degree sign conditions.  The result satisfies the
+sign and sum conditions for every h > 0 (the per-degree sums all vanish for
+this family), is unique, and reduces to the constant Laplacian stencil when
+the coefficient is constant.
 
 c_{1,1,0} = -1 (``stencil_core.PIN0``) is hard-coded; any negative value
 works and only rescales the row.
@@ -56,40 +57,31 @@ from .stencil_core import (
     expand_at_offsets,
     frac_leading_g,
     run_constant_recursion,
-    tie_row,
     weights_at_offsets,
 )
 
 OFFSETS9 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1))
 CENTER9 = OFFSETS9.index((0, 0))
-_COL = {off: i for i, off in enumerate(OFFSETS9)}
 LEAD9 = tuple(m + n for (m, n) in lambda_band(7))   # leading h-degree of a row
+
+
+# TIES9[d]: the tie rows of degree d, each a list of (offset, weight) terms
+# whose weighted sum of the c_{k,l,d} vanishes; degree 7 is left zero
+TIES9 = {
+    4: [[((1, 0), 1), ((1, 1), -1)]],
+    5: [[(o, 1), ((1, 1), -1)] for o in ((0, 1), (1, -1), (1, 0))],
+    6: [[(o, 1), ((1, 1), -1)] for o in ((-1, 1), (0, 1), (1, -1), (1, 0))]
+    + [[((0, 0), 1), ((1, 1), 8)]],
+    7: None,
+}
 
 
 @lru_cache(maxsize=1)
 def _regular_solvers():
-    band = lambda_band(7)
-    a0 = [[frac_leading_g(m, n, k, ell) for (k, ell) in OFFSETS9] for (m, n) in band]
-    c = _COL
-
-    def ties(d):
-        if d == 4:
-            return [tie_row(9, (c[(1, 0)], 1), (c[(1, 1)], -1))]
-        if d == 5:
-            return [tie_row(9, (c[o], 1), (c[(1, 1)], -1))
-                    for o in ((0, 1), (1, -1), (1, 0))]
-        if d == 6:
-            rows = [tie_row(9, (c[o], 1), (c[(1, 1)], -1))
-                    for o in ((-1, 1), (0, 1), (1, -1), (1, 0))]
-            rows.append(tie_row(9, (c[(0, 0)], 1), (c[(1, 1)], 8)))
-            return rows
-        return []
-
-    return build_degree_solvers(
-        a0, LEAD9, T=7, ties_for_degree=ties, pin_col=c[(1, 1)],
-        zero_degrees=(7,),
-    )
+    a0 = [[frac_leading_g(m, n, k, ell) for (k, ell) in OFFSETS9]
+          for (m, n) in lambda_band(7)]
+    return build_degree_solvers(a0, LEAD9, OFFSETS9, TIES9, pin=(1, 1))
 
 
 def regular_expansions(table: ReductionTable) -> list:

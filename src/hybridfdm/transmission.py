@@ -88,6 +88,8 @@ def _curve_operators(h: float):
     rec = sampling_recipe("curve", h)
     op6 = mls_operator(rec.problem(6), list(range(6)))
     op5 = mls_operator(rec.problem(5), list(range(5)))
+    for op in (op6, op5):           # shared by every caller of the cache
+        op.flags.writeable = False
     return op6, op5
 
 

@@ -185,13 +185,15 @@ class TestCharts:
 
     @pytest.mark.parametrize("kind", ["ring", "circle-level-set",
                                       "circle-parametric",
-                                      "circle-clockwise"])
+                                      "circle-clockwise", "rows", "cols"])
     def test_every_left_normal_points_into_plus(self, kind):
         # the orientation probe must stay between neighbouring branches of
         # a resolved curve: the rings lie 0.2 = 3.2 h apart at h = 1/16.
         # The clockwise circle's angle charts are all reversed; its jump
         # data are the curve's own x and y, so the jump samples must
-        # follow the curve samples through the reversal
+        # follow the curve samples through the reversal.  The "rows" and
+        # "cols" psi read only y or only x, so psi returns one column or
+        # one row of a chart's bracket window: two straight lines each
         def circle(x, y):
             return np.asarray(x) ** 2 + np.asarray(y) ** 2 - 0.36
 
@@ -213,6 +215,12 @@ class TestCharts:
             "circle-clockwise": (ParametricInterface(
                 cw_x, cw_y, circle, cw_x, cw_y),
                 lambda x, y: (2 * x, 2 * y)),
+            "rows": (LevelSetInterface(
+                lambda x, y: (y - 0.1) * (y + 0.5), zero, zero),
+                lambda x, y: (0.0, 2 * y + 0.4)),
+            "cols": (LevelSetInterface(
+                lambda x, y: (x - 0.1) * (x + 0.5), zero, zero),
+                lambda x, y: (2 * x + 0.4, 0.0)),
         }[kind]
         xs = np.linspace(-1.0, 1.0, 33)
         h = xs[1] - xs[0]
